@@ -366,9 +366,12 @@ def cmd_dirac(args) -> int:
     ctx = _ctx(args)
     rng = np.random.default_rng(args.seed)
     if args.points == 0:
+        if args.grid < 32:
+            raise ParseError("refinement needs --grid >= 32 so that the "
+                             "three grids halve h at each step")
         xi = complex(rng.standard_normal() + 1j * rng.standard_normal())
         psi = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        grids = [max(8, args.grid // 4), max(8, args.grid // 2), args.grid]
+        grids = [args.grid // 4, args.grid // 2, args.grid]
         trace = diraclattice.refinement_study(sol, (xi, psi), grids, ctx)
         rows = [[t["grid"], t["h"], t["dim"], t["gap"], t["reality"],
                  t["min_eig"]] for t in trace]
@@ -389,7 +392,7 @@ def cmd_dirac(args) -> int:
         spectra.append(sv[-8:][::-1])
         results.append({"xi": [xi.real, xi.imag], "psi": [psi.real, psi.imag],
                         "kernel_dim": dim, "gap": gap,
-                        "min_eig": diraclattice.positivity(dl),
+                        "min_eig": float(sv[-1] ** 2),
                         "reality": diraclattice.reality_residual(dl)})
     if args.out:
         rows = []
@@ -583,7 +586,8 @@ def main(argv=None) -> int:
         return 2
     except (nahmbow.BuildRefused, nahmbow.NotInNormalForm, nk.GapTooSmall,
             nk.DegeneratePencil, nk.ImageNotContained,
-            diraclattice.SingularPoint) as e:
+            diraclattice.SingularPoint, diraclattice.SingularLink,
+            diraclattice.PoleOrderUnsupported) as e:
         print(json.dumps({"error": {"type": type(e).__name__,
                                     "message": str(e)}}), file=sys.stderr)
         return 1

@@ -34,6 +34,10 @@ class PoleOrderUnsupported(Exception):
     pass
 
 
+class SingularLink(Exception):
+    """A link row pair cannot be solved for its right-hand node."""
+
+
 @dataclass
 class TaubNutPoint:
     xi: complex
@@ -65,6 +69,7 @@ class DiracLattice:
     sites: list         # (row_offset_1, row_offset_2, block_size) per site
     n_psi: int          # spinor unknowns
     n_aux: int          # W and edge unknowns
+    segments: list      # (first node column, node count, node width) per segment
     n_junctions: int = 4
 
     @property
@@ -220,14 +225,56 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     mat = np.zeros((row_pos, pos), dtype=complex)
     for r0, c0, v in entries:
         mat[r0, c0] += v
-    return DiracLattice(sol, pt, h, mat, sites, n_psi, pos - n_psi)
+    segments = [(offs[0], len(offs), 2 * seg.rank)
+                for (seg, _), offs in zip(nodes, offsets)]
+    return DiracLattice(sol, pt, h, mat, sites, n_psi, pos - n_psi, segments)
 
 
 def kernel(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
-    """(dimension, basis, gap) of the numerical kernel: trailing singular
-    values below the relative cut, certified by the multiplicative gap."""
-    rk = nk.rank_kernel(dl.matrix, ctx)
-    return rk.kernel.shape[1], rk.kernel, rk.gap
+    """(dimension, orthonormal basis, margin) of the kernel, by transfer
+    matrices.
+
+    Each link row pair L_j psi_j + R_j psi_{j+1} = 0 is solved for the next
+    node, psi_{j+1} = -R_j^{-1} L_j psi_j, so every node of a segment is a
+    linear image of the segment's first node: the columns of E below, one
+    per first-node and auxiliary unknown.  The junction rows applied to E
+    leave the reduced system S (8k rows, two more columns), whose kernel E
+    maps onto the operator's.  The margin sigma_min(S) / (rank_tol
+    sigma_max(S)) certifies that S has full row rank; below gap_factor the
+    decision is refused with GapTooSmall.
+    """
+    M = dl.matrix
+    E = np.zeros((M.shape[1], sum(w for _, _, w in dl.segments) + dl.n_aux),
+                  dtype=complex)
+    site = col = 0
+    for c0, n_nodes, w in dl.segments:
+        blocks = np.stack([M[p1:p1 + w, c0 + j * w:c0 + (j + 2) * w]
+                           for j, (p1, _, _) in
+                           enumerate(dl.sites[site:site + n_nodes - 1])])
+        L, R = blocks[..., :w], blocks[..., w:]
+        s = np.linalg.svd(R, compute_uv=False)
+        bad = np.flatnonzero(s[:, -1] <= ctx.rank_tol * s[:, 0])
+        if len(bad):
+            raise SingularLink(f"link {site + bad[0]} is singular: sigma "
+                               f"{s[bad[0], -1]:.3e} / {s[bad[0], 0]:.3e}")
+        T = -np.linalg.solve(R, L)
+        P = np.empty((n_nodes, w, w), dtype=complex)
+        P[0] = np.eye(w)
+        for j in range(n_nodes - 1):
+            P[j + 1] = T[j] @ P[j]
+        E[c0:c0 + n_nodes * w, col:col + w] = P.reshape(n_nodes * w, w)
+        site += n_nodes - 1
+        col += w
+    E[dl.n_psi:, col:] = np.eye(dl.n_aux)
+    S = M[dl.sites[site][0]:] @ E
+    _, s, Vh = np.linalg.svd(S)
+    margin = s[-1] / (ctx.rank_tol * s[0])
+    if not margin >= ctx.gap_factor:
+        raise nk.GapTooSmall(
+            f"reduced junction system: sigma {s[-1]:.3e} / {s[0]:.3e} gives "
+            f"margin {margin:.1f} < {ctx.gap_factor}")
+    basis, _ = np.linalg.qr(E @ Vh[len(s):].conj().T)
+    return basis.shape[1], basis, float(margin)
 
 
 def squared_operator(dl: DiracLattice) -> np.ndarray:
@@ -242,16 +289,31 @@ def reality_residual(dl: DiracLattice) -> float:
     The commutator is measured in the pairing where the junction rows carry
     their distributional weight h; there it decays at least linearly in h
     for valid data (exactly linearly once the lambda-point frames rotate).
+
+    The structure C is a signed permutation, so ||G C - C conj(G)||_2 is the
+    norm of the Hermitian D = G - C conj(G) C^T.  Link rows commute with the
+    structure (the T_i are Hermitian), so D vanishes outside the rows of the
+    junction sites and of the link sites sharing a node column with them;
+    its norm is the largest |eigenvalue| of that block.
     """
-    M = dl.weighted()
-    G = M @ M.conj().T
-    n = G.shape[0]
-    C = np.zeros((n, n), dtype=complex)
-    for p1, p2, r in dl.sites:
-        C[p1:p1 + r, p2:p2 + r] = -np.eye(r)
-        C[p2:p2 + r, p1:p1 + r] = np.eye(r)
-    resid = G @ C - C @ G.conj()
-    return float(np.linalg.norm(resid, 2) / max(np.linalg.norm(G, 2), 1e-300))
+    W = dl.weighted()
+    G = W @ W.conj().T
+    first = len(dl.sites) - dl.n_junctions
+    j0 = dl.sites[first][0]
+    junction_cols = np.any(W[j0:] != 0, axis=0)
+    touched = np.any(W[:j0, junction_cols] != 0, axis=1)
+    rows, partner, sign = [], [], []
+    for i, (p1, p2, r) in enumerate(dl.sites):
+        if i >= first or touched[p1:p2 + r].any():
+            b = len(rows)
+            rows += [*range(p1, p1 + r), *range(p2, p2 + r)]
+            partner += [*range(b + r, b + 2 * r), *range(b, b + r)]
+            sign += [-1.0] * r + [1.0] * r
+    sign = np.array(sign)
+    Gk = G[np.ix_(rows, rows)]
+    D = Gk - np.outer(sign, sign) * Gk.conj()[np.ix_(partner, partner)]
+    resid = np.max(np.abs(np.linalg.eigvalsh(D)))
+    return float(resid / max(np.linalg.eigvalsh(G)[-1], 1e-300))
 
 
 def positivity(dl: DiracLattice) -> float:
@@ -263,7 +325,7 @@ def positivity(dl: DiracLattice) -> float:
 
 def refinement_study(sol: NahmSolution, point, grids=(64, 128, 256),
                      ctx: ToleranceContext = DEFAULT_CTX):
-    """Kernel dimension, gap, reality residual and positivity across a
+    """Kernel dimension, margin, reality residual and positivity across a
     sequence of grids (halving h each step)."""
     out = []
     for g in grids:

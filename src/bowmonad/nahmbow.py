@@ -210,13 +210,22 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
 
 
 def isospectral_drift(seg: Segment, zetas) -> float:
-    """Max char-poly coefficient drift along a sampled segment."""
+    """Max char-poly coefficient drift along a sampled segment.
+
+    The coefficients at every sample are those of ``np.poly``: the roots of
+    each Lax matrix expanded one linear factor at a time, and made real where
+    the roots are closed under conjugation."""
     worst = 0.0
     for z in zetas:
-        ref = np.poly(lax(seg.T1[0], seg.T2[0], seg.T3[0], z))
-        for i in range(len(seg.s_grid)):
-            c = np.poly(lax(seg.T1[i], seg.T2[i], seg.T3[i], z))
-            worst = max(worst, float(np.max(np.abs(c - ref))))
+        roots = np.linalg.eigvals(lax(seg.T1, seg.T2, seg.T3, z))
+        coeffs = np.ones((len(roots), 1), dtype=complex)
+        for k in range(roots.shape[1]):
+            coeffs = (np.pad(coeffs, ((0, 0), (0, 1)))
+                      - np.pad(coeffs * roots[:, k:k + 1], ((0, 0), (1, 0))))
+        real = np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1),
+                      axis=1)
+        coeffs[real] = coeffs[real].real
+        worst = max(worst, float(np.max(np.abs(coeffs - coeffs[0]))))
     return worst
 
 

@@ -222,3 +222,31 @@ def test_dirac_refinement_trace(tmp_path, capsys):
     assert lines[0] == "grid,h,kernel_dim,gap,reality,min_eig"
     assert len(lines) == 4
     capsys.readouterr()
+
+
+def test_dirac_refinement_rejects_coarse_grid(tmp_path, capsys):
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "0",
+                   "--grid", "16") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "parse"
+
+
+def test_dirac_pole_order_exit_1(tmp_path, capsys):
+    from bowmonad import nahmbow as nb
+    rep = nb.BowRepresentation(1.0, 0.25, 1, 2)
+    z1 = np.zeros((1, 1), dtype=complex)
+    z3 = np.zeros((3, 3), dtype=complex)
+    sol = nb.NahmSolution(rep, nb.constant_segment(-0.5, -0.25, z1, z1, z1),
+                          nb.constant_segment(-0.25, 0.25, z3, z3, z3),
+                          nb.constant_segment(0.25, 0.5, z1, z1, z1), z1, z1)
+    sol_file = tmp_path / "m2.json"
+    sol_file.write_text(json.dumps(bowcli.solution_to_json(sol)))
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "1",
+                   "--grid", "32") == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "PoleOrderUnsupported"

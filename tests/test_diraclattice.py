@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bowmonad import diraclattice as dlm, nahmbow as nb, taubnut as tn
+from bowmonad import diraclattice as dlm, nahmbow as nb, numkit as nk, taubnut as tn
 
 
 def pair_m0():
@@ -64,7 +64,7 @@ def test_kernel_dim_two_at_generic_points():
         dl = dlm.assemble(sol, pt, grid=128)
         dim, basis, gap = dlm.kernel(dl)
         assert dim == 2
-        assert gap > 1e3
+        assert np.isfinite(gap) and gap > 1e3
         assert np.max(np.abs(dl.matrix @ basis)) < 1e-8 * np.max(np.abs(dl.matrix))
 
 
@@ -109,7 +109,6 @@ def _continuum_kernel(sol, pt):
     rows[3, 2], rows[3, 3] = -A_wm[1, 0], -A_wp[1, 0]
     rows[3, 4] += -Bth
     rows[3, 5] += -xi
-    from bowmonad import numkit as nk
     return nk.rank_kernel(rows).kernel
 
 
@@ -186,6 +185,78 @@ def test_compare_with_monad_m0_and_m1():
             out = dlm.compare_with_monad(data, sol, pt, grid=96)
             assert out["match"]
             assert out["kernel_dim"] == out["monad_dim"] == 2
+
+
+def _dense_kernel(dl):
+    """Oracle: kernel of the whole operator by a dense SVD."""
+    return nk.rank_kernel(dl.matrix).kernel
+
+
+def _dense_reality(dl):
+    """Oracle: the commutator of the squared operator with the structure,
+    both formed as dense matrices."""
+    M = dl.weighted()
+    G = M @ M.conj().T
+    n = G.shape[0]
+    C = np.zeros((n, n), dtype=complex)
+    for p1, p2, r in dl.sites:
+        C[p1:p1 + r, p2:p2 + r] = -np.eye(r)
+        C[p2:p2 + r, p1:p1 + r] = np.eye(r)
+    resid = G @ C - C @ G.conj()
+    return np.linalg.norm(resid, 2) / np.linalg.norm(G, 2)
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_transfer_kernel_matches_dense_oracle(pair):
+    sol, _ = pair()
+    for grid in (8, 16, 64, 256):
+        for pt in GENERIC_POINTS:
+            dl = dlm.assemble(sol, pt, grid)
+            dim, basis, gap = dlm.kernel(dl)
+            want = _dense_kernel(dl)
+            assert dim == want.shape[1] == 2
+            assert _subspace_angle(basis, want) < 1e-6
+            assert np.allclose(basis.conj().T @ basis, np.eye(dim))
+            assert (np.linalg.norm(dl.matrix @ basis, 2)
+                    < 1e-12 * np.linalg.norm(dl.matrix, 2))
+            assert np.isfinite(gap) and gap > 1e3
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_reality_residual_matches_dense_commutator(pair):
+    sol, _ = pair()
+    for grid in (64, 128, 256):
+        for pt in GENERIC_POINTS:
+            dl = dlm.assemble(sol, pt, grid)
+            want = _dense_reality(dl)
+            assert abs(dlm.reality_residual(dl) - want) <= 1e-12 * want
+
+
+def test_kernel_margin_fails_at_reducible_point():
+    """The abelian solution (no fundamental data) at the bow's own location:
+    the reduced junction system drops rank, so the kernel is refused rather
+    than counted."""
+    rep = nb.BowRepresentation(1.0, 0.25, 1, 0)
+    sol = nb.solution_k1_m0(rep, Bth=1.4 + 0.2j, Bht=0.8 - 0.5j, j_minus=0.0)
+    near = dlm.assemble(sol, (0.99 * sol.Bht[0, 0], 0.99 * sol.Bth[0, 0]), 96)
+    assert dlm.kernel(near)[0] == 2
+    dl = dlm.assemble(sol, (sol.Bht[0, 0], sol.Bth[0, 0]), grid=96)
+    with pytest.raises(nk.GapTooSmall):
+        dlm.kernel(dl)
+
+
+def test_singular_link_refused():
+    """Zero data at |xi|^2 + |psi|^2 = 4/h: the link block acting on the
+    right-hand node is singular and cannot be eliminated."""
+    rep = nb.BowRepresentation(1.0, 0.25, 1, 0)
+    z = lambda: np.zeros((1, 1), dtype=complex)
+    segs = [nb.constant_segment(s0, s1, z(), z(), z())
+            for s0, s1 in ((-0.5, -0.25), (-0.25, 0.25), (0.25, 0.5))]
+    sol = nb.NahmSolution(rep, *segs, z(), z(),
+                          I_minus=z(), J_minus=z(), I_plus=z(), J_plus=z())
+    dl = dlm.assemble(sol, (4.0, 4.0), grid=8)
+    with pytest.raises(dlm.SingularLink):
+        dlm.kernel(dl)
 
 
 def test_pole_order_guard():

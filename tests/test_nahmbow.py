@@ -238,6 +238,33 @@ def test_isospectral_drift_small_k3():
     assert nb.isospectral_drift(seg, [0.0, 0.5, -1.0, 1j, 2.0]) < 1e-8
 
 
+def test_isospectral_drift_matches_per_sample_poly():
+    """The batched drift against np.poly sample by sample.  The batched
+    expansion rounds differently from np.convolve, so the two agree to a few
+    units in the last place of the largest coefficient."""
+    zetas = [0.0, 0.5, -1.0, 1j, 2.0]
+    rng = np.random.default_rng(5)
+    herm = lambda r: [0.3 * (X + X.conj().T) for X in
+                      (rng.standard_normal((r, r))
+                       + 1j * rng.standard_normal((r, r)) for _ in range(3))]
+    segs = [nb.flow(*herm(3), 0.0, 1.0, 1e-3)]
+    segs += [nb.flow(*[r / 0.1 for r in nb.su2_irrep(d)], 0.1, 1.0, 1e-3)
+             for d in (2, 4)]
+    # T2 = 0 at the first sample only: real roots at zeta = 0 there alone
+    T1, T2, T3 = [np.stack(X) for X in zip(*(herm(2) for _ in range(4)))]
+    T2[0] = 0
+    segs.append(nb.Segment(0.0, 1.0, 2, np.linspace(0.0, 1.0, 4), T1, T2, T3))
+    for seg in segs:
+        want, scale = 0.0, 1.0
+        for z in zetas:
+            polys = [np.poly(nb.lax(seg.T1[i], seg.T2[i], seg.T3[i], z))
+                     for i in range(len(seg.s_grid))]
+            scale = max(scale, max(np.max(np.abs(c)) for c in polys))
+            want = max(want, max(float(np.max(np.abs(c - polys[0])))
+                                 for c in polys))
+        assert abs(nb.isospectral_drift(seg, zetas) - want) <= 1e-14 * scale
+
+
 # ---------------------------------------------------------------------------
 # shadows and the finite reduction
 
