@@ -14,9 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -234,21 +232,6 @@ def _write_csv(rows, header, out_path):
             f.close()
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BOWMONAD_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    n = _threads()
-    if n == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(fn, items))
-
-
 def _ctx(args) -> ToleranceContext:
     return ToleranceContext(rank_tol=args.tol) if args.tol else \
         ToleranceContext()
@@ -283,7 +266,7 @@ def cmd_fiber(args) -> int:
     pm = _monad_for(data, ctx)
     rng = np.random.default_rng(args.seed)
     pts = monadcore.random_chart_points(args.points, rng)
-    dims = _map_ordered(lambda p: fiber(pm.evaluate(p), ctx).dim, pts)
+    dims = [fiber(pm.evaluate(p), ctx).dim for p in pts]
     payload = {"chart": pm.chart, "composite_residual": pm.composite_residual(),
                "points": [[p[0].real, p[0].imag, p[1].real, p[1].imag]
                           for p in pts],
@@ -528,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, points=False, grid=False, step=False, zeta=False):
         sp.add_argument("--input", required=False)
         sp.add_argument("--out", default=None)
-        sp.add_argument("--backend", choices=["f64", "exact"], default="f64")
         sp.add_argument("--tol", type=float, default=None)
         sp.add_argument("--seed", type=int, default=0)
         if points:
@@ -565,6 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_roundtrip)
     sp = sub.add_parser("generate", help="seeded instance generators")
     common(sp)
+    sp.add_argument("--backend", choices=["f64", "exact"], default="f64")
     sp.add_argument("--kind", required=True,
                     choices=["caloron", "caloron-m0", "taubnut", "taubnut-m0",
                              "bowsol"])

@@ -583,23 +583,19 @@ def _draw_caloron(k: int, m: int, rng, exact: bool):
     for i in range(m - 1):
         shift[i + 1, i] = Fraction(1)
     K = em @ Bp @ Ai + shift @ Ap - Ap @ B      # m x k, must equal Cprime D
-    Cp = np.zeros((m, 2), dtype=object)
     if k == 1:
+        Cp = np.zeros((m, 2), dtype=object)
         for i in range(m):
             Cp[i, 0] = Fraction(K[i, 0], int(D[0, 0])) if D[0, 0] else Fraction(0)
             if D[0, 0] == 0:
                 return None
             Cp[i, 1] = Fraction(0)
     else:
-        Dq = np.array([[Fraction(int(D[a, b])) if not isinstance(D[a, b], Fraction)
-                        else D[a, b] for b in range(k)] for a in range(2)])
-        det = Dq[0, 0] * Dq[1, 1] - Dq[0, 1] * Dq[1, 0]
-        if det == 0:
+        Dinv = nk.exact_inverse(np.array(
+            [[Fraction(int(x)) for x in row] for row in D], dtype=object))
+        if Dinv is None:
             return None
-        for i in range(m):
-            rhs = K[i]
-            Cp[i, 0] = (rhs[0] * Dq[1, 1] - rhs[1] * Dq[1, 0]) / det
-            Cp[i, 1] = (-rhs[0] * Dq[0, 1] + rhs[1] * Dq[0, 0]) / det
+        Cp = K @ Dinv
     C = np.hstack([C1, C2])
     mats = dict(A=Ai, B=B, C=C, D2row=D2, Aprime=Ap, Bprime=Bp, Cprime=Cp)
     return _pack(CaloronData, dict(k=k, m=m), mats, exact)
@@ -630,14 +626,17 @@ def _draw_caloron_m0(k: int, rng, exact: bool):
 
 
 def _pack(cls, meta, mats, exact: bool):
+    """Data of class cls from integer or Fraction draws.  Fractions built
+    from numpy integers keep numpy numerators, which overflow in later
+    exact arithmetic, so the exact backend stores Python ints."""
     from fractions import Fraction
     out = {}
     for name, M in mats.items():
         M = np.atleast_2d(M)
         if exact:
-            rows = [[nk.GQ(e if isinstance(e, Fraction) else int(e))
-                     for e in row] for row in M]
-            out[name] = nk.exact_matrix(rows)
+            out[name] = nk.exact_matrix(
+                [[Fraction(int(f.numerator), int(f.denominator))
+                  for f in map(Fraction, row)] for row in M])
         else:
             out[name] = np.array([[complex(e) for e in row] for row in M])
     return cls(**meta, **out)

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import numkit as nk
 from .monadcore import fiber
-from .nahmbow import NahmSolution, complex_shadow, finite_monad_family
+from .nahmbow import (BuildRefused, NahmSolution, complex_shadow,
+                      finite_monad_family)
 from .numkit import DEFAULT_CTX, ToleranceContext
 
 
@@ -106,6 +107,10 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     desk generators do not produce)."""
     if sol.m > 1:
         raise PoleOrderUnsupported("lattice assembly supports m <= 1")
+    if sol.m == 0 and any(v is None for v in (sol.I_minus, sol.J_minus,
+                                              sol.I_plus, sol.J_plus)):
+        raise BuildRefused("m = 0 assembly needs the fundamental pairs "
+                           "(I, J) at both lambda points")
     pt = point if isinstance(point, TaubNutPoint) else TaubNutPoint(*point)
     rep = sol.rep
     k, m = sol.k, sol.m
@@ -277,11 +282,6 @@ def kernel(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     return basis.shape[1], basis, float(margin)
 
 
-def squared_operator(dl: DiracLattice) -> np.ndarray:
-    """The family Laplacian on the output space (operator times adjoint)."""
-    return dl.matrix @ dl.matrix.conj().T
-
-
 def reality_residual(dl: DiracLattice) -> float:
     """Relative norm of the commutator of the squared operator with the
     quaternionic structure on the spinor factor.
@@ -335,18 +335,6 @@ def refinement_study(sol: NahmSolution, point, grids=(64, 128, 256),
                     "reality": reality_residual(dl),
                     "min_eig": positivity(dl), "basis": basis})
     return out
-
-
-def kernel_angle(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Largest principal angle between two kernel bases of equal dimension,
-    compared on a shared trailing coordinate block (the aux components are
-    grid independent)."""
-    na = min(basis_a.shape[0], basis_b.shape[0])
-    Qa, _ = np.linalg.qr(basis_a[-na:])
-    Qb, _ = np.linalg.qr(basis_b[-na:])
-    s = np.linalg.svd(Qa.conj().T @ Qb, compute_uv=False)
-    s = np.clip(s, -1.0, 1.0)
-    return float(np.arccos(s.min()))
 
 
 def compare_with_monad(data, sol: NahmSolution, point, grid: int = 256,

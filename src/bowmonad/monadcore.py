@@ -270,6 +270,15 @@ class SectionSpace:
     h1_dim: int
 
 
+def block_offsets(blocks) -> list[tuple[int, int]]:
+    """(start, stop) row or column range of each block of a monad column."""
+    out, pos = [], 0
+    for b in blocks:
+        out.append((pos, pos + b.rank))
+        pos += b.rank
+    return out
+
+
 class ParamMonad:
     """Block-structured complex col1 --alpha--> col2 --beta--> col3."""
 
@@ -290,11 +299,7 @@ class ParamMonad:
 
     # -- basic structure -----------------------------------------------------
     def offsets(self, col: int) -> list[tuple[int, int]]:
-        out, pos = [], 0
-        for b in self.cols[col]:
-            out.append((pos, pos + b.rank))
-            pos += b.rank
-        return out
+        return block_offsets(self.cols[col])
 
     def composite(self) -> PolyMatrix:
         return self.beta.compose(self.alpha)

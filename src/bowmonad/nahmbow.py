@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import BlockSpec, MonadAtPoint, ParamMonad, PolyMatrix
+from .monadcore import (BlockSpec, MonadAtPoint, ParamMonad, PolyMatrix,
+                        block_offsets)
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 
@@ -404,6 +405,10 @@ def check_boundary(sol: NahmSolution, ctx: ToleranceContext = DEFAULT_CTX,
                 ("fundamental_minus", rep.lam_minus, (sol.I_minus, sol.J_minus), +1),
                 ("fundamental_plus", rep.lam_plus, (sol.I_plus, sol.J_plus), -1)):
             I, J = pair
+            if I is None or J is None:
+                report.add(name, False, np.inf,
+                           note="fundamental pair (I, J) missing")
+                continue
             inner = sol.middle.at(s)
             outer = (sol.head if sign > 0 else sol.tail).at(s)
             # sign > 0: A^1 - A^0 at lam_minus; sign < 0: A^1 - A^0 = -(...)
@@ -647,11 +652,10 @@ class BowComplexCircle:
 
 def _inv(M):
     if nk.is_exact(M):
-        n = M.shape[0]
-        sol = nk.exact_solve(M, nk.exact_eye(n))
-        if sol is None:
+        inv = nk.exact_inverse(M)
+        if inv is None:
             raise TransportSingular("exact matrix not invertible")
-        return sol
+        return inv
     M = np.asarray(M, dtype=complex)
     if M.size and np.linalg.cond(M) > 1e12:
         raise TransportSingular("monodromy numerically defective")
@@ -727,7 +731,7 @@ def _rank_one_split(jump: np.ndarray, I_u, J_u, sign: int):
 # finite monad from a bow complex
 
 
-# boundary twists reused from the fused monad on the blown-up chart
+# boundary twists of the fused and finite monad blocks on the (xi, psi) chart
 _TW = {
     "mF": {"Fxi": -1, "Fpsi": -1},
     "mFC0": {"Fxi": -1, "Fpsi": -1, "C0": -1},
@@ -806,9 +810,7 @@ def finite_monad_family(bc: BowComplexTN,
     n3 = sum(b.rank for b in cols3)
     alpha = PolyMatrix((n2, n1))
     beta = PolyMatrix((n3, n2))
-    o1 = _offsets(cols1)
-    o2 = _offsets(cols2)
-    o3 = _offsets(cols3)
+    o1, o2, o3 = (block_offsets(c) for c in (cols1, cols2, cols3))
 
     # alpha blocks ---------------------------------------------------------
     add = alpha.add_monomial
@@ -855,11 +857,3 @@ def finite_monad_family(bc: BowComplexTN,
         add(0, 0, o3[0], o2[8], P @ np.asarray(bc.I_minus, complex))
 
     return ParamMonad("xi_psi", (cols1, cols2, cols3), alpha, beta)
-
-
-def _offsets(blocks):
-    out, pos = [], 0
-    for b in blocks:
-        out.append((pos, pos + b.rank))
-        pos += b.rank
-    return out

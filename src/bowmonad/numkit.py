@@ -36,15 +36,6 @@ class ImageNotContained(Exception):
     """Quotient requested for spaces that are not nested to tolerance."""
 
 
-class ProbabilisticOnly(Exception):
-    """Reserved flag for sampling-based fallbacks of the eigenvector search.
-
-    The implemented search is spectral and deterministic for every subspace
-    dimension, so this is never raised; it is kept so callers can guard the
-    interface uniformly.
-    """
-
-
 # ---------------------------------------------------------------------------
 # scalars
 
@@ -302,13 +293,13 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> RankKerne
     """Rank with kernel and cokernel bases.
 
     Float backend: SVD with relative threshold plus gap certificate.
-    Exact backend: Gaussian elimination over Q(i), gap-free.
+    Exact backend: reduced row echelon forms of M and M^H over Q(i), gap-free.
     """
     m, n = M.shape
     if is_exact(M):
-        rank, kernel = _exact_rank_kernel(M)
-        _, cokernel = _exact_rank_kernel(conj_transpose(M))
-        return RankKernel(rank, kernel, cokernel, np.inf)
+        kernel = exact_kernel(M)
+        return RankKernel(n - kernel.shape[1], kernel,
+                          exact_kernel(conj_transpose(M)), np.inf)
     M = np.asarray(M, dtype=complex)
     if m == 0 or n == 0:
         return RankKernel(0, np.eye(n, dtype=complex), np.eye(m, dtype=complex))
@@ -323,90 +314,84 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> RankKerne
     return RankKernel(rank, kernel, cokernel, gap)
 
 
-def _exact_rank_kernel(M: np.ndarray):
-    """Row echelon over Q(i); returns (rank, kernel basis as object array)."""
-    m, n = M.shape
-    R = M.copy()
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        # pick the largest remaining entry in this column as pivot
-        best, best_i = None, None
-        for i in range(r, m):
-            e = R[i, c]
-            if e:
-                a = e.abs2()
-                if best is None or a > best:
-                    best, best_i = a, i
-        if best_i is None:
-            continue
-        if best_i != r:
-            R[[r, best_i]] = R[[best_i, r]]
-        piv = R[r, c]
-        for j in range(c, n):
-            R[r, j] = R[r, j] / piv
-        for i in range(m):
-            if i != r and R[i, c]:
-                f = R[i, c]
-                for j in range(c, n):
-                    R[i, j] = R[i, j] - f * R[r, j]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    rank = len(pivots)
-    free = [c for c in range(n) if c not in pivots]
-    kernel = exact_zeros(n, len(free))
-    for jf, c in enumerate(free):
-        kernel[c, jf] = GQ_ONE
-        for i, pc in enumerate(pivots):
-            kernel[pc, jf] = -R[i, c]
-    return rank, kernel
-
-
 def nullspace(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> np.ndarray:
     return rank_kernel(M, ctx).kernel
 
 
-def exact_solve(A: np.ndarray, b: np.ndarray):
-    """One exact solution of A x = b, or None if inconsistent."""
-    m, n = A.shape
-    aug = exact_zeros(m, n + b.shape[1])
-    aug[:, :n] = A
-    aug[:, n:] = b
-    rank_a, _ = _exact_rank_kernel(A)
-    rank_aug, kern = _exact_rank_kernel(aug)
-    if rank_aug != rank_a:
-        return None
-    # back-substitution via the echelon form of the augmented system
-    R = aug.copy()
-    pivots = []
-    r = 0
+# ---------------------------------------------------------------------------
+# exact elimination: every exact rank, kernel, solve, quotient and inverse
+# is read off one reduced row echelon form
+
+
+def rref(M: np.ndarray):
+    """Reduced row echelon form of an exact matrix, by Gauss-Jordan
+    elimination; returns (R, pivot columns).
+
+    Only + - * / and truthiness are used, so object arrays of
+    GaussianRational and of Fraction both work.  The RREF of a matrix is
+    unique, so nothing read off it depends on the choice of pivot rows.
+    """
+    R = M.copy()
+    m, n = R.shape
+    pivots: list[int] = []
     for c in range(n):
-        best_i = None
-        for i in range(r, m):
-            if R[i, c]:
-                best_i = i
-                break
-        if best_i is None:
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if R[i, c]), None)
+        if p is None:
             continue
-        if best_i != r:
-            R[[r, best_i]] = R[[best_i, r]]
-        piv = R[r, c]
-        for j in range(c, n + b.shape[1]):
-            R[r, j] = R[r, j] / piv
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        R[r, c:] = R[r, c:] / R[r, c]
         for i in range(m):
             if i != r and R[i, c]:
-                f = R[i, c]
-                for j in range(c, n + b.shape[1]):
-                    R[i, j] = R[i, j] - f * R[r, j]
+                R[i, c:] = R[i, c:] - R[i, c] * R[r, c:]
         pivots.append(c)
-        r += 1
-    x = exact_zeros(n, b.shape[1])
-    for i, pc in enumerate(pivots):
-        for j in range(b.shape[1]):
-            x[pc, j] = R[i, n + j]
+    return R, pivots
+
+
+def _field(M: np.ndarray):
+    """Scalar type of an exact matrix: GaussianRational, or Fraction for
+    real rational data."""
+    return GQ if M.size == 0 or isinstance(M.flat[0], GQ) else Fraction
+
+
+def exact_kernel(M: np.ndarray) -> np.ndarray:
+    """Kernel basis of an exact matrix, one column per free column of its
+    RREF (that entry 1, the other free entries 0)."""
+    R, pivots = rref(M)
+    n = M.shape[1]
+    F = _field(M)
+    free = [c for c in range(n) if c not in pivots]
+    kernel = np.full((n, len(free)), F(0), dtype=object)
+    for j, c in enumerate(free):
+        kernel[c, j] = F(1)
+        for i, p in enumerate(pivots):
+            kernel[p, j] = -R[i, c]
+    return kernel
+
+
+def exact_solve(A: np.ndarray, b: np.ndarray):
+    """The exact solution of A x = b with every free variable 0, or None if
+    the system is inconsistent (a pivot of [A | b] lands in the b block)."""
+    n = A.shape[1]
+    R, pivots = rref(np.hstack([A, b]))
+    if pivots and pivots[-1] >= n:
+        return None
+    x = np.full((n, b.shape[1]), _field(A)(0), dtype=object)
+    for i, p in enumerate(pivots):
+        x[p] = R[i, n:]
     return x
+
+
+def exact_inverse(M: np.ndarray):
+    """Inverse of a square exact matrix, or None if it is singular."""
+    n = M.shape[0]
+    F = _field(M)
+    eye = np.full((n, n), F(0), dtype=object)
+    np.fill_diagonal(eye, F(1))
+    return exact_solve(M, eye)
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +602,7 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
     for i in range(D.shape[0]):
         for j in range(k):
             stacked[2 * k + i, j] = D[i, j]
-    rank, _ = _exact_rank_kernel(stacked)
-    return rank < k
+    return len(rref(stacked)[1]) < k
 
 
 # ---------------------------------------------------------------------------
@@ -722,41 +706,9 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
 
 
 def _exact_quotient(K: np.ndarray, I: np.ndarray) -> np.ndarray:
-    n = K.shape[0]
-    if I.shape[1]:
-        sol = exact_solve(K, I)
-        if sol is None:
-            raise ImageNotContained("image not contained in kernel (exact)")
-    # row-reduce [I | K]; pivot columns landing in the K block are reps
-    aug = exact_zeros(n, I.shape[1] + K.shape[1])
-    aug[:, : I.shape[1]] = I
-    aug[:, I.shape[1]:] = K
-    R = aug.copy()
-    m, ncols = R.shape
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        best_i = None
-        for i in range(r, m):
-            if R[i, c]:
-                best_i = i
-                break
-        if best_i is None:
-            continue
-        if best_i != r:
-            R[[r, best_i]] = R[[best_i, r]]
-        piv = R[r, c]
-        for j in range(c, ncols):
-            R[r, j] = R[r, j] / piv
-        for i in range(m):
-            if i != r and R[i, c]:
-                f = R[i, c]
-                for j in range(c, ncols):
-                    R[i, j] = R[i, j] - f * R[r, j]
-        pivots.append(c)
-        r += 1
-    reps = [c - I.shape[1] for c in pivots if c >= I.shape[1]]
-    out = exact_zeros(n, len(reps))
-    for j, col in enumerate(reps):
-        out[:, j] = K[:, col]
-    return out
+    if I.shape[1] and exact_solve(K, I) is None:
+        raise ImageNotContained("image not contained in kernel (exact)")
+    # the pivot columns of [I | K] that land in the K block are the reps
+    ni = I.shape[1]
+    _, pivots = rref(np.hstack([I, K]))
+    return K[:, [c - ni for c in pivots if c >= ni]]

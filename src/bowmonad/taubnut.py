@@ -16,17 +16,9 @@ import numpy as np
 
 from . import numkit as nk
 from .caloron import _e_minus_col, _e_plus_row, _shift_matrix
-from .monadcore import BlockSpec, ParamMonad, PolyMatrix
-from .nahmbow import BowComplexTN, BuildRefused, NotInNormalForm, _inv
+from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
+from .nahmbow import BowComplexTN, BuildRefused, NotInNormalForm, _inv, _TW
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
-
-# boundary twists of the fused monad blocks
-TW_MF = {"Fxi": -1, "Fpsi": -1}
-TW_MF_C0 = {"Fxi": -1, "Fpsi": -1, "C0": -1}
-TW_MF_CI = {"Fxi": -1, "Fpsi": -1, "Cinf": -1}
-TW_EH = {"Cinf": -1, "Fxi": -1}
-TW_ET = {"C0": -1, "Fpsi": -1}
-TW_TRIV: dict = {}
 
 
 @dataclass
@@ -347,28 +339,24 @@ def _big_monad_unchecked(data) -> ParamMonad:
         Mmid = B0 - nk.mat_mul(data.C1, nk.mat_mul(D1, Ainv))
         d_w = nk.mat_mul(D1, Ainv) - D1
 
-    cols1 = [BlockSpec("Um", TW_MF, k + m), BlockSpec("Wh", TW_MF_C0, k),
-             BlockSpec("Wt", TW_MF_CI, k), BlockSpec("Up", TW_MF, k)]
-    cols2 = [BlockSpec("S1", TW_MF, k + m), BlockSpec("Vm", TW_TRIV, k + m + 1),
-             BlockSpec("S10", TW_MF, k), BlockSpec("Eh", TW_EH, k),
-             BlockSpec("Et", TW_ET, k), BlockSpec("S00", TW_MF, k),
-             BlockSpec("Vp", TW_TRIV, k + 1)]
-    cols3 = [BlockSpec("T1", TW_TRIV, k + m), BlockSpec("T10", TW_TRIV, k),
-             BlockSpec("T00", TW_TRIV, k)]
+    cols1 = [BlockSpec("Um", _TW["mF"], k + m),
+             BlockSpec("Wh", _TW["mFC0"], k),
+             BlockSpec("Wt", _TW["mFCi"], k),
+             BlockSpec("Up", _TW["mF"], k)]
+    cols2 = [BlockSpec("S1", _TW["mF"], k + m),
+             BlockSpec("Vm", _TW["triv"], k + m + 1),
+             BlockSpec("S10", _TW["mF"], k), BlockSpec("Eh", _TW["Eh"], k),
+             BlockSpec("Et", _TW["Et"], k), BlockSpec("S00", _TW["mF"], k),
+             BlockSpec("Vp", _TW["triv"], k + 1)]
+    cols3 = [BlockSpec("T1", _TW["triv"], k + m),
+             BlockSpec("T10", _TW["triv"], k),
+             BlockSpec("T00", _TW["triv"], k)]
     n1 = sum(b.rank for b in cols1)
     n2 = sum(b.rank for b in cols2)
     n3 = sum(b.rank for b in cols3)
     alpha = PolyMatrix((n2, n1), exact=exact)
     beta = PolyMatrix((n3, n2), exact=exact)
-
-    def off(blocks):
-        out, pos = [], 0
-        for b in blocks:
-            out.append((pos, pos + b.rank))
-            pos += b.rank
-        return out
-
-    o1, o2, o3 = off(cols1), off(cols2), off(cols3)
+    o1, o2, o3 = (block_offsets(c) for c in (cols1, cols2, cols3))
     km = k + m
     add = alpha.add_monomial
     # Um column
@@ -471,28 +459,23 @@ def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
     exact = data.exact
     B0, B1 = data.B0, data.B1
     eyek = nk.eye_like_backend(k, exact)
-    cols1 = [BlockSpec("Um", TW_MF, k + m),
+    cols1 = [BlockSpec("Um", _TW["mF"], k + m),
              BlockSpec("Wpsi", {"Fxi": -1, "Fpsi": -2, "C0": -1}, k),
-             BlockSpec("Up", TW_MF, k)]
-    cols2 = [BlockSpec("S1", TW_MF, k + m), BlockSpec("Vm", TW_TRIV, k + m + 1),
-             BlockSpec("S10", TW_MF, k), BlockSpec("Epsi", TW_ET, k),
-             BlockSpec("S00", TW_MF, k), BlockSpec("Vp", TW_TRIV, k + 1)]
-    cols3 = [BlockSpec("T1", TW_TRIV, k + m), BlockSpec("T10", TW_TRIV, k),
-             BlockSpec("T00", TW_TRIV, k)]
+             BlockSpec("Up", _TW["mF"], k)]
+    cols2 = [BlockSpec("S1", _TW["mF"], k + m),
+             BlockSpec("Vm", _TW["triv"], k + m + 1),
+             BlockSpec("S10", _TW["mF"], k), BlockSpec("Epsi", _TW["Et"], k),
+             BlockSpec("S00", _TW["mF"], k),
+             BlockSpec("Vp", _TW["triv"], k + 1)]
+    cols3 = [BlockSpec("T1", _TW["triv"], k + m),
+             BlockSpec("T10", _TW["triv"], k),
+             BlockSpec("T00", _TW["triv"], k)]
     n1 = sum(b.rank for b in cols1)
     n2 = sum(b.rank for b in cols2)
     n3 = sum(b.rank for b in cols3)
     alpha = PolyMatrix((n2, n1), exact=exact)
     beta = PolyMatrix((n3, n2), exact=exact)
-
-    def off(blocks):
-        out, pos = [], 0
-        for b in blocks:
-            out.append((pos, pos + b.rank))
-            pos += b.rank
-        return out
-
-    o1, o2, o3 = off(cols1), off(cols2), off(cols3)
+    o1, o2, o3 = (block_offsets(c) for c in (cols1, cols2, cols3))
     km = k + m
     em = _e_minus_col(m, exact)
     ep = _e_plus_row(m, exact)
@@ -800,11 +783,9 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
         else:
             return None
     else:
-        det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
-        if det == 0:
+        Dinv = nk.exact_inverse(D)
+        if Dinv is None:
             return None
-        Dinv = np.array([[D[1, 1] / det, -D[0, 1] / det],
-                         [-D[1, 0] / det, D[0, 0] / det]], dtype=object)
         C = R @ Dinv
     # relation 2 for Bprime, Cprime
     Bp = _int_frac(rng, (1, k))
@@ -814,19 +795,15 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
     for i in range(m - 1):
         shift[i + 1, i] = Fraction(1)
     K = em @ Bp @ A + shift @ Ap - Ap @ B0
-    Cp = np.zeros((m, 2), dtype=object)
     if k == 1:
         if D[0, 0] == 0:
             return None
+        Cp = np.zeros((m, 2), dtype=object)
         for i in range(m):
             Cp[i, 0] = K[i, 0] / D[0, 0]
             Cp[i, 1] = Fraction(0)
     else:
-        det = D[0, 0] * D[1, 1] - D[0, 1] * D[1, 0]
-        for i in range(m):
-            rhs = K[i]
-            Cp[i, 0] = (rhs[0] * D[1, 1] - rhs[1] * D[1, 0]) / det
-            Cp[i, 1] = (-rhs[0] * D[0, 1] + rhs[1] * D[0, 0]) / det
+        Cp = K @ Dinv
     mats = dict(A=A, Bht=Bht, Bth=Bth, C=C, D2row=D2, Aprime=Ap, Bprime=Bp,
                 Cprime=Cp)
     return _pack(TaubNutData, dict(k=k, m=m), mats, exact)
@@ -839,10 +816,9 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
     # orthogonal slice so the rank-one update preserves the spectrum
     evals = rng.choice(np.arange(-5, 6), size=k, replace=False)
     S = _int_frac(rng, (k, k))
-    detS = _exact_det_frac(S)
-    if detS == 0:
+    Sinv = nk.exact_inverse(S)
+    if Sinv is None:
         return None
-    Sinv = _frac_inv(S)
     B0 = S @ np.diag([Fraction(int(v)) for v in evals]).astype(object) @ Sinv
     D1 = (np.eye(k, dtype=object)[0:1] @ Sinv)          # left eigenvector
     D1 = np.array([[Fraction(x) if not isinstance(x, Fraction) else x
@@ -854,19 +830,17 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
         w = _int_frac(rng, (k - 1, 1))
         C1 = cols @ w                                    # D1 C1 = 0
     B1 = B0 - C1 @ D1
-    # edge: Bth conjugates B0 to B1 through the shared eigenbasis
-    S1 = S - C1 @ (D1 @ S) @ np.diag(
-        [Fraction(0)] * k).astype(object) if False else None
-    # eigenvectors of B1 = B0 - C1 D1: for v_i of B0, B1 (v_i) = ev_i v_i
-    # unless D1 v_i != 0; D1 v_i = delta_{1i} in the S basis, and the first
-    # eigenvector shifts: solve directly instead.
-    V1 = _eigvecs_after_rank_one(S, evals, C1, D1)
+    # edge: Bth conjugates B0 to B1 through the two eigenbases.  For v_i of
+    # B0, B1 v_i = ev_i v_i unless D1 v_i != 0; D1 v_i = delta_{1i} in the S
+    # basis, and the first eigenvector shifts: solve directly instead.
+    V1 = _eigvecs(B1, evals)
     if V1 is None:
         return None
     Bth = V1 @ Sinv
-    if _exact_det_frac(Bth) == 0:
+    Bth_inv = nk.exact_inverse(Bth)
+    if Bth_inv is None:
         return None
-    Bht = B0 @ _frac_inv(Bth)
+    Bht = B0 @ Bth_inv
     if k == 1:
         # CD = 0 is forced; keep both genericity conditions alive with
         # C = (0, 1) and D = (D1, 0)
@@ -901,24 +875,18 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
     return _pack(TaubNutDataM0, dict(k=k), mats, exact)
 
 
-def _eigvecs_after_rank_one(S, evals, C1, D1):
-    """Eigenvector matrix of B0 - C1 D1 ordered to match evals, exactly."""
+def _eigvecs(B, evals):
+    """Eigenvector matrix of B ordered to match evals, exactly; None unless
+    every eigenvalue has a one-dimensional rational eigenspace."""
     from fractions import Fraction
-    k = S.shape[0]
-    B0 = S @ np.diag([Fraction(int(v)) for v in evals]).astype(object) @ _frac_inv(S)
-    B1 = B0 - C1 @ D1
+    k = B.shape[0]
     V = np.zeros((k, k), dtype=object)
     for i, ev in enumerate(evals):
-        Mm = B1 - np.diag([Fraction(int(ev))] * k).astype(object)
-        Mq = nk.exact_matrix([[x for x in row] for row in Mm])
-        _, kern = nk._exact_rank_kernel(Mq)
+        kern = nk.exact_kernel(B - np.diag([Fraction(int(ev))] * k))
         if kern.shape[1] != 1:
             return None
-        for r in range(k):
-            V[r, i] = Fraction(kern[r, 0].re)
-            if kern[r, 0].im != 0:
-                return None
-    return V if _exact_det_frac(V) != 0 else None
+        V[:, i] = kern[:, 0]
+    return V
 
 
 def _int_frac(rng, shape, lo=-4, hi=5):
@@ -926,30 +894,3 @@ def _int_frac(rng, shape, lo=-4, hi=5):
     M = rng.integers(lo, hi, size=shape)
     return np.array([[Fraction(int(x)) for x in row] for row in np.atleast_2d(M)],
                     dtype=object)
-
-
-def _exact_det_frac(M):
-    from fractions import Fraction
-    k = M.shape[0]
-    if k == 1:
-        return M[0, 0]
-    det = Fraction(0)
-    for j in range(k):
-        minor = np.delete(np.delete(M, 0, axis=0), j, axis=1)
-        det += (-1) ** j * M[0, j] * _exact_det_frac(minor)
-    return det
-
-
-def _frac_inv(M):
-    from fractions import Fraction
-    k = M.shape[0]
-    det = _exact_det_frac(M)
-    if det == 0:
-        raise ZeroDivisionError("singular")
-    out = np.zeros((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            minor = np.delete(np.delete(M, i, axis=0), j, axis=1)
-            cof = (-1) ** (i + j) * (_exact_det_frac(minor) if k > 1 else Fraction(1))
-            out[j, i] = cof / det
-    return out

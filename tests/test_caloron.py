@@ -196,3 +196,19 @@ def test_gencon1_certificate_grid():
             S = np.vstack([A - xi * np.eye(2), B - eta * np.eye(2), D])
             s = np.linalg.svd(S, compute_uv=False)
             assert s[-1] > 1e-8 * s[0]
+
+
+def test_exact_draws_store_python_ints():
+    """Exact draws used to keep numpy int64 numerators: their products
+    overflowed in the fiber's elimination, and JSON could not write them."""
+    import json
+    from fractions import Fraction
+    from bowmonad import bowcli
+    point = (nk.GQ(Fraction(3, 2), Fraction(-1, 2)), nk.GQ(Fraction(-2, 3), 1))
+    for seed in range(6):
+        data = cal.generate_caloron(3, 0, seed=seed, exact=True)
+        assert mc.fiber(cal.small_monad(data).evaluate(point)).dim == 2
+        back = bowcli.data_from_json(
+            json.loads(json.dumps(bowcli.data_to_json(data))))
+        for name in ("A", "B0", "C", "D"):
+            assert (getattr(back, name) == getattr(data, name)).all()

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -161,25 +160,6 @@ def test_cli_subprocess_entry_point(tmp_path):
     assert proc.returncode == 0
 
 
-def test_threads_env_does_not_change_results(tmp_path, capsys):
-    env_before = os.environ.get("BOWMONAD_THREADS")
-    try:
-        os.environ["BOWMONAD_THREADS"] = "4"
-        run_cli("fiber", "--input", str(DATA / "taubnut_k1m1.json"),
-                "--points", "6", "--seed", "3")
-        out_threaded = json.loads(capsys.readouterr().out)
-        os.environ["BOWMONAD_THREADS"] = "1"
-        run_cli("fiber", "--input", str(DATA / "taubnut_k1m1.json"),
-                "--points", "6", "--seed", "3")
-        out_serial = json.loads(capsys.readouterr().out)
-        assert out_threaded == out_serial
-    finally:
-        if env_before is None:
-            os.environ.pop("BOWMONAD_THREADS", None)
-        else:
-            os.environ["BOWMONAD_THREADS"] = env_before
-
-
 def test_solution_serialization_round_trip(tmp_path):
     from bowmonad import nahmbow as nb
     rep = nb.BowRepresentation(1.0, 0.25, 1, 1)
@@ -250,3 +230,43 @@ def test_dirac_pole_order_exit_1(tmp_path, capsys):
                    "--grid", "32") == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "PoleOrderUnsupported"
+
+
+@pytest.mark.parametrize("command", ["validate", "fiber", "splitting",
+                                     "spectral", "nahm-flow", "dirac",
+                                     "roundtrip"])
+def test_backend_only_on_generate(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--input", str(DATA / "taubnut_k1m1.json"),
+                "--backend", "exact")
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
+
+
+def _diagonal_nahm_file(tmp_path, capsys):
+    """An m = 0 solution without the fundamental pairs I, J."""
+    sol_file = tmp_path / "diag.json"
+    run_cli("generate", "--kind", "bowsol", "--strategy", "diagonal-nahm",
+            "--k", "2", "--out", str(sol_file))
+    capsys.readouterr()
+    return sol_file
+
+
+def test_validate_m0_without_fundamental_data(tmp_path, capsys):
+    sol_file = _diagonal_nahm_file(tmp_path, capsys)
+    assert run_cli("validate", "--input", str(sol_file)) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for name in ("fundamental_minus", "fundamental_plus"):
+        assert checks[name]["status"] == "fail"
+        assert "missing" in checks[name]["note"]
+    assert run_cli("spectral", "--input", str(sol_file),
+                   "--out", str(tmp_path / "c.csv")) == 0
+
+
+def test_dirac_m0_without_fundamental_data(tmp_path, capsys):
+    sol_file = _diagonal_nahm_file(tmp_path, capsys)
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "1",
+                   "--grid", "32") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "BuildRefused"

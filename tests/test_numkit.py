@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -203,3 +205,59 @@ def test_exact_solve():
     A2 = nk.exact_matrix([[1, 1], [1, 1]])
     b2 = nk.exact_matrix([[0], [1]])
     assert nk.exact_solve(A2, b2) is None
+
+
+def _integer_matrix(rng, m, n, rank, field):
+    """Seeded m x n matrix of the given rank with Gaussian-integer entries
+    (integer entries for Fraction), as a float array and as an exact one."""
+    def draw(a, b):
+        z = rng.integers(-3, 4, (a, b)) + 0j
+        return z + 1j * rng.integers(-3, 4, (a, b)) if field is GQ else z
+    Mf = draw(m, rank) @ draw(rank, n)
+    return Mf, _as_exact(Mf, field)
+
+
+def _as_exact(M, field):
+    if field is GQ:
+        return nk.exact_matrix([[GQ(int(z.real), int(z.imag)) for z in row]
+                                for row in M])
+    return np.array([[Fraction(int(z.real)) for z in row] for row in M],
+                    dtype=object)
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+@pytest.mark.parametrize("m, n, rank", [(4, 4, 4), (4, 4, 2), (3, 5, 3),
+                                        (5, 3, 1), (6, 6, 5)])
+def test_exact_engine_kernel_rank_and_solve(field, m, n, rank):
+    rng = np.random.default_rng([m, n, rank])
+    for _ in range(3):
+        Mf, M = _integer_matrix(rng, m, n, rank, field)
+        _, pivots = nk.rref(M)
+        K = nk.exact_kernel(M)
+        assert all(isinstance(e, field) for e in K.flat)
+        assert nk.is_zero_matrix(M @ K)
+        assert len(pivots) == rank == nk.rank_kernel(Mf).rank
+        assert len(pivots) + K.shape[1] == n
+        if field is GQ:
+            rk = nk.rank_kernel(M)
+            assert rk.rank == rank
+            assert nk.is_zero_matrix(nk.conj_transpose(rk.cokernel) @ M)
+        # a right-hand side in the image is solved with free variables 0
+        b = M @ _as_exact(rng.integers(-3, 4, (n, 2)) + 0j, field)
+        x = nk.exact_solve(M, b)
+        assert (M @ x == b).all()
+        assert all(not e for c in range(n) if c not in pivots for e in x[c])
+        # the identity has a column outside the image unless M is onto
+        eye = _as_exact(np.eye(m) + 0j, field)
+        assert (nk.exact_solve(M, eye) is None) == (rank < m)
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+def test_exact_inverse(field):
+    rng = np.random.default_rng(5)
+    _, M = _integer_matrix(rng, 4, 4, 4, field)
+    inv = nk.exact_inverse(M)
+    eye = _as_exact(np.eye(4) + 0j, field)
+    assert (M @ inv == eye).all() and (inv @ M == eye).all()
+    _, S = _integer_matrix(rng, 4, 4, 3, field)
+    assert nk.exact_inverse(S) is None
