@@ -5,8 +5,11 @@ Every command is a thin delegate to the library; results are identical to
 direct calls on the same inputs.  Complex entries are serialized as
 two-element [re, im] arrays on the f64 backend and as integer fraction
 objects {"re": {"n", "d"}, "im": {"n", "d"}} on the exact backend; matrices
-are row-major nested lists.  Exit codes: 0 success, 1 a validation or
-comparison failed, 2 malformed input.
+are row-major nested lists; non-finite floats are written as the strings
+"inf", "-inf" and "nan".  Exit codes: 0 success, 1 a validation or
+comparison failed or the library raised one of its errors, 2 malformed input
+or a file of the wrong kind.  A non-zero exit from an error writes one JSON
+object {"error": {"type", "message"}} to stderr.
 """
 
 from __future__ import annotations
@@ -89,19 +92,15 @@ _MATRIX_FIELDS = {
 }
 _DATA_CLS = {"caloron": caloron.CaloronData, "caloron-m0": caloron.CaloronDataM0,
              "taubnut": taubnut.TaubNutData, "taubnut-m0": taubnut.TaubNutDataM0}
+_KIND = {cls: kind for kind, cls in _DATA_CLS.items()}
+_CALORON = (caloron.CaloronData, caloron.CaloronDataM0)
+_TAUBNUT = (taubnut.TaubNutData, taubnut.TaubNutDataM0)
 
 
 def data_to_json(data) -> dict:
     exact = data.exact
-    if isinstance(data, caloron.CaloronData):
-        kind = "caloron"
-    elif isinstance(data, caloron.CaloronDataM0):
-        kind = "caloron-m0"
-    elif isinstance(data, taubnut.TaubNutData):
-        kind = "taubnut"
-    elif isinstance(data, taubnut.TaubNutDataM0):
-        kind = "taubnut-m0"
-    else:
+    kind = _KIND.get(type(data))
+    if kind is None:
         raise TypeError(type(data))
     out = {"kind": kind, "backend": "exact" if exact else "f64",
            "k": data.k, "m": data.m}
@@ -212,8 +211,13 @@ def load_file(path: str):
     return data_from_json(obj)
 
 
+def _dumps(payload, **kw) -> str:
+    """Strict JSON: non-finite floats are written as strings."""
+    return json.dumps(_json_safe(payload), sort_keys=True, allow_nan=False, **kw)
+
+
 def _write_out(payload, out_path):
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _dumps(payload, indent=2)
     if out_path:
         with open(out_path, "w") as f:
             f.write(text + "\n")
@@ -238,9 +242,11 @@ def _ctx(args) -> ToleranceContext:
 
 
 def _monad_for(data, ctx):
-    if isinstance(data, (taubnut.TaubNutData, taubnut.TaubNutDataM0)):
+    if isinstance(data, _TAUBNUT):
         return taubnut.big_monad(data, ctx).to_float()
-    return caloron.small_monad(data, ctx).to_float()
+    if isinstance(data, _CALORON):
+        return caloron.small_monad(data, ctx).to_float()
+    raise ParseError(f"expected matrix data, got {type(data).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +257,12 @@ def cmd_validate(args) -> int:
     data = load_file(args.input)
     if isinstance(data, nahmbow.NahmSolution):
         report = nahmbow.check_boundary(data, _ctx(args))
-    elif isinstance(data, (caloron.CaloronData, caloron.CaloronDataM0)):
+    elif isinstance(data, _CALORON):
         report = caloron.validate(data, _ctx(args))
-    else:
+    elif isinstance(data, _TAUBNUT):
         report = taubnut.validate(data, _ctx(args))
+    else:
+        raise ParseError("validate expects matrix data or a nahmsolution file")
     _write_out(report.to_json(), args.out)
     print(report.render(), file=sys.stderr)
     return 0 if report.passed else 1
@@ -279,8 +287,7 @@ def cmd_splitting(args) -> int:
     data = load_file(args.input)
     ctx = _ctx(args)
     pm = _monad_for(data, ctx)
-    B0 = nk.to_float(data.B0 if hasattr(data, "B0") else data.B)
-    spec = np.linalg.eigvals(B0)
+    spec = np.linalg.eigvals(nk.to_float(data.B0))
     rng = np.random.default_rng(args.seed)
     rows = []
     for ev in sorted(spec, key=lambda z: (z.real, z.imag)):
@@ -314,7 +321,7 @@ def cmd_spectral(args) -> int:
     summary = {"rank": curve.rank, "grading_ok": curve.grading_ok(),
                "reality_residual": curve.reality_residual(),
                "s_drift": curve.s_drift}
-    print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+    print(_dumps(summary), file=sys.stderr)
     return 0 if curve.grading_ok() else 1
 
 
@@ -335,8 +342,8 @@ def cmd_nahm_flow(args) -> int:
             for z, c0 in zip(zetas, ref))
         rows.append([s, worst])
     _write_csv(rows, ["s", "charpoly_drift"], args.out)
-    print(json.dumps({"drift": flowed.drift, "steps": len(flowed.s_grid)},
-                     sort_keys=True), file=sys.stderr)
+    print(_dumps({"drift": flowed.drift, "steps": len(flowed.s_grid)}),
+          file=sys.stderr)
     return 0
 
 
@@ -360,9 +367,8 @@ def cmd_dirac(args) -> int:
                  t["min_eig"]] for t in trace]
         _write_csv(rows, ["grid", "h", "kernel_dim", "gap", "reality",
                           "min_eig"], args.out)
-        print(json.dumps({"refinement": _json_safe(
-            [{k: v for k, v in t.items() if k != "basis"} for t in trace])},
-            sort_keys=True))
+        print(_dumps({"refinement": [
+            {k: v for k, v in t.items() if k != "basis"} for t in trace]}))
         return 0 if all(t["dim"] == 2 for t in trace) else 1
     results = []
     spectra = []
@@ -387,8 +393,7 @@ def cmd_dirac(args) -> int:
                           "gap", "min_eig", "reality"] +
                    [f"sigma_{i}" for i in range(1, len(spectra[0]) + 1)],
                    args.out)
-    payload = {"grid": args.grid, "results": _json_safe(results)}
-    print(json.dumps(payload, sort_keys=True))
+    print(_dumps({"grid": args.grid, "results": results}))
     return 0 if all(r["kernel_dim"] == 2 for r in results) else 1
 
 
@@ -397,8 +402,8 @@ def _json_safe(x):
         return {k: _json_safe(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_json_safe(v) for v in x]
-    if isinstance(x, float) and np.isinf(x):
-        return "inf"
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+        return "nan" if np.isnan(x) else ("inf" if x > 0 else "-inf")
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     return x
@@ -407,24 +412,16 @@ def _json_safe(x):
 def cmd_roundtrip(args) -> int:
     data = load_file(args.input)
     ctx = _ctx(args)
-    if isinstance(data, (caloron.CaloronData, caloron.CaloronDataM0)):
-        ncx = caloron.to_nahm_complex(data, ctx)
-        back = caloron.from_nahm_complex(ncx)
-        pairs = [("B", data.B if isinstance(data, caloron.CaloronData)
-                  else data.B0,
-                  back.B if isinstance(back, caloron.CaloronData) else back.B0)]
-        if isinstance(data, caloron.CaloronData):
-            pairs.append(("monodromy", data.monodromy, back.monodromy))
-        else:
-            pairs.append(("B1", data.B1, back.B1))
-    elif isinstance(data, (taubnut.TaubNutData, taubnut.TaubNutDataM0)):
-        bc = taubnut.to_bow_complex(data, ctx)
-        back = taubnut.from_bow_complex(bc)
-        pairs = [("B0", data.B0, back.B0), ("B1", data.B1, back.B1)]
-        if isinstance(data, taubnut.TaubNutData):
-            pairs.append(("monodromy", data.monodromy, back.monodromy))
-        else:
-            pairs.append(("A", data.A, back.A))
+    if isinstance(data, _CALORON):
+        back = caloron.from_nahm_complex(caloron.to_nahm_complex(data, ctx))
+        pairs = [("B", data.B0, back.B0),
+                 ("monodromy", data.monodromy, back.monodromy) if data.m
+                 else ("B1", data.B1, back.B1)]
+    elif isinstance(data, _TAUBNUT):
+        back = taubnut.from_bow_complex(taubnut.to_bow_complex(data, ctx))
+        pairs = [("B0", data.B0, back.B0), ("B1", data.B1, back.B1),
+                 ("monodromy", data.monodromy, back.monodromy) if data.m
+                 else ("A", data.A, back.A)]
     else:
         raise ParseError("roundtrip expects matrix data")
     entries = []
@@ -457,12 +454,14 @@ def cmd_generate(args) -> int:
                                    np.eye(args.k, dtype=complex))
         _write_out(solution_to_json(sol), args.out)
         return 0
-    if kind in ("caloron", "caloron-m0"):
-        m = 0 if kind.endswith("m0") else args.m
-        data = caloron.generate_caloron(args.k, m, seed=seed, exact=exact)
-    elif kind in ("taubnut", "taubnut-m0"):
-        m = 0 if kind.endswith("m0") else args.m
-        data = taubnut.generate_taubnut(args.k, m, seed=seed, exact=exact)
+    if kind in _DATA_CLS:
+        generate = caloron.generate_caloron if kind.startswith("caloron") \
+            else taubnut.generate_taubnut
+        try:
+            data = generate(args.k, 0 if kind.endswith("m0") else args.m,
+                            seed=seed, exact=exact)
+        except ValueError as e:     # sizes outside the generator's range
+            raise ParseError(str(e))
     elif kind == "bowsol":
         rep = nahmbow.BowRepresentation(1.0, 0.25, 1, args.m)
         rng = np.random.default_rng(seed)
@@ -491,7 +490,7 @@ def cmd_generate(args) -> int:
 def _perturb(data, seed):
     """Re-solve the constraints from a nearby draw; a distinct seed stream
     keeps the instance close to, but different from, the base draw."""
-    if isinstance(data, (caloron.CaloronData, caloron.CaloronDataM0)):
+    if isinstance(data, _CALORON):
         return caloron.generate_caloron(data.k, data.m, seed=seed + 10007,
                                         exact=data.exact)
     return taubnut.generate_taubnut(data.k, data.m, seed=seed + 10007,
@@ -567,10 +566,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"type": "parse", "message": str(e)}}),
               file=sys.stderr)
         return 2
-    except (nahmbow.BuildRefused, nahmbow.NotInNormalForm, nk.GapTooSmall,
-            nk.DegeneratePencil, nk.ImageNotContained,
-            diraclattice.SingularPoint, diraclattice.SingularLink,
-            diraclattice.PoleOrderUnsupported) as e:
+    except nk.BowmonadError as e:
         print(json.dumps({"error": {"type": type(e).__name__,
                                     "message": str(e)}}), file=sys.stderr)
         return 1

@@ -14,13 +14,13 @@ which the test suite enforces rather than trusting the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import numkit as nk
 from .monadcore import BlockSpec, ParamMonad, PolyMatrix, o_pp
-from .nahmbow import BowComplexCircle, BuildRefused, NotInNormalForm
+from .nahmbow import BowComplexCircle, BuildRefused, NotInNormalForm, _inv
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
 
 
@@ -47,13 +47,112 @@ def _e_plus_row(m: int, exact: bool):
     return out
 
 
+def _check_shapes(data, shapes: dict):
+    for name, want in shapes.items():
+        got = getattr(data, name).shape
+        if got != want:
+            raise ValueError(f"{name} has shape {got}, want {want}")
+
+
+class MposTuple:
+    """The matrix tuple for magnetic charge m > 0, shared by both flavors.
+
+    Subclasses are dataclasses with fields k, m, A, C (k x 2), D2row (1 x k),
+    Aprime (m x k), Bprime (1 x k), Cprime (m x 2) plus their edge
+    endomorphisms, and supply B0 (the head block, acted on by A) and B1
+    (the tail block the normal form continues).  The caloron is the case
+    B0 = B1 = B; for Taub-NUT data B0 = Bht Bth and B1 = Bth Bht.  The
+    stacked 2 x k matrix D has the last row of Aprime as its first row and
+    D2row as its second.
+    """
+
+    def __post_init__(self):
+        name = type(self).__name__
+        if self.m < 1:
+            raise ValueError(f"{name} requires m >= 1; use {name}M0")
+        k, m = self.k, self.m
+        fixed = {"C": (k, 2), "D2row": (1, k), "Aprime": (m, k),
+                 "Bprime": (1, k), "Cprime": (m, 2)}
+        _check_shapes(self, {f.name: fixed.get(f.name, (k, k))
+                             for f in fields(self) if f.name not in ("k", "m")})
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.A)
+
+    @property
+    def C1(self):
+        return self.C[:, 0:1]
+
+    @property
+    def C2(self):
+        return self.C[:, 1:2]
+
+    @property
+    def D(self) -> np.ndarray:
+        out = nk.zeros_like_backend(2, self.k, self.exact)
+        out[0:1, :] = self.Aprime[self.m - 1:self.m, :]
+        out[1:2, :] = self.D2row
+        return out
+
+    @property
+    def shift(self):
+        return _shift_matrix(self.m, self.exact)
+
+    @property
+    def normal_form(self) -> np.ndarray:
+        """Constant block (B1, -C1 e+; e-^T B', shift - C1' e+): the large
+        interval endomorphism in its normal form."""
+        k, m = self.k, self.m
+        out = nk.zeros_like_backend(k + m, k + m, self.exact)
+        em = _e_minus_col(m, self.exact)
+        ep = _e_plus_row(m, self.exact)
+        out[:k, :k] = self.B1
+        out[:k, k:] = -nk.mat_mul(self.C1, ep)
+        out[k:, :k] = nk.mat_mul(em, self.Bprime)
+        out[k:, k:] = self.shift - nk.mat_mul(self.Cprime[:, 0:1], ep)
+        return out
+
+    @property
+    def monodromy(self) -> np.ndarray:
+        """Krylov matrix [ (A; A'), v, M v, ..., M^{m-1} v ] with
+        v = (C2; C2') and M the normal form; invertibility is the last
+        non-degeneracy condition and the matrix itself is the large-interval
+        parallel transport."""
+        k, m = self.k, self.m
+        out = nk.zeros_like_backend(k + m, k + m, self.exact)
+        out[:k, :k] = self.A
+        out[k:, :k] = self.Aprime
+        v = nk.zeros_like_backend(k + m, 1, self.exact)
+        v[:k, :] = self.C2
+        v[k:, :] = self.Cprime[:, 1:2]
+        M = self.normal_form
+        for j in range(m):
+            out[:, k + j: k + j + 1] = v
+            if j < m - 1:
+                v = nk.mat_mul(M, v)
+        return out
+
+    def relation_residuals(self):
+        """The three algebraic constraints; zero for consistent data."""
+        A, B0, C, D = self.A, self.B0, self.C, self.D
+        em = _e_minus_col(self.m, self.exact)
+        ep = _e_plus_row(self.m, self.exact)
+        r1 = nk.mat_mul(A, B0) - nk.mat_mul(self.B1, A) + nk.mat_mul(C, D)
+        r2 = (nk.mat_mul(nk.mat_mul(em, self.Bprime), A)
+              + nk.mat_mul(self.shift, self.Aprime)
+              - nk.mat_mul(self.Aprime, B0) - nk.mat_mul(self.Cprime, D))
+        r3 = -nk.mat_mul(ep, self.Aprime) + D[0:1, :]
+        return r1, r2, r3
+
+
 @dataclass
-class CaloronData:
-    """Matrix tuple for magnetic charge m > 0.
+class CaloronData(MposTuple):
+    """Matrix tuple for magnetic charge m > 0: the tuple core with
+    B0 = B1 = B.
 
     Shapes: A, B: k x k; C: k x 2; D2row: 1 x k; Aprime: m x k;
-    Bprime: 1 x k; Cprime: m x 2.  The second row block D of the stacked
-    2 x k matrix is D2row, the first row is the last row of Aprime.
+    Bprime: 1 x k; Cprime: m x 2.
     """
 
     k: int
@@ -66,84 +165,12 @@ class CaloronData:
     Bprime: np.ndarray
     Cprime: np.ndarray
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("CaloronData requires m >= 1; use CaloronDataM0")
-        k, m = self.k, self.m
-        shapes = {"A": (k, k), "B": (k, k), "C": (k, 2), "D2row": (1, k),
-                  "Aprime": (m, k), "Bprime": (1, k), "Cprime": (m, 2)}
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, want {want}")
-
     @property
-    def exact(self) -> bool:
-        return is_exact(self.A)
+    def B0(self) -> np.ndarray:
+        return self.B
 
-    @property
-    def D(self) -> np.ndarray:
-        out = nk.zeros_like_backend(2, self.k, self.exact)
-        out[0:1, :] = self.Aprime[self.m - 1:self.m, :]
-        out[1:2, :] = self.D2row
-        return out
-
-    @property
-    def C1(self):
-        return self.C[:, 0:1]
-
-    @property
-    def C2(self):
-        return self.C[:, 1:2]
-
-    @property
-    def shift(self):
-        return _shift_matrix(self.m, self.exact)
-
-    @property
-    def left_normal(self) -> np.ndarray:
-        """Constant block (B, -C1 e+; e-^T B', shift - C1' e+); the large
-        interval endomorphism in left-normal form."""
-        k, m = self.k, self.m
-        out = nk.zeros_like_backend(k + m, k + m, self.exact)
-        em = _e_minus_col(m, self.exact)
-        ep = _e_plus_row(m, self.exact)
-        out[:k, :k] = self.B
-        out[:k, k:] = -nk.mat_mul(self.C1, ep)
-        out[k:, :k] = nk.mat_mul(em, self.Bprime)
-        out[k:, k:] = self.shift - nk.mat_mul(self.Cprime[:, 0:1], ep)
-        return out
-
-    @property
-    def monodromy(self) -> np.ndarray:
-        """Krylov matrix [ (A; A'), v, M v, ..., M^{m-1} v ] with
-        v = (C2; C2'); invertibility is the last non-degeneracy condition
-        and the matrix itself is the large-interval parallel transport."""
-        k, m = self.k, self.m
-        out = nk.zeros_like_backend(k + m, k + m, self.exact)
-        out[:k, :k] = self.A
-        out[k:, :k] = self.Aprime
-        v = nk.zeros_like_backend(k + m, 1, self.exact)
-        v[:k, :] = self.C2
-        v[k:, :] = self.Cprime[:, 1:2]
-        M = self.left_normal
-        for j in range(m):
-            out[:, k + j: k + j + 1] = v
-            if j < m - 1:
-                v = nk.mat_mul(M, v)
-        return out
-
-    def relation_residuals(self):
-        """The three algebraic constraints; zero for consistent data."""
-        A, B, C, D = self.A, self.B, self.C, self.D
-        em = _e_minus_col(self.m, self.exact)
-        ep = _e_plus_row(self.m, self.exact)
-        r1 = nk.mat_mul(A, B) - nk.mat_mul(B, A) + nk.mat_mul(C, D)
-        r2 = (nk.mat_mul(nk.mat_mul(em, self.Bprime), A)
-              + nk.mat_mul(self.shift, self.Aprime)
-              - nk.mat_mul(self.Aprime, B) - nk.mat_mul(self.Cprime, D))
-        r3 = -nk.mat_mul(ep, self.Aprime) + self.D[0:1, :]
-        return r1, r2, r3
+    B1 = B0
+    left_normal = MposTuple.normal_form
 
 
 @dataclass
@@ -159,11 +186,8 @@ class CaloronDataM0:
 
     def __post_init__(self):
         k = self.k
-        shapes = {"A": (k, k), "B0": (k, k), "C": (k, 2), "D": (2, k)}
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, want {want}")
+        _check_shapes(self, {"A": (k, k), "B0": (k, k), "C": (k, 2),
+                             "D": (2, k)})
 
     m = 0
 
@@ -199,15 +223,13 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     pencils for all parameter values, surjectivity of the mixed pencil, and
     invertibility of the transport matrix)."""
     report = ValidationReport()
-    Bmat = data.B if isinstance(data, CaloronData) else data.B0
-    scale = max(nk.mat_norm(data.A), nk.mat_norm(Bmat), 1.0)
+    B = data.B0
+    scale = max(nk.mat_norm(data.A), nk.mat_norm(B), 1.0)
     for i, r in enumerate(data.relation_residuals(), start=1):
         res = nk.mat_norm(r)
         report.add(f"relation_{i}", res < 1e-10 * scale, res)
 
-    B = data.B if isinstance(data, CaloronData) else data.B0
-    D = data.D
-    obs = nk.common_eigenvector_obstruction(data.A, B, D, ctx)
+    obs = nk.common_eigenvector_obstruction(data.A, B, data.D, ctx)
     report.add("stacked_pencil_injective", len(obs) == 0, 0.0,
                certificate=[(o.xi, o.eta, o.vector) for o in obs] or None)
     obs2 = nk.common_eigenvector_obstruction(
@@ -252,7 +274,8 @@ def _t(M):
     return nk.conj_transpose(M) if nk.is_exact(M) else np.asarray(M).T.copy()
 
 
-def _mixed_pencil_left(data: CaloronData):
+def _mixed_pencil_left(data: MposTuple):
+    """The block (A, C2; A', C2') of both flavors' gluing maps."""
     k, m = data.k, data.m
     out = nk.zeros_like_backend(k + m, k + 1, data.exact)
     out[:k, :k] = data.A
@@ -265,7 +288,7 @@ def _mixed_pencil_left(data: CaloronData):
 def _z1_pencil(data: CaloronData):
     """Z1(eta) = eta * I - M as (constant, linear) pair."""
     k, m = data.k, data.m
-    Z0 = -data.left_normal
+    Z0 = -data.normal_form
     Z1 = nk.eye_like_backend(k + m, data.exact)
     return Z0, Z1
 
@@ -283,7 +306,7 @@ def small_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
         raise BuildRefused("data fails validation:\n" + report.render())
     k = data.k
     exact = data.exact
-    B = data.B if isinstance(data, CaloronData) else data.B0
+    B = data.B0
     cols1 = [BlockSpec("U", o_pp(-1, 0), k)]
     cols2 = [BlockSpec("S", o_pp(-1, 1), k), BlockSpec("T", o_pp(0, 0), k),
              BlockSpec("W", o_pp(0, 0), 2)]
@@ -360,12 +383,8 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
     beta.add_monomial(0, 0, (0, k), (oVm, oVm + k), eyek)          # (1, 0, 0) row
     beta.add_monomial(0, 0, (0, k), (oS0, oS0 + k), data.B)        # B - eta
     beta.add_monomial(0, 1, (0, k), (oS0, oS0 + k), -eyek)
-    # (A, C2; A', C2') block
-    beta.add_monomial(0, 0, (k, 2 * k), (oVp, oVp + k), data.A)
-    beta.add_monomial(0, 0, (k, 2 * k), (oVp + k, oVp + k + 1), data.C2)
-    beta.add_monomial(0, 0, (2 * k, 2 * k + m), (oVp, oVp + k), data.Aprime)
-    beta.add_monomial(0, 0, (2 * k, 2 * k + m), (oVp + k, oVp + k + 1),
-                      data.Cprime[:, 1:2])
+    beta.add_monomial(0, 0, (k, 2 * k + m), (oVp, oVp + k + 1),
+                      _mixed_pencil_left(data))
     # (I, 0, -C1; 0, I, -C1') block
     beta.add_monomial(0, 0, (k, 2 * k), (oVm, oVm + k), eyek)
     beta.add_monomial(0, 0, (k, 2 * k), (oVm + k + m, oVm + k + m + 1), -data.C1)
@@ -373,7 +392,7 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
     beta.add_monomial(0, 0, (2 * k, 2 * k + m), (oVm + k + m, oVm + k + m + 1),
                       -data.Cprime[:, 0:1])
     # shifted-block pencil: left normal form minus eta
-    beta.add_monomial(0, 0, (k, 2 * k + m), (oS1, oS1 + k + m), data.left_normal)
+    beta.add_monomial(0, 0, (k, 2 * k + m), (oS1, oS1 + k + m), data.normal_form)
     beta.add_monomial(0, 1, (k, 2 * k + m), (oS1, oS1 + k + m), -eyekm)
     return ParamMonad("xi_eta", (cols1, cols2, cols3), alpha, beta, exact)
 
@@ -396,7 +415,7 @@ def to_nahm_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     if not report.passed:
         raise BuildRefused("data fails validation:\n" + report.render())
     if isinstance(data, CaloronData):
-        return BowComplexCircle(data.k, data.m, data.B, data.left_normal, data.monodromy,
+        return BowComplexCircle(data.k, data.m, data.B, data.normal_form, data.monodromy,
                                 exact=data.exact)
     return BowComplexCircle(data.k, 0, data.B0, data.B1, data.A,
                             I_minus=data.C1, J_minus=data.D[0:1, :],
@@ -408,7 +427,9 @@ def from_nahm_complex(nc: BowComplexCircle, tol: float = 1e-9):
     """Matrix tuple back from the normal forms and the monodromy."""
     k, m = nc.k, nc.m
     if m > 0:
-        return _from_circle_mpos(nc, tol)
+        B = nc.beta_small
+        return CaloronData(k, m, B=B, **_read_normal_form(
+            k, m, nc.beta_large, nc.monodromy, B, B, tol))
     B0 = nc.beta_small
     B1 = nc.beta_large
     A = nc.monodromy
@@ -458,57 +479,48 @@ def _rank_one_factor(R, tol: float):
     return U[:, :1] * s[0], Vh[:1, :]
 
 
-def _from_circle_mpos(nc: BowComplexCircle, tol: float):
-    k, m = nc.k, nc.m
-    B = nc.beta_small
-    M = nc.beta_large
-    N = nc.monodromy
-    Mf, Bf, Nf = nk.to_float(M), nk.to_float(B), nk.to_float(N)
+def _read_normal_form(k: int, m: int, M, N, tail, head, tol: float) -> dict:
+    """The m > 0 tuple fields other than the edge endomorphisms, read off a
+    normal form M that continues the tail block and a monodromy N whose
+    conjugate N^-1 M N continues the head block.  Any deviation from the
+    normal-form pattern beyond tol raises NotInNormalForm."""
+    Mf = nk.to_float(M)
     scale = max(np.max(np.abs(Mf)), 1.0)
-    if np.max(np.abs(Mf[:k, :k] - Bf)) > tol * scale:
-        raise NotInNormalForm("left form does not continue the small block")
-    if m > 1 and np.max(np.abs(Mf[:k, k:k + m - 1])) > tol * scale:
-        raise NotInNormalForm("left form has entries off the final column")
-    if m > 1 and np.max(np.abs(Mf[k + 1:, :k])) > tol * scale:
-        raise NotInNormalForm("left form bottom block is not a single row")
     exact = nk.is_exact(M)
-    shift = _shift_matrix(m, exact)
-    body = M[k:, k:] - shift
-    if m > 1:
-        body_f = nk.to_float(body)
-        if np.max(np.abs(body_f[:, :m - 1])) > tol * scale:
-            raise NotInNormalForm("pole block deviates from the shift form")
-    C1 = -M[:k, k + m - 1:k + m]
-    Bprime = M[k:k + 1, :k]
-    C1prime = -body[:, m - 1:m]
-    A = N[:k, :k]
-    Aprime = N[k:, :k]
-    C2 = N[:k, k:k + 1]
-    C2prime = N[k:, k:k + 1]
-    right = nc.right_form()
+    body = M[k:, k:] - _shift_matrix(m, exact)
+    for dev, what in (
+            (Mf[:k, :k] - nk.to_float(tail),
+             "normal form does not continue the tail block"),
+            (Mf[:k, k:k + m - 1], "normal form has entries off the final column"),
+            (Mf[k + 1:, :k], "normal form bottom block is not a single row"),
+            (nk.to_float(body)[:, :m - 1], "pole block deviates from the shift form")):
+        if dev.size and np.max(np.abs(dev)) > tol * scale:
+            raise NotInNormalForm(what)
+    right = nk.mat_mul(nk.mat_mul(_inv(N), M), N)
     rightf = nk.to_float(right)
-    if np.max(np.abs(rightf[:k, :k] - Bf)) > tol * max(np.max(np.abs(rightf)), 1.0):
-        raise NotInNormalForm("conjugated form does not continue the small block")
-    D2 = right[k:k + 1, :k]
+    if np.max(np.abs(rightf[:k, :k] - nk.to_float(head))) > tol * max(
+            np.max(np.abs(rightf)), 1.0):
+        raise NotInNormalForm("conjugated form does not continue the head block")
     C = nk.zeros_like_backend(k, 2, exact)
-    C[:, 0:1] = C1
-    C[:, 1:2] = C2
+    C[:, 0:1] = -M[:k, k + m - 1:k + m]
+    C[:, 1:2] = N[:k, k:k + 1]
     Cprime = nk.zeros_like_backend(m, 2, exact)
-    Cprime[:, 0:1] = C1prime
-    Cprime[:, 1:2] = C2prime
-    return CaloronData(k, m, A, B, C, D2, Aprime, Bprime, Cprime)
+    Cprime[:, 0:1] = -body[:, m - 1:m]
+    Cprime[:, 1:2] = N[k:, k:k + 1]
+    return dict(A=N[:k, :k], C=C, D2row=right[k:k + 1, :k], Aprime=N[k:, :k],
+                Bprime=M[k:k + 1, :k], Cprime=Cprime)
 
 
-def right_normal_residual(data: CaloronData) -> float:
+def right_normal_residual(data: MposTuple) -> float:
     """Deviation of monodromy^-1 M monodromy from the right-normal pattern: the
-    continuing block B, the single bottom row D2, the shift block, and
-    arbitrary entries only in the final column."""
+    head block B0, the single bottom row D2, the shift block, and arbitrary
+    entries only in the final column."""
     k, m = data.k, data.m
     N = nk.to_float(data.monodromy)
-    M = nk.to_float(data.left_normal)
+    M = nk.to_float(data.normal_form)
     right = np.linalg.inv(N) @ M @ N
     want = np.zeros_like(right)
-    want[:k, :k] = nk.to_float(data.B)
+    want[:k, :k] = nk.to_float(data.B0)
     want[k:k + 1, :k] = nk.to_float(data.D2row)
     want[k:, k:] = nk.to_float(_shift_matrix(m, False))
     # free final column
@@ -562,7 +574,6 @@ def _draw_caloron(k: int, m: int, rng, exact: bool):
     D1 = Ap[m - 1:m, :]
     C1 = _rand_int_mat(rng, (k, 1))
     from fractions import Fraction
-    D = np.vstack([D1, D2])
     C1D1 = C1 @ D1
     C2 = np.array([[Fraction(-C1D1[i, i], int(D2[0, i]))] for i in range(k)])
     CD = C1 @ D1 + C2 @ D2
@@ -573,32 +584,37 @@ def _draw_caloron(k: int, m: int, rng, exact: bool):
                 B[i, j] = Fraction(int(rng.integers(-4, 5)))
             else:
                 B[i, j] = Fraction(-CD[i, j], int(Ai[i, i] - Ai[j, j]))
-    # relation 2: solve for Bprime (row) and Cprime rows against D
     Bp = np.array([[Fraction(int(x)) for x in _rand_int_mat(rng, (k,))]])
-    em = np.zeros((m, 1), dtype=object)
-    em[0, 0] = Fraction(1)
-    ep = np.zeros((1, m), dtype=object)
-    ep[0, m - 1] = Fraction(1)
-    shift = np.zeros((m, m), dtype=object)
-    for i in range(m - 1):
-        shift[i + 1, i] = Fraction(1)
-    K = em @ Bp @ Ai + shift @ Ap - Ap @ B      # m x k, must equal Cprime D
-    if k == 1:
-        Cp = np.zeros((m, 2), dtype=object)
-        for i in range(m):
-            Cp[i, 0] = Fraction(K[i, 0], int(D[0, 0])) if D[0, 0] else Fraction(0)
-            if D[0, 0] == 0:
-                return None
-            Cp[i, 1] = Fraction(0)
-    else:
-        Dinv = nk.exact_inverse(np.array(
-            [[Fraction(int(x)) for x in row] for row in D], dtype=object))
-        if Dinv is None:
-            return None
-        Cp = K @ Dinv
+    Cp = _solve_cprime(Bp, Ai, Ap, B, np.array(
+        [[Fraction(int(x)) for x in row] for row in np.vstack([D1, D2])],
+        dtype=object))
+    if Cp is None:
+        return None
     C = np.hstack([C1, C2])
     mats = dict(A=Ai, B=B, C=C, D2row=D2, Aprime=Ap, Bprime=Bp, Cprime=Cp)
     return _pack(CaloronData, dict(k=k, m=m), mats, exact)
+
+
+def _solve_cprime(Bp, A, Ap, B0, D):
+    """Relation 2 solved for Cprime: Cprime D = K with
+    K = e- B' A + shift A' - A' B0, so Cprime = K D^-1 for k = 2 and, for
+    k = 1, K / D00 beside a zero second column.  D holds Fractions; None
+    when the solve is singular."""
+    from fractions import Fraction
+    m, k = Ap.shape
+    em = np.zeros((m, 1), dtype=object)
+    em[0, 0] = Fraction(1)
+    shift = np.zeros((m, m), dtype=object)
+    for i in range(m - 1):
+        shift[i + 1, i] = Fraction(1)
+    K = em @ Bp @ A + shift @ Ap - Ap @ B0
+    if k == 1:
+        if D[0, 0] == 0:
+            return None
+        return np.array([[Fraction(K[i, 0]) / D[0, 0], Fraction(0)]
+                         for i in range(m)], dtype=object)
+    Dinv = nk.exact_inverse(D)
+    return None if Dinv is None else K @ Dinv
 
 
 def _draw_caloron_m0(k: int, rng, exact: bool):

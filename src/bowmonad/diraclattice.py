@@ -27,15 +27,15 @@ from .nahmbow import (BuildRefused, NahmSolution, complex_shadow,
 from .numkit import DEFAULT_CTX, ToleranceContext
 
 
-class SingularPoint(Exception):
+class SingularPoint(nk.BowmonadError):
     pass
 
 
-class PoleOrderUnsupported(Exception):
+class PoleOrderUnsupported(nk.BowmonadError):
     pass
 
 
-class SingularLink(Exception):
+class SingularLink(nk.BowmonadError):
     """A link row pair cannot be solved for its right-hand node."""
 
 

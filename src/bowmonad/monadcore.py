@@ -30,15 +30,15 @@ from .numkit import (DEFAULT_CTX, GQ, ToleranceContext, is_exact, mat_mul,
                      to_float)
 
 
-class ChartMismatch(Exception):
+class ChartMismatch(nk.BowmonadError):
     pass
 
 
-class InconsistentSplitting(Exception):
+class InconsistentSplitting(nk.BowmonadError):
     pass
 
 
-class InternalTwistError(Exception):
+class InternalTwistError(nk.BowmonadError):
     pass
 
 

@@ -29,27 +29,27 @@ from .monadcore import (BlockSpec, MonadAtPoint, ParamMonad, PolyMatrix,
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 
-class StepTooCoarse(Exception):
+class StepTooCoarse(nk.BowmonadError):
     pass
 
 
-class PoleProximity(Exception):
+class PoleProximity(nk.BowmonadError):
     pass
 
 
-class TransportSingular(Exception):
+class TransportSingular(nk.BowmonadError):
     pass
 
 
-class InterpolationIllConditioned(Exception):
+class InterpolationIllConditioned(nk.BowmonadError):
     pass
 
 
-class NotInNormalForm(Exception):
+class NotInNormalForm(nk.BowmonadError):
     pass
 
 
-class BuildRefused(Exception):
+class BuildRefused(nk.BowmonadError):
     pass
 
 
@@ -644,10 +644,6 @@ class BowComplexCircle:
     J_plus: np.ndarray | None = None
     hw_phase: complex = 1.0
     exact: bool = False
-
-    def right_form(self):
-        Minv = _inv(self.monodromy)
-        return nk.mat_mul(nk.mat_mul(Minv, self.beta_large), self.monodromy)
 
 
 def _inv(M):

@@ -24,15 +24,19 @@ from typing import Any
 import numpy as np
 
 
-class GapTooSmall(Exception):
+class BowmonadError(Exception):
+    """Base of every exception the library raises on purpose."""
+
+
+class GapTooSmall(BowmonadError):
     """A float-backend rank decision had no decisive singular-value gap."""
 
 
-class DegeneratePencil(Exception):
+class DegeneratePencil(BowmonadError):
     """A pencil drops rank identically; the failure set is infinite."""
 
 
-class ImageNotContained(Exception):
+class ImageNotContained(BowmonadError):
     """Quotient requested for spaces that are not nested to tolerance."""
 
 

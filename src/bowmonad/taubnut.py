@@ -15,15 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .caloron import _e_minus_col, _e_plus_row, _shift_matrix
+from .caloron import (MposTuple, _check_shapes, _e_minus_col, _e_plus_row,
+                      _mixed_pencil_left, _pack, _rank_one_factor,
+                      _read_normal_form, _solve_cprime)
+from .caloron import right_normal_residual  # noqa: F401 - shared by both flavors
 from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
 from .nahmbow import BowComplexTN, BuildRefused, NotInNormalForm, _inv, _TW
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
 
 
 @dataclass
-class TaubNutData:
-    """Matrix tuple for magnetic charge m > 0 with edge factors Bht, Bth."""
+class TaubNutData(MposTuple):
+    """Matrix tuple for magnetic charge m > 0 with edge factors Bht, Bth:
+    the tuple core with B0 = Bht Bth and B1 = Bth Bht."""
 
     k: int
     m: int
@@ -36,22 +40,6 @@ class TaubNutData:
     Bprime: np.ndarray
     Cprime: np.ndarray
 
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("TaubNutData requires m >= 1; use TaubNutDataM0")
-        k, m = self.k, self.m
-        shapes = {"A": (k, k), "Bht": (k, k), "Bth": (k, k), "C": (k, 2),
-                  "D2row": (1, k), "Aprime": (m, k), "Bprime": (1, k),
-                  "Cprime": (m, 2)}
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, want {want}")
-
-    @property
-    def exact(self):
-        return is_exact(self.A)
-
     @property
     def B0(self):
         return nk.mat_mul(self.Bht, self.Bth)
@@ -60,64 +48,7 @@ class TaubNutData:
     def B1(self):
         return nk.mat_mul(self.Bth, self.Bht)
 
-    @property
-    def C1(self):
-        return self.C[:, 0:1]
-
-    @property
-    def C2(self):
-        return self.C[:, 1:2]
-
-    @property
-    def D(self):
-        out = nk.zeros_like_backend(2, self.k, self.exact)
-        out[0:1, :] = self.Aprime[self.m - 1:self.m, :]
-        out[1:2, :] = self.D2row
-        return out
-
-    @property
-    def shift(self):
-        return _shift_matrix(self.m, self.exact)
-
-    @property
-    def middle_normal(self):
-        """Middle endomorphism normal form at the lambda_plus end:
-        (B1, -C1 e+; e-^T B', shift - C1' e+)."""
-        k, m = self.k, self.m
-        out = nk.zeros_like_backend(k + m, k + m, self.exact)
-        out[:k, :k] = self.B1
-        out[:k, k:] = -nk.mat_mul(self.C1, _e_plus_row(m, self.exact))
-        out[k:, :k] = nk.mat_mul(_e_minus_col(m, self.exact), self.Bprime)
-        out[k:, k:] = self.shift - nk.mat_mul(
-            self.Cprime[:, 0:1], _e_plus_row(m, self.exact))
-        return out
-
-    @property
-    def monodromy(self):
-        k, m = self.k, self.m
-        out = nk.zeros_like_backend(k + m, k + m, self.exact)
-        out[:k, :k] = self.A
-        out[k:, :k] = self.Aprime
-        v = nk.zeros_like_backend(k + m, 1, self.exact)
-        v[:k, :] = self.C2
-        v[k:, :] = self.Cprime[:, 1:2]
-        M = self.middle_normal
-        for j in range(m):
-            out[:, k + j: k + j + 1] = v
-            if j < m - 1:
-                v = nk.mat_mul(M, v)
-        return out
-
-    def relation_residuals(self):
-        A, B0, B1, C, D = self.A, self.B0, self.B1, self.C, self.D
-        em = _e_minus_col(self.m, self.exact)
-        ep = _e_plus_row(self.m, self.exact)
-        r1 = nk.mat_mul(A, B0) - nk.mat_mul(B1, A) + nk.mat_mul(C, D)
-        r2 = (nk.mat_mul(nk.mat_mul(em, self.Bprime), A)
-              + nk.mat_mul(self.shift, self.Aprime)
-              - nk.mat_mul(self.Aprime, B0) - nk.mat_mul(self.Cprime, D))
-        r3 = -nk.mat_mul(ep, self.Aprime) + self.D[0:1, :]
-        return r1, r2, r3
+    middle_normal = MposTuple.normal_form
 
 
 @dataclass
@@ -136,12 +67,8 @@ class TaubNutDataM0:
 
     def __post_init__(self):
         k = self.k
-        shapes = {"A": (k, k), "Bht": (k, k), "Bth": (k, k), "C": (k, 2),
-                  "D": (2, k)}
-        for name, want in shapes.items():
-            got = getattr(self, name).shape
-            if got != want:
-                raise ValueError(f"{name} has shape {got}, want {want}")
+        _check_shapes(self, {"A": (k, k), "Bht": (k, k), "Bth": (k, k),
+                             "C": (k, 2), "D": (2, k)})
 
     @property
     def exact(self):
@@ -245,11 +172,7 @@ def _pushdown_structure(data, which: str):
         Ym1[k:, k + m:] = -data.Cprime[:, 0:1]
         Ym0 = nk.zeros_like_backend(k, k + m + 1, exact)
         Ym0[:, :k] = nk.eye_like_backend(k, exact)
-        Yp1 = nk.zeros_like_backend(k + m, k + 1, exact)       # (A, C2; A', C2')
-        Yp1[:k, :k] = data.A
-        Yp1[k:, :k] = data.Aprime
-        Yp1[:k, k:] = data.C2
-        Yp1[k:, k:] = data.Cprime[:, 1:2]
+        Yp1 = _mixed_pencil_left(data)
         Yp0 = nk.zeros_like_backend(k, k + 1, exact)
         Yp0[:, :k] = nk.eye_like_backend(k, exact)
     else:
@@ -331,7 +254,7 @@ def _big_monad_unchecked(data) -> ParamMonad:
     B0, B1 = data.B0, data.B1
     eyek = nk.eye_like_backend(k, exact)
     if m:
-        Mmid = data.middle_normal
+        Mmid = data.normal_form
         d_w = None
     else:
         Ainv = _inv(data.A)
@@ -412,11 +335,7 @@ def _big_monad_unchecked(data) -> ParamMonad:
             -data.Cprime[:, 0:1])
     # Y+1 on (T1, Vp)
     if m:
-        add(0, 0, (o3[0][0], o3[0][0] + k), (vp0, vp0 + k), data.A)
-        add(0, 0, (o3[0][0], o3[0][0] + k), (vp0 + k, vp0 + k + 1), data.C2)
-        add(0, 0, (o3[0][0] + k, o3[0][1]), (vp0, vp0 + k), data.Aprime)
-        add(0, 0, (o3[0][0] + k, o3[0][1]), (vp0 + k, vp0 + k + 1),
-            data.Cprime[:, 1:2])
+        add(0, 0, o3[0], (vp0, vp0 + k + 1), _mixed_pencil_left(data))
     else:
         add(0, 0, o3[0], (vp0, vp0 + k), data.A)
         add(0, 0, o3[0], (vp0 + k, vp0 + k + 1), data.C2)
@@ -433,22 +352,6 @@ def _big_monad_unchecked(data) -> ParamMonad:
     add(0, 0, o3[2], o2[5], -B0)
     add(0, 0, o3[2], (vp0, vp0 + k), eyek)                 # (1, 0) row
     return ParamMonad("xi_psi", (cols1, cols2, cols3), alpha, beta, exact)
-
-
-def right_normal_residual(data: TaubNutData) -> float:
-    """Deviation of monodromy^-1 M monodromy from the right-normal pattern: the
-    head block B0, the single bottom row D2, the shift block, and free
-    entries only in the final column."""
-    k, m = data.k, data.m
-    N = nk.to_float(data.monodromy)
-    M = nk.to_float(data.middle_normal)
-    right = np.linalg.inv(N) @ M @ N
-    want = np.zeros_like(right)
-    want[:k, :k] = nk.to_float(data.B0)
-    want[k:k + 1, :k] = nk.to_float(data.D2row)
-    want[k:, k:] = nk.to_float(_shift_matrix(m, False))
-    want[:, k + m - 1] = right[:, k + m - 1]
-    return float(np.max(np.abs(right - want)))
 
 
 def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
@@ -508,18 +411,14 @@ def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
 
     add = beta.add_monomial
     add(1, 1, o3[0], o2[0], nk.eye_like_backend(km, exact))
-    add(0, 0, o3[0], o2[0], -data.middle_normal)
+    add(0, 0, o3[0], o2[0], -data.normal_form)
     add(0, 0, (o3[0][0], o3[0][0] + k), (vm0, vm0 + k), eyek)
     add(0, 0, (o3[0][0], o3[0][0] + k), (vm0 + km, vm0 + km + 1), -data.C1)
     add(0, 0, (o3[0][0] + k, o3[0][1]), (vm0 + k, vm0 + km),
         nk.eye_like_backend(m, exact))
     add(0, 0, (o3[0][0] + k, o3[0][1]), (vm0 + km, vm0 + km + 1),
         -data.Cprime[:, 0:1])
-    add(0, 0, (o3[0][0], o3[0][0] + k), (vp0, vp0 + k), data.A)
-    add(0, 0, (o3[0][0], o3[0][0] + k), (vp0 + k, vp0 + k + 1), data.C2)
-    add(0, 0, (o3[0][0] + k, o3[0][1]), (vp0, vp0 + k), data.Aprime)
-    add(0, 0, (o3[0][0] + k, o3[0][1]), (vp0 + k, vp0 + k + 1),
-        data.Cprime[:, 1:2])
+    add(0, 0, o3[0], (vp0, vp0 + k + 1), _mixed_pencil_left(data))
     add(0, 0, o3[1], (vm0, vm0 + k), eyek)
     add(1, 1, o3[1], o2[2], eyek)
     add(0, 0, o3[1], o2[2], -B1)
@@ -546,7 +445,7 @@ def jumping_lines(data, ctx: ToleranceContext = DEFAULT_CTX):
         raise AssertionError("char polys of B0 and B1 differ")
     spec_b0 = np.linalg.eigvals(nk.to_float(data.B0))
     if data.m:
-        mid = nk.to_float(data.middle_normal)
+        mid = nk.to_float(data.normal_form)
     else:
         Ainv = _inv(nk.to_float(data.A))
         mid = nk.to_float(data.B0) - nk.to_float(data.C1) @ (
@@ -600,7 +499,7 @@ def to_bow_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
         raise BuildRefused("data fails validation:\n" + report.render())
     if data.m:
         return BowComplexTN(data.k, data.m, data.B0, data.B1, data.Bth,
-                            data.Bht, data.middle_normal, data.monodromy, exact=data.exact)
+                            data.Bht, data.normal_form, data.monodromy, exact=data.exact)
     Ainv = _inv(data.A)
     D1 = data.D[0:1, :]
     D2 = data.D[1:2, :]
@@ -636,39 +535,8 @@ def from_bow_complex(bc: BowComplexTN, tol: float = 1e-9):
         raise NotInNormalForm("edge factorizations fail on this complex")
     if m == 0:
         return _from_bow_m0(bc, tol)
-    M = bc.beta_mid_plus
-    N = bc.monodromy
-    Mf = nk.to_float(M)
-    scale = max(np.max(np.abs(Mf)), 1.0)
-    B1f = nk.to_float(bc.B1)
-    if np.max(np.abs(Mf[:k, :k] - B1f)) > tol * scale:
-        raise NotInNormalForm("middle form does not continue the tail block")
-    if m > 1 and np.max(np.abs(Mf[:k, k:k + m - 1])) > tol * scale:
-        raise NotInNormalForm("middle form has entries off the final column")
-    if m > 1 and np.max(np.abs(Mf[k + 1:, :k])) > tol * scale:
-        raise NotInNormalForm("middle form bottom block is not a single row")
-    exact = bc.exact
-    shift = _shift_matrix(m, exact)
-    C1 = -M[:k, k + m - 1:k + m]
-    Bprime = M[k:k + 1, :k]
-    C1prime = -(M[k:, k:] - shift)[:, m - 1:m]
-    A = N[:k, :k]
-    Aprime = N[k:, :k]
-    C2 = N[:k, k:k + 1]
-    C2prime = N[k:, k:k + 1]
-    left = nk.mat_mul(nk.mat_mul(_inv(N), M), N)
-    leftf = nk.to_float(left)
-    if np.max(np.abs(leftf[:k, :k] - nk.to_float(bc.B0))) > tol * max(
-            np.max(np.abs(leftf)), 1.0):
-        raise NotInNormalForm("conjugated form does not continue the head block")
-    D2 = left[k:k + 1, :k]
-    C = nk.zeros_like_backend(k, 2, exact)
-    C[:, 0:1] = C1
-    C[:, 1:2] = C2
-    Cprime = nk.zeros_like_backend(m, 2, exact)
-    Cprime[:, 0:1] = C1prime
-    Cprime[:, 1:2] = C2prime
-    return TaubNutData(k, m, A, bc.Bht, bc.Bth, C, D2, Aprime, Bprime, Cprime)
+    return TaubNutData(k, m, Bht=bc.Bht, Bth=bc.Bth, **_read_normal_form(
+        k, m, bc.beta_mid_plus, bc.monodromy, bc.B1, bc.B0, tol))
 
 
 def _from_bow_m0(bc: BowComplexTN, tol: float):
@@ -712,7 +580,6 @@ def _from_bow_m0(bc: BowComplexTN, tol: float):
 
 
 def _factor_or_default(R, tol, exact):
-    from .caloron import _rank_one_factor
     C, D = _rank_one_factor(R, tol)
     if exact and not nk.is_exact(C):
         Cf, Df = nk.to_float(C), nk.to_float(D)
@@ -762,7 +629,6 @@ def generate_taubnut(k: int, m: int, seed: int = 0, exact: bool = False,
 
 def _draw_taubnut(k: int, m: int, rng, exact: bool):
     from fractions import Fraction
-    from .caloron import _pack
     Bht = _int_frac(rng, (k, k))
     Bth = _int_frac(rng, (k, k))
     A = _int_frac(rng, (k, k))
@@ -787,23 +653,10 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
         if Dinv is None:
             return None
         C = R @ Dinv
-    # relation 2 for Bprime, Cprime
     Bp = _int_frac(rng, (1, k))
-    em = np.zeros((m, 1), dtype=object)
-    em[0, 0] = Fraction(1)
-    shift = np.zeros((m, m), dtype=object)
-    for i in range(m - 1):
-        shift[i + 1, i] = Fraction(1)
-    K = em @ Bp @ A + shift @ Ap - Ap @ B0
-    if k == 1:
-        if D[0, 0] == 0:
-            return None
-        Cp = np.zeros((m, 2), dtype=object)
-        for i in range(m):
-            Cp[i, 0] = K[i, 0] / D[0, 0]
-            Cp[i, 1] = Fraction(0)
-    else:
-        Cp = K @ Dinv
+    Cp = _solve_cprime(Bp, A, Ap, B0, D)
+    if Cp is None:
+        return None
     mats = dict(A=A, Bht=Bht, Bth=Bth, C=C, D2row=D2, Aprime=Ap, Bprime=Bp,
                 Cprime=Cp)
     return _pack(TaubNutData, dict(k=k, m=m), mats, exact)
@@ -811,7 +664,6 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
 
 def _draw_taubnut_m0(k: int, rng, exact: bool):
     from fractions import Fraction
-    from .caloron import _pack
     # B0 with distinct integer eigenvalues; D1 a left eigenvector, C1 in the
     # orthogonal slice so the rank-one update preserves the spectrum
     evals = rng.choice(np.arange(-5, 6), size=k, replace=False)

@@ -164,11 +164,20 @@ def test_degenerate_m0_complex_refused_upstream():
         cal.to_nahm_complex(data)
 
 
-def test_not_in_normal_form():
-    data = worked_example()
-    ncx = cal.to_nahm_complex(data)
-    ncx.beta_large = ncx.beta_large + 0.1 * np.eye(2)   # break the corner
-    with pytest.raises(NotInNormalForm):
+# one entry of the k = 2, m = 2 normal form per pattern the reader checks,
+# with the message that names it
+BROKEN_BLOCKS = {"corner": ((1, 1), "tail block"),
+                 "off_final_column": ((0, 2), "off the final column"),
+                 "pole_block": ((2, 2), "pole block")}
+
+
+@pytest.mark.parametrize("block", list(BROKEN_BLOCKS))
+def test_not_in_normal_form(block):
+    (i, j), message = BROKEN_BLOCKS[block]
+    ncx = cal.to_nahm_complex(cal.generate_caloron(2, 2, seed=5))
+    ncx.beta_large = ncx.beta_large.copy()
+    ncx.beta_large[i, j] += 0.1
+    with pytest.raises(NotInNormalForm, match=message):
         cal.from_nahm_complex(ncx)
 
 

@@ -255,9 +255,15 @@ def _diagonal_nahm_file(tmp_path, capsys):
 def test_validate_m0_without_fundamental_data(tmp_path, capsys):
     sol_file = _diagonal_nahm_file(tmp_path, capsys)
     assert run_cli("validate", "--input", str(sol_file)) == 1
-    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+
+    def strict(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=strict)
+    checks = {c["name"]: c for c in out["checks"]}
     for name in ("fundamental_minus", "fundamental_plus"):
         assert checks[name]["status"] == "fail"
+        assert checks[name]["residual"] == "inf"
         assert "missing" in checks[name]["note"]
     assert run_cli("spectral", "--input", str(sol_file),
                    "--out", str(tmp_path / "c.csv")) == 0
@@ -270,3 +276,45 @@ def test_dirac_m0_without_fundamental_data(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "BuildRefused"
+
+
+_CONTRACT_KINDS = {"caloron": ["--k", "2", "--m", "1"],
+                   "caloron-m0": ["--k", "2"],
+                   "taubnut": ["--k", "2", "--m", "1"],
+                   "taubnut-m0": ["--k", "2"],
+                   "bowsol": ["--m", "1"]}
+_CONTRACT_ARGS = {"validate": [], "fiber": ["--points", "2"],
+                  "splitting": ["--points", "2"], "spectral": [],
+                  "nahm-flow": [], "dirac": ["--points", "1", "--grid", "32"],
+                  "roundtrip": []}
+
+
+@pytest.fixture(scope="module")
+def contract_inputs(tmp_path_factory):
+    """One seeded file per data kind; bowsol writes a nahmsolution file."""
+    d = tmp_path_factory.mktemp("contract")
+    files = {}
+    for kind, extra in _CONTRACT_KINDS.items():
+        files[kind] = d / f"{kind}.json"
+        assert run_cli("generate", "--kind", kind, "--seed", "0",
+                       "--out", str(files[kind]), *extra) == 0
+    return files
+
+
+@pytest.mark.parametrize("kind", list(_CONTRACT_KINDS))
+@pytest.mark.parametrize("command", list(_CONTRACT_ARGS) + ["generate"])
+def test_exit_code_contract(command, kind, contract_inputs, tmp_path, capsys):
+    """Every command on every input kind exits 0, 1 or 2 without a
+    traceback; a non-zero exit leaves exactly one JSON error on stderr.
+    generate runs its kind at k = 3, m = 1, outside the m >= 1 generators'
+    range."""
+    if command == "generate":
+        args = ["generate", "--kind", kind, "--k", "3", "--m", "1"]
+    else:
+        args = [command, "--input", str(contract_inputs[kind]),
+                *_CONTRACT_ARGS[command]]
+    code = run_cli(*args, "--out", str(tmp_path / "out"))
+    assert code in (0, 1, 2)
+    if code:
+        err = json.loads(capsys.readouterr().err)
+        assert set(err) == {"error"} and set(err["error"]) == {"type", "message"}

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bowmonad import monadcore as mc, numkit as nk, taubnut as tn
+from bowmonad import caloron as cal, monadcore as mc, numkit as nk, taubnut as tn
 from bowmonad.monadcore import Line, splitting_type
 from bowmonad.nahmbow import BuildRefused, NotInNormalForm
 
@@ -225,6 +225,41 @@ def test_from_bow_complex_rejects_broken_edge():
     bc.Bht = bc.Bht + 0.3
     with pytest.raises(NotInNormalForm):
         tn.from_bow_complex(bc)
+
+
+# as in test_caloron: one entry of the k = 2, m = 2 middle normal form per
+# pattern the shared reader checks
+BROKEN_BLOCKS = {"corner": ((1, 1), "tail block"),
+                 "off_final_column": ((0, 2), "off the final column"),
+                 "pole_block": ((2, 2), "pole block")}
+
+
+@pytest.mark.parametrize("block", list(BROKEN_BLOCKS))
+def test_not_in_normal_form(block):
+    (i, j), message = BROKEN_BLOCKS[block]
+    bc = tn.to_bow_complex(tn.generate_taubnut(2, 2, seed=3))
+    bc.beta_mid_plus = bc.beta_mid_plus.copy()
+    bc.beta_mid_plus[i, j] += 0.1
+    with pytest.raises(NotInNormalForm, match=message):
+        tn.from_bow_complex(bc)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k,m,seed", [(1, 1, 2), (2, 1, 8), (1, 2, 3),
+                                      (2, 2, 5)])
+def test_caloron_is_taubnut_with_identity_edge(k, m, seed, exact):
+    """Caloron data are Taub-NUT data with Bht = B and Bth = I: the normal
+    form, monodromy, relations and right-normal residual coincide."""
+    cd = cal.generate_caloron(k, m, seed=seed, exact=exact)
+    td = tn.TaubNutData(k, m, cd.A, cd.B, nk.eye_like_backend(k, exact),
+                        cd.C, cd.D2row, cd.Aprime, cd.Bprime, cd.Cprime)
+    assert (td.normal_form == cd.left_normal).all()
+    assert (td.middle_normal == cd.normal_form).all()
+    assert (td.monodromy == cd.monodromy).all()
+    for rt, rc in zip(td.relation_residuals(), cd.relation_residuals(),
+                      strict=True):
+        assert (rt == rc).all()
+    assert tn.right_normal_residual(td) == cal.right_normal_residual(cd)
 
 
 def test_right_normal_residual():
