@@ -24,6 +24,10 @@ from .nahmbow import BowComplexCircle, BuildRefused, NotInNormalForm, _inv
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
 
 
+class NoValidDraw(nk.BowmonadError):
+    """No random draw validated within a generator's ``max_tries``."""
+
+
 def _shift_matrix(m: int, exact: bool):
     """Lower shift: ones on the first subdiagonal."""
     out = nk.zeros_like_backend(m, m, exact)
@@ -555,7 +559,7 @@ def generate_caloron(k: int, m: int, seed: int = 0, exact: bool = False,
             continue
         if validate(data).passed:
             return data
-    raise RuntimeError(f"no validated caloron draw for k={k}, m={m}, seed={seed}")
+    raise NoValidDraw(f"no validated caloron draw for k={k}, m={m}, seed={seed}")
 
 
 def _rand_int_mat(rng, shape, lo=-4, hi=5):

@@ -21,13 +21,12 @@ restricted complex).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit as nk
-from .numkit import (DEFAULT_CTX, GQ, ToleranceContext, is_exact, mat_mul,
-                     to_float)
+from .numkit import DEFAULT_CTX, ToleranceContext, is_exact, mat_mul, to_float
 
 
 class ChartMismatch(nk.BowmonadError):
@@ -212,12 +211,15 @@ class PolyMatrix:
             tgt[rows[0]:rows[1], cols[0]:cols[1]] + payload)
 
     def evaluate(self, x, y):
+        if self.exact and self.coeffs:
+            # one exact product: the row of monomial weights times the
+            # coefficient matrices stacked as rows
+            w = nk.exact_matrix([[x ** p * y ** q for (p, q) in self.coeffs]])
+            C = np.stack([mat.ravel() for mat in self.coeffs.values()])
+            return mat_mul(w, C).reshape(self.shape)
         out = nk.zeros_like_backend(*self.shape, self.exact)
         for (p, q), mat in self.coeffs.items():
-            if self.exact:
-                out = out + mat * (x ** p) * (y ** q) if (p or q) else out + mat
-            else:
-                out = out + mat * (complex(x) ** p) * (complex(y) ** q)
+            out = out + mat * (complex(x) ** p) * (complex(y) ** q)
         return out
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -225,14 +227,21 @@ class PolyMatrix:
         if self.shape[1] != other.shape[0]:
             raise ValueError("composition shape mismatch")
         out = PolyMatrix((self.shape[0], other.shape[1]), exact=self.exact)
+        factors: dict[tuple, tuple[list, list]] = {}
         for (p1, q1), m1 in self.coeffs.items():
             for (p2, q2), m2 in other.coeffs.items():
-                key = (p1 + p2, q1 + q2)
-                prod = mat_mul(m1, m2)
-                if key in out.coeffs:
-                    out.coeffs[key] = out.coeffs[key] + prod
-                else:
-                    out.coeffs[key] = prod
+                left, right = factors.setdefault((p1 + p2, q1 + q2), ([], []))
+                left.append(m1)
+                right.append(m2)
+        for key, (left, right) in factors.items():
+            if self.exact:
+                # the sum of the products is one product of the stacked factors
+                out.coeffs[key] = mat_mul(np.hstack(left), np.vstack(right))
+            else:
+                # summed product by product: a stacked BLAS product would
+                # round in another order
+                out.coeffs[key] = sum(map(mat_mul, left[1:], right[1:]),
+                                      mat_mul(left[0], right[0]))
         return out
 
     def max_coeff_norm(self) -> float:
@@ -313,14 +322,12 @@ class ParamMonad:
     def composite_residual(self) -> float:
         """0 when beta o alpha vanishes identically; relative size otherwise."""
         comp = self.composite()
-        num = comp.max_coeff_norm()
         if self.exact:
-            for m in comp.coeffs.values():
-                if not nk.is_zero_matrix(m):
-                    return num
-            return 0.0
+            if all(nk.is_zero_matrix(m) for m in comp.coeffs.values()):
+                return 0.0
+            return comp.max_coeff_norm()
         den = max(self.alpha.max_coeff_norm() * self.beta.max_coeff_norm(), 1e-300)
-        return num / den
+        return comp.max_coeff_norm() / den
 
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, point) -> MonadAtPoint:
@@ -344,7 +351,8 @@ def fiber(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> FiberBasis:
     if m.residual > 1e-8:
         raise nk.ImageNotContained(
             f"beta*alpha residual {m.residual:.2e} too large for a fiber")
-    kern = nk.rank_kernel(m.beta, ctx).kernel
+    kern = nk.exact_kernel(m.beta) if is_exact(m.beta) else \
+        nk.rank_kernel(m.beta, ctx).kernel
     basis = nk.quotient_representatives(kern, m.alpha, ctx)
     return FiberBasis(basis.shape[1], basis)
 

@@ -19,13 +19,12 @@ Conventions (fixed once, enforced by tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import (BlockSpec, MonadAtPoint, ParamMonad, PolyMatrix,
-                        block_offsets)
+from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 

@@ -7,8 +7,14 @@ Two matrix backends are used throughout the package:
   multiplicative singular-value gap; ambiguous gaps raise
   :class:`GapTooSmall` instead of silently picking a rank.
 * exact: ``numpy`` object arrays of :class:`GaussianRational` (complex
-  numbers with ``Fraction`` real and imaginary parts).  Rank decisions are
-  made by exact elimination and need no gap.
+  numbers with ``Fraction`` real and imaginary parts), or of ``Fraction``
+  for real data.  Rank decisions are made by exact elimination and need no
+  gap.  The arithmetic is fraction-free: products (``mat_mul``), the
+  evaluation of exact matrix polynomials and the elimination (``rref``)
+  split each operand into two object arrays of Python ints, the real and
+  imaginary numerators over one common denominator, work in Z[i], and
+  divide once at the end, so a Fraction gcd is taken once per result entry
+  rather than once per multiply-add.
 
 The structured solvers at the bottom (common eigenvector search, pencil
 surjectivity, quotient representatives) are what the non-degeneracy
@@ -17,6 +23,7 @@ conditions of the matrix data reduce to.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
@@ -138,12 +145,6 @@ class GaussianRational:
     def conjugate(self):
         return GaussianRational(self.re, -self.im)
 
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def to_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
-
     def __repr__(self):
         return f"GQ({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 
@@ -205,9 +206,12 @@ def exact_eye(n: int) -> np.ndarray:
 def to_float(M: np.ndarray) -> np.ndarray:
     if not is_exact(M):
         return np.asarray(M, dtype=complex)
+    # int / int is correctly rounded, as float(Fraction) is
+    re, im, den = _split(M)
     out = np.zeros(M.shape, dtype=complex)
-    for idx, e in np.ndenumerate(M):
-        out[idx] = e.to_complex()
+    out.real = np.reshape([a / den for a in re.ravel().tolist()], M.shape)
+    if im is not None:
+        out.imag = np.reshape([b / den for b in im.ravel().tolist()], M.shape)
     return out
 
 
@@ -220,12 +224,70 @@ def eye_like_backend(n: int, exact: bool) -> np.ndarray:
 
 
 def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B.  Two exact operands are multiplied fraction-free; the product
+    holds GaussianRational entries if either operand holds one, Fraction
+    entries otherwise."""
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
         exact = is_exact(A) or is_exact(B)
         return zeros_like_backend(A.shape[0], B.shape[1], exact)
-    return np.dot(A, B)
+    if not (is_exact(A) and is_exact(B)):
+        return np.dot(A, B)
+    ar, ai, da = _split(A)
+    br, bi, db = _split(B)
+    re, im = np.dot(ar, br), None
+    if ai is not None:
+        im = np.dot(ai, br)
+        if bi is not None:
+            re = re - np.dot(ai, bi)
+    if bi is not None:
+        im = np.dot(ar, bi) if im is None else im + np.dot(ar, bi)
+    return _join(re, im, da * db)
+
+
+# ---------------------------------------------------------------------------
+# fraction-free exact kernel: an exact array is split into Python-int
+# numerators over one common denominator, the work is done in Z[i], and the
+# result is divided once
+
+
+def _gq(re: Fraction, im: Fraction) -> GaussianRational:
+    """GaussianRational of two Fractions, without coercing them again."""
+    out = object.__new__(GaussianRational)
+    out.re, out.im = re, im
+    return out
+
+
+def _split(M: np.ndarray):
+    """(re, im, den) with M = (re + i im) / den: re and im are object arrays
+    of Python ints, den the least common denominator of every part.  Entries
+    may be GaussianRational, Fraction or int; im is None when no entry is a
+    GaussianRational."""
+    parts = M.ravel().tolist()
+    gq = any(isinstance(e, GaussianRational) for e in parts)
+    if gq:
+        parts = ([e.re if isinstance(e, GaussianRational) else e for e in parts]
+                 + [e.im if isinstance(e, GaussianRational) else 0 for e in parts])
+    ratios = [p.as_integer_ratio() for p in parts]
+    den = math.lcm(*{d for _, d in ratios})
+    nums = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    if not gq:
+        return nums.reshape(M.shape), None, den
+    half = len(nums) // 2
+    return nums[:half].reshape(M.shape), nums[half:].reshape(M.shape), den
+
+
+def _join(re: np.ndarray, im, den: int) -> np.ndarray:
+    """The exact array (re + i im) / den: GaussianRational entries, or
+    Fraction entries when im is None."""
+    out = np.empty(re.shape, dtype=object)
+    if im is None:
+        out.ravel()[:] = [Fraction(a, den) for a in re.ravel().tolist()]
+    else:
+        out.ravel()[:] = [_gq(Fraction(a, den), Fraction(b, den))
+                          for a, b in zip(re.ravel().tolist(), im.ravel().tolist())]
+    return out
 
 
 def mat_norm(M: np.ndarray) -> float:
@@ -327,32 +389,64 @@ def nullspace(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> np.ndarray:
 # is read off one reduced row echelon form
 
 
-def rref(M: np.ndarray):
-    """Reduced row echelon form of an exact matrix, by Gauss-Jordan
-    elimination; returns (R, pivot columns).
+def _eliminate(M: np.ndarray):
+    """Fraction-free Gauss-Jordan elimination of an exact matrix over Z[i].
 
-    Only + - * / and truthiness are used, so object arrays of
-    GaussianRational and of Fraction both work.  The RREF of a matrix is
-    unique, so nothing read off it depends on the choice of pivot rows.
+    M is first scaled to Gaussian-integer numerators (a scalar multiple has
+    the same RREF).  At each pivot p every other row becomes
+    (p row - row[c] pivot_row) / previous pivot; the division is exact
+    because every entry stays a minor of the scaled matrix (Bareiss,
+    Math. Comp. 22, 1968), and every pivot row ends with the last pivot d at
+    its pivot.  Returns (re, im, (dr, di), pivots) with the RREF equal to
+    (re + i im) / (dr + i di); for real data im is None and di is 0.
     """
-    R = M.copy()
-    m, n = R.shape
+    re, im, _ = _split(M)
+    m, n = re.shape
+    dr, di = 1, 0
     pivots: list[int] = []
     for c in range(n):
         r = len(pivots)
         if r == m:
             break
-        p = next((i for i in range(r, m) if R[i, c]), None)
+        p = next((i for i in range(r, m)
+                  if re[i, c] or (im is not None and im[i, c])), None)
         if p is None:
             continue
         if p != r:
-            R[[r, p]] = R[[p, r]]
-        R[r, c:] = R[r, c:] / R[r, c]
-        for i in range(m):
-            if i != r and R[i, c]:
-                R[i, c:] = R[i, c:] - R[i, c] * R[r, c:]
+            re[[r, p]] = re[[p, r]]
+            if im is not None:
+                im[[r, p]] = im[[p, r]]
+        pr, row_r, col_r = re[r, c], re[r], re[:, c, None]
+        if im is None:
+            re = (pr * re - col_r * row_r) // dr
+            re[r] = row_r
+        else:
+            pi, row_i, col_i = im[r, c], im[r], im[:, c, None]
+            xr = pr * re - pi * im - (col_r * row_r - col_i * row_i)
+            xi = pr * im + pi * re - (col_r * row_i + col_i * row_r)
+            norm = dr * dr + di * di
+            re, im = (xr * dr + xi * di) // norm, (xi * dr - xr * di) // norm
+            re[r], im[r] = row_r, row_i
+            di = pi
+        dr = pr
         pivots.append(c)
-    return R, pivots
+    return re, im, (dr, di), pivots
+
+
+def rref(M: np.ndarray):
+    """Reduced row echelon form of an exact matrix; returns (R, pivot
+    columns).
+
+    Object arrays of GaussianRational and of Fraction both work; R holds
+    GaussianRational entries if M holds any, Fraction entries otherwise.
+    The RREF of a matrix is unique, so nothing read off it depends on the
+    choice of pivot rows.
+    """
+    re, im, (dr, di), pivots = _eliminate(M)
+    if im is None:
+        return _join(re, None, dr), pivots
+    norm = dr * dr + di * di
+    return _join(re * dr + im * di, im * dr - re * di, norm), pivots
 
 
 def _field(M: np.ndarray):
@@ -606,7 +700,7 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
     for i in range(D.shape[0]):
         for j in range(k):
             stacked[2 * k + i, j] = D[i, j]
-    return len(rref(stacked)[1]) < k
+    return len(_eliminate(stacked)[3]) < k
 
 
 # ---------------------------------------------------------------------------
@@ -710,9 +804,11 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
 
 
 def _exact_quotient(K: np.ndarray, I: np.ndarray) -> np.ndarray:
-    if I.shape[1] and exact_solve(K, I) is None:
-        raise ImageNotContained("image not contained in kernel (exact)")
-    # the pivot columns of [I | K] that land in the K block are the reps
+    # one elimination of [I | K]: the columns of the kernel basis K are
+    # independent, so span I lies in span K iff [I | K] has rank K.shape[1];
+    # the pivot columns that land in the K block are the representatives
     ni = I.shape[1]
-    _, pivots = rref(np.hstack([I, K]))
+    pivots = _eliminate(np.hstack([I, K]))[3]
+    if len(pivots) != K.shape[1]:
+        raise ImageNotContained("image not contained in kernel (exact)")
     return K[:, [c - ni for c in pivots if c >= ni]]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .caloron import (MposTuple, _check_shapes, _e_minus_col, _e_plus_row,
-                      _mixed_pencil_left, _pack, _rank_one_factor,
+from .caloron import (MposTuple, NoValidDraw, _check_shapes, _e_minus_col,
+                      _e_plus_row, _mixed_pencil_left, _pack, _rank_one_factor,
                       _read_normal_form, _solve_cprime)
 from .caloron import right_normal_residual  # noqa: F401 - shared by both flavors
 from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
@@ -624,7 +624,7 @@ def generate_taubnut(k: int, m: int, seed: int = 0, exact: bool = False,
             continue
         if validate(data).passed:
             return data
-    raise RuntimeError(f"no validated draw for k={k}, m={m}, seed={seed}")
+    raise NoValidDraw(f"no validated draw for k={k}, m={m}, seed={seed}")
 
 
 def _draw_taubnut(k: int, m: int, rng, exact: bool):

@@ -221,3 +221,10 @@ def test_exact_draws_store_python_ints():
             json.loads(json.dumps(bowcli.data_to_json(data))))
         for name in ("A", "B0", "C", "D"):
             assert (getattr(back, name) == getattr(data, name)).all()
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_generator_without_valid_draw(m):
+    with pytest.raises(cal.NoValidDraw, match="no validated caloron draw") as exc:
+        cal.generate_caloron(1, m, seed=0, max_tries=0)
+    assert isinstance(exc.value, nk.BowmonadError)

@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -318,3 +319,17 @@ def test_exit_code_contract(command, kind, contract_inputs, tmp_path, capsys):
     if code:
         err = json.loads(capsys.readouterr().err)
         assert set(err) == {"error"} and set(err["error"]) == {"type", "message"}
+
+
+@pytest.mark.parametrize("kind", ["caloron", "caloron-m0", "taubnut",
+                                  "taubnut-m0"])
+def test_generate_without_valid_draw_exit_1(kind, monkeypatch, capsys):
+    """A generator that runs out of draws exits 1 with a JSON error."""
+    for module, name in ((caloron, "generate_caloron"),
+                         (taubnut, "generate_taubnut")):
+        monkeypatch.setattr(module, name, functools.partial(
+            getattr(module, name), max_tries=0))
+    assert run_cli("generate", "--kind", kind, "--k", "1", "--m", "1") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "NoValidDraw"

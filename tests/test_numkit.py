@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bowmonad import numkit as nk
+from bowmonad import monadcore, numkit as nk
 from bowmonad.numkit import GQ, ToleranceContext
 
 
@@ -261,3 +261,162 @@ def test_exact_inverse(field):
     assert (M @ inv == eye).all() and (inv @ M == eye).all()
     _, S = _integer_matrix(rng, 4, 4, 3, field)
     assert nk.exact_inverse(S) is None
+
+
+# -- the fraction-free exact kernel against plain Q(i) object arithmetic,
+# kept here as reference implementations
+
+
+def _ref_mat_mul(A, B):
+    """Object-array product: one Fraction gcd per multiply-add."""
+    return np.dot(A, B)
+
+
+def _ref_evaluate(pm, x, y):
+    """Exact PolyMatrix value as a per-monomial sum in Q(i) arithmetic."""
+    out = nk.exact_zeros(*pm.shape)
+    for (p, q), mat in pm.coeffs.items():
+        out = out + mat * (x ** p) * (y ** q) if (p or q) else out + mat
+    return out
+
+
+def _ref_rref(M):
+    """Gauss-Jordan elimination in Q(i) arithmetic, pivot row by pivot row."""
+    R = M.copy()
+    m, n = R.shape
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        p = next((i for i in range(r, m) if R[i, c]), None)
+        if p is None:
+            continue
+        if p != r:
+            R[[r, p]] = R[[p, r]]
+        R[r, c:] = R[r, c:] / R[r, c]
+        for i in range(m):
+            if i != r and R[i, c]:
+                R[i, c:] = R[i, c:] - R[i, c] * R[r, c:]
+        pivots.append(c)
+    return R, pivots
+
+
+# denominators with and without common factors, two of them large primes
+_DENS = (1, 2, 3, 7, 12, 35, 10**9 + 7, 998244353)
+
+
+def _rational(rng, field, big):
+    def part():
+        num = int(rng.integers(-10**12, 10**12)) if big else int(rng.integers(-9, 10))
+        return Fraction(num, _DENS[int(rng.integers(len(_DENS)))])
+    return GQ(part(), part()) if field is GQ else part()
+
+
+def _oracle_matrix(rng, m, n, field, big=False, rank=None, zero_rows=0):
+    """Seeded exact m x n matrix: entries of Q(i) (or Q for Fraction), rank
+    at most `rank` when given, with its last `zero_rows` rows zero."""
+    def draw(a, b):
+        out = np.empty((a, b), dtype=object)
+        for idx in np.ndindex(a, b):
+            out[idx] = _rational(rng, field, big)
+        return out
+    M = draw(m, n) if rank is None else _ref_mat_mul(draw(m, rank), draw(rank, n))
+    if zero_rows:
+        M[m - zero_rows:] = field(0)
+    return M
+
+
+def _assert_same(A, B):
+    """Equal shapes, equal values and equal element types."""
+    assert A.shape == B.shape
+    assert [type(e) for e in A.flat] == [type(e) for e in B.flat]
+    assert all(a == b for a, b in zip(A.flat, B.flat))
+
+
+_ORACLE_SHAPES = [  # (m, k, n): A is m x k, B is k x n
+    (1, 1, 1), (1, 5, 1), (1, 4, 6), (6, 4, 1), (5, 1, 5), (4, 4, 4), (7, 5, 6)]
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("m, k, n", _ORACLE_SHAPES)
+def test_mat_mul_matches_object_products(field, big, m, k, n):
+    rng = np.random.default_rng([m, k, n, big, field is GQ])
+    for zero_rows in (0, 1):
+        A = _oracle_matrix(rng, m, k, field, big, zero_rows=min(zero_rows, m - 1))
+        B = _oracle_matrix(rng, k, n, field, big, rank=max(1, min(k, n) - 1))
+        _assert_same(nk.mat_mul(A, B), _ref_mat_mul(A, B))
+
+
+def test_mat_mul_mixed_fields_is_gaussian():
+    rng = np.random.default_rng(3)
+    A = _oracle_matrix(rng, 3, 4, GQ, big=True)
+    B = _oracle_matrix(rng, 4, 2, Fraction, big=True)
+    _assert_same(nk.mat_mul(A, B), _ref_mat_mul(A, B))
+    _assert_same(nk.mat_mul(B.T, A.T), _ref_mat_mul(B.T, A.T))
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 4)])
+def test_evaluate_matches_monomial_sum(field, shape):
+    rng = np.random.default_rng([*shape, field is GQ])
+    pm = monadcore.PolyMatrix(shape, exact=True)
+    assert all(not e for e in pm.evaluate(GQ(2), GQ(3)).flat)
+    for p, q in [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)]:
+        pm.coeffs[(p, q)] = _oracle_matrix(rng, *shape, field, big=True)
+    for _ in range(3):
+        x, y = _rational(rng, GQ, True), _rational(rng, GQ, False)
+        _assert_same(pm.evaluate(x, y), _ref_evaluate(pm, x, y))
+    zero = GQ(0)
+    _assert_same(pm.evaluate(zero, zero), _ref_evaluate(pm, zero, zero))
+
+
+_RREF_CASES = [  # (m, n, rank or None for a generic draw, zero rows)
+    (1, 1, None, 0), (1, 6, None, 0), (6, 1, None, 0), (4, 4, None, 0),
+    (4, 6, None, 0), (6, 4, None, 0), (5, 5, 3, 0), (6, 7, 2, 0),
+    (5, 4, None, 2), (4, 6, 2, 1), (3, 3, None, 3), (1, 4, None, 1)]
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+@pytest.mark.parametrize("big", [False, True])
+@pytest.mark.parametrize("m, n, rank, zero_rows", _RREF_CASES)
+def test_rref_matches_gauss_jordan(field, big, m, n, rank, zero_rows):
+    rng = np.random.default_rng([m, n, rank or 0, zero_rows, big, field is GQ])
+    for _ in range(2):
+        M = _oracle_matrix(rng, m, n, field, big, rank, zero_rows)
+        # zero rows first, so the elimination has to swap rows
+        M = M[::-1].copy()
+        R, pivots = nk.rref(M)
+        R_ref, pivots_ref = _ref_rref(M)
+        assert pivots == pivots_ref
+        _assert_same(R, R_ref)
+        if rank is not None:
+            assert len(pivots) <= rank
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+def test_exact_quotient_containment(field):
+    rng = np.random.default_rng(11)
+    B = _oracle_matrix(rng, 3, 7, field, big=True)
+    K = nk.exact_kernel(B)                       # 7 x 4
+    inside = _ref_mat_mul(K[:, :2], _oracle_matrix(rng, 2, 2, field))
+    reps = nk.quotient_representatives(K, inside)
+    assert reps.shape == (7, 2)
+    # the image and the representatives span the whole kernel
+    assert len(nk.rref(np.hstack([inside, reps]))[1]) == 4
+    outside = np.hstack([inside, _oracle_matrix(rng, 7, 1, field)])
+    with pytest.raises(nk.ImageNotContained):
+        nk.quotient_representatives(K, outside)
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+def test_to_float_matches_entrywise_conversion(field):
+    rng = np.random.default_rng(17)
+    M = _oracle_matrix(rng, 5, 6, field, big=True)
+    M[0, 0] = field(Fraction(10**400 + 1, 3 * 10**399))   # beyond float range parts
+    ref = np.array([[complex(e.re) + 1j * complex(e.im) if field is GQ
+                     else complex(e) for e in row] for row in M])
+    out = nk.to_float(M)
+    assert out.dtype == complex
+    assert (out == ref).all()

@@ -289,3 +289,10 @@ def test_eta_zero_side_heuristic():
     assert tn.eta_zero_side_heuristic(d) == ["psi"]
     d2 = tn.generate_taubnut(2, 1, seed=13)
     assert tn.eta_zero_side_heuristic(d2) == []    # 0 not an eigenvalue
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_generator_without_valid_draw(m):
+    with pytest.raises(cal.NoValidDraw, match="no validated draw") as exc:
+        tn.generate_taubnut(1, m, seed=0, max_tries=0)
+    assert isinstance(exc.value, nk.BowmonadError)
