@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import caloron, diraclattice, monadcore, nahmbow, numkit as nk, taubnut
-from .monadcore import Line, fiber, splitting_type
+from .monadcore import Line, splitting_type
 from .numkit import GQ, ToleranceContext
 
 
@@ -274,11 +274,11 @@ def cmd_fiber(args) -> int:
     pm = _monad_for(data, ctx)
     rng = np.random.default_rng(args.seed)
     pts = monadcore.random_chart_points(args.points, rng)
-    dims = [fiber(pm.evaluate(p), ctx).dim for p in pts]
+    dims, margins = monadcore.fiber_dims(pm, pts, ctx)
     payload = {"chart": pm.chart, "composite_residual": pm.composite_residual(),
                "points": [[p[0].real, p[0].imag, p[1].real, p[1].imag]
                           for p in pts],
-               "dims": dims}
+               "dims": dims, "min_margin": min(margins, default=np.inf)}
     _write_out(payload, args.out)
     return 0 if all(d == dims[0] for d in dims) else 1
 

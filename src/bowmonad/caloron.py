@@ -233,13 +233,10 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
         res = nk.mat_norm(r)
         report.add(f"relation_{i}", res < 1e-10 * scale, res)
 
-    obs = nk.common_eigenvector_obstruction(data.A, B, data.D, ctx)
-    report.add("stacked_pencil_injective", len(obs) == 0, 0.0,
-               certificate=[(o.xi, o.eta, o.vector) for o in obs] or None)
-    obs2 = nk.common_eigenvector_obstruction(
-        _t(data.A), _t(B), _t(data.C), ctx)
-    report.add("row_pencil_surjective", len(obs2) == 0, 0.0,
-               certificate=[(o.xi, o.eta, o.vector) for o in obs2] or None)
+    _add_obstruction_check(report, "stacked_pencil_injective",
+                           data.A, B, data.D, ctx)
+    _add_obstruction_check(report, "row_pencil_surjective",
+                           _t(data.A), _t(B), _t(data.C), ctx)
 
     if isinstance(data, CaloronData):
         Yp1 = _mixed_pencil_left(data)
@@ -249,7 +246,7 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
                 nk.to_float(Yp1), nk.to_float(Z0), nk.to_float(Z1), ctx)
             report.add("mixed_pencil_surjective", len(fails) == 0, 0.0,
                        certificate=fails or None)
-        except nk.DegeneratePencil as e:
+        except (nk.DegeneratePencil, nk.GapTooSmall) as e:
             report.add("mixed_pencil_surjective", False, np.inf, note=str(e))
         Nf = nk.to_float(data.monodromy)
         s = np.linalg.svd(Nf, compute_uv=False)
@@ -272,6 +269,19 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
         ok = s[-1] > ctx.rank_tol * max(s[0], 1.0)
         report.add("A_invertible", ok, float(s[-1] / max(s[0], 1e-300)))
     return report
+
+
+def _add_obstruction_check(report, name, A, B, D, ctx):
+    """The common-eigenvector check of the pencil (A - xi; B - eta; D).  A
+    rank decision the search cannot make (GapTooSmall) fails the check:
+    the pencil is then not certified."""
+    try:
+        obs = nk.common_eigenvector_obstruction(A, B, D, ctx)
+    except nk.GapTooSmall as e:
+        report.add(name, False, np.inf, note=str(e))
+        return
+    report.add(name, len(obs) == 0, 0.0,
+               certificate=[(o.xi, o.eta, o.vector) for o in obs] or None)
 
 
 def _t(M):

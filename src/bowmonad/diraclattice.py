@@ -273,13 +273,9 @@ def kernel(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     E[dl.n_psi:, col:] = np.eye(dl.n_aux)
     S = M[dl.sites[site][0]:] @ E
     _, s, Vh = np.linalg.svd(S)
-    margin = s[-1] / (ctx.rank_tol * s[0])
-    if not margin >= ctx.gap_factor:
-        raise nk.GapTooSmall(
-            f"reduced junction system: sigma {s[-1]:.3e} / {s[0]:.3e} gives "
-            f"margin {margin:.1f} < {ctx.gap_factor}")
+    margin = ctx.require_gap(s, len(s))
     basis, _ = np.linalg.qr(E @ Vh[len(s):].conj().T)
-    return basis.shape[1], basis, float(margin)
+    return basis.shape[1], basis, margin
 
 
 def reality_residual(dl: DiracLattice) -> float:
@@ -347,7 +343,7 @@ def compare_with_monad(data, sol: NahmSolution, point, grid: int = 256,
     if mineig <= 0:
         raise SingularPoint("squared operator is not positive here")
     dim, _, gap = kernel(dl, ctx)
-    bm = taubnut._big_monad_unchecked(data).to_float()
+    bm = taubnut._big_monad_unchecked(taubnut._float_data(data))
     fdim = fiber(bm.evaluate(tuple(point)), ctx).dim
     bc = complex_shadow(sol)
     rdim = fiber(finite_monad_family(bc).evaluate(tuple(point)), ctx).dim

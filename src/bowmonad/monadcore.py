@@ -21,6 +21,7 @@ restricted complex).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,43 +185,97 @@ class BlockSpec:
     rank: int
 
 
+class CoeffTensor(Mapping):
+    """Coefficients of a matrix polynomial by monomial (p, q), stored as one
+    tensor: exponent arrays P and Q, and an array C with one row per
+    monomial, the flattened coefficient of x^P[j] y^Q[j].  The exponents
+    are held as floats, which a complex power takes without a cast (whole
+    exponents are still raised by repeated multiplication).
+
+    The tensor is the only copy.  Reading a key gives a read-only view of
+    its row; assigning a key writes the matrix into its row (a new key
+    appends one), so every write shows in the next evaluation.
+    """
+
+    def __init__(self, shape, exact: bool):
+        self.shape = shape
+        self.P = np.zeros(0)
+        self.Q = np.zeros(0)
+        self.C = nk.zeros_like_backend(0, shape[0] * shape[1], exact)
+        self._rows: dict[tuple, int] = {}
+
+    def __getitem__(self, key) -> np.ndarray:
+        out = self.C[self._rows[key]].reshape(self.shape)
+        out.flags.writeable = False
+        return out
+
+    def __setitem__(self, key, M):
+        if np.shape(M) != self.shape:
+            raise ValueError(f"coefficient of shape {np.shape(M)}, "
+                             f"want {self.shape}")
+        row = np.asarray(M, dtype=self.C.dtype).reshape(1, -1)
+        if key in self._rows:
+            self.C[self._rows[key]] = row[0]
+            return
+        self._rows[key] = len(self._rows)
+        self.P = np.append(self.P, key[0])
+        self.Q = np.append(self.Q, key[1])
+        self.C = np.concatenate([self.C, row])
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
 class PolyMatrix:
     """Matrix polynomial sum_{(p,q)} coeff[(p,q)] * x^p * y^q.
 
     On the (xi, eta) chart (x, y) = (xi, eta); on the (xi, psi) chart
     (x, y) = (xi, psi) and eta = xi*psi enters as the (1, 1) monomial.
+    ``coeffs`` is a :class:`CoeffTensor`.
     """
 
     def __init__(self, shape, coeffs=None, exact=False):
         self.shape = tuple(shape)
         self.exact = exact
-        self.coeffs: dict[tuple, np.ndarray] = dict(coeffs or {})
-
-    def block(self, key):
-        if key in self.coeffs:
-            return self.coeffs[key]
-        return nk.zeros_like_backend(*self.shape, self.exact)
+        self.coeffs = CoeffTensor(self.shape, exact)
+        for key, mat in (coeffs or {}).items():
+            self.coeffs[key] = mat
 
     def add_monomial(self, p, q, rows, cols, payload):
         key = (p, q)
-        if key not in self.coeffs:
-            self.coeffs[key] = nk.zeros_like_backend(*self.shape, self.exact)
-        tgt = self.coeffs[key]
+        tgt = self.coeffs[key].copy() if key in self.coeffs else \
+            nk.zeros_like_backend(*self.shape, self.exact)
         payload = np.asarray(payload) if not self.exact else payload
         tgt[rows[0]:rows[1], cols[0]:cols[1]] = (
             tgt[rows[0]:rows[1], cols[0]:cols[1]] + payload)
+        self.coeffs[key] = tgt
 
     def evaluate(self, x, y):
-        if self.exact and self.coeffs:
-            # one exact product: the row of monomial weights times the
-            # coefficient matrices stacked as rows
-            w = nk.exact_matrix([[x ** p * y ** q for (p, q) in self.coeffs]])
-            C = np.stack([mat.ravel() for mat in self.coeffs.values()])
-            return mat_mul(w, C).reshape(self.shape)
-        out = nk.zeros_like_backend(*self.shape, self.exact)
-        for (p, q), mat in self.coeffs.items():
-            out = out + mat * (complex(x) ** p) * (complex(y) ** q)
-        return out
+        if not self.exact:
+            return self.evaluate_many([(x, y)])[0]
+        if not self.coeffs:
+            return nk.exact_zeros(*self.shape)
+        # one exact product: the row of monomial weights times the tensor
+        w = nk.exact_matrix([[x ** p * y ** q for (p, q) in self.coeffs]])
+        return mat_mul(w, self.coeffs.C).reshape(self.shape)
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Values at N chart points (x, y), stacked as an (N, rows, cols)
+        array: the (N, monomials) weights x^p y^q times the coefficient
+        tensor.  Float backend only; convert an exact matrix with
+        ``to_float`` first."""
+        return self._at(*_columns(points))
+
+    def _at(self, x, y) -> np.ndarray:
+        """evaluate_many at the points of the (N, 1) columns x and y."""
+        if self.exact:
+            raise TypeError("evaluate_many needs float coefficients; "
+                            "convert with to_float()")
+        t = self.coeffs
+        return ((x ** t.P * y ** t.Q) @ t.C).reshape(len(x), *self.shape)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other as matrix polynomials."""
@@ -252,12 +307,15 @@ class PolyMatrix:
     def to_float(self) -> "PolyMatrix":
         if not self.exact:
             return self
-        return PolyMatrix(self.shape,
-                          {k: to_float(m) for k, m in self.coeffs.items()})
+        # one conversion of the whole tensor
+        mats = to_float(self.coeffs.C).reshape(-1, *self.shape)
+        return PolyMatrix(self.shape, dict(zip(self.coeffs, mats)))
 
 
 @dataclass
 class MonadAtPoint:
+    """alpha and beta at a point with the residual of beta alpha."""
+
     alpha: np.ndarray
     beta: np.ndarray
     point: tuple
@@ -332,18 +390,40 @@ class ParamMonad:
     # -- evaluation ------------------------------------------------------------
     def evaluate(self, point) -> MonadAtPoint:
         """Instantiate at a chart point: (xi, eta) on the product chart,
-        (xi, psi) on the blown-up chart (eta = xi*psi is derived)."""
+        (xi, psi) on the blown-up chart (eta = xi*psi is derived).  On the
+        float backend this is evaluate_many at one point."""
         x, y = point
+        if not self.exact:
+            a, b, res = self.evaluate_many([point])
+            return MonadAtPoint(a[0], b[0], (x, y), float(res[0]))
         a = self.alpha.evaluate(x, y)
         b = self.beta.evaluate(x, y)
         prod = mat_mul(b, a)
-        if self.exact:
-            res = 0.0 if nk.is_zero_matrix(prod) else nk.mat_norm(prod)
-        else:
-            scale = max(np.linalg.norm(to_float(a)) * np.linalg.norm(to_float(b)),
-                        1e-300)
-            res = nk.mat_norm(prod) / scale
+        res = 0.0 if nk.is_zero_matrix(prod) else nk.mat_norm(prod)
         return MonadAtPoint(a, b, (x, y), res)
+
+    def evaluate_many(self, points):
+        """alpha and beta at N chart points, stacked along a leading axis,
+        with the relative residual |beta alpha| / (|alpha| |beta|) of each
+        point (float backend).  Returns the tuple (alpha, beta, residual)."""
+        x, y = _columns(points)
+        a = self.alpha._at(x, y)
+        b = self.beta._at(x, y)
+        res = _norms(b @ a) / np.maximum(_norms(a) * _norms(b), 1e-300)
+        return a, b, res
+
+
+def _columns(points):
+    """The x and y coordinates of N chart points as (N, 1) columns."""
+    pts = np.asarray(points, dtype=complex).reshape(-1, 2)
+    return pts[:, :1], pts[:, 1:]
+
+
+def _norms(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a complex stack."""
+    # np.vecdot needs NumPy >= 2.0, the floor set in pyproject.toml
+    v = M.reshape(len(M), M.shape[1] * M.shape[2])
+    return np.sqrt(np.vecdot(v, v).real)
 
 
 def fiber(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> FiberBasis:
@@ -357,28 +437,42 @@ def fiber(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> FiberBasis:
     return FiberBasis(basis.shape[1], basis)
 
 
+def fiber_dims(pm: ParamMonad, points, ctx: ToleranceContext = DEFAULT_CTX):
+    """dim ker(beta) - rank(alpha) at N chart points of a float monad,
+    without constructing bases: one evaluation and one values-only SVD per
+    map for all points.  Returns two lists, the dimensions and the smaller
+    of the alpha and beta rank margins at each point."""
+    alpha, beta, res = pm.evaluate_many(points)
+    return _fiber_dims(alpha, beta, res.tolist(), ctx)
+
+
 def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
-    """dim ker(beta) - rank(alpha), without constructing a basis."""
-    if m.residual > 1e-8:
-        raise nk.ImageNotContained(
-            f"beta*alpha residual {m.residual:.2e} too large for a fiber")
-    a = to_float(m.alpha)
-    b = to_float(m.beta)
-    n2 = a.shape[0]
-    rank_a = _fast_rank(a, ctx)
-    rank_b = _fast_rank(b, ctx)
-    return (n2 - rank_b) - rank_a
+    """dim ker(beta) - rank(alpha) at one evaluated point: fiber_dims with
+    N = 1."""
+    return _fiber_dims(to_float(m.alpha)[None], to_float(m.beta)[None],
+                       [m.residual], ctx)[0][0]
 
 
-def _fast_rank(M: np.ndarray, ctx: ToleranceContext) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    rank = int(np.sum(s > ctx.rank_tol * s[0]))
-    ctx.require_gap(s, rank)
-    return rank
+def _fiber_dims(alpha, beta, residuals: list, ctx: ToleranceContext):
+    for res in residuals:
+        if res > 1e-8:
+            raise nk.ImageNotContained(
+                f"beta*alpha residual {res:.2e} too large for a fiber")
+    rank_a, margin_a = _fast_rank(alpha, ctx)
+    rank_b, margin_b = _fast_rank(beta, ctx)
+    n2 = alpha.shape[1]
+    return ([n2 - rb - ra for ra, rb in zip(rank_a, rank_b)],
+            [min(ga, gb) for ga, gb in zip(margin_a, margin_b)])
+
+
+def _fast_rank(M: np.ndarray, ctx: ToleranceContext):
+    """Ranks and margins of a stack of float matrices: one values-only SVD,
+    then the cut of each."""
+    if not min(M.shape[1:]):
+        return [0] * len(M), [np.inf] * len(M)
+    cuts = [ctx.rank_cut(s) for s in
+            np.linalg.svd(M, compute_uv=False).tolist()]
+    return [r for r, _ in cuts], [g for _, g in cuts]
 
 
 # ---------------------------------------------------------------------------

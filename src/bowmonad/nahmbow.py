@@ -467,7 +467,12 @@ def residues_match_irrep(rho, m: int):
     rows = []
     for w, s in zip(want, sub):
         rows.append(np.kron(np.eye(m), w) - np.kron(s.T, np.eye(m)))
-    null = nk.rank_kernel(np.vstack(rows)).kernel
+    try:
+        null = nk.rank_kernel(np.vstack(rows)).kernel
+    except nk.GapTooSmall:
+        # an intertwiner system that is nearly, but not decidedly,
+        # solvable certifies no equivalence
+        return False, np.inf
     if null.shape[1] == 0:
         return False, np.inf
     V = null[:, 0].reshape(m, m, order="F")

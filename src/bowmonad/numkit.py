@@ -4,7 +4,7 @@ Two matrix backends are used throughout the package:
 
 * float: ``numpy`` arrays of ``complex128``.  Every rank or kernel decision
   is made against a :class:`ToleranceContext` and must be backed by a
-  multiplicative singular-value gap; ambiguous gaps raise
+  finite singular-value margin, at full rank too; ambiguous cuts raise
   :class:`GapTooSmall` instead of silently picking a rank.
 * exact: ``numpy`` object arrays of :class:`GaussianRational` (complex
   numbers with ``Fraction`` real and imaginary parts), or of ``Fraction``
@@ -36,7 +36,7 @@ class BowmonadError(Exception):
 
 
 class GapTooSmall(BowmonadError):
-    """A float-backend rank decision had no decisive singular-value gap."""
+    """A float-backend rank decision had no decisive singular-value margin."""
 
 
 class DegeneratePencil(BowmonadError):
@@ -320,24 +320,39 @@ def conj_transpose(M: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ToleranceContext:
     """Rank decisions keep singular values above ``rank_tol`` (relative) and
-    require a multiplicative gap of at least ``gap_factor`` across the cut."""
+    require a margin of at least ``gap_factor`` at the cut."""
 
     rank_tol: float = 1e-10
     gap_factor: float = 1e3
 
-    def require_gap(self, sigma: np.ndarray, rank: int) -> float:
-        """Achieved gap across the rank cut; raises if indecisive."""
-        if rank == 0 or rank >= len(sigma):
+    def rank_cut(self, sigma) -> tuple[int, float]:
+        """Rank of a matrix from its singular values in descending order:
+        how many exceed rank_tol * sigma_max, with the margin of that cut
+        (see require_gap).  A list is the fastest ``sigma``."""
+        thr = self.rank_tol * sigma[0] if len(sigma) else 0.0
+        rank = sum(v > thr for v in sigma)
+        return rank, self.require_gap(sigma, rank)
+
+    def require_gap(self, sigma, rank: int) -> float:
+        """Margin of a rank cut, from singular values in descending order;
+        raises GapTooSmall below ``gap_factor``.
+
+        Below full rank the margin is the gap sigma[rank-1] / sigma[rank];
+        at full rank it is sigma_min / (rank_tol * sigma_max), by how far
+        the smallest kept value clears the rank threshold.  It is inf only
+        where everything cut off is exactly zero, a zero matrix included.
+        """
+        if rank == 0:
             return np.inf
-        if sigma[rank] == 0.0:
+        cut = sigma[rank] if rank < len(sigma) else self.rank_tol * sigma[0]
+        if cut == 0.0:
             return np.inf
-        gap = sigma[rank - 1] / sigma[rank]
-        if gap < self.gap_factor:
+        margin = sigma[rank - 1] / cut
+        if not margin >= self.gap_factor:
             raise GapTooSmall(
-                f"singular values {sigma[rank-1]:.3e} / {sigma[rank]:.3e} "
-                f"give gap {gap:.1f} < {self.gap_factor}"
-            )
-        return float(gap)
+                f"rank {rank}: sigma {sigma[rank - 1]:.3e} against "
+                f"{cut:.3e} gives margin {margin:.1f} < {self.gap_factor}")
+        return float(margin)
 
 
 DEFAULT_CTX = ToleranceContext()
@@ -352,7 +367,7 @@ class RankKernel:
     rank: int
     kernel: np.ndarray     # n x (n - rank), columns span the right kernel
     cokernel: np.ndarray   # m x (m - rank), columns span the left kernel
-    gap: float = np.inf    # inf on the exact backend
+    gap: float = np.inf    # margin of the rank cut; inf on the exact backend
 
 
 def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> RankKernel:
@@ -373,15 +388,10 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> RankKerne
     smax = s[0] if len(s) else 0.0
     if smax == 0.0:
         return RankKernel(0, np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-    rank = int(np.sum(s > ctx.rank_tol * smax))
-    gap = ctx.require_gap(s, rank)
+    rank, gap = ctx.rank_cut(s.tolist())
     kernel = Vh[rank:].conj().T
     cokernel = U[:, rank:]
     return RankKernel(rank, kernel, cokernel, gap)
-
-
-def nullspace(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> np.ndarray:
-    return rank_kernel(M, ctx).kernel
 
 
 # ---------------------------------------------------------------------------
@@ -603,26 +613,6 @@ class ValidationReport:
 
 
 # ---------------------------------------------------------------------------
-# affine pencils in two parameters
-
-
-@dataclass
-class AffinePencil2:
-    """M(xi, eta) = M0 + xi*M1 + eta*M2, all blocks of one shape."""
-
-    M0: np.ndarray
-    M1: np.ndarray
-    M2: np.ndarray
-
-    def __post_init__(self):
-        if not (self.M0.shape == self.M1.shape == self.M2.shape):
-            raise ValueError("pencil blocks must share a shape")
-
-    def at(self, xi: complex, eta: complex) -> np.ndarray:
-        return self.M0 + xi * self.M1 + eta * self.M2
-
-
-# ---------------------------------------------------------------------------
 # common eigenvector obstruction
 
 
@@ -661,17 +651,15 @@ def common_eigenvector_obstruction(A, B, D, ctx: ToleranceContext = DEFAULT_CTX,
     vtol = max(ctx.rank_tol * scale * 100, 1e-8 * scale)
     eigs = np.linalg.eigvals(Af)
     found: list[Obstruction] = []
-    for xi in _cluster(eigs, 1e-8 * max(1.0, np.max(np.abs(eigs)))):
-        stacked = np.vstack([Af - xi * np.eye(k), Df])
-        W = rank_kernel(stacked, ctx).kernel
+    xi_tol = 1e-8 * max(1.0, np.max(np.abs(eigs)))
+    for xi, W in _eigen_kernels(Af, eigs, Df, xi_tol, ctx):
         if W.shape[1] == 0:
             continue
         Q, _ = np.linalg.qr(W)
         S = Q.conj().T @ Bf @ Q
         G = (np.eye(k) - Q @ Q.conj().T) @ Bf @ Q
-        for eta in _cluster(np.linalg.eigvals(S), 1e-8 * max(1.0, np.linalg.norm(S))):
-            joint = np.vstack([S - eta * np.eye(S.shape[0]), G])
-            C = rank_kernel(joint, ctx).kernel
+        for eta, C in _eigen_kernels(S, np.linalg.eigvals(S), G,
+                                     1e-8 * max(1.0, np.linalg.norm(S)), ctx):
             for j in range(C.shape[1]):
                 v = Q @ C[:, j]
                 v = v / np.linalg.norm(v)
@@ -684,6 +672,33 @@ def common_eigenvector_obstruction(A, B, D, ctx: ToleranceContext = DEFAULT_CTX,
                         ob.exact_checked = _exact_certificate(A, B, D, xi, eta, v)
                     found.append(ob)
     return found
+
+
+def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext):
+    """(lam, kernel of [M - lam I; below]) for each cluster lam (radius tol)
+    of the eigenvalues eigs of M.
+
+    A multiple eigenvalue with a Jordan block of size p is computed only to
+    about eps^(1/p), which can leave the rank of the stacked matrix
+    undecided (GapTooSmall).  The mean of the eigenvalues within 1e3 tol of
+    it is accurate to about eps, so the decision is retaken there, once per
+    such mean; a decision still undecided raises.
+    """
+    def kernel(lam):
+        return rank_kernel(np.vstack([M - lam * np.eye(len(M)), below]),
+                           ctx).kernel
+
+    done: list[complex] = []
+    for lam in _cluster(eigs, tol):
+        try:
+            K = kernel(lam)
+        except GapTooSmall:
+            K = None
+            lam = complex(np.mean(eigs[np.abs(eigs - lam) <= 1e3 * tol]))
+        if any(abs(lam - d) <= tol for d in done):
+            continue
+        done.append(lam)
+        yield lam, kernel(lam) if K is None else K
 
 
 def _exact_certificate(A, B, D, xi, eta, v) -> bool:

@@ -10,13 +10,14 @@ monads glue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import numkit as nk
-from .caloron import (MposTuple, NoValidDraw, _check_shapes, _e_minus_col,
-                      _e_plus_row, _mixed_pencil_left, _pack, _rank_one_factor,
+from .caloron import (MposTuple, NoValidDraw, _add_obstruction_check,
+                      _check_shapes, _e_minus_col, _e_plus_row,
+                      _mixed_pencil_left, _pack, _rank_one_factor,
                       _read_normal_form, _solve_cprime)
 from .caloron import right_normal_residual  # noqa: F401 - shared by both flavors
 from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
@@ -118,23 +119,19 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX, rng_seed: int = 7,
     res = charpoly_identity_residual(data)
     report.add("charpoly_B0_eq_B1", res == 0.0 if data.exact else res < 1e-9, res)
 
-    obs = nk.common_eigenvector_obstruction(data.A, data.B0, data.D, ctx)
-    report.add("stacked_pencil_injective", len(obs) == 0, 0.0,
-               certificate=[(o.xi, o.eta, o.vector) for o in obs] or None)
+    _add_obstruction_check(report, "stacked_pencil_injective",
+                           data.A, data.B0, data.D, ctx)
 
-    pm = _big_monad_unchecked(data).to_float()
+    pm = _big_monad_unchecked(_float_data(data))
     rng = np.random.default_rng(rng_seed)
-    worst_inj, worst_surj = 0.0, 0.0
+    pts = []
     for _ in range(20):
         x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        mp = pm.evaluate((complex(x), complex(y)))
-        a = nk.to_float(mp.alpha)
-        b = nk.to_float(mp.beta)
-        sa = np.linalg.svd(a, compute_uv=False)
-        sb = np.linalg.svd(b, compute_uv=False)
-        worst_inj = max(worst_inj, 0.0 if sa[-1] > ctx.rank_tol * sa[0] else 1.0)
-        worst_surj = max(worst_surj, 0.0 if sb[min(b.shape) - 1] >
-                         ctx.rank_tol * sb[0] else 1.0)
+        pts.append((complex(x), complex(y)))
+    sa = np.linalg.svd(pm.alpha.evaluate_many(pts), compute_uv=False)
+    sb = np.linalg.svd(pm.beta.evaluate_many(pts), compute_uv=False)
+    worst_inj = 0.0 if np.all(sa[:, -1] > ctx.rank_tol * sa[:, 0]) else 1.0
+    worst_surj = 0.0 if np.all(sb[:, -1] > ctx.rank_tol * sb[:, 0]) else 1.0
     report.add("monad_pointwise_injective", worst_inj == 0.0, worst_inj)
     report.add("monad_pointwise_surjective", worst_surj == 0.0, worst_surj)
 
@@ -192,41 +189,41 @@ def _pushdown_structure(data, which: str):
 def _pushdown_surjectivity(data, which: str, rng, ctx, samples: int):
     """Sampled surjectivity of the pushdown gluing map away from the
     collapsed coordinate, with the minimal singular value recorded as the
-    coordinate runs to zero."""
+    coordinate runs to zero.  Every sample is one copy of a fixed template
+    whose variable block is t I; one stacked SVD decides them all."""
     Ym1, Ym0, Yp1, Yp0 = [nk.to_float(M) for M in _pushdown_structure(data, which)]
     k, m = data.k, data.m
     rows = 3 * k + m
-    edge = nk.to_float(data.Bht if which == "xi" else data.Bth)
+    cm, cp = Ym1.shape[1], Yp1.shape[1]
+    template = np.zeros((rows, cm + k + cp), dtype=complex)
+    template[:k + m, :cm] = Ym1
+    template[:k + m, cm + k:] = -Yp1
+    template[k + m: 2 * k + m, :cm] = -Ym0
+    template[2 * k + m:, cm + k:] = Yp0
+    xi_band, psi_band = slice(k + m, 2 * k + m), slice(2 * k + m, rows)
+    var, fixed = (xi_band, psi_band) if which == "xi" else (psi_band, xi_band)
+    template[fixed, cm:cm + k] = -nk.to_float(
+        data.Bht if which == "xi" else data.Bth)
 
-    def assemble(t):
-        cm, cp = Ym1.shape[1], Yp1.shape[1]
-        out = np.zeros((rows, cm + k + cp), dtype=complex)
-        out[:k + m, :cm] = Ym1
-        out[:k + m, cm + k:] = -Yp1
-        out[k + m: 2 * k + m, :cm] = -Ym0
-        out[2 * k + m:, cm + k:] = Yp0
-        if which == "xi":
-            out[k + m: 2 * k + m, cm:cm + k] = t * np.eye(k)
-            out[2 * k + m:, cm:cm + k] = -edge
-        else:
-            out[k + m: 2 * k + m, cm:cm + k] = -edge
-            out[2 * k + m:, cm:cm + k] = t * np.eye(k)
-        return out
+    ts = [rng.standard_normal() + 1j * rng.standard_normal()
+          for _ in range(samples)]
+    trend_ts = [1.0, 0.1, 0.01, 0.001]
+    ts = np.array([t for t in ts if abs(t) >= 0.05] + trend_ts, dtype=complex)
+    stack = np.repeat(template[None], len(ts), axis=0)
+    stack[:, var, cm:cm + k] = ts[:, None, None] * np.eye(k)
+    s = np.linalg.svd(stack, compute_uv=False)
+    sampled = s[:-len(trend_ts)]
+    ok = bool(np.all(sampled[:, rows - 1]
+                     > ctx.rank_tol * np.maximum(sampled[:, 0], 1.0)))
+    return ok, s[-len(trend_ts):, rows - 1].tolist()
 
-    ok = True
-    for _ in range(samples):
-        t = rng.standard_normal() + 1j * rng.standard_normal()
-        if abs(t) < 0.05:
-            continue
-        s = np.linalg.svd(assemble(t), compute_uv=False)
-        if s[rows - 1] <= ctx.rank_tol * max(s[0], 1.0):
-            ok = False
-            break
-    trend = []
-    for t in (1.0, 0.1, 0.01, 0.001):
-        s = np.linalg.svd(assemble(t), compute_uv=False)
-        trend.append(float(s[rows - 1]))
-    return ok, trend
+
+def _float_data(data):
+    """The data with every matrix converted to floats."""
+    if not data.exact:
+        return data
+    return replace(data, **{f.name: nk.to_float(getattr(data, f.name))
+                            for f in fields(data) if f.name not in ("k", "m")})
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +459,8 @@ def eta_zero_side_heuristic(data, tol: float = 1e-8):
 
     This is a reported heuristic only; no exact finite criterion is
     asserted.  Returns a list of 'xi', 'psi' or 'both' per kernel vector,
-    empty when 0 is not an eigenvalue.
+    empty when 0 is not an eigenvalue.  Raises GapTooSmall when B0 is too
+    close to singular for the rank of B0 to be decided.
     """
     B0 = nk.to_float(data.B0)
     kern = nk.rank_kernel(B0).kernel

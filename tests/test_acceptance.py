@@ -66,13 +66,16 @@ def test_criterion_1_monad_identity(instances):
         else:
             alpha_scale = pm.alpha.max_coeff_norm()
             beta_scale = pm.beta.max_coeff_norm()
+            pts = []
             for _ in range(1000):
                 x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-                a = pm.alpha.evaluate(x, y)
-                b = pm.beta.evaluate(x, y)
-                res = np.linalg.norm(b @ a) / max(
-                    np.linalg.norm(a) * np.linalg.norm(b), 1e-300)
-                worst = max(worst, res)
+                pts.append((x, y))
+            a = pm.alpha.evaluate_many(pts)
+            b = pm.beta.evaluate_many(pts)
+            res = np.linalg.norm(b @ a, axis=(1, 2)) / np.maximum(
+                np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)),
+                1e-300)
+            worst = max(worst, res.max())
     elapsed = time.time() - t0
     _report(1, "monad identity", n_exact >= 20 and worst < 1e-12
             and elapsed < 60,
@@ -101,10 +104,9 @@ def test_criterion_2_fiber_rank(instances):
                 pts.append((x, complex(ev)))
         while len(pts) < 1000:
             pts.extend(mc.random_chart_points(1, rng))
-        for pt in pts:
-            checked += 1
-            if mc.fiber_dim(pm.evaluate(pt)) != 2:
-                bad += 1
+        dims, _ = mc.fiber_dims(pm, pts)
+        checked += len(dims)
+        bad += sum(d != 2 for d in dims)
     elapsed = time.time() - t0
     _report(2, "fiber rank", bad == 0 and elapsed < 60,
             f"{checked} fibers, {bad} off-rank, {elapsed:.1f}s")

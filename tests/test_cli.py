@@ -90,6 +90,7 @@ def test_fiber_command(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["dims"] == [2] * 8
     assert out["composite_residual"] < 1e-13
+    assert 1e3 <= out["min_margin"] < np.inf
 
 
 def test_splitting_command(tmp_path, capsys):

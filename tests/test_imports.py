@@ -1,7 +1,11 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+top-level definition of a library module is referenced somewhere.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
-line marked ``# noqa: F401``, the marker of a deliberate re-export.
+line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
+definition counts as referenced when its name is read anywhere in the
+library, the tests or the benchmark: as a name, an attribute or an
+imported name.
 """
 
 import ast
@@ -9,8 +13,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bowmonad"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bowmonad"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                  *(ROOT / "perfbench").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +44,44 @@ def test_scanner_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def referenced_names(sources) -> set[str]:
+    out = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.split(".")[-1])
+    return out
+
+
+def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names
+                if name not in referenced]
+    return out
+
+
+def test_scanner_flags_an_unreferenced_definition():
+    lib = "def used(): pass\ndef dead(): pass\nclass Kept: pass\nX = 1\n"
+    reader = "from lib import used\nlib.Kept()\nprint(X)\n"
+    refs = referenced_names([lib, reader])
+    assert unreferenced_definitions(lib, refs) == ["dead (line 2)"]
+
+
+def test_no_unreferenced_definitions():
+    refs = referenced_names(p.read_text() for p in READERS)
+    dead = {p.name: unreferenced_definitions(p.read_text(), refs)
+            for p in MODULES}
+    assert {name: d for name, d in dead.items() if d} == {}

@@ -192,3 +192,114 @@ def test_fiber_dim_constant_sweep():
     dims = {mc.fiber_dim(bm.evaluate(p))
             for p in mc.random_chart_points(50, rng)}
     assert dims == {2}
+
+
+# ---------------------------------------------------------------------------
+# the coefficient tensor and the batched engine
+
+
+def _float_monads():
+    d = taubnut.generate_taubnut(2, 2, seed=3)
+    yield taubnut.big_monad(d)
+    yield taubnut.big_monad(taubnut.generate_taubnut(3, 0, seed=1))
+    yield caloron.big_monad(caloron.generate_caloron(2, 1, seed=2))
+    yield caloron.small_monad(caloron.generate_caloron(2, 0, seed=2))
+    yield taubnut._big_monad_unchecked(
+        taubnut.generate_taubnut(1, 1, seed=5, exact=True)).to_float()
+
+
+def test_evaluate_many_matches_per_point():
+    rng = np.random.default_rng(8)
+    pts = mc.random_chart_points(40, rng) + [(0.0, 0.0), (1.5, 0.0)]
+    for pm in _float_monads():
+        alpha, beta, residual = pm.evaluate_many(pts)
+        assert alpha.shape == (len(pts), *pm.alpha.shape)
+        for i, p in enumerate(pts):
+            one = pm.evaluate(p)
+            for got, want in ((alpha[i], one.alpha), (beta[i], one.beta)):
+                assert np.linalg.norm(got - want) <= 1e-14 * max(
+                    np.linalg.norm(want), 1.0)
+            assert abs(residual[i] - one.residual) <= 1e-14
+            x, y = p
+            a = sum(m * x ** p_ * y ** q for (p_, q), m
+                    in pm.alpha.coeffs.items())
+            assert np.linalg.norm(one.alpha - a) <= 1e-14 * max(
+                np.linalg.norm(a), 1.0)
+
+
+def test_fiber_dims_matches_fiber_dim():
+    rng = np.random.default_rng(9)
+    pts = mc.random_chart_points(60, rng)
+    for pm in _float_monads():
+        dims, margins = mc.fiber_dims(pm, pts)
+        assert dims == [mc.fiber_dim(pm.evaluate(p)) for p in pts]
+        assert set(dims) == {2}
+        assert all(np.isfinite(g) and g >= nk.DEFAULT_CTX.gap_factor
+                   for g in margins)
+    assert mc.fiber_dims(trivial_rank2(), pts[:3]) == ([2] * 3, [np.inf] * 3)
+    assert mc.fiber_dims(pm, []) == ([], [])
+
+
+def _diag_monad(small):
+    """alpha = diag(1, small) into a rank-2 middle column, beta = 0."""
+    alpha = mc.PolyMatrix((2, 2), {(0, 0): np.diag([1.0, small])})
+    return mc.ParamMonad(
+        "xi_eta", ([mc.BlockSpec("U", {}, 2)], [mc.BlockSpec("V", {}, 2)], []),
+        alpha, mc.PolyMatrix((0, 2)))
+
+
+def test_full_rank_margin_is_finite_and_can_fail():
+    pm = _diag_monad(1e-6)
+    dims, margins = mc.fiber_dims(pm, [(0.5, 0.5)])
+    assert dims == [0]
+    assert margins[0] == pytest.approx(1e4)
+    assert mc.fiber_dim(pm.evaluate((0.5, 0.5))) == 0
+    pm = _diag_monad(1e-8)
+    with pytest.raises(nk.GapTooSmall):
+        mc.fiber_dims(pm, [(0.5, 0.5)])
+    with pytest.raises(nk.GapTooSmall):
+        mc.fiber_dim(pm.evaluate((0.5, 0.5)))
+
+
+def test_writes_show_in_the_next_evaluate():
+    pm = mc.PolyMatrix((2, 3))
+    pt = (0.7 - 0.2j, 1.1 + 0.4j)
+    assert np.all(pm.evaluate(*pt) == 0)
+    pm.add_monomial(0, 0, (0, 1), (0, 2), [[1.0, 2.0]])
+    assert pm.evaluate(*pt)[0, 1] == 2.0
+    pm.add_monomial(0, 0, (0, 1), (1, 2), [[3.0]])       # same monomial again
+    assert pm.evaluate(*pt)[0, 1] == 5.0
+    pm.add_monomial(1, 0, (1, 2), (2, 3), [[1.0]])       # a new monomial
+    assert pm.evaluate(*pt)[1, 2] == pt[0]
+    pm.coeffs[(0, 1)] = np.full((2, 3), 2.0)             # direct assignment
+    assert pm.evaluate(*pt)[1, 0] == 2 * pt[1]
+    pm.coeffs[(0, 0)] = np.zeros((2, 3))                 # overwrite in place
+    assert pm.evaluate(*pt)[0, 1] == 2 * pt[1]
+    assert pm.evaluate_many([pt])[0][0, 1] == 2 * pt[1]
+    with pytest.raises(ValueError):
+        pm.coeffs[(0, 0)][0, 0] = 1.0                    # views are read-only
+    with pytest.raises(ValueError):
+        pm.coeffs[(2, 0)] = np.zeros((3, 2))
+    comp = pm.compose(mc.PolyMatrix((3, 1), {(0, 0): np.ones((3, 1))}))
+    comp.coeffs[(5, 0)] = np.ones((2, 1))
+    want = 2 * pt[1] * 3 + pt[0] + pt[0] ** 5
+    assert comp.evaluate(*pt)[1, 0] == pytest.approx(want, rel=1e-15)
+
+
+def test_exact_evaluate_and_to_float_stay_exact():
+    d = taubnut.generate_taubnut(2, 1, seed=5, exact=True)
+    bm = taubnut._big_monad_unchecked(d)
+    pt = (nk.GQ(1, 2), nk.GQ(-3, 1))
+    m = bm.evaluate(pt)
+    for poly, val in ((bm.alpha, m.alpha), (bm.beta, m.beta)):
+        want = nk.exact_zeros(*poly.shape)
+        for (p, q), mat in poly.coeffs.items():
+            want = want + mat * (pt[0] ** p * pt[1] ** q)
+        assert all(a == b and type(a) is type(b)
+                   for a, b in zip(val.flat, want.flat))
+        flt = poly.to_float()
+        assert list(flt.coeffs) == list(poly.coeffs)
+        for key, mat in poly.coeffs.items():
+            assert np.array_equal(flt.coeffs[key], nk.to_float(mat))
+    with pytest.raises(TypeError):
+        bm.evaluate_many([(0.5, 0.5)])

@@ -167,6 +167,16 @@ def test_m2_pole_fit_recovers_irrep():
     assert ok and equiv < 1e-6
 
 
+def test_noisy_pole_fit_is_refused_not_raised():
+    """Residues off the irrep by about 1e-9 give an intertwiner system whose
+    full rank cannot be decided: the match fails instead of raising."""
+    rng = np.random.default_rng(4)
+    noisy = [r + 1e-9 * (rng.standard_normal(r.shape)
+                         + 1j * rng.standard_normal(r.shape))
+             for r in nb.su2_irrep(2)]
+    assert nb.residues_match_irrep(noisy, 2) == (False, np.inf)
+
+
 # ---------------------------------------------------------------------------
 # spectral curves
 

@@ -420,3 +420,40 @@ def test_to_float_matches_entrywise_conversion(field):
     out = nk.to_float(M)
     assert out.dtype == complex
     assert (out == ref).all()
+
+
+def test_full_rank_margin_is_finite_and_can_fail():
+    ctx = ToleranceContext(rank_tol=1e-10, gap_factor=1e3)
+    rk = nk.rank_kernel(np.diag([1.0, 1e-6]).astype(complex), ctx)
+    assert rk.rank == 2 and rk.gap == pytest.approx(1e4)
+    with pytest.raises(nk.GapTooSmall):
+        nk.rank_kernel(np.diag([1.0, 1e-8]).astype(complex), ctx)
+    assert ctx.rank_cut([3.0, 2.0]) == (2, pytest.approx(2.0 / 3e-10))
+    assert ctx.rank_cut([0.0, 0.0]) == (0, np.inf)
+    assert ctx.rank_cut([2.0, 0.0]) == (1, np.inf)
+
+
+def _defective_pencil():
+    """A = S J S^-1 with J = 2 I + e1 e2^T: eigenvalue 2 with a Jordan block
+    of size 2, which eigvals returns only to about 1e-8.  D kills S e1, the
+    one eigenvector of A in ker D, and B does not fix it."""
+    S = np.array([[2, 1, -1], [1, 3, 2], [-1, 1, 1]], dtype=float)
+    Sinv = np.linalg.inv(S)
+    J = 2 * np.eye(3)
+    J[0, 1] = 1
+    M = np.diag([5.0, 6.0, 7.0])
+    M[1, 0] = 1.0
+    Y = np.array([[0, 1, 2], [0, -1, 3]], dtype=float)
+    return [X.astype(complex) for X in (S @ J @ Sinv, S @ M @ Sinv, Y @ Sinv)]
+
+
+def test_obstruction_search_at_a_defective_eigenvalue():
+    A, B, D = _defective_pencil()
+    eigs = np.linalg.eigvals(A)
+    assert np.max(np.abs(eigs - 2)) > 1e-9          # the spread being handled
+    tol = 1e-8 * np.max(np.abs(eigs))
+    found = list(nk._eigen_kernels(A, eigs, D, tol, nk.DEFAULT_CTX))
+    assert len(found) == 1
+    xi, W = found[0]
+    assert abs(xi - 2) < 1e-12 and W.shape == (3, 1)
+    assert nk.common_eigenvector_obstruction(A, B, D) == []

@@ -289,6 +289,11 @@ def test_eta_zero_side_heuristic():
     assert tn.eta_zero_side_heuristic(d) == ["psi"]
     d2 = tn.generate_taubnut(2, 1, seed=13)
     assert tn.eta_zero_side_heuristic(d2) == []    # 0 not an eigenvalue
+    # B0 = diag(1, 1e-8) is neither decidedly singular nor decidedly not
+    d3 = tn.TaubNutDataM0(2, np.eye(2), np.eye(2), np.diag([1.0, 1e-8]),
+                          np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(nk.GapTooSmall):
+        tn.eta_zero_side_heuristic(d3)
 
 
 @pytest.mark.parametrize("m", [0, 1])
@@ -296,3 +301,27 @@ def test_generator_without_valid_draw(m):
     with pytest.raises(cal.NoValidDraw, match="no validated draw") as exc:
         tn.generate_taubnut(1, m, seed=0, max_tries=0)
     assert isinstance(exc.value, nk.BowmonadError)
+
+
+@pytest.mark.parametrize("flavor", ["caloron", "taubnut"])
+def test_undecided_obstruction_search_fails_its_check(flavor, monkeypatch):
+    """A rank decision the common-eigenvector search cannot make fails the
+    check (the pencil is not certified) instead of escaping validate."""
+    module = cal if flavor == "caloron" else tn
+    data = getattr(module, f"generate_{flavor}")(2, 1, seed=0)
+
+    def undecided(*args, **kwargs):
+        raise nk.GapTooSmall("rank 2: margin 18.7 < 1000.0")
+
+    monkeypatch.setattr(nk, "common_eigenvector_obstruction", undecided)
+    check = module.validate(data)["stacked_pencil_injective"]
+    assert not check.passed and check.residual == np.inf
+    assert "margin 18.7" in check.note
+
+
+def test_float_data_of_exact_data():
+    d = tn.generate_taubnut(2, 1, seed=5, exact=True)
+    f = tn._float_data(d)
+    assert type(f) is type(d) and not f.exact
+    assert np.array_equal(f.Bht, nk.to_float(d.Bht))
+    assert tn._float_data(f) is f
