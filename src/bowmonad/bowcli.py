@@ -355,6 +355,8 @@ def cmd_dirac(args) -> int:
         raise ParseError("dirac expects a nahmsolution file")
     ctx = _ctx(args)
     rng = np.random.default_rng(args.seed)
+    if args.points < 0:
+        raise ParseError("dirac needs --points >= 0")
     if args.points == 0:
         if args.grid < 32:
             raise ParseError("refinement needs --grid >= 32 so that the "
@@ -377,11 +379,13 @@ def cmd_dirac(args) -> int:
         psi = complex(rng.standard_normal() + 1j * rng.standard_normal())
         dl = diraclattice.assemble(sol, (xi, psi), args.grid)
         dim, _, gap = diraclattice.kernel(dl, ctx)
-        sv = np.linalg.svd(dl.matrix, compute_uv=False)
-        spectra.append(sv[-8:][::-1])
+        if args.out:
+            # the dense spectrum only fills the sigma_i columns of the CSV
+            sv = np.linalg.svd(dl.matrix, compute_uv=False)
+            spectra.append(sv[-8:][::-1])
         results.append({"xi": [xi.real, xi.imag], "psi": [psi.real, psi.imag],
                         "kernel_dim": dim, "gap": gap,
-                        "min_eig": float(sv[-1] ** 2),
+                        "min_eig": diraclattice.positivity(dl, ctx),
                         "reality": diraclattice.reality_residual(dl)})
     if args.out:
         rows = []

@@ -325,33 +325,45 @@ class ToleranceContext:
     rank_tol: float = 1e-10
     gap_factor: float = 1e3
 
-    def rank_cut(self, sigma) -> tuple[int, float]:
+    def rank_cut(self, sigma, floor: float = 0.0) -> tuple[int, float]:
         """Rank of a matrix from its singular values in descending order:
-        how many exceed rank_tol * sigma_max, with the margin of that cut
-        (see require_gap).  A list is the fastest ``sigma``."""
+        how many exceed max(rank_tol * sigma_max, floor), with the margin of
+        that cut (see require_gap).  A list is the fastest ``sigma``."""
         thr = self.rank_tol * sigma[0] if len(sigma) else 0.0
+        if floor > thr:
+            thr = floor
         rank = sum(v > thr for v in sigma)
-        return rank, self.require_gap(sigma, rank)
+        return rank, self.require_gap(sigma, rank, floor)
 
-    def require_gap(self, sigma, rank: int) -> float:
+    def require_gap(self, sigma, rank: int, floor: float = 0.0) -> float:
         """Margin of a rank cut, from singular values in descending order;
         raises GapTooSmall below ``gap_factor``.
 
         Below full rank the margin is the gap sigma[rank-1] / sigma[rank];
-        at full rank it is sigma_min / (rank_tol * sigma_max), by how far
-        the smallest kept value clears the rank threshold.  It is inf only
+        at full rank it is sigma_min / max(rank_tol * sigma_max, floor), by
+        how far the smallest kept value clears the rank threshold; at rank 0
+        under an absolute floor it is floor / sigma_max.  It is inf only
         where everything cut off is exactly zero, a zero matrix included.
         """
         if rank == 0:
-            return np.inf
-        cut = sigma[rank] if rank < len(sigma) else self.rank_tol * sigma[0]
-        if cut == 0.0:
-            return np.inf
-        margin = sigma[rank - 1] / cut
+            if not len(sigma) or sigma[0] == 0.0:
+                return np.inf
+            kept, cut = floor, sigma[0]
+        else:
+            kept = sigma[rank - 1]
+            if rank < len(sigma):
+                cut = sigma[rank]
+            else:
+                cut = self.rank_tol * sigma[0]
+                if floor > cut:
+                    cut = floor
+            if cut == 0.0:
+                return np.inf
+        margin = kept / cut
         if not margin >= self.gap_factor:
             raise GapTooSmall(
-                f"rank {rank}: sigma {sigma[rank - 1]:.3e} against "
-                f"{cut:.3e} gives margin {margin:.1f} < {self.gap_factor}")
+                f"rank {rank}: {kept:.3e} against {cut:.3e} gives margin "
+                f"{margin:.1f} < {self.gap_factor}")
         return float(margin)
 
 
@@ -370,10 +382,12 @@ class RankKernel:
     gap: float = np.inf    # margin of the rank cut; inf on the exact backend
 
 
-def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> RankKernel:
+def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
+                floor: float = 0.0) -> RankKernel:
     """Rank with kernel and cokernel bases.
 
-    Float backend: SVD with relative threshold plus gap certificate.
+    Float backend: SVD with relative threshold (and an optional absolute
+    floor, see ToleranceContext.rank_cut) plus gap certificate.
     Exact backend: reduced row echelon forms of M and M^H over Q(i), gap-free.
     """
     m, n = M.shape
@@ -388,7 +402,7 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX) -> RankKerne
     smax = s[0] if len(s) else 0.0
     if smax == 0.0:
         return RankKernel(0, np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-    rank, gap = ctx.rank_cut(s.tolist())
+    rank, gap = ctx.rank_cut(s.tolist(), floor)
     kernel = Vh[rank:].conj().T
     cokernel = U[:, rank:]
     return RankKernel(rank, kernel, cokernel, gap)
@@ -652,14 +666,19 @@ def common_eigenvector_obstruction(A, B, D, ctx: ToleranceContext = DEFAULT_CTX,
     eigs = np.linalg.eigvals(Af)
     found: list[Obstruction] = []
     xi_tol = 1e-8 * max(1.0, np.max(np.abs(eigs)))
-    for xi, W in _eigen_kernels(Af, eigs, Df, xi_tol, ctx):
+    # both rank decisions are floored at the scale of the pencil: a stacked
+    # matrix that is zero up to rounding (B fixing a vector of W) has rank
+    # 0, which a threshold relative to its own sigma_max cannot see
+    floor = ctx.rank_tol * scale
+    for xi, W in _eigen_kernels(Af, eigs, Df, xi_tol, ctx, floor):
         if W.shape[1] == 0:
             continue
         Q, _ = np.linalg.qr(W)
         S = Q.conj().T @ Bf @ Q
         G = (np.eye(k) - Q @ Q.conj().T) @ Bf @ Q
         for eta, C in _eigen_kernels(S, np.linalg.eigvals(S), G,
-                                     1e-8 * max(1.0, np.linalg.norm(S)), ctx):
+                                     1e-8 * max(1.0, np.linalg.norm(S)), ctx,
+                                     floor):
             for j in range(C.shape[1]):
                 v = Q @ C[:, j]
                 v = v / np.linalg.norm(v)
@@ -674,9 +693,11 @@ def common_eigenvector_obstruction(A, B, D, ctx: ToleranceContext = DEFAULT_CTX,
     return found
 
 
-def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext):
+def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext,
+                   floor: float = 0.0):
     """(lam, kernel of [M - lam I; below]) for each cluster lam (radius tol)
-    of the eigenvalues eigs of M.
+    of the eigenvalues eigs of M, with rank decisions under the absolute
+    floor (singular values at or below it count as zero).
 
     A multiple eigenvalue with a Jordan block of size p is computed only to
     about eps^(1/p), which can leave the rank of the stacked matrix
@@ -686,7 +707,7 @@ def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext):
     """
     def kernel(lam):
         return rank_kernel(np.vstack([M - lam * np.eye(len(M)), below]),
-                           ctx).kernel
+                           ctx, floor).kernel
 
     done: list[complex] = []
     for lam in _cluster(eigs, tol):

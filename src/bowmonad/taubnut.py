@@ -565,9 +565,14 @@ def _from_bow_m0(bc: BowComplexTN, tol: float):
         # recover the direction from the stored tail factor when possible
         D1 = _recover_d1(bc, Ainv, exact)
     if nk.mat_norm(nk.mat_mul(C2, D2)) <= tol and nk.mat_norm(C2) == 0.0:
-        C2 = nk.zeros_like_backend(k, 1, exact)
-        C2[0, 0] = nk.GQ_ONE if exact else 1.0
-        D2 = nk.zeros_like_backend(1, k, exact)
+        if np.max(np.abs(nk.to_float(bc.J_minus))) > 1e-12:
+            # C2 = 0: I_minus = -A^-1 C2 vanishes, so the stored head factor
+            # was not rescaled and is D2 itself
+            D2 = bc.J_minus
+        else:
+            C2 = nk.zeros_like_backend(k, 1, exact)
+            C2[0, 0] = nk.GQ_ONE if exact else 1.0
+            D2 = nk.zeros_like_backend(1, k, exact)
     C = nk.zeros_like_backend(k, 2, exact)
     D = nk.zeros_like_backend(2, k, exact)
     C[:, 0:1] = C1

@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import subprocess
@@ -134,6 +135,23 @@ def test_dirac_command(tmp_path, capsys):
     assert all(r["min_eig"] > 0 for r in out["results"])
 
 
+def test_dirac_csv_min_eig_matches_spectrum(tmp_path, capsys):
+    """min_eig comes from diraclattice.positivity; the dense singular values
+    of the CSV columns agree with it."""
+    sol_file = tmp_path / "sol.json"
+    out_file = tmp_path / "kernels.csv"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "11",
+            "--out", str(sol_file))
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "2",
+                   "--grid", "48", "--seed", "4", "--out", str(out_file)) == 0
+    capsys.readouterr()
+    rows = list(csv.DictReader(out_file.open()))
+    assert len(rows) == 2
+    for row in rows:
+        want = float(row["sigma_1"]) ** 2
+        assert abs(float(row["min_eig"]) - want) <= 1e-10 * want
+
+
 def test_nahm_flow_command(tmp_path, capsys):
     sol_file = tmp_path / "sol.json"
     run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "6",
@@ -204,6 +222,16 @@ def test_dirac_refinement_trace(tmp_path, capsys):
     assert lines[0] == "grid,h,kernel_dim,gap,reality,min_eig"
     assert len(lines) == 4
     capsys.readouterr()
+
+
+def test_dirac_negative_points_exit_2(tmp_path, capsys):
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "-1",
+                   "--grid", "32", "--out", str(tmp_path / "k.csv")) == 2
+    assert "error" in json.loads(capsys.readouterr().err)
 
 
 def test_dirac_refinement_rejects_coarse_grid(tmp_path, capsys):

@@ -232,6 +232,53 @@ def test_reality_residual_matches_dense_commutator(pair):
             assert abs(dlm.reality_residual(dl) - want) <= 1e-12 * want
 
 
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_positivity_matches_dense_svd(pair):
+    """Lanczos through the transfer matrices against the smallest singular
+    value of the whole operator, which must lie in the certified bracket."""
+    sol, _ = pair()
+    for grid in (8, 16, 64, 256):
+        for pt in GENERIC_POINTS:
+            dl = dlm.assemble(sol, pt, grid)
+            want = np.linalg.svd(dl.matrix, compute_uv=False)[-1] ** 2
+            lower, value, upper = dlm.positivity_bracket(dl)
+            assert abs(value - want) <= 1e-10 * want
+            assert 0 < lower <= want <= upper
+            assert dlm.positivity(dl) == value
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_positivity_certificate_refuses_a_value_above_the_minimum(
+        pair, monkeypatch):
+    """The block Cholesky of M M^H - tau I must fail once tau passes
+    lambda_min: a Lanczos value 1% too high is refused, not reported."""
+    sol, _ = pair()
+    dl = dlm.assemble(sol, GENERIC_POINTS[0], 64)
+    top = dlm._lanczos_top
+
+    def high(op, n):
+        theta, v = top(op, n)
+        return theta / 1.01, v
+
+    monkeypatch.setattr(dlm, "_lanczos_top", high)
+    with pytest.raises(dlm.SingularPoint, match="not certified"):
+        dlm.positivity(dl)
+
+
+def test_positivity_refused_at_reducible_point():
+    """The point of test_kernel_margin_fails_at_reducible_point: M M^H is
+    singular there, which positivity reports as SingularPoint."""
+    rep = nb.BowRepresentation(1.0, 0.25, 1, 0)
+    sol = nb.solution_k1_m0(rep, Bth=1.4 + 0.2j, Bht=0.8 - 0.5j, j_minus=0.0)
+    pt = (sol.Bht[0, 0], sol.Bth[0, 0])
+    dl = dlm.assemble(sol, pt, grid=96)
+    with pytest.raises(dlm.SingularPoint) as err:
+        dlm.positivity(dl)
+    assert isinstance(err.value, nk.BowmonadError)
+    near = dlm.assemble(sol, (0.99 * pt[0], 0.99 * pt[1]), 96)
+    assert dlm.positivity(near) > 0
+
+
 def test_kernel_margin_fails_at_reducible_point():
     """The abelian solution (no fundamental data) at the bow's own location:
     the reduced junction system drops rank, so the kernel is refused rather

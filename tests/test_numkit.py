@@ -433,16 +433,21 @@ def test_full_rank_margin_is_finite_and_can_fail():
     assert ctx.rank_cut([2.0, 0.0]) == (1, np.inf)
 
 
-def _defective_pencil():
+DEFECTIVE_S = np.array([[2, 1, -1], [1, 3, 2], [-1, 1, 1]], dtype=float)
+
+
+def _defective_pencil(b_fixes_eigenvector: bool = False):
     """A = S J S^-1 with J = 2 I + e1 e2^T: eigenvalue 2 with a Jordan block
     of size 2, which eigvals returns only to about 1e-8.  D kills S e1, the
-    one eigenvector of A in ker D, and B does not fix it."""
-    S = np.array([[2, 1, -1], [1, 3, 2], [-1, 1, 1]], dtype=float)
+    one eigenvector of A in ker D, and B does not fix it (unless asked to:
+    then B S e1 = 5 S e1 and (2, 5, S e1) is an obstruction)."""
+    S = DEFECTIVE_S
     Sinv = np.linalg.inv(S)
     J = 2 * np.eye(3)
     J[0, 1] = 1
     M = np.diag([5.0, 6.0, 7.0])
-    M[1, 0] = 1.0
+    if not b_fixes_eigenvector:
+        M[1, 0] = 1.0
     Y = np.array([[0, 1, 2], [0, -1, 3]], dtype=float)
     return [X.astype(complex) for X in (S @ J @ Sinv, S @ M @ Sinv, Y @ Sinv)]
 
@@ -457,3 +462,26 @@ def test_obstruction_search_at_a_defective_eigenvalue():
     xi, W = found[0]
     assert abs(xi - 2) < 1e-12 and W.shape == (3, 1)
     assert nk.common_eigenvector_obstruction(A, B, D) == []
+
+
+def test_obstruction_found_at_a_defective_eigenvalue():
+    """B fixes the eigenvector S e1: the compressed pencil [S - eta; G] is
+    zero up to rounding, which only an absolute floor at the scale of the
+    pencil reads as rank 0."""
+    A, B, D = _defective_pencil(b_fixes_eigenvector=True)
+    obs = nk.common_eigenvector_obstruction(A, B, D)
+    assert len(obs) == 1
+    o = obs[0]
+    assert abs(o.xi - 2) < 1e-12 and abs(o.eta - 5) < 1e-12
+    e1 = DEFECTIVE_S[:, 0] / np.linalg.norm(DEFECTIVE_S[:, 0])
+    assert abs(abs(np.vdot(e1, o.vector)) - 1) < 1e-12
+
+
+def test_rank_floor_margin():
+    ctx = ToleranceContext(rank_tol=1e-10, gap_factor=1e3)
+    # everything under the floor: rank 0, margin floor / sigma_max
+    assert ctx.rank_cut([1e-15, 1e-16], floor=1e-9) == (0, pytest.approx(1e6))
+    with pytest.raises(nk.GapTooSmall):
+        ctx.rank_cut([1e-11], floor=1e-9)
+    # the floor decides a full-rank cut: sigma_min / floor
+    assert ctx.rank_cut([1e-3, 1e-5], floor=1e-9) == (2, pytest.approx(1e4))

@@ -325,3 +325,14 @@ def test_float_data_of_exact_data():
     assert type(f) is type(d) and not f.exact
     assert np.array_equal(f.Bht, nk.to_float(d.Bht))
     assert tn._float_data(f) is f
+
+
+def test_round_trip_m0_keeps_d2_when_c2_vanishes():
+    """C2 = 0 leaves D2 only in the stored head factor J_minus; without it
+    the recovered tuple has the common eigenvector (2, 5, (1, -2)) of A, B0
+    and D, a real obstruction of the stacked pencil."""
+    d = tn.generate_taubnut(2, 0, seed=9)
+    assert np.max(np.abs(nk.to_float(d.C2))) == 0.0
+    back = tn.from_bow_complex(tn.to_bow_complex(d))
+    drift = nk.to_float(back.D[1:2]) - nk.to_float(d.D[1:2])
+    assert np.max(np.abs(drift)) < 1e-12
