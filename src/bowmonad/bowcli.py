@@ -565,6 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.input is None and args.fn is not cmd_generate:
+            raise ParseError(f"{args.command} needs --input")
         return args.fn(args)
     except ParseError as e:
         print(json.dumps({"error": {"type": "parse", "message": str(e)}}),

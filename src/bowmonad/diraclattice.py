@@ -126,8 +126,7 @@ def _link_blocks(seg, grid_s, pt: TaubNutPoint):
     r = seg.rank
     eye = np.eye(r)
     hl = (grid_s[1:] - grid_s[:-1])[:, None, None]
-    t1, t2, t3 = (np.array(t) for t in
-                  zip(*(seg.at(s) for s in (grid_s[:-1] + grid_s[1:]) / 2)))
+    t1, t2, t3 = seg.sample((grid_s[:-1] + grid_s[1:]) / 2)
     M = t3 - pt.t3 * eye
     Z = t1 + 1j * t2 - pt.t12 * eye
     L = np.empty((len(hl), 2 * r, 2 * r), dtype=complex)

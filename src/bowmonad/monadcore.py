@@ -67,11 +67,6 @@ class DivisorClass:
         return DivisorClass(self.lh - other.lh, self.lv - other.lv,
                             self.e1 - other.e1, self.e2 - other.e2)
 
-    def __mul__(self, n: int):
-        return DivisorClass(n * self.lh, n * self.lv, n * self.e1, n * self.e2)
-
-    __rmul__ = __mul__
-
     def is_zero(self):
         return self == DivisorClass()
 
@@ -112,11 +107,11 @@ def principal_class(name: str) -> DivisorClass:
     return total
 
 
-def twist_class(twist: dict) -> DivisorClass:
-    total = DivisorClass()
-    for name, coeff in twist.items():
-        total = total + coeff * CURVE_CLASSES[name]
-    return total
+# degree of each boundary curve on a line of each ruling; a twist divisor's
+# degree is their sum with its coefficients (intersection is bilinear)
+_CURVE_DEGREES = {kind: {name: c.intersect(cls)
+                          for name, c in CURVE_CLASSES.items()}
+                  for kind, cls in LINE_CLASSES.items()}
 
 
 def o_pp(i: int, j: int) -> dict:
@@ -479,19 +474,19 @@ def _fast_rank(M: np.ndarray, ctx: ToleranceContext):
 # sections along lines
 
 
-def _windows(pm: ParamMonad, col: int, line: Line, d: int):
-    """Laurent exponent window [lo, hi] per block of a column, after twisting
-    by d at the infinity end; empty blocks get lo > hi."""
+def _windows(pm: ParamMonad, col: int, line: Line):
+    """Laurent exponent window [lo, hi] per block of a column; a twist by
+    O(d) at the infinity end adds d to every hi.  Empty blocks get lo > hi."""
     ends = _LINE_ENDS.get(pm.chart, {}).get(line.kind)
     if ends is None:
         raise ChartMismatch(f"line {line.kind} not available on {pm.chart}")
     end0, endinf = ends
-    cls = LINE_CLASSES[line.kind]
+    degrees = _CURVE_DEGREES[line.kind]
     out = []
     for b in pm.cols[col]:
         lo = -(b.twist.get(end0, 0) if end0 else 0)
-        hi = b.twist.get(endinf, 0) + d
-        deg = twist_class(b.twist).intersect(cls) + d
+        hi = b.twist.get(endinf, 0)
+        deg = sum(c * degrees[name] for name, c in b.twist.items())
         if hi - lo != deg:
             raise InternalTwistError(
                 f"block {b.label}: window [{lo},{hi}] vs intersection degree {deg}")
@@ -499,59 +494,196 @@ def _windows(pm: ParamMonad, col: int, line: Line, d: int):
     return out
 
 
-def _h1_exponents(lo: int, hi: int) -> list[int]:
-    return list(range(hi + 1, lo))
+class _Layout:
+    """Index bookkeeping for (block, exponent, component) coefficient
+    vectors: block ib holds the exponents first..last of its span, each a
+    run of rank components, the runs of all blocks laid end to end."""
 
-
-class _LaurentLayout:
-    """Index bookkeeping for (block, exponent, component) coefficient vectors."""
-
-    def __init__(self, blocks, windows, exps_fn):
-        self.entries = []   # (block_index, exponent, base offset, rank)
-        self.index = {}
+    def __init__(self, blocks, spans):
+        self.blocks = []    # (first exponent, count, base offset, rank)
         pos = 0
-        for ib, (b, (lo, hi)) in enumerate(zip(blocks, windows)):
-            for e in exps_fn(lo, hi):
-                self.entries.append((ib, e, pos, b.rank))
-                self.index[(ib, e)] = pos
-                pos += b.rank
+        for b, (first, last) in zip(blocks, spans):
+            count = max(last - first + 1, 0)
+            self.blocks.append((first, count, pos, b.rank))
+            pos += count * b.rank
         self.size = pos
 
-    def slot(self, ib, e):
-        return self.index.get((ib, e))
+    def exponent_range(self) -> tuple[int, int]:
+        """Lowest and highest exponent held by any block."""
+        held = [(first, first + count - 1)
+                for first, count, _, _ in self.blocks if count]
+        return min(f for f, _ in held), max(last for _, last in held)
 
 
-def _block_action(pm, which, row_col, col_col, line, d, src_layout, dst_layout,
-                  strict=True):
-    """Matrix of a PolyMatrix map between Laurent-coefficient layouts.
+class _MapBlocks:
+    """A PolyMatrix restricted to a line: the t-shift of every monomial, and
+    its nonzero blocks as (shift, row block, column block, block times the
+    line factor), in monomial order."""
 
-    Entries whose target exponent has no slot are returned separately as
-    overflow triples (row block, exponent, matrix, src slot) for the H^1 and
-    connecting-map bookkeeping.
+    def __init__(self, poly: PolyMatrix, roff, coff, sub):
+        subs = [sub(p, q) for (p, q) in poly.coeffs]
+        self.shifts = [s for s, _ in subs] or [0]
+        self.entries = []
+        rows = [(ib, r0, r1) for ib, (r0, r1) in enumerate(roff) if r1 > r0]
+        cols = [(ib, c0, c1) for ib, (c0, c1) in enumerate(coff) if c1 > c0]
+        if not (subs and rows and cols):
+            return
+        C = to_float(poly.coeffs.C).reshape(len(subs), *poly.shape)
+        # one nonzero test per (monomial, row block, column block)
+        nz = np.logical_or.reduceat(C != 0, [r0 for _, r0, _ in rows], axis=1)
+        nz = np.logical_or.reduceat(nz, [c0 for _, c0, _ in cols], axis=2)
+        for j, a, b in zip(*(ix.tolist() for ix in np.nonzero(nz))):
+            shift, factor = subs[j]
+            ib_dst, r0, r1 = rows[a]
+            ib_src, c0, c1 = cols[b]
+            self.entries.append((shift, ib_dst, ib_src,
+                                 factor * C[j, r0:r1, c0:c1]))
+
+
+def _place(blocks: _MapBlocks, src: _Layout, dst: _Layout, strict: bool):
+    """Matrix of a map between Laurent-coefficient layouts.
+
+    A block sends source exponent e to e + shift; the exponents whose image
+    lies in the destination span form one range, written with one strided
+    assignment.  Each cell sums its monomials in monomial order.  With
+    ``strict`` a nonzero block that sends an exponent out of the destination
+    span raises InternalTwistError.
     """
-    poly = pm.alpha if which == "alpha" else pm.beta
-    sub = _substitution(pm.chart, line)
-    roff = pm.offsets(row_col)
-    coff = pm.offsets(col_col)
-    A = np.zeros((dst_layout.size, src_layout.size), dtype=complex)
-    overflow = []
-    for (p, q), mat in poly.coeffs.items():
-        matf = to_float(mat)
-        shift, factor = sub(p, q)
-        for (ib_src, e, pos_src, rk_src) in src_layout.entries:
-            c0, c1 = coff[ib_src]
-            for ib_dst, (r0, r1) in enumerate(roff):
-                blk = matf[r0:r1, c0:c1]
-                if not blk.size or np.max(np.abs(blk)) == 0.0:
-                    continue
-                slot = dst_layout.slot(ib_dst, e + shift)
-                if slot is None:
-                    overflow.append((ib_dst, e + shift, factor * blk, pos_src, rk_src))
-                    continue
-                A[slot:slot + (r1 - r0), pos_src:pos_src + rk_src] += factor * blk
-    if strict and overflow:
-        raise InternalTwistError("map leaves the declared Laurent windows")
-    return A, overflow
+    A = np.zeros((dst.size, src.size), dtype=complex)
+    row, col = A.strides
+    for shift, ib_dst, ib_src, blk in blocks.entries:
+        s0, ns, base_s, rk = src.blocks[ib_src]
+        if not ns:
+            continue
+        t0, nt, base_t, rr = dst.blocks[ib_dst]
+        lo = max(s0, t0 - shift)
+        hi = min(s0 + ns, t0 + nt - shift)
+        if strict and hi - lo < ns:
+            raise InternalTwistError("map leaves the declared Laurent windows")
+        if hi <= lo:
+            continue
+        r = base_t + (lo + shift - t0) * rr
+        c = base_s + (lo - s0) * rk
+        # the diagonal run of (rr x rk) blocks, one per source exponent
+        np.ndarray((hi - lo, rr, rk), dtype=complex, buffer=A,
+                   offset=r * row + c * col,
+                   strides=(rr * row + rk * col, row, col))[...] += blk
+    return A
+
+
+# Thresholds of the first-cohomology part of a section count, relative to
+# the largest alpha image of its classes: an image entry above
+# _H1_BAND_TOL in the band between a middle window's ends is an error, and
+# the connecting map counts as zero where no entry exceeds _D2_TOL, before
+# or after the projection off the image of the middle sections.
+_H1_BAND_TOL = 1e-7
+_D2_TOL = 1e-9
+
+
+class _LineSystem:
+    """The Laurent section systems of one monad on one line, for every twist
+    O(d): the windows of the left and middle columns and the nonzero blocks
+    of alpha and beta, each read once.  It lives for one call, so a
+    coefficient write shows in the next call."""
+
+    def __init__(self, pm: ParamMonad, line: Line):
+        self.pm = pm
+        self.line = line
+        self.w1 = _windows(pm, 0, line)
+        self.w2 = _windows(pm, 1, line)
+        sub = _substitution(pm.chart, line)
+        self.alpha = _MapBlocks(pm.alpha, pm.offsets(1), pm.offsets(0), sub)
+        self.beta = _MapBlocks(pm.beta, pm.offsets(2), pm.offsets(1), sub)
+
+    def _system(self, which: str, src: _Layout, dst: _Layout,
+                strict: bool) -> np.ndarray:
+        return _place(getattr(self, which), src, dst, strict)
+
+    def _equation_layout(self, lay_src: _Layout) -> _Layout:
+        """Right-column layout over every exponent beta can reach from a
+        middle layout."""
+        lo, hi = lay_src.exponent_range()
+        blocks3 = self.pm.cols[2]
+        span = (lo + min(self.beta.shifts), hi + max(self.beta.shifts))
+        return _Layout(blocks3, [span] * len(blocks3))
+
+    def sections(self, d: int, ctx: ToleranceContext) -> SectionSpace:
+        blocks1, blocks2, _ = self.pm.cols
+        w1 = [(lo, hi + d) for lo, hi in self.w1]
+        w2 = [(lo, hi + d) for lo, hi in self.w2]
+        lay1 = _Layout(blocks1, w1)
+        lay2 = _Layout(blocks2, w2)
+
+        h0_dim, reps = 0, np.zeros((0, 0), dtype=complex)
+        if lay2.size:
+            E = self._system("beta", lay2, self._equation_layout(lay2), False)
+            kern = nk.rank_kernel(E, ctx).kernel
+            Aim = self._system("alpha", lay1, lay2, True)
+            reps = nk.quotient_representatives(kern, Aim, ctx)
+            h0_dim = reps.shape[1]
+
+        # H^1 of the left column, with the alpha action on Cech classes
+        lay1_h1 = _Layout(blocks1, [(hi + 1, lo - 1) for lo, hi in w1])
+        h1_net = 0
+        if lay1_h1.size:
+            lay2_h1 = _Layout(blocks2, [(hi + 1, lo - 1) for lo, hi in w2])
+            H = self._system("alpha", lay1_h1, lay2_h1, False)
+            ker_h1 = nk.rank_kernel(H, ctx).kernel if lay2_h1.size else \
+                np.eye(lay1_h1.size, dtype=complex)
+            if ker_h1.shape[1]:
+                d2 = self._connecting_rank(w2, lay1_h1, ker_h1, lay2, ctx)
+                h1_net = ker_h1.shape[1] - d2
+        return SectionSpace(self.line, d, [reps[:, j] for j in range(h0_dim)],
+                            h0_dim + h1_net, h1_net)
+
+    def _connecting_rank(self, w2, lay1_h1, ker_h1, lay2, ctx):
+        """Rank of the connecting differential on H^1(left) classes killed
+        in H^1(middle).
+
+        For such a class the alpha image splits into a piece regular at t=0
+        (all exponents above the window floor, poles at infinity allowed)
+        and a piece regular at infinity; beta of the regular piece is a
+        genuine global section of the right column, well defined modulo
+        beta of global middle sections.
+        """
+        blocks2 = self.pm.cols[1]
+        lo1, hi1 = lay1_h1.exponent_range()
+        lo_all = lo1 + min(self.alpha.shifts)
+        hi_all = hi1 + max(self.alpha.shifts)
+        lay_full = _Layout(blocks2, [(lo_all, hi_all)] * len(blocks2))
+        images = self._system("alpha", lay1_h1, lay_full, False) @ ker_h1
+        scale = max(1.0, np.max(np.abs(images))) if images.size else 1.0
+        # regular piece: keep exponents >= per-block window floor
+        lay_reg = _Layout(blocks2, [(lo, hi_all) for lo, _ in w2])
+        P = np.zeros((lay_reg.size, lay_full.size), dtype=complex)
+        for (lo, hi), (_, _, pos, rk), (_, _, slot, _) in zip(
+                w2, lay_full.blocks, lay_reg.blocks):
+            # the band hi < e < lo must vanish
+            a, b = max(hi + 1, lo_all), min(lo, hi_all + 1)
+            if b > a and rk:
+                band = images[pos + (a - lo_all) * rk:pos + (b - lo_all) * rk]
+                if np.max(np.abs(band)) > _H1_BAND_TOL * scale:
+                    raise InternalTwistError(
+                        "H^1 kernel class keeps a residual band")
+            # e >= lo is kept, one identity run per block
+            a = max(lo, lo_all)
+            n = max(hi_all + 1 - a, 0) * rk
+            r, c = slot + (a - lo) * rk, pos + (a - lo_all) * rk
+            P[r:r + n, c:c + n] = np.eye(n)
+        v0 = P @ images
+        lay_eq = self._equation_layout(lay_reg)
+        d2_vals = self._system("beta", lay_reg, lay_eq, False) @ v0
+        if not d2_vals.size or np.max(np.abs(d2_vals)) <= _D2_TOL * scale:
+            return 0
+        if lay2.size:
+            Eh0 = self._system("beta", lay2, lay_eq, False)
+            cok = nk.rank_kernel(Eh0, ctx).cokernel
+            proj = cok.conj().T @ d2_vals
+        else:
+            proj = d2_vals
+        if not proj.size or np.max(np.abs(proj)) <= _D2_TOL * scale:
+            return 0
+        return nk.rank_kernel(proj, ctx).rank
 
 
 def sections_on_line(pm: ParamMonad, line: Line, d: int,
@@ -565,108 +697,7 @@ def sections_on_line(pm: ParamMonad, line: Line, d: int,
     polynomial representative; they only add to the dimension).  The second
     piece is corrected by the connecting map into the right column.
     """
-    w1 = _windows(pm, 0, line, d)
-    w2 = _windows(pm, 1, line, d)
-    blocks1, blocks2, blocks3 = pm.cols
-
-    h0_exps = lambda lo, hi: list(range(lo, hi + 1))
-    lay1 = _LaurentLayout(blocks1, w1, h0_exps)
-    lay2 = _LaurentLayout(blocks2, w2, h0_exps)
-
-    h0_dim, reps = 0, np.zeros((0, 0), dtype=complex)
-    if lay2.size:
-        lay_eq = _equation_layout(pm, line, lay2, "beta")
-        E, _ = _block_action(pm, "beta", 2, 1, line, d, lay2, lay_eq,
-                             strict=False)
-        kern = nk.rank_kernel(E, ctx).kernel
-        Aim, _ = _block_action(pm, "alpha", 1, 0, line, d, lay1, lay2,
-                               strict=True)
-        reps = nk.quotient_representatives(kern, Aim, ctx)
-        h0_dim = reps.shape[1]
-
-    # H^1 of the left column, with the alpha action on Cech classes
-    lay1_h1 = _LaurentLayout(blocks1, w1, _h1_exponents)
-    h1_net = 0
-    if lay1_h1.size:
-        lay2_h1 = _LaurentLayout(blocks2, w2, _h1_exponents)
-        H, _ = _block_action(pm, "alpha", 1, 0, line, d, lay1_h1, lay2_h1,
-                             strict=False)
-        ker_h1 = nk.rank_kernel(H, ctx).kernel if lay2_h1.size else \
-            np.eye(lay1_h1.size, dtype=complex)
-        if ker_h1.shape[1]:
-            d2 = _connecting_rank(pm, line, d, lay1_h1, w2, ker_h1, lay2, ctx)
-            h1_net = ker_h1.shape[1] - d2
-    return SectionSpace(line, d, [reps[:, j] for j in range(h0_dim)],
-                        h0_dim + h1_net, h1_net)
-
-
-def _equation_layout(pm, line, lay_src, which):
-    """Layout over every target exponent the map can reach from a layout."""
-    poly = pm.beta if which == "beta" else pm.alpha
-    sub = _substitution(pm.chart, line)
-    shifts = [sub(p, q)[0] for (p, q) in poly.coeffs] or [0]
-    exps = [e for (_, e, _, _) in lay_src.entries]
-    lo = min(exps) + min(shifts)
-    hi = max(exps) + max(shifts)
-    blocks_dst = pm.cols[2] if which == "beta" else pm.cols[1]
-    return _LaurentLayout(blocks_dst, [(lo, hi)] * len(blocks_dst),
-                          lambda a, b: list(range(a, b + 1)))
-
-
-def _connecting_rank(pm, line, d, lay1_h1, w2, ker_h1, lay2, ctx):
-    """Rank of the connecting differential on H^1(left) classes killed in
-    H^1(middle).
-
-    For such a class the alpha image splits into a piece regular at t=0 (all
-    exponents above the window floor, poles at infinity allowed) and a piece
-    regular at infinity; beta of the regular piece is a genuine global
-    section of the right column, well defined modulo beta of global middle
-    sections.
-    """
-    blocks2 = pm.cols[1]
-    h0_exps = lambda lo, hi: list(range(lo, hi + 1))
-    sub = _substitution(pm.chart, line)
-    a_shifts = [sub(p, q)[0] for (p, q) in pm.alpha.coeffs] or [0]
-    exps1 = [e for (_, e, _, _) in lay1_h1.entries]
-    lo_all = min(exps1) + min(a_shifts)
-    hi_all = max(exps1) + max(a_shifts)
-    lay_full = _LaurentLayout(blocks2, [(lo_all, hi_all)] * len(blocks2),
-                              h0_exps)
-    Afull, _ = _block_action(pm, "alpha", 1, 0, line, d, lay1_h1, lay_full,
-                             strict=False)
-    images = Afull @ ker_h1
-    scale = max(1.0, np.max(np.abs(images))) if images.size else 1.0
-    # regular piece: keep exponents >= per-block window floor
-    lay_reg = _LaurentLayout(
-        blocks2, [(w2[ib][0], max(hi_all, w2[ib][0] - 1)) for ib in
-                  range(len(blocks2))], h0_exps)
-    P = np.zeros((lay_reg.size, lay_full.size), dtype=complex)
-    for (ib, e, pos, rk) in lay_full.entries:
-        lo, hi = w2[ib]
-        if hi < e < lo:
-            band = images[pos:pos + rk]
-            if band.size and np.max(np.abs(band)) > 1e-7 * scale:
-                raise InternalTwistError("H^1 kernel class keeps a residual band")
-        slot = lay_reg.slot(ib, e)
-        if slot is not None and e >= lo:
-            P[slot:slot + rk, pos:pos + rk] = np.eye(rk)
-    v0 = P @ images
-    lay_eq = _equation_layout(pm, line, lay_reg, "beta")
-    Ereg, _ = _block_action(pm, "beta", 2, 1, line, d, lay_reg, lay_eq,
-                            strict=False)
-    d2_vals = Ereg @ v0
-    if not d2_vals.size or np.max(np.abs(d2_vals)) <= 1e-9 * scale:
-        return 0
-    if lay2.size:
-        Eh0, _ = _block_action(pm, "beta", 2, 1, line, d, lay2, lay_eq,
-                               strict=False)
-        cok = nk.rank_kernel(Eh0, ctx).cokernel
-        proj = cok.conj().T @ d2_vals
-    else:
-        proj = d2_vals
-    if not proj.size or np.max(np.abs(proj)) <= 1e-9 * scale:
-        return 0
-    return nk.rank_kernel(proj, ctx).rank
+    return _LineSystem(pm, line).sections(d, ctx)
 
 
 def splitting_type(pm: ParamMonad, line: Line,
@@ -676,8 +707,9 @@ def splitting_type(pm: ParamMonad, line: Line,
     a is the number of sections after twisting down once; the untwisted
     section count must then come out as a+1 (jumping) or 2 (balanced).
     """
-    a = sections_on_line(pm, line, -1, ctx).dimension
-    h0 = sections_on_line(pm, line, 0, ctx).dimension
+    system = _LineSystem(pm, line)
+    a = system.sections(-1, ctx).dimension
+    h0 = system.sections(0, ctx).dimension
     if a == 0 and h0 != 2:
         raise InconsistentSplitting(f"a=0 but h0={h0} on {line}")
     if a > 0 and h0 != a + 1:

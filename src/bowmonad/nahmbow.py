@@ -143,14 +143,21 @@ class Segment:
     drift: float = 0.0
 
     def at(self, s: float):
+        return tuple(T[0] for T in self.sample([s]))
+
+    def sample(self, s) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(T1, T2, T3) at every point of the array s, each stacked along a
+        leading axis: a constant segment is its first sample everywhere,
+        otherwise the samples are interpolated linearly, clamped to the grid."""
+        s = np.asarray(s, dtype=float)
+        Ts = (self.T1, self.T2, self.T3)
         if self.constant:
-            return self.T1[0], self.T2[0], self.T3[0]
-        s = min(max(s, self.s_grid[0]), self.s_grid[-1])
-        i = int(np.searchsorted(self.s_grid, s)) - 1
-        i = min(max(i, 0), len(self.s_grid) - 2)
-        w = (s - self.s_grid[i]) / (self.s_grid[i + 1] - self.s_grid[i])
-        return tuple((1 - w) * T[i] + w * T[i + 1]
-                     for T in (self.T1, self.T2, self.T3))
+            return tuple(np.repeat(T[:1], len(s), axis=0) for T in Ts)
+        g = self.s_grid
+        s = np.clip(s, g[0], g[-1])
+        i = np.clip(np.searchsorted(g, s) - 1, 0, len(g) - 2)
+        w = ((s - g[i]) / (g[i + 1] - g[i]))[:, None, None]
+        return tuple((1 - w) * T[i] + w * T[i + 1] for T in Ts)
 
     def beta_at(self, s: float):
         t1, t2, _ = self.at(s)
@@ -571,14 +578,18 @@ def transport(seg: Segment, s0: float, s1: float, steps: int = 400) -> np.ndarra
     n = max(8, steps)
     grid = np.linspace(s0, s1, n + 1)
     h = grid[1] - grid[0]
+    # T3 at the 2n + 1 RK4 nodes: the grid points and their midpoints
+    nodes = np.empty(2 * n + 1)
+    nodes[0::2] = grid
+    nodes[1::2] = grid[:-1] + h / 2
+    T3 = seg.sample(nodes)[2]
     P = np.eye(seg.rank, dtype=complex)
-    rhs = lambda s, M: seg.at(s)[2] @ M
     for i in range(n):
-        s = grid[i]
-        k1 = rhs(s, P)
-        k2 = rhs(s + h / 2, P + h / 2 * k1)
-        k3 = rhs(s + h / 2, P + h / 2 * k2)
-        k4 = rhs(s + h, P + h * k3)
+        start, mid, end = T3[2 * i], T3[2 * i + 1], T3[2 * i + 2]
+        k1 = start @ P
+        k2 = mid @ (P + h / 2 * k1)
+        k3 = mid @ (P + h / 2 * k2)
+        k4 = end @ (P + h * k3)
         P = P + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
     return P
 

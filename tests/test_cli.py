@@ -41,6 +41,15 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "parse" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "fiber", "splitting",
+                                     "spectral", "roundtrip", "dirac",
+                                     "nahm-flow"])
+def test_missing_input_exit_2(command, capsys):
+    assert run_cli(command) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "parse" and "--input" in err["message"]
+
+
 def test_wrong_shape_exit_2(tmp_path):
     obj = json.loads((DATA / "caloron_k1m1.json").read_text())
     obj["A"] = [[[1.0, 0.0], [0.0, 0.0]]]      # 1x2, should be 1x1

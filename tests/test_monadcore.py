@@ -303,3 +303,137 @@ def test_exact_evaluate_and_to_float_stay_exact():
             assert np.array_equal(flt.coeffs[key], nk.to_float(mat))
     with pytest.raises(TypeError):
         bm.evaluate_many([(0.5, 0.5)])
+
+
+# ---------------------------------------------------------------------------
+# Laurent section systems
+
+
+COMBOS = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))
+
+
+def reference_block_action(pm, which, line, src, dst, strict):
+    """The per-entry assembly of a section system: every monomial x source
+    (block, exponent) x destination block, one zero test and one slot
+    lookup each; a nonzero block without a target slot overflows."""
+    poly, rows, cols = ((pm.alpha, 1, 0) if which == "alpha"
+                        else (pm.beta, 2, 1))
+    sub = mc._substitution(pm.chart, line)
+    roff, coff = pm.offsets(rows), pm.offsets(cols)
+    src_entries = [(ib, first + i, base + i * rk, rk)
+                   for ib, (first, count, base, rk) in enumerate(src.blocks)
+                   for i in range(count)]
+    dst_slot = {(ib, first + i): base + i * rk
+                for ib, (first, count, base, rk) in enumerate(dst.blocks)
+                for i in range(count)}
+    A = np.zeros((dst.size, src.size), dtype=complex)
+    overflow = False
+    for (p, q), mat in poly.coeffs.items():
+        matf = nk.to_float(mat)
+        shift, factor = sub(p, q)
+        for ib_src, e, pos_src, rk_src in src_entries:
+            c0, c1 = coff[ib_src]
+            for ib_dst, (r0, r1) in enumerate(roff):
+                blk = matf[r0:r1, c0:c1]
+                if not blk.size or np.max(np.abs(blk)) == 0.0:
+                    continue
+                slot = dst_slot.get((ib_dst, e + shift))
+                if slot is None:
+                    overflow = True
+                    continue
+                A[slot:slot + (r1 - r0), pos_src:pos_src + rk_src] += \
+                    factor * blk
+    if strict and overflow:
+        raise mc.InternalTwistError("map leaves the declared Laurent windows")
+    return A
+
+
+@pytest.fixture
+def checked_systems(monkeypatch):
+    """Compare every system sections_on_line builds with the per-entry
+    reference, bit for bit; yields the list of (map, strict) built."""
+    seen = []
+    real = mc._LineSystem._system
+
+    def checked(self, which, src, dst, strict):
+        try:
+            want = reference_block_action(self.pm, which, self.line, src,
+                                          dst, strict)
+        except mc.InternalTwistError:
+            with pytest.raises(mc.InternalTwistError):
+                real(self, which, src, dst, strict)
+            raise
+        got = real(self, which, src, dst, strict)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+        seen.append((which, strict))
+        return got
+
+    monkeypatch.setattr(mc._LineSystem, "_system", checked)
+    return seen
+
+
+def _line_monads():
+    """Both flavors at every (k, m) pair with their spectrum, plus an exact
+    monad and the Taub-NUT H^1 example."""
+    for k, m in COMBOS:
+        d = caloron.generate_caloron(k, m, seed=3)
+        pm = caloron.big_monad(d) if m else caloron.small_monad(d)
+        yield pm, np.linalg.eigvals(nk.to_float(d.B if m else d.B0))
+        d = taubnut.generate_taubnut(k, m, seed=3)
+        yield taubnut.big_monad(d), np.linalg.eigvals(nk.to_float(d.B0))
+    d = taubnut.generate_taubnut(1, 1, seed=5, exact=True)
+    yield taubnut._big_monad_unchecked(d), np.linalg.eigvals(nk.to_float(d.B0))
+    yield taubnut._big_monad_unchecked(k1m1_taubnut()), [6.0]
+
+
+def test_section_systems_match_per_entry_assembly(checked_systems):
+    charts, outcomes = set(), 0
+    for pm, spectrum in _line_monads():
+        kinds = mc._LINE_ENDS[pm.chart]
+        charts.add(pm.chart)
+        for kind in kinds:
+            values = [1.3 - 0.4j] + ([complex(e) for e in spectrum]
+                                     if kind == "B_eta" else [])
+            for v in values:
+                for d in range(-3, 2):
+                    try:
+                        sections_on_line(pm, Line(kind, v), d)
+                        outcomes += 1
+                    except nk.BowmonadError:
+                        pass
+    assert charts == {"xi_eta", "xi_psi"} and outcomes > 300
+    # the H^1 systems (the only alpha systems built without strict) included
+    assert checked_systems.count(("alpha", False)) > 50
+    assert {("alpha", True), ("beta", False)} <= set(checked_systems)
+
+
+def _shift_monad(coeff):
+    """alpha = coeff * xi from a trivial line into a trivial line: on a
+    B ruling line of the (xi, eta) chart it raises the t-exponent by one,
+    out of the degree-0 window."""
+    return mc.ParamMonad(
+        "xi_eta", ([mc.BlockSpec("U", {}, 1)], [mc.BlockSpec("V", {}, 1)], []),
+        mc.PolyMatrix((1, 1), {(1, 0): np.array([[coeff]])}),
+        mc.PolyMatrix((0, 1)))
+
+
+def test_out_of_window_map_raises():
+    with pytest.raises(mc.InternalTwistError):
+        sections_on_line(_shift_monad(1.0), Line("B_eta", 0.5), 0)
+    # a zero coefficient places nothing, so nothing leaves the windows
+    assert sections_on_line(_shift_monad(0.0), Line("B_eta", 0.5),
+                            0).dimension == 1
+
+
+def test_coefficient_write_shows_in_next_sections():
+    alpha = mc.PolyMatrix((2, 1), {(0, 0): np.zeros((2, 1))})
+    pm = mc.ParamMonad(
+        "xi_eta", ([mc.BlockSpec("U", {}, 1)], [mc.BlockSpec("V", {}, 2)], []),
+        alpha, mc.PolyMatrix((0, 2)))
+    line = Line("B_eta", 0.7)
+    assert sections_on_line(pm, line, 0).dimension == 2
+    alpha.coeffs[(0, 0)] = np.array([[1.0], [2.0]])
+    assert sections_on_line(pm, line, 0).dimension == 1
+    alpha.add_monomial(0, 0, (0, 2), (0, 1), [[-1.0], [-2.0]])
+    assert sections_on_line(pm, line, 0).dimension == 2

@@ -315,6 +315,28 @@ def test_transport_constant_matches_rk4():
     assert np.max(np.abs(P1 - P2)) < 1e-9
 
 
+def test_constant_segment_is_its_first_sample():
+    """A constant segment is its first sample everywhere, whatever else it
+    stores: with one sample, and with later T3 samples that differ."""
+    rng = np.random.default_rng(3)
+    T3 = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    zeros = np.zeros_like(T3)
+    one = nb.Segment(0.0, 0.7, 2, np.array([0.0]), zeros[:1], zeros[:1],
+                     T3[:1], constant=True)
+    many = nb.Segment(0.0, 0.7, 2, np.linspace(0.0, 0.7, 3), zeros, zeros,
+                      T3, constant=True)
+    # the RK4 transport of the first sample, as a sampled segment
+    first = nb.Segment(0.0, 0.7, 2, many.s_grid, zeros, zeros,
+                       np.repeat(T3[:1], 3, axis=0))
+    want = nb.transport(first, 0.0, 0.7, steps=2000)
+    for seg in (one, many):
+        assert np.array_equal(seg.at(0.35)[2], T3[0])
+        stacked = seg.sample(np.linspace(-0.1, 0.8, 7))[2]
+        assert stacked.shape == (7, 2, 2) and all(
+            np.array_equal(t, T3[0]) for t in stacked)
+        assert np.max(np.abs(nb.transport(seg, 0.0, 0.7) - want)) < 1e-9
+
+
 def test_reduce_scalar_closed_form_fiber():
     sol, bc, _ = matched_pair_m0()
     rng = np.random.default_rng(6)
