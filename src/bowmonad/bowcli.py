@@ -334,13 +334,8 @@ def cmd_nahm_flow(args) -> int:
     zetas = [0.0, 0.5, -1.0, 1j, 2.0]
     flowed = nahmbow.flow(t1, t2, t3, seg.s0, seg.s1, args.step,
                           zeta_checks=zetas)
-    rows = []
-    ref = [np.poly(nahmbow.lax(t1, t2, t3, z)) for z in zetas]
-    for i, s in enumerate(flowed.s_grid):
-        worst = max(np.max(np.abs(np.poly(nahmbow.lax(
-            flowed.T1[i], flowed.T2[i], flowed.T3[i], z)) - c0))
-            for z, c0 in zip(zetas, ref))
-        rows.append([s, worst])
+    rows = [[s, d] for s, d in zip(flowed.s_grid,
+                                   nahmbow.charpoly_drift(flowed, zetas))]
     _write_csv(rows, ["s", "charpoly_drift"], args.out)
     print(_dumps({"drift": flowed.drift, "steps": len(flowed.s_grid)}),
           file=sys.stderr)
@@ -568,7 +563,7 @@ def main(argv=None) -> int:
         if args.input is None and args.fn is not cmd_generate:
             raise ParseError(f"{args.command} needs --input")
         return args.fn(args)
-    except ParseError as e:
+    except (ParseError, nk.InvalidArgument) as e:
         print(json.dumps({"error": {"type": "parse", "message": str(e)}}),
               file=sys.stderr)
         return 2

@@ -17,7 +17,8 @@ The link rows of a segment are block-bidiagonal (link j couples nodes j and
 j+1 only), and the 8k junction rows touch only the segment end nodes and
 the auxiliaries.  Every solver here works on those blocks in O(grid): the
 kernel and the pseudo-inverse by transfer matrices, the squared operator
-M M^H as a bordered block-tridiagonal matrix.
+M M^H and the Gram matrix of the reality residual as one bordered block
+chain, factored by odd-even reduction.
 """
 
 from __future__ import annotations
@@ -36,6 +37,10 @@ from .numkit import DEFAULT_CTX, ToleranceContext
 # fraction of the Ritz value (the value is then good to about its square).
 LANCZOS_TOL = 1e-9
 LANCZOS_MAX_STEPS = 60
+# Block size and step cap of the shift-and-invert iteration for the top of
+# the Gram spectrum (_top_ritz).
+RITZ_BLOCK = 4
+RITZ_MAX_STEPS = 12
 
 
 class SingularPoint(nk.BowmonadError):
@@ -48,6 +53,10 @@ class PoleOrderUnsupported(nk.BowmonadError):
 
 class SingularLink(nk.BowmonadError):
     """A link row pair cannot be solved for its right-hand node."""
+
+
+class CertificateFailed(nk.BowmonadError):
+    """A computed eigenvalue bound was not proved by its factorization."""
 
 
 @dataclass
@@ -107,15 +116,21 @@ class DiracLattice:
 
 def _segment_nodes(sol: NahmSolution, grid: int):
     """Node positions per segment, endpoints included, density set by the
-    total grid budget."""
+    total grid budget.  A segment shorter than two steps h raises
+    InvalidArgument: it would get fewer than two links (the junction rows
+    need distinct first and last links) or links longer than h."""
     rep = sol.rep
     segs = [(sol.head, -rep.ell / 2, rep.lam_minus),
             (sol.middle, rep.lam_minus, rep.lam_plus),
             (sol.tail, rep.lam_plus, rep.ell / 2)]
     out = []
     for seg, s0, s1 in segs:
-        n = max(3, int(round(grid * (s1 - s0) / rep.ell)) + 1)
-        out.append((seg, np.linspace(s0, s1, n)))
+        steps = grid * (s1 - s0) / rep.ell
+        if not steps > 2 - 1e-9:          # 2 up to rounding in the division
+            raise nk.InvalidArgument(
+                f"grid {grid} gives the segment [{s0}, {s1}] {steps:g} steps "
+                f"of h; it needs at least 2")
+        out.append((seg, np.linspace(s0, s1, int(round(steps)) + 1)))
     return out
 
 
@@ -152,6 +167,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
         raise BuildRefused("m = 0 assembly needs the fundamental pairs "
                            "(I, J) at both lambda points")
     pt = point if isinstance(point, TaubNutPoint) else TaubNutPoint(*point)
+    nodes = _segment_nodes(sol, grid)
     rep = sol.rep
     k, m = sol.k, sol.m
     h = rep.ell / grid
@@ -160,7 +176,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     # row layout: the link sites segment by segment, then the junctions
     segments, links, sites = [], [], []
     row_pos = pos = 0
-    for seg, grid_s in _segment_nodes(sol, grid):
+    for seg, grid_s in nodes:
         r, n = seg.rank, len(grid_s)
         segments.append((row_pos, pos, n, 2 * r))
         links.append(_link_blocks(seg, grid_s, pt))
@@ -330,6 +346,192 @@ def _gram(dl: DiracLattice, jw: float):
     return out, J @ J.conj().T
 
 
+def _H(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a stack of matrices."""
+    return A.conj().swapaxes(-1, -2)
+
+
+@dataclass
+class _Chain:
+    """The Hermitian matrix of _gram's shape as one chain of blocks with a
+    border: a decoupled leading block, then every segment's link blocks in
+    order, each padded to the widest block by decoupled rows.  Padding rows
+    are zero here; factorizations set their diagonal to one, so they stay
+    decoupled and solve to zero."""
+    D: np.ndarray          # (nb, W, W) diagonal blocks
+    B: np.ndarray          # (nb - 1, W, W): B[j] couples block j+1 to j
+    C: np.ndarray          # (nb, nJ, W): the border rows against each block
+    S: np.ndarray          # (nJ, nJ) border block
+    pad: tuple             # (block, row) indices of the padding rows
+
+    @classmethod
+    def of(cls, blocks, JJ: np.ndarray) -> "_Chain":
+        W = max(diag.shape[1] for diag, *_ in blocks)
+        nb = 1 + sum(len(diag) for diag, *_ in blocks)
+        D = np.zeros((nb, W, W), dtype=complex)
+        B = np.zeros((nb - 1, W, W), dtype=complex)
+        C = np.zeros((nb, len(JJ), W), dtype=complex)
+        real = np.zeros((nb, W), dtype=bool)
+        b = 1
+        for diag, sub, head, tail in blocks:
+            n, w = diag.shape[:2]
+            D[b:b + n, :w, :w] = diag
+            B[b:b + n - 1, :w, :w] = sub
+            C[b, :, :w] = head
+            C[b + n - 1, :, :w] = tail
+            real[b:b + n, :w] = True
+            b += n
+        return cls(D, B, C, JJ, np.nonzero(~real))
+
+    def split(self, V: np.ndarray):
+        """A block of vectors (rows: the chain, then the border) as its
+        (nb, W, p) chain part and its (nJ, p) border part."""
+        nb, W = self.D.shape[:2]
+        return V[:nb * W].reshape(nb, W, -1), V[nb * W:]
+
+    def matvec(self, V: np.ndarray) -> np.ndarray:
+        x, xJ = self.split(V)
+        y = self.D @ x + _H(self.C) @ xJ
+        y[1:] += self.B @ x[:-1]
+        y[:-1] += _H(self.B) @ x[1:]
+        yJ = self.S @ xJ + (self.C @ x).sum(0)
+        return np.concatenate([y.reshape(-1, V.shape[1]), yJ])
+
+    def gershgorin(self) -> float:
+        """Largest absolute row sum, a bound on every eigenvalue."""
+        aB, aC = np.abs(self.B), np.abs(self.C)
+        rows = np.abs(self.D).sum(2) + aC.sum(1)
+        rows[1:] += aB.sum(2)
+        rows[:-1] += aB.sum(1)
+        border = np.abs(self.S).sum(1) + aC.sum((0, 2))
+        return float(max(rows.max(), border.max()))
+
+
+class _BlockLDL:
+    """Block LDL^H of A = sign (G - shift I), G a _Chain, by odd-even
+    (cyclic) reduction.
+
+    Each level eliminates the blocks at odd positions of the current chain.
+    They couple to nothing but their two neighbours and the border, so all
+    of a level is one batch: with P the odd diagonal blocks and K = [A_ol,
+    A_or, A_oJ] the rows of each pivot against its left and right neighbour
+    and the border, the whole Schur update is K^H P^-1 K, and what is left on
+    the even blocks is again a chain with a border.  The leading decoupled
+    block is never eliminated, so after about log2(nb) levels only it and
+    the border are left; the border's Schur complement is the last pivot.
+    By Sylvester's law A is positive definite exactly when every pivot is
+    (_definite)."""
+
+    def __init__(self, g: _Chain, shift: float, sign: float):
+        W = g.D.shape[1]
+        D = sign * (g.D - shift * np.eye(W))
+        D[g.pad[0], g.pad[1], g.pad[1]] = 1.0
+        B, C = sign * g.B, sign * g.C
+        S = sign * (g.S - shift * np.eye(len(g.S)))
+        self.levels = []
+        while len(D) > 1:
+            P, nr = D[1::2], len(B[1::2])
+            K = np.zeros((len(P), W, 2 * W + len(S)), dtype=complex)
+            K[:, :, :W] = B[0::2]
+            K[:nr, :, W:2 * W] = _H(B[1::2])
+            K[:, :, 2 * W:] = _H(C[1::2])
+            Pi = np.linalg.inv(P)
+            KH = _H(K)
+            U = KH @ (Pi @ K)
+            D, C = D[0::2].copy(), C[0::2].copy()
+            D[:len(P)] -= U[:, :W, :W]
+            D[1:1 + nr] -= U[:nr, W:2 * W, W:2 * W]
+            C[:len(P)] -= U[:, 2 * W:, :W]
+            C[1:1 + nr] -= U[:nr, 2 * W:, W:2 * W]
+            S = S - U[:, 2 * W:, 2 * W:].sum(0)
+            B = -U[:nr, W:2 * W, :W]
+            self.levels.append((P, Pi, K, KH, nr))
+        self.S = S
+
+    def solve(self, g: _Chain, V: np.ndarray) -> np.ndarray:
+        """A^-1 V, V a block of vectors in the layout of _Chain.split."""
+        x, xJ = g.split(V)
+        W = x.shape[1]
+        kept = []
+        for P, Pi, _, KH, nr in self.levels:
+            xo, x = x[1::2], x[0::2].copy()
+            u = KH @ (Pi @ xo)
+            x[:len(P)] -= u[:, :W]
+            x[1:1 + nr] -= u[:nr, W:2 * W]
+            xJ = xJ - u[:, 2 * W:].sum(0)
+            kept.append(xo)
+        yJ = np.linalg.solve(self.S, xJ)
+        y = x                                    # the leading block: A = I
+        for (P, Pi, K, _, nr), xo in zip(self.levels[::-1], kept[::-1]):
+            Y = np.zeros((len(P), K.shape[2], xo.shape[2]), dtype=complex)
+            Y[:, :W] = y[:len(P)]
+            Y[:nr, W:2 * W] = y[1:1 + nr]
+            Y[:, 2 * W:] = yJ
+            out = np.empty((len(y) + len(P),) + y.shape[1:], dtype=complex)
+            out[0::2], out[1::2] = y, Pi @ (xo - K @ Y)
+            y = out
+        return np.concatenate([y.reshape(-1, V.shape[1]), yJ])
+
+
+def _definite(g: _Chain, shift: float, sign: float) -> bool:
+    """Whether sign (G - shift I) is positive definite: a Cholesky of every
+    pivot of _BlockLDL (Sylvester)."""
+    try:
+        f = _BlockLDL(g, shift, sign)
+        np.linalg.cholesky(np.concatenate([lv[0] for lv in f.levels]))
+        np.linalg.cholesky(f.S)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _top_ritz(g: _Chain, tol: float) -> float:
+    """Largest eigenvalue of the chain's matrix G, to about tol.
+
+    A block of RITZ_BLOCK vectors (the top of G can be a degenerate pair with
+    a second pair just below) from a seeded start runs shift-and-invert
+    iteration, X <- (shift I - G)^-1 X through _BlockLDL: the first shift is
+    the Gershgorin bound, every later one the top Rayleigh-Ritz value of the
+    last block, until that value moves by at most tol.  The Ritz value is a
+    lower bound of the eigenvalue."""
+    nb, W = g.D.shape[:2]
+    n = nb * W + len(g.S)
+    rng = np.random.default_rng(0)
+    V = (rng.standard_normal((n, RITZ_BLOCK))
+         + 1j * rng.standard_normal((n, RITZ_BLOCK)))
+    g.split(V)[0][g.pad] = 0.0
+    shift, theta = g.gershgorin(), -np.inf
+    for _ in range(RITZ_MAX_STEPS):
+        Q, _ = np.linalg.qr(_BlockLDL(g, shift, -1.0).solve(g, V))
+        ritz, S = np.linalg.eigh(Q.conj().T @ g.matvec(Q))
+        V = Q @ S
+        done = abs(ritz[-1] - theta) <= tol
+        theta = shift = ritz[-1]
+        if done:
+            break
+    return float(theta)
+
+
+def _gram_top_bracket(dl: DiracLattice):
+    """(lower, value, upper) for the largest eigenvalue of G = W W^H, W the
+    operator with its junction rows weighted by h.
+
+    value is the top Rayleigh-Ritz value of _top_ritz, taken until it moves
+    by at most eps_r, the rounding bound of _rounding_bound for W; it is a
+    lower bound up to the rounding in forming G's blocks, so lower = value -
+    eps_r.  One block LDL^H of (value + eps_r) I - G with positive definite
+    pivots proves lambda_max < value + 2 eps_r (Sylvester), the upper end.
+    An uncertified value raises CertificateFailed.
+    """
+    g = _Chain.of(*_gram(dl, dl.h))
+    err = _rounding_bound(dl, dl.h)
+    value = _top_ritz(g, err)
+    if not _definite(g, value + err, -1.0):
+        raise CertificateFailed(f"the Gram matrix has an eigenvalue above "
+                                f"{value + err:.15e}")
+    return value - err, value, value + 2 * err
+
+
 def reality_residual(dl: DiracLattice) -> float:
     """Relative norm of the commutator of the squared operator with the
     quaternionic structure on the spinor factor.
@@ -342,21 +544,12 @@ def reality_residual(dl: DiracLattice) -> float:
     norm of the Hermitian D = G - C conj(G) C^T.  Link rows commute with the
     structure (the T_i are Hermitian), so D vanishes outside the rows of the
     junction sites and of the link sites sharing a node column with them;
-    its norm is the largest |eigenvalue| of that block.  G = W W^H is filled
-    from the blocks of _gram; its largest eigenvalue normalises.
+    its norm is the largest |eigenvalue| of that block, which is filled from
+    the blocks of _gram (no N x N array is formed).  The normaliser is
+    lambda_max(G), the value of the certified bracket _gram_top_bracket.
     """
     blocks, JJ = _gram(dl, dl.h)
     j0 = dl.n_link_rows
-    G = np.zeros((dl.matrix.shape[0],) * 2, dtype=complex)
-    for (r0, _, n, w), (diag, sub, head, tail) in zip(dl.segments, blocks):
-        idx = r0 + np.arange((n - 1) * w).reshape(n - 1, w)
-        G[idx[:, :, None], idx[:, None, :]] = diag
-        G[idx[1:, :, None], idx[:-1, None, :]] = sub
-        G[idx[:-1, :, None], idx[1:, None, :]] = sub.conj().swapaxes(1, 2)
-        for rows, C in ((idx[0], head), (idx[-1], tail)):
-            G[j0:, rows] = C
-            G[rows, j0:] = C.conj().T
-    G[j0:, j0:] = JJ
     M = dl.matrix
     first = len(dl.sites) - dl.n_junctions
     junction_cols = np.any(M[j0:] != 0, axis=0)
@@ -369,10 +562,25 @@ def reality_residual(dl: DiracLattice) -> float:
             partner += [*range(b + r, b + 2 * r), *range(b, b + r)]
             sign += [-1.0] * r + [1.0] * r
     sign = np.array(sign)
-    Gk = G[np.ix_(rows, rows)]
+    pos = np.full(M.shape[0], -1)
+    pos[rows] = np.arange(len(rows))
+    jr = pos[j0:]
+    Gk = np.zeros((len(rows),) * 2, dtype=complex)
+    for (r0, _, n, w), (diag, sub, head, tail) in zip(dl.segments, blocks):
+        at = pos[r0:r0 + (n - 1) * w].reshape(n - 1, w)
+        on = np.flatnonzero(at[:, 0] >= 0)          # the touched links
+        Gk[at[on][:, :, None], at[on][:, None, :]] = diag[on]
+        on = on[np.isin(on + 1, on)]                # ... touched with the next
+        Gk[at[on + 1][:, :, None], at[on][:, None, :]] = sub[on]
+        Gk[at[on][:, :, None], at[on + 1][:, None, :]] = _H(sub[on])
+        for j, C in ((0, head), (n - 2, tail)):
+            if at[j, 0] >= 0:
+                Gk[jr[:, None], at[j]] = C
+                Gk[at[j][:, None], jr] = C.conj().T
+    Gk[jr[:, None], jr] = JJ
     D = Gk - np.outer(sign, sign) * Gk.conj()[np.ix_(partner, partner)]
     resid = np.max(np.abs(np.linalg.eigvalsh(D)))
-    return float(resid / max(np.linalg.eigvalsh(G)[-1], 1e-300))
+    return float(resid / max(_gram_top_bracket(dl)[1], 1e-300))
 
 
 class _PseudoInverse:
@@ -443,12 +651,16 @@ def _lanczos_top(op, n: int):
     return theta[-1], Q[:j + 1].T @ S[:, -1]
 
 
-def _rounding_bound(dl: DiracLattice) -> float:
-    """Bound on the rounding in forming the blocks of M M^H and in their
-    block LDL^H factorization: (p + q (q + 1)) eps ||M||_1 ||M||_inf,
-    with p the most nonzeros in a row of M and q the widest row of the
-    factor (two link blocks and the junction border)."""
-    aJ = np.abs(dl.matrix[dl.n_link_rows:])
+def _rounding_bound(dl: DiracLattice, jw: float = 1.0) -> float:
+    """Bound on the rounding in forming the blocks of W W^H (W the operator
+    with its junction rows scaled by jw) and in their block LDL^H
+    factorization (_BlockLDL): (p + q (q + 1)) eps ||W||_1 ||W||_inf, with
+    p the most nonzeros in a row of W and q the widest row of the factor.
+    In the odd-even order an eliminated block couples to its two neighbour
+    blocks and the junction border, as in the sequential order it coupled to
+    its own block, its successor and the border, so q = 2 w_max + n_J in
+    both."""
+    aJ = jw * np.abs(dl.matrix[dl.n_link_rows:])
     col, row = aJ.sum(0), aJ.sum(1).max()
     p, wmax = np.count_nonzero(aJ, axis=1).max(), 0
     for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
@@ -462,41 +674,6 @@ def _rounding_bound(dl: DiracLattice) -> float:
     return float((p + q * (q + 1)) * np.finfo(float).eps * row * col.max())
 
 
-def _shift_is_positive(blocks, JJ: np.ndarray, tau: float) -> bool:
-    """Whether M M^H - tau I is positive definite, from the blocks of
-    _gram, by one block LDL^H factorization: the pivots of each segment's
-    links in order, S_j = H_jj - B_j S_{j-1}^-1 B_j^H (B_j the block coupling
-    link j to link j-1), carry the junction coupling
-    Z_j = H_jJ - B_j S_{j-1}^-1 Z_{j-1} along, and the junction border is
-    the last pivot, H_JJ - sum_j Z_j^H S_j^-1 Z_j.  By Sylvester's law the
-    matrix is positive definite exactly when every pivot is, which one
-    batched Cholesky per segment and one of the border decide."""
-    nJ = len(JJ)
-    border = JJ - tau * np.eye(nJ)
-    try:
-        for diag, sub, head, tail in blocks:
-            nb, w = diag.shape[:2]
-            D = diag - tau * np.eye(w)
-            subH = sub.conj().swapaxes(1, 2)
-            S, Z = D[0], head.conj().T
-            pivots, Sinv, Zs = [S], [np.linalg.inv(S)], [Z]
-            for j in range(1, nb):
-                BS = sub[j - 1] @ Sinv[-1]
-                S = D[j] - BS @ subH[j - 1]
-                Z = (tail.conj().T if j == nb - 1 else 0.0) - BS @ Z
-                pivots.append(S)
-                Sinv.append(np.linalg.inv(S))
-                Zs.append(Z)
-            np.linalg.cholesky(np.array(pivots))
-            Zs = np.array(Zs)
-            border = border - (Zs.conj().swapaxes(1, 2)
-                               @ (np.array(Sinv) @ Zs)).sum(0)
-        np.linalg.cholesky(border)
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
 def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     """(lower, value, upper) for the smallest eigenvalue of the squared
     operator M M^H, certified positive.
@@ -507,7 +684,7 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     Ritz pair (theta, v), and value = 1 / theta.  The Rayleigh quotient
     rho = ||M^H v||^2 / ||v||^2 is at least lambda_min and at least the
     value.  One block LDL^H of M M^H - (value - eps_r) I with positive
-    definite pivots (_shift_is_positive) proves lambda_min > value -
+    definite pivots (_BlockLDL) proves lambda_min > value -
     2 eps_r (Sylvester), eps_r the rounding bound of _rounding_bound.  So
     the bracket is [(1 - delta) value, rho + eps_r] with
     delta = 2 eps_r / value.
@@ -535,7 +712,7 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     if not lower > 0:
         raise SingularPoint(f"smallest eigenvalue {value:.3e} of M M^H is "
                             f"within rounding ({2 * err:.1e}) of zero")
-    if not _shift_is_positive(*_gram(dl, 1.0), value - err):
+    if not _definite(_Chain.of(*_gram(dl, 1.0)), value - err, 1.0):
         raise SingularPoint(f"positivity not certified: M M^H has an "
                             f"eigenvalue below {value - err:.6e}")
     return float(lower), float(value), float(rho + err)

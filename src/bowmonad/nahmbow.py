@@ -123,9 +123,11 @@ def lax(T1, T2, T3, zeta: complex) -> np.ndarray:
     return T1 + 1j * T2 - 2 * zeta * T3 - (T1 - 1j * T2) * zeta ** 2
 
 
-def nahm_rhs(T1, T2, T3):
-    c = lambda X, Y: X @ Y - Y @ X
-    return (-1j * c(T2, T3), -1j * c(T3, T1), -1j * c(T1, T2))
+def nahm_rhs(T: np.ndarray) -> np.ndarray:
+    """(-i [T2, T3], -i [T3, T1], -i [T1, T2]) for the stacked triple
+    T = (T1, T2, T3), by two stacked products."""
+    X, Y = T[[1, 2, 0]], T[[2, 0, 1]]
+    return -1j * (X @ Y - Y @ X)
 
 
 @dataclass
@@ -179,31 +181,32 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
          lam_points=(), pole_guard: float = 0.0) -> Segment:
     """RK4 integration of the flow on [s0, s1]; characteristic coefficients
     of the Lax matrix are monitored at the given zeta samples and a drift
-    beyond drift_tol raises StepTooCoarse."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    beyond drift_tol raises StepTooCoarse, and a step that is not finite
+    and positive raises InvalidArgument.  The triple is held as one
+    (3, r, r) stack (nahm_rhs)."""
+    if not (np.isfinite(step) and step > 0):
+        raise nk.InvalidArgument(f"step must be finite and positive, "
+                                 f"got {step!r}")
     for lam in lam_points:
         if s0 - pole_guard < lam < s1 + pole_guard:
             raise PoleProximity(f"interval [{s0}, {s1}] crosses {lam}")
     n = max(2, int(np.ceil((s1 - s0) / step)) + 1)
     grid = np.linspace(s0, s1, n)
     h = grid[1] - grid[0]
-    r = T1.shape[0]
-    out = [np.zeros((n, r, r), dtype=complex) for _ in range(3)]
-    cur = [np.asarray(T, dtype=complex) for T in (T1, T2, T3)]
+    cur = np.array([np.asarray(T, dtype=complex) for T in (T1, T2, T3)])
+    r = cur.shape[1]
+    out = np.zeros((3, n, r, r), dtype=complex)
     ref = [np.poly(lax(*cur, z)) for z in zeta_checks]
-    for i, s in enumerate(grid):
-        for T, buf in zip(cur, out):
-            buf[i] = T
+    for i in range(n):
+        out[:, i] = cur
         if i == n - 1:
             break
-        k1 = nahm_rhs(*cur)
-        k2 = nahm_rhs(*(T + h / 2 * K for T, K in zip(cur, k1)))
-        k3 = nahm_rhs(*(T + h / 2 * K for T, K in zip(cur, k2)))
-        k4 = nahm_rhs(*(T + h * K for T, K in zip(cur, k3)))
-        cur = [T + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
-               for T, K1, K2, K3, K4 in zip(cur, k1, k2, k3, k4)]
-        if not all(np.isfinite(T).all() for T in cur):
+        k1 = nahm_rhs(cur)
+        k2 = nahm_rhs(cur + h / 2 * k1)
+        k3 = nahm_rhs(cur + h / 2 * k2)
+        k4 = nahm_rhs(cur + h * k3)
+        cur = cur + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not np.isfinite(cur).all():
             raise StepTooCoarse(
                 f"flow left the finite regime near s = {grid[i + 1]:.4f} "
                 "(pole hit or step too large)")
@@ -216,24 +219,35 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
     return seg
 
 
-def isospectral_drift(seg: Segment, zetas) -> float:
-    """Max char-poly coefficient drift along a sampled segment.
+def charpoly_drift(seg: Segment, zetas) -> np.ndarray:
+    """Per sample, the largest change of a characteristic coefficient of
+    the Lax matrix from the first sample, over the given zetas.
 
     The coefficients at every sample are those of ``np.poly``: the roots of
-    each Lax matrix expanded one linear factor at a time, and made real where
-    the roots are closed under conjugation."""
-    worst = 0.0
+    each Lax matrix expanded one linear factor at a time in the order of
+    np.convolve's products, and made real where the roots are closed under
+    conjugation."""
+    worst = np.zeros(len(seg.s_grid))
     for z in zetas:
         roots = np.linalg.eigvals(lax(seg.T1, seg.T2, seg.T3, z))
         coeffs = np.ones((len(roots), 1), dtype=complex)
         for k in range(roots.shape[1]):
-            coeffs = (np.pad(coeffs, ((0, 0), (0, 1)))
-                      - np.pad(coeffs * roots[:, k:k + 1], ((0, 0), (1, 0))))
+            zr, zi = roots[:, k:k + 1].real, roots[:, k:k + 1].imag
+            p = np.pad(coeffs, ((0, 0), (1, 0)))        # c[j - 1]
+            q = np.pad(coeffs, ((0, 0), (0, 1)))        # c[j]
+            coeffs = ((q.real - p.real * zr) + p.imag * zi
+                      + 1j * ((q.imag - p.imag * zr) - p.real * zi))
         real = np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1),
                       axis=1)
         coeffs[real] = coeffs[real].real
-        worst = max(worst, float(np.max(np.abs(coeffs - coeffs[0]))))
+        worst = np.maximum(worst, np.max(np.abs(coeffs - coeffs[0]), axis=1))
     return worst
+
+
+def isospectral_drift(seg: Segment, zetas) -> float:
+    """Max char-poly coefficient drift along a sampled segment (the largest
+    value of charpoly_drift)."""
+    return float(np.max(charpoly_drift(seg, zetas)))
 
 
 # ---------------------------------------------------------------------------

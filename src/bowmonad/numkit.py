@@ -35,6 +35,10 @@ class BowmonadError(Exception):
     """Base of every exception the library raises on purpose."""
 
 
+class InvalidArgument(BowmonadError):
+    """A size or step outside its domain, refused before any work."""
+
+
 class GapTooSmall(BowmonadError):
     """A float-backend rank decision had no decisive singular-value margin."""
 

@@ -255,6 +255,36 @@ def test_dirac_refinement_rejects_coarse_grid(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "parse"
 
 
+@pytest.mark.parametrize("grid", ["0", "-4", "4", "6"])
+def test_dirac_grid_below_two_steps_per_segment_exit_2(grid, tmp_path,
+                                                        capsys):
+    """A grid that leaves an end segment shorter than two steps h (no grid
+    at all, a negative one, or one whose end links would be longer than h)
+    is malformed input, not a traceback or a silent success."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "1",
+                   "--grid", grid) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "parse"
+
+
+@pytest.mark.parametrize("step", ["0", "-0.01", "nan"])
+def test_nahm_flow_step_not_finite_and_positive_exit_2(step, tmp_path,
+                                                        capsys):
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "6",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    assert run_cli("nahm-flow", "--input", str(sol_file), f"--step={step}",
+                   "--out", str(tmp_path / "d.csv")) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "parse"
+    assert not (tmp_path / "d.csv").exists()
+
+
 def test_dirac_pole_order_exit_1(tmp_path, capsys):
     from bowmonad import nahmbow as nb
     rep = nb.BowRepresentation(1.0, 0.25, 1, 2)

@@ -232,6 +232,172 @@ def test_reality_residual_matches_dense_commutator(pair):
             assert abs(dlm.reality_residual(dl) - want) <= 1e-12 * want
 
 
+def _dense_chain(g, skip):
+    """Oracle: the dense matrix of a _Chain with its first `skip` rows (the
+    decoupled leading block) and its padding rows left out, written block
+    by block; and the chain rows it keeps, in order."""
+    nb_, W = g.D.shape[:2]
+    keep = np.ones((nb_, W), dtype=bool)
+    keep[g.pad] = False
+    keep = np.flatnonzero(keep.ravel())
+    keep = keep[keep >= skip]
+    n = nb_ * W + len(g.S)
+    A = np.zeros((n, n), dtype=complex)
+    for j in range(nb_):
+        A[j * W:(j + 1) * W, j * W:(j + 1) * W] = g.D[j]
+        A[nb_ * W:, j * W:(j + 1) * W] = g.C[j]
+        A[j * W:(j + 1) * W, nb_ * W:] = g.C[j].conj().T
+    for j in range(nb_ - 1):
+        A[(j + 1) * W:(j + 2) * W, j * W:(j + 1) * W] = g.B[j]
+        A[j * W:(j + 1) * W, (j + 1) * W:(j + 2) * W] = g.B[j].conj().T
+    A[nb_ * W:, nb_ * W:] = g.S
+    rows = np.concatenate([keep, np.arange(nb_ * W, n)])
+    return A[np.ix_(rows, rows)], rows
+
+
+def _check_chain_solver(g, A, rows, rng):
+    """Solve residual against a dense solve, and positive definiteness
+    against dense eigvalsh, at shifts below, inside and above the spectrum
+    of the chain's matrix A."""
+    lam = np.linalg.eigvalsh(A)
+    n = g.D.shape[0] * g.D.shape[1] + len(g.S)
+    gap = (lam[-1] - lam[0]) / len(lam)
+    mids = (lam[:-1] + lam[1:]) / 2
+    for shift in (lam[0] - gap, mids[len(mids) // 3], mids[-1],
+                  lam[-1] + gap):
+        for sign in (1.0, -1.0):
+            Ad = sign * (A - shift * np.eye(len(A)))
+            want = bool(np.linalg.eigvalsh(Ad)[0] > 0)
+            assert dlm._definite(g, shift, sign) == want
+            V = np.zeros((n, 3), dtype=complex)
+            V[rows] = rng.standard_normal((len(rows), 3))
+            x = dlm._BlockLDL(g, shift, sign).solve(g, V)
+            ref = np.linalg.solve(Ad, V[rows])
+            assert (np.linalg.norm(x[rows] - ref)
+                    <= 1e-10 * np.linalg.cond(Ad) * np.linalg.norm(ref))
+            assert np.abs(np.delete(x, rows, 0)).max() == 0.0
+
+
+@pytest.mark.parametrize("w", [2, 4])
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 33])
+def test_block_ldl_on_random_bordered_chains(length, w):
+    """Random Hermitian block chains whose border couples to every block:
+    the odd-even factorization solves like a dense solve and is positive
+    definite exactly when the dense spectrum is, so an indefinite chain is
+    refused."""
+    rng = np.random.default_rng(100 * length + w)
+    cplx = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    D, B, C, S = (cplx(length + 1, w, w), cplx(length, w, w),
+                  cplx(length + 1, 3, w), cplx(3, 3))
+    D += dlm._H(D)
+    D[0], B[0], C[0] = 0.0, 0.0, 0.0
+    g = dlm._Chain(D, B, C, S + S.conj().T,
+                   (np.zeros(w, dtype=int), np.arange(w)))
+    A, rows = _dense_chain(g, w)
+    x = rng.standard_normal((len(D) * w + 3, 2)) + 0j
+    x[:w] = 0.0
+    assert np.allclose(g.matvec(x)[rows], A @ x[rows], rtol=0, atol=1e-12)
+    _check_chain_solver(g, A, rows, rng)
+
+
+@pytest.mark.parametrize("grid", [8, 16])
+def test_block_ldl_on_padded_gram_chain(grid):
+    """m = 1: the outer segments' blocks are half as wide as the middle's
+    and are padded.  The chain's matrix is the dense W W^H."""
+    sol, _ = pair_m1()
+    dl = dlm.assemble(sol, GENERIC_POINTS[2], grid)
+    g = dlm._Chain.of(*dlm._gram(dl, dl.h))
+    A, rows = _dense_chain(g, g.D.shape[1])
+    W = dl.weighted()
+    assert np.allclose(A, W @ W.conj().T, rtol=0,
+                       atol=1e-13 * np.abs(A).max())
+    assert g.gershgorin() >= np.linalg.eigvalsh(A)[-1]
+    _check_chain_solver(g, A, rows, np.random.default_rng(grid))
+
+
+def _sequential_is_positive(blocks, JJ, tau):
+    """Reference: M M^H - tau I positive definite by the sequential block
+    LDL^H, one link after the other with the junction coupling carried
+    along and the junction border last."""
+    border = JJ - tau * np.eye(len(JJ))
+    try:
+        for diag, sub, head, tail in blocks:
+            nb_, w = diag.shape[:2]
+            D = diag - tau * np.eye(w)
+            S, Z = D[0], head.conj().T
+            pivots, Sinv, Zs = [S], [np.linalg.inv(S)], [Z]
+            for j in range(1, nb_):
+                BS = sub[j - 1] @ Sinv[-1]
+                S = D[j] - BS @ sub[j - 1].conj().T
+                Z = (tail.conj().T if j == nb_ - 1 else 0.0) - BS @ Z
+                pivots.append(S)
+                Sinv.append(np.linalg.inv(S))
+                Zs.append(Z)
+            np.linalg.cholesky(np.array(pivots))
+            Zs = np.array(Zs)
+            border = border - (dlm._H(Zs) @ (np.array(Sinv) @ Zs)).sum(0)
+        np.linalg.cholesky(border)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_positivity_certificate_agrees_with_sequential_factorization(pair):
+    """The odd-even certificate decides as the sequential block LDL^H at the
+    shift positivity_bracket certifies and at shifts just past lambda_min,
+    so the brackets are unchanged."""
+    sol, _ = pair()
+    for grid in (8, 64, 256):
+        for pt in GENERIC_POINTS[:3]:
+            dl = dlm.assemble(sol, pt, grid)
+            lower, value, _ = dlm.positivity_bracket(dl)
+            blocks, JJ = dlm._gram(dl, 1.0)
+            g = dlm._Chain.of(blocks, JJ)
+            for tau in ((lower + value) / 2, 1.001 * value, 1.1 * value):
+                assert (dlm._definite(g, tau, 1.0)
+                        == _sequential_is_positive(blocks, JJ, tau)
+                        == (tau < value))
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_gram_normaliser_matches_eigvalsh(pair):
+    """The certified top of G = W W^H against the dense eigvalsh: within
+    1e-13, inside the bracket, and the bracket at most 1e-12 wide."""
+    sol, _ = pair()
+    for grid in (8, 16, 64, 256):
+        for pt in GENERIC_POINTS:
+            dl = dlm.assemble(sol, pt, grid)
+            W = dl.weighted()
+            want = np.linalg.eigvalsh(W @ W.conj().T)[-1]
+            lower, value, upper = dlm._gram_top_bracket(dl)
+            assert abs(value - want) <= 1e-13 * want
+            assert lower <= want <= upper
+            assert upper - lower <= 1e-12 * value
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_gram_normaliser_refuses_a_value_below_the_top(pair, monkeypatch):
+    """The factorization of (value + eps_r) I - G must fail once value is
+    below lambda_max: a value 1% low is refused, not used."""
+    sol, _ = pair()
+    dl = dlm.assemble(sol, GENERIC_POINTS[0], 64)
+    top = dlm._top_ritz
+    monkeypatch.setattr(dlm, "_top_ritz", lambda g, tol: 0.99 * top(g, tol))
+    with pytest.raises(dlm.CertificateFailed) as err:
+        dlm.reality_residual(dl)
+    assert isinstance(err.value, nk.BowmonadError)
+
+
+def test_assemble_refuses_segments_shorter_than_two_steps():
+    sol, _ = pair_m0()
+    for grid in (0, -4, 4, 6, 7):
+        with pytest.raises(nk.InvalidArgument):
+            dlm.assemble(sol, GENERIC_POINTS[0], grid)
+    assert [n for _, _, n, _ in dlm.assemble(sol, GENERIC_POINTS[0],
+                                             8).segments] == [3, 5, 3]
+
+
 @pytest.mark.parametrize("pair", [pair_m0, pair_m1])
 def test_positivity_matches_dense_svd(pair):
     """Lanczos through the transfer matrices against the smallest singular

@@ -1,5 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-top-level definition of a library module is referenced somewhere.
+"""Every name a library module imports is used in that module, every
+top-level definition of a library module is referenced somewhere, and the
+library imports nothing but the standard library, numpy and itself (numpy
+is its only declared dependency).
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -9,6 +11,7 @@ imported name.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -85,3 +88,34 @@ def test_no_unreferenced_definitions():
     dead = {p.name: unreferenced_definitions(p.read_text(), refs)
             for p in MODULES}
     assert {name: d for name, d in dead.items() if d} == {}
+
+
+ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "bowmonad"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        out += [f"{name} (line {node.lineno})" for name in names
+                if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+    return out
+
+
+def test_scanner_flags_a_foreign_import():
+    src = ("import json, scipy.linalg\nfrom hypothesis import given\n"
+           "from . import numkit\nimport numpy as np\n"
+           "from bowmonad.numkit import GQ\nfrom collections import abc\n")
+    assert foreign_imports(src) == ["scipy.linalg (line 1)",
+                                    "hypothesis (line 2)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(path.read_text()) == []

@@ -94,6 +94,50 @@ def test_step_too_coarse():
         nb.flow(*Ts, 0.0, 1.0, 0.2, drift_tol=1e-10)
 
 
+def _unstacked_rk4(T1, T2, T3, s0, s1, step):
+    """Reference: RK4 on the three matrices held separately, one commutator
+    at a time."""
+    n = max(2, int(np.ceil((s1 - s0) / step)) + 1)
+    h = np.linspace(s0, s1, n)[1] - s0
+    rhs = lambda T1, T2, T3: (-1j * comm(T2, T3), -1j * comm(T3, T1),
+                              -1j * comm(T1, T2))
+    cur, out = [np.asarray(T, dtype=complex) for T in (T1, T2, T3)], []
+    for i in range(n):
+        out.append(cur)
+        if i == n - 1:
+            break
+        k1 = rhs(*cur)
+        k2 = rhs(*(T + h / 2 * K for T, K in zip(cur, k1)))
+        k3 = rhs(*(T + h / 2 * K for T, K in zip(cur, k2)))
+        k4 = rhs(*(T + h * K for T, K in zip(cur, k3)))
+        cur = [T + h / 6 * (K1 + 2 * K2 + 2 * K3 + K4)
+               for T, K1, K2, K3, K4 in zip(cur, k1, k2, k3, k4)]
+    return [np.array(T) for T in zip(*out)]
+
+
+def test_stacked_flow_matches_unstacked_rk4():
+    """The stacked triple takes the same arithmetic steps as three separate
+    matrices, so the segments are equal bit for bit."""
+    rng = np.random.default_rng(2)
+    starts = [([r / 0.1 for r in nb.su2_irrep(d)], 0.1) for d in (2, 3, 4)]
+    starts += [([0.1 * (X + X.conj().T) for X in
+                 (rng.standard_normal((r, r))
+                  + 1j * rng.standard_normal((r, r)) for _ in range(3))], 0.0)
+               for r in (1, 3)]
+    for Ts, s0 in starts:
+        seg = nb.flow(*Ts, s0, 1.0, 1e-3)
+        want = _unstacked_rk4(*Ts, s0, 1.0, 1e-3)
+        for T, W in zip((seg.T1, seg.T2, seg.T3), want):
+            assert np.array_equal(T, W)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, np.nan, np.inf])
+def test_flow_refuses_a_step_that_is_not_finite_and_positive(step):
+    one = np.array([[1.0]], dtype=complex)
+    with pytest.raises(nk.InvalidArgument):
+        nb.flow(one, one, one, 0.0, 1.0, step)
+
+
 def test_pole_proximity_guard():
     one = np.array([[1.0]], dtype=complex)
     with pytest.raises(nb.PoleProximity):
@@ -250,8 +294,9 @@ def test_isospectral_drift_small_k3():
 
 def test_isospectral_drift_matches_per_sample_poly():
     """The batched drift against np.poly sample by sample.  The batched
-    expansion rounds differently from np.convolve, so the two agree to a few
-    units in the last place of the largest coefficient."""
+    expansion takes np.convolve's products in the order of its complex dot,
+    which depends on the BLAS, so the two are held to a few units in the
+    last place of the largest coefficient."""
     zetas = [0.0, 0.5, -1.0, 1j, 2.0]
     rng = np.random.default_rng(5)
     herm = lambda r: [0.3 * (X + X.conj().T) for X in
@@ -265,14 +310,17 @@ def test_isospectral_drift_matches_per_sample_poly():
     T2[0] = 0
     segs.append(nb.Segment(0.0, 1.0, 2, np.linspace(0.0, 1.0, 4), T1, T2, T3))
     for seg in segs:
-        want, scale = 0.0, 1.0
+        want, scale = np.zeros(len(seg.s_grid)), 1.0
         for z in zetas:
             polys = [np.poly(nb.lax(seg.T1[i], seg.T2[i], seg.T3[i], z))
                      for i in range(len(seg.s_grid))]
             scale = max(scale, max(np.max(np.abs(c)) for c in polys))
-            want = max(want, max(float(np.max(np.abs(c - polys[0])))
-                                 for c in polys))
-        assert abs(nb.isospectral_drift(seg, zetas) - want) <= 1e-14 * scale
+            want = np.maximum(want, [np.max(np.abs(c - polys[0]))
+                                     for c in polys])
+        assert abs(nb.isospectral_drift(seg, zetas) - want.max()) \
+            <= 1e-14 * scale
+        assert np.max(np.abs(nb.charpoly_drift(seg, zetas) - want)) \
+            <= 1e-14 * scale
 
 
 # ---------------------------------------------------------------------------
