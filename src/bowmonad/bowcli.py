@@ -237,8 +237,8 @@ def _write_csv(rows, header, out_path):
 
 
 def _ctx(args) -> ToleranceContext:
-    return ToleranceContext(rank_tol=args.tol) if args.tol else \
-        ToleranceContext()
+    return ToleranceContext() if args.tol is None else \
+        ToleranceContext(rank_tol=args.tol)
 
 
 def _monad_for(data, ctx):
@@ -353,9 +353,10 @@ def cmd_dirac(args) -> int:
     if args.points < 0:
         raise ParseError("dirac needs --points >= 0")
     if args.points == 0:
-        if args.grid < 32:
-            raise ParseError("refinement needs --grid >= 32 so that the "
-                             "three grids halve h at each step")
+        if args.grid < 32 or args.grid % 4:
+            raise ParseError("refinement needs --grid >= 32 and divisible "
+                             "by 4 so that the three grids halve h at each "
+                             "step")
         xi = complex(rng.standard_normal() + 1j * rng.standard_normal())
         psi = complex(rng.standard_normal() + 1j * rng.standard_normal())
         grids = [args.grid // 4, args.grid // 2, args.grid]

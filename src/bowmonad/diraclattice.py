@@ -16,9 +16,10 @@ output space is the block matrix J(a, b) = (-conj b, conj a).
 The link rows of a segment are block-bidiagonal (link j couples nodes j and
 j+1 only), and the 8k junction rows touch only the segment end nodes and
 the auxiliaries.  Every solver here works on those blocks in O(grid): the
-kernel and the pseudo-inverse by transfer matrices, the squared operator
-M M^H and the Gram matrix of the reality residual as one bordered block
-chain, factored by odd-even reduction.
+kernel by transfer matrices, and every spectral bound (the smallest
+eigenvalue of M M^H, the top of the reality residual's Gram matrix) on one
+bordered block chain, factored by odd-even block LDL^H.  They read only the
+link stacks and the junction rows of the dense matrix.
 """
 
 from __future__ import annotations
@@ -266,11 +267,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
 class _Transfer:
     """The link rows solved by transfer matrices (see kernel)."""
     link_sigma: tuple      # (sigma_min, sigma_max) of every block R_j
-    P: list                # per segment (n, w, w): node j = P[j] first node
-    E: np.ndarray          # first nodes and auxiliaries -> all unknowns
-    U: np.ndarray          # SVD of the junction system S = J E
-    sigma: np.ndarray
-    Vh: np.ndarray
+    sigma: np.ndarray      # singular values of the junction system S = J E
     basis: np.ndarray      # orthonormal kernel of the operator
 
 
@@ -290,9 +287,9 @@ def _transfer(dl: DiracLattice, ctx: ToleranceContext) -> _Transfer:
                            f"{smin[bad[0]]:.3e} / {smax[bad[0]]:.3e}")
     if t is not None:
         return t
-    E = np.zeros((dl.matrix.shape[1],
+    E = np.zeros((dl.shape[1],
                   sum(w for *_, w in dl.segments) + dl.n_aux), dtype=complex)
-    Ps, col = [], 0
+    col = 0
     for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
         T = -np.linalg.solve(R, L)
         P = np.empty((n, w, w), dtype=complex)
@@ -300,12 +297,11 @@ def _transfer(dl: DiracLattice, ctx: ToleranceContext) -> _Transfer:
         for j in range(n - 1):
             P[j + 1] = T[j] @ P[j]
         E[c0:c0 + n * w, col:col + w] = P.reshape(n * w, w)
-        Ps.append(P)
         col += w
     E[dl.n_psi:, col:] = np.eye(dl.n_aux)
-    U, s, Vh = np.linalg.svd(dl.matrix[dl.n_link_rows:] @ E)
+    _, s, Vh = np.linalg.svd(dl.matrix[dl.n_link_rows:] @ E)
     basis, _ = np.linalg.qr(E @ Vh[len(s):].conj().T)
-    dl._transfer = _Transfer((smin, smax), Ps, E, U, s, Vh, basis)
+    dl._transfer = _Transfer((smin, smax), s, basis)
     return dl._transfer
 
 
@@ -543,86 +539,40 @@ def reality_residual(dl: DiracLattice) -> float:
     The structure C is a signed permutation, so ||G C - C conj(G)||_2 is the
     norm of the Hermitian D = G - C conj(G) C^T.  Link rows commute with the
     structure (the T_i are Hermitian), so D vanishes outside the rows of the
-    junction sites and of the link sites sharing a node column with them;
-    its norm is the largest |eigenvalue| of that block, which is filled from
-    the blocks of _gram (no N x N array is formed).  The normaliser is
+    junction sites and of the first and last link of each segment (the only
+    links holding the end nodes the junction rows touch); its norm is the
+    largest |eigenvalue| of that block, which is filled from the blocks of
+    _gram (no N x N array is formed).  The normaliser is
     lambda_max(G), the value of the certified bracket _gram_top_bracket.
     """
     blocks, JJ = _gram(dl, dl.h)
     j0 = dl.n_link_rows
-    M = dl.matrix
-    first = len(dl.sites) - dl.n_junctions
-    junction_cols = np.any(M[j0:] != 0, axis=0)
-    touched = np.any(M[:j0, junction_cols] != 0, axis=1)
+    ends = {p for r0, _, n, w in dl.segments for p in (r0, r0 + (n - 2) * w)}
     rows, partner, sign = [], [], []
-    for i, (p1, p2, r) in enumerate(dl.sites):
-        if i >= first or touched[p1:p2 + r].any():
+    for p1, p2, r in dl.sites:
+        if p1 >= j0 or p1 in ends:
             b = len(rows)
             rows += [*range(p1, p1 + r), *range(p2, p2 + r)]
             partner += [*range(b + r, b + 2 * r), *range(b, b + r)]
             sign += [-1.0] * r + [1.0] * r
     sign = np.array(sign)
-    pos = np.full(M.shape[0], -1)
+    pos = np.full(dl.shape[0], -1)
     pos[rows] = np.arange(len(rows))
     jr = pos[j0:]
     Gk = np.zeros((len(rows),) * 2, dtype=complex)
     for (r0, _, n, w), (diag, sub, head, tail) in zip(dl.segments, blocks):
-        at = pos[r0:r0 + (n - 1) * w].reshape(n - 1, w)
-        on = np.flatnonzero(at[:, 0] >= 0)          # the touched links
-        Gk[at[on][:, :, None], at[on][:, None, :]] = diag[on]
-        on = on[np.isin(on + 1, on)]                # ... touched with the next
-        Gk[at[on + 1][:, :, None], at[on][:, None, :]] = sub[on]
-        Gk[at[on][:, :, None], at[on + 1][:, None, :]] = _H(sub[on])
-        for j, C in ((0, head), (n - 2, tail)):
-            if at[j, 0] >= 0:
-                Gk[jr[:, None], at[j]] = C
-                Gk[at[j][:, None], jr] = C.conj().T
+        at = pos[r0:r0 + (n - 1) * w].reshape(n - 1, w)[[0, -1]]
+        Gk[at[:, :, None], at[:, None, :]] = diag[[0, -1]]
+        if n == 3:                          # the first and last link touch
+            Gk[at[1][:, None], at[0]] = sub[0]
+            Gk[at[0][:, None], at[1]] = sub[0].conj().T
+        for a, C in zip(at, (head, tail)):
+            Gk[jr[:, None], a] = C
+            Gk[a[:, None], jr] = C.conj().T
     Gk[jr[:, None], jr] = JJ
     D = Gk - np.outer(sign, sign) * Gk.conj()[np.ix_(partner, partner)]
     resid = np.max(np.abs(np.linalg.eigvalsh(D)))
     return float(resid / max(_gram_top_bracket(dl)[1], 1e-300))
-
-
-class _PseudoInverse:
-    """M^+ of an operator of full row rank, by transfer matrices.
-
-    X b solves M x = b: a particular solution of the link rows with zero
-    first nodes, x_{j+1} = T_j x_j + R_j^{-1} b_j, is the cumsum
-    x_j = P_j sum_{i<j} F_i b_i with F_i = (R_i P_{i+1})^{-1}; the junction
-    rows are then met by E S^+ (b_J - J x).  M^+ b is X b projected off the
-    kernel, and the adjoint runs the same steps backwards (a reverse
-    cumsum).  normal(b) = X^H (1 - K K^H) X b = (M M^H)^{-1} b.
-    """
-
-    def __init__(self, dl: DiracLattice, t: _Transfer):
-        self.j0, self.shape = dl.n_link_rows, dl.matrix.shape
-        self.J = dl.matrix[self.j0:]
-        self.E, self.K = t.E, t.basis
-        r = len(t.sigma)
-        self.Sp = (t.Vh[:r].conj().T / t.sigma) @ t.U.conj().T
-        self.segs = []
-        for (r0, c0, n, w), (_, R), P in zip(dl.segments, dl.links, t.P):
-            F = np.linalg.inv(R @ P[1:])
-            self.segs.append((r0, c0, n, w, P[1:], F,
-                              P[1:].conj().swapaxes(1, 2),
-                              F.conj().swapaxes(1, 2)))
-
-    def normal(self, b: np.ndarray) -> np.ndarray:
-        x = np.zeros(self.shape[1], dtype=complex)
-        for r0, c0, n, w, P, F, _, _ in self.segs:
-            y = np.cumsum(F @ b[r0:r0 + (n - 1) * w].reshape(n - 1, w, 1), 0)
-            x[c0 + w:c0 + n * w] = (P @ y).ravel()
-        x += self.E @ (self.Sp @ (b[self.j0:] - self.J @ x))
-        x -= self.K @ (self.K.conj().T @ x)
-        z = self.Sp.conj().T @ (self.E.conj().T @ x)
-        x -= self.J.conj().T @ z
-        out = np.empty(self.shape[0], dtype=complex)
-        for r0, c0, n, w, _, _, PH, FH in self.segs:
-            g = PH @ x[c0 + w:c0 + n * w].reshape(n - 1, w, 1)
-            G = np.cumsum(g[::-1], 0)[::-1]
-            out[r0:r0 + (n - 1) * w] = (FH @ G).ravel()
-        out[self.j0:] = z
-        return out
 
 
 def _lanczos_top(op, n: int):
@@ -678,20 +628,20 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     """(lower, value, upper) for the smallest eigenvalue of the squared
     operator M M^H, certified positive.
 
-    Where the junction system certifies full row rank (the margin of
-    kernel), lambda_min(M M^H) = 1 / ||M^+||^2.  Lanczos on (M M^H)^{-1},
-    applied through the transfer matrices (_PseudoInverse), gives the top
-    Ritz pair (theta, v), and value = 1 / theta.  The Rayleigh quotient
-    rho = ||M^H v||^2 / ||v||^2 is at least lambda_min and at least the
-    value.  One block LDL^H of M M^H - (value - eps_r) I with positive
-    definite pivots (_BlockLDL) proves lambda_min > value -
-    2 eps_r (Sylvester), eps_r the rounding bound of _rounding_bound.  So
-    the bracket is [(1 - delta) value, rho + eps_r] with
-    delta = 2 eps_r / value.
+    M M^H is the bordered block chain of _gram, factored once by _BlockLDL.
+    Lanczos on its inverse, applied by that factorization with the padding
+    rows held at zero, gives the top Ritz pair (theta, v), and value =
+    1 / theta.  The Rayleigh quotient rho = v^H M M^H v / v^H v is at least
+    lambda_min and at least the value.  One block LDL^H of M M^H - (value -
+    eps_r) I with positive definite pivots (_definite) proves lambda_min >
+    value - 2 eps_r (Sylvester), eps_r the rounding bound of
+    _rounding_bound.  So the bracket is [(1 - delta) value, rho + eps_r]
+    with delta = 2 eps_r / value.
 
-    Raises SingularPoint where the junction system drops rank, where the
-    bracket does not clear zero, or where the certificate fails; and
-    SingularLink where a link block cannot be eliminated.
+    Raises SingularPoint where the junction system drops rank (the margin
+    of kernel), where M M^H has a singular pivot, where the bracket does not
+    clear zero, or where the certificate fails; and SingularLink where a
+    link block cannot be eliminated.
     """
     t = _transfer(dl, ctx)
     try:
@@ -699,20 +649,30 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     except nk.GapTooSmall as e:
         raise SingularPoint(f"the junction system drops rank, so M M^H is "
                             f"singular here: {e}") from e
+    g = _Chain.of(*_gram(dl, 1.0))
     try:
-        op = _PseudoInverse(dl, t)
+        f = _BlockLDL(g, 0.0, 1.0)
     except np.linalg.LinAlgError as e:
-        raise SingularLink(f"a link transfer is not invertible: {e}") from e
-    theta, v = _lanczos_top(op.normal, dl.matrix.shape[0])
+        raise SingularPoint(f"M M^H has a singular pivot: {e}") from e
+    nb, W = g.D.shape[:2]
+    real = np.ones(nb * W + len(g.S), dtype=bool)
+    real[:nb * W].reshape(nb, W)[g.pad] = False
+    x = np.zeros((len(real), 1), dtype=complex)
+
+    def inverse(v):
+        x[real, 0] = v
+        return f.solve(g, x)[real, 0]
+
+    theta, v = _lanczos_top(inverse, int(real.sum()))
     value = 1.0 / theta
-    u = v.conj() @ dl.matrix                  # conj(M^H v)
-    rho = np.vdot(u, u).real / np.vdot(v, v).real
+    x[real, 0] = v
+    rho = np.vdot(v, g.matvec(x)[real, 0]).real / np.vdot(v, v).real
     err = _rounding_bound(dl)
     lower = value - 2 * err
     if not lower > 0:
         raise SingularPoint(f"smallest eigenvalue {value:.3e} of M M^H is "
                             f"within rounding ({2 * err:.1e}) of zero")
-    if not _definite(_Chain.of(*_gram(dl, 1.0)), value - err, 1.0):
+    if not _definite(g, value - err, 1.0):
         raise SingularPoint(f"positivity not certified: M M^H has an "
                             f"eigenvalue below {value - err:.6e}")
     return float(lower), float(value), float(rho + err)

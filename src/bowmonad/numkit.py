@@ -324,10 +324,16 @@ def conj_transpose(M: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ToleranceContext:
     """Rank decisions keep singular values above ``rank_tol`` (relative) and
-    require a margin of at least ``gap_factor`` at the cut."""
+    require a margin of at least ``gap_factor`` at the cut.  A ``rank_tol``
+    outside (0, 1) raises InvalidArgument."""
 
     rank_tol: float = 1e-10
     gap_factor: float = 1e3
+
+    def __post_init__(self):
+        if not 0.0 < self.rank_tol < 1.0:
+            raise InvalidArgument(f"rank_tol must be finite and in (0, 1), "
+                                  f"got {self.rank_tol!r}")
 
     def rank_cut(self, sigma, floor: float = 0.0) -> tuple[int, float]:
         """Rank of a matrix from its singular values in descending order:

@@ -1,0 +1,20 @@
+"""The benchmark's bow-dirac ops against the library as it stands: one
+round of perfbench/workloads.py, every op passing its own checks (kernel
+dimensions 2, min_eig > 0, pole, drift, grading and transport).  A change
+that breaks what the benchmark reads of the library (`dl.matrix.shape`
+among it) fails here before it fails a benchmark run."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import workloads  # noqa: E402
+
+
+def test_bow_dirac_round_passes(tmp_path):
+    work = workloads.setup("bow-dirac", 0, str(tmp_path), workloads.API)
+    assert {op.kind for op in work.ops} == {"dirac", "flow"}
+    for op in work.ops:
+        ok, detail, _ = op.fn(workloads.API)
+        assert ok, (op.kind, op.label, detail)

@@ -255,6 +255,54 @@ def test_dirac_refinement_rejects_coarse_grid(tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "parse"
 
 
+def test_dirac_refinement_rejects_grid_not_divisible_by_4(tmp_path, capsys):
+    """The trace runs grid/4, grid/2 and grid; --grid 34 would run 8, 17
+    and 34, and h would not halve."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "0",
+                   "--grid", "34") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "parse"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "2"])
+@pytest.mark.parametrize("command, extra", [
+    ("validate", []), ("fiber", ["--points", "2"]),
+    ("dirac", ["--points", "1", "--grid", "32"])])
+def test_tol_outside_unit_interval_exit_2(command, extra, tol, tmp_path,
+                                          capsys):
+    """--tol is a relative rank tolerance: zero, a negative or non-finite
+    value, or one of 1 or more is malformed input, not a silent default, a
+    failed check on valid data or an infinite gap."""
+    data = DATA / "taubnut_k1m1.json"
+    if command == "dirac":
+        data = tmp_path / "sol.json"
+        run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
+                "--out", str(data))
+        capsys.readouterr()
+    assert run_cli(command, "--input", str(data), *extra,
+                   f"--tol={tol}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["type"] == "parse"
+
+
+def test_fiber_tol_sets_the_rank_tolerance(capsys):
+    """A valid --tol reaches the rank decisions: at full rank the margin is
+    sigma_min / (rank_tol sigma_max), so 100 times the tolerance gives 1/100
+    of the margin."""
+    margins = []
+    for tol in ([], ["--tol", "1e-8"]):
+        assert run_cli("fiber", "--input", str(DATA / "taubnut_k1m1.json"),
+                       "--points", "8", "--seed", "3", *tol) == 0
+        margins.append(json.loads(capsys.readouterr().out)["min_margin"])
+    assert margins[1] == pytest.approx(margins[0] / 100, rel=1e-12)
+
+
 @pytest.mark.parametrize("grid", ["0", "-4", "4", "6"])
 def test_dirac_grid_below_two_steps_per_segment_exit_2(grid, tmp_path,
                                                         capsys):

@@ -400,8 +400,9 @@ def test_assemble_refuses_segments_shorter_than_two_steps():
 
 @pytest.mark.parametrize("pair", [pair_m0, pair_m1])
 def test_positivity_matches_dense_svd(pair):
-    """Lanczos through the transfer matrices against the smallest singular
-    value of the whole operator, which must lie in the certified bracket."""
+    """Lanczos on (M M^H)^-1 through the block LDL^H of the Gram chain
+    against the smallest singular value of the whole operator, which must
+    lie in the certified bracket."""
     sol, _ = pair()
     for grid in (8, 16, 64, 256):
         for pt in GENERIC_POINTS:
@@ -429,6 +430,27 @@ def test_positivity_certificate_refuses_a_value_above_the_minimum(
     monkeypatch.setattr(dlm, "_lanczos_top", high)
     with pytest.raises(dlm.SingularPoint, match="not certified"):
         dlm.positivity(dl)
+
+
+@pytest.mark.parametrize("pair", [pair_m0, pair_m1])
+def test_solvers_read_only_link_stacks_and_junction_rows(pair):
+    """kernel, positivity_bracket and reality_residual take the link rows
+    from the per-segment stacks dl.links and read only the junction rows of
+    dl.matrix: with its link rows overwritten by NaN they give bit-identical
+    results."""
+    sol, _ = pair()
+    for grid in (8, 64):
+        for pt in GENERIC_POINTS[:2]:
+            clean = dlm.assemble(sol, pt, grid)
+            dirty = dlm.assemble(sol, pt, grid)
+            dirty.matrix[:dirty.n_link_rows] = np.nan
+            (dim, basis, gap), (dim2, basis2, gap2) = (
+                dlm.kernel(clean), dlm.kernel(dirty))
+            assert dim == dim2 and gap == gap2
+            assert np.array_equal(basis, basis2)
+            assert dlm.positivity_bracket(clean) == \
+                dlm.positivity_bracket(dirty)
+            assert dlm.reality_residual(clean) == dlm.reality_residual(dirty)
 
 
 def test_positivity_refused_at_reducible_point():

@@ -485,3 +485,10 @@ def test_rank_floor_margin():
         ctx.rank_cut([1e-11], floor=1e-9)
     # the floor decides a full-rank cut: sigma_min / floor
     assert ctx.rank_cut([1e-3, 1e-5], floor=1e-9) == (2, pytest.approx(1e4))
+
+
+@pytest.mark.parametrize("rank_tol", [0.0, -1e-10, float("nan"),
+                                      float("inf"), 1.0, 2.0])
+def test_tolerance_context_refuses_rank_tol_outside_unit_interval(rank_tol):
+    with pytest.raises(nk.InvalidArgument):
+        ToleranceContext(rank_tol=rank_tol)
