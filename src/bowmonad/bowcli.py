@@ -78,18 +78,6 @@ def real_array_to_json(M):
 # data files
 
 
-_MATRIX_FIELDS = {
-    "caloron": lambda k, m: {"A": (k, k), "B": (k, k), "C": (k, 2),
-                             "D2row": (1, k), "Aprime": (m, k),
-                             "Bprime": (1, k), "Cprime": (m, 2)},
-    "caloron-m0": lambda k, m: {"A": (k, k), "B0": (k, k), "C": (k, 2),
-                                "D": (2, k)},
-    "taubnut": lambda k, m: {"A": (k, k), "Bht": (k, k), "Bth": (k, k),
-                             "C": (k, 2), "D2row": (1, k), "Aprime": (m, k),
-                             "Bprime": (1, k), "Cprime": (m, 2)},
-    "taubnut-m0": lambda k, m: {"A": (k, k), "Bht": (k, k), "Bth": (k, k),
-                                "C": (k, 2), "D": (2, k)},
-}
 _DATA_CLS = {"caloron": caloron.CaloronData, "caloron-m0": caloron.CaloronDataM0,
              "taubnut": taubnut.TaubNutData, "taubnut-m0": taubnut.TaubNutDataM0}
 _KIND = {cls: kind for kind, cls in _DATA_CLS.items()}
@@ -104,7 +92,7 @@ def data_to_json(data) -> dict:
         raise TypeError(type(data))
     out = {"kind": kind, "backend": "exact" if exact else "f64",
            "k": data.k, "m": data.m}
-    for name in _MATRIX_FIELDS[kind](data.k, data.m):
+    for name in data.shapes(data.k, data.m):
         out[name] = matrix_to_json(getattr(data, name), exact)
     return out
 
@@ -113,7 +101,8 @@ def data_from_json(obj) -> object:
     kind = obj.get("kind")
     if kind in ("bowrep", "nahmsolution"):
         return solution_from_json(obj)
-    if kind not in _MATRIX_FIELDS:
+    cls = _DATA_CLS.get(kind)
+    if cls is None:
         raise ParseError(f"unknown kind {kind!r}")
     backend = obj.get("backend", "f64")
     if backend not in ("f64", "exact"):
@@ -125,13 +114,13 @@ def data_from_json(obj) -> object:
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"bad size fields: {e}")
     fields = {}
-    for name, shape in _MATRIX_FIELDS[kind](k, m).items():
+    for name, shape in cls.shapes(k, m).items():
         if name not in obj:
             raise ParseError(f"missing field {name!r}")
         fields[name] = matrix_from_json(obj[name], shape, exact)
     meta = {"k": k} if kind.endswith("-m0") else {"k": k, "m": m}
     try:
-        return _DATA_CLS[kind](**meta, **fields)
+        return cls(**meta, **fields)
     except ValueError as e:
         raise ParseError(str(e))
 
@@ -236,11 +225,6 @@ def _write_csv(rows, header, out_path):
             f.close()
 
 
-def _ctx(args) -> ToleranceContext:
-    return ToleranceContext() if args.tol is None else \
-        ToleranceContext(rank_tol=args.tol)
-
-
 def _monad_for(data, ctx):
     if isinstance(data, _TAUBNUT):
         return taubnut.big_monad(data, ctx).to_float()
@@ -256,11 +240,11 @@ def _monad_for(data, ctx):
 def cmd_validate(args) -> int:
     data = load_file(args.input)
     if isinstance(data, nahmbow.NahmSolution):
-        report = nahmbow.check_boundary(data, _ctx(args))
+        report = nahmbow.check_boundary(data, args.ctx)
     elif isinstance(data, _CALORON):
-        report = caloron.validate(data, _ctx(args))
+        report = caloron.validate(data, args.ctx)
     elif isinstance(data, _TAUBNUT):
-        report = taubnut.validate(data, _ctx(args))
+        report = taubnut.validate(data, args.ctx)
     else:
         raise ParseError("validate expects matrix data or a nahmsolution file")
     _write_out(report.to_json(), args.out)
@@ -270,7 +254,7 @@ def cmd_validate(args) -> int:
 
 def cmd_fiber(args) -> int:
     data = load_file(args.input)
-    ctx = _ctx(args)
+    ctx = args.ctx
     pm = _monad_for(data, ctx)
     rng = np.random.default_rng(args.seed)
     pts = monadcore.random_chart_points(args.points, rng)
@@ -285,7 +269,7 @@ def cmd_fiber(args) -> int:
 
 def cmd_splitting(args) -> int:
     data = load_file(args.input)
-    ctx = _ctx(args)
+    ctx = args.ctx
     pm = _monad_for(data, ctx)
     spec = np.linalg.eigvals(nk.to_float(data.B0))
     rng = np.random.default_rng(args.seed)
@@ -348,7 +332,7 @@ def cmd_dirac(args) -> int:
     sol = load_file(args.input)
     if not isinstance(sol, nahmbow.NahmSolution):
         raise ParseError("dirac expects a nahmsolution file")
-    ctx = _ctx(args)
+    ctx = args.ctx
     rng = np.random.default_rng(args.seed)
     if args.points < 0:
         raise ParseError("dirac needs --points >= 0")
@@ -411,7 +395,7 @@ def _json_safe(x):
 
 def cmd_roundtrip(args) -> int:
     data = load_file(args.input)
-    ctx = _ctx(args)
+    ctx = args.ctx
     if isinstance(data, _CALORON):
         back = caloron.from_nahm_complex(caloron.to_nahm_complex(data, ctx))
         pairs = [("B", data.B0, back.B0),
@@ -561,6 +545,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # every command takes --tol; a malformed one is refused before any
+        # command runs
+        args.ctx = ToleranceContext() if args.tol is None else \
+            ToleranceContext(rank_tol=args.tol)
         if args.input is None and args.fn is not cmd_generate:
             raise ParseError(f"{args.command} needs --input")
         return args.fn(args)

@@ -19,8 +19,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import BlockSpec, ParamMonad, PolyMatrix, o_pp
-from .nahmbow import BowComplexCircle, BuildRefused, NotInNormalForm, _inv
+from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets, o_pp
+from .nahmbow import (BowComplexCircle, BuildRefused, NotInNormalForm, _inv,
+                      rank_one_factor)
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
 
 
@@ -51,14 +52,38 @@ def _e_plus_row(m: int, exact: bool):
     return out
 
 
-def _check_shapes(data, shapes: dict):
-    for name, want in shapes.items():
-        got = getattr(data, name).shape
-        if got != want:
-            raise ValueError(f"{name} has shape {got}, want {want}")
+class _TupleCore:
+    """Accessors and the data-file shape table shared by the four data
+    classes.  Each is a dataclass whose matrix fields, in field order, are
+    the matrices of its data files; `shapes` gives their shapes: k x k
+    unless the class's `_fixed_shapes` says otherwise."""
+
+    @classmethod
+    def shapes(cls, k: int, m: int) -> dict:
+        fixed = cls._fixed_shapes(k, m)
+        return {f.name: fixed.get(f.name, (k, k)) for f in fields(cls)
+                if f.name not in ("k", "m")}
+
+    def __post_init__(self):
+        for name, want in self.shapes(self.k, self.m).items():
+            got = getattr(self, name).shape
+            if got != want:
+                raise ValueError(f"{name} has shape {got}, want {want}")
+
+    @property
+    def exact(self) -> bool:
+        return is_exact(self.A)
+
+    @property
+    def C1(self):
+        return self.C[:, 0:1]
+
+    @property
+    def C2(self):
+        return self.C[:, 1:2]
 
 
-class MposTuple:
+class MposTuple(_TupleCore):
     """The matrix tuple for magnetic charge m > 0, shared by both flavors.
 
     Subclasses are dataclasses with fields k, m, A, C (k x 2), D2row (1 x k),
@@ -74,23 +99,12 @@ class MposTuple:
         name = type(self).__name__
         if self.m < 1:
             raise ValueError(f"{name} requires m >= 1; use {name}M0")
-        k, m = self.k, self.m
-        fixed = {"C": (k, 2), "D2row": (1, k), "Aprime": (m, k),
-                 "Bprime": (1, k), "Cprime": (m, 2)}
-        _check_shapes(self, {f.name: fixed.get(f.name, (k, k))
-                             for f in fields(self) if f.name not in ("k", "m")})
+        super().__post_init__()
 
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.A)
-
-    @property
-    def C1(self):
-        return self.C[:, 0:1]
-
-    @property
-    def C2(self):
-        return self.C[:, 1:2]
+    @staticmethod
+    def _fixed_shapes(k: int, m: int) -> dict:
+        return {"C": (k, 2), "D2row": (1, k), "Aprime": (m, k),
+                "Bprime": (1, k), "Cprime": (m, 2)}
 
     @property
     def D(self) -> np.ndarray:
@@ -177,10 +191,29 @@ class CaloronData(MposTuple):
     left_normal = MposTuple.normal_form
 
 
+class M0Tuple(_TupleCore):
+    """The matrix tuple for m = 0, shared by both flavors: subclasses are
+    dataclasses with fields k, A (the holonomy, invertible), C (k x 2) and
+    D (2 x k) plus their edge endomorphisms, and supply B0 and B1.  The
+    rank-one jump C1 D1 is B0 - B1; the commutator relation is
+    A B0 - B0 A + C D = 0."""
+
+    m = 0
+
+    @staticmethod
+    def _fixed_shapes(k: int, m: int) -> dict:
+        return {"C": (k, 2), "D": (2, k)}
+
+    def relation_residuals(self):
+        r1 = (nk.mat_mul(self.A, self.B0) - nk.mat_mul(self.B0, self.A)
+              + nk.mat_mul(self.C, self.D))
+        return (r1,)
+
+
 @dataclass
-class CaloronDataM0:
-    """m = 0 flavor: monodromy A (invertible), endomorphism B0, and the
-    rank-one jump data inside C, D; B1 = B0 - C1 D1 is derived."""
+class CaloronDataM0(M0Tuple):
+    """m = 0 flavor: the m = 0 core with endomorphism B0; B1 = B0 - C1 D1
+    is derived."""
 
     k: int
     A: np.ndarray
@@ -188,33 +221,9 @@ class CaloronDataM0:
     C: np.ndarray
     D: np.ndarray
 
-    def __post_init__(self):
-        k = self.k
-        _check_shapes(self, {"A": (k, k), "B0": (k, k), "C": (k, 2),
-                             "D": (2, k)})
-
-    m = 0
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.A)
-
-    @property
-    def C1(self):
-        return self.C[:, 0:1]
-
-    @property
-    def C2(self):
-        return self.C[:, 1:2]
-
     @property
     def B1(self) -> np.ndarray:
         return self.B0 - nk.mat_mul(self.C1, self.D[0:1, :])
-
-    def relation_residuals(self):
-        r1 = (nk.mat_mul(self.A, self.B0) - nk.mat_mul(self.B0, self.A)
-              + nk.mat_mul(self.C, self.D))
-        return (r1,)
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +334,20 @@ def small_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
     cols2 = [BlockSpec("S", o_pp(-1, 1), k), BlockSpec("T", o_pp(0, 0), k),
              BlockSpec("W", o_pp(0, 0), 2)]
     cols3 = [BlockSpec("Q", o_pp(0, 1), k)]
-    alpha = PolyMatrix((2 * k + 2, k), exact=exact)
-    beta = PolyMatrix((k, 2 * k + 2), exact=exact)
+    (u,), (s, t, w), (q,) = (block_offsets(c) for c in (cols1, cols2, cols3))
+    alpha = PolyMatrix((w[1], u[1]), exact=exact)
+    beta = PolyMatrix((q[1], w[1]), exact=exact)
     eye = nk.eye_like_backend(k, exact)
-    alpha.add_monomial(0, 0, (0, k), (0, k), data.A)
-    alpha.add_monomial(1, 0, (0, k), (0, k), -eye)
-    alpha.add_monomial(0, 0, (k, 2 * k), (0, k), B)
-    alpha.add_monomial(0, 1, (k, 2 * k), (0, k), -eye)
-    alpha.add_monomial(0, 0, (2 * k, 2 * k + 2), (0, k), data.D)
-    beta.add_monomial(0, 0, (0, k), (0, k), -B)
-    beta.add_monomial(0, 1, (0, k), (0, k), eye)
-    beta.add_monomial(0, 0, (0, k), (k, 2 * k), data.A)
-    beta.add_monomial(1, 0, (0, k), (k, 2 * k), -eye)
-    beta.add_monomial(0, 0, (0, k), (2 * k, 2 * k + 2), data.C)
+    alpha.add_monomial(0, 0, s, u, data.A)
+    alpha.add_monomial(1, 0, s, u, -eye)
+    alpha.add_monomial(0, 0, t, u, B)
+    alpha.add_monomial(0, 1, t, u, -eye)
+    alpha.add_monomial(0, 0, w, u, data.D)
+    beta.add_monomial(0, 0, q, s, -B)
+    beta.add_monomial(0, 1, q, s, eye)
+    beta.add_monomial(0, 0, q, t, data.A)
+    beta.add_monomial(1, 0, q, t, -eye)
+    beta.add_monomial(0, 0, q, w, data.C)
     return ParamMonad("xi_eta", (cols1, cols2, cols3), alpha, beta, exact)
 
 
@@ -357,57 +367,54 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
              BlockSpec("S0", o_pp(-1, 1), k),
              BlockSpec("S1", o_pp(-1, 0), k + m)]
     cols3 = [BlockSpec("T0", o_pp(0, 1), k), BlockSpec("T1", o_pp(0, 0), k + m)]
-    n1, n2, n3 = 2 * k + m, 4 * k + 2 * m + 2, 2 * k + m
-    alpha = PolyMatrix((n2, n1), exact=exact)
-    beta = PolyMatrix((n3, n2), exact=exact)
+    (up, um), (vp, vm, s0, s1), (t0, t1) = (
+        block_offsets(c) for c in (cols1, cols2, cols3))
+    alpha = PolyMatrix((s1[1], um[1]), exact=exact)
+    beta = PolyMatrix((t1[1], s1[1]), exact=exact)
     eyek = nk.eye_like_backend(k, exact)
     eyem = nk.eye_like_backend(m, exact)
     eyekm = nk.eye_like_backend(k + m, exact)
     em = _e_minus_col(m, exact)
     ep = _e_plus_row(m, exact)
+    # the (k | m) parts of Um and T1, and the (k | m | 1) rows of Vm
+    um_k, um_m = (um[0], um[0] + k), (um[0] + k, um[1])
+    t1_k, t1_m = (t1[0], t1[0] + k), (t1[0] + k, t1[1])
+    vm_k, vm_m = (vm[0], vm[0] + k), (vm[0] + k, vm[1] - 1)
+    vm_1 = (vm[1] - 1, vm[1])
 
-    # offsets: col1 Up [0,k), Um [k, 2k+m)
-    # col2 Vp [0, k+1), Vm [k+1, 2k+m+2), S0 [2k+m+2, 3k+m+2), S1 [3k+m+2, ..)
-    oVp, oVm = 0, k + 1
-    oS0, oS1 = 2 * k + m + 2, 3 * k + m + 2
     # plus-side resolution column
-    alpha.add_monomial(0, 0, (oVp, oVp + k), (0, k), -data.B)
-    alpha.add_monomial(0, 1, (oVp, oVp + k), (0, k), eyek)
-    alpha.add_monomial(0, 0, (oVp + k, oVp + k + 1), (0, k), -data.D2row)
+    alpha.add_monomial(0, 0, (vp[0], vp[0] + k), up, -data.B)
+    alpha.add_monomial(0, 1, (vp[0], vp[0] + k), up, eyek)
+    alpha.add_monomial(0, 0, (vp[0] + k, vp[1]), up, -data.D2row)
     # W- on (Vm, Um): rows (k | m | 1), cols (k | m)
-    alpha.add_monomial(0, 0, (oVm, oVm + k), (k, 2 * k), -data.B)
-    alpha.add_monomial(0, 1, (oVm, oVm + k), (k, 2 * k), eyek)
-    alpha.add_monomial(0, 0, (oVm + k, oVm + k + m), (k, 2 * k),
-                       -nk.mat_mul(em, data.Bprime))
-    alpha.add_monomial(0, 0, (oVm + k, oVm + k + m), (2 * k, 2 * k + m),
-                       -data.shift)
-    alpha.add_monomial(0, 1, (oVm + k, oVm + k + m), (2 * k, 2 * k + m), eyem)
-    alpha.add_monomial(0, 0, (oVm + k + m, oVm + k + m + 1),
-                       (2 * k, 2 * k + m), -ep)
+    alpha.add_monomial(0, 0, vm_k, um_k, -data.B)
+    alpha.add_monomial(0, 1, vm_k, um_k, eyek)
+    alpha.add_monomial(0, 0, vm_m, um_k, -nk.mat_mul(em, data.Bprime))
+    alpha.add_monomial(0, 0, vm_m, um_m, -data.shift)
+    alpha.add_monomial(0, 1, vm_m, um_m, eyem)
+    alpha.add_monomial(0, 0, vm_1, um_m, -ep)
     # S0 row: xi * I from Up, [I | 0] from Um
-    alpha.add_monomial(1, 0, (oS0, oS0 + k), (0, k), eyek)
-    alpha.add_monomial(0, 0, (oS0, oS0 + k), (k, 2 * k), eyek)
+    alpha.add_monomial(1, 0, s0, up, eyek)
+    alpha.add_monomial(0, 0, s0, um_k, eyek)
     # S1 row: (A; A') from Up, I from Um
-    alpha.add_monomial(0, 0, (oS1, oS1 + k), (0, k), data.A)
-    alpha.add_monomial(0, 0, (oS1 + k, oS1 + k + m), (0, k), data.Aprime)
-    alpha.add_monomial(0, 0, (oS1, oS1 + k + m), (k, 2 * k + m), eyekm)
+    alpha.add_monomial(0, 0, (s1[0], s1[0] + k), up, data.A)
+    alpha.add_monomial(0, 0, (s1[0] + k, s1[1]), up, data.Aprime)
+    alpha.add_monomial(0, 0, s1, um, eyekm)
 
-    # beta rows: T0 [0,k), T1 [k, 2k+m)
-    beta.add_monomial(1, 0, (0, k), (oVp, oVp + k), eyek)          # (xi, 0) row
-    beta.add_monomial(0, 0, (0, k), (oVm, oVm + k), eyek)          # (1, 0, 0) row
-    beta.add_monomial(0, 0, (0, k), (oS0, oS0 + k), data.B)        # B - eta
-    beta.add_monomial(0, 1, (0, k), (oS0, oS0 + k), -eyek)
-    beta.add_monomial(0, 0, (k, 2 * k + m), (oVp, oVp + k + 1),
-                      _mixed_pencil_left(data))
+    # beta rows: T0, T1
+    beta.add_monomial(1, 0, t0, (vp[0], vp[0] + k), eyek)   # (xi, 0) row
+    beta.add_monomial(0, 0, t0, vm_k, eyek)                 # (1, 0, 0) row
+    beta.add_monomial(0, 0, t0, s0, data.B)                 # B - eta
+    beta.add_monomial(0, 1, t0, s0, -eyek)
+    beta.add_monomial(0, 0, t1, vp, _mixed_pencil_left(data))
     # (I, 0, -C1; 0, I, -C1') block
-    beta.add_monomial(0, 0, (k, 2 * k), (oVm, oVm + k), eyek)
-    beta.add_monomial(0, 0, (k, 2 * k), (oVm + k + m, oVm + k + m + 1), -data.C1)
-    beta.add_monomial(0, 0, (2 * k, 2 * k + m), (oVm + k, oVm + k + m), eyem)
-    beta.add_monomial(0, 0, (2 * k, 2 * k + m), (oVm + k + m, oVm + k + m + 1),
-                      -data.Cprime[:, 0:1])
+    beta.add_monomial(0, 0, t1_k, vm_k, eyek)
+    beta.add_monomial(0, 0, t1_k, vm_1, -data.C1)
+    beta.add_monomial(0, 0, t1_m, vm_m, eyem)
+    beta.add_monomial(0, 0, t1_m, vm_1, -data.Cprime[:, 0:1])
     # shifted-block pencil: left normal form minus eta
-    beta.add_monomial(0, 0, (k, 2 * k + m), (oS1, oS1 + k + m), data.normal_form)
-    beta.add_monomial(0, 1, (k, 2 * k + m), (oS1, oS1 + k + m), -eyekm)
+    beta.add_monomial(0, 0, t1, s1, data.normal_form)
+    beta.add_monomial(0, 1, t1, s1, -eyekm)
     return ParamMonad("xi_eta", (cols1, cols2, cols3), alpha, beta, exact)
 
 
@@ -422,8 +429,11 @@ def to_nahm_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     m > 0: constant endomorphism B on the small interval, left-normal form M
     at the lambda_minus end of the large one, parallel transport monodromy
     across it (identity on the small interval).  m = 0: the two constant
-    endomorphisms B0, B1 with the rank-one jump C1 D1 at both marked points
-    and the holonomy A as the sole connection invariant.
+    endomorphisms B0, B1, the holonomy A as the sole connection invariant,
+    and the tuple's two fundamental pairs as they are: I_minus, J_minus =
+    C1, D1 factor the jump B0 - B1, and I_plus, J_plus = C2, D2 factor
+    -[A, B0] - C1 D1.  D2 is the one datum the endomorphisms do not
+    determine when C2 = 0, and from_nahm_complex reads it from J_plus.
     """
     report = validated if validated is not None else validate(data, ctx)
     if not report.passed:
@@ -433,7 +443,7 @@ def to_nahm_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
                                 exact=data.exact)
     return BowComplexCircle(data.k, 0, data.B0, data.B1, data.A,
                             I_minus=data.C1, J_minus=data.D[0:1, :],
-                            I_plus=data.C1, J_plus=data.D[0:1, :],
+                            I_plus=data.C2, J_plus=data.D[1:2, :],
                             exact=data.exact)
 
 
@@ -444,53 +454,39 @@ def from_nahm_complex(nc: BowComplexCircle, tol: float = 1e-9):
         B = nc.beta_small
         return CaloronData(k, m, B=B, **_read_normal_form(
             k, m, nc.beta_large, nc.monodromy, B, B, tol))
-    B0 = nc.beta_small
-    B1 = nc.beta_large
-    A = nc.monodromy
-    jump = nk.to_float(B0) - nk.to_float(B1)
-    C1f = nk.to_float(nc.I_minus) if nc.I_minus is not None else None
-    D1f = nk.to_float(nc.J_minus) if nc.J_minus is not None else None
-    if C1f is None or D1f is None:
+    B0, A = nc.beta_small, nc.monodromy
+    if any(f is None for f in (nc.I_minus, nc.J_minus, nc.I_plus, nc.J_plus)):
         raise NotInNormalForm("m = 0 complex must carry jump factors")
-    if np.max(np.abs(jump - C1f @ D1f)) > tol * max(1.0, np.max(np.abs(jump))):
+    jump = nk.to_float(B0) - nk.to_float(nc.beta_large)
+    if np.max(np.abs(jump - nk.to_float(nc.I_minus) @ nk.to_float(nc.J_minus))) \
+            > tol * max(1.0, np.max(np.abs(jump))):
         raise NotInNormalForm("stored jump factors do not match B0 - B1")
-    exact = nk.is_exact(B0)
-    R = -(nk.mat_mul(A, B0) - nk.mat_mul(B0, A)) - nk.mat_mul(
-        nc.I_minus, nc.J_minus)
-    C2, D2 = _rank_one_factor(R, tol)
-    C = nk.zeros_like_backend(k, 2, exact)
-    D = nk.zeros_like_backend(2, k, exact)
-    C[:, 0:1] = nc.I_minus
-    C[:, 1:2] = C2 if exact else np.asarray(C2)
-    D[0:1, :] = nc.J_minus
-    D[1:2, :] = D2 if exact else np.asarray(D2)
+    C, D = _read_back_m0(A, B0, nc.I_minus, nc.J_minus, nc.J_plus, tol)
     return CaloronDataM0(k, A, B0, C, D)
 
 
-def _rank_one_factor(R, tol: float):
-    exact = nk.is_exact(R)
-    Rf = nk.to_float(R)
-    k = Rf.shape[0]
-    if np.max(np.abs(Rf)) <= tol:
-        z_col = nk.zeros_like_backend(k, 1, exact)
-        z_row = nk.zeros_like_backend(1, k, exact)
-        if not exact:
-            z_col = np.zeros((k, 1), complex)
-            z_row = np.zeros((1, k), complex)
-        return z_col, z_row
-    if exact:
-        # pick the first nonzero column as C2, solve the row factor exactly
-        for j in range(k):
-            col = R[:, j:j + 1]
-            if not nk.is_zero_matrix(col):
-                row = nk.exact_solve(col, R)
-                if row is None:
-                    raise NotInNormalForm("residual block has rank > 1")
-                return col, row
-    U, s, Vh = np.linalg.svd(Rf)
-    if len(s) > 1 and s[1] > 1e-8 * s[0]:
-        raise NotInNormalForm("residual block has rank > 1")
-    return U[:, :1] * s[0], Vh[:1, :]
+def _read_back_m0(A, B0, C1, D1, D2_stored, tol: float):
+    """C and D of an m = 0 tuple from the holonomy A, the head block B0 and
+    the first fundamental pair (C1, D1): C2 D2 = -[A, B0] - C1 D1, factored
+    by rank_one_factor.  When that product vanishes, C2 = 0 and D2 is the
+    stored row (which the pair normalization leaves unscaled when C2 = 0);
+    when that row is zero too, C2 is the first unit column and D2 = 0."""
+    k, exact = A.shape[0], nk.is_exact(A)
+    R = -(nk.mat_mul(A, B0) - nk.mat_mul(B0, A)) - nk.mat_mul(C1, D1)
+    pair = rank_one_factor(R, tol)
+    C2 = nk.zeros_like_backend(k, 1, exact)
+    if pair is not None:
+        C2, D2 = pair
+    elif not nk.is_zero_matrix(D2_stored, 1e-12):
+        D2 = D2_stored
+    else:
+        C2[0, 0] = nk.GQ_ONE if exact else 1.0
+        D2 = nk.zeros_like_backend(1, k, exact)
+    C = nk.zeros_like_backend(k, 2, exact)
+    D = nk.zeros_like_backend(2, k, exact)
+    C[:, 0:1], C[:, 1:2] = C1, C2
+    D[0:1, :], D[1:2, :] = D1, D2
+    return C, D
 
 
 def _read_normal_form(k: int, m: int, M, N, tail, head, tol: float) -> dict:

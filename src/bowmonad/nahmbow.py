@@ -15,6 +15,11 @@ Conventions (fixed once, enforced by tests):
   right lambda point; the middle transport conjugates the left-end form to
   it.  Rank-one jump data at the lambda points is stored with the
   convention  (outer beta) - (middle beta) = I . J  at both points.
+* One normalization of stored (I, J) pairs (`_normalize_pair`, also the
+  output of `rank_one_factor`): the first nonzero entry of I is 1, and a
+  pair with I = 0 is stored unscaled, so J is then the row itself.  A zero
+  jump in `complex_shadow` keeps the solution's unitary pair (-I-, J-) or
+  (I+, J+) instead.
 """
 
 from __future__ import annotations
@@ -660,7 +665,9 @@ class BowComplexTN:
 class BowComplexCircle:
     """Holomorphic Nahm complex on the circle (no edge): constant outer
     endomorphism, middle normal form and monodromy; m = 0 keeps the two
-    endomorphisms and the rank-one jump factors instead."""
+    endomorphisms and the tuple's fundamental pairs instead, unnormalized:
+    I_minus, J_minus = C1, D1 (B0 - B1 = C1 D1) and I_plus, J_plus =
+    C2, D2 (-[A, B0] - C1 D1 = C2 D2)."""
 
     k: int
     m: int
@@ -687,6 +694,48 @@ def _inv(M):
     return np.linalg.inv(M)
 
 
+def _normalize_pair(I, J):
+    """(I / c, c J) with c the first entry of I above 1e-12 max(1, |I|);
+    the pair as it is when I has no such entry."""
+    If = nk.to_float(I)
+    nz = np.flatnonzero(np.abs(If.ravel()) > 1e-12 * max(1.0, np.max(np.abs(If))
+                                                         if If.size else 1.0))
+    if not len(nz):
+        return I, J
+    if nk.is_exact(I):
+        c = I[nz[0], 0]
+        return I * (nk.GQ_ONE / c), J * c
+    c = If.ravel()[nz[0]]
+    return I / c, J * c
+
+
+def rank_one_factor(R, tol: float):
+    """Column and row with R = column . row and the first nonzero entry of
+    the column equal to 1, or None when every entry of R is within tol of
+    zero (on the exact backend: when R is zero).  Raises NotInNormalForm
+    when R has rank > 1.
+
+    Exact R: one pivot, the first nonzero entry in row order, and an exact
+    check of the product.  Float R: one SVD, refused when s2 > 1e-8 s1.
+    """
+    if nk.is_exact(R):
+        pivot = next(((i, j) for i, j in np.ndindex(R.shape) if R[i, j]), None)
+        if pivot is None:
+            return None
+        i, j = pivot
+        col, row = R[:, j:j + 1] * (nk.GQ_ONE / R[i, j]), R[i:i + 1, :]
+        if not nk.is_zero_matrix(nk.mat_mul(col, row) - R):
+            raise NotInNormalForm("jump has rank > 1")
+        return col, row
+    R = np.asarray(R, dtype=complex)
+    if np.max(np.abs(R)) <= tol:
+        return None
+    U, s, Vh = np.linalg.svd(R)
+    if len(s) > 1 and s[1] > 1e-8 * s[0]:
+        raise NotInNormalForm(f"jump has rank > 1 (s2/s1 = {s[1] / s[0]:.1e})")
+    return _normalize_pair(U[:, :1], s[0] * Vh[:1, :])
+
+
 def complex_shadow(sol: NahmSolution, transport_steps: int = 800) -> BowComplexTN:
     """Holomorphic (zeta = 0) reduction of a bow solution, gauge-normalized:
     outer transports are absorbed into the edge maps, the middle is put into
@@ -708,13 +757,16 @@ def complex_shadow(sol: NahmSolution, transport_steps: int = 800) -> BowComplexT
     out = BowComplexTN(k, m, B0, B1, Bth_n, Bht_n, beta_mid_plus, monodromy)
     if m == 0:
         # jumps in the normalized frames; products carry the invariants
-        beta_minus = out.beta_mid_minus
-        jm = B0 - beta_minus
-        jp = B1 - beta_mid_plus
-        out.I_minus, out.J_minus = _rank_one_split(jm, sol.I_minus, sol.J_minus,
-                                                   sign=-1)
-        out.I_plus, out.J_plus = _rank_one_split(jp, sol.I_plus, sol.J_plus,
-                                                 sign=+1)
+        for side, jump, sign in (("minus", B0 - out.beta_mid_minus, -1),
+                                 ("plus", B1 - beta_mid_plus, +1)):
+            pair = rank_one_factor(jump, 1e-12)
+            if pair is None:        # keep the unitary pair, zero if missing
+                I, J = getattr(sol, "I_" + side), getattr(sol, "J_" + side)
+                pair = (np.zeros((k, 1), complex), np.zeros((1, k), complex)) \
+                    if I is None or J is None else \
+                    (sign * np.asarray(I, complex), np.asarray(J, complex))
+            setattr(out, "I_" + side, pair[0])
+            setattr(out, "J_" + side, pair[1])
     return out
 
 
@@ -729,27 +781,6 @@ def _normal_frame(emb: np.ndarray) -> np.ndarray:
         if abs(overlap) > 1e-12:
             U[:, j] *= overlap / abs(overlap)
     return U
-
-
-def _rank_one_split(jump: np.ndarray, I_u, J_u, sign: int):
-    """Column-row factorization of a rank <= 1 jump; reuses the unitary-side
-    factors when they match, normalizing the first nonzero entry of I to 1
-    when possible."""
-    if np.max(np.abs(jump)) < 1e-12:
-        if I_u is not None and J_u is not None:
-            return sign * np.asarray(I_u, complex), np.asarray(J_u, complex)
-        k = jump.shape[0]
-        return np.zeros((k, 1), complex), np.zeros((1, k), complex)
-    U, s, Vh = np.linalg.svd(jump)
-    if len(s) > 1 and s[1] > 1e-8 * s[0]:
-        raise NotInNormalForm("lambda-point jump has rank > 1")
-    I = U[:, :1] * s[0]
-    J = Vh[:1, :]
-    nz = np.flatnonzero(np.abs(I.ravel()) > 1e-12 * s[0])
-    if len(nz):
-        c = I.ravel()[nz[0]]
-        I, J = I / c, J * c
-    return I, J
 
 
 # ---------------------------------------------------------------------------

@@ -15,14 +15,15 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numkit as nk
-from .caloron import (MposTuple, NoValidDraw, _add_obstruction_check,
-                      _check_shapes, _e_minus_col, _e_plus_row,
-                      _mixed_pencil_left, _pack, _rank_one_factor,
-                      _read_normal_form, _solve_cprime)
+from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_obstruction_check,
+                      _e_minus_col, _e_plus_row, _mixed_pencil_left, _pack,
+                      _read_back_m0, _read_normal_form, _solve_cprime)
 from .caloron import right_normal_residual  # noqa: F401 - shared by both flavors
 from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
-from .nahmbow import BowComplexTN, BuildRefused, NotInNormalForm, _inv, _TW
-from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
+from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
+                      TransportSingular, _inv, _normalize_pair, _TW,
+                      rank_one_factor)
+from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 
 @dataclass
@@ -53,9 +54,9 @@ class TaubNutData(MposTuple):
 
 
 @dataclass
-class TaubNutDataM0:
-    """m = 0 flavor: the rank-one jump of the commutator relation must be
-    realized through the edge, B_th B_ht = B0 - C1 D1."""
+class TaubNutDataM0(M0Tuple):
+    """m = 0 flavor: the m = 0 core whose rank-one jump is realized through
+    the edge, B_th B_ht = B0 - C1 D1."""
 
     k: int
     A: np.ndarray
@@ -63,17 +64,6 @@ class TaubNutDataM0:
     Bth: np.ndarray
     C: np.ndarray
     D: np.ndarray
-
-    m = 0
-
-    def __post_init__(self):
-        k = self.k
-        _check_shapes(self, {"A": (k, k), "Bht": (k, k), "Bth": (k, k),
-                             "C": (k, 2), "D": (2, k)})
-
-    @property
-    def exact(self):
-        return is_exact(self.A)
 
     @property
     def B0(self):
@@ -83,19 +73,18 @@ class TaubNutDataM0:
     def B1(self):
         return nk.mat_mul(self.Bth, self.Bht)
 
-    @property
-    def C1(self):
-        return self.C[:, 0:1]
-
-    @property
-    def C2(self):
-        return self.C[:, 1:2]
-
     def relation_residuals(self):
-        r1 = (nk.mat_mul(self.A, self.B0) - nk.mat_mul(self.B0, self.A)
-              + nk.mat_mul(self.C, self.D))
         r_edge = self.B1 - (self.B0 - nk.mat_mul(self.C1, self.D[0:1, :]))
-        return r1, r_edge
+        return (*super().relation_residuals(), r_edge)
+
+    def middle_jump(self):
+        """(A^-1, B0 - C1 D1 A^-1, D1 (A^-1 - 1)) from one inverse of A: the
+        middle endomorphism at lambda_plus and the row of its tail jump
+        B1 - middle = C1 D1 (A^-1 - 1)."""
+        Ainv = _inv(self.A)
+        D1 = self.D[0:1, :]
+        D1_Ainv = nk.mat_mul(D1, Ainv)
+        return Ainv, self.B0 - nk.mat_mul(self.C1, D1_Ainv), D1_Ainv - D1
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +241,8 @@ def _big_monad_unchecked(data) -> ParamMonad:
     eyek = nk.eye_like_backend(k, exact)
     if m:
         Mmid = data.normal_form
-        d_w = None
     else:
-        Ainv = _inv(data.A)
-        D1 = data.D[0:1, :]
-        Mmid = B0 - nk.mat_mul(data.C1, nk.mat_mul(D1, Ainv))
-        d_w = nk.mat_mul(D1, Ainv) - D1
+        _, Mmid, d_w = data.middle_jump()
 
     cols1 = [BlockSpec("Um", _TW["mF"], k + m),
              BlockSpec("Wh", _TW["mFC0"], k),
@@ -441,13 +426,8 @@ def jumping_lines(data, ctx: ToleranceContext = DEFAULT_CTX):
     if not data.exact and res > 1e-8:
         raise AssertionError("char polys of B0 and B1 differ")
     spec_b0 = np.linalg.eigvals(nk.to_float(data.B0))
-    if data.m:
-        mid = nk.to_float(data.normal_form)
-    else:
-        Ainv = _inv(nk.to_float(data.A))
-        mid = nk.to_float(data.B0) - nk.to_float(data.C1) @ (
-            nk.to_float(data.D)[0:1, :] @ Ainv)
-    mid_roots = np.linalg.eigvals(mid)
+    mid = data.normal_form if data.m else data.middle_jump()[1]
+    mid_roots = np.linalg.eigvals(nk.to_float(mid))
     return sorted(spec_b0, key=lambda z: (z.real, z.imag)), \
         sorted(mid_roots, key=lambda z: (z.real, z.imag))
 
@@ -490,7 +470,8 @@ def to_bow_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     For m = 0 the middle endomorphism at the lambda_plus end is
     B0 - C1 D1 A^-1; the commutator relation makes both end jumps rank one:
     B1 - mid = C1 D1 (A^-1 - 1) at lambda_plus and
-    B0 - A^-1 mid A = -A^-1 C2 D2 at lambda_minus.
+    B0 - A^-1 mid A = -A^-1 C2 D2 at lambda_minus, stored as the normalized
+    pairs (C1, D1 (A^-1 - 1)) and (-A^-1 C2, D2).
     """
     report = validated if validated is not None else validate(data, ctx)
     if not report.passed:
@@ -498,31 +479,13 @@ def to_bow_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     if data.m:
         return BowComplexTN(data.k, data.m, data.B0, data.B1, data.Bth,
                             data.Bht, data.normal_form, data.monodromy, exact=data.exact)
-    Ainv = _inv(data.A)
-    D1 = data.D[0:1, :]
-    D2 = data.D[1:2, :]
-    mid = data.B0 - nk.mat_mul(data.C1, nk.mat_mul(D1, Ainv))
-    I_plus, J_plus = _normalize_pair(
-        data.C1, nk.mat_mul(D1, Ainv) - D1, data.exact)
-    I_minus, J_minus = _normalize_pair(
-        -nk.mat_mul(Ainv, data.C2), D2, data.exact)
+    Ainv, mid, jump_row = data.middle_jump()
+    I_plus, J_plus = _normalize_pair(data.C1, jump_row)
+    I_minus, J_minus = _normalize_pair(-nk.mat_mul(Ainv, data.C2),
+                                       data.D[1:2, :])
     return BowComplexTN(data.k, 0, data.B0, data.B1, data.Bth, data.Bht,
                         mid, data.A, I_minus=I_minus, J_minus=J_minus,
                         I_plus=I_plus, J_plus=J_plus, exact=data.exact)
-
-
-def _normalize_pair(I, J, exact: bool):
-    """Scale the (column, row) pair so the first nonzero entry of I is 1."""
-    If = nk.to_float(I)
-    nz = np.flatnonzero(np.abs(If.ravel()) > 1e-12 * max(1.0, np.max(np.abs(If))
-                                                         if If.size else 1.0))
-    if not len(nz):
-        return I, J
-    if exact:
-        c = I[nz[0], 0]
-        return I * (nk.GQ_ONE / c), J * c
-    c = If.ravel()[nz[0]]
-    return I / c, J * c
 
 
 def from_bow_complex(bc: BowComplexTN, tol: float = 1e-9):
@@ -538,16 +501,11 @@ def from_bow_complex(bc: BowComplexTN, tol: float = 1e-9):
 
 
 def _from_bow_m0(bc: BowComplexTN, tol: float):
-    k = bc.k
-    exact = bc.exact
-    A = bc.monodromy
-    Ainv = _inv(A)
-    B0, B1 = bc.B0, bc.B1
     # verify the stored factors against the intrinsic end jumps
     for name, jump, I, J in (
-            ("head", nk.to_float(B0) - nk.to_float(bc.beta_mid_minus),
+            ("head", nk.to_float(bc.B0) - nk.to_float(bc.beta_mid_minus),
              bc.I_minus, bc.J_minus),
-            ("tail", nk.to_float(B1) - nk.to_float(bc.beta_mid_plus),
+            ("tail", nk.to_float(bc.B1) - nk.to_float(bc.beta_mid_plus),
              bc.I_plus, bc.J_plus)):
         if I is None or J is None:
             raise NotInNormalForm("m = 0 complex must carry jump factors")
@@ -555,55 +513,27 @@ def _from_bow_m0(bc: BowComplexTN, tol: float):
         if np.max(np.abs(jump - prod)) > tol * max(1.0, np.max(np.abs(prod)),
                                                    np.max(np.abs(jump))):
             raise NotInNormalForm(f"{name} jump does not match its factors")
-    # C1 D1 = B0 - B1, C2 D2 = -[A, B0] - C1 D1
-    jp = B0 - B1
-    C1, D1 = _factor_or_default(jp, tol, exact)
-    R = -(nk.mat_mul(A, B0) - nk.mat_mul(B0, A)) - nk.mat_mul(C1, D1)
-    C2, D2 = _factor_or_default(R, tol, exact)
-    if nk.mat_norm(nk.mat_mul(C1, D1)) <= tol and nk.mat_norm(D1) == 0.0:
-        # degenerate jump: any nonzero row keeps the data non-degenerate;
-        # recover the direction from the stored tail factor when possible
-        D1 = _recover_d1(bc, Ainv, exact)
-    if nk.mat_norm(nk.mat_mul(C2, D2)) <= tol and nk.mat_norm(C2) == 0.0:
-        if np.max(np.abs(nk.to_float(bc.J_minus))) > 1e-12:
-            # C2 = 0: I_minus = -A^-1 C2 vanishes, so the stored head factor
-            # was not rescaled and is D2 itself
-            D2 = bc.J_minus
-        else:
-            C2 = nk.zeros_like_backend(k, 1, exact)
-            C2[0, 0] = nk.GQ_ONE if exact else 1.0
-            D2 = nk.zeros_like_backend(1, k, exact)
-    C = nk.zeros_like_backend(k, 2, exact)
-    D = nk.zeros_like_backend(2, k, exact)
-    C[:, 0:1] = C1
-    C[:, 1:2] = C2
-    D[0:1, :] = D1
-    D[1:2, :] = D2
-    return TaubNutDataM0(k, A, bc.Bht, bc.Bth, C, D)
+    # C1 D1 = B0 - B1; C2 D2 = -[A, B0] - C1 D1 with D2 from the head factor
+    # when C2 = 0, which leaves that factor unscaled
+    pair = rank_one_factor(bc.B0 - bc.B1, tol)
+    C1, D1 = pair if pair is not None else (
+        nk.zeros_like_backend(bc.k, 1, bc.exact), _recover_d1(bc))
+    C, D = _read_back_m0(bc.monodromy, bc.B0, C1, D1, bc.J_minus, tol)
+    return TaubNutDataM0(bc.k, bc.monodromy, bc.Bht, bc.Bth, C, D)
 
 
-def _factor_or_default(R, tol, exact):
-    C, D = _rank_one_factor(R, tol)
-    if exact and not nk.is_exact(C):
-        Cf, Df = nk.to_float(C), nk.to_float(D)
-        C = nk.exact_matrix([[nk.rationalize(z) or nk.GQ(0)] for z in Cf.ravel()])
-        D = nk.exact_matrix([[nk.rationalize(z) or nk.GQ(0) for z in Df.ravel()]])
-    return C, D
-
-
-def _recover_d1(bc, Ainv, exact):
+def _recover_d1(bc):
     """Direction of D1 when C1 D1 = 0: from J_plus = D1 (A^-1 - 1) when that
-    pencil inverts, otherwise a fixed unit row."""
-    k = bc.k
-    Jp = nk.to_float(bc.J_plus)
-    M = nk.to_float(Ainv) - np.eye(k)
-    if np.max(np.abs(Jp)) > 1e-12 and np.linalg.cond(M) < 1e10:
-        out = Jp @ np.linalg.inv(M)
-    else:
-        out = np.eye(1, k, dtype=complex)
-    if exact:
-        return nk.exact_matrix([[nk.rationalize(z) or nk.GQ(0)
-                                 for z in out.ravel()]])
+    pencil inverts, otherwise the first unit row."""
+    k, exact = bc.k, bc.exact
+    if not nk.is_zero_matrix(bc.J_plus, 1e-12):
+        try:
+            return nk.mat_mul(bc.J_plus, _inv(
+                _inv(bc.monodromy) - nk.eye_like_backend(k, exact)))
+        except TransportSingular:
+            pass
+    out = nk.zeros_like_backend(1, k, exact)
+    out[0, 0] = nk.GQ_ONE if exact else 1.0
     return out
 
 

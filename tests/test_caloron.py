@@ -155,6 +155,18 @@ def test_round_trip_m0():
                              np.poly(nk.to_float(getattr(data, name))))) < 1e-9
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_round_trip_m0_keeps_d2_when_c2_vanishes(exact):
+    """k = 1, seed 0 has C = (1, 0) and D = (0; -2): C D = 0, and D2 lives
+    only in the stored factor J_plus.  Without it the read-back has D = 0,
+    and A, B0 and D share the eigenvector (5, -2, (1))."""
+    data = cal.generate_caloron(1, 0, seed=0, exact=exact)
+    assert nk.is_zero_matrix(data.C2) and not nk.is_zero_matrix(data.D[1:2])
+    back = cal.from_nahm_complex(cal.to_nahm_complex(data))
+    assert (back.C == data.C).all() and (back.D == data.D).all()
+    assert cal.validate(back).passed
+
+
 def test_degenerate_m0_complex_refused_upstream():
     # equal endomorphisms with C = 0 fail gencon2 before any complex is built
     data = cal.CaloronDataM0(1, mk([[1]]), mk([[0]]), mk([[0, 0]]),

@@ -272,14 +272,16 @@ def test_dirac_refinement_rejects_grid_not_divisible_by_4(tmp_path, capsys):
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf", "1", "2"])
 @pytest.mark.parametrize("command, extra", [
     ("validate", []), ("fiber", ["--points", "2"]),
-    ("dirac", ["--points", "1", "--grid", "32"])])
+    ("dirac", ["--points", "1", "--grid", "32"]), ("spectral", []),
+    ("nahm-flow", []), ("generate", ["--kind", "caloron"])])
 def test_tol_outside_unit_interval_exit_2(command, extra, tol, tmp_path,
                                           capsys):
     """--tol is a relative rank tolerance: zero, a negative or non-finite
     value, or one of 1 or more is malformed input, not a silent default, a
-    failed check on valid data or an infinite gap."""
+    failed check on valid data or an infinite gap.  Every command refuses
+    it, also those that make no rank decision."""
     data = DATA / "taubnut_k1m1.json"
-    if command == "dirac":
+    if command in ("dirac", "spectral", "nahm-flow"):
         data = tmp_path / "sol.json"
         run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
                 "--out", str(data))

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bowmonad import monadcore as mc, nahmbow as nb, numkit as nk, taubnut as tn
+from bowmonad.nahmbow import NotInNormalForm
 
 
 def comm(X, Y):
@@ -348,6 +351,66 @@ def test_shadow_consistency():
         assert bc.covariance_residual() < 1e-10
         assert bc.edge_residual() < 1e-10
         assert tn.validate(data).passed
+
+
+# the one rank-one jump factorization: a column whose leading `lead` entries
+# vanish, times a row
+
+
+def rank_one(rng, lead):
+    u = rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1))
+    u[:lead] = 0
+    return u @ (rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3)))
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2])
+def test_rank_one_factor_float(lead):
+    """The SVD path: the product comes back to rounding, and the first
+    entry of the column above rounding is 1."""
+    R = rank_one(np.random.default_rng(lead), lead)
+    col, row = nb.rank_one_factor(R, 1e-12)
+    assert col.shape == (3, 1) and row.shape == (1, 3)
+    assert np.max(np.abs(col @ row - R)) < 1e-14 * np.max(np.abs(R))
+    assert np.all(np.abs(col[:lead]) < 1e-12)
+    assert abs(col[lead, 0] - 1) < 1e-15
+
+
+@pytest.mark.parametrize("lead", [0, 1, 2])
+def test_rank_one_factor_exact(lead):
+    """The pivot path on Gaussian rationals: the product is R exactly, and
+    the column is zero above its first nonzero entry, which is 1."""
+    rng = np.random.default_rng(10 + lead)
+    u = [[nk.GQ(Fraction(int(a), 3), int(b))] for a, b in
+         rng.integers(1, 5, size=(3, 2))]
+    for i in range(lead):
+        u[i][0] = nk.GQ(0)
+    v = [[nk.GQ(int(a), Fraction(int(b), 2)) for a, b in
+          rng.integers(1, 5, size=(3, 2))]]
+    R = nk.mat_mul(nk.exact_matrix(u), nk.exact_matrix(v))
+    col, row = nb.rank_one_factor(R, 1e-12)
+    assert (nk.mat_mul(col, row) == R).all()
+    assert not any(col[:lead, 0]) and col[lead, 0] == 1
+
+
+def test_rank_one_factor_refuses_rank_two():
+    rng = np.random.default_rng(3)
+    R = rank_one(rng, 0) + rank_one(rng, 0)
+    with pytest.raises(NotInNormalForm, match="rank > 1"):
+        nb.rank_one_factor(R, 1e-12)
+    Rx = nk.exact_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    with pytest.raises(NotInNormalForm, match="rank > 1"):
+        nb.rank_one_factor(Rx, 1e-12)
+
+
+def test_rank_one_factor_of_zero_is_none():
+    """None on a zero R, and on floats within tol of zero; on the exact
+    backend only the zero matrix is zero."""
+    assert nb.rank_one_factor(np.zeros((3, 3), complex), 1e-12) is None
+    assert nb.rank_one_factor(np.full((2, 2), 1e-13 + 0j), 1e-12) is None
+    assert nb.rank_one_factor(nk.exact_matrix([[0, 0], [0, 0]]), 1e-12) is None
+    tiny = nk.exact_matrix([[0, Fraction(1, 10**15)], [0, 0]])
+    col, row = nb.rank_one_factor(tiny, 1e-12)
+    assert (nk.mat_mul(col, row) == tiny).all()
 
 
 def test_transport_constant_matches_rk4():

@@ -109,6 +109,24 @@ def test_jumping_lines_worked_example():
     assert abs(np.prod(mid_roots) - 15) < 1e-8
 
 
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+def test_jumping_lines_m0_middle_roots(k, exact):
+    """For m = 0 the middle block is B0 - C1 D1 A^-1, the lambda_plus
+    endomorphism of the bow complex; its roots against that formula."""
+    for seed in range(3):
+        d = tn.generate_taubnut(k, 0, seed=seed, exact=exact)
+        A, Bht, Bth, C, D = (nk.to_float(getattr(d, f))
+                             for f in ("A", "Bht", "Bth", "C", "D"))
+        B0 = Bht @ Bth
+        spec_b0, mid_roots = tn.jumping_lines(d)
+        for got, mat in ((spec_b0, B0),
+                         (mid_roots, B0 - C[:, :1] @ D[:1] @ np.linalg.inv(A))):
+            want = np.linalg.eigvals(mat)
+            assert len(got) == k
+            assert all(np.min(np.abs(np.asarray(got) - w)) < 1e-9 for w in want)
+
+
 def test_identity_edge_spectrum():
     data = worked_example(Bht=mk([[1]]), Bth=mk([[1]]), Bprime=mk([[6]]),
                           C=mk([[1, -3]]))
@@ -336,3 +354,18 @@ def test_round_trip_m0_keeps_d2_when_c2_vanishes():
     back = tn.from_bow_complex(tn.to_bow_complex(d))
     drift = nk.to_float(back.D[1:2]) - nk.to_float(d.D[1:2])
     assert np.max(np.abs(drift)) < 1e-12
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_round_trip_k1m0_returns_c_and_d(exact):
+    """k = 1 forces C1 D1 = 0 = C2 D2, so neither factor can be read off the
+    endomorphisms: D1 comes back from the tail factor J_plus = D1 (A^-1 - 1)
+    and D2 from the head factor.  Exactly on the exact backend."""
+    for seed in range(12):
+        d = tn.generate_taubnut(1, 0, seed=seed, exact=exact)
+        back = tn.from_bow_complex(tn.to_bow_complex(d))
+        if exact:
+            assert (back.C == d.C).all() and (back.D == d.D).all()
+        else:
+            assert np.max(np.abs(back.C - d.C)) < 1e-15
+            assert np.max(np.abs(back.D - d.D)) < 1e-15
