@@ -15,11 +15,12 @@ which the test suite enforces rather than trusting the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from fractions import Fraction
 
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets, o_pp
+from .monadcore import BlockSpec, ParamMonad, o_pp
 from .nahmbow import (BowComplexCircle, BuildRefused, NotInNormalForm, _inv,
                       rank_one_factor)
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
@@ -257,10 +258,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
                        certificate=fails or None)
         except (nk.DegeneratePencil, nk.GapTooSmall) as e:
             report.add("mixed_pencil_surjective", False, np.inf, note=str(e))
-        Nf = nk.to_float(data.monodromy)
-        s = np.linalg.svd(Nf, compute_uv=False)
-        ok = s[-1] > ctx.rank_tol * max(s[0], 1.0)
-        report.add("transport_invertible", ok, float(s[-1] / max(s[0], 1e-300)))
+        _add_invertibility_check(report, "transport_invertible",
+                                 data.monodromy, ctx)
         # behavior at large |eta| is recorded, not asserted: the surjectivity
         # statement compactifies and only the affine part is decided here
         Yf = nk.to_float(Yp1)
@@ -273,10 +272,7 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
                    note="rel min sv at |eta| 1e2/1e3/1e4: "
                         + ", ".join(f"{v:.2e}" for v in trend))
     else:
-        Af = nk.to_float(data.A)
-        s = np.linalg.svd(Af, compute_uv=False)
-        ok = s[-1] > ctx.rank_tol * max(s[0], 1.0)
-        report.add("A_invertible", ok, float(s[-1] / max(s[0], 1e-300)))
+        _add_invertibility_check(report, "A_invertible", data.A, ctx)
     return report
 
 
@@ -291,6 +287,14 @@ def _add_obstruction_check(report, name, A, B, D, ctx):
         return
     report.add(name, len(obs) == 0, 0.0,
                certificate=[(o.xi, o.eta, o.vector) for o in obs] or None)
+
+
+def _add_invertibility_check(report, name, M, ctx):
+    """M is invertible when its smallest singular value exceeds rank_tol
+    times max(largest, 1); the residual is smallest / largest."""
+    s = np.linalg.svd(nk.to_float(M), compute_uv=False)
+    report.add(name, s[-1] > ctx.rank_tol * max(s[0], 1.0),
+               float(s[-1] / max(s[0], 1e-300)))
 
 
 def _t(M):
@@ -330,25 +334,24 @@ def small_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
     k = data.k
     exact = data.exact
     B = data.B0
-    cols1 = [BlockSpec("U", o_pp(-1, 0), k)]
-    cols2 = [BlockSpec("S", o_pp(-1, 1), k), BlockSpec("T", o_pp(0, 0), k),
-             BlockSpec("W", o_pp(0, 0), 2)]
-    cols3 = [BlockSpec("Q", o_pp(0, 1), k)]
-    (u,), (s, t, w), (q,) = (block_offsets(c) for c in (cols1, cols2, cols3))
-    alpha = PolyMatrix((w[1], u[1]), exact=exact)
-    beta = PolyMatrix((q[1], w[1]), exact=exact)
+    pm = ParamMonad("xi_eta", (
+        [BlockSpec("U", o_pp(-1, 0), k)],
+        [BlockSpec("S", o_pp(-1, 1), k), BlockSpec("T", o_pp(0, 0), k),
+         BlockSpec("W", o_pp(0, 0), 2)],
+        [BlockSpec("Q", o_pp(0, 1), k)]), exact=exact)
+    at = pm.start
     eye = nk.eye_like_backend(k, exact)
-    alpha.add_monomial(0, 0, s, u, data.A)
-    alpha.add_monomial(1, 0, s, u, -eye)
-    alpha.add_monomial(0, 0, t, u, B)
-    alpha.add_monomial(0, 1, t, u, -eye)
-    alpha.add_monomial(0, 0, w, u, data.D)
-    beta.add_monomial(0, 0, q, s, -B)
-    beta.add_monomial(0, 1, q, s, eye)
-    beta.add_monomial(0, 0, q, t, data.A)
-    beta.add_monomial(1, 0, q, t, -eye)
-    beta.add_monomial(0, 0, q, w, data.C)
-    return ParamMonad("xi_eta", (cols1, cols2, cols3), alpha, beta, exact)
+    pm.alpha.add_monomial(0, 0, at["S"], at["U"], data.A)
+    pm.alpha.add_monomial(1, 0, at["S"], at["U"], -eye)
+    pm.alpha.add_monomial(0, 0, at["T"], at["U"], B)
+    pm.alpha.add_monomial(0, 1, at["T"], at["U"], -eye)
+    pm.alpha.add_monomial(0, 0, at["W"], at["U"], data.D)
+    pm.beta.add_monomial(0, 0, at["Q"], at["S"], -B)
+    pm.beta.add_monomial(0, 1, at["Q"], at["S"], eye)
+    pm.beta.add_monomial(0, 0, at["Q"], at["T"], data.A)
+    pm.beta.add_monomial(1, 0, at["Q"], at["T"], -eye)
+    pm.beta.add_monomial(0, 0, at["Q"], at["W"], data.C)
+    return pm
 
 
 def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
@@ -361,61 +364,56 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
         raise BuildRefused("data fails validation:\n" + report.render())
     k, m = data.k, data.m
     exact = data.exact
-    cols1 = [BlockSpec("Up", o_pp(-1, 0), k), BlockSpec("Um", o_pp(-1, 0), k + m)]
-    cols2 = [BlockSpec("Vp", o_pp(0, 0), k + 1),
-             BlockSpec("Vm", o_pp(0, 0), k + m + 1),
-             BlockSpec("S0", o_pp(-1, 1), k),
-             BlockSpec("S1", o_pp(-1, 0), k + m)]
-    cols3 = [BlockSpec("T0", o_pp(0, 1), k), BlockSpec("T1", o_pp(0, 0), k + m)]
-    (up, um), (vp, vm, s0, s1), (t0, t1) = (
-        block_offsets(c) for c in (cols1, cols2, cols3))
-    alpha = PolyMatrix((s1[1], um[1]), exact=exact)
-    beta = PolyMatrix((t1[1], s1[1]), exact=exact)
+    pm = ParamMonad("xi_eta", (
+        [BlockSpec("Up", o_pp(-1, 0), k), BlockSpec("Um", o_pp(-1, 0), k + m)],
+        [BlockSpec("Vp", o_pp(0, 0), k + 1),
+         BlockSpec("Vm", o_pp(0, 0), k + m + 1),
+         BlockSpec("S0", o_pp(-1, 1), k),
+         BlockSpec("S1", o_pp(-1, 0), k + m)],
+        [BlockSpec("T0", o_pp(0, 1), k), BlockSpec("T1", o_pp(0, 0), k + m)]),
+        exact=exact)
+    at = pm.start
     eyek = nk.eye_like_backend(k, exact)
     eyem = nk.eye_like_backend(m, exact)
     eyekm = nk.eye_like_backend(k + m, exact)
     em = _e_minus_col(m, exact)
     ep = _e_plus_row(m, exact)
-    # the (k | m) parts of Um and T1, and the (k | m | 1) rows of Vm
-    um_k, um_m = (um[0], um[0] + k), (um[0] + k, um[1])
-    t1_k, t1_m = (t1[0], t1[0] + k), (t1[0] + k, t1[1])
-    vm_k, vm_m = (vm[0], vm[0] + k), (vm[0] + k, vm[1] - 1)
-    vm_1 = (vm[1] - 1, vm[1])
-
+    add = pm.alpha.add_monomial
     # plus-side resolution column
-    alpha.add_monomial(0, 0, (vp[0], vp[0] + k), up, -data.B)
-    alpha.add_monomial(0, 1, (vp[0], vp[0] + k), up, eyek)
-    alpha.add_monomial(0, 0, (vp[0] + k, vp[1]), up, -data.D2row)
+    add(0, 0, at["Vp"], at["Up"], -data.B)
+    add(0, 1, at["Vp"], at["Up"], eyek)
+    add(0, 0, at["Vp"] + k, at["Up"], -data.D2row)
     # W- on (Vm, Um): rows (k | m | 1), cols (k | m)
-    alpha.add_monomial(0, 0, vm_k, um_k, -data.B)
-    alpha.add_monomial(0, 1, vm_k, um_k, eyek)
-    alpha.add_monomial(0, 0, vm_m, um_k, -nk.mat_mul(em, data.Bprime))
-    alpha.add_monomial(0, 0, vm_m, um_m, -data.shift)
-    alpha.add_monomial(0, 1, vm_m, um_m, eyem)
-    alpha.add_monomial(0, 0, vm_1, um_m, -ep)
+    add(0, 0, at["Vm"], at["Um"], -data.B)
+    add(0, 1, at["Vm"], at["Um"], eyek)
+    add(0, 0, at["Vm"] + k, at["Um"], -nk.mat_mul(em, data.Bprime))
+    add(0, 0, at["Vm"] + k, at["Um"] + k, -data.shift)
+    add(0, 1, at["Vm"] + k, at["Um"] + k, eyem)
+    add(0, 0, at["Vm"] + k + m, at["Um"] + k, -ep)
     # S0 row: xi * I from Up, [I | 0] from Um
-    alpha.add_monomial(1, 0, s0, up, eyek)
-    alpha.add_monomial(0, 0, s0, um_k, eyek)
+    add(1, 0, at["S0"], at["Up"], eyek)
+    add(0, 0, at["S0"], at["Um"], eyek)
     # S1 row: (A; A') from Up, I from Um
-    alpha.add_monomial(0, 0, (s1[0], s1[0] + k), up, data.A)
-    alpha.add_monomial(0, 0, (s1[0] + k, s1[1]), up, data.Aprime)
-    alpha.add_monomial(0, 0, s1, um, eyekm)
+    add(0, 0, at["S1"], at["Up"], data.A)
+    add(0, 0, at["S1"] + k, at["Up"], data.Aprime)
+    add(0, 0, at["S1"], at["Um"], eyekm)
 
+    add = pm.beta.add_monomial
     # beta rows: T0, T1
-    beta.add_monomial(1, 0, t0, (vp[0], vp[0] + k), eyek)   # (xi, 0) row
-    beta.add_monomial(0, 0, t0, vm_k, eyek)                 # (1, 0, 0) row
-    beta.add_monomial(0, 0, t0, s0, data.B)                 # B - eta
-    beta.add_monomial(0, 1, t0, s0, -eyek)
-    beta.add_monomial(0, 0, t1, vp, _mixed_pencil_left(data))
+    add(1, 0, at["T0"], at["Vp"], eyek)                    # (xi, 0) row
+    add(0, 0, at["T0"], at["Vm"], eyek)                    # (1, 0, 0) row
+    add(0, 0, at["T0"], at["S0"], data.B)                  # B - eta
+    add(0, 1, at["T0"], at["S0"], -eyek)
+    add(0, 0, at["T1"], at["Vp"], _mixed_pencil_left(data))
     # (I, 0, -C1; 0, I, -C1') block
-    beta.add_monomial(0, 0, t1_k, vm_k, eyek)
-    beta.add_monomial(0, 0, t1_k, vm_1, -data.C1)
-    beta.add_monomial(0, 0, t1_m, vm_m, eyem)
-    beta.add_monomial(0, 0, t1_m, vm_1, -data.Cprime[:, 0:1])
+    add(0, 0, at["T1"], at["Vm"], eyek)
+    add(0, 0, at["T1"], at["Vm"] + k + m, -data.C1)
+    add(0, 0, at["T1"] + k, at["Vm"] + k, eyem)
+    add(0, 0, at["T1"] + k, at["Vm"] + k + m, -data.Cprime[:, 0:1])
     # shifted-block pencil: left normal form minus eta
-    beta.add_monomial(0, 0, t1, s1, data.normal_form)
-    beta.add_monomial(0, 1, t1, s1, -eyekm)
-    return ParamMonad("xi_eta", (cols1, cols2, cols3), alpha, beta, exact)
+    add(0, 0, at["T1"], at["S1"], data.normal_form)
+    add(0, 1, at["T1"], at["S1"], -eyekm)
+    return pm
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +581,7 @@ def _draw_caloron(k: int, m: int, rng, exact: bool):
         return None
     D1 = Ap[m - 1:m, :]
     C1 = _rand_int_mat(rng, (k, 1))
-    from fractions import Fraction
-    C1D1 = C1 @ D1
-    C2 = np.array([[Fraction(-C1D1[i, i], int(D2[0, i]))] for i in range(k)])
-    CD = C1 @ D1 + C2 @ D2
-    B = np.zeros((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                B[i, j] = Fraction(int(rng.integers(-4, 5)))
-            else:
-                B[i, j] = Fraction(-CD[i, j], int(Ai[i, i] - Ai[j, j]))
+    C2, B = _solve_commutator(Ai, C1, D1, D2, rng)
     Bp = np.array([[Fraction(int(x)) for x in _rand_int_mat(rng, (k,))]])
     Cp = _solve_cprime(Bp, Ai, Ap, B, np.array(
         [[Fraction(int(x)) for x in row] for row in np.vstack([D1, D2])],
@@ -605,12 +593,29 @@ def _draw_caloron(k: int, m: int, rng, exact: bool):
     return _pack(CaloronData, dict(k=k, m=m), mats, exact)
 
 
+def _solve_commutator(Ai, C1, D1, D2, rng):
+    """(C2, B) with [A, B] + C1 D1 + C2 D2 = 0 for the diagonal integer A:
+    C2 clears the diagonal of C1 D1, B's diagonal is drawn from rng and its
+    off-diagonal entries are solved, all as Fractions."""
+    k = len(Ai)
+    C1D1 = C1 @ D1
+    C2 = np.array([[Fraction(-C1D1[i, i], int(D2[0, i]))] for i in range(k)])
+    CD = C1D1 + C2 @ D2
+    B = np.zeros((k, k), dtype=object)
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                B[i, j] = Fraction(int(rng.integers(-4, 5)))
+            else:
+                B[i, j] = Fraction(-CD[i, j], int(Ai[i, i] - Ai[j, j]))
+    return C2, B
+
+
 def _solve_cprime(Bp, A, Ap, B0, D):
     """Relation 2 solved for Cprime: Cprime D = K with
     K = e- B' A + shift A' - A' B0, so Cprime = K D^-1 for k = 2 and, for
     k = 1, K / D00 beside a zero second column.  D holds Fractions; None
     when the solve is singular."""
-    from fractions import Fraction
     m, k = Ap.shape
     em = np.zeros((m, 1), dtype=object)
     em[0, 0] = Fraction(1)
@@ -628,23 +633,13 @@ def _solve_cprime(Bp, A, Ap, B0, D):
 
 
 def _draw_caloron_m0(k: int, rng, exact: bool):
-    from fractions import Fraction
     Ai = np.diag(rng.choice(np.arange(-6, 7), size=k, replace=False))
     C1 = _rand_int_mat(rng, (k, 1))
     D1 = _rand_int_mat(rng, (1, k))
     D2 = _rand_int_mat(rng, (1, k))
     if np.any(D2 == 0):
         return None
-    C1D1 = C1 @ D1
-    C2 = np.array([[Fraction(-C1D1[i, i], int(D2[0, i]))] for i in range(k)])
-    CD = C1 @ D1 + C2 @ D2
-    B0 = np.zeros((k, k), dtype=object)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                B0[i, j] = Fraction(int(rng.integers(-4, 5)))
-            else:
-                B0[i, j] = Fraction(-CD[i, j], int(Ai[i, i] - Ai[j, j]))
+    C2, B0 = _solve_commutator(Ai, C1, D1, D2, rng)
     C = np.hstack([C1, C2])
     D = np.vstack([D1, D2])
     mats = dict(A=Ai, B0=B0, C=C, D=D)
@@ -655,7 +650,6 @@ def _pack(cls, meta, mats, exact: bool):
     """Data of class cls from integer or Fraction draws.  Fractions built
     from numpy integers keep numpy numerators, which overflow in later
     exact arithmetic, so the exact backend stores Python ints."""
-    from fractions import Fraction
     out = {}
     for name, M in mats.items():
         M = np.atleast_2d(M)

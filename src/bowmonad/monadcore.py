@@ -13,6 +13,12 @@ bookkeeping: a section of O(D)(d) on a line with ends on two boundary curves
 is a Laurent polynomial whose pole orders at the ends are bounded by the
 divisor coefficients there.
 
+A monad is assembled by block label: ``ParamMonad(chart, cols)`` allocates
+zero maps from the column ranks, and each block goes in with one
+``add_monomial(p, q, start[row label] + i, start[col label] + j, payload)``,
+its extent read from the payload's shape.  The twists come from ``o_pp``
+on the (xi, eta) chart and from the ``TWISTS`` table on the (xi, psi) chart.
+
 Fibers are quotients ker(beta)/im(alpha) at a point; section spaces along a
 line combine the naive kernel/image computation with the first-cohomology
 correction of the left column (the two pieces of the hypercohomology of the
@@ -118,6 +124,19 @@ def o_pp(i: int, j: int) -> dict:
     """Boundary divisor representing O(i, j) on P1 x P1 (first index: degree
     on xi = const lines, second: degree on eta = const lines)."""
     return {"Fxi": i + j, "Fpsi": i, "Cinf": j}
+
+
+# boundary twists of the Taub-NUT fused, psi-pushdown and finite monad
+# blocks on the (xi, psi) chart
+TWISTS = {
+    "mF": {"Fxi": -1, "Fpsi": -1},
+    "mFC0": {"Fxi": -1, "Fpsi": -1, "C0": -1},
+    "mFCi": {"Fxi": -1, "Fpsi": -1, "Cinf": -1},
+    "Eh": {"Cinf": -1, "Fxi": -1},
+    "Et": {"C0": -1, "Fpsi": -1},
+    "Wpsi": {"Fxi": -1, "Fpsi": -2, "C0": -1},
+    "triv": {},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -239,13 +258,17 @@ class PolyMatrix:
         for key, mat in (coeffs or {}).items():
             self.coeffs[key] = mat
 
-    def add_monomial(self, p, q, rows, cols, payload):
+    def add_monomial(self, p, q, r0, c0, payload):
+        """Add payload to the coefficient of x^p y^q, with its top-left entry
+        at (r0, c0); the block's extent is the payload's shape."""
+        payload = np.asarray(payload) if not self.exact else payload
+        h, w = np.shape(payload)
+        if r0 + h > self.shape[0] or c0 + w > self.shape[1]:
+            raise ValueError(f"block {(h, w)} at {(r0, c0)} leaves {self.shape}")
         key = (p, q)
         tgt = self.coeffs[key].copy() if key in self.coeffs else \
             nk.zeros_like_backend(*self.shape, self.exact)
-        payload = np.asarray(payload) if not self.exact else payload
-        tgt[rows[0]:rows[1], cols[0]:cols[1]] = (
-            tgt[rows[0]:rows[1], cols[0]:cols[1]] + payload)
+        tgt[r0:r0 + h, c0:c0 + w] = tgt[r0:r0 + h, c0:c0 + w] + payload
         self.coeffs[key] = tgt
 
     def evaluate(self, x, y):
@@ -332,36 +355,35 @@ class SectionSpace:
     h1_dim: int
 
 
-def block_offsets(blocks) -> list[tuple[int, int]]:
-    """(start, stop) row or column range of each block of a monad column."""
-    out, pos = [], 0
-    for b in blocks:
-        out.append((pos, pos + b.rank))
-        pos += b.rank
-    return out
-
-
 class ParamMonad:
-    """Block-structured complex col1 --alpha--> col2 --beta--> col3."""
+    """Block-structured complex col1 --alpha--> col2 --beta--> col3.
 
-    def __init__(self, chart, cols, alpha: PolyMatrix, beta: PolyMatrix,
-                 exact=False):
+    Without alpha and beta both maps start at zero, sized from the column
+    ranks.  ``start`` maps each block label (unique across the three
+    columns) to the block's first row or column."""
+
+    def __init__(self, chart, cols, alpha: PolyMatrix | None = None,
+                 beta: PolyMatrix | None = None, exact=False):
         if chart not in ("xi_eta", "xi_psi"):
             raise ChartMismatch(f"unknown chart {chart!r}")
         self.chart = chart
         self.cols = cols                       # 3 lists of BlockSpec
-        self.alpha = alpha
-        self.beta = beta
         self.exact = exact
-        self.ranks = tuple(sum(b.rank for b in col) for col in cols)
-        if alpha.shape != (self.ranks[1], self.ranks[0]):
-            raise ValueError("alpha shape does not match column ranks")
-        if beta.shape != (self.ranks[2], self.ranks[1]):
-            raise ValueError("beta shape does not match column ranks")
+        self.start = {b.label: sum(c.rank for c in col[:i])
+                      for col in cols for i, b in enumerate(col)}
+        if len(self.start) < sum(map(len, cols)):
+            raise ValueError("repeated block label")
+        self.ranks = n1, n2, n3 = tuple(sum(b.rank for b in c) for c in cols)
+        self.alpha = alpha or PolyMatrix((n2, n1), exact=exact)
+        self.beta = beta or PolyMatrix((n3, n2), exact=exact)
+        if (self.alpha.shape, self.beta.shape) != ((n2, n1), (n3, n2)):
+            raise ValueError("alpha or beta shape does not match column ranks")
 
     # -- basic structure -----------------------------------------------------
     def offsets(self, col: int) -> list[tuple[int, int]]:
-        return block_offsets(self.cols[col])
+        """(start, stop) row or column range of each block of a column."""
+        return [(self.start[b.label], self.start[b.label] + b.rank)
+                for b in self.cols[col]]
 
     def composite(self) -> PolyMatrix:
         return self.beta.compose(self.alpha)
@@ -721,14 +743,13 @@ def splitting_type(pm: ParamMonad, line: Line,
 # convenience
 
 
-def random_chart_points(n: int, rng: np.random.Generator, radius: float = 2.0,
-                        avoid_origin: bool = True):
-    """Generic sample points for fiber sweeps; avoids tiny |xi| so both
-    charts stay honest."""
+def random_chart_points(n: int, rng: np.random.Generator):
+    """Generic sample points for fiber sweeps, Gaussian of radius 2; avoids
+    tiny |xi| so both charts stay honest."""
     pts = []
     while len(pts) < n:
-        x, y = rng.standard_normal(2) * radius + 1j * rng.standard_normal(2) * radius
-        if avoid_origin and (abs(x) < 0.05 or abs(y) < 0.05):
+        x, y = rng.standard_normal(2) * 2.0 + 1j * rng.standard_normal(2) * 2.0
+        if abs(x) < 0.05 or abs(y) < 0.05:
             continue
         pts.append((complex(x), complex(y)))
     return pts

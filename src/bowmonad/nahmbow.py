@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import BlockSpec, ParamMonad, PolyMatrix, block_offsets
+from .monadcore import TWISTS, BlockSpec, ParamMonad
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 
@@ -82,11 +82,6 @@ class BowRepresentation:
     @property
     def lam_plus(self):
         return self.lam
-
-    def intervals(self):
-        h, t = -self.ell / 2, self.ell / 2
-        return [(h, -self.lam, self.k), (-self.lam, self.lam, self.k + self.m),
-                (self.lam, t, self.k)]
 
 
 def su2_irrep(m: int):
@@ -169,9 +164,6 @@ class Segment:
     def beta_at(self, s: float):
         t1, t2, _ = self.at(s)
         return t1 + 1j * t2
-
-    def alpha_at(self, s: float):
-        return -self.at(s)[2]
 
 
 def constant_segment(s0, s1, T1, T2, T3, samples: int = 2) -> Segment:
@@ -306,16 +298,9 @@ class NahmSolution:
     def m(self):
         return self.rep.m
 
-    def segment_at(self, s: float) -> Segment:
-        if s <= self.rep.lam_minus:
-            return self.head
-        if s < self.rep.lam_plus:
-            return self.middle
-        return self.tail
-
 
 def solution_k1_m0(rep: BowRepresentation, Bth: complex, Bht: complex,
-                   j_minus: complex = 1.0, samples: int = 33) -> NahmSolution:
+                   j_minus: complex = 1.0) -> NahmSolution:
     """Closed-form rank-one bow solution.
 
     The outer triple is pinned by the bifundamental identities; all jumps of
@@ -329,17 +314,16 @@ def solution_k1_m0(rep: BowRepresentation, Bth: complex, Bht: complex,
     u3 = t[2] + abs(j_minus) ** 2 / 2.0
     mk = lambda v: np.array([[v]], dtype=complex)
     lm, lp = rep.lam_minus, rep.lam_plus
-    head = constant_segment(-rep.ell / 2, lm, mk(t[0]), mk(t[1]), mk(t[2]), samples)
-    mid = constant_segment(lm, lp, mk(t[0]), mk(t[1]), mk(u3), samples)
-    tail = constant_segment(lp, rep.ell / 2, mk(t[0]), mk(t[1]), mk(t[2]), samples)
+    head = constant_segment(-rep.ell / 2, lm, mk(t[0]), mk(t[1]), mk(t[2]), 33)
+    mid = constant_segment(lm, lp, mk(t[0]), mk(t[1]), mk(u3), 33)
+    tail = constant_segment(lp, rep.ell / 2, mk(t[0]), mk(t[1]), mk(t[2]), 33)
     return NahmSolution(rep, head, mid, tail, mk(Bth), mk(Bht),
                         I_minus=mk(0.0), J_minus=mk(j_minus),
                         I_plus=mk(abs(j_minus)), J_plus=mk(0.0))
 
 
 def solution_k1_m1(rep: BowRepresentation, mu1, mu2, weight: float = 0.5,
-                   axis_phase: float = 0.9, edge_phase: float = 0.3,
-                   samples: int = 33) -> NahmSolution:
+                   axis_phase: float = 0.9) -> NahmSolution:
     """Closed-form k=1, m=1 bow solution with a commuting constant middle.
 
     mu1, mu2 are the two real eigenvalue triples of the middle; the outer
@@ -363,27 +347,27 @@ def solution_k1_m1(rep: BowRepresentation, mu1, mu2, weight: float = 0.5,
     if abs(z) < 1e-12:
         raise ValueError("degenerate edge: Bth*Bht would vanish")
     x = t[2] + np.sqrt(t[2] ** 2 + abs(z) ** 2)
-    Bth = np.sqrt(x) * np.exp(1j * edge_phase)
+    Bth = np.sqrt(x) * np.exp(0.3j)
     Bht = z / Bth
     mk = lambda v: np.array([[v]], dtype=complex)
     lm, lp = rep.lam_minus, rep.lam_plus
-    head = constant_segment(-rep.ell / 2, lm, mk(t[0]), mk(t[1]), mk(t[2]), samples)
-    mid = constant_segment(lm, lp, *Tmid, samples)
-    tail = constant_segment(lp, rep.ell / 2, mk(t[0]), mk(t[1]), mk(t[2]), samples)
+    head = constant_segment(-rep.ell / 2, lm, mk(t[0]), mk(t[1]), mk(t[2]), 33)
+    mid = constant_segment(lm, lp, *Tmid, 33)
+    tail = constant_segment(lp, rep.ell / 2, mk(t[0]), mk(t[1]), mk(t[2]), 33)
     im = np.stack([v_minus]).T
     ip = np.stack([v_plus]).T
     return NahmSolution(rep, head, mid, tail, mk(Bth), mk(Bht),
                         i_minus=im, i_plus=ip)
 
 
-def diagonal_solution(rep: BowRepresentation, points, samples: int = 17) -> Segment:
+def diagonal_solution(rep: BowRepresentation, points) -> Segment:
     """Stationary diagonal flow on one interval: each diagonal entry is a
     fixed point of R^3, so commutators vanish and the curve factors into the
     corresponding twistor lines.  Used for curve tests, not a bow solution."""
     pts = np.asarray(points, dtype=float)
     k = pts.shape[0]
     T = [np.diag(pts[:, i]).astype(complex) for i in range(3)]
-    return constant_segment(-rep.lam, rep.lam, *T, samples)
+    return constant_segment(-rep.lam, rep.lam, *T, 17)
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +380,8 @@ def _zeta_coeffs_of_product(L, R):
     return (L0 @ R0, L0 @ R1 + L1 @ R0, L1 @ R1)
 
 
-def check_boundary(sol: NahmSolution, ctx: ToleranceContext = DEFAULT_CTX,
-                   fit_eps: float | None = None) -> ValidationReport:
+def check_boundary(sol: NahmSolution,
+                   ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     """Residuals of the bifundamental end identities, the fundamental data
     at the lambda points, Hermiticity, and (m > 1) the pole residue fit."""
     rep = sol.rep
@@ -453,7 +437,7 @@ def check_boundary(sol: NahmSolution, ctx: ToleranceContext = DEFAULT_CTX,
                     emb.conj().T @ Ti @ emb - To))))
             report.add(name, res < 1e-8, res)
         if m >= 2:
-            eps = fit_eps if fit_eps is not None else 1e-3 * rep.ell
+            eps = 1e-3 * rep.ell
             for name, lam, side in (("pole_fit_minus", rep.lam_minus, +1),
                                     ("pole_fit_plus", rep.lam_plus, -1)):
                 rho, res = fit_pole_residues(sol.middle, lam, side * eps)
@@ -520,11 +504,9 @@ class SpectralCurve:
     coeffs: dict            # {(i, j): complex} for eta^i zeta^j
     s_drift: float = 0.0
 
-    def grading_ok(self, tol: float = 1e-8) -> bool:
-        for (i, j), c in self.coeffs.items():
-            if j > 2 * (self.rank - i) and abs(c) > tol:
-                return False
-        return True
+    def grading_ok(self) -> bool:
+        return not any(j > 2 * (self.rank - i) and abs(c) > 1e-8
+                       for (i, j), c in self.coeffs.items())
 
     def reality_residual(self) -> float:
         """Invariance under (eta, zeta) -> (-eta~/zeta~^2, -1/zeta~), i.e.
@@ -543,8 +525,8 @@ class SpectralCurve:
         return sum(c * eta ** i * zeta ** j for (i, j), c in self.coeffs.items())
 
 
-def spectral_curve(sol_or_seg, which: str = "S0", zeta_samples: int = None,
-                   s_values=None) -> SpectralCurve:
+def spectral_curve(sol_or_seg, which: str = "S0",
+                   zeta_samples: int = None) -> SpectralCurve:
     """det(eta I - A(zeta, s)) as a bivariate polynomial, interpolated from
     characteristic polynomials at Vandermonde zeta nodes; constancy in s is
     verified at three interior values."""
@@ -555,10 +537,8 @@ def spectral_curve(sol_or_seg, which: str = "S0", zeta_samples: int = None,
     r = seg.rank
     n = zeta_samples or (2 * r + 3)
     nodes = 1.3 * np.exp(2j * np.pi * np.arange(n) / n) + 0.07
-    if s_values is None:
-        s_values = np.linspace(seg.s0, seg.s1, 5)[1:-1]
     coeff_sets = []
-    for s in s_values:
+    for s in np.linspace(seg.s0, seg.s1, 5)[1:-1]:
         t1, t2, t3 = seg.at(s)
         rows = np.stack([np.poly(lax(t1, t2, t3, z)) for z in nodes])  # (n, r+1)
         V = np.vander(nodes, 2 * r + 1, increasing=True)
@@ -736,16 +716,16 @@ def rank_one_factor(R, tol: float):
     return _normalize_pair(U[:, :1], s[0] * Vh[:1, :])
 
 
-def complex_shadow(sol: NahmSolution, transport_steps: int = 800) -> BowComplexTN:
+def complex_shadow(sol: NahmSolution) -> BowComplexTN:
     """Holomorphic (zeta = 0) reduction of a bow solution, gauge-normalized:
     outer transports are absorbed into the edge maps, the middle is put into
     the lambda-point normal frames built from i_minus / i_plus."""
     rep = sol.rep
     k, m = rep.k, rep.m
     lm, lp = rep.lam_minus, rep.lam_plus
-    PH = transport(sol.head, -rep.ell / 2, lm, transport_steps)
-    PT = transport(sol.tail, lp, rep.ell / 2, transport_steps)
-    PM = transport(sol.middle, lm, lp, transport_steps)
+    PH = transport(sol.head, -rep.ell / 2, lm, 800)
+    PT = transport(sol.tail, lp, rep.ell / 2, 800)
+    PM = transport(sol.middle, lm, lp, 800)
     U_minus = _normal_frame(sol.i_minus)
     U_plus = _normal_frame(sol.i_plus)
     beta_mid_plus = U_plus.conj().T @ sol.middle.beta_at(lp) @ U_plus
@@ -787,19 +767,7 @@ def _normal_frame(emb: np.ndarray) -> np.ndarray:
 # finite monad from a bow complex
 
 
-# boundary twists of the fused and finite monad blocks on the (xi, psi) chart
-_TW = {
-    "mF": {"Fxi": -1, "Fpsi": -1},
-    "mFC0": {"Fxi": -1, "Fpsi": -1, "C0": -1},
-    "mFCi": {"Fxi": -1, "Fpsi": -1, "Cinf": -1},
-    "Eh": {"Cinf": -1, "Fxi": -1},
-    "Et": {"C0": -1, "Fpsi": -1},
-    "triv": {},
-}
-
-
-def reduce_to_finite_monad(source, point, ctx: ToleranceContext = DEFAULT_CTX,
-                           transport_steps: int = 800):
+def reduce_to_finite_monad(source, point, ctx: ToleranceContext = DEFAULT_CTX):
     """Finite monad of a bow solution (or normalized bow complex) at a fixed
     Taub-NUT chart point (xi, psi); returns the evaluated MonadAtPoint.
 
@@ -810,12 +778,8 @@ def reduce_to_finite_monad(source, point, ctx: ToleranceContext = DEFAULT_CTX,
     orders need the graded pole frames, which the desk-scale generators do
     not produce.
     """
-    bc = source if isinstance(source, BowComplexTN) else \
-        complex_shadow(source, transport_steps)
-    if bc.m > 1:
-        raise BuildRefused("finite reduction implemented for m <= 1")
-    pm = finite_monad_family(bc, ctx)
-    return pm.evaluate(point)
+    bc = source if isinstance(source, BowComplexTN) else complex_shadow(source)
+    return finite_monad_family(bc, ctx).evaluate(point)
 
 
 def finite_monad_family(bc: BowComplexTN,
@@ -837,8 +801,8 @@ def finite_monad_family(bc: BowComplexTN,
     if m == 0:
         Kp = np.eye(k, dtype=complex)
         Km = np.eye(k, dtype=complex)
-        w_extra = [BlockSpec("Wplus", _TW["triv"], 1),
-                   BlockSpec("Wminus", _TW["triv"], 1)]
+        w_extra = [BlockSpec("Wplus", TWISTS["triv"], 1),
+                   BlockSpec("Wminus", TWISTS["triv"], 1)]
     else:
         Kp = nk.rank_kernel(Mp[k:, :k], ctx).kernel
         Km = nk.rank_kernel(Mm[k:, :k], ctx).kernel
@@ -846,70 +810,66 @@ def finite_monad_family(bc: BowComplexTN,
             raise TransportSingular("pole cut at a lambda point is degenerate")
         w_extra = []
 
-    cols1 = [BlockSpec("Uplus", _TW["mF"], Kp.shape[1]),
-             BlockSpec("W1", _TW["mFC0"], k),
-             BlockSpec("W2", _TW["mFCi"], k),
-             BlockSpec("Uminus", _TW["mF"], Km.shape[1])]
-    cols2 = [BlockSpec("U1", _TW["mF"], k + m),
-             BlockSpec("Vplus", _TW["triv"], k),
-             BlockSpec("U0m", _TW["mF"], k),
-             BlockSpec("E1", _TW["Eh"], k),
-             BlockSpec("E2", _TW["Et"], k),
-             BlockSpec("U0p", _TW["mF"], k),
-             BlockSpec("Vminus", _TW["triv"], k)] + w_extra
-    cols3 = [BlockSpec("V1", _TW["triv"], k + m),
-             BlockSpec("V0p", _TW["triv"], k),
-             BlockSpec("V0m", _TW["triv"], k)]
-
-    n1 = sum(b.rank for b in cols1)
-    n2 = sum(b.rank for b in cols2)
-    n3 = sum(b.rank for b in cols3)
-    alpha = PolyMatrix((n2, n1))
-    beta = PolyMatrix((n3, n2))
-    o1, o2, o3 = (block_offsets(c) for c in (cols1, cols2, cols3))
+    pm = ParamMonad("xi_psi", (
+        [BlockSpec("Uplus", TWISTS["mF"], Kp.shape[1]),
+         BlockSpec("W1", TWISTS["mFC0"], k),
+         BlockSpec("W2", TWISTS["mFCi"], k),
+         BlockSpec("Uminus", TWISTS["mF"], Km.shape[1])],
+        [BlockSpec("U1", TWISTS["mF"], k + m),
+         BlockSpec("Vplus", TWISTS["triv"], k),
+         BlockSpec("U0m", TWISTS["mF"], k),
+         BlockSpec("E1", TWISTS["Eh"], k),
+         BlockSpec("E2", TWISTS["Et"], k),
+         BlockSpec("U0p", TWISTS["mF"], k),
+         BlockSpec("Vminus", TWISTS["triv"], k)] + w_extra,
+        [BlockSpec("V1", TWISTS["triv"], k + m),
+         BlockSpec("V0p", TWISTS["triv"], k),
+         BlockSpec("V0m", TWISTS["triv"], k)]))
+    at = pm.start
 
     # alpha blocks ---------------------------------------------------------
-    add = alpha.add_monomial
+    add = pm.alpha.add_monomial
     # U+ column: -ev1, (eta - beta) in the tail parametrization, -ev_c
-    add(0, 0, o2[0], o1[0], -(iplus @ Kp))
-    add(0, 0, o2[1], o1[0], -(B1 @ Kp))
-    add(1, 1, o2[1], o1[0], Kp)                       # eta
-    add(0, 0, o2[2], o1[0], -(Bht @ Kp))
+    add(0, 0, at["U1"], at["Uplus"], -(iplus @ Kp))
+    add(0, 0, at["Vplus"], at["Uplus"], -(B1 @ Kp))
+    add(1, 1, at["Vplus"], at["Uplus"], Kp)                 # eta
+    add(0, 0, at["U0m"], at["Uplus"], -(Bht @ Kp))
     # W1 column
-    add(0, 0, o2[5], o1[1], -np.eye(k))
-    add(0, 1, o2[3], o1[1], np.eye(k))                # psi
-    add(0, 0, o2[4], o1[1], -Bht)
+    add(0, 0, at["U0p"], at["W1"], -np.eye(k))
+    add(0, 1, at["E1"], at["W1"], np.eye(k))                # psi
+    add(0, 0, at["E2"], at["W1"], -Bht)
     # W2 column
-    add(0, 0, o2[2], o1[2], -np.eye(k))
-    add(0, 0, o2[3], o1[2], -Bth)
-    add(1, 0, o2[4], o1[2], np.eye(k))                # xi
+    add(0, 0, at["U0m"], at["W2"], -np.eye(k))
+    add(0, 0, at["E1"], at["W2"], -Bth)
+    add(1, 0, at["E2"], at["W2"], np.eye(k))                # xi
     # U- column
-    add(0, 0, o2[5], o1[3], -(Bth @ Km))
-    add(0, 0, o2[6], o1[3], -(B0 @ Km))
-    add(1, 1, o2[6], o1[3], Km)                       # eta
-    add(0, 0, o2[0], o1[3], -(P @ iplus @ Km))
+    add(0, 0, at["U0p"], at["Uminus"], -(Bth @ Km))
+    add(0, 0, at["Vminus"], at["Uminus"], -(B0 @ Km))
+    add(1, 1, at["Vminus"], at["Uminus"], Km)               # eta
+    add(0, 0, at["U1"], at["Uminus"], -(P @ iplus @ Km))
     if m == 0:
-        add(0, 0, o2[7], o1[0], np.asarray(bc.J_plus, complex))
-        add(0, 0, o2[8], o1[3], np.asarray(bc.J_minus, complex))
+        add(0, 0, at["Wplus"], at["Uplus"], np.asarray(bc.J_plus, complex))
+        add(0, 0, at["Wminus"], at["Uminus"],
+            np.asarray(bc.J_minus, complex))
 
     # beta blocks ----------------------------------------------------------
-    add = beta.add_monomial
-    add(1, 1, o3[0], o2[0], np.eye(k + m))            # eta
-    add(0, 0, o3[0], o2[0], -Mp)
-    add(0, 0, o3[0], o2[1], iplus)
-    add(0, 0, o3[2], o2[1], Bht)
-    add(1, 1, o3[2], o2[2], np.eye(k))
-    add(0, 0, o3[2], o2[2], -B0)
-    add(1, 0, o3[1], o2[3], np.eye(k))                # xi
-    add(0, 0, o3[2], o2[3], Bht)
-    add(0, 0, o3[1], o2[4], Bth)
-    add(0, 1, o3[2], o2[4], np.eye(k))                # psi
-    add(1, 1, o3[1], o2[5], np.eye(k))
-    add(0, 0, o3[1], o2[5], -B1)
-    add(0, 0, o3[1], o2[6], Bth)
-    add(0, 0, o3[0], o2[6], P @ iplus)
+    add = pm.beta.add_monomial
+    add(1, 1, at["V1"], at["U1"], np.eye(k + m))            # eta
+    add(0, 0, at["V1"], at["U1"], -Mp)
+    add(0, 0, at["V1"], at["Vplus"], iplus)
+    add(0, 0, at["V0m"], at["Vplus"], Bht)
+    add(1, 1, at["V0m"], at["U0m"], np.eye(k))
+    add(0, 0, at["V0m"], at["U0m"], -B0)
+    add(1, 0, at["V0p"], at["E1"], np.eye(k))               # xi
+    add(0, 0, at["V0m"], at["E1"], Bht)
+    add(0, 0, at["V0p"], at["E2"], Bth)
+    add(0, 1, at["V0m"], at["E2"], np.eye(k))               # psi
+    add(1, 1, at["V0p"], at["U0p"], np.eye(k))
+    add(0, 0, at["V0p"], at["U0p"], -B1)
+    add(0, 0, at["V0p"], at["Vminus"], Bth)
+    add(0, 0, at["V1"], at["Vminus"], P @ iplus)
     if m == 0:
-        add(0, 0, o3[0], o2[7], np.asarray(bc.I_plus, complex))
-        add(0, 0, o3[0], o2[8], P @ np.asarray(bc.I_minus, complex))
-
-    return ParamMonad("xi_psi", (cols1, cols2, cols3), alpha, beta)
+        add(0, 0, at["V1"], at["Wplus"], np.asarray(bc.I_plus, complex))
+        add(0, 0, at["V1"], at["Wminus"],
+            P @ np.asarray(bc.I_minus, complex))
+    return pm

@@ -167,11 +167,11 @@ GQ_ZERO = GQ(0)
 GQ_ONE = GQ(1)
 
 
-def rationalize(z: complex, max_den: int = 10**6, tol: float = 1e-9):
-    """Best GaussianRational approximation of ``z``, or None if not close."""
-    re = Fraction(float(np.real(z))).limit_denominator(max_den)
-    im = Fraction(float(np.imag(z))).limit_denominator(max_den)
-    if abs(float(re) - np.real(z)) <= tol and abs(float(im) - np.imag(z)) <= tol:
+def rationalize(z: complex):
+    """Nearest GaussianRational (denominators <= 10^6) within 1e-9, or None."""
+    re = Fraction(float(np.real(z))).limit_denominator(10**6)
+    im = Fraction(float(np.imag(z))).limit_denominator(10**6)
+    if abs(float(re) - np.real(z)) <= 1e-9 and abs(float(im) - np.imag(z)) <= 1e-9:
         return GQ(re, im)
     return None
 
@@ -657,8 +657,8 @@ def _cluster(values: np.ndarray, tol: float) -> list[complex]:
     return out
 
 
-def common_eigenvector_obstruction(A, B, D, ctx: ToleranceContext = DEFAULT_CTX,
-                                   exact_check: bool = True) -> list[Obstruction]:
+def common_eigenvector_obstruction(
+        A, B, D, ctx: ToleranceContext = DEFAULT_CTX) -> list[Obstruction]:
     """All (xi, eta, v) with v != 0, Av = xi v, Bv = eta v, Dv = 0.
 
     An empty list certifies that the stacked pencil (A - xi; B - eta; D) is
@@ -697,7 +697,7 @@ def common_eigenvector_obstruction(A, B, D, ctx: ToleranceContext = DEFAULT_CTX,
                           np.linalg.norm(Df @ v) if Df.size else 0.0)
                 if res <= vtol:
                     ob = Obstruction(complex(xi), complex(eta), v, float(res))
-                    if exact_check and is_exact(A):
+                    if is_exact(A):
                         ob.exact_checked = _exact_certificate(A, B, D, xi, eta, v)
                     found.append(ob)
     return found
@@ -753,8 +753,8 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
 # pencil surjectivity
 
 
-def pencil_surjectivity_failures(Y, Z0, Z1, ctx: ToleranceContext = DEFAULT_CTX,
-                                 seed: int = 20240203) -> list[complex]:
+def pencil_surjectivity_failures(
+        Y, Z0, Z1, ctx: ToleranceContext = DEFAULT_CTX) -> list[complex]:
     """All eta at which [Y | Z0 + eta Z1] drops row rank.
 
     Restricting to the left kernel of Y turns this into a finite root
@@ -778,7 +778,7 @@ def pencil_surjectivity_failures(Y, Z0, Z1, ctx: ToleranceContext = DEFAULT_CTX,
         raise DegeneratePencil(
             f"left kernel of Y has dimension {c} > {n} pencil columns; "
             "row rank drops for every eta")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(20240203)
     scale = max(np.linalg.norm(P0), np.linalg.norm(P1), 1.0)
     candidates: list[complex] = []
     degenerate = 0

@@ -1,5 +1,6 @@
 """Every name a library module imports is used in that module, every
-top-level definition of a library module is referenced somewhere, and the
+top-level definition of a library module, and every method or property
+of a top-level class apart from dunder names, is referenced somewhere, and the
 library imports nothing but the standard library, numpy and itself (numpy
 is its only declared dependency).
 
@@ -73,6 +74,12 @@ def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
             continue
         out += [f"{name} (line {node.lineno})" for name in names
                 if name not in referenced]
+        if isinstance(node, ast.ClassDef):
+            # methods and properties; dunder names are called implicitly
+            out += [f"{node.name}.{f.name} (line {f.lineno})"
+                    for f in node.body if isinstance(f, ast.FunctionDef)
+                    and not (f.name.startswith("__") and f.name.endswith("__"))
+                    and f.name not in referenced]
     return out
 
 
@@ -81,6 +88,15 @@ def test_scanner_flags_an_unreferenced_definition():
     reader = "from lib import used\nlib.Kept()\nprint(X)\n"
     refs = referenced_names([lib, reader])
     assert unreferenced_definitions(lib, refs) == ["dead (line 2)"]
+
+
+def test_scanner_flags_an_unreferenced_method():
+    lib = ("class Kept:\n    def __radd__(self, o): pass\n"
+           "    def used(self): pass\n    @property\n    def size(self): pass\n"
+           "    def dead(self): pass\n")
+    reader = "Kept().used()\nprint(Kept().size)\n"
+    refs = referenced_names([lib, reader])
+    assert unreferenced_definitions(lib, refs) == ["Kept.dead (line 6)"]
 
 
 def test_no_unreferenced_definitions():

@@ -265,11 +265,11 @@ def test_writes_show_in_the_next_evaluate():
     pm = mc.PolyMatrix((2, 3))
     pt = (0.7 - 0.2j, 1.1 + 0.4j)
     assert np.all(pm.evaluate(*pt) == 0)
-    pm.add_monomial(0, 0, (0, 1), (0, 2), [[1.0, 2.0]])
+    pm.add_monomial(0, 0, 0, 0, [[1.0, 2.0]])
     assert pm.evaluate(*pt)[0, 1] == 2.0
-    pm.add_monomial(0, 0, (0, 1), (1, 2), [[3.0]])       # same monomial again
+    pm.add_monomial(0, 0, 0, 1, [[3.0]])                 # same monomial again
     assert pm.evaluate(*pt)[0, 1] == 5.0
-    pm.add_monomial(1, 0, (1, 2), (2, 3), [[1.0]])       # a new monomial
+    pm.add_monomial(1, 0, 1, 2, [[1.0]])                 # a new monomial
     assert pm.evaluate(*pt)[1, 2] == pt[0]
     pm.coeffs[(0, 1)] = np.full((2, 3), 2.0)             # direct assignment
     assert pm.evaluate(*pt)[1, 0] == 2 * pt[1]
@@ -284,6 +284,31 @@ def test_writes_show_in_the_next_evaluate():
     comp.coeffs[(5, 0)] = np.ones((2, 1))
     want = 2 * pt[1] * 3 + pt[0] + pt[0] ** 5
     assert comp.evaluate(*pt)[1, 0] == pytest.approx(want, rel=1e-15)
+
+
+def test_payload_past_the_matrix_edge_raises():
+    pm = mc.PolyMatrix((2, 3))
+    pm.add_monomial(0, 0, 1, 1, [[1.0, 2.0]])             # ends at the corner
+    for r0, c0, payload in ((1, 2, [[1.0, 2.0]]), (0, 0, np.ones((3, 1))),
+                            (2, 0, [[1.0]])):
+        with pytest.raises(ValueError):
+            pm.add_monomial(0, 0, r0, c0, payload)
+    assert list(pm.coeffs) == [(0, 0)]
+    assert pm.coeffs[(0, 0)].tolist() == [[0, 0, 0], [0, 1, 2]]
+
+
+def test_param_monad_allocates_maps_and_rejects_repeated_labels():
+    cols = ([mc.BlockSpec("U", {}, 1)],
+            [mc.BlockSpec("V", {}, 2), mc.BlockSpec("W", {}, 1)],
+            [mc.BlockSpec("Q", {}, 1)])
+    pm = mc.ParamMonad("xi_eta", cols)
+    assert pm.start == {"U": 0, "V": 0, "W": 2, "Q": 0}
+    assert (pm.alpha.shape, pm.beta.shape) == ((3, 1), (1, 3))
+    assert not pm.alpha.coeffs and not pm.beta.coeffs
+    for repeated in ((cols[0], cols[1], [mc.BlockSpec("U", {}, 1)]),
+                     (cols[0], cols[1] + [mc.BlockSpec("V", {}, 1)], [])):
+        with pytest.raises(ValueError, match="repeated block label"):
+            mc.ParamMonad("xi_eta", repeated)
 
 
 def test_exact_evaluate_and_to_float_stay_exact():
@@ -435,5 +460,5 @@ def test_coefficient_write_shows_in_next_sections():
     assert sections_on_line(pm, line, 0).dimension == 2
     alpha.coeffs[(0, 0)] = np.array([[1.0], [2.0]])
     assert sections_on_line(pm, line, 0).dimension == 1
-    alpha.add_monomial(0, 0, (0, 2), (0, 1), [[-1.0], [-2.0]])
+    alpha.add_monomial(0, 0, 0, 0, [[-1.0], [-2.0]])
     assert sections_on_line(pm, line, 0).dimension == 2
