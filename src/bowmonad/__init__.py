@@ -3,7 +3,7 @@ Nahm flows on the Taub-NUT and caloron geometries.
 
 Subpackages
 -----------
-numkit       scalar backends, tolerance-aware rank/kernel, pencil solvers
+numkit       scalar backends, tolerance-aware rank/kernel, common-eigenvector search
 monadcore    three-term monads over coordinate charts, fibers, line sections
 caloron      caloron matrix data, monads, circle Nahm complexes
 taubnut      Taub-NUT matrix data, fused monad, bow complexes

@@ -235,7 +235,9 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     """Per-condition report: algebraic relations plus the four
     non-degeneracy conditions (injectivity and surjectivity of the small
     pencils for all parameter values, surjectivity of the mixed pencil, and
-    invertibility of the transport matrix)."""
+    invertibility of the transport matrix).  All three pencil rows are
+    decided by one search, `numkit.common_eigenvector_obstruction`, through
+    `_add_obstruction_check`."""
     report = ValidationReport()
     B = data.B0
     scale = max(nk.mat_norm(data.A), nk.mat_norm(B), 1.0)
@@ -249,24 +251,22 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
                            _t(data.A), _t(B), _t(data.C), ctx)
 
     if isinstance(data, CaloronData):
-        Yp1 = _mixed_pencil_left(data)
-        Z0, Z1 = _z1_pencil(data)
-        try:
-            fails = nk.pencil_surjectivity_failures(
-                nk.to_float(Yp1), nk.to_float(Z0), nk.to_float(Z1), ctx)
-            report.add("mixed_pencil_surjective", len(fails) == 0, 0.0,
-                       certificate=fails or None)
-        except (nk.DegeneratePencil, nk.GapTooSmall) as e:
-            report.add("mixed_pencil_surjective", False, np.inf, note=str(e))
+        # [Y | eta - M] loses row rank exactly where a left eigenvector of
+        # the normal form M kills Y: a common eigenvector of (0, M^T) in the
+        # kernel of Y^T, with xi = 0
+        Y, M = _mixed_pencil_left(data), data.normal_form
+        _add_obstruction_check(report, "mixed_pencil_surjective",
+                               nk.zeros_like_backend(*M.shape, data.exact),
+                               _t(M), _t(Y), ctx)
         _add_invertibility_check(report, "transport_invertible",
                                  data.monodromy, ctx)
         # behavior at large |eta| is recorded, not asserted: the surjectivity
         # statement compactifies and only the affine part is decided here
-        Yf = nk.to_float(Yp1)
+        Yf, Mf = nk.to_float(Y), nk.to_float(M)
         trend = []
         for eta in (1e2, 1e3, 1e4):
-            Zf = nk.to_float(Z0) + eta * nk.to_float(Z1)
-            sv = np.linalg.svd(np.hstack([Yf, Zf]), compute_uv=False)
+            sv = np.linalg.svd(np.hstack([Yf, eta * np.eye(len(Mf)) - Mf]),
+                               compute_uv=False)
             trend.append(float(sv[-1] / max(sv[0], 1e-300)))
         report.add("mixed_pencil_large_eta", True, 0.0,
                    note="rel min sv at |eta| 1e2/1e3/1e4: "
@@ -298,7 +298,9 @@ def _add_invertibility_check(report, name, M, ctx):
 
 
 def _t(M):
-    return nk.conj_transpose(M) if nk.is_exact(M) else np.asarray(M).T.copy()
+    """Plain transpose on both backends: a certificate of the transposed
+    pencil reports the same (xi, eta) as the pencil itself."""
+    return M.T.copy()
 
 
 def _mixed_pencil_left(data: MposTuple):
@@ -310,14 +312,6 @@ def _mixed_pencil_left(data: MposTuple):
     out[:k, k:] = data.C2
     out[k:, k:] = data.Cprime[:, 1:2]
     return out
-
-
-def _z1_pencil(data: CaloronData):
-    """Z1(eta) = eta * I - M as (constant, linear) pair."""
-    k, m = data.k, data.m
-    Z0 = -data.normal_form
-    Z1 = nk.eye_like_backend(k + m, data.exact)
-    return Z0, Z1
 
 
 # ---------------------------------------------------------------------------

@@ -349,7 +349,6 @@ class FiberBasis:
 @dataclass
 class SectionSpace:
     line: Line
-    degree: int
     basis: list            # explicit Laurent-coefficient solutions
     dimension: int         # full h^0, including the left-column H^1 part
     h1_dim: int
@@ -655,7 +654,7 @@ class _LineSystem:
             if ker_h1.shape[1]:
                 d2 = self._connecting_rank(w2, lay1_h1, ker_h1, lay2, ctx)
                 h1_net = ker_h1.shape[1] - d2
-        return SectionSpace(self.line, d, [reps[:, j] for j in range(h0_dim)],
+        return SectionSpace(self.line, [reps[:, j] for j in range(h0_dim)],
                             h0_dim + h1_net, h1_net)
 
     def _connecting_rank(self, w2, lay1_h1, ker_h1, lay2, ctx):

@@ -276,12 +276,6 @@ class NahmSolution:
     J_minus: np.ndarray | None = None   # (1, k)
     I_plus: np.ndarray | None = None
     J_plus: np.ndarray | None = None
-    # highest-weight trivialization phase, normalized to 1; only the
-    # residual U(1) freedom lives here
-    hw_phase: complex = 1.0
-    # asymptotic instanton parameters have no finite home in the bow data;
-    # they ride along as optional metadata and are never computed
-    asymptotics: dict | None = None
 
     def __post_init__(self):
         k, m = self.rep.k, self.rep.m
@@ -617,7 +611,6 @@ class BowComplexTN:
     J_minus: np.ndarray | None = None
     I_plus: np.ndarray | None = None
     J_plus: np.ndarray | None = None
-    hw_phase: complex = 1.0
     exact: bool = False
 
     @property
@@ -658,7 +651,6 @@ class BowComplexCircle:
     J_minus: np.ndarray | None = None
     I_plus: np.ndarray | None = None
     J_plus: np.ndarray | None = None
-    hw_phase: complex = 1.0
     exact: bool = False
 
 

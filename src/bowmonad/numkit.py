@@ -16,9 +16,9 @@ Two matrix backends are used throughout the package:
   divide once at the end, so a Fraction gcd is taken once per result entry
   rather than once per multiply-add.
 
-The structured solvers at the bottom (common eigenvector search, pencil
-surjectivity, quotient representatives) are what the non-degeneracy
-conditions of the matrix data reduce to.
+The structured solvers at the bottom (common eigenvector search, quotient
+representatives) are what the non-degeneracy conditions of the matrix data
+reduce to.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ class InvalidArgument(BowmonadError):
 
 class GapTooSmall(BowmonadError):
     """A float-backend rank decision had no decisive singular-value margin."""
-
-
-class DegeneratePencil(BowmonadError):
-    """A pencil drops rank identically; the failure set is infinite."""
 
 
 class ImageNotContained(BowmonadError):
@@ -747,65 +743,6 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
         for j in range(k):
             stacked[2 * k + i, j] = D[i, j]
     return len(_eliminate(stacked)[3]) < k
-
-
-# ---------------------------------------------------------------------------
-# pencil surjectivity
-
-
-def pencil_surjectivity_failures(
-        Y, Z0, Z1, ctx: ToleranceContext = DEFAULT_CTX) -> list[complex]:
-    """All eta at which [Y | Z0 + eta Z1] drops row rank.
-
-    Restricting to the left kernel of Y turns this into a finite root
-    problem: the compressed pencil P(eta) must lose row rank.  Candidate
-    roots come from determinant interpolation of random column compressions
-    (rank drops survive any compression, so no failure is missed); each
-    candidate is then verified directly on [Y | Z(eta)].
-    """
-    Yf, Z0f, Z1f = to_float(Y), to_float(Z0), to_float(Z1)
-    if Yf.shape[0] != Z0f.shape[0] or Z0f.shape != Z1f.shape:
-        raise ValueError("row counts must agree")
-    m = Yf.shape[0]
-    L = rank_kernel(Yf, ctx).cokernel      # m x c
-    c = L.shape[1]
-    if c == 0:
-        return []
-    P0 = L.conj().T @ Z0f
-    P1 = L.conj().T @ Z1f
-    n = P0.shape[1]
-    if n < c:
-        raise DegeneratePencil(
-            f"left kernel of Y has dimension {c} > {n} pencil columns; "
-            "row rank drops for every eta")
-    rng = np.random.default_rng(20240203)
-    scale = max(np.linalg.norm(P0), np.linalg.norm(P1), 1.0)
-    candidates: list[complex] = []
-    degenerate = 0
-    for _ in range(2):
-        R = rng.standard_normal((n, c)) + 1j * rng.standard_normal((n, c))
-        # det of the c x c compression, interpolated at c+1 nodes
-        nodes = np.exp(2j * np.pi * np.arange(c + 1) / (c + 1)) * (1.0 + scale)
-        vals = np.array([np.linalg.det(P0 @ R + t * (P1 @ R)) for t in nodes])
-        coeffs = np.polyfit(nodes, vals, c)
-        if np.max(np.abs(coeffs)) <= 1e-12 * max(1.0, scale ** c):
-            degenerate += 1
-            continue
-        lead = np.max(np.abs(coeffs))
-        trimmed = np.trim_zeros(np.where(np.abs(coeffs) > 1e-12 * lead, coeffs, 0), "f")
-        if len(trimmed) > 1:
-            candidates.extend(np.roots(trimmed))
-    if degenerate == 2:
-        raise DegeneratePencil("compressed pencil determinant vanishes identically")
-    # verify candidates on the full [Y | Z(eta)]
-    failures: list[complex] = []
-    full_scale = max(np.linalg.norm(Yf), np.linalg.norm(Z0f), np.linalg.norm(Z1f), 1.0)
-    for eta in _cluster(np.array(candidates, dtype=complex), 1e-7 * max(1.0, scale)):
-        Mfull = np.hstack([Yf, Z0f + eta * Z1f])
-        s = np.linalg.svd(Mfull, compute_uv=False)
-        if len(s) < m or s[-1] <= 1e-7 * full_scale:
-            failures.append(complex(eta))
-    return failures
 
 
 # ---------------------------------------------------------------------------

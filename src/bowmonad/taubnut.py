@@ -143,9 +143,10 @@ def charpoly_identity_residual(data) -> float:
     return float(np.max(np.abs(np.asarray(c0) - np.asarray(c1))))
 
 
-def _pushdown_structure(data, which: str):
-    """Block template of the pushdown gluing map; the variable block is
-    xi * I or psi * I and the constant edge block is the matching B."""
+def _pushdown_structure(data):
+    """The four constant blocks of the pushdown gluing map, the same for
+    both sides; the caller places the variable block (xi or psi times I)
+    and the matching edge block B."""
     k, m = data.k, data.m
     exact = data.exact
     Ym0 = nk.zeros_like_backend(k, k + m + 1, exact)
@@ -174,7 +175,7 @@ def _pushdown_surjectivity(data, which: str, rng, ctx):
     collapsed coordinate, with the minimal singular value recorded as the
     coordinate runs to zero.  Every sample is one copy of a fixed template
     whose variable block is t I; one stacked SVD decides them all."""
-    Ym1, Ym0, Yp1, Yp0 = [nk.to_float(M) for M in _pushdown_structure(data, which)]
+    Ym1, Ym0, Yp1, Yp0 = [nk.to_float(M) for M in _pushdown_structure(data)]
     k, m = data.k, data.m
     rows = 3 * k + m
     cm, cp = Ym1.shape[1], Yp1.shape[1]

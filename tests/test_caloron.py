@@ -240,3 +240,66 @@ def test_generator_without_valid_draw(m):
     with pytest.raises(cal.NoValidDraw, match="no validated caloron draw") as exc:
         cal.generate_caloron(1, m, seed=0, max_tries=0)
     assert isinstance(exc.value, nk.BowmonadError)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_row_pencil_certificate_is_the_failing_point(exact):
+    """C = 0 and A, B0 sharing their eigenvector make the row pencil
+    (xi - A, eta - B, C) fail at (2 + i, 1 + 3i) on both backends; the exact
+    backend used to report the conjugate point."""
+    mat = nk.exact_matrix if exact else mk
+    g = nk.GQ if exact else complex
+    data = cal.CaloronDataM0(1, mat([[g(2, 1)]]), mat([[g(1, 3)]]),
+                             mat([[0, 0]]), mat([[1], [1]]))
+    check = cal.validate(data)["row_pencil_surjective"]
+    assert not check.passed
+    [(xi, eta, _)] = check.certificate
+    assert abs(xi - (2 + 1j)) < 1e-9 and abs(eta - (1 + 3j)) < 1e-9
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_left_eigenvector_killing_y_fails_mixed_pencil(exact):
+    """k = m = 1 with equal rows of Y = (A, C2; A', C2') and
+    B - B' = C1 - C1' = 2 + 3i: w = (1, -1) is a left eigenvector of the
+    normal form M with eigenvalue 2 + 3i and w Y = 0, so [Y | eta - M] loses
+    row rank at eta = 2 + 3i.  The relations fail; the row is decided on
+    its own."""
+    mat = nk.exact_matrix if exact else mk
+    eta0 = nk.GQ(2, 3) if exact else 2 + 3j
+    data = cal.CaloronData(1, 1, A=mat([[1]]), B=mat([[eta0]]),
+                           C=mat([[eta0, 1]]), D2row=mat([[1]]),
+                           Aprime=mat([[1]]), Bprime=mat([[0]]),
+                           Cprime=mat([[0, 1]]))
+    check = cal.validate(data)["mixed_pencil_surjective"]
+    assert not check.passed
+    [(xi, eta, _)] = check.certificate
+    assert xi == 0 and abs(eta - (2 + 3j)) < 1e-9
+    if exact:
+        M, Y = data.normal_form, cal._mixed_pencil_left(data)
+        obs = nk.common_eigenvector_obstruction(nk.exact_zeros(2, 2),
+                                                cal._t(M), cal._t(Y))
+        assert [o.exact_checked for o in obs] == [True]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_mixed_pencil_verdict_agrees_with_svd_oracle(exact):
+    """On raw draws, failing ones included, mixed_pencil_surjective fails
+    exactly where [Y | eta - M] loses row rank at an eigenvalue eta of M
+    (the only places it can)."""
+    verdicts = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        for k, m in [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3)]:
+            data = cal._draw_caloron(k, m, rng, exact)
+            if data is None:
+                continue
+            Y = nk.to_float(cal._mixed_pencil_left(data))
+            M = nk.to_float(data.normal_form)
+            scale = np.linalg.norm(np.hstack([Y, M]))
+            drops = any(np.linalg.svd(np.hstack([Y, eta * np.eye(k + m) - M]),
+                                      compute_uv=False)[-1] < 1e-9 * scale
+                        for eta in np.linalg.eigvals(M))
+            passed = cal.validate(data)["mixed_pencil_surjective"].passed
+            assert passed != drops, (seed, k, m)
+            verdicts.append(passed)
+    assert True in verdicts and False in verdicts

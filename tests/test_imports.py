@@ -1,8 +1,8 @@
 """Every name a library module imports is used in that module, every
-top-level definition of a library module, and every method or property
-of a top-level class apart from dunder names, is referenced somewhere, and the
-library imports nothing but the standard library, numpy and itself (numpy
-is its only declared dependency).
+top-level definition of a library module, and every method, property or
+annotated field of a top-level class apart from dunder names, is referenced
+somewhere, and the library imports nothing but the standard library, numpy
+and itself (numpy is its only declared dependency).
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -75,12 +75,23 @@ def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
         out += [f"{name} (line {node.lineno})" for name in names
                 if name not in referenced]
         if isinstance(node, ast.ClassDef):
-            # methods and properties; dunder names are called implicitly
-            out += [f"{node.name}.{f.name} (line {f.lineno})"
-                    for f in node.body if isinstance(f, ast.FunctionDef)
-                    and not (f.name.startswith("__") and f.name.endswith("__"))
-                    and f.name not in referenced]
+            # dunder names are called implicitly
+            for f in node.body:
+                name = _member_name(f)
+                if (name and not (name.startswith("__") and name.endswith("__"))
+                        and name not in referenced):
+                    out.append(f"{node.name}.{name} (line {f.lineno})")
     return out
+
+
+def _member_name(node):
+    """The name a class-body statement defines as a method, a property or
+    an annotated (dataclass) field; None for any other statement."""
+    if isinstance(node, ast.FunctionDef):
+        return node.name
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
 
 
 def test_scanner_flags_an_unreferenced_definition():
@@ -97,6 +108,14 @@ def test_scanner_flags_an_unreferenced_method():
     reader = "Kept().used()\nprint(Kept().size)\n"
     refs = referenced_names([lib, reader])
     assert unreferenced_definitions(lib, refs) == ["Kept.dead (line 6)"]
+
+
+def test_scanner_flags_an_unreferenced_field():
+    lib = ("@dataclass\nclass Kept:\n    used: int\n    dead: float = 1.0\n"
+           "    label = 'x'\n    def size(self): return self.used\n")
+    reader = "print(Kept(1).size(), Kept.label)\n"
+    refs = referenced_names([lib, reader])
+    assert unreferenced_definitions(lib, refs) == ["Kept.dead (line 4)"]
 
 
 def test_no_unreferenced_definitions():

@@ -138,28 +138,6 @@ def test_obstruction_agrees_with_sampling():
         assert (len(obs) == 0) == full_rank
 
 
-def test_pencil_invertible_square_is_empty():
-    Y = np.array([[2, -3], [3, 0]], dtype=complex)
-    Z0 = np.array([[1, 0], [0, -5]], dtype=complex)
-    Z1 = np.eye(2, dtype=complex)
-    assert nk.pencil_surjectivity_failures(Y, Z0, Z1) == []
-
-
-def test_pencil_single_failure():
-    Y = np.array([[1.0], [0.0]], dtype=complex)
-    Z0 = np.array([[0.0], [-3.0]], dtype=complex)
-    Z1 = np.array([[0.0], [1.0]], dtype=complex)
-    fails = nk.pencil_surjectivity_failures(Y, Z0, Z1)
-    assert len(fails) == 1 and abs(fails[0] - 3) < 1e-7
-
-
-def test_pencil_degenerate():
-    Y = np.zeros((2, 1), dtype=complex)
-    Z = np.zeros((2, 1), dtype=complex)
-    with pytest.raises(nk.DegeneratePencil):
-        nk.pencil_surjectivity_failures(Y, Z, Z)
-
-
 def test_quotient_trivial_image():
     K = np.eye(2, dtype=complex)
     reps = nk.quotient_representatives(K, np.zeros((2, 0), dtype=complex))
