@@ -411,9 +411,8 @@ def cmd_roundtrip(args) -> int:
     entries = []
     worst = 0.0
     for name, before, after in pairs:
-        c0 = np.asarray(nk.charpoly(nk.to_float(before)))
-        c1 = np.asarray(nk.charpoly(nk.to_float(after)))
-        diff = float(np.max(np.abs(c0 - c1)))
+        diff = float(np.max(np.abs(nk.charpoly(nk.to_float(before))
+                                   - nk.charpoly(nk.to_float(after)))))
         worst = max(worst, diff)
         entries.append({"invariant": f"charpoly({name})", "diff": diff})
     payload = {"checks": entries, "max_diff": worst}
@@ -426,6 +425,8 @@ def cmd_generate(args) -> int:
     seed = args.seed
     exact = args.backend == "exact"
     if strategy == "diagonal-nahm":
+        if args.k < 1:
+            raise ParseError(f"diagonal-nahm needs --k >= 1, got {args.k}")
         rep = nahmbow.BowRepresentation(1.0, 0.25, args.k, 0)
         rng = np.random.default_rng(seed)
         # the first two centers are pinned so the k = 2 curve is the product

@@ -277,7 +277,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
 
 
 def _add_obstruction_check(report, name, A, B, D, ctx):
-    """The common-eigenvector check of the pencil (A - xi; B - eta; D).  A
+    """The common-eigenvector check of the pencil (A - xi; B - eta; D), one
+    certificate entry (xi, eta, vector, exact_checked) per obstruction.  A
     rank decision the search cannot make (GapTooSmall) fails the check:
     the pencil is then not certified."""
     try:
@@ -286,7 +287,8 @@ def _add_obstruction_check(report, name, A, B, D, ctx):
         report.add(name, False, np.inf, note=str(e))
         return
     report.add(name, len(obs) == 0, 0.0,
-               certificate=[(o.xi, o.eta, o.vector) for o in obs] or None)
+               certificate=[(o.xi, o.eta, o.vector, o.exact_checked)
+                            for o in obs] or None)
 
 
 def _add_invertibility_check(report, name, M, ctx):
@@ -547,9 +549,7 @@ def generate_caloron(k: int, m: int, seed: int = 0, exact: bool = False,
     entry.  m >= 1 needs D (2 x k) of full row rank, which limits the
     solver to k <= 2 there; rejected draws are retried.
     """
-    m = abs(m)
-    if m >= 1 and k > 2:
-        raise ValueError("generator supports m >= 1 only for k <= 2")
+    m = _generator_sizes(k, m)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         data = _draw_caloron(k, m, rng, exact)
@@ -558,6 +558,16 @@ def generate_caloron(k: int, m: int, seed: int = 0, exact: bool = False,
         if validate(data).passed:
             return data
     raise NoValidDraw(f"no validated caloron draw for k={k}, m={m}, seed={seed}")
+
+
+def _generator_sizes(k: int, m: int) -> int:
+    """|m| for the generators of both flavors; k below 1, or k above 2 with
+    m != 0, raises ValueError before any draw."""
+    if k < 1:
+        raise ValueError(f"generator needs k >= 1, got k={k}")
+    if m and k > 2:
+        raise ValueError("generator supports m >= 1 only for k <= 2")
+    return abs(m)
 
 
 def _rand_int_mat(rng, shape, lo=-4, hi=5):

@@ -119,7 +119,8 @@ def su2_irrep(m: int):
 # Lax matrices and flows
 
 
-def lax(T1, T2, T3, zeta: complex) -> np.ndarray:
+def lax(T1, T2, T3, zeta) -> np.ndarray:
+    """A(zeta) of the triple; zetas shaped (..., 1, 1) stack it."""
     return T1 + 1j * T2 - 2 * zeta * T3 - (T1 - 1j * T2) * zeta ** 2
 
 
@@ -193,7 +194,8 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
     cur = np.array([np.asarray(T, dtype=complex) for T in (T1, T2, T3)])
     r = cur.shape[1]
     out = np.zeros((3, n, r, r), dtype=complex)
-    ref = [np.poly(lax(*cur, z)) for z in zeta_checks]
+    zetas = np.asarray(zeta_checks)[:, None, None]
+    ref = nk.charpoly(lax(*cur, zetas))
     for i in range(n):
         out[:, i] = cur
         if i == n - 1:
@@ -207,8 +209,7 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
             raise StepTooCoarse(
                 f"flow left the finite regime near s = {grid[i + 1]:.4f} "
                 "(pole hit or step too large)")
-    drift = max(np.max(np.abs(np.poly(lax(*cur, z)) - c0))
-                for z, c0 in zip(zeta_checks, ref))
+    drift = float(np.max(np.abs(nk.charpoly(lax(*cur, zetas)) - ref)))
     if drift > drift_tol:
         raise StepTooCoarse(f"isospectral drift {drift:.2e} > {drift_tol:.0e}")
     seg = Segment(s0, s1, r, grid, *out)
@@ -218,27 +219,11 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
 
 def charpoly_drift(seg: Segment, zetas) -> np.ndarray:
     """Per sample, the largest change of a characteristic coefficient of
-    the Lax matrix from the first sample, over the given zetas.
-
-    The coefficients at every sample are those of ``np.poly``: the roots of
-    each Lax matrix expanded one linear factor at a time in the order of
-    np.convolve's products, and made real where the roots are closed under
-    conjugation."""
-    worst = np.zeros(len(seg.s_grid))
-    for z in zetas:
-        roots = np.linalg.eigvals(lax(seg.T1, seg.T2, seg.T3, z))
-        coeffs = np.ones((len(roots), 1), dtype=complex)
-        for k in range(roots.shape[1]):
-            zr, zi = roots[:, k:k + 1].real, roots[:, k:k + 1].imag
-            p = np.pad(coeffs, ((0, 0), (1, 0)))        # c[j - 1]
-            q = np.pad(coeffs, ((0, 0), (0, 1)))        # c[j]
-            coeffs = ((q.real - p.real * zr) + p.imag * zi
-                      + 1j * ((q.imag - p.imag * zr) - p.real * zi))
-        real = np.all(np.sort(roots, axis=1) == np.sort(roots.conj(), axis=1),
-                      axis=1)
-        coeffs[real] = coeffs[real].real
-        worst = np.maximum(worst, np.max(np.abs(coeffs - coeffs[0]), axis=1))
-    return worst
+    the Lax matrix from the first sample, over the given zetas: one
+    numkit.charpoly call on the (zetas, samples, r, r) Lax stack."""
+    c = nk.charpoly(lax(seg.T1, seg.T2, seg.T3,
+                        np.asarray(zetas)[:, None, None, None]))
+    return np.max(np.abs(c - c[:, :1]), axis=(0, 2))
 
 
 def isospectral_drift(seg: Segment, zetas) -> float:
@@ -359,7 +344,6 @@ def diagonal_solution(rep: BowRepresentation, points) -> Segment:
     fixed point of R^3, so commutators vanish and the curve factors into the
     corresponding twistor lines.  Used for curve tests, not a bow solution."""
     pts = np.asarray(points, dtype=float)
-    k = pts.shape[0]
     T = [np.diag(pts[:, i]).astype(complex) for i in range(3)]
     return constant_segment(-rep.lam, rep.lam, *T, 17)
 
@@ -515,43 +499,35 @@ class SpectralCurve:
                 worst = max(worst, abs(b - (-1) ** (r + i + j) * np.conj(a)))
         return worst / scale
 
-    def evaluate(self, eta, zeta):
-        return sum(c * eta ** i * zeta ** j for (i, j), c in self.coeffs.items())
-
 
 def spectral_curve(sol_or_seg, which: str = "S0",
                    zeta_samples: int = None) -> SpectralCurve:
     """det(eta I - A(zeta, s)) as a bivariate polynomial, interpolated from
-    characteristic polynomials at Vandermonde zeta nodes; constancy in s is
-    verified at three interior values."""
+    characteristic polynomials at Vandermonde zeta nodes (default 2r + 3;
+    fewer than the 2r + 1 unknowns of each eta coefficient raise
+    InvalidArgument); constancy in s is verified at three interior values."""
     if isinstance(sol_or_seg, NahmSolution):
         seg = {"S0": sol_or_seg.tail, "S1": sol_or_seg.middle}[which]
     else:
         seg = sol_or_seg
     r = seg.rank
-    n = zeta_samples or (2 * r + 3)
+    n = 2 * r + 3 if zeta_samples is None else zeta_samples
+    if n < 2 * r + 1:
+        raise nk.InvalidArgument(f"rank {r} needs at least {2 * r + 1} zeta "
+                                 f"samples, got {n}")
     nodes = 1.3 * np.exp(2j * np.pi * np.arange(n) / n) + 0.07
-    coeff_sets = []
-    for s in np.linspace(seg.s0, seg.s1, 5)[1:-1]:
-        t1, t2, t3 = seg.at(s)
-        rows = np.stack([np.poly(lax(t1, t2, t3, z)) for z in nodes])  # (n, r+1)
-        V = np.vander(nodes, 2 * r + 1, increasing=True)
-        if np.linalg.cond(V) > 1e10:
-            raise InterpolationIllConditioned("zeta nodes too clustered")
-        cz, *_ = np.linalg.lstsq(V, rows, rcond=None)   # (2r+1, r+1)
-        coeffs = {}
-        for i in range(r + 1):
-            for j in range(2 * r + 1):
-                c = cz[j, r - i]
-                if abs(c) > 1e-11 * max(1.0, np.max(np.abs(cz))):
-                    coeffs[(i, j)] = complex(c)
-        coeff_sets.append(coeffs)
-    drift = 0.0
-    keys = set().union(*[set(c) for c in coeff_sets])
-    for key in keys:
-        vals = [c.get(key, 0.0) for c in coeff_sets]
-        drift = max(drift, float(np.max(np.abs(np.array(vals) - vals[0]))))
-    return SpectralCurve(r, coeff_sets[0], drift)
+    V = np.vander(nodes, 2 * r + 1, increasing=True)
+    if np.linalg.cond(V) > 1e10:
+        raise InterpolationIllConditioned("zeta nodes too clustered")
+    T = seg.sample(np.linspace(seg.s0, seg.s1, 5)[1:-1])
+    rows = nk.charpoly(lax(*T, nodes[:, None, None, None]))   # (n, 3, r+1)
+    cz = np.linalg.lstsq(V, rows.reshape(n, -1), rcond=None)[0]
+    cz = cz.reshape(2 * r + 1, 3, r + 1)        # zeta power, s, eta degree
+    c0 = cz[:, 0]
+    big = 1e-11 * max(1.0, np.max(np.abs(c0)))
+    coeffs = {(i, j): complex(c0[j, r - i]) for i in range(r + 1)
+              for j in range(2 * r + 1) if abs(c0[j, r - i]) > big}
+    return SpectralCurve(r, coeffs, float(np.max(np.abs(cz - c0[:, None]))))
 
 
 # ---------------------------------------------------------------------------

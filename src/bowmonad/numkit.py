@@ -523,38 +523,31 @@ def exact_inverse(M: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials and determinants
+# characteristic polynomials
 
 
 def charpoly(M: np.ndarray):
-    """Coefficients of det(eta I - M), highest degree first.
+    """Coefficients of det(eta I - M), highest degree first, by
+    Faddeev-LeVerrier on both backends: with M_1 = M, c_k = -tr(M_k) / k
+    and M_{k+1} = M (M_k + c_k I).
 
-    Exact backend uses Faddeev-LeVerrier (divisions by integers only stay in
-    Q(i)); float backend defers to numpy.
-    """
-    n = M.shape[0]
-    if not is_exact(M):
-        if n == 0:
-            return np.array([1.0 + 0j])
-        return np.poly(np.asarray(M, dtype=complex))
-    coeffs = [GQ_ONE]
-    Mk = exact_eye(n)
+    An exact (n, n) matrix gives a list of n + 1 GaussianRationals (the
+    divisions are by integers, so the loop stays in Q(i)).  A float stack
+    (..., n, n) gives an (..., n + 1) array, one batched product per degree
+    for the whole stack."""
+    exact = is_exact(M)
+    if not exact:
+        M = np.asarray(M, dtype=complex)
+    n = M.shape[-1]
+    d = np.arange(n)
+    coeffs = [GQ_ONE if exact else np.ones(M.shape[:-2], dtype=complex)]
+    Mk = exact_eye(n) if exact else np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        Mk = mat_mul(M, Mk)
-        tr = GQ_ZERO
-        for i in range(n):
-            tr = tr + Mk[i, i]
-        c = tr / GQ(-k)
+        Mk = mat_mul(M, Mk) if exact else M @ Mk
+        c = Mk[..., d, d].sum(axis=-1) / -k
         coeffs.append(c)
-        for i in range(n):
-            Mk[i, i] = Mk[i, i] + c
-    return coeffs
-
-
-def exact_det(M: np.ndarray) -> GaussianRational:
-    cp = charpoly(M)
-    n = M.shape[0]
-    return cp[-1] * GQ((-1) ** n) if n % 2 else cp[-1]
+        Mk[..., d, d] += c if exact else c[..., None]
+    return coeffs if exact else np.stack(coeffs, axis=-1)
 
 
 # ---------------------------------------------------------------------------

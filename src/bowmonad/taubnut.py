@@ -18,8 +18,8 @@ import numpy as np
 from . import numkit as nk
 from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
                       _add_obstruction_check, _e_minus_col, _e_plus_row,
-                      _mixed_pencil_left, _pack, _read_back_m0,
-                      _read_normal_form, _solve_cprime)
+                      _generator_sizes, _mixed_pencil_left, _pack,
+                      _read_back_m0, _read_normal_form, _solve_cprime)
 from .caloron import right_normal_residual  # noqa: F401 - shared by both flavors
 from .monadcore import TWISTS, BlockSpec, ParamMonad
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
@@ -106,8 +106,7 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
         res = nk.mat_norm(r)
         report.add(name, res < 1e-10 * scale, res)
 
-    res = charpoly_identity_residual(data)
-    report.add("charpoly_B0_eq_B1", res == 0.0 if data.exact else res < 1e-9, res)
+    report.add("charpoly_B0_eq_B1", *charpoly_identity(data))
 
     _add_obstruction_check(report, "stacked_pencil_injective",
                            data.A, data.B0, data.D, ctx)
@@ -135,12 +134,14 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     return report
 
 
-def charpoly_identity_residual(data) -> float:
-    c0 = nk.charpoly(data.B0)
-    c1 = nk.charpoly(data.B1)
+def charpoly_identity(data) -> tuple[bool, float]:
+    """(holds, residual) of char(B0) = char(B1): exact equality (residual 0
+    or 1), or on floats the largest coefficient difference below 1e-9."""
+    c0, c1 = nk.charpoly(data.B0), nk.charpoly(data.B1)
     if data.exact:
-        return 0.0 if all(a == b for a, b in zip(c0, c1)) else 1.0
-    return float(np.max(np.abs(np.asarray(c0) - np.asarray(c1))))
+        return c0 == c1, float(c0 != c1)
+    res = float(np.max(np.abs(c0 - c1)))
+    return res < 1e-9, res
 
 
 def _pushdown_structure(data):
@@ -392,12 +393,12 @@ def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
 def jumping_lines(data, ctx: ToleranceContext = DEFAULT_CTX):
     """Eigenvalues of B0 (k values, with multiplicity) plus the roots of the
     middle-block determinant (k + m values); the characteristic polynomials
-    of B0 and B1 are compared coefficientwise on the way."""
-    res = charpoly_identity_residual(data)
-    if data.exact and res != 0.0:
-        raise AssertionError("char polys of B0 and B1 differ")
-    if not data.exact and res > 1e-8:
-        raise AssertionError("char polys of B0 and B1 differ")
+    of B0 and B1 are compared on the way, as `validate` does, and data that
+    fails that check raises BuildRefused."""
+    holds, res = charpoly_identity(data)
+    if not holds:
+        raise BuildRefused(f"char polys of B0 and B1 differ (residual "
+                           f"{res:.2e})")
     spec_b0 = np.linalg.eigvals(nk.to_float(data.B0))
     mid = data.normal_form if data.m else data.middle_jump()[1]
     mid_roots = np.linalg.eigvals(nk.to_float(mid))
@@ -519,9 +520,7 @@ def generate_taubnut(k: int, m: int, seed: int = 0, exact: bool = False,
     """Random validated Taub-NUT data at desk scale (k <= 2 for m >= 1, any
     small k for m = 0).  Negative m folds onto its positive representative
     under the rank swap."""
-    m = abs(m)
-    if m >= 1 and k > 2:
-        raise ValueError("generator supports m >= 1 only for k <= 2")
+    m = _generator_sizes(k, m)
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
         data = _draw_taubnut(k, m, rng, exact) if m else \

@@ -451,3 +451,78 @@ def test_generate_without_valid_draw_exit_1(kind, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "NoValidDraw"
+
+
+@pytest.mark.parametrize("samples", ["-1", "0", "1", "2"])
+def test_spectral_too_few_zeta_samples_exit_2(samples, tmp_path, capsys):
+    """The rank-1 tail curve has 2r + 1 = 3 unknowns per eta power: fewer
+    zeta samples exit 2 with a JSON parse error and write no CSV."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "2",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    assert run_cli("spectral", "--input", str(sol_file),
+                   f"--zeta-samples={samples}",
+                   "--out", str(tmp_path / "c.csv")) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and "zeta samples" in err["message"]
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_spectral_minimal_zeta_samples_run(tmp_path, capsys):
+    """2r + 1 samples interpolate the curve exactly: the same coefficients
+    as the default 2r + 3."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "2",
+            "--out", str(sol_file))
+    curves = []
+    for extra in (["--zeta-samples", "3"], []):
+        out = tmp_path / "c.csv"
+        assert run_cli("spectral", "--input", str(sol_file),
+                       "--out", str(out), *extra) == 0
+        with open(out) as f:
+            curves.append({(r["eta_power"], r["zeta_power"]):
+                           complex(float(r["re"]), float(r["im"]))
+                           for r in csv.DictReader(f)})
+    assert set(curves[0]) == set(curves[1])
+    assert all(abs(curves[0][key] - curves[1][key]) < 1e-12
+               for key in curves[0])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+@pytest.mark.parametrize("kind", ["caloron", "caloron-m0", "taubnut",
+                                  "taubnut-m0", "diagonal-nahm"])
+def test_generate_k_below_1_exit_2(kind, k, capsys):
+    args = ["--kind", "bowsol", "--strategy", kind] \
+        if kind == "diagonal-nahm" else ["--kind", kind]
+    assert run_cli("generate", *args, f"--k={k}") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and "k >= 1" in err["message"]
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_validate_reports_the_exact_recheck_of_a_pencil_failure(
+        exact, tmp_path, capsys):
+    """A k = m = 1 tuple whose normal form has a left eigenvector killing
+    Y fails mixed_pencil_surjective; each certificate entry is
+    [xi, eta, vector, exact_checked], and the exact backend's exact
+    re-check shows as true."""
+    mat = nk.exact_matrix if exact else (lambda r: np.array(r, dtype=complex))
+    eta0 = nk.GQ(2, 3) if exact else 2 + 3j
+    data = caloron.CaloronData(1, 1, A=mat([[1]]), B=mat([[eta0]]),
+                               C=mat([[eta0, 1]]), D2row=mat([[1]]),
+                               Aprime=mat([[1]]), Bprime=mat([[0]]),
+                               Cprime=mat([[0, 1]]))
+    f = tmp_path / "pencil.json"
+    f.write_text(json.dumps(bowcli.data_to_json(data)))
+    assert run_cli("validate", "--input", str(f)) == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    [(xi, eta, vector, exact_checked)] = \
+        checks["mixed_pencil_surjective"]["certificate"]
+    assert xi == [0.0, 0.0] and abs(complex(*eta) - (2 + 3j)) < 1e-9
+    assert len(vector) == 2 and exact_checked is exact

@@ -2,7 +2,9 @@
 top-level definition of a library module, and every method, property or
 annotated field of a top-level class apart from dunder names, is referenced
 somewhere, and the library imports nothing but the standard library, numpy
-and itself (numpy is its only declared dependency).
+and itself (numpy is its only declared dependency).  No library module
+calls ``np.poly``: ``numkit.charpoly`` is the one characteristic
+polynomial.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -154,3 +156,32 @@ def test_scanner_flags_a_foreign_import():
                          ids=lambda p: p.name)
 def test_library_imports_only_stdlib_and_numpy(path):
     assert foreign_imports(path.read_text()) == []
+
+
+def poly_uses(source: str) -> list[str]:
+    """Every read of numpy's ``poly``, as ``np.poly``/``numpy.poly`` or
+    imported from numpy."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "poly"
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy")):
+            out.append(f"{node.value.id}.poly (line {node.lineno})")
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(alias.name == "poly" for alias in node.names)):
+            out.append(f"from numpy import poly (line {node.lineno})")
+    return out
+
+
+def test_scanner_flags_np_poly():
+    src = ("import numpy as np\nfrom numpy import poly, roots\n"
+           "c = np.poly(M)\nd = numpy.poly(M)\nnk.charpoly(M)\n"
+           "x = np.polyfit(a, b, 1)\n")
+    assert poly_uses(src) == ["from numpy import poly (line 2)",
+                              "np.poly (line 3)", "numpy.poly (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_np_poly_in_library(path):
+    assert poly_uses(path.read_text()) == []

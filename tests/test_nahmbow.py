@@ -295,11 +295,44 @@ def test_isospectral_drift_small_k3():
     assert nb.isospectral_drift(seg, [0.0, 0.5, -1.0, 1j, 2.0]) < 1e-8
 
 
-def test_isospectral_drift_matches_per_sample_poly():
-    """The batched drift against np.poly sample by sample.  The batched
-    expansion takes np.convolve's products in the order of its complex dot,
-    which depends on the BLAS, so the two are held to a few units in the
-    last place of the largest coefficient."""
+def _exact_of(z):
+    """The float z as an element of Q(i), converted without rounding."""
+    return nk.GQ(Fraction(z.real), Fraction(z.imag))
+
+
+def test_float_charpoly_matches_exact_oracle():
+    """numkit.charpoly on float stacks against the exact Faddeev-LeVerrier
+    of the same entries converted exactly to Q(i): coefficient j of an
+    n x n matrix within n j eps |M|_2^j (the error compared exactly).
+    Random matrices at r = 1-4 and three scales, and the nilpotent Lax
+    matrices of the su(2) irreps, whose lower coefficients are exactly 0."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(11)
+    zetas = np.array([0.0, 0.5, -1.0, 1j, 2.0])
+    stacks = [scale * (rng.standard_normal((40, r, r))
+                       + 1j * rng.standard_normal((40, r, r)))
+              for r in (1, 2, 3, 4) for scale in (0.1, 1.0, 10.0)]
+    stacks += [nb.lax(*nb.su2_irrep(d), zetas[:, None, None]) for d in (2, 3, 4)]
+    for Ms in stacks:
+        n = Ms.shape[-1]
+        got = nk.charpoly(Ms)
+        assert got.shape == (len(Ms), n + 1)
+        for M, c in zip(Ms, got):
+            want = nk.charpoly(nk.exact_matrix([[_exact_of(z) for z in row]
+                                                for row in M]))
+            norm = np.linalg.norm(M, 2)
+            for j in range(n + 1):
+                err = nk.to_float(nk.exact_matrix([[_exact_of(c[j]) - want[j]]]))
+                assert abs(err[0, 0]) <= n * j * eps * norm ** j, (n, j)
+
+
+def test_charpoly_drift_matches_per_sample_charpoly():
+    """The stacked drift against numkit.charpoly sample by sample and zeta
+    by zeta.  A stacked product may round differently from a single one;
+    each coefficient is within b = n j eps |L|_2^j of the exact one
+    (test_float_charpoly_matches_exact_oracle), so two drifts, each a
+    difference of two coefficients, differ by at most 4 b."""
+    eps = np.finfo(float).eps
     zetas = [0.0, 0.5, -1.0, 1j, 2.0]
     rng = np.random.default_rng(5)
     herm = lambda r: [0.3 * (X + X.conj().T) for X in
@@ -308,22 +341,27 @@ def test_isospectral_drift_matches_per_sample_poly():
     segs = [nb.flow(*herm(3), 0.0, 1.0, 1e-3)]
     segs += [nb.flow(*[r / 0.1 for r in nb.su2_irrep(d)], 0.1, 1.0, 1e-3)
              for d in (2, 4)]
-    # T2 = 0 at the first sample only: real roots at zeta = 0 there alone
+    # T2 = 0 at the first sample only: a Hermitian Lax matrix at zeta = 0
+    # there alone
     T1, T2, T3 = [np.stack(X) for X in zip(*(herm(2) for _ in range(4)))]
     T2[0] = 0
     segs.append(nb.Segment(0.0, 1.0, 2, np.linspace(0.0, 1.0, 4), T1, T2, T3))
     for seg in segs:
-        want, scale = np.zeros(len(seg.s_grid)), 1.0
+        n = seg.rank
+        want, bound = np.zeros(len(seg.s_grid)), 0.0
         for z in zetas:
-            polys = [np.poly(nb.lax(seg.T1[i], seg.T2[i], seg.T3[i], z))
+            laxes = [nb.lax(seg.T1[i], seg.T2[i], seg.T3[i], z)
                      for i in range(len(seg.s_grid))]
-            scale = max(scale, max(np.max(np.abs(c)) for c in polys))
+            polys = [nk.charpoly(L) for L in laxes]
             want = np.maximum(want, [np.max(np.abs(c - polys[0]))
                                      for c in polys])
-        assert abs(nb.isospectral_drift(seg, zetas) - want.max()) \
-            <= 1e-14 * scale
-        assert np.max(np.abs(nb.charpoly_drift(seg, zetas) - want)) \
-            <= 1e-14 * scale
+            norm = max(np.linalg.norm(L, 2) for L in laxes)
+            bound = max(bound, max(n * j * eps * norm ** j
+                                   for j in range(n + 1)))
+        got = nb.charpoly_drift(seg, zetas)
+        assert got.shape == want.shape and got[0] == 0.0
+        assert np.max(np.abs(got - want)) <= 4 * bound
+        assert abs(nb.isospectral_drift(seg, zetas) - want.max()) <= 4 * bound
 
 
 # ---------------------------------------------------------------------------

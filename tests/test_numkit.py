@@ -167,11 +167,10 @@ def test_exact_quotient():
     assert reps.shape == (3, 1)
 
 
-def test_exact_charpoly_and_det():
+def test_exact_charpoly():
     M = nk.exact_matrix([[2, -3], [3, 0]])
     cp = nk.charpoly(M)
     assert cp == [GQ(1), GQ(-2), GQ(9)]
-    assert nk.exact_det(M) == GQ(9)
 
 
 def test_exact_solve():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -107,6 +109,23 @@ def test_jumping_lines_worked_example():
     # middle block is [[6, -1], [21, -1]]: trace 5, det 15
     assert abs(sum(mid_roots) - 5) < 1e-8
     assert abs(np.prod(mid_roots) - 15) < 1e-8
+
+
+@pytest.mark.parametrize("scale", [1.0, 100 / 3], ids=["unit", "scaled"])
+def test_jumping_lines_reads_the_validate_charpoly_check(scale):
+    """jumping_lines refuses with BuildRefused exactly the data whose
+    charpoly_B0_eq_B1 row fails in validate.  With Bht and Bth scaled by
+    100/3 the rounding of the float coefficients alone (about 3e-7)
+    exceeds the absolute 1e-9 bound."""
+    d = tn.generate_taubnut(2, 0, seed=0)
+    d = replace(d, Bht=d.Bht * scale, Bth=d.Bth * scale)
+    holds = tn.validate(d)["charpoly_B0_eq_B1"].passed
+    assert holds == (scale == 1.0)
+    if holds:
+        tn.jumping_lines(d)
+    else:
+        with pytest.raises(BuildRefused, match="char polys"):
+            tn.jumping_lines(d)
 
 
 @pytest.mark.parametrize("exact", [False, True])
