@@ -466,20 +466,8 @@ def cmd_generate(args) -> int:
         return 0
     else:
         raise ParseError(f"unknown kind {kind!r}")
-    if strategy == "perturbed":
-        data = _perturb(data, seed)
     _write_out(data_to_json(data), args.out)
     return 0
-
-
-def _perturb(data, seed):
-    """Re-solve the constraints from a nearby draw; a distinct seed stream
-    keeps the instance close to, but different from, the base draw."""
-    if isinstance(data, _CALORON):
-        return caloron.generate_caloron(data.k, data.m, seed=seed + 10007,
-                                        exact=data.exact)
-    return taubnut.generate_taubnut(data.k, data.m, seed=seed + 10007,
-                                    exact=data.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--strategy", default="k1-closed-form",
-                    choices=["k1-closed-form", "diagonal-nahm", "perturbed"])
+                    choices=["k1-closed-form", "diagonal-nahm"])
     sp.set_defaults(fn=cmd_generate)
     return p
 

@@ -616,10 +616,6 @@ class _LineSystem:
         self.alpha = _MapBlocks(pm.alpha, pm.offsets(1), pm.offsets(0), sub)
         self.beta = _MapBlocks(pm.beta, pm.offsets(2), pm.offsets(1), sub)
 
-    def _system(self, which: str, src: _Layout, dst: _Layout,
-                strict: bool) -> np.ndarray:
-        return _place(getattr(self, which), src, dst, strict)
-
     def _equation_layout(self, lay_src: _Layout) -> _Layout:
         """Right-column layout over every exponent beta can reach from a
         middle layout."""
@@ -637,9 +633,9 @@ class _LineSystem:
 
         h0_dim, reps = 0, np.zeros((0, 0), dtype=complex)
         if lay2.size:
-            E = self._system("beta", lay2, self._equation_layout(lay2), False)
+            E = _place(self.beta, lay2, self._equation_layout(lay2), False)
             kern = nk.rank_kernel(E, ctx).kernel
-            Aim = self._system("alpha", lay1, lay2, True)
+            Aim = _place(self.alpha, lay1, lay2, True)
             reps = nk.quotient_representatives(kern, Aim, ctx)
             h0_dim = reps.shape[1]
 
@@ -648,7 +644,7 @@ class _LineSystem:
         h1_net = 0
         if lay1_h1.size:
             lay2_h1 = _Layout(blocks2, [(hi + 1, lo - 1) for lo, hi in w2])
-            H = self._system("alpha", lay1_h1, lay2_h1, False)
+            H = _place(self.alpha, lay1_h1, lay2_h1, False)
             ker_h1 = nk.rank_kernel(H, ctx).kernel if lay2_h1.size else \
                 np.eye(lay1_h1.size, dtype=complex)
             if ker_h1.shape[1]:
@@ -672,7 +668,7 @@ class _LineSystem:
         lo_all = lo1 + min(self.alpha.shifts)
         hi_all = hi1 + max(self.alpha.shifts)
         lay_full = _Layout(blocks2, [(lo_all, hi_all)] * len(blocks2))
-        images = self._system("alpha", lay1_h1, lay_full, False) @ ker_h1
+        images = _place(self.alpha, lay1_h1, lay_full, False) @ ker_h1
         scale = max(1.0, np.max(np.abs(images))) if images.size else 1.0
         # regular piece: keep exponents >= per-block window floor
         lay_reg = _Layout(blocks2, [(lo, hi_all) for lo, _ in w2])
@@ -693,11 +689,11 @@ class _LineSystem:
             P[r:r + n, c:c + n] = np.eye(n)
         v0 = P @ images
         lay_eq = self._equation_layout(lay_reg)
-        d2_vals = self._system("beta", lay_reg, lay_eq, False) @ v0
+        d2_vals = _place(self.beta, lay_reg, lay_eq, False) @ v0
         if not d2_vals.size or np.max(np.abs(d2_vals)) <= _D2_TOL * scale:
             return 0
         if lay2.size:
-            Eh0 = self._system("beta", lay2, lay_eq, False)
+            Eh0 = _place(self.beta, lay2, lay_eq, False)
             cok = nk.rank_kernel(Eh0, ctx).cokernel
             proj = cok.conj().T @ d2_vals
         else:

@@ -735,9 +735,10 @@ def _normal_frame(emb: np.ndarray) -> np.ndarray:
 # finite monad from a bow complex
 
 
-def reduce_to_finite_monad(source, point, ctx: ToleranceContext = DEFAULT_CTX):
-    """Finite monad of a bow solution (or normalized bow complex) at a fixed
-    Taub-NUT chart point (xi, psi); returns the evaluated MonadAtPoint.
+def finite_monad_family(bc: BowComplexTN,
+                        ctx: ToleranceContext = DEFAULT_CTX) -> ParamMonad:
+    """The finite monad of a normalized bow complex as a ParamMonad over the
+    Taub-NUT (xi, psi) chart.
 
     The columns are spanned by flat-section families on the two arcs through
     the lambda points, cut down by the requirement that the endomorphism
@@ -746,14 +747,6 @@ def reduce_to_finite_monad(source, point, ctx: ToleranceContext = DEFAULT_CTX):
     orders need the graded pole frames, which the desk-scale generators do
     not produce.
     """
-    bc = source if isinstance(source, BowComplexTN) else complex_shadow(source)
-    return finite_monad_family(bc, ctx).evaluate(point)
-
-
-def finite_monad_family(bc: BowComplexTN,
-                        ctx: ToleranceContext = DEFAULT_CTX) -> ParamMonad:
-    """The finite monad of a normalized bow complex as a ParamMonad over the
-    (xi, psi) chart."""
     k, m = bc.k, bc.m
     if m > 1:
         raise BuildRefused("finite reduction implemented for m <= 1")

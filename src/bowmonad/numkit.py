@@ -672,14 +672,13 @@ def common_eigenvector_obstruction(
     for xi, W in _eigen_kernels(Af, eigs, Df, xi_tol, ctx, floor):
         if W.shape[1] == 0:
             continue
-        Q, _ = np.linalg.qr(W)
-        S = Q.conj().T @ Bf @ Q
-        G = (np.eye(k) - Q @ Q.conj().T) @ Bf @ Q
+        S = W.conj().T @ Bf @ W
+        G = (np.eye(k) - W @ W.conj().T) @ Bf @ W
         for eta, C in _eigen_kernels(S, np.linalg.eigvals(S), G,
                                      1e-8 * max(1.0, np.linalg.norm(S)), ctx,
                                      floor):
             for j in range(C.shape[1]):
-                v = Q @ C[:, j]
+                v = W @ C[:, j]
                 v = v / np.linalg.norm(v)
                 res = max(np.linalg.norm(Af @ v - xi * v),
                           np.linalg.norm(Bf @ v - eta * v),
@@ -746,6 +745,11 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
                              ctx: ToleranceContext = DEFAULT_CTX) -> np.ndarray:
     """Basis of a complement of span(image) inside span(kernel).
 
+    On the float backend the kernel basis K must have orthonormal columns
+    (``rank_kernel(...).kernel``, or the identity of an empty map).  Two
+    SVDs: one of the image I, cut by ``ctx.rank_cut``, whose left singular
+    vectors Q_I span it, and one of K - Q_I Q_I^H K, whose leading
+    K.shape[1] - rank(I) left singular vectors are the representatives.
     Raises :class:`ImageNotContained` when the inclusion fails beyond
     tolerance, which upstream signals a broken composite (beta o alpha != 0).
     """
@@ -754,29 +758,21 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
         return _exact_quotient(K, I)
     K = np.asarray(K, dtype=complex)
     I = np.asarray(I, dtype=complex)
-    n = K.shape[0]
     if K.shape[1] == 0:
         if I.shape[1] != 0 and np.linalg.norm(I) > ctx.rank_tol:
             raise ImageNotContained("nonzero image with zero kernel")
-        return np.zeros((n, 0), dtype=complex)
-    QK, _ = np.linalg.qr(K)
+        return K
+    C, rk_i = K, 0
     if I.shape[1]:
-        resid = np.linalg.norm(I - QK @ (QK.conj().T @ I))
+        resid = np.linalg.norm(I - K @ (K.conj().T @ I))
         if resid > max(ctx.rank_tol * 1e3, 1e-8) * max(np.linalg.norm(I), 1.0):
             raise ImageNotContained(f"containment residual {resid:.3e}")
-        QI, _ = np.linalg.qr(I)
-        rk_i = rank_kernel(I, ctx).rank
-        QI = QI[:, :rk_i]
-        C = QK - QI @ (QI.conj().T @ QK)
-    else:
-        rk_i = 0
-        C = QK
-    rk = rank_kernel(K, ctx).rank
-    want = rk - rk_i
-    if want <= 0:
-        return np.zeros((n, 0), dtype=complex)
-    U, s, _ = np.linalg.svd(C, full_matrices=False)
-    return U[:, :want]
+        U, s, _ = np.linalg.svd(I, full_matrices=False)
+        rk_i = ctx.rank_cut(s.tolist())[0]
+        C = K - U[:, :rk_i] @ (U[:, :rk_i].conj().T @ K)
+    if rk_i >= K.shape[1]:
+        return K[:, :0]
+    return np.linalg.svd(C, full_matrices=False)[0][:, :K.shape[1] - rk_i]
 
 
 def _exact_quotient(K: np.ndarray, I: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""The benchmark's bow-dirac ops against the library as it stands: one
-round of perfbench/workloads.py, every op passing its own checks (kernel
-dimensions 2, min_eig > 0, pole, drift, grading and transport).  A change
-that breaks what the benchmark reads of the library (`dl.matrix.shape`
-among it) fails here before it fails a benchmark run."""
+"""The benchmark's bow-dirac and line-splitting ops against the library as
+it stands: one round of each from perfbench/workloads.py, every op passing
+its own checks (kernel dimensions 2, min_eig > 0, pole, drift, grading and
+transport; splitting types, section counts and refusals).  A change that
+breaks what the benchmark reads of the library (`dl.matrix.shape` among it)
+fails here before it fails a benchmark run."""
 
 import sys
 from pathlib import Path
@@ -15,6 +16,17 @@ import workloads  # noqa: E402
 def test_bow_dirac_round_passes(tmp_path):
     work = workloads.setup("bow-dirac", 0, str(tmp_path), workloads.API)
     assert {op.kind for op in work.ops} == {"dirac", "flow"}
+    for op in work.ops:
+        ok, detail, _ = op.fn(workloads.API)
+        assert ok, (op.kind, op.label, detail)
+
+
+def test_line_splitting_round_passes(tmp_path):
+    """Section counts and splitting refusals as the benchmark checks them:
+    a refusal off a spectrally aligned line raises, any other failed check
+    reads ok = False."""
+    work = workloads.setup("line-splitting", 0, str(tmp_path), workloads.API)
+    assert {op.kind for op in work.ops} == {"splitting"}
     for op in work.ops:
         ok, detail, _ = op.fn(workloads.API)
         assert ok, (op.kind, op.label, detail)

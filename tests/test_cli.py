@@ -505,6 +505,13 @@ def test_generate_k_below_1_exit_2(kind, k, capsys):
     assert err["type"] == "parse" and "k >= 1" in err["message"]
 
 
+def test_generate_refuses_perturbed_strategy(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("generate", "--kind", "taubnut", "--strategy", "perturbed")
+    assert exc.value.code == 2
+    assert "invalid choice: 'perturbed'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_validate_reports_the_exact_recheck_of_a_pencil_failure(
         exact, tmp_path, capsys):

@@ -378,23 +378,29 @@ def checked_systems(monkeypatch):
     """Compare every system sections_on_line builds with the per-entry
     reference, bit for bit; yields the list of (map, strict) built."""
     seen = []
-    real = mc._LineSystem._system
+    real_init, real_place = mc._LineSystem.__init__, mc._place
 
-    def checked(self, which, src, dst, strict):
+    def init(self, pm, line):
+        real_init(self, pm, line)
+        self.alpha.origin = (pm, "alpha", line)
+        self.beta.origin = (pm, "beta", line)
+
+    def checked(blocks, src, dst, strict):
+        pm, which, line = blocks.origin
         try:
-            want = reference_block_action(self.pm, which, self.line, src,
-                                          dst, strict)
+            want = reference_block_action(pm, which, line, src, dst, strict)
         except mc.InternalTwistError:
             with pytest.raises(mc.InternalTwistError):
-                real(self, which, src, dst, strict)
+                real_place(blocks, src, dst, strict)
             raise
-        got = real(self, which, src, dst, strict)
+        got = real_place(blocks, src, dst, strict)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
         seen.append((which, strict))
         return got
 
-    monkeypatch.setattr(mc._LineSystem, "_system", checked)
+    monkeypatch.setattr(mc._LineSystem, "__init__", init)
+    monkeypatch.setattr(mc, "_place", checked)
     return seen
 
 

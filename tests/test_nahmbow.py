@@ -487,13 +487,13 @@ def test_constant_segment_is_its_first_sample():
 
 
 def test_reduce_scalar_closed_form_fiber():
-    sol, bc, _ = matched_pair_m0()
+    _, bc, _ = matched_pair_m0()
+    fm = nb.finite_monad_family(bc)
     rng = np.random.default_rng(6)
     for _ in range(5):
         pt = (complex(rng.standard_normal() + 1j * rng.standard_normal()),
               complex(rng.standard_normal() + 1j * rng.standard_normal()))
-        m = nb.reduce_to_finite_monad(sol, pt)
-        assert mc.fiber(m).dim == 2
+        assert mc.fiber(fm.evaluate(pt)).dim == 2
 
 
 def test_reduce_matches_big_monad_on_matched_data():
@@ -511,7 +511,7 @@ def test_reduce_on_jumping_line_point():
     sol, bc, data = matched_pair_m1()
     eta0 = nk.to_float(data.B0)[0, 0]
     pt = (1.3 + 0.0j, complex(eta0) / 1.3)
-    assert mc.fiber(nb.reduce_to_finite_monad(bc, pt)).dim == 2
+    assert mc.fiber(nb.finite_monad_family(bc).evaluate(pt)).dim == 2
 
 
 def test_reduce_refuses_high_pole_order():

@@ -153,6 +153,18 @@ def test_quotient_coordinate_case():
     assert abs(v[1]) > 0.99 and abs(v[0]) < 1e-10 and abs(v[2]) < 1e-10
 
 
+def test_quotient_dependent_leading_image_columns():
+    # the leading image columns are dependent: the image basis must still
+    # span e1 and e2, so the one representative is e0
+    E = np.eye(4, dtype=complex)
+    I = E[:, [1, 1, 2]]
+    reps = nk.quotient_representatives(E[:, :3], I)
+    assert reps.shape == (4, 1)
+    v = reps[:, 0]
+    assert np.linalg.norm(I.conj().T @ v) < 1e-12
+    assert abs(abs(v[0]) - 1.0) < 1e-12 and np.linalg.norm(v[1:]) < 1e-12
+
+
 def test_quotient_not_contained():
     K = np.eye(3, dtype=complex)[:, :1]
     I = np.eye(3, dtype=complex)[:, 1:2]
