@@ -334,8 +334,6 @@ def cmd_dirac(args) -> int:
         raise ParseError("dirac expects a nahmsolution file")
     ctx = args.ctx
     rng = np.random.default_rng(args.seed)
-    if args.points < 0:
-        raise ParseError("dirac needs --points >= 0")
     if args.points == 0:
         if args.grid < 32 or args.grid % 4:
             raise ParseError("refinement needs --grid >= 32 and divisible "
@@ -540,6 +538,8 @@ def main(argv=None) -> int:
             ToleranceContext(rank_tol=args.tol)
         if args.input is None and args.fn is not cmd_generate:
             raise ParseError(f"{args.command} needs --input")
+        if getattr(args, "points", 0) < 0:
+            raise ParseError(f"{args.command} needs --points >= 0")
         return args.fn(args)
     except (ParseError, nk.InvalidArgument) as e:
         print(json.dumps({"error": {"type": "parse", "message": str(e)}}),

@@ -18,8 +18,11 @@ j+1 only), and the 8k junction rows touch only the segment end nodes and
 the auxiliaries.  Every solver here works on those blocks in O(grid): the
 kernel by transfer matrices, and every spectral bound (the smallest
 eigenvalue of M M^H, the top of the reality residual's Gram matrix) on one
-bordered block chain, factored by odd-even block LDL^H.  They read only the
-link stacks and the junction rows of the dense matrix.
+bordered block chain, factored by odd-even block LDL^H.  Both ends of the
+spectrum come from one eigen-solver, shift-and-invert Lanczos through that
+factorization (_lanczos), stopped at the rounding bound eps_r that the
+certificate of each bound absorbs.  The solvers read only the link stacks
+and the junction rows of the dense matrix.
 """
 
 from __future__ import annotations
@@ -34,14 +37,8 @@ from .nahmbow import (BuildRefused, NahmSolution, complex_shadow,
                       finite_monad_family)
 from .numkit import DEFAULT_CTX, ToleranceContext
 
-# Lanczos stops once the residual of its top Ritz pair is below this
-# fraction of the Ritz value (the value is then good to about its square).
-LANCZOS_TOL = 1e-9
+# Step cap of the shift-and-invert Lanczos iteration (_lanczos).
 LANCZOS_MAX_STEPS = 60
-# Block size and step cap of the shift-and-invert iteration for the top of
-# the Gram spectrum (_top_ritz).
-RITZ_BLOCK = 4
-RITZ_MAX_STEPS = 12
 
 
 class SingularPoint(nk.BowmonadError):
@@ -106,13 +103,6 @@ class DiracLattice:
     def n_link_rows(self) -> int:
         """Rows before the junction sites."""
         return self.sites[len(self.sites) - self.n_junctions][0]
-
-    def weighted(self) -> np.ndarray:
-        """Operator in the pairing where the junction rows (distributional
-        components) carry their natural weight h instead of 1/h."""
-        M = self.matrix.copy()
-        M[self.n_link_rows:] *= self.h
-        return M
 
 
 def _segment_nodes(sol: NahmSolution, grid: int):
@@ -481,47 +471,60 @@ def _definite(g: _Chain, shift: float, sign: float) -> bool:
     return True
 
 
-def _top_ritz(g: _Chain, tol: float) -> float:
-    """Largest eigenvalue of the chain's matrix G, to about tol.
+def _lanczos(g: _Chain, shift: float, sign: float, tol: float):
+    """(lam, v): the eigenvalue of the chain's matrix G nearest shift on the
+    side sign, and its unit eigenvector (zero on the padding rows).
 
-    A block of RITZ_BLOCK vectors (the top of G can be a degenerate pair with
-    a second pair just below) from a seeded start runs shift-and-invert
-    iteration, X <- (shift I - G)^-1 X through _BlockLDL: the first shift is
-    the Gershgorin bound, every later one the top Rayleigh-Ritz value of the
-    last block, until that value moves by at most tol.  The Ritz value is a
-    lower bound of the eigenvalue."""
+    Shift-and-invert Lanczos with full reorthogonalisation from a seeded
+    start: A = sign (G - shift I), positive definite, is factored once by
+    _BlockLDL, and the Krylov space of A^-1 is built from a start vector
+    held at zero on the padding rows, where every solve keeps it.  The top
+    Ritz pair (theta, y) of A^-1 gives lam = shift + sign / theta, which
+    lies on the far side from shift of the eigenvalue it approximates.  The
+    iteration stops once the Ritz residual carried back to G, b |s_last| /
+    theta^2, is at most tol (or the Krylov space is invariant), or after
+    LANCZOS_MAX_STEPS steps."""
+    f = _BlockLDL(g, shift, sign)
     nb, W = g.D.shape[:2]
     n = nb * W + len(g.S)
     rng = np.random.default_rng(0)
-    V = (rng.standard_normal((n, RITZ_BLOCK))
-         + 1j * rng.standard_normal((n, RITZ_BLOCK)))
-    g.split(V)[0][g.pad] = 0.0
-    shift, theta = g.gershgorin(), -np.inf
-    for _ in range(RITZ_MAX_STEPS):
-        Q, _ = np.linalg.qr(_BlockLDL(g, shift, -1.0).solve(g, V))
-        ritz, S = np.linalg.eigh(Q.conj().T @ g.matvec(Q))
-        V = Q @ S
-        done = abs(ritz[-1] - theta) <= tol
-        theta = shift = ritz[-1]
-        if done:
+    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    g.split(q)[0][g.pad] = 0.0
+    q /= np.linalg.norm(q)
+    Q = np.empty((min(n - len(g.pad[0]), LANCZOS_MAX_STEPS), n),
+                 dtype=complex)
+    alpha, beta = [], []
+    for j in range(len(Q)):
+        Q[j] = q
+        v = f.solve(g, q[:, None])[:, 0]
+        alpha.append(np.vdot(q, v).real)
+        for _ in range(2):
+            v -= Q[:j + 1].T @ (Q[:j + 1].conj() @ v)
+        b = np.linalg.norm(v)
+        theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
+                                  + np.diag(beta, -1))
+        if b * abs(S[-1, -1]) <= tol * theta[-1] ** 2 or b == 0.0:
             break
-    return float(theta)
+        q = v / b
+        beta.append(b)
+    return shift + sign / theta[-1], Q[:j + 1].T @ S[:, -1]
 
 
 def _gram_top_bracket(dl: DiracLattice):
     """(lower, value, upper) for the largest eigenvalue of G = W W^H, W the
     operator with its junction rows weighted by h.
 
-    value is the top Rayleigh-Ritz value of _top_ritz, taken until it moves
-    by at most eps_r, the rounding bound of _rounding_bound for W; it is a
-    lower bound up to the rounding in forming G's blocks, so lower = value -
-    eps_r.  One block LDL^H of (value + eps_r) I - G with positive definite
-    pivots proves lambda_max < value + 2 eps_r (Sylvester), the upper end.
-    An uncertified value raises CertificateFailed.
+    value comes from _lanczos on G from above (shift the Gershgorin bound,
+    sign -1: Lanczos on (shift I - G)^-1 through one _BlockLDL), stopped at
+    eps_r, the rounding bound of _rounding_bound for W; it is a lower bound
+    up to the rounding in forming G's blocks, so lower = value - eps_r.  One
+    block LDL^H of (value + eps_r) I - G with positive definite pivots
+    proves lambda_max < value + 2 eps_r (Sylvester), the upper end.  An
+    uncertified value raises CertificateFailed.
     """
     g = _Chain.of(*_gram(dl, dl.h))
     err = _rounding_bound(dl, dl.h)
-    value = _top_ritz(g, err)
+    value, _ = _lanczos(g, g.gershgorin(), -1.0, err)
     if not _definite(g, value + err, -1.0):
         raise CertificateFailed(f"the Gram matrix has an eigenvalue above "
                                 f"{value + err:.15e}")
@@ -575,32 +578,6 @@ def reality_residual(dl: DiracLattice) -> float:
     return float(resid / max(_gram_top_bracket(dl)[1], 1e-300))
 
 
-def _lanczos_top(op, n: int):
-    """Largest eigenvalue and unit eigenvector of a Hermitian positive
-    operator on C^n: Lanczos with full reorthogonalisation from a seeded
-    start, until the top Ritz residual is below LANCZOS_TOL times the Ritz
-    value (or the Krylov space is invariant)."""
-    rng = np.random.default_rng(0)
-    q = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    Q = np.empty((min(n, LANCZOS_MAX_STEPS), n), dtype=complex)
-    alpha, beta = [], []
-    for j in range(len(Q)):
-        Q[j] = q
-        v = op(q)
-        alpha.append(np.vdot(q, v).real)
-        for _ in range(2):
-            v -= Q[:j + 1].T @ (Q[:j + 1].conj() @ v)
-        b = np.linalg.norm(v)
-        theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
-                                  + np.diag(beta, -1))
-        if b * abs(S[-1, -1]) <= LANCZOS_TOL * theta[-1] or b == 0.0:
-            break
-        q = v / b
-        beta.append(b)
-    return theta[-1], Q[:j + 1].T @ S[:, -1]
-
-
 def _rounding_bound(dl: DiracLattice, jw: float = 1.0) -> float:
     """Bound on the rounding in forming the blocks of W W^H (W the operator
     with its junction rows scaled by jw) and in their block LDL^H
@@ -628,15 +605,15 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     """(lower, value, upper) for the smallest eigenvalue of the squared
     operator M M^H, certified positive.
 
-    M M^H is the bordered block chain of _gram, factored once by _BlockLDL.
-    Lanczos on its inverse, applied by that factorization with the padding
-    rows held at zero, gives the top Ritz pair (theta, v), and value =
-    1 / theta.  The Rayleigh quotient rho = v^H M M^H v / v^H v is at least
-    lambda_min and at least the value.  One block LDL^H of M M^H - (value -
-    eps_r) I with positive definite pivots (_definite) proves lambda_min >
-    value - 2 eps_r (Sylvester), eps_r the rounding bound of
-    _rounding_bound.  So the bracket is [(1 - delta) value, rho + eps_r]
-    with delta = 2 eps_r / value.
+    M M^H is the bordered block chain of _gram.  value and its unit vector
+    v come from _lanczos on it from below (shift 0, sign +1: Lanczos on
+    (M M^H)^-1 through one _BlockLDL of M M^H), stopped at eps_r, the
+    rounding bound of _rounding_bound; value is at least lambda_min.  The
+    Rayleigh quotient rho = v^H M M^H v / v^H v is at least the value.  One
+    block LDL^H of M M^H - (value - eps_r) I with positive definite pivots
+    (_definite) proves lambda_min > value - 2 eps_r (Sylvester).  So the
+    bracket is [(1 - delta) value, rho + eps_r] with delta = 2 eps_r /
+    value.
 
     Raises SingularPoint where the junction system drops rank (the margin
     of kernel), where M M^H has a singular pivot, where the bracket does not
@@ -650,24 +627,12 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
         raise SingularPoint(f"the junction system drops rank, so M M^H is "
                             f"singular here: {e}") from e
     g = _Chain.of(*_gram(dl, 1.0))
+    err = _rounding_bound(dl)
     try:
-        f = _BlockLDL(g, 0.0, 1.0)
+        value, v = _lanczos(g, 0.0, 1.0, err)
     except np.linalg.LinAlgError as e:
         raise SingularPoint(f"M M^H has a singular pivot: {e}") from e
-    nb, W = g.D.shape[:2]
-    real = np.ones(nb * W + len(g.S), dtype=bool)
-    real[:nb * W].reshape(nb, W)[g.pad] = False
-    x = np.zeros((len(real), 1), dtype=complex)
-
-    def inverse(v):
-        x[real, 0] = v
-        return f.solve(g, x)[real, 0]
-
-    theta, v = _lanczos_top(inverse, int(real.sum()))
-    value = 1.0 / theta
-    x[real, 0] = v
-    rho = np.vdot(v, g.matvec(x)[real, 0]).real / np.vdot(v, v).real
-    err = _rounding_bound(dl)
+    rho = np.vdot(v, g.matvec(v[:, None])[:, 0]).real / np.vdot(v, v).real
     lower = value - 2 * err
     if not lower > 0:
         raise SingularPoint(f"smallest eigenvalue {value:.3e} of M M^H is "

@@ -639,11 +639,19 @@ class Obstruction:
 
 
 def _cluster(values: np.ndarray, tol: float) -> list[complex]:
+    """One representative per cluster (radius tol) of values, ordered by
+    real part, and by imaginary part among those whose real parts agree
+    within tol: a conjugate pair keeps its order under rounding."""
     out: list[complex] = []
     for v in sorted(values, key=lambda z: (z.real, z.imag)):
         if not any(abs(v - w) <= tol for w in out):
             out.append(complex(v))
-    return out
+    keys, start = [], -np.inf
+    for z in out:
+        if z.real - start > tol:
+            start = z.real
+        keys.append((start, z.imag))
+    return [z for _, z in sorted(zip(keys, out), key=lambda kz: kz[0])]
 
 
 def common_eigenvector_obstruction(

@@ -233,14 +233,24 @@ def test_dirac_refinement_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_dirac_negative_points_exit_2(tmp_path, capsys):
-    sol_file = tmp_path / "sol.json"
-    run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
-            "--out", str(sol_file))
-    capsys.readouterr()
-    assert run_cli("dirac", "--input", str(sol_file), "--points", "-1",
-                   "--grid", "32", "--out", str(tmp_path / "k.csv")) == 2
-    assert "error" in json.loads(capsys.readouterr().err)
+@pytest.mark.parametrize("command", ["fiber", "splitting", "dirac"])
+def test_negative_points_exit_2(command, tmp_path, capsys):
+    """Every command with --points refuses a negative count before it runs,
+    rather than writing an empty result with exit 0."""
+    data = DATA / "taubnut_k1m1.json"
+    extra = []
+    if command == "dirac":
+        data = tmp_path / "sol.json"
+        run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",
+                "--out", str(data))
+        capsys.readouterr()
+        extra = ["--grid", "32"]
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(data), "--points", "-1",
+                   "--out", str(out), *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["error"]["type"] == "parse"
 
 
 def test_dirac_refinement_rejects_coarse_grid(tmp_path, capsys):

@@ -187,6 +187,15 @@ def test_compare_with_monad_m0_and_m1():
             assert out["kernel_dim"] == out["monad_dim"] == 2
 
 
+def _weighted(dl):
+    """Oracle: the dense operator in the pairing where the junction rows
+    (distributional components) carry their natural weight h instead of
+    1/h."""
+    M = dl.matrix.copy()
+    M[dl.n_link_rows:] *= dl.h
+    return M
+
+
 def _dense_kernel(dl):
     """Oracle: kernel of the whole operator by a dense SVD."""
     return nk.rank_kernel(dl.matrix).kernel
@@ -195,7 +204,7 @@ def _dense_kernel(dl):
 def _dense_reality(dl):
     """Oracle: the commutator of the squared operator with the structure,
     both formed as dense matrices."""
-    M = dl.weighted()
+    M = _weighted(dl)
     G = M @ M.conj().T
     n = G.shape[0]
     C = np.zeros((n, n), dtype=complex)
@@ -258,11 +267,24 @@ def _dense_chain(g, skip):
 def _check_chain_solver(g, A, rows, rng):
     """Solve residual against a dense solve, and positive definiteness
     against dense eigvalsh, at shifts below, inside and above the spectrum
-    of the chain's matrix A."""
+    of the chain's matrix A; and the shift-and-invert Lanczos value at both
+    ends of the spectrum, from shifts outside it, against eigvalsh to the
+    rounding level."""
     lam = np.linalg.eigvalsh(A)
-    n = g.D.shape[0] * g.D.shape[1] + len(g.S)
+    scale = np.abs(lam).max()
     gap = (lam[-1] - lam[0]) / len(lam)
-    mids = (lam[:-1] + lam[1:]) / 2
+    for shift, sign, want in ((lam[0] - gap, 1.0, lam[0]),
+                              (lam[-1] + gap, -1.0, lam[-1])):
+        value, v = dlm._lanczos(g, shift, sign,
+                                len(A) * np.finfo(float).eps * scale)
+        assert abs(value - want) <= 1e-12 * scale
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(np.delete(v, rows)).max() == 0.0
+    n = g.D.shape[0] * g.D.shape[1] + len(g.S)
+    # midpoints between eigenvalues distinct beyond rounding: a shift inside
+    # a double eigenvalue that rounding splits decides nothing
+    distinct = np.diff(lam) > len(lam) * np.finfo(float).eps * scale
+    mids = ((lam[:-1] + lam[1:]) / 2)[distinct]
     for shift in (lam[0] - gap, mids[len(mids) // 3], mids[-1],
                   lam[-1] + gap):
         for sign in (1.0, -1.0):
@@ -278,6 +300,22 @@ def _check_chain_solver(g, A, rows, rng):
             assert np.abs(np.delete(x, rows, 0)).max() == 0.0
 
 
+def _random_chain(rng, length, w, double=False):
+    """A random Hermitian block chain whose border (three rows) couples to
+    every block, with a decoupled zero leading block; with double, every
+    block is tensored with I_2, so every eigenvalue is exactly double."""
+    cplx = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    D, B, C, S = (cplx(length + 1, w, w), cplx(length, w, w),
+                  cplx(length + 1, 3, w), cplx(3, 3))
+    D += dlm._H(D)
+    S += S.conj().T
+    D[0], B[0], C[0] = 0.0, 0.0, 0.0
+    if double:
+        D, B, C, S = (np.kron(X, np.eye(2)) for X in (D, B, C, S))
+        w *= 2
+    return dlm._Chain(D, B, C, S, (np.zeros(w, dtype=int), np.arange(w)))
+
+
 @pytest.mark.parametrize("w", [2, 4])
 @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 33])
 def test_block_ldl_on_random_bordered_chains(length, w):
@@ -286,17 +324,25 @@ def test_block_ldl_on_random_bordered_chains(length, w):
     definite exactly when the dense spectrum is, so an indefinite chain is
     refused."""
     rng = np.random.default_rng(100 * length + w)
-    cplx = lambda *s: rng.standard_normal(s) + 1j * rng.standard_normal(s)
-    D, B, C, S = (cplx(length + 1, w, w), cplx(length, w, w),
-                  cplx(length + 1, 3, w), cplx(3, 3))
-    D += dlm._H(D)
-    D[0], B[0], C[0] = 0.0, 0.0, 0.0
-    g = dlm._Chain(D, B, C, S + S.conj().T,
-                   (np.zeros(w, dtype=int), np.arange(w)))
+    g = _random_chain(rng, length, w)
     A, rows = _dense_chain(g, w)
-    x = rng.standard_normal((len(D) * w + 3, 2)) + 0j
+    x = rng.standard_normal((len(g.D) * w + 3, 2)) + 0j
     x[:w] = 0.0
     assert np.allclose(g.matvec(x)[rows], A @ x[rows], rtol=0, atol=1e-12)
+    _check_chain_solver(g, A, rows, rng)
+
+
+@pytest.mark.parametrize("length", [2, 8, 33])
+def test_block_ldl_on_chain_with_double_eigenvalues(length):
+    """A chain whose blocks are X (x) I_2 has every eigenvalue exactly
+    double (a degenerate top or bottom pair): one start vector still finds
+    the value at both ends."""
+    rng = np.random.default_rng(length)
+    g = _random_chain(rng, length, 3, double=True)
+    A, rows = _dense_chain(g, 6)
+    lam = np.linalg.eigvalsh(A)
+    assert np.allclose(lam[0::2], lam[1::2], rtol=0,
+                       atol=1e-12 * np.abs(lam).max())
     _check_chain_solver(g, A, rows, rng)
 
 
@@ -308,7 +354,7 @@ def test_block_ldl_on_padded_gram_chain(grid):
     dl = dlm.assemble(sol, GENERIC_POINTS[2], grid)
     g = dlm._Chain.of(*dlm._gram(dl, dl.h))
     A, rows = _dense_chain(g, g.D.shape[1])
-    W = dl.weighted()
+    W = _weighted(dl)
     assert np.allclose(A, W @ W.conj().T, rtol=0,
                        atol=1e-13 * np.abs(A).max())
     assert g.gershgorin() >= np.linalg.eigvalsh(A)[-1]
@@ -368,7 +414,7 @@ def test_gram_normaliser_matches_eigvalsh(pair):
     for grid in (8, 16, 64, 256):
         for pt in GENERIC_POINTS:
             dl = dlm.assemble(sol, pt, grid)
-            W = dl.weighted()
+            W = _weighted(dl)
             want = np.linalg.eigvalsh(W @ W.conj().T)[-1]
             lower, value, upper = dlm._gram_top_bracket(dl)
             assert abs(value - want) <= 1e-13 * want
@@ -382,8 +428,13 @@ def test_gram_normaliser_refuses_a_value_below_the_top(pair, monkeypatch):
     below lambda_max: a value 1% low is refused, not used."""
     sol, _ = pair()
     dl = dlm.assemble(sol, GENERIC_POINTS[0], 64)
-    top = dlm._top_ritz
-    monkeypatch.setattr(dlm, "_top_ritz", lambda g, tol: 0.99 * top(g, tol))
+    solve = dlm._lanczos
+
+    def low(g, shift, sign, tol):
+        value, v = solve(g, shift, sign, tol)
+        return 0.99 * value, v
+
+    monkeypatch.setattr(dlm, "_lanczos", low)
     with pytest.raises(dlm.CertificateFailed) as err:
         dlm.reality_residual(dl)
     assert isinstance(err.value, nk.BowmonadError)
@@ -421,13 +472,13 @@ def test_positivity_certificate_refuses_a_value_above_the_minimum(
     lambda_min: a Lanczos value 1% too high is refused, not reported."""
     sol, _ = pair()
     dl = dlm.assemble(sol, GENERIC_POINTS[0], 64)
-    top = dlm._lanczos_top
+    solve = dlm._lanczos
 
-    def high(op, n):
-        theta, v = top(op, n)
-        return theta / 1.01, v
+    def high(g, shift, sign, tol):
+        value, v = solve(g, shift, sign, tol)
+        return 1.01 * value, v
 
-    monkeypatch.setattr(dlm, "_lanczos_top", high)
+    monkeypatch.setattr(dlm, "_lanczos", high)
     with pytest.raises(dlm.SingularPoint, match="not certified"):
         dlm.positivity(dl)
 

@@ -110,6 +110,20 @@ def test_common_eigenvector_exact_certificate():
     assert len(obs) == 1 and obs[0].exact_checked
 
 
+def test_cluster_orders_a_conjugate_pair_by_imaginary_part():
+    """Real parts that agree within the cluster radius (here 1 - 7e-16 and
+    1 - 2e-16, as rounding leaves a conjugate pair) do not decide the order:
+    the pair comes out as (1 - 1.732i, 1 + 1.732i) whichever member rounds
+    lower, after the clusters with a smaller real part."""
+    for lo, hi in ((1 - 7e-16, 1 - 2e-16), (1 - 2e-16, 1 - 7e-16)):
+        vals = np.array([hi - 1.732j, lo + 1.732j, 0.5 + 3j, 2.0 - 1j,
+                         lo + 1.732j + 1e-12])
+        got = nk._cluster(vals, 1e-8)
+        assert len(got) == 4
+        assert [z.imag for z in got] == [3.0, -1.732, 1.732, -1.0]
+        assert got[0] == 0.5 + 3j and got[3] == 2.0 - 1j
+
+
 def test_obstruction_agrees_with_sampling():
     """Emptiness of the obstruction list must agree with full column rank of
     the stacked pencil at random samples and on the eigenvalue grid."""
