@@ -9,7 +9,9 @@ are row-major nested lists; non-finite floats are written as the strings
 "inf", "-inf" and "nan".  Exit codes: 0 success, 1 a validation or
 comparison failed or the library raised one of its errors, 2 malformed input
 or a file of the wrong kind.  A non-zero exit from an error writes one JSON
-object {"error": {"type", "message"}} to stderr.
+object {"error": {"type", "message"}} to stderr; so does a usage error of the
+argument parser (an unknown option, a bad choice or type), which raises
+SystemExit(2) as argparse does.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ def data_to_json(data) -> dict:
 
 def data_from_json(obj) -> object:
     kind = obj.get("kind")
-    if kind in ("bowrep", "nahmsolution"):
+    if kind == "nahmsolution":
         return solution_from_json(obj)
     cls = _DATA_CLS.get(kind)
     if cls is None:
@@ -149,16 +151,7 @@ def solution_to_json(sol: nahmbow.NahmSolution) -> dict:
     return out
 
 
-def solution_from_json(obj) -> object:
-    kind = obj.get("kind")
-    if kind == "bowrep":
-        try:
-            return nahmbow.BowRepresentation(float(obj["ell"]), float(obj["lam"]),
-                                             int(obj["k"]), int(obj["m"]))
-        except (KeyError, ValueError) as e:
-            raise ParseError(str(e))
-    if kind != "nahmsolution":
-        raise ParseError(f"unknown kind {kind!r}")
+def solution_from_json(obj) -> nahmbow.NahmSolution:
     try:
         r = obj["rep"]
         rep = nahmbow.BowRepresentation(float(r["ell"]), float(r["lam"]),
@@ -185,7 +178,7 @@ def solution_from_json(obj) -> object:
             if name in obj:
                 setattr(sol, name, matrix_from_json(obj[name], shape, False))
         return sol
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ParseError(f"malformed solution file: {e}")
 
 
@@ -419,14 +412,26 @@ def cmd_roundtrip(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    kind, strategy = args.kind, args.strategy
-    seed = args.seed
-    exact = args.backend == "exact"
-    if strategy == "diagonal-nahm":
+    kind = args.kind
+    if kind in _DATA_CLS:
+        generate = caloron.generate_caloron if kind.startswith("caloron") \
+            else taubnut.generate_taubnut
+        try:
+            data = generate(args.k, 0 if kind.endswith("m0") else args.m,
+                            seed=args.seed, exact=args.backend == "exact")
+        except ValueError as e:     # sizes outside the generator's range
+            raise ParseError(str(e))
+        _write_out(data_to_json(data), args.out)
+        return 0
+    # bow solutions are sampled on the f64 backend only
+    if args.backend == "exact":
+        raise ParseError(f"{kind} writes f64 solutions; --backend exact "
+                         f"does not apply")
+    rng = np.random.default_rng(args.seed)
+    if kind == "diagonal-nahm":
         if args.k < 1:
             raise ParseError(f"diagonal-nahm needs --k >= 1, got {args.k}")
         rep = nahmbow.BowRepresentation(1.0, 0.25, args.k, 0)
-        rng = np.random.default_rng(seed)
         # the first two centers are pinned so the k = 2 curve is the product
         # of the two reference lines; extra centers are drawn
         base = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
@@ -435,36 +440,24 @@ def cmd_generate(args) -> int:
         sol = nahmbow.NahmSolution(rep, seg, seg, seg,
                                    np.eye(args.k, dtype=complex),
                                    np.eye(args.k, dtype=complex))
-        _write_out(solution_to_json(sol), args.out)
-        return 0
-    if kind in _DATA_CLS:
-        generate = caloron.generate_caloron if kind.startswith("caloron") \
-            else taubnut.generate_taubnut
-        try:
-            data = generate(args.k, 0 if kind.endswith("m0") else args.m,
-                            seed=seed, exact=exact)
-        except ValueError as e:     # sizes outside the generator's range
-            raise ParseError(str(e))
-    elif kind == "bowsol":
-        rep = nahmbow.BowRepresentation(1.0, 0.25, 1, args.m)
-        rng = np.random.default_rng(seed)
-        if args.m == 0:
-            sol = nahmbow.solution_k1_m0(
-                rep, Bth=complex(*rng.standard_normal(2)),
-                Bht=complex(*rng.standard_normal(2)),
-                j_minus=float(rng.uniform(0.5, 1.5)))
-        elif args.m == 1:
-            sol = nahmbow.solution_k1_m1(
-                rep, mu1=rng.standard_normal(3), mu2=rng.standard_normal(3),
-                weight=float(rng.uniform(0.25, 0.75)),
-                axis_phase=float(rng.uniform(0.3, 2.8)))
-        else:
-            raise ParseError("bowsol generator supports m in {0, 1}")
-        _write_out(solution_to_json(sol), args.out)
-        return 0
+    elif args.k != 1:
+        raise ParseError(f"bowsol generator supports k = 1 only, got "
+                         f"{args.k}")
+    elif args.m == 0:
+        rep = nahmbow.BowRepresentation(1.0, 0.25, 1, 0)
+        sol = nahmbow.solution_k1_m0(
+            rep, Bth=complex(*rng.standard_normal(2)),
+            Bht=complex(*rng.standard_normal(2)),
+            j_minus=float(rng.uniform(0.5, 1.5)))
+    elif args.m == 1:
+        rep = nahmbow.BowRepresentation(1.0, 0.25, 1, 1)
+        sol = nahmbow.solution_k1_m1(
+            rep, mu1=rng.standard_normal(3), mu2=rng.standard_normal(3),
+            weight=float(rng.uniform(0.25, 0.75)),
+            axis_phase=float(rng.uniform(0.3, 2.8)))
     else:
-        raise ParseError(f"unknown kind {kind!r}")
-    _write_out(data_to_json(data), args.out)
+        raise ParseError("bowsol generator supports m in {0, 1}")
+    _write_out(solution_to_json(sol), args.out)
     return 0
 
 
@@ -472,82 +465,93 @@ def cmd_generate(args) -> int:
 # argument parsing
 
 
+def _print_error(kind: str, message: str):
+    print(json.dumps({"error": {"type": kind, "message": message}}),
+          file=sys.stderr)
+
+
+def _usage_error(message: str):
+    """The error hook of every parser: a usage error ends in the one JSON
+    error object, then exits 2 as argparse does."""
+    _print_error("parse", message)
+    raise SystemExit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bowmonad",
         description="monads, bow complexes, Nahm flows and Dirac kernels")
+    p.error = _usage_error
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, points=False, grid=False, step=False, zeta=False):
-        sp.add_argument("--input", required=False)
+    def command(name, fn, help, data=True, tol=True, seed=False,
+                points=False):
+        sp = sub.add_parser(name, help=help)
+        sp.error = _usage_error
+        if data:
+            sp.add_argument("--input")
         sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=0)
+        if tol:
+            sp.add_argument("--tol", type=float, default=None)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
         if points:
             sp.add_argument("--points", type=int, default=20)
-        if grid:
-            sp.add_argument("--grid", type=int, default=256)
-        if step:
-            sp.add_argument("--step", type=float, default=1e-3)
-        if zeta:
-            sp.add_argument("--zeta-samples", type=int, default=None,
-                            dest="zeta_samples")
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("validate", help="check relations and genericity")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
-    sp = sub.add_parser("fiber", help="fiber dimensions at random points")
-    common(sp, points=True)
-    sp.set_defaults(fn=cmd_fiber)
-    sp = sub.add_parser("splitting", help="splitting types along the ruling")
-    common(sp, points=True)
-    sp.set_defaults(fn=cmd_splitting)
-    sp = sub.add_parser("spectral", help="spectral curve coefficients (CSV)")
-    common(sp, zeta=True)
+    command("validate", cmd_validate, "check relations and genericity")
+    command("fiber", cmd_fiber, "fiber dimensions at random points",
+            seed=True, points=True)
+    command("splitting", cmd_splitting, "splitting types along the ruling",
+            seed=True, points=True)
+    sp = command("spectral", cmd_spectral, "spectral curve coefficients (CSV)",
+                 tol=False)
+    sp.add_argument("--zeta-samples", type=int, default=None,
+                    dest="zeta_samples")
     sp.add_argument("--which", choices=["S0", "S1"], default="S0")
-    sp.set_defaults(fn=cmd_spectral)
-    sp = sub.add_parser("nahm-flow", help="flow the middle interval, drift CSV")
-    common(sp, step=True)
-    sp.set_defaults(fn=cmd_nahm_flow)
-    sp = sub.add_parser("dirac", help="lattice kernel at sampled points")
-    common(sp, points=True, grid=True)
-    sp.set_defaults(fn=cmd_dirac)
-    sp = sub.add_parser("roundtrip", help="matrix -> complex -> matrix invariants")
-    common(sp)
-    sp.set_defaults(fn=cmd_roundtrip)
-    sp = sub.add_parser("generate", help="seeded instance generators")
-    common(sp)
+    sp = command("nahm-flow", cmd_nahm_flow,
+                 "flow the middle interval, drift CSV", tol=False)
+    sp.add_argument("--step", type=float, default=1e-3)
+    sp = command("dirac", cmd_dirac, "lattice kernel at sampled points",
+                 seed=True, points=True)
+    sp.add_argument("--grid", type=int, default=256)
+    command("roundtrip", cmd_roundtrip,
+            "matrix -> complex -> matrix invariants")
+    sp = command("generate", cmd_generate, "seeded instance generators",
+                 data=False, tol=False, seed=True)
     sp.add_argument("--backend", choices=["f64", "exact"], default="f64")
     sp.add_argument("--kind", required=True,
                     choices=["caloron", "caloron-m0", "taubnut", "taubnut-m0",
-                             "bowsol"])
+                             "bowsol", "diagonal-nahm"])
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--strategy", default="k1-closed-form",
-                    choices=["k1-closed-form", "diagonal-nahm"])
-    sp.set_defaults(fn=cmd_generate)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        # every command takes --tol; a malformed one is refused before any
-        # command runs
-        args.ctx = ToleranceContext() if args.tol is None else \
-            ToleranceContext(rank_tol=args.tol)
-        if args.input is None and args.fn is not cmd_generate:
+        # --tol is read before the command line is parsed, so a malformed
+        # one is refused alike by every command, also by those that take
+        # no tolerance
+        pre = argparse.ArgumentParser(add_help=False)
+        pre.error = _usage_error
+        pre.add_argument("--tol", type=float, default=None)
+        tol = pre.parse_known_args(argv)[0].tol
+        ctx = ToleranceContext() if tol is None else \
+            ToleranceContext(rank_tol=tol)
+        args = build_parser().parse_args(argv)
+        args.ctx = ctx
+        if getattr(args, "input", "") is None:
             raise ParseError(f"{args.command} needs --input")
         if getattr(args, "points", 0) < 0:
             raise ParseError(f"{args.command} needs --points >= 0")
         return args.fn(args)
     except (ParseError, nk.InvalidArgument) as e:
-        print(json.dumps({"error": {"type": "parse", "message": str(e)}}),
-              file=sys.stderr)
+        _print_error("parse", str(e))
         return 2
     except nk.BowmonadError as e:
-        print(json.dumps({"error": {"type": type(e).__name__,
-                                    "message": str(e)}}), file=sys.stderr)
+        _print_error(type(e).__name__, str(e))
         return 1
 
 

@@ -32,9 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import fiber_dim
-from .nahmbow import (BuildRefused, NahmSolution, complex_shadow,
-                      finite_monad_family)
+from .nahmbow import BuildRefused, NahmSolution
 from .numkit import DEFAULT_CTX, ToleranceContext
 
 # Step cap of the shift-and-invert Lanczos iteration (_lanczos).
@@ -663,20 +661,3 @@ def refinement_study(sol: NahmSolution, point, grids=(64, 128, 256),
                     "min_eig": positivity(dl, ctx), "basis": basis})
     return out
 
-
-def compare_with_monad(data, sol: NahmSolution, point, grid: int = 256,
-                       ctx: ToleranceContext = DEFAULT_CTX) -> dict:
-    """Kernel dimension of the lattice operator against the fiber dimension
-    of the fused monad and of the finite reduction, at one chart point;
-    SingularPoint where the squared operator is not certified positive."""
-    from . import taubnut
-    dl = assemble(sol, point, grid)
-    mineig = positivity(dl, ctx)
-    dim, _, gap = kernel(dl, ctx)
-    bm = taubnut._big_monad_unchecked(taubnut._float_data(data))
-    fdim = fiber_dim(bm.evaluate(tuple(point)), ctx)
-    rdim = fiber_dim(finite_monad_family(complex_shadow(sol))
-                     .evaluate(tuple(point)), ctx)
-    return {"kernel_dim": dim, "monad_dim": fdim, "reduced_dim": rdim,
-            "gap": gap, "min_eig": mineig,
-            "match": dim == fdim == rdim}

@@ -228,7 +228,7 @@ def test_criterion_6_normal_form_conjugation():
     for k, m, seed in ((1, 1, 2), (2, 1, 8), (1, 2, 3), (2, 2, 5)):
         worst = max(worst, cal.right_normal_residual(
             cal.generate_caloron(k, m, seed=seed)))
-        worst = max(worst, tn.right_normal_residual(
+        worst = max(worst, cal.right_normal_residual(
             tn.generate_taubnut(k, m, seed=seed)))
     _report(6, "normal-form conjugation", worst < 1e-10,
             f"max residual {worst:.2e}")

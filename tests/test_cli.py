@@ -1,6 +1,9 @@
+import argparse
 import csv
 import functools
+import inspect
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -202,10 +205,24 @@ def test_solution_serialization_round_trip(tmp_path):
     assert np.array_equal(back.Bth, sol.Bth)
 
 
-def test_diagonal_nahm_strategy_reproduces_reference_curve(tmp_path, capsys):
+def test_solution_with_lambda_outside_the_interval_exit_2(tmp_path, capsys):
+    """A nahmsolution file whose marked points do not sit inside the
+    interval is malformed input: exit 2 with a JSON parse error."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "0",
+            "--out", str(sol_file))
+    obj = json.loads(sol_file.read_text())
+    obj["rep"]["lam"] = 0.9
+    sol_file.write_text(json.dumps(obj))
+    assert run_cli("validate", "--input", str(sol_file)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "parse" and "lambda" in err["message"]
+
+
+def test_diagonal_nahm_kind_reproduces_reference_curve(tmp_path, capsys):
     sol_file = tmp_path / "diag.json"
-    run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "3",
-            "--strategy", "diagonal-nahm", "--k", "2", "--out", str(sol_file))
+    run_cli("generate", "--kind", "diagonal-nahm", "--k", "2", "--seed", "3",
+            "--out", str(sol_file))
     csv_file = tmp_path / "c.csv"
     assert run_cli("spectral", "--input", str(sol_file), "--which", "S0",
                    "--out", str(csv_file)) == 0
@@ -375,8 +392,8 @@ def test_backend_only_on_generate(command, capsys):
 def _diagonal_nahm_file(tmp_path, capsys):
     """An m = 0 solution without the fundamental pairs I, J."""
     sol_file = tmp_path / "diag.json"
-    run_cli("generate", "--kind", "bowsol", "--strategy", "diagonal-nahm",
-            "--k", "2", "--out", str(sol_file))
+    run_cli("generate", "--kind", "diagonal-nahm", "--k", "2",
+            "--out", str(sol_file))
     capsys.readouterr()
     return sol_file
 
@@ -506,20 +523,74 @@ def test_spectral_minimal_zeta_samples_run(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["caloron", "caloron-m0", "taubnut",
                                   "taubnut-m0", "diagonal-nahm"])
 def test_generate_k_below_1_exit_2(kind, k, capsys):
-    args = ["--kind", "bowsol", "--strategy", kind] \
-        if kind == "diagonal-nahm" else ["--kind", kind]
-    assert run_cli("generate", *args, f"--k={k}") == 2
+    assert run_cli("generate", "--kind", kind, f"--k={k}") == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)["error"]
     assert err["type"] == "parse" and "k >= 1" in err["message"]
 
 
-def test_generate_refuses_perturbed_strategy(capsys):
+def test_generate_refuses_unknown_kind(capsys):
     with pytest.raises(SystemExit) as exc:
-        run_cli("generate", "--kind", "taubnut", "--strategy", "perturbed")
+        run_cli("generate", "--kind", "perturbed")
     assert exc.value.code == 2
-    assert "invalid choice: 'perturbed'" in capsys.readouterr().err
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "parse"
+    assert "invalid choice: 'perturbed'" in err["message"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--kind", "bowsol", "--k", "2"],
+    ["--kind", "bowsol", "--backend", "exact"],
+    ["--kind", "diagonal-nahm", "--k", "2", "--backend", "exact"]])
+def test_generate_refuses_values_its_kind_ignores(extra, tmp_path, capsys):
+    """bowsol draws k = 1 solutions and both bow-solution kinds are f64
+    only: any other --k or --backend exact is malformed input, not a
+    silent f64 k = 1 file."""
+    out = tmp_path / "sol.json"
+    assert run_cli("generate", *extra, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert json.loads(captured.err)["error"]["type"] == "parse"
+
+
+_COMMANDS = ["validate", "fiber", "splitting", "spectral", "nahm-flow",
+             "dirac", "roundtrip", "generate"]
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+def test_unknown_option_exit_2_with_json_error(command, capsys):
+    """An option the command does not take is a usage error: exit 2 with
+    the one JSON parse error on stderr, never argparse's usage text."""
+    given = ["--kind", "caloron"] if command == "generate" else \
+        ["--input", str(DATA / "taubnut_k1m1.json")]
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, *given, "--no-such-option", "1")
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert set(err) == {"error"} and err["error"]["type"] == "parse"
+    assert "--no-such-option" in err["error"]["message"]
+
+
+def test_every_option_is_read_by_its_command():
+    """Each option of each command is read as args.<dest> by the command's
+    function; --tol counts as read where the function reads args.ctx, the
+    context main builds from it."""
+    [sub] = [a for a in bowcli.build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(sub.choices) == sorted(_COMMANDS)
+    unread = []
+    for name, sp in sub.choices.items():
+        source = inspect.getsource(sp.get_default("fn"))
+        for action in sp._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            dest = "ctx" if action.dest == "tol" else action.dest
+            if not re.search(rf"\bargs\.{dest}\b", source):
+                unread.append(f"{name} {action.option_strings[0]}")
+    assert unread == []
 
 
 @pytest.mark.parametrize("exact", [False, True])

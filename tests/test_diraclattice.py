@@ -1,20 +1,18 @@
 import numpy as np
 import pytest
 
-from bowmonad import diraclattice as dlm, nahmbow as nb, numkit as nk, taubnut as tn
+from bowmonad import diraclattice as dlm, nahmbow as nb, numkit as nk
 
 
 def pair_m0():
     rep = nb.BowRepresentation(1.0, 0.25, 1, 0)
-    sol = nb.solution_k1_m0(rep, Bth=1.4 + 0.2j, Bht=0.8 - 0.5j, j_minus=0.9)
-    return sol, tn.from_bow_complex(nb.complex_shadow(sol))
+    return nb.solution_k1_m0(rep, Bth=1.4 + 0.2j, Bht=0.8 - 0.5j, j_minus=0.9)
 
 
 def pair_m1():
     rep = nb.BowRepresentation(1.0, 0.25, 1, 1)
-    sol = nb.solution_k1_m1(rep, mu1=(0.9, -0.3, 0.4), mu2=(-0.5, 0.8, -0.2),
-                            weight=0.4, axis_phase=0.9)
-    return sol, tn.from_bow_complex(nb.complex_shadow(sol), tol=1e-7)
+    return nb.solution_k1_m1(rep, mu1=(0.9, -0.3, 0.4), mu2=(-0.5, 0.8, -0.2),
+                             weight=0.4, axis_phase=0.9)
 
 
 GENERIC_POINTS = [(0.7 + 0.3j, 0.4 - 0.6j), (1.1 - 0.2j, -0.5 + 0.8j),
@@ -23,7 +21,7 @@ GENERIC_POINTS = [(0.7 + 0.3j, 0.4 - 0.6j), (1.1 - 0.2j, -0.5 + 0.8j),
 
 
 def test_shape_arithmetic_m0():
-    sol, _ = pair_m0()
+    sol = pair_m0()
     dl = dlm.assemble(sol, GENERIC_POINTS[0], grid=256)
     rows, cols = dl.shape
     # index bookkeeping: two more unknowns than equations
@@ -33,7 +31,7 @@ def test_shape_arithmetic_m0():
 
 
 def test_shape_arithmetic_m1_no_w_columns():
-    sol, _ = pair_m1()
+    sol = pair_m1()
     dl = dlm.assemble(sol, GENERIC_POINTS[0], grid=128)
     rows, cols = dl.shape
     assert cols - rows == 2
@@ -59,7 +57,7 @@ def test_zero_data_unit_point_z_block():
 
 
 def test_kernel_dim_two_at_generic_points():
-    sol, _ = pair_m0()
+    sol = pair_m0()
     for pt in GENERIC_POINTS:
         dl = dlm.assemble(sol, pt, grid=128)
         dim, basis, gap = dlm.kernel(dl)
@@ -120,7 +118,7 @@ def _subspace_angle(A, B):
 
 
 def test_refinement_stability_and_basis_angles():
-    sol, _ = pair_m0()
+    sol = pair_m0()
     pt = GENERIC_POINTS[0]
     want = _continuum_kernel(sol, pt)
     assert want.shape[1] == 2
@@ -137,7 +135,7 @@ def test_refinement_stability_and_basis_angles():
 
 def test_reality_residual_decreases():
     for pair in (pair_m0, pair_m1):
-        sol, _ = pair()
+        sol = pair()
         study = dlm.refinement_study(sol, GENERIC_POINTS[1],
                                      grids=(64, 128, 256))
         r = [s["reality"] for s in study]
@@ -146,7 +144,7 @@ def test_reality_residual_decreases():
 
 
 def test_positivity_at_generic_points():
-    sol, _ = pair_m1()
+    sol = pair_m1()
     for pt in GENERIC_POINTS[:3]:
         dl = dlm.assemble(sol, pt, grid=96)
         assert dlm.positivity(dl) > 1e-6
@@ -171,20 +169,11 @@ def test_min_eig_decays_toward_singular_ray():
 
 
 def test_broken_data_caught_before_kernel():
-    sol, _ = pair_m0()
+    sol = pair_m0()
     sol.Bth = sol.Bth + 0.4          # violates the bifundamental identity
     report = nb.check_boundary(sol)
     assert not report.passed
     assert not report["bifundamental_tail"].passed
-
-
-def test_compare_with_monad_m0_and_m1():
-    for pair in (pair_m0, pair_m1):
-        sol, data = pair()
-        for pt in GENERIC_POINTS[:3]:
-            out = dlm.compare_with_monad(data, sol, pt, grid=96)
-            assert out["match"]
-            assert out["kernel_dim"] == out["monad_dim"] == 2
 
 
 def _weighted(dl):
@@ -217,7 +206,7 @@ def _dense_reality(dl):
 
 @pytest.mark.parametrize("pair", [pair_m0, pair_m1])
 def test_transfer_kernel_matches_dense_oracle(pair):
-    sol, _ = pair()
+    sol = pair()
     for grid in (8, 16, 64, 256):
         for pt in GENERIC_POINTS:
             dl = dlm.assemble(sol, pt, grid)
@@ -233,7 +222,7 @@ def test_transfer_kernel_matches_dense_oracle(pair):
 
 @pytest.mark.parametrize("pair", [pair_m0, pair_m1])
 def test_reality_residual_matches_dense_commutator(pair):
-    sol, _ = pair()
+    sol = pair()
     for grid in (64, 128, 256):
         for pt in GENERIC_POINTS:
             dl = dlm.assemble(sol, pt, grid)
@@ -350,7 +339,7 @@ def test_block_ldl_on_chain_with_double_eigenvalues(length):
 def test_block_ldl_on_padded_gram_chain(grid):
     """m = 1: the outer segments' blocks are half as wide as the middle's
     and are padded.  The chain's matrix is the dense W W^H."""
-    sol, _ = pair_m1()
+    sol = pair_m1()
     dl = dlm.assemble(sol, GENERIC_POINTS[2], grid)
     g = dlm._Chain.of(*dlm._gram(dl, dl.h))
     A, rows = _dense_chain(g, g.D.shape[1])
@@ -393,7 +382,7 @@ def test_positivity_certificate_agrees_with_sequential_factorization(pair):
     """The odd-even certificate decides as the sequential block LDL^H at the
     shift positivity_bracket certifies and at shifts just past lambda_min,
     so the brackets are unchanged."""
-    sol, _ = pair()
+    sol = pair()
     for grid in (8, 64, 256):
         for pt in GENERIC_POINTS[:3]:
             dl = dlm.assemble(sol, pt, grid)
@@ -410,7 +399,7 @@ def test_positivity_certificate_agrees_with_sequential_factorization(pair):
 def test_gram_normaliser_matches_eigvalsh(pair):
     """The certified top of G = W W^H against the dense eigvalsh: within
     1e-13, inside the bracket, and the bracket at most 1e-12 wide."""
-    sol, _ = pair()
+    sol = pair()
     for grid in (8, 16, 64, 256):
         for pt in GENERIC_POINTS:
             dl = dlm.assemble(sol, pt, grid)
@@ -426,7 +415,7 @@ def test_gram_normaliser_matches_eigvalsh(pair):
 def test_gram_normaliser_refuses_a_value_below_the_top(pair, monkeypatch):
     """The factorization of (value + eps_r) I - G must fail once value is
     below lambda_max: a value 1% low is refused, not used."""
-    sol, _ = pair()
+    sol = pair()
     dl = dlm.assemble(sol, GENERIC_POINTS[0], 64)
     solve = dlm._lanczos
 
@@ -441,7 +430,7 @@ def test_gram_normaliser_refuses_a_value_below_the_top(pair, monkeypatch):
 
 
 def test_assemble_refuses_segments_shorter_than_two_steps():
-    sol, _ = pair_m0()
+    sol = pair_m0()
     for grid in (0, -4, 4, 6, 7):
         with pytest.raises(nk.InvalidArgument):
             dlm.assemble(sol, GENERIC_POINTS[0], grid)
@@ -454,7 +443,7 @@ def test_positivity_matches_dense_svd(pair):
     """Lanczos on (M M^H)^-1 through the block LDL^H of the Gram chain
     against the smallest singular value of the whole operator, which must
     lie in the certified bracket."""
-    sol, _ = pair()
+    sol = pair()
     for grid in (8, 16, 64, 256):
         for pt in GENERIC_POINTS:
             dl = dlm.assemble(sol, pt, grid)
@@ -470,7 +459,7 @@ def test_positivity_certificate_refuses_a_value_above_the_minimum(
         pair, monkeypatch):
     """The block Cholesky of M M^H - tau I must fail once tau passes
     lambda_min: a Lanczos value 1% too high is refused, not reported."""
-    sol, _ = pair()
+    sol = pair()
     dl = dlm.assemble(sol, GENERIC_POINTS[0], 64)
     solve = dlm._lanczos
 
@@ -489,7 +478,7 @@ def test_solvers_read_only_link_stacks_and_junction_rows(pair):
     from the per-segment stacks dl.links and read only the junction rows of
     dl.matrix: with its link rows overwritten by NaN they give bit-identical
     results."""
-    sol, _ = pair()
+    sol = pair()
     for grid in (8, 64):
         for pt in GENERIC_POINTS[:2]:
             clean = dlm.assemble(sol, pt, grid)
@@ -561,7 +550,7 @@ def test_kernel_against_transfer_matrix_oracle():
     """Independent continuum check for the constant k=1, m=0 solution: the
     kernel condition reduces to a finite linear system over the segment data
     propagated by closed-form transfer matrices."""
-    sol, _ = pair_m0()
+    sol = pair_m0()
     rep = sol.rep
     pt = GENERIC_POINTS[2]
     t12 = pt[0] * pt[1]
