@@ -413,12 +413,16 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_generate(args) -> int:
     kind = args.kind
+    m = 0 if kind in ("caloron-m0", "taubnut-m0", "diagonal-nahm") else \
+        1 if args.m is None else args.m
+    if args.m not in (None, m):
+        raise ParseError(f"{kind} draws m = 0; --m {args.m} does not apply")
     if kind in _DATA_CLS:
         generate = caloron.generate_caloron if kind.startswith("caloron") \
             else taubnut.generate_taubnut
         try:
-            data = generate(args.k, 0 if kind.endswith("m0") else args.m,
-                            seed=args.seed, exact=args.backend == "exact")
+            data = generate(args.k, m, seed=args.seed,
+                            exact=args.backend == "exact")
         except ValueError as e:     # sizes outside the generator's range
             raise ParseError(str(e))
         _write_out(data_to_json(data), args.out)
@@ -443,13 +447,13 @@ def cmd_generate(args) -> int:
     elif args.k != 1:
         raise ParseError(f"bowsol generator supports k = 1 only, got "
                          f"{args.k}")
-    elif args.m == 0:
+    elif m == 0:
         rep = nahmbow.BowRepresentation(1.0, 0.25, 1, 0)
         sol = nahmbow.solution_k1_m0(
             rep, Bth=complex(*rng.standard_normal(2)),
             Bht=complex(*rng.standard_normal(2)),
             j_minus=float(rng.uniform(0.5, 1.5)))
-    elif args.m == 1:
+    elif m == 1:
         rep = nahmbow.BowRepresentation(1.0, 0.25, 1, 1)
         sol = nahmbow.solution_k1_m1(
             rep, mu1=rng.standard_normal(3), mu2=rng.standard_normal(3),
@@ -525,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["caloron", "caloron-m0", "taubnut", "taubnut-m0",
                              "bowsol", "diagonal-nahm"])
     sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
+    sp.add_argument("--m", type=int, default=None)
     return p
 
 

@@ -272,8 +272,10 @@ class PolyMatrix:
         self.coeffs[key] = tgt
 
     def evaluate(self, x, y):
+        """Value at the chart point (x, y); on floats, evaluate_many's weight
+        formula on two complex scalars, bit for bit evaluate_many([(x, y)])."""
         if not self.exact:
-            return self.evaluate_many([(x, y)])[0]
+            return self._at(complex(x), complex(y))
         if not self.coeffs:
             return nk.exact_zeros(*self.shape)
         # one exact product: the row of monomial weights times the tensor
@@ -288,12 +290,13 @@ class PolyMatrix:
         return self._at(*_columns(points))
 
     def _at(self, x, y) -> np.ndarray:
-        """evaluate_many at the points of the (N, 1) columns x and y."""
+        """Values at the (N, 1) columns x and y, stacked, or at two scalars."""
         if self.exact:
             raise TypeError("evaluate_many needs float coefficients; "
                             "convert with to_float()")
         t = self.coeffs
-        return ((x ** t.P * y ** t.Q) @ t.C).reshape(len(x), *self.shape)
+        w = x ** t.P * y ** t.Q
+        return (w @ t.C).reshape(*w.shape[:-1], *self.shape)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other as matrix polynomials."""
@@ -407,11 +410,13 @@ class ParamMonad:
     def evaluate(self, point) -> MonadAtPoint:
         """Instantiate at a chart point: (xi, eta) on the product chart,
         (xi, psi) on the blown-up chart (eta = xi*psi is derived).  On the
-        float backend this is evaluate_many at one point."""
+        float backend, evaluate_many's formulas on two complex scalars, with
+        no stack of one point: alpha, beta and the residual are bit for bit
+        those of evaluate_many([point])."""
         x, y = point
         if not self.exact:
-            a, b, res = self.evaluate_many([point])
-            return MonadAtPoint(a[0], b[0], (x, y), float(res[0]))
+            a, b, res = self._maps_at(complex(x), complex(y))
+            return MonadAtPoint(a, b, (x, y), float(res))
         a = self.alpha.evaluate(x, y)
         b = self.beta.evaluate(x, y)
         prod = mat_mul(b, a)
@@ -422,7 +427,10 @@ class ParamMonad:
         """alpha and beta at N chart points, stacked along a leading axis,
         with the relative residual |beta alpha| / (|alpha| |beta|) of each
         point (float backend).  Returns the tuple (alpha, beta, residual)."""
-        x, y = _columns(points)
+        return self._maps_at(*_columns(points))
+
+    def _maps_at(self, x, y):
+        """evaluate_many at (N, 1) columns x and y, or at two scalars."""
         a = self.alpha._at(x, y)
         b = self.beta._at(x, y)
         res = _norms(b @ a) / np.maximum(_norms(a) * _norms(b), 1e-300)
@@ -436,17 +444,22 @@ def _columns(points):
 
 
 def _norms(M: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a complex stack."""
+    """Frobenius norm of each matrix of a complex stack, or of one matrix."""
     # np.vecdot needs NumPy >= 2.0, the floor set in pyproject.toml
-    v = M.reshape(len(M), M.shape[1] * M.shape[2])
+    v = M.reshape(*M.shape[:-2], M.shape[-2] * M.shape[-1])
     return np.sqrt(np.vecdot(v, v).real)
+
+
+def _check_residual(residual: float):
+    """The residual guard of every fiber computation."""
+    if residual > 1e-8:
+        raise nk.ImageNotContained(
+            f"beta*alpha residual {residual:.2e} too large for a fiber")
 
 
 def fiber(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> FiberBasis:
     """Middle cohomology ker(beta)/im(alpha) at a point."""
-    if m.residual > 1e-8:
-        raise nk.ImageNotContained(
-            f"beta*alpha residual {m.residual:.2e} too large for a fiber")
+    _check_residual(m.residual)
     kern = nk.exact_kernel(m.beta) if is_exact(m.beta) else \
         nk.rank_kernel(m.beta, ctx).kernel
     basis = nk.quotient_representatives(kern, m.alpha, ctx)
@@ -459,21 +472,8 @@ def fiber_dims(pm: ParamMonad, points, ctx: ToleranceContext = DEFAULT_CTX):
     map for all points.  Returns two lists, the dimensions and the smaller
     of the alpha and beta rank margins at each point."""
     alpha, beta, res = pm.evaluate_many(points)
-    return _fiber_dims(alpha, beta, res.tolist(), ctx)
-
-
-def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
-    """dim ker(beta) - rank(alpha) at one evaluated point: fiber_dims with
-    N = 1."""
-    return _fiber_dims(to_float(m.alpha)[None], to_float(m.beta)[None],
-                       [m.residual], ctx)[0][0]
-
-
-def _fiber_dims(alpha, beta, residuals: list, ctx: ToleranceContext):
-    for res in residuals:
-        if res > 1e-8:
-            raise nk.ImageNotContained(
-                f"beta*alpha residual {res:.2e} too large for a fiber")
+    for r in res.tolist():
+        _check_residual(r)
     rank_a, margin_a = _fast_rank(alpha, ctx)
     rank_b, margin_b = _fast_rank(beta, ctx)
     n2 = alpha.shape[1]
@@ -481,11 +481,19 @@ def _fiber_dims(alpha, beta, residuals: list, ctx: ToleranceContext):
             [min(ga, gb) for ga, gb in zip(margin_a, margin_b)])
 
 
+def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
+    """dim ker(beta) - rank(alpha) at one evaluated point: the residual
+    guard, then one values-only SVD of each map cut by ctx.rank_cut, the
+    rank decision of fiber_dims, which it matches at that point."""
+    _check_residual(m.residual)
+    return m.alpha.shape[0] - sum(
+        ctx.rank_cut(np.linalg.svd(to_float(M), compute_uv=False).tolist())[0]
+        for M in (m.alpha, m.beta))
+
+
 def _fast_rank(M: np.ndarray, ctx: ToleranceContext):
     """Ranks and margins of a stack of float matrices: one values-only SVD,
-    then the cut of each."""
-    if not min(M.shape[1:]):
-        return [0] * len(M), [np.inf] * len(M)
+    then the cut of each (rank 0 and margin inf where a matrix is empty)."""
     cuts = [ctx.rank_cut(s) for s in
             np.linalg.svd(M, compute_uv=False).tolist()]
     return [r for r, _ in cuts], [g for _, g in cuts]

@@ -115,12 +115,14 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     for _ in range(20):
         x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         pts.append((complex(x), complex(y)))
-    sa = np.linalg.svd(pm.alpha.evaluate_many(pts), compute_uv=False)
-    sb = np.linalg.svd(pm.beta.evaluate_many(pts), compute_uv=False)
-    worst_inj = 0.0 if np.all(sa[:, -1] > ctx.rank_tol * sa[:, 0]) else 1.0
-    worst_surj = 0.0 if np.all(sb[:, -1] > ctx.rank_tol * sb[:, 0]) else 1.0
-    report.add("monad_pointwise_injective", worst_inj == 0.0, worst_inj)
-    report.add("monad_pointwise_surjective", worst_surj == 0.0, worst_surj)
+    # full rank at every point; the value is the smallest margin
+    # sigma_min / (rank_tol sigma_max) over the points, 0 at a zero matrix
+    for name, poly in (("monad_pointwise_injective", pm.alpha),
+                       ("monad_pointwise_surjective", pm.beta)):
+        s = np.linalg.svd(poly.evaluate_many(pts), compute_uv=False)
+        thr = ctx.rank_tol * s[:, 0]
+        margin = np.divide(s[:, -1], thr, out=np.zeros(len(s)), where=thr > 0)
+        report.add(name, np.all(s[:, -1] > thr), np.min(margin))
 
     for name, which in (("pushdown_surjective_xi", "xi"), ("pushdown_surjective_psi", "psi")):
         ok, trend = _pushdown_surjectivity(data, which, rng, ctx)

@@ -474,7 +474,7 @@ def test_generate_without_valid_draw_exit_1(kind, monkeypatch, capsys):
                          (taubnut, "generate_taubnut")):
         monkeypatch.setattr(module, name, functools.partial(
             getattr(module, name), max_tries=0))
-    assert run_cli("generate", "--kind", kind, "--k", "1", "--m", "1") == 1
+    assert run_cli("generate", "--kind", kind, "--k", "1") == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"]["type"] == "NoValidDraw"
@@ -552,6 +552,25 @@ def test_generate_refuses_values_its_kind_ignores(extra, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     assert json.loads(captured.err)["error"]["type"] == "parse"
+
+
+@pytest.mark.parametrize("kind", ["caloron-m0", "taubnut-m0", "diagonal-nahm"])
+def test_generate_refuses_m_its_kind_ignores(kind, tmp_path, capsys):
+    """The m = 0 kinds take --m 0 or no --m, and write the same file for
+    both; any other --m exits 2 instead of writing the m = 0 file."""
+    files = [tmp_path / "plain.json", tmp_path / "m0.json"]
+    for f, extra in zip(files, ([], ["--m", "0"])):
+        assert run_cli("generate", "--kind", kind, "--k", "2", *extra,
+                       "--out", str(f)) == 0
+    assert files[0].read_text() == files[1].read_text()
+    out = tmp_path / "m5.json"
+    for m in ("5", "1", "-1"):
+        assert run_cli("generate", "--kind", kind, "--k", "2", "--m", m,
+                       "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "parse" and f"--m {m}" in err["message"]
 
 
 _COMMANDS = ["validate", "fiber", "splitting", "spectral", "nahm-flow",

@@ -240,6 +240,75 @@ def test_fiber_dims_matches_fiber_dim():
     assert mc.fiber_dims(pm, []) == ([], [])
 
 
+_COMBOS = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)]
+
+
+def _generator_monads():
+    """The float generator draws of both flavors and every (k, m), as the
+    monads a fiber request builds, and an exact draw after to_float."""
+    for k, m in _COMBOS:
+        d = caloron.generate_caloron(k, m, seed=0)
+        yield caloron.big_monad(d) if m else caloron.small_monad(d)
+        yield taubnut.big_monad(taubnut.generate_taubnut(k, m, seed=0))
+    yield caloron.big_monad(
+        caloron.generate_caloron(2, 1, seed=4, exact=True)).to_float()
+
+
+def test_single_point_path_equals_the_batch():
+    """evaluate, PolyMatrix.evaluate and fiber_dim at one point give the
+    values of evaluate_many and fiber_dims at that point bit for bit."""
+    rng = np.random.default_rng(19)
+    pts = mc.random_chart_points(12, rng) + [(0.0, 0.0), (1.5, 0.0), (2, -1)]
+    for pm in _generator_monads():
+        alpha, beta, residual = pm.evaluate_many(pts)
+        dims = mc.fiber_dims(pm, pts)[0]
+        for i, p in enumerate(pts):
+            one = pm.evaluate(p)
+            assert one.point == p
+            assert np.array_equal(one.alpha, alpha[i])
+            assert np.array_equal(one.beta, beta[i])
+            assert one.residual == residual[i]
+            assert np.array_equal(pm.alpha.evaluate(*p), alpha[i])
+            assert np.array_equal(pm.beta.evaluate(*p), beta[i])
+            assert mc.fiber_dim(one) == mc.fiber_dims(pm, [p])[0][0] \
+                == dims[i] == 2
+    # dense maps, where every entry sums several monomials: a product of
+    # many weight rows may round in another order than one row, so the
+    # batch compared against is evaluate_many at that one point
+    keys = [(0, 0), (1, 0), (0, 1), (2, 1), (1, 3)]
+    alpha, beta = (mc.PolyMatrix(shape, {key: rng.standard_normal(shape) +
+                                         1j * rng.standard_normal(shape)
+                                         for key in keys})
+                   for shape in ((4, 3), (2, 4)))
+    pm = mc.ParamMonad("xi_eta", ([mc.BlockSpec("U", {}, 3)],
+                                  [mc.BlockSpec("V", {}, 4)],
+                                  [mc.BlockSpec("W", {}, 2)]), alpha, beta)
+    for p in pts:
+        one, (a, b, res) = pm.evaluate(p), pm.evaluate_many([p])
+        assert np.array_equal(one.alpha, a[0])
+        assert np.array_equal(one.beta, b[0])
+        assert one.residual == res[0]
+        assert np.array_equal(alpha.evaluate(*p), a[0])
+
+
+def test_fiber_guard_refuses_a_non_complex():
+    """beta alpha = 1 at every point: every fiber computation raises
+    ImageNotContained instead of returning a dimension."""
+    cols = ([mc.BlockSpec("U", {}, 1)], [mc.BlockSpec("V", {}, 2)],
+            [mc.BlockSpec("W", {}, 1)])
+    pm = mc.ParamMonad("xi_eta", cols,
+                       mc.PolyMatrix((2, 1), {(0, 0): np.array([[1.0], [0]])}),
+                       mc.PolyMatrix((1, 2), {(0, 0): np.array([[1.0, 0]])}))
+    pt = (0.5, 0.5)
+    assert pm.evaluate(pt).residual == pytest.approx(1.0)
+    with pytest.raises(nk.ImageNotContained):
+        mc.fiber_dim(pm.evaluate(pt))
+    with pytest.raises(nk.ImageNotContained):
+        mc.fiber_dims(pm, [(1.0, 2.0), pt])
+    with pytest.raises(nk.ImageNotContained):
+        mc.fiber(pm.evaluate(pt))
+
+
 def _diag_monad(small):
     """alpha = diag(1, small) into a rank-2 middle column, beta = 0."""
     alpha = mc.PolyMatrix((2, 2), {(0, 0): np.diag([1.0, small])})

@@ -338,6 +338,60 @@ def test_validate_reports_gen_trend():
     assert "trend" in note
 
 
+def _pointwise_margins(pm, ctx=nk.DEFAULT_CTX):
+    """sigma_min / (rank_tol sigma_max) of alpha and beta, smallest over the
+    20 points validate draws, evaluated one point at a time."""
+    rng = np.random.default_rng(7)
+    pts = [rng.standard_normal(2) + 1j * rng.standard_normal(2)
+           for _ in range(20)]
+    out = []
+    for poly in (pm.alpha, pm.beta):
+        worst = np.inf
+        for x, y in pts:
+            s = np.linalg.svd(poly.evaluate(x, y), compute_uv=False)
+            worst = min(worst, s[-1] / (ctx.rank_tol * s[0]) if s[0] else 0.0)
+        out.append(worst)
+    return out
+
+
+@pytest.mark.parametrize("data", [worked_example(),
+                                  tn.generate_taubnut(2, 1, seed=0),
+                                  tn.generate_taubnut(3, 0, seed=1)])
+def test_pointwise_checks_report_their_margin(data):
+    """monad_pointwise_* pass with the smallest sigma_min / (rank_tol
+    sigma_max) over their points as the value, far above 1."""
+    rep = tn.validate(data)
+    want = _pointwise_margins(tn._big_monad_unchecked(data))
+    for name, margin in zip(("monad_pointwise_injective",
+                             "monad_pointwise_surjective"), want):
+        assert rep[name].passed and rep[name].residual > 1e6
+        assert rep[name].residual == pytest.approx(margin, rel=1e-9)
+
+
+def test_pointwise_checks_fail_below_margin_one(monkeypatch):
+    """A zero alpha fails with margin 0; a beta with one row scaled by
+    1e-20 keeps a nonzero sigma_min and fails with a margin below 1."""
+    build = tn._big_monad_unchecked
+
+    def broken(data):
+        pm = build(data)
+        scale = np.ones(pm.beta.shape[0])
+        scale[-1] = 1e-20
+        beta = mc.PolyMatrix(pm.beta.shape, {key: scale[:, None] * mat for
+                                             key, mat in pm.beta.coeffs.items()})
+        return mc.ParamMonad(pm.chart, pm.cols, mc.PolyMatrix(pm.alpha.shape),
+                             beta)
+    data = tn.generate_taubnut(2, 1, seed=0)
+    monkeypatch.setattr(tn, "_big_monad_unchecked", broken)
+    rep = tn.validate(data)
+    inj, surj = (rep[name] for name in ("monad_pointwise_injective",
+                                        "monad_pointwise_surjective"))
+    assert not inj.passed and inj.residual == 0.0
+    assert not surj.passed and 0.0 < surj.residual < 1.0
+    assert surj.residual == pytest.approx(_pointwise_margins(broken(data))[1],
+                                          rel=1e-9)
+
+
 def test_negative_m_reduces_to_positive():
     d_neg = tn.generate_taubnut(1, -1, seed=5)
     d_pos = tn.generate_taubnut(1, 1, seed=5)
