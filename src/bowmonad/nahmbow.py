@@ -124,11 +124,17 @@ def lax(T1, T2, T3, zeta) -> np.ndarray:
     return T1 + 1j * T2 - 2 * zeta * T3 - (T1 - 1j * T2) * zeta ** 2
 
 
-def nahm_rhs(T: np.ndarray) -> np.ndarray:
-    """(-i [T2, T3], -i [T3, T1], -i [T1, T2]) for the stacked triple
-    T = (T1, T2, T3), by two stacked products."""
-    X, Y = T[[1, 2, 0]], T[[2, 0, 1]]
-    return -1j * (X @ Y - Y @ X)
+# left and right factors of (T2 T3, T3 T1, T1 T2, T3 T2, T1 T3, T2 T1)
+_LEFT = np.array([1, 2, 0, 2, 0, 1])
+_RIGHT = np.array([2, 0, 1, 1, 2, 0])
+
+
+def nahm_commutators(T: np.ndarray) -> np.ndarray:
+    """([T2, T3], [T3, T1], [T1, T2]) for the stacked triple T = (T1, T2, T3),
+    by one stacked product of six and one subtraction; the flow is
+    dT/ds = -i times this."""
+    P = np.take(T, _LEFT, axis=0) @ np.take(T, _RIGHT, axis=0)
+    return P[:3] - P[3:]
 
 
 @dataclass
@@ -152,15 +158,19 @@ class Segment:
         """(T1, T2, T3) at every point of the array s, each stacked along a
         leading axis: a constant segment is its first sample everywhere,
         otherwise the samples are interpolated linearly, clamped to the grid."""
+        return tuple(self._lerp(T, s) for T in (self.T1, self.T2, self.T3))
+
+    def _lerp(self, T: np.ndarray, s) -> np.ndarray:
+        """One stored stack (T1, T2 or T3) at every point of s, as sample
+        takes it."""
         s = np.asarray(s, dtype=float)
-        Ts = (self.T1, self.T2, self.T3)
         if self.constant:
-            return tuple(np.repeat(T[:1], len(s), axis=0) for T in Ts)
+            return np.repeat(T[:1], len(s), axis=0)
         g = self.s_grid
         s = np.clip(s, g[0], g[-1])
         i = np.clip(np.searchsorted(g, s) - 1, 0, len(g) - 2)
         w = ((s - g[i]) / (g[i + 1] - g[i]))[:, None, None]
-        return tuple((1 - w) * T[i] + w * T[i + 1] for T in Ts)
+        return (1 - w) * T[i] + w * T[i + 1]
 
     def beta_at(self, s: float):
         t1, t2, _ = self.at(s)
@@ -179,40 +189,56 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
          lam_points=(), pole_guard: float = 0.0) -> Segment:
     """RK4 integration of the flow on [s0, s1]; characteristic coefficients
     of the Lax matrix are monitored at the given zeta samples and a drift
-    beyond drift_tol raises StepTooCoarse, and a step that is not finite
-    and positive raises InvalidArgument.  The triple is held as one
-    (3, r, r) stack (nahm_rhs)."""
+    beyond drift_tol raises StepTooCoarse, as does a sample that is not
+    finite (naming the first such s).  A step that is not finite and
+    positive, an end that is not finite, or s1 <= s0 raises InvalidArgument.
+
+    The triple is held as one (3, r, r) stack; each stage is one
+    nahm_commutators call, with the -i of the flow folded into the stage
+    factors (multiplying by +-i is exact, so the samples are those of
+    k = -i [., .] bit for bit)."""
     if not (np.isfinite(step) and step > 0):
         raise nk.InvalidArgument(f"step must be finite and positive, "
                                  f"got {step!r}")
+    if not (np.isfinite(s0) and np.isfinite(s1) and s1 > s0):
+        raise nk.InvalidArgument(f"interval must be finite with s1 > s0, "
+                                 f"got [{s0!r}, {s1!r}]")
     for lam in lam_points:
         if s0 - pole_guard < lam < s1 + pole_guard:
             raise PoleProximity(f"interval [{s0}, {s1}] crosses {lam}")
     n = max(2, int(np.ceil((s1 - s0) / step)) + 1)
     grid = np.linspace(s0, s1, n)
     h = grid[1] - grid[0]
-    cur = np.array([np.asarray(T, dtype=complex) for T in (T1, T2, T3)])
-    r = cur.shape[1]
-    out = np.zeros((3, n, r, r), dtype=complex)
+    start = np.array([np.asarray(T, dtype=complex) for T in (T1, T2, T3)])
+    r = start.shape[1]
+    out = np.empty((n, 3, r, r), dtype=complex)
+    out[0] = start
     zetas = np.asarray(zeta_checks)[:, None, None]
-    ref = nk.charpoly(lax(*cur, zetas))
-    for i in range(n):
-        out[:, i] = cur
-        if i == n - 1:
-            break
-        k1 = nahm_rhs(cur)
-        k2 = nahm_rhs(cur + h / 2 * k1)
-        k3 = nahm_rhs(cur + h / 2 * k2)
-        k4 = nahm_rhs(cur + h * k3)
-        cur = cur + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(cur).all():
-            raise StepTooCoarse(
-                f"flow left the finite regime near s = {grid[i + 1]:.4f} "
-                "(pole hit or step too large)")
-    drift = float(np.max(np.abs(nk.charpoly(lax(*cur, zetas)) - ref)))
+    ref = nk.charpoly(lax(*start, zetas))
+    half, full, sixth = -0.5j * h, -1j * h, -1j * h / 6
+    # a sample past overflow is inf or nan and stays so; the finite check
+    # runs once, after the loop
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1):
+            cur = out[i]
+            c = nahm_commutators(cur)
+            acc = c
+            c = nahm_commutators(cur + half * c)
+            acc = acc + 2 * c
+            c = nahm_commutators(cur + half * c)
+            acc = acc + 2 * c
+            c = nahm_commutators(cur + full * c)
+            np.add(cur, sixth * (acc + c), out=out[i + 1])
+    finite = np.isfinite(out).all(axis=(1, 2, 3))
+    if not finite.all():
+        first = grid[np.argmin(finite)]
+        raise StepTooCoarse(f"flow left the finite regime near s = "
+                            f"{first:.4f} (pole hit or step too large)")
+    drift = float(np.max(np.abs(nk.charpoly(lax(*out[-1], zetas)) - ref)))
     if drift > drift_tol:
         raise StepTooCoarse(f"isospectral drift {drift:.2e} > {drift_tol:.0e}")
-    seg = Segment(s0, s1, r, grid, *out)
+    seg = Segment(s0, s1, r, grid,
+                  *np.ascontiguousarray(out.transpose(1, 0, 2, 3)))
     seg.drift = drift
     return seg
 
@@ -536,7 +562,14 @@ def spectral_curve(sol_or_seg, which: str = "S0",
 
 def transport(seg: Segment, s0: float, s1: float, steps: int = 400) -> np.ndarray:
     """Solution of dP/ds = T3(s) P, P(s0) = 1, evaluated at s1 (this moves
-    flat sections of d/ds + alpha with alpha = -T3)."""
+    flat sections of d/ds + alpha with alpha = -T3).  Only T3 is read.
+
+    A constant segment takes one eigendecomposition.  Otherwise the equation
+    is linear, so each of the max(8, steps) RK4 steps is one matrix
+    M = 1 + h/6 (S + 2 Q (A1 + A2) + E A3), with A1 = 1 + h/2 S,
+    A2 = 1 + h/2 Q A1 and A3 = 1 + h Q A2, of T3 at the start S, midpoint
+    Q and end E of the step.  All the M are built in one batch and
+    multiplied in order by a pairwise tree of batched products."""
     if seg.constant:
         T3 = seg.T3[0]
         w, V = np.linalg.eig(T3 * (s1 - s0))
@@ -551,16 +584,18 @@ def transport(seg: Segment, s0: float, s1: float, steps: int = 400) -> np.ndarra
     nodes = np.empty(2 * n + 1)
     nodes[0::2] = grid
     nodes[1::2] = grid[:-1] + h / 2
-    T3 = seg.sample(nodes)[2]
-    P = np.eye(seg.rank, dtype=complex)
-    for i in range(n):
-        start, mid, end = T3[2 * i], T3[2 * i + 1], T3[2 * i + 2]
-        k1 = start @ P
-        k2 = mid @ (P + h / 2 * k1)
-        k3 = mid @ (P + h / 2 * k2)
-        k4 = end @ (P + h * k3)
-        P = P + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return P
+    T3 = seg._lerp(seg.T3, nodes)
+    S, Q, E = T3[:-1:2], T3[1::2], T3[2::2]
+    one = np.eye(seg.rank, dtype=complex)
+    A1 = one + h / 2 * S
+    A2 = one + h / 2 * (Q @ A1)
+    A3 = one + h * (Q @ A2)
+    P = one + h / 6 * (S + 2 * (Q @ (A1 + A2)) + E @ A3)
+    while len(P) > 1:
+        # later steps on the left; an odd last step waits for the next level
+        m = len(P) // 2
+        P = np.concatenate([P[1:2 * m:2] @ P[0:2 * m:2], P[2 * m:]])
+    return P[0]
 
 
 @dataclass

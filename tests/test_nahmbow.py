@@ -141,6 +141,30 @@ def test_flow_refuses_a_step_that_is_not_finite_and_positive(step):
         nb.flow(one, one, one, 0.0, 1.0, step)
 
 
+@pytest.mark.parametrize("s0, s1", [(1.0, 0.1), (0.5, 0.5), (np.nan, 1.0),
+                                    (0.0, np.inf), (-np.inf, 0.0)])
+def test_flow_refuses_an_interval_that_is_not_finite_and_increasing(s0, s1):
+    rho = [r / 0.1 for r in nb.su2_irrep(2)]
+    with pytest.raises(nk.InvalidArgument, match="interval"):
+        nb.flow(*rho, s0, s1, 1e-3)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value", "ignore:overflow")
+def test_step_too_coarse_names_the_first_sample_that_is_not_finite():
+    """A start far past the step's reach overflows within a few steps, long
+    before the drift check; the refusal names the s of the first sample the
+    unstacked reference loop leaves the finite regime at."""
+    start = [-20 * r for r in nb.su2_irrep(2)]
+    s0, s1, step = 0.0, 1.0, 0.05
+    want = np.stack(_unstacked_rk4(*start, s0, s1, step), axis=1)
+    finite = np.isfinite(want).all(axis=(1, 2, 3))
+    assert 0 < np.argmin(finite) < len(finite) - 1
+    first = np.linspace(s0, s1, len(finite))[np.argmin(finite)]
+    with pytest.raises(nb.StepTooCoarse, match="finite regime") as refused:
+        nb.flow(*start, s0, s1, step)
+    assert f"near s = {first:.4f} " in str(refused.value)
+
+
 def test_pole_proximity_guard():
     one = np.array([[1.0]], dtype=complex)
     with pytest.raises(nb.PoleProximity):
@@ -449,6 +473,78 @@ def test_rank_one_factor_of_zero_is_none():
     tiny = nk.exact_matrix([[0, Fraction(1, 10**15)], [0, 0]])
     col, row = nb.rank_one_factor(tiny, 1e-12)
     assert (nk.mat_mul(col, row) == tiny).all()
+
+
+def _sequential_transport(seg, s0, s1, steps):
+    """Reference: RK4 on dP/ds = T3 P one step at a time."""
+    n = max(8, steps)
+    grid = np.linspace(s0, s1, n + 1)
+    h = grid[1] - grid[0]
+    nodes = np.empty(2 * n + 1)
+    nodes[0::2] = grid
+    nodes[1::2] = grid[:-1] + h / 2
+    T3 = seg.sample(nodes)[2]
+    P = np.eye(seg.rank, dtype=complex)
+    for i in range(n):
+        start, mid, end = T3[2 * i], T3[2 * i + 1], T3[2 * i + 2]
+        k1 = start @ P
+        k2 = mid @ (P + h / 2 * k1)
+        k3 = mid @ (P + h / 2 * k2)
+        k4 = end @ (P + h * k3)
+        P = P + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return P
+
+
+@pytest.fixture(scope="module")
+def transport_cases():
+    """name -> (segment, s0, s1): the su(2) pole flows of dims 2-4 under a
+    seeded unitary, random Hermitian flows of ranks 1 and 3, and a constant
+    triple stored as a sampled segment."""
+    rng = np.random.default_rng(20)
+    cases = {}
+    for d in (2, 3, 4):
+        q, _ = np.linalg.qr(rng.standard_normal((d, d))
+                            + 1j * rng.standard_normal((d, d)))
+        rho = [q @ r @ q.conj().T / 0.1 for r in nb.su2_irrep(d)]
+        cases[f"pole{d}"] = (nb.flow(*rho, 0.1, 1.0, 1e-3), 0.1, 1.0)
+    for r in (1, 3):
+        Ts = [0.1 * (X + X.conj().T) for X in
+              (rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+               for _ in range(3))]
+        cases[f"hermitian{r}"] = (nb.flow(*Ts, 0.0, 1.0, 1e-3), 0.0, 1.0)
+    H = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    zero = np.zeros((2, 2), complex)
+    const = nb.constant_segment(0.0, 0.7, zero, zero, H + H.conj().T, 33)
+    cases["sampled-constant"] = (nb.Segment(
+        0.0, 0.7, 2, const.s_grid, const.T1, const.T2, const.T3), 0.0, 0.7)
+    return cases
+
+
+@pytest.mark.parametrize("steps", [8, 9, 400, 401, 2000])
+def test_transport_matches_sequential_rk4(transport_cases, steps):
+    """The batched step matrices and their product tree give the sequential
+    RK4 transport up to rounding.  Each side rounds every one of the n
+    steps at most about eps/2 relative to |P|_2 (the 1 + O(h) factors),
+    and the tree adds at most about r eps per level of rank-r products, so
+    the gap stays below (n + r ceil(log2 n)) eps |P|_2 (largest measured
+    ratio 0.43)."""
+    eps = np.finfo(float).eps
+    for name, (seg, s0, s1) in transport_cases.items():
+        want = _sequential_transport(seg, s0, s1, steps)
+        got = nb.transport(seg, s0, s1, steps)
+        bound = ((steps + seg.rank * np.ceil(np.log2(steps))) * eps
+                 * np.linalg.norm(want, 2))
+        assert np.max(np.abs(got - want)) <= bound, name
+
+
+def test_transport_reads_only_t3(transport_cases):
+    seg, s0, s1 = transport_cases["pole3"]
+    blind = nb.Segment(seg.s0, seg.s1, seg.rank, seg.s_grid,
+                       np.full_like(seg.T1, np.nan),
+                       np.full_like(seg.T2, np.nan), seg.T3)
+    P = nb.transport(blind, s0, s1)
+    assert np.isfinite(P).all()
+    assert np.array_equal(P, nb.transport(seg, s0, s1))
 
 
 def test_transport_constant_matches_rk4():
