@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -46,14 +47,30 @@ def _num_to_json(z, exact: bool):
 
 
 def _num_from_json(obj, exact: bool):
+    """An f64 entry [re, im] of two finite reals, or an exact one
+    {"re": part, "im": part} whose parts are {"n": int, "d": nonzero int};
+    anything else raises ParseError."""
     if exact:
         if not (isinstance(obj, dict) and "re" in obj and "im" in obj):
             raise ParseError(f"expected fraction pair, got {obj!r}")
-        return GQ(Fraction(obj["re"]["n"], obj["re"]["d"]),
-                  Fraction(obj["im"]["n"], obj["im"]["d"]))
-    if not (isinstance(obj, list) and len(obj) == 2):
-        raise ParseError(f"expected [re, im], got {obj!r}")
+        return GQ(_fraction_from_json(obj["re"]), _fraction_from_json(obj["im"]))
+    try:
+        ok = isinstance(obj, list) and len(obj) == 2 and all(
+            type(v) in (int, float) and math.isfinite(v) for v in obj)
+    except OverflowError:           # an int beyond the float range
+        ok = False
+    if not ok:
+        raise ParseError(f"expected [re, im] of finite reals, got {obj!r}")
     return complex(obj[0], obj[1])
+
+
+def _fraction_from_json(part) -> Fraction:
+    n, d = (part.get(key) if isinstance(part, dict) else None
+            for key in ("n", "d"))
+    if type(n) is not int or type(d) is not int or d == 0:
+        raise ParseError(f'expected {{"n": int, "d": nonzero int}}, '
+                         f"got {part!r}")
+    return Fraction(n, d)
 
 
 def matrix_to_json(M, exact: bool):

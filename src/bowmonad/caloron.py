@@ -305,15 +305,35 @@ def _t(M):
     return M.T.copy()
 
 
-def _mixed_pencil_left(data: MposTuple):
-    """The block (A, C2; A', C2') of both flavors' gluing maps."""
-    k, m = data.k, data.m
-    out = nk.zeros_like_backend(k + m, k + 1, data.exact)
-    out[:k, :k] = data.A
-    out[k:, :k] = data.Aprime
-    out[:k, k:] = data.C2
-    out[k:, k:] = data.Cprime[:, 1:2]
-    return out
+def _gluing(data):
+    """The four constant blocks of both flavors' fused monads, for any m:
+    the minus resolution W- = (-B1, 0; -e- B', -shift; 0, -e+), rows
+    (k | m | 1) by columns (k | m), and the plus resolution
+    W+ = (-B0; -D2), rows (k | 1), each completed by eta times the
+    identity; and the gluing rows Y-1 = (1, 0, -C1; 0, 1, -C1') and
+    Y+1 = (A, C2; A', C2').  At m = 0 the last row of W- is zero: the
+    Taub-NUT monad puts its tail-jump row there."""
+    k, m, exact = data.k, data.m, data.exact
+    Wm = nk.zeros_like_backend(k + m + 1, k + m, exact)
+    Wm[:k, :k] = -data.B1
+    Wm[k:, k:] = -_shift_matrix(m + 1, exact)[:, :m]     # (-shift; -e+)
+    Wp = nk.zeros_like_backend(k + 1, k, exact)
+    Wp[:k], Wp[k:] = -data.B0, -data.D[1:2, :]
+    Ym1 = nk.zeros_like_backend(k + m, k + m + 1, exact)
+    Ym1[:, :k + m] = nk.eye_like_backend(k + m, exact)
+    Ym1[:k, k + m:] = -data.C1
+    Yp1 = nk.zeros_like_backend(k + m, k + 1, exact)
+    Yp1[:k, :k], Yp1[:k, k:] = data.A, data.C2
+    if m:
+        Wm[k:k + 1, :k] = -data.Bprime
+        Ym1[k:, k + m:] = -data.Cprime[:, 0:1]
+        Yp1[k:, :k], Yp1[k:, k:] = data.Aprime, data.Cprime[:, 1:2]
+    return Wm, Wp, Ym1, Yp1
+
+
+def _mixed_pencil_left(data):
+    """The gluing row Y+1 = (A, C2; A', C2') of `_gluing`."""
+    return _gluing(data)[3]
 
 
 # ---------------------------------------------------------------------------
@@ -370,28 +390,19 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
         exact=exact)
     at = pm.start
     eyek = nk.eye_like_backend(k, exact)
-    eyem = nk.eye_like_backend(m, exact)
     eyekm = nk.eye_like_backend(k + m, exact)
-    em = _e_minus_col(m, exact)
-    ep = _e_plus_row(m, exact)
+    Wm, Wp, Ym1, Yp1 = _gluing(data)
     add = pm.alpha.add_monomial
-    # plus-side resolution column
-    add(0, 0, at["Vp"], at["Up"], -data.B)
+    # plus- and minus-side resolutions: W+ and W- plus eta times I
+    add(0, 0, at["Vp"], at["Up"], Wp)
     add(0, 1, at["Vp"], at["Up"], eyek)
-    add(0, 0, at["Vp"] + k, at["Up"], -data.D2row)
-    # W- on (Vm, Um): rows (k | m | 1), cols (k | m)
-    add(0, 0, at["Vm"], at["Um"], -data.B)
-    add(0, 1, at["Vm"], at["Um"], eyek)
-    add(0, 0, at["Vm"] + k, at["Um"], -nk.mat_mul(em, data.Bprime))
-    add(0, 0, at["Vm"] + k, at["Um"] + k, -data.shift)
-    add(0, 1, at["Vm"] + k, at["Um"] + k, eyem)
-    add(0, 0, at["Vm"] + k + m, at["Um"] + k, -ep)
+    add(0, 0, at["Vm"], at["Um"], Wm)
+    add(0, 1, at["Vm"], at["Um"], eyekm)
     # S0 row: xi * I from Up, [I | 0] from Um
     add(1, 0, at["S0"], at["Up"], eyek)
     add(0, 0, at["S0"], at["Um"], eyek)
     # S1 row: (A; A') from Up, I from Um
-    add(0, 0, at["S1"], at["Up"], data.A)
-    add(0, 0, at["S1"] + k, at["Up"], data.Aprime)
+    add(0, 0, at["S1"], at["Up"], Yp1[:, :k])
     add(0, 0, at["S1"], at["Um"], eyekm)
 
     add = pm.beta.add_monomial
@@ -400,12 +411,8 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
     add(0, 0, at["T0"], at["Vm"], eyek)                    # (1, 0, 0) row
     add(0, 0, at["T0"], at["S0"], data.B)                  # B - eta
     add(0, 1, at["T0"], at["S0"], -eyek)
-    add(0, 0, at["T1"], at["Vp"], _mixed_pencil_left(data))
-    # (I, 0, -C1; 0, I, -C1') block
-    add(0, 0, at["T1"], at["Vm"], eyek)
-    add(0, 0, at["T1"], at["Vm"] + k + m, -data.C1)
-    add(0, 0, at["T1"] + k, at["Vm"] + k, eyem)
-    add(0, 0, at["T1"] + k, at["Vm"] + k + m, -data.Cprime[:, 0:1])
+    add(0, 0, at["T1"], at["Vp"], Yp1)
+    add(0, 0, at["T1"], at["Vm"], Ym1)
     # shifted-block pencil: left normal form minus eta
     add(0, 0, at["T1"], at["S1"], data.normal_form)
     add(0, 1, at["T1"], at["S1"], -eyekm)

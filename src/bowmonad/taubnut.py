@@ -19,7 +19,7 @@ import numpy as np
 from . import numkit as nk
 from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
                       _add_obstruction_check, _e_minus_col, _e_plus_row,
-                      _generator_sizes, _mixed_pencil_left, _pack,
+                      _generator_sizes, _gluing, _mixed_pencil_left, _pack,
                       _read_back_m0, _read_normal_form, _solve_cprime)
 from .monadcore import TWISTS, BlockSpec, ParamMonad
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
@@ -109,7 +109,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     _add_obstruction_check(report, "stacked_pencil_injective",
                            data.A, data.B0, data.D, ctx)
 
-    pm = _big_monad_unchecked(_float_data(data))
+    fdata = _float_data(data)
+    pm = _big_monad_unchecked(fdata)
     rng = np.random.default_rng(7)
     pts = []
     for _ in range(20):
@@ -125,8 +126,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
         report.add(name, np.all(s[:, -1] > thr), np.min(margin))
 
     for name, which in (("pushdown_surjective_xi", "xi"), ("pushdown_surjective_psi", "psi")):
-        ok, trend = _pushdown_surjectivity(data, which, rng, ctx)
-        report.add(name, ok, 0.0 if ok else 1.0,
+        margin, trend = _pushdown_surjectivity(fdata, which, rng, ctx)
+        report.add(name, margin > 1, margin,
                    note="min sv trend " + ", ".join(f"{v:.2e}" for v in trend))
 
     _add_invertibility_check(report, "monodromy_invertible",
@@ -156,51 +157,26 @@ def charpoly_identity(data) -> tuple[bool, float]:
     return bool(np.all(diff <= 2 * rounding)), float(np.max(diff))
 
 
-def _pushdown_structure(data):
-    """The four constant blocks of the pushdown gluing map, the same for
-    both sides; the caller places the variable block (xi or psi times I)
-    and the matching edge block B."""
-    k, m = data.k, data.m
-    exact = data.exact
-    Ym0 = nk.zeros_like_backend(k, k + m + 1, exact)
-    Ym0[:, :k] = nk.eye_like_backend(k, exact)
-    Yp0 = nk.zeros_like_backend(k, k + 1, exact)
-    Yp0[:, :k] = nk.eye_like_backend(k, exact)
-    if m:
-        Ym1 = nk.zeros_like_backend(k + m, k + m + 1, exact)   # (1,0,-C1;0,1,-C1')
-        Ym1[:k, :k] = nk.eye_like_backend(k, exact)
-        Ym1[k:, k:k + m] = nk.eye_like_backend(m, exact)
-        Ym1[:k, k + m:] = -data.C1
-        Ym1[k:, k + m:] = -data.Cprime[:, 0:1]
-        Yp1 = _mixed_pencil_left(data)
-    else:
-        Ym1 = nk.zeros_like_backend(k, k + 1, exact)
-        Ym1[:, :k] = nk.eye_like_backend(k, exact)
-        Ym1[:, k:] = -data.C1
-        Yp1 = nk.zeros_like_backend(k, k + 1, exact)
-        Yp1[:, :k] = data.A
-        Yp1[:, k:] = data.C2
-    return Ym1, Ym0, Yp1, Yp0
-
-
 def _pushdown_surjectivity(data, which: str, rng, ctx):
-    """Sampled surjectivity of the pushdown gluing map away from the
-    collapsed coordinate, with the minimal singular value recorded as the
-    coordinate runs to zero.  Every sample is one copy of a fixed template
-    whose variable block is t I; one stacked SVD decides them all."""
-    Ym1, Ym0, Yp1, Yp0 = [nk.to_float(M) for M in _pushdown_structure(data)]
+    """Sampled surjectivity of the pushdown gluing map of float data away
+    from the collapsed coordinate, with the minimal singular value recorded
+    as the coordinate runs to zero.  Every sample is one copy of a fixed
+    template, the gluing rows of `_gluing` beside the edge block B and the
+    variable block t I; one stacked SVD decides them all.  Returns the
+    smallest sigma_min / (rank_tol max(sigma_max, 1)) over the sampled t,
+    which exceeds 1 when every sample is surjective, and the trend."""
+    _, _, Ym1, Yp1 = _gluing(data)
     k, m = data.k, data.m
     rows = 3 * k + m
     cm, cp = Ym1.shape[1], Yp1.shape[1]
     template = np.zeros((rows, cm + k + cp), dtype=complex)
     template[:k + m, :cm] = Ym1
     template[:k + m, cm + k:] = -Yp1
-    template[k + m: 2 * k + m, :cm] = -Ym0
-    template[2 * k + m:, cm + k:] = Yp0
+    template[k + m: 2 * k + m, :k] = -np.eye(k)            # -(1, 0, 0)
+    template[2 * k + m:, cm + k:cm + 2 * k] = np.eye(k)    # (1, 0)
     xi_band, psi_band = slice(k + m, 2 * k + m), slice(2 * k + m, rows)
     var, fixed = (xi_band, psi_band) if which == "xi" else (psi_band, xi_band)
-    template[fixed, cm:cm + k] = -nk.to_float(
-        data.Bht if which == "xi" else data.Bth)
+    template[fixed, cm:cm + k] = -(data.Bht if which == "xi" else data.Bth)
 
     ts = [rng.standard_normal() + 1j * rng.standard_normal()
           for _ in range(100)]
@@ -210,9 +186,9 @@ def _pushdown_surjectivity(data, which: str, rng, ctx):
     stack[:, var, cm:cm + k] = ts[:, None, None] * np.eye(k)
     s = np.linalg.svd(stack, compute_uv=False)
     sampled = s[:-len(trend_ts)]
-    ok = bool(np.all(sampled[:, rows - 1]
-                     > ctx.rank_tol * np.maximum(sampled[:, 0], 1.0)))
-    return ok, s[-len(trend_ts):, rows - 1].tolist()
+    margin = np.min(sampled[:, rows - 1]
+                    / (ctx.rank_tol * np.maximum(sampled[:, 0], 1.0)))
+    return float(margin), s[-len(trend_ts):, rows - 1].tolist()
 
 
 def _float_data(data):
@@ -245,12 +221,14 @@ def _big_monad_unchecked(data) -> ParamMonad:
     """
     k, m = data.k, data.m
     exact = data.exact
-    B0, B1 = data.B0, data.B1
     eyek = nk.eye_like_backend(k, exact)
+    eyekm = nk.eye_like_backend(k + m, exact)
+    Wm, Wp, Ym1, Yp1 = _gluing(data)
     if m:
         Mmid = data.normal_form
     else:
         _, Mmid, d_w = data.middle_jump()
+        Wm[k:] = -d_w
 
     pm = ParamMonad("xi_psi", (
         [BlockSpec("Um", TWISTS["mF"], k + m),
@@ -266,22 +244,11 @@ def _big_monad_unchecked(data) -> ParamMonad:
          BlockSpec("T10", TWISTS["triv"], k),
          BlockSpec("T00", TWISTS["triv"], k)]), exact=exact)
     at = pm.start
-    km = k + m
     add = pm.alpha.add_monomial
-    # Um column
-    add(0, 0, at["S1"], at["Um"], -nk.eye_like_backend(km, exact))
-    # minus-side resolution rows (k | m | 1)
-    add(0, 0, at["Vm"], at["Um"], -B1)
-    add(1, 1, at["Vm"], at["Um"], eyek)
-    if m:
-        em = _e_minus_col(m, exact)
-        ep = _e_plus_row(m, exact)
-        add(0, 0, at["Vm"] + k, at["Um"], -nk.mat_mul(em, data.Bprime))
-        add(0, 0, at["Vm"] + k, at["Um"] + k, -data.shift)
-        add(1, 1, at["Vm"] + k, at["Um"] + k, nk.eye_like_backend(m, exact))
-        add(0, 0, at["Vm"] + km, at["Um"] + k, -ep)
-    else:
-        add(0, 0, at["Vm"] + k, at["Um"], -d_w)
+    # Um column: -I into S1, the minus-side resolution W- plus eta I
+    add(0, 0, at["S1"], at["Um"], -eyekm)
+    add(0, 0, at["Vm"], at["Um"], Wm)
+    add(1, 1, at["Vm"], at["Um"], eyekm)
     add(0, 0, at["S10"], at["Um"], -eyek)                  # -X_{-,0}
     # Wh column
     add(0, 0, at["S10"], at["Wh"], -eyek)
@@ -291,43 +258,30 @@ def _big_monad_unchecked(data) -> ParamMonad:
     add(0, 0, at["Eh"], at["Wt"], -data.Bth)
     add(1, 0, at["Et"], at["Wt"], eyek)                    # xi
     add(0, 0, at["S00"], at["Wt"], -eyek)
-    # Up column
+    # Up column: -I into S00, the plus-side resolution W+ plus eta I,
+    # -(A; A') into S1
     add(0, 0, at["S00"], at["Up"], -eyek)
-    d2row = data.D2row if m else data.D[1:2, :]
-    add(0, 0, at["Vp"], at["Up"], -B0)
+    add(0, 0, at["Vp"], at["Up"], Wp)
     add(1, 1, at["Vp"], at["Up"], eyek)
-    add(0, 0, at["Vp"] + k, at["Up"], -d2row)
-    add(0, 0, at["S1"], at["Up"], -data.A)
-    if m:
-        add(0, 0, at["S1"] + k, at["Up"], -data.Aprime)
+    add(0, 0, at["S1"], at["Up"], -Yp1[:, :k])
 
     add = pm.beta.add_monomial
-    # T1 row
-    add(1, 1, at["T1"], at["S1"], nk.eye_like_backend(km, exact))
+    # T1 row: eta - Mmid, Y-1 on Vm, Y+1 on Vp
+    add(1, 1, at["T1"], at["S1"], eyekm)
     add(0, 0, at["T1"], at["S1"], -Mmid)
-    # Y-1 on (T1, Vm)
-    add(0, 0, at["T1"], at["Vm"], eyek)
-    add(0, 0, at["T1"], at["Vm"] + km, -data.C1)
-    if m:
-        add(0, 0, at["T1"] + k, at["Vm"] + k, nk.eye_like_backend(m, exact))
-        add(0, 0, at["T1"] + k, at["Vm"] + km, -data.Cprime[:, 0:1])
-    # Y+1 on (T1, Vp)
-    if m:
-        add(0, 0, at["T1"], at["Vp"], _mixed_pencil_left(data))
-    else:
-        add(0, 0, at["T1"], at["Vp"], data.A)
-        add(0, 0, at["T1"], at["Vp"] + k, data.C2)
+    add(0, 0, at["T1"], at["Vm"], Ym1)
+    add(0, 0, at["T1"], at["Vp"], Yp1)
     # T10 row
     add(0, 0, at["T10"], at["Vm"], eyek)                   # (1, 0, 0) row
     add(1, 1, at["T10"], at["S10"], eyek)
-    add(0, 0, at["T10"], at["S10"], -B1)
+    add(0, 0, at["T10"], at["S10"], Wm[:k, :k])            # -B1
     add(1, 0, at["T10"], at["Eh"], eyek)                   # xi
     add(0, 0, at["T10"], at["Et"], data.Bth)
     # T00 row
     add(0, 0, at["T00"], at["Eh"], data.Bht)
     add(0, 1, at["T00"], at["Et"], eyek)                   # psi
     add(1, 1, at["T00"], at["S00"], eyek)
-    add(0, 0, at["T00"], at["S00"], -B0)
+    add(0, 0, at["T00"], at["S00"], Wp[:k])                # -B0
     add(0, 0, at["T00"], at["Vp"], eyek)                   # (1, 0) row
     return pm
 

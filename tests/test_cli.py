@@ -61,6 +61,34 @@ def test_wrong_shape_exit_2(tmp_path):
     assert run_cli("validate", "--input", str(f)) == 2
 
 
+_EXACT_ZERO = '{"n": 0, "d": 1}'
+
+
+@pytest.mark.parametrize("backend, entry", [
+    ("f64", '["a", 0]'), ("f64", "[null, 0]"), ("f64", "[1e400, 0]"),
+    ("exact", '{"re": {"n": 1, "d": 0}, "im": %s}' % _EXACT_ZERO),
+    ("exact", '{"re": 5, "im": %s}' % _EXACT_ZERO),
+    ("exact", '{"re": {"n": 1.5, "d": 1}, "im": %s}' % _EXACT_ZERO)])
+@pytest.mark.parametrize("command", ["validate", "fiber", "roundtrip"])
+def test_malformed_matrix_entry_exit_2(command, backend, entry, tmp_path,
+                                       capsys):
+    """An entry that is not two finite reals (f64), or whose exact parts
+    are not an integer n over a nonzero integer d, exits 2 with one JSON
+    parse error: not a TypeError, an inf reaching validate, or a division
+    by zero."""
+    good = tmp_path / "good.json"
+    assert run_cli("generate", "--kind", "taubnut", "--k", "1", "--m", "1",
+                   "--backend", backend, "--out", str(good)) == 0
+    obj = json.loads(good.read_text())
+    obj["A"] = [["ENTRY"]]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj).replace('"ENTRY"', entry))
+    capsys.readouterr()
+    assert run_cli(command, "--input", str(bad)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "parse" and "got" in err["message"]
+
+
 def test_generate_then_validate(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert run_cli("generate", "--kind", "taubnut", "--k", "1", "--m", "1",

@@ -526,6 +526,51 @@ def test_out_of_window_map_raises():
                             0).dimension == 1
 
 
+def _koszul_monad(n):
+    """The Koszul complex of the sections 1 and xi^n of O(n) on the (xi, eta)
+    chart: O(0, -1-n) -> O(0, -1)^2 -> O(0, n-1) with alpha = (1, -xi^n)^T
+    and beta = (xi^n, 1).  The two sections share no zero on a B_eta line,
+    so the complex is exact there."""
+    pm = mc.ParamMonad("xi_eta", (
+        [mc.BlockSpec("U", mc.o_pp(0, -1 - n), 1)],
+        [mc.BlockSpec("S1", mc.o_pp(0, -1), 1),
+         mc.BlockSpec("S2", mc.o_pp(0, -1), 1)],
+        [mc.BlockSpec("Q", mc.o_pp(0, n - 1), 1)]))
+    pm.alpha.add_monomial(0, 0, 0, 0, mk([[1]]))
+    pm.alpha.add_monomial(n, 0, 1, 0, mk([[-1]]))
+    pm.beta.add_monomial(n, 0, 0, 0, mk([[1]]))
+    pm.beta.add_monomial(0, 0, 0, 1, mk([[1]]))
+    return pm
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_connecting_map_cancels_left_column_h1(n):
+    """The Koszul complex has zero cohomology, so h0 = 0 for every twist.
+    The left column's H^1 classes that alpha kills only cancel through the
+    connecting map into the right column: without it the count reads
+    (0, 0, 1, 0, 0) at n = 1 and (0, 1, 2, 1, 0) at n = 2, where the
+    middle column also has sections to project off."""
+    pm = _koszul_monad(n)
+    assert pm.composite_residual() == 0.0
+    for z in (0.3, 1.7 - 0.4j):
+        assert [sections_on_line(pm, Line("B_eta", z), d).dimension
+                for d in range(-2, 3)] == [0] * 5
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_pushdown_and_fused_tables_agree_on_l_xi_lines(k):
+    """On generic L_xi lines the psi-pushdown and fused Taub-NUT monads both
+    read h0 = (0, 0, 2, 4, 6) for d = -2..2, the table of O + O.  The
+    pushdown's d = 0 count takes the connecting map modulo beta of the
+    middle sections: without that projection it reads 1 (k = 1) or 0
+    (k = 2), which no rank-2 degree-0 bundle has."""
+    d = taubnut.generate_taubnut(k, 1, seed=0)
+    for pm in (taubnut._big_monad_unchecked(d), taubnut.psi_pushdown_monad(d)):
+        for v in (0.7 + 0.2j, -0.4 + 1.1j):
+            assert [sections_on_line(pm, Line("L_xi", v), dd).dimension
+                    for dd in range(-2, 3)] == [0, 0, 2, 4, 6]
+
+
 def test_coefficient_write_shows_in_next_sections():
     alpha = mc.PolyMatrix((2, 1), {(0, 0): np.zeros((2, 1))})
     pm = mc.ParamMonad(

@@ -392,6 +392,81 @@ def test_pointwise_checks_fail_below_margin_one(monkeypatch):
                                           rel=1e-9)
 
 
+def _pushdown_margins(data, row_scale=1.0, ctx=nk.DEFAULT_CTX):
+    """sigma_min / (rank_tol max(sigma_max, 1)) of the xi and psi pushdown
+    gluing maps, smallest over the t that validate samples, one t at a time.
+    Rows (k + m | k | k), columns (Vm | E | Vp):
+
+        (Y-1,        0,            -Y+1 )
+        (-(1, 0, 0), t I or -Bht,   0   )
+        (0,          -Bth or t I,  (1, 0))
+
+    with row k + m - 1 times row_scale."""
+    d = tn._float_data(data)
+    k, m = d.k, d.m
+    below = (d.Cprime, d.Aprime) if m else (np.zeros((0, 2)), np.zeros((0, k)))
+    Ym1 = np.hstack([np.eye(k + m), -np.vstack([d.C1, below[0][:, 0:1]])])
+    Yp1 = np.block([[d.A, d.C2], [below[1], below[0][:, 1:2]]])
+    X0m = np.hstack([np.eye(k), np.zeros((k, m + 1))])
+    X0p = np.hstack([np.eye(k), np.zeros((k, 1))])
+    rng = np.random.default_rng(7)
+    for _ in range(40):                     # the pointwise checks' points
+        rng.standard_normal(2)
+    out = []
+    for which in ("xi", "psi"):
+        worst = np.inf
+        for _ in range(100):
+            t = rng.standard_normal() + 1j * rng.standard_normal()
+            if abs(t) < 0.05:
+                continue
+            xi_blk, psi_blk = (t * np.eye(k), -d.Bht) if which == "xi" else \
+                (-d.Bth, t * np.eye(k))
+            M = np.block([[Ym1, np.zeros((k + m, k)), -Yp1],
+                          [-X0m, xi_blk, np.zeros((k, k + 1))],
+                          [np.zeros((k, k + m + 1)), psi_blk, X0p]])
+            M[k + m - 1] *= row_scale
+            s = np.linalg.svd(M, compute_uv=False)
+            worst = min(worst, s[-1] / (ctx.rank_tol * max(s[0], 1.0)))
+        out.append(worst)
+    return out
+
+
+@pytest.mark.parametrize("data", [worked_example(),
+                                  tn.generate_taubnut(2, 1, seed=0),
+                                  tn.generate_taubnut(3, 0, seed=1),
+                                  tn.generate_taubnut(1, 2, seed=3, exact=True)])
+def test_pushdown_checks_report_their_margin(data):
+    """pushdown_surjective_xi/psi pass with the smallest sigma_min /
+    (rank_tol max(sigma_max, 1)) over the sampled t as the value, far above
+    1 (the k = 3, m = 0 draw has the smallest, 4.3e5)."""
+    rep = tn.validate(data)
+    for name, margin in zip(("pushdown_surjective_xi",
+                             "pushdown_surjective_psi"),
+                            _pushdown_margins(data)):
+        assert rep[name].passed and rep[name].residual > 1e5
+        assert rep[name].residual == pytest.approx(margin, rel=1e-9)
+
+
+def test_pushdown_checks_fail_below_margin_one(monkeypatch):
+    """Gluing rows with their last row times 1e-12 keep a nonzero
+    sigma_min and fail both pushdown checks with a margin below 1."""
+    gluing = tn._gluing
+
+    def dropped(data):
+        Wm, Wp, Ym1, Yp1 = gluing(data)
+        Ym1[-1] *= 1e-12
+        Yp1[-1] *= 1e-12
+        return Wm, Wp, Ym1, Yp1
+    data = tn.generate_taubnut(2, 1, seed=0)
+    monkeypatch.setattr(tn, "_gluing", dropped)
+    rep = tn.validate(data)
+    for name, margin in zip(("pushdown_surjective_xi",
+                             "pushdown_surjective_psi"),
+                            _pushdown_margins(data, row_scale=1e-12)):
+        assert not rep[name].passed and 0.0 < rep[name].residual < 1.0
+        assert rep[name].residual == pytest.approx(margin, rel=1e-6)
+
+
 def test_negative_m_reduces_to_positive():
     d_neg = tn.generate_taubnut(1, -1, seed=5)
     d_pos = tn.generate_taubnut(1, 1, seed=5)
