@@ -54,14 +54,25 @@ def _num_from_json(obj, exact: bool):
         if not (isinstance(obj, dict) and "re" in obj and "im" in obj):
             raise ParseError(f"expected fraction pair, got {obj!r}")
         return GQ(_fraction_from_json(obj["re"]), _fraction_from_json(obj["im"]))
-    try:
-        ok = isinstance(obj, list) and len(obj) == 2 and all(
-            type(v) in (int, float) and math.isfinite(v) for v in obj)
-    except OverflowError:           # an int beyond the float range
-        ok = False
-    if not ok:
+    if not (isinstance(obj, list) and len(obj) == 2
+            and all(map(_is_finite_real, obj))):
         raise ParseError(f"expected [re, im] of finite reals, got {obj!r}")
     return complex(obj[0], obj[1])
+
+
+def _is_finite_real(v) -> bool:
+    """A finite JSON number: an int or a float, not a bool, a string or an
+    int beyond the float range."""
+    try:
+        return type(v) in (int, float) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _real_from_json(v, what: str) -> float:
+    if not _is_finite_real(v):
+        raise ParseError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
 
 
 def _fraction_from_json(part) -> Fraction:
@@ -171,14 +182,17 @@ def solution_to_json(sol: nahmbow.NahmSolution) -> dict:
 def solution_from_json(obj) -> nahmbow.NahmSolution:
     try:
         r = obj["rep"]
-        rep = nahmbow.BowRepresentation(float(r["ell"]), float(r["lam"]),
+        rep = nahmbow.BowRepresentation(_real_from_json(r["ell"], "ell"),
+                                        _real_from_json(r["lam"], "lam"),
                                         int(r["k"]), int(r["m"]))
 
         def seg(o, rank):
-            grid = np.asarray(o["s"], dtype=float)
+            grid = np.array([_real_from_json(v, "a grid point s")
+                             for v in o["s"]], dtype=float)
             mk = lambda key: np.stack([matrix_from_json(T, (rank, rank), False)
                                        for T in o[key]])
-            return nahmbow.Segment(float(o["s0"]), float(o["s1"]), rank, grid,
+            return nahmbow.Segment(_real_from_json(o["s0"], "s0"),
+                                   _real_from_json(o["s1"], "s1"), rank, grid,
                                    mk("T1"), mk("T2"), mk("T3"),
                                    constant=bool(o.get("constant", False)))
 

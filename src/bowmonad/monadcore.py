@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -206,9 +207,13 @@ class CoeffTensor(Mapping):
     are held as floats, which a complex power takes without a cast (whole
     exponents are still raised by repeated multiplication).
 
-    The tensor is the only copy.  Reading a key gives a read-only view of
-    its row; assigning a key writes the matrix into its row (a new key
-    appends one), so every write shows in the next evaluation.
+    The tensor is the only copy, and C is read-only.  Reading a key gives a
+    read-only view of its row; assigning a key writes the matrix into its
+    row (a new key appends one), so every write shows in the next
+    evaluation.  Every write also replaces ``version`` by a new object:
+    what is derived from the coefficients once and kept, such as the
+    section plans of a monad on each ruling (ParamMonad._line_plans), is
+    dropped when the version it was derived at is no longer current.
     """
 
     def __init__(self, shape, exact: bool):
@@ -216,6 +221,8 @@ class CoeffTensor(Mapping):
         self.P = np.zeros(0)
         self.Q = np.zeros(0)
         self.C = nk.zeros_like_backend(0, shape[0] * shape[1], exact)
+        self.C.flags.writeable = False
+        self.version = object()
         self._rows: dict[tuple, int] = {}
 
     def __getitem__(self, key) -> np.ndarray:
@@ -228,13 +235,16 @@ class CoeffTensor(Mapping):
             raise ValueError(f"coefficient of shape {np.shape(M)}, "
                              f"want {self.shape}")
         row = np.asarray(M, dtype=self.C.dtype).reshape(1, -1)
+        self.version = object()
         if key in self._rows:
+            self.C.flags.writeable = True
             self.C[self._rows[key]] = row[0]
-            return
-        self._rows[key] = len(self._rows)
-        self.P = np.append(self.P, key[0])
-        self.Q = np.append(self.Q, key[1])
-        self.C = np.concatenate([self.C, row])
+        else:
+            self._rows[key] = len(self._rows)
+            self.P = np.append(self.P, key[0])
+            self.Q = np.append(self.Q, key[1])
+            self.C = np.concatenate([self.C, row])
+        self.C.flags.writeable = False
 
     def __iter__(self):
         return iter(self._rows)
@@ -268,7 +278,17 @@ class PolyMatrix:
         key = (p, q)
         tgt = self.coeffs[key].copy() if key in self.coeffs else \
             nk.zeros_like_backend(*self.shape, self.exact)
-        tgt[r0:r0 + h, c0:c0 + w] = tgt[r0:r0 + h, c0:c0 + w] + payload
+        blk = tgt[r0:r0 + h, c0:c0 + w]
+        if self.exact:
+            # the blocks of one monomial rarely overlap, so most targets are
+            # zero: a zero entry takes a GaussianRational payload entry as it
+            # is, and only a nonzero target or an int or Fraction entry (which
+            # the sum coerces) costs an exact sum
+            for ij, x in np.ndenumerate(np.asarray(payload, dtype=object)):
+                blk[ij] = x if isinstance(x, nk.GQ) and not blk[ij] \
+                    else blk[ij] + x
+        else:
+            blk[...] = blk + payload
         self.coeffs[key] = tgt
 
     def evaluate(self, x, y):
@@ -380,6 +400,17 @@ class ParamMonad:
         self.beta = beta or PolyMatrix((n3, n2), exact=exact)
         if (self.alpha.shape, self.beta.shape) != ((n2, n1), (n3, n2)):
             raise ValueError("alpha or beta shape does not match column ranks")
+        self._plans: dict = {}
+        self._plans_at = None
+
+    def _line_plans(self) -> dict:
+        """The section plans of this monad by ruling (see _LineSystem), kept
+        while the coefficient versions of alpha and beta stay those they
+        were made at."""
+        at = (self.alpha.coeffs.version, self.beta.coeffs.version)
+        if at != self._plans_at:
+            self._plans, self._plans_at = {}, at
+        return self._plans
 
     # -- basic structure -----------------------------------------------------
     def offsets(self, col: int) -> list[tuple[int, int]]:
@@ -503,14 +534,15 @@ def _fast_rank(M: np.ndarray, ctx: ToleranceContext):
 # sections along lines
 
 
-def _windows(pm: ParamMonad, col: int, line: Line):
-    """Laurent exponent window [lo, hi] per block of a column; a twist by
-    O(d) at the infinity end adds d to every hi.  Empty blocks get lo > hi."""
-    ends = _LINE_ENDS.get(pm.chart, {}).get(line.kind)
+def _windows(pm: ParamMonad, col: int, kind: str):
+    """Laurent exponent window [lo, hi] per block of a column on the lines of
+    one ruling; a twist by O(d) at the infinity end adds d to every hi.
+    Empty blocks get lo > hi."""
+    ends = _LINE_ENDS.get(pm.chart, {}).get(kind)
     if ends is None:
-        raise ChartMismatch(f"line {line.kind} not available on {pm.chart}")
+        raise ChartMismatch(f"line {kind} not available on {pm.chart}")
     end0, endinf = ends
-    degrees = _CURVE_DEGREES[line.kind]
+    degrees = _CURVE_DEGREES[kind]
     out = []
     for b in pm.cols[col]:
         lo = -(b.twist.get(end0, 0) if end0 else 0)
@@ -545,59 +577,79 @@ class _Layout:
 
 
 class _MapBlocks:
-    """A PolyMatrix restricted to a line: the t-shift of every monomial, and
-    its nonzero blocks as (shift, row block, column block, block times the
-    line factor), in monomial order."""
+    """A PolyMatrix on the lines of one ruling: the t-shift of every
+    monomial, and its nonzero blocks as (monomial, shift, row block, column
+    block, flattened float block), in monomial order.  No line value
+    enters."""
 
     def __init__(self, poly: PolyMatrix, roff, coff, sub):
-        subs = [sub(p, q) for (p, q) in poly.coeffs]
-        self.shifts = [s for s, _ in subs] or [0]
+        self.shifts = [sub(p, q)[0] for (p, q) in poly.coeffs] or [0]
         self.entries = []
         rows = [(ib, r0, r1) for ib, (r0, r1) in enumerate(roff) if r1 > r0]
         cols = [(ib, c0, c1) for ib, (c0, c1) in enumerate(coff) if c1 > c0]
-        if not (subs and rows and cols):
+        if not (poly.coeffs and rows and cols):
             return
-        C = to_float(poly.coeffs.C).reshape(len(subs), *poly.shape)
+        C = to_float(poly.coeffs.C).reshape(len(poly.coeffs), *poly.shape)
         # one nonzero test per (monomial, row block, column block)
         nz = np.logical_or.reduceat(C != 0, [r0 for _, r0, _ in rows], axis=1)
         nz = np.logical_or.reduceat(nz, [c0 for _, c0, _ in cols], axis=2)
         for j, a, b in zip(*(ix.tolist() for ix in np.nonzero(nz))):
-            shift, factor = subs[j]
             ib_dst, r0, r1 = rows[a]
             ib_src, c0, c1 = cols[b]
-            self.entries.append((shift, ib_dst, ib_src,
-                                 factor * C[j, r0:r1, c0:c1]))
+            self.entries.append((j, self.shifts[j], ib_dst, ib_src,
+                                 C[j, r0:r1, c0:c1].ravel()))
 
 
-def _place(blocks: _MapBlocks, src: _Layout, dst: _Layout, strict: bool):
-    """Matrix of a map between Laurent-coefficient layouts.
+class _Placement:
+    """Where the blocks of alpha or beta land in the matrix of the map
+    between two Laurent layouts, with no line value in it.
 
-    A block sends source exponent e to e + shift; the exponents whose image
-    lies in the destination span form one range, written with one strided
-    assignment.  Each cell sums its monomials in monomial order.  With
-    ``strict`` a nonzero block that sends an exponent out of the destination
-    span raises InternalTwistError.
+    A block sends source exponent e to e + shift, so it fills a diagonal
+    run of blocks, one per source exponent whose image lies in the
+    destination span.  The cells are kept per monomial, in monomial order,
+    as flat indices with the coefficients they take; no two blocks of one
+    monomial share a cell, so a line's matrix is one scatter-add per
+    monomial and each cell sums its monomials in monomial order.  ``leaves``
+    records a nonzero block that sends an exponent out of the destination
+    span.
     """
-    A = np.zeros((dst.size, src.size), dtype=complex)
-    row, col = A.strides
-    for shift, ib_dst, ib_src, blk in blocks.entries:
-        s0, ns, base_s, rk = src.blocks[ib_src]
-        if not ns:
-            continue
-        t0, nt, base_t, rr = dst.blocks[ib_dst]
-        lo = max(s0, t0 - shift)
-        hi = min(s0 + ns, t0 + nt - shift)
-        if strict and hi - lo < ns:
-            raise InternalTwistError("map leaves the declared Laurent windows")
-        if hi <= lo:
-            continue
-        r = base_t + (lo + shift - t0) * rr
-        c = base_s + (lo - s0) * rk
-        # the diagonal run of (rr x rk) blocks, one per source exponent
-        np.ndarray((hi - lo, rr, rk), dtype=complex, buffer=A,
-                   offset=r * row + c * col,
-                   strides=(rr * row + rk * col, row, col))[...] += blk
-    return A
+
+    def __init__(self, which: str, blocks: _MapBlocks, src: _Layout,
+                 dst: _Layout):
+        self.which, self.src, self.dst = which, src, dst
+        self.shape = (dst.size, src.size)
+        self.leaves = False
+        terms: dict[int, tuple[list, list]] = {}
+        offsets = {}        # flat offsets of the cells of an rr x rk block
+        for j, shift, ib_dst, ib_src, blk in blocks.entries:
+            s0, ns, base_s, rk = src.blocks[ib_src]
+            if not ns:
+                continue
+            t0, nt, base_t, rr = dst.blocks[ib_dst]
+            lo = max(s0, t0 - shift)
+            hi = min(s0 + ns, t0 + nt - shift)
+            self.leaves |= hi - lo < ns
+            if hi <= lo:
+                continue
+            if (rr, rk) not in offsets:
+                offsets[rr, rk] = (np.arange(rr)[:, None] * src.size
+                                   + np.arange(rk)).ravel()
+            # the block of source exponent lo + i, i diagonal steps along
+            first = ((base_t + (lo + shift - t0) * rr) * src.size
+                     + base_s + (lo - s0) * rk)
+            starts = first + (rr * src.size + rk) * np.arange(hi - lo)
+            idx, vals = terms.setdefault(j, ([], []))
+            idx.append((starts[:, None] + offsets[rr, rk]).ravel())
+            vals.append(blk[None].repeat(hi - lo, 0).ravel())
+        self.terms = [(j, np.concatenate(idx), np.concatenate(vals))
+                      for j, (idx, vals) in terms.items()]
+
+    def matrix(self, factors) -> np.ndarray:
+        """The matrix on a line, from the line factor of every monomial."""
+        A = np.zeros(self.shape[0] * self.shape[1], dtype=complex)
+        for j, idx, vals in self.terms:
+            A[idx] += factors[j] * vals
+        return A.reshape(self.shape)
 
 
 # Thresholds of the first-cohomology part of a section count, relative to
@@ -609,59 +661,146 @@ _H1_BAND_TOL = 1e-7
 _D2_TOL = 1e-9
 
 
-class _LineSystem:
-    """The Laurent section systems of one monad on one line, for every twist
-    O(d): the windows of the left and middle columns and the nonzero blocks
-    of alpha and beta, each read once.  It lives for one call, so a
-    coefficient write shows in the next call."""
+class _RulingPlan:
+    """What a monad's section systems share on every line of one ruling:
+    the windows of the left and middle columns, the nonzero blocks and
+    t-shifts of alpha and beta, and a _SectionPlan per twist d."""
 
-    def __init__(self, pm: ParamMonad, line: Line):
-        self.pm = pm
-        self.line = line
-        self.w1 = _windows(pm, 0, line)
-        self.w2 = _windows(pm, 1, line)
-        sub = _substitution(pm.chart, line)
+    def __init__(self, pm: ParamMonad, kind: str):
+        self.cols = pm.cols
+        self.w1 = _windows(pm, 0, kind)
+        self.w2 = _windows(pm, 1, kind)
+        # no line value enters a t-shift: read them off the line at 1
+        sub = _substitution(pm.chart, Line(kind, 1))
         self.alpha = _MapBlocks(pm.alpha, pm.offsets(1), pm.offsets(0), sub)
         self.beta = _MapBlocks(pm.beta, pm.offsets(2), pm.offsets(1), sub)
+        self.twists: dict[int, _SectionPlan] = {}
+
+    def twist(self, d: int) -> "_SectionPlan":
+        plan = self.twists.get(d)
+        if plan is None:
+            plan = self.twists[d] = _SectionPlan(self, d)
+        return plan
+
+
+class _SectionPlan:
+    """The section systems of a monad on the lines of one ruling, twisted
+    by O(d), with no line value in them: the layouts of the windows and the
+    placement of every matrix that _LineSystem forms from them.  The
+    connecting-map part is planned on first use."""
+
+    def __init__(self, ruling: _RulingPlan, d: int):
+        blocks1, blocks2, _ = ruling.cols
+        self.ruling = ruling
+        self.w2 = [(lo, hi + d) for lo, hi in ruling.w2]
+        w1 = [(lo, hi + d) for lo, hi in ruling.w1]
+        lay1 = _Layout(blocks1, w1)
+        self.lay2 = _Layout(blocks2, self.w2)
+        self.E = self.Aim = None
+        if self.lay2.size:
+            self.E = _Placement("beta", ruling.beta, self.lay2,
+                                self._equation_layout(self.lay2))
+            self.Aim = _Placement("alpha", ruling.alpha, lay1, self.lay2)
+        # H^1 of the left and middle columns: the windows' complements
+        self.lay1_h1 = _Layout(blocks1, [(hi + 1, lo - 1) for lo, hi in w1])
+        lay2_h1 = _Layout(blocks2, [(hi + 1, lo - 1) for lo, hi in self.w2])
+        self.H = _Placement("alpha", ruling.alpha, self.lay1_h1, lay2_h1) \
+            if self.lay1_h1.size and lay2_h1.size else None
 
     def _equation_layout(self, lay_src: _Layout) -> _Layout:
         """Right-column layout over every exponent beta can reach from a
         middle layout."""
         lo, hi = lay_src.exponent_range()
-        blocks3 = self.pm.cols[2]
-        span = (lo + min(self.beta.shifts), hi + max(self.beta.shifts))
+        blocks3 = self.ruling.cols[2]
+        shifts = self.ruling.beta.shifts
+        span = (lo + min(shifts), hi + max(shifts))
         return _Layout(blocks3, [span] * len(blocks3))
 
-    def sections(self, d: int, ctx: ToleranceContext) -> SectionSpace:
-        blocks1, blocks2, _ = self.pm.cols
-        w1 = [(lo, hi + d) for lo, hi in self.w1]
-        w2 = [(lo, hi + d) for lo, hi in self.w2]
-        lay1 = _Layout(blocks1, w1)
-        lay2 = _Layout(blocks2, w2)
+    @cached_property
+    def connecting(self):
+        """What _LineSystem._connecting_rank places: alpha from the left H^1
+        layout into a middle layout over every exponent it reaches, the row
+        ranges of the bands between the middle windows' ends, the
+        projection onto the piece regular at t=0, and beta from that piece
+        and from the middle sections (None without any) into one right
+        layout."""
+        alpha, beta = self.ruling.alpha, self.ruling.beta
+        blocks2 = self.ruling.cols[1]
+        lo1, hi1 = self.lay1_h1.exponent_range()
+        lo_all = lo1 + min(alpha.shifts)
+        hi_all = hi1 + max(alpha.shifts)
+        lay_full = _Layout(blocks2, [(lo_all, hi_all)] * len(blocks2))
+        # regular piece: keep exponents >= per-block window floor
+        lay_reg = _Layout(blocks2, [(lo, hi_all) for lo, _ in self.w2])
+        bands = []
+        P = np.zeros((lay_reg.size, lay_full.size), dtype=complex)
+        for (lo, hi), (_, _, pos, rk), (_, _, slot, _) in zip(
+                self.w2, lay_full.blocks, lay_reg.blocks):
+            # the band hi < e < lo must vanish
+            a, b = max(hi + 1, lo_all), min(lo, hi_all + 1)
+            if b > a and rk:
+                bands.append((pos + (a - lo_all) * rk,
+                              pos + (b - lo_all) * rk))
+            # e >= lo is kept, one identity run per block
+            a = max(lo, lo_all)
+            n = max(hi_all + 1 - a, 0) * rk
+            r, c = slot + (a - lo) * rk, pos + (a - lo_all) * rk
+            P[r:r + n, c:c + n] = np.eye(n)
+        lay_eq = self._equation_layout(lay_reg)
+        return (_Placement("alpha", alpha, self.lay1_h1, lay_full), bands, P,
+                _Placement("beta", beta, lay_reg, lay_eq),
+                _Placement("beta", beta, self.lay2, lay_eq)
+                if self.lay2.size else None)
 
+
+class _LineSystem:
+    """The Laurent section systems of one monad on one line, for every twist
+    O(d).  Their line-independent part is planned once per ruling and twist
+    and kept with the monad (ParamMonad._line_plans) until a coefficient
+    write; a line adds the factor of every monomial, then each system costs
+    one scatter-add per monomial and its SVDs."""
+
+    def __init__(self, pm: ParamMonad, line: Line):
+        self.pm = pm
+        self.line = line
+        plans = pm._line_plans()
+        self.ruling = plans.get(line.kind)
+        if self.ruling is None:
+            self.ruling = plans[line.kind] = _RulingPlan(pm, line.kind)
+        sub = _substitution(pm.chart, line)
+        self.factors = {name: [sub(p, q)[1] for (p, q) in poly.coeffs]
+                        for name, poly in (("alpha", pm.alpha),
+                                           ("beta", pm.beta))}
+
+    def _matrix(self, placement: _Placement, strict: bool = False):
+        """A placed matrix on this line; with ``strict`` a map that leaves
+        the declared Laurent windows raises InternalTwistError."""
+        if strict and placement.leaves:
+            raise InternalTwistError("map leaves the declared Laurent windows")
+        return placement.matrix(self.factors[placement.which])
+
+    def sections(self, d: int, ctx: ToleranceContext) -> SectionSpace:
+        plan = self.ruling.twist(d)
         h0_dim, reps = 0, np.zeros((0, 0), dtype=complex)
-        if lay2.size:
-            E = _place(self.beta, lay2, self._equation_layout(lay2), False)
-            kern = nk.rank_kernel(E, ctx).kernel
-            Aim = _place(self.alpha, lay1, lay2, True)
+        if plan.lay2.size:
+            kern = nk.rank_kernel(self._matrix(plan.E), ctx).kernel
+            Aim = self._matrix(plan.Aim, strict=True)
             reps = nk.quotient_representatives(kern, Aim, ctx)
             h0_dim = reps.shape[1]
 
         # H^1 of the left column, with the alpha action on Cech classes
-        lay1_h1 = _Layout(blocks1, [(hi + 1, lo - 1) for lo, hi in w1])
         h1_net = 0
-        if lay1_h1.size:
-            lay2_h1 = _Layout(blocks2, [(hi + 1, lo - 1) for lo, hi in w2])
-            H = _place(self.alpha, lay1_h1, lay2_h1, False)
-            ker_h1 = nk.rank_kernel(H, ctx).kernel if lay2_h1.size else \
-                np.eye(lay1_h1.size, dtype=complex)
+        if plan.lay1_h1.size:
+            ker_h1 = np.eye(plan.lay1_h1.size, dtype=complex) \
+                if plan.H is None else \
+                nk.rank_kernel(self._matrix(plan.H), ctx).kernel
             if ker_h1.shape[1]:
-                d2 = self._connecting_rank(w2, lay1_h1, ker_h1, lay2, ctx)
+                d2 = self._connecting_rank(plan, ker_h1, ctx)
                 h1_net = ker_h1.shape[1] - d2
         return SectionSpace(self.line, [reps[:, j] for j in range(h0_dim)],
                             h0_dim + h1_net, h1_net)
 
-    def _connecting_rank(self, w2, lay1_h1, ker_h1, lay2, ctx):
+    def _connecting_rank(self, plan: _SectionPlan, ker_h1, ctx):
         """Rank of the connecting differential on H^1(left) classes killed
         in H^1(middle).
 
@@ -671,38 +810,18 @@ class _LineSystem:
         genuine global section of the right column, well defined modulo
         beta of global middle sections.
         """
-        blocks2 = self.pm.cols[1]
-        lo1, hi1 = lay1_h1.exponent_range()
-        lo_all = lo1 + min(self.alpha.shifts)
-        hi_all = hi1 + max(self.alpha.shifts)
-        lay_full = _Layout(blocks2, [(lo_all, hi_all)] * len(blocks2))
-        images = _place(self.alpha, lay1_h1, lay_full, False) @ ker_h1
+        full, bands, P, reg, middle = plan.connecting
+        images = self._matrix(full) @ ker_h1
         scale = max(1.0, np.max(np.abs(images))) if images.size else 1.0
-        # regular piece: keep exponents >= per-block window floor
-        lay_reg = _Layout(blocks2, [(lo, hi_all) for lo, _ in w2])
-        P = np.zeros((lay_reg.size, lay_full.size), dtype=complex)
-        for (lo, hi), (_, _, pos, rk), (_, _, slot, _) in zip(
-                w2, lay_full.blocks, lay_reg.blocks):
-            # the band hi < e < lo must vanish
-            a, b = max(hi + 1, lo_all), min(lo, hi_all + 1)
-            if b > a and rk:
-                band = images[pos + (a - lo_all) * rk:pos + (b - lo_all) * rk]
-                if np.max(np.abs(band)) > _H1_BAND_TOL * scale:
-                    raise InternalTwistError(
-                        "H^1 kernel class keeps a residual band")
-            # e >= lo is kept, one identity run per block
-            a = max(lo, lo_all)
-            n = max(hi_all + 1 - a, 0) * rk
-            r, c = slot + (a - lo) * rk, pos + (a - lo_all) * rk
-            P[r:r + n, c:c + n] = np.eye(n)
-        v0 = P @ images
-        lay_eq = self._equation_layout(lay_reg)
-        d2_vals = _place(self.beta, lay_reg, lay_eq, False) @ v0
+        for a, b in bands:
+            if np.max(np.abs(images[a:b])) > _H1_BAND_TOL * scale:
+                raise InternalTwistError(
+                    "H^1 kernel class keeps a residual band")
+        d2_vals = self._matrix(reg) @ (P @ images)
         if not d2_vals.size or np.max(np.abs(d2_vals)) <= _D2_TOL * scale:
             return 0
-        if lay2.size:
-            Eh0 = _place(self.beta, lay2, lay_eq, False)
-            cok = nk.rank_kernel(Eh0, ctx).cokernel
+        if middle is not None:
+            cok = nk.rank_kernel(self._matrix(middle), ctx).cokernel
             proj = cok.conj().T @ d2_vals
         else:
             proj = d2_vals

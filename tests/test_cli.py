@@ -247,6 +247,40 @@ def test_solution_with_lambda_outside_the_interval_exit_2(tmp_path, capsys):
     assert err["type"] == "parse" and "lambda" in err["message"]
 
 
+# reals of a nahmsolution file replaced by JSON text that is not a finite
+# number: 1e400 reads as inf, NaN and Infinity are JSON extensions Python
+# reads, and a string is not a number even where float() would take it
+_NOT_FINITE = [(("rep", "ell"), "1e400"), (("rep", "ell"), '"inf"'),
+               (("rep", "ell"), "NaN"), (("rep", "lam"), '"0.25"'),
+               (("middle", "s0"), "-1e400"), (("head", "s1"), '"nan"'),
+               (("tail", "s", 1), "Infinity")]
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral", "nahm-flow",
+                                     "dirac"])
+@pytest.mark.parametrize("path, text", _NOT_FINITE)
+def test_solution_reals_must_be_finite_numbers_exit_2(command, path, text,
+                                                      tmp_path, capsys):
+    """ell, lam, each segment's s0 and s1 and every grid point s are finite
+    JSON numbers; anything else is malformed input: exit 2 with one JSON
+    parse error before the command runs."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "6",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    obj = json.loads(sol_file.read_text())
+    *keys, last = path
+    functools.reduce(lambda o, key: o[key], keys, obj)[last] = "@"
+    sol_file.write_text(json.dumps(obj).replace('"@"', text))
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(sol_file),
+                   *_CONTRACT_ARGS[command], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and "finite number" in err["message"]
+
+
 def test_diagonal_nahm_kind_reproduces_reference_curve(tmp_path, capsys):
     sol_file = tmp_path / "diag.json"
     run_cli("generate", "--kind", "diagonal-nahm", "--k", "2", "--seed", "3",

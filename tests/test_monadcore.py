@@ -444,32 +444,28 @@ def reference_block_action(pm, which, line, src, dst, strict):
 
 @pytest.fixture
 def checked_systems(monkeypatch):
-    """Compare every system sections_on_line builds with the per-entry
-    reference, bit for bit; yields the list of (map, strict) built."""
+    """Compare every matrix sections_on_line assembles from its plans with
+    the per-entry reference on the monad's current coefficients, bit for
+    bit; yields the list of (map, strict) assembled."""
     seen = []
-    real_init, real_place = mc._LineSystem.__init__, mc._place
+    real_matrix = mc._LineSystem._matrix
 
-    def init(self, pm, line):
-        real_init(self, pm, line)
-        self.alpha.origin = (pm, "alpha", line)
-        self.beta.origin = (pm, "beta", line)
-
-    def checked(blocks, src, dst, strict):
-        pm, which, line = blocks.origin
+    def checked(system, placement, strict=False):
         try:
-            want = reference_block_action(pm, which, line, src, dst, strict)
+            want = reference_block_action(system.pm, placement.which,
+                                          system.line, placement.src,
+                                          placement.dst, strict)
         except mc.InternalTwistError:
             with pytest.raises(mc.InternalTwistError):
-                real_place(blocks, src, dst, strict)
+                real_matrix(system, placement, strict)
             raise
-        got = real_place(blocks, src, dst, strict)
+        got = real_matrix(system, placement, strict)
         assert got.shape == want.shape and np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
-        seen.append((which, strict))
+        seen.append((placement.which, strict))
         return got
 
-    monkeypatch.setattr(mc._LineSystem, "__init__", init)
-    monkeypatch.setattr(mc, "_place", checked)
+    monkeypatch.setattr(mc._LineSystem, "_matrix", checked)
     return seen
 
 
@@ -582,3 +578,96 @@ def test_coefficient_write_shows_in_next_sections():
     assert sections_on_line(pm, line, 0).dimension == 1
     alpha.add_monomial(0, 0, 0, 0, [[-1.0], [-2.0]])
     assert sections_on_line(pm, line, 0).dimension == 2
+
+
+def _fresh(pm):
+    """A copy of a monad with its own coefficient tensors and no plans."""
+    return mc.ParamMonad(pm.chart, pm.cols, *(
+        mc.PolyMatrix(f.shape, dict(f.coeffs), exact=pm.exact)
+        for f in (pm.alpha, pm.beta)), exact=pm.exact)
+
+
+def _outcome(pm, line, d):
+    """Everything a section count decides, bytes of the basis included, or
+    the refusal's type and message."""
+    try:
+        s = sections_on_line(pm, line, d)
+    except nk.BowmonadError as e:
+        return type(e).__name__, str(e)
+    return s.dimension, s.h1_dim, [b.tobytes() for b in s.basis]
+
+
+def test_every_coefficient_write_drops_the_section_plans():
+    """Two left blocks into a rank-2 middle on the (xi, eta) chart, at d = 1
+    (window [0, 1] on every block): h0 = 4 - rank of the alpha image.  Each
+    write below changes that count, so a plan kept past the write would
+    read the old one."""
+    alpha = mc.PolyMatrix((2, 2), {(0, 0): np.zeros((2, 2))})
+    pm = mc.ParamMonad(
+        "xi_eta", ([mc.BlockSpec("U1", {}, 1), mc.BlockSpec("U2", {}, 1)],
+                   [mc.BlockSpec("V", {}, 2)], []),
+        alpha, mc.PolyMatrix((0, 2)))
+    line = Line("B_eta", 0.7)
+
+    def check(h0):
+        got = _outcome(pm, line, 1)
+        assert got == _outcome(_fresh(pm), line, 1) and got[0] == h0
+
+    check(4)
+    C = alpha.coeffs.C
+    alpha.coeffs[(0, 0)] = np.diag([1.0, 0.0])      # in place: U1 -> row 0
+    assert alpha.coeffs.C is C
+    check(2)
+    alpha.coeffs[(0, 1)] = np.diag([0.0, 1.0])      # a new key: U2 -> row 1
+    check(0)
+    alpha.add_monomial(0, 0, 0, 0, [[-1.0]])        # an existing key: U1 -> 0
+    check(2)
+    with pytest.raises(ValueError):
+        alpha.coeffs.C[0, 0] = 1.0                  # C itself is read-only
+
+
+def test_interleaved_rulings_and_twists_match_fresh_monads():
+    """Lines of every ruling of the chart and every twist d = -2..2, taken
+    in an interleaved order on one monad (so each call reuses the plans of
+    the calls before it), decide exactly what a fresh monad decides."""
+    calls = 0
+    for pm, spectrum in _line_monads():
+        kinds = list(mc._LINE_ENDS[pm.chart])
+        values = [1.3 - 0.4j, complex(spectrum[0]), -0.6 + 0.9j]
+        for v in values:
+            for d in (0, -2, 2, -1, 1):
+                for kind in kinds[::-1] if d % 2 else kinds:
+                    line = Line(kind, v)
+                    assert _outcome(pm, line, d) == \
+                        _outcome(_fresh(pm), line, d)
+                    calls += 1
+    assert calls > 600
+
+
+def test_refusals_survive_the_plans():
+    """The chart and twist refusals read the same with plans in place, on
+    every call: a line the chart cannot take, a kind it lacks, a twist that
+    contradicts a line's degree and a map that leaves the declared
+    windows."""
+    pm = taubnut._big_monad_unchecked(k1m1_taubnut())
+    for kind in ("B_eta", "L_xi", "L_psi"):
+        sections_on_line(pm, Line(kind, 0.8), 0)
+        for _ in range(2):
+            with pytest.raises(mc.ChartMismatch, match="degenerates|not a line"):
+                sections_on_line(pm, Line(kind, 0.0), 0)
+    sm = caloron.small_monad(k1_example())
+    sections_on_line(sm, Line("B_eta", 0.8), 0)
+    for _ in range(2):
+        with pytest.raises(mc.ChartMismatch, match="not available"):
+            sections_on_line(sm, Line("L_psi", 0.8), 0)
+    # C0 meets a B ruling line once, off both ends of its (xi, eta) window
+    bad = mc.ParamMonad(
+        "xi_eta", ([], [mc.BlockSpec("V", {"C0": 1}, 1)], []),
+        mc.PolyMatrix((1, 0)), mc.PolyMatrix((0, 1)))
+    for v in (0.8, 0.0, 0.8):
+        with pytest.raises(mc.InternalTwistError, match="block V"):
+            sections_on_line(bad, Line("B_eta", v), 0)
+    shift = _shift_monad(1.0)
+    for _ in range(2):
+        with pytest.raises(mc.InternalTwistError, match="leaves"):
+            sections_on_line(shift, Line("B_eta", 0.5), 0)
