@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import BlockSpec, ParamMonad, o_pp
+from .monadcore import BlockSpec, ParamMonad, block_starts, o_pp
 from .nahmbow import (BowComplexCircle, BuildRefused, NotInNormalForm, _inv,
                       rank_one_factor)
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
@@ -350,24 +350,23 @@ def small_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
     k = data.k
     exact = data.exact
     B = data.B0
-    pm = ParamMonad("xi_eta", (
-        [BlockSpec("U", o_pp(-1, 0), k)],
-        [BlockSpec("S", o_pp(-1, 1), k), BlockSpec("T", o_pp(0, 0), k),
-         BlockSpec("W", o_pp(0, 0), 2)],
-        [BlockSpec("Q", o_pp(0, 1), k)]), exact=exact)
-    at = pm.start
+    cols = ([BlockSpec("U", o_pp(-1, 0), k)],
+            [BlockSpec("S", o_pp(-1, 1), k), BlockSpec("T", o_pp(0, 0), k),
+             BlockSpec("W", o_pp(0, 0), 2)],
+            [BlockSpec("Q", o_pp(0, 1), k)])
+    at = block_starts(cols)
     eye = nk.eye_like_backend(k, exact)
-    pm.alpha.add_monomial(0, 0, at["S"], at["U"], data.A)
-    pm.alpha.add_monomial(1, 0, at["S"], at["U"], -eye)
-    pm.alpha.add_monomial(0, 0, at["T"], at["U"], B)
-    pm.alpha.add_monomial(0, 1, at["T"], at["U"], -eye)
-    pm.alpha.add_monomial(0, 0, at["W"], at["U"], data.D)
-    pm.beta.add_monomial(0, 0, at["Q"], at["S"], -B)
-    pm.beta.add_monomial(0, 1, at["Q"], at["S"], eye)
-    pm.beta.add_monomial(0, 0, at["Q"], at["T"], data.A)
-    pm.beta.add_monomial(1, 0, at["Q"], at["T"], -eye)
-    pm.beta.add_monomial(0, 0, at["Q"], at["W"], data.C)
-    return pm
+    alpha = [(0, 0, at["S"], at["U"], data.A),
+             (1, 0, at["S"], at["U"], -eye),
+             (0, 0, at["T"], at["U"], B),
+             (0, 1, at["T"], at["U"], -eye),
+             (0, 0, at["W"], at["U"], data.D)]
+    beta = [(0, 0, at["Q"], at["S"], -B),
+            (0, 1, at["Q"], at["S"], eye),
+            (0, 0, at["Q"], at["T"], data.A),
+            (1, 0, at["Q"], at["T"], -eye),
+            (0, 0, at["Q"], at["W"], data.C)]
+    return ParamMonad.from_blocks("xi_eta", cols, alpha, beta, exact)
 
 
 def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
@@ -380,43 +379,42 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
         raise BuildRefused("data fails validation:\n" + report.render())
     k, m = data.k, data.m
     exact = data.exact
-    pm = ParamMonad("xi_eta", (
-        [BlockSpec("Up", o_pp(-1, 0), k), BlockSpec("Um", o_pp(-1, 0), k + m)],
-        [BlockSpec("Vp", o_pp(0, 0), k + 1),
-         BlockSpec("Vm", o_pp(0, 0), k + m + 1),
-         BlockSpec("S0", o_pp(-1, 1), k),
-         BlockSpec("S1", o_pp(-1, 0), k + m)],
-        [BlockSpec("T0", o_pp(0, 1), k), BlockSpec("T1", o_pp(0, 0), k + m)]),
-        exact=exact)
-    at = pm.start
+    cols = ([BlockSpec("Up", o_pp(-1, 0), k),
+             BlockSpec("Um", o_pp(-1, 0), k + m)],
+            [BlockSpec("Vp", o_pp(0, 0), k + 1),
+             BlockSpec("Vm", o_pp(0, 0), k + m + 1),
+             BlockSpec("S0", o_pp(-1, 1), k),
+             BlockSpec("S1", o_pp(-1, 0), k + m)],
+            [BlockSpec("T0", o_pp(0, 1), k),
+             BlockSpec("T1", o_pp(0, 0), k + m)])
+    at = block_starts(cols)
     eyek = nk.eye_like_backend(k, exact)
     eyekm = nk.eye_like_backend(k + m, exact)
     Wm, Wp, Ym1, Yp1 = _gluing(data)
-    add = pm.alpha.add_monomial
-    # plus- and minus-side resolutions: W+ and W- plus eta times I
-    add(0, 0, at["Vp"], at["Up"], Wp)
-    add(0, 1, at["Vp"], at["Up"], eyek)
-    add(0, 0, at["Vm"], at["Um"], Wm)
-    add(0, 1, at["Vm"], at["Um"], eyekm)
-    # S0 row: xi * I from Up, [I | 0] from Um
-    add(1, 0, at["S0"], at["Up"], eyek)
-    add(0, 0, at["S0"], at["Um"], eyek)
-    # S1 row: (A; A') from Up, I from Um
-    add(0, 0, at["S1"], at["Up"], Yp1[:, :k])
-    add(0, 0, at["S1"], at["Um"], eyekm)
-
-    add = pm.beta.add_monomial
-    # beta rows: T0, T1
-    add(1, 0, at["T0"], at["Vp"], eyek)                    # (xi, 0) row
-    add(0, 0, at["T0"], at["Vm"], eyek)                    # (1, 0, 0) row
-    add(0, 0, at["T0"], at["S0"], data.B)                  # B - eta
-    add(0, 1, at["T0"], at["S0"], -eyek)
-    add(0, 0, at["T1"], at["Vp"], Yp1)
-    add(0, 0, at["T1"], at["Vm"], Ym1)
-    # shifted-block pencil: left normal form minus eta
-    add(0, 0, at["T1"], at["S1"], data.normal_form)
-    add(0, 1, at["T1"], at["S1"], -eyekm)
-    return pm
+    alpha = [
+        # plus- and minus-side resolutions: W+ and W- plus eta times I
+        (0, 0, at["Vp"], at["Up"], Wp),
+        (0, 1, at["Vp"], at["Up"], eyek),
+        (0, 0, at["Vm"], at["Um"], Wm),
+        (0, 1, at["Vm"], at["Um"], eyekm),
+        # S0 row: xi * I from Up, [I | 0] from Um
+        (1, 0, at["S0"], at["Up"], eyek),
+        (0, 0, at["S0"], at["Um"], eyek),
+        # S1 row: (A; A') from Up, I from Um
+        (0, 0, at["S1"], at["Up"], Yp1[:, :k]),
+        (0, 0, at["S1"], at["Um"], eyekm)]
+    beta = [
+        # beta rows: T0, T1
+        (1, 0, at["T0"], at["Vp"], eyek),                  # (xi, 0) row
+        (0, 0, at["T0"], at["Vm"], eyek),                  # (1, 0, 0) row
+        (0, 0, at["T0"], at["S0"], data.B),                # B - eta
+        (0, 1, at["T0"], at["S0"], -eyek),
+        (0, 0, at["T1"], at["Vp"], Yp1),
+        (0, 0, at["T1"], at["Vm"], Ym1),
+        # shifted-block pencil: left normal form minus eta
+        (0, 0, at["T1"], at["S1"], data.normal_form),
+        (0, 1, at["T1"], at["S1"], -eyekm)]
+    return ParamMonad.from_blocks("xi_eta", cols, alpha, beta, exact)
 
 
 # ---------------------------------------------------------------------------

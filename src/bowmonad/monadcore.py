@@ -13,11 +13,13 @@ bookkeeping: a section of O(D)(d) on a line with ends on two boundary curves
 is a Laurent polynomial whose pole orders at the ends are bounded by the
 divisor coefficients there.
 
-A monad is assembled by block label: ``ParamMonad(chart, cols)`` allocates
-zero maps from the column ranks, and each block goes in with one
-``add_monomial(p, q, start[row label] + i, start[col label] + j, payload)``,
-its extent read from the payload's shape.  The twists come from ``o_pp``
-on the (xi, eta) chart and from the ``TWISTS`` table on the (xi, psi) chart.
+A monad is built once, from its blocks: ``ParamMonad.from_blocks(chart,
+cols, alpha, beta)`` sizes both maps from the column ranks and sums each
+map's ``(p, q, start[row label] + i, start[col label] + j, payload)``
+blocks, the offsets read from ``block_starts(cols)`` and each extent from
+its payload's shape.  The coefficients are read-only from then on.  The
+twists come from ``o_pp`` on the (xi, eta) chart and from the ``TWISTS``
+table on the (xi, psi) chart.
 
 Fibers are quotients ker(beta)/im(alpha) at a point; section spaces along a
 line combine the naive kernel/image computation with the first-cohomology
@@ -27,9 +29,9 @@ restricted complex).
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -200,96 +202,38 @@ class BlockSpec:
     rank: int
 
 
-class CoeffTensor(Mapping):
-    """Coefficients of a matrix polynomial by monomial (p, q), stored as one
-    tensor: exponent arrays P and Q, and an array C with one row per
-    monomial, the flattened coefficient of x^P[j] y^Q[j].  The exponents
-    are held as floats, which a complex power takes without a cast (whole
-    exponents are still raised by repeated multiplication).
-
-    The tensor is the only copy, and C is read-only.  Reading a key gives a
-    read-only view of its row; assigning a key writes the matrix into its
-    row (a new key appends one), so every write shows in the next
-    evaluation.  Every write also replaces ``version`` by a new object:
-    what is derived from the coefficients once and kept, such as the
-    section plans of a monad on each ruling (ParamMonad._line_plans), is
-    dropped when the version it was derived at is no longer current.
-    """
-
-    def __init__(self, shape, exact: bool):
-        self.shape = shape
-        self.P = np.zeros(0)
-        self.Q = np.zeros(0)
-        self.C = nk.zeros_like_backend(0, shape[0] * shape[1], exact)
-        self.C.flags.writeable = False
-        self.version = object()
-        self._rows: dict[tuple, int] = {}
-
-    def __getitem__(self, key) -> np.ndarray:
-        out = self.C[self._rows[key]].reshape(self.shape)
-        out.flags.writeable = False
-        return out
-
-    def __setitem__(self, key, M):
-        if np.shape(M) != self.shape:
-            raise ValueError(f"coefficient of shape {np.shape(M)}, "
-                             f"want {self.shape}")
-        row = np.asarray(M, dtype=self.C.dtype).reshape(1, -1)
-        self.version = object()
-        if key in self._rows:
-            self.C.flags.writeable = True
-            self.C[self._rows[key]] = row[0]
-        else:
-            self._rows[key] = len(self._rows)
-            self.P = np.append(self.P, key[0])
-            self.Q = np.append(self.Q, key[1])
-            self.C = np.concatenate([self.C, row])
-        self.C.flags.writeable = False
-
-    def __iter__(self):
-        return iter(self._rows)
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-
 class PolyMatrix:
     """Matrix polynomial sum_{(p,q)} coeff[(p,q)] * x^p * y^q.
 
     On the (xi, eta) chart (x, y) = (xi, eta); on the (xi, psi) chart
     (x, y) = (xi, psi) and eta = xi*psi enters as the (1, 1) monomial.
-    ``coeffs`` is a :class:`CoeffTensor`.
+
+    The coefficients are fixed at construction and stored as one tensor:
+    exponent arrays P and Q, and a read-only array C with one row per
+    monomial, the flattened coefficient of x^P[j] y^Q[j].  The exponents
+    are held as floats, which a complex power takes without a cast (whole
+    exponents are still raised by repeated multiplication).  ``coeffs`` is
+    a read-only mapping from (p, q) to a read-only view of its row, so what
+    is derived from the coefficients once, such as a monad's section plans,
+    stays valid.
     """
 
     def __init__(self, shape, coeffs=None, exact=False):
         self.shape = tuple(shape)
         self.exact = exact
-        self.coeffs = CoeffTensor(self.shape, exact)
-        for key, mat in (coeffs or {}).items():
-            self.coeffs[key] = mat
-
-    def add_monomial(self, p, q, r0, c0, payload):
-        """Add payload to the coefficient of x^p y^q, with its top-left entry
-        at (r0, c0); the block's extent is the payload's shape."""
-        payload = np.asarray(payload) if not self.exact else payload
-        h, w = np.shape(payload)
-        if r0 + h > self.shape[0] or c0 + w > self.shape[1]:
-            raise ValueError(f"block {(h, w)} at {(r0, c0)} leaves {self.shape}")
-        key = (p, q)
-        tgt = self.coeffs[key].copy() if key in self.coeffs else \
-            nk.zeros_like_backend(*self.shape, self.exact)
-        blk = tgt[r0:r0 + h, c0:c0 + w]
-        if self.exact:
-            # the blocks of one monomial rarely overlap, so most targets are
-            # zero: a zero entry takes a GaussianRational payload entry as it
-            # is, and only a nonzero target or an int or Fraction entry (which
-            # the sum coerces) costs an exact sum
-            for ij, x in np.ndenumerate(np.asarray(payload, dtype=object)):
-                blk[ij] = x if isinstance(x, nk.GQ) and not blk[ij] \
-                    else blk[ij] + x
-        else:
-            blk[...] = blk + payload
-        self.coeffs[key] = tgt
+        coeffs = coeffs or {}
+        dtype = object if exact else complex
+        self.C = np.empty((len(coeffs), self.shape[0] * self.shape[1]), dtype)
+        for j, M in enumerate(coeffs.values()):
+            if np.shape(M) != self.shape:
+                raise ValueError(f"coefficient of shape {np.shape(M)}, "
+                                 f"want {self.shape}")
+            self.C[j] = np.asarray(M, dtype=dtype).reshape(-1)
+        self.C.flags.writeable = False
+        self.P = np.array([p for p, _ in coeffs], dtype=float)
+        self.Q = np.array([q for _, q in coeffs], dtype=float)
+        self.coeffs = MappingProxyType({key: row.reshape(self.shape)
+                                        for key, row in zip(coeffs, self.C)})
 
     def evaluate(self, x, y):
         """Value at the chart point (x, y); on floats, evaluate_many's weight
@@ -300,7 +244,7 @@ class PolyMatrix:
             return nk.exact_zeros(*self.shape)
         # one exact product: the row of monomial weights times the tensor
         w = nk.exact_matrix([[x ** p * y ** q for (p, q) in self.coeffs]])
-        return mat_mul(w, self.coeffs.C).reshape(self.shape)
+        return mat_mul(w, self.C).reshape(self.shape)
 
     def evaluate_many(self, points) -> np.ndarray:
         """Values at N chart points (x, y), stacked as an (N, rows, cols)
@@ -314,31 +258,30 @@ class PolyMatrix:
         if self.exact:
             raise TypeError("evaluate_many needs float coefficients; "
                             "convert with to_float()")
-        t = self.coeffs
-        w = x ** t.P * y ** t.Q
-        return (w @ t.C).reshape(*w.shape[:-1], *self.shape)
+        w = x ** self.P * y ** self.Q
+        return (w @ self.C).reshape(*w.shape[:-1], *self.shape)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other as matrix polynomials."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("composition shape mismatch")
-        out = PolyMatrix((self.shape[0], other.shape[1]), exact=self.exact)
         factors: dict[tuple, tuple[list, list]] = {}
         for (p1, q1), m1 in self.coeffs.items():
             for (p2, q2), m2 in other.coeffs.items():
                 left, right = factors.setdefault((p1 + p2, q1 + q2), ([], []))
                 left.append(m1)
                 right.append(m2)
+        out = {}
         for key, (left, right) in factors.items():
             if self.exact:
                 # the sum of the products is one product of the stacked factors
-                out.coeffs[key] = mat_mul(np.hstack(left), np.vstack(right))
+                out[key] = mat_mul(np.hstack(left), np.vstack(right))
             else:
                 # summed product by product: a stacked BLAS product would
                 # round in another order
-                out.coeffs[key] = sum(map(mat_mul, left[1:], right[1:]),
-                                      mat_mul(left[0], right[0]))
-        return out
+                out[key] = sum(map(mat_mul, left[1:], right[1:]),
+                               mat_mul(left[0], right[0]))
+        return PolyMatrix((self.shape[0], other.shape[1]), out, self.exact)
 
     def max_coeff_norm(self) -> float:
         if not self.coeffs:
@@ -349,7 +292,7 @@ class PolyMatrix:
         if not self.exact:
             return self
         # one conversion of the whole tensor
-        mats = to_float(self.coeffs.C).reshape(-1, *self.shape)
+        mats = to_float(self.C).reshape(-1, *self.shape)
         return PolyMatrix(self.shape, dict(zip(self.coeffs, mats)))
 
 
@@ -377,40 +320,75 @@ class SectionSpace:
     h1_dim: int
 
 
+def block_starts(cols) -> dict[str, int]:
+    """The first row or column of each block, by label (unique across the
+    three columns)."""
+    start = {b.label: sum(c.rank for c in col[:i])
+             for col in cols for i, b in enumerate(col)}
+    if len(start) < sum(map(len, cols)):
+        raise ValueError("repeated block label")
+    return start
+
+
+def _summed_blocks(shape, blocks, exact) -> PolyMatrix:
+    """The matrix polynomial of (p, q, r0, c0, payload) blocks: each payload
+    added into the coefficient of x^p y^q with its top-left entry at
+    (r0, c0), its extent read from its shape.  Monomials keep the order in
+    which they are first seen."""
+    mats: dict[tuple, np.ndarray] = {}
+    for p, q, r0, c0, payload in blocks:
+        payload = np.asarray(payload) if not exact else payload
+        h, w = np.shape(payload)
+        if r0 + h > shape[0] or c0 + w > shape[1]:
+            raise ValueError(f"block {(h, w)} at {(r0, c0)} leaves {shape}")
+        tgt = mats.get((p, q))
+        if tgt is None:
+            tgt = mats[p, q] = nk.zeros_like_backend(*shape, exact)
+        blk = tgt[r0:r0 + h, c0:c0 + w]
+        if exact:
+            # the blocks of one monomial rarely overlap, so most targets are
+            # zero: a zero entry takes a GaussianRational payload entry as it
+            # is, and only a nonzero target or an int or Fraction entry (which
+            # the sum coerces) costs an exact sum
+            for ij, x in np.ndenumerate(np.asarray(payload, dtype=object)):
+                blk[ij] = x if isinstance(x, nk.GQ) and not blk[ij] \
+                    else blk[ij] + x
+        else:
+            # a sum, not a copy: a -0.0 payload entry lands as +0.0
+            blk += payload
+    return PolyMatrix(shape, mats, exact)
+
+
 class ParamMonad:
     """Block-structured complex col1 --alpha--> col2 --beta--> col3.
 
-    Without alpha and beta both maps start at zero, sized from the column
-    ranks.  ``start`` maps each block label (unique across the three
-    columns) to the block's first row or column."""
+    ``start`` maps each block label (unique across the three columns) to
+    the block's first row or column.  The section plans of each ruling (see
+    _LineSystem) are kept in ``_plans``: the coefficients never change."""
 
-    def __init__(self, chart, cols, alpha: PolyMatrix | None = None,
-                 beta: PolyMatrix | None = None, exact=False):
+    def __init__(self, chart, cols, alpha: PolyMatrix, beta: PolyMatrix,
+                 exact=False):
         if chart not in ("xi_eta", "xi_psi"):
             raise ChartMismatch(f"unknown chart {chart!r}")
         self.chart = chart
         self.cols = cols                       # 3 lists of BlockSpec
         self.exact = exact
-        self.start = {b.label: sum(c.rank for c in col[:i])
-                      for col in cols for i, b in enumerate(col)}
-        if len(self.start) < sum(map(len, cols)):
-            raise ValueError("repeated block label")
+        self.start = block_starts(cols)
         self.ranks = n1, n2, n3 = tuple(sum(b.rank for b in c) for c in cols)
-        self.alpha = alpha or PolyMatrix((n2, n1), exact=exact)
-        self.beta = beta or PolyMatrix((n3, n2), exact=exact)
+        self.alpha, self.beta = alpha, beta
         if (self.alpha.shape, self.beta.shape) != ((n2, n1), (n3, n2)):
             raise ValueError("alpha or beta shape does not match column ranks")
         self._plans: dict = {}
-        self._plans_at = None
 
-    def _line_plans(self) -> dict:
-        """The section plans of this monad by ruling (see _LineSystem), kept
-        while the coefficient versions of alpha and beta stay those they
-        were made at."""
-        at = (self.alpha.coeffs.version, self.beta.coeffs.version)
-        if at != self._plans_at:
-            self._plans, self._plans_at = {}, at
-        return self._plans
+    @classmethod
+    def from_blocks(cls, chart, cols, alpha, beta,
+                    exact=False) -> "ParamMonad":
+        """The monad whose alpha and beta sum the (p, q, r0, c0, payload)
+        blocks given for each (see _summed_blocks), sized from the column
+        ranks; block_starts(cols) gives the offsets r0 and c0."""
+        n1, n2, n3 = (sum(b.rank for b in c) for c in cols)
+        return cls(chart, cols, _summed_blocks((n2, n1), alpha, exact),
+                   _summed_blocks((n3, n2), beta, exact), exact)
 
     # -- basic structure -----------------------------------------------------
     def offsets(self, col: int) -> list[tuple[int, int]]:
@@ -589,7 +567,7 @@ class _MapBlocks:
         cols = [(ib, c0, c1) for ib, (c0, c1) in enumerate(coff) if c1 > c0]
         if not (poly.coeffs and rows and cols):
             return
-        C = to_float(poly.coeffs.C).reshape(len(poly.coeffs), *poly.shape)
+        C = to_float(poly.C).reshape(len(poly.coeffs), *poly.shape)
         # one nonzero test per (monomial, row block, column block)
         nz = np.logical_or.reduceat(C != 0, [r0 for _, r0, _ in rows], axis=1)
         nz = np.logical_or.reduceat(nz, [c0 for _, c0, _ in cols], axis=2)
@@ -756,17 +734,16 @@ class _SectionPlan:
 class _LineSystem:
     """The Laurent section systems of one monad on one line, for every twist
     O(d).  Their line-independent part is planned once per ruling and twist
-    and kept with the monad (ParamMonad._line_plans) until a coefficient
-    write; a line adds the factor of every monomial, then each system costs
-    one scatter-add per monomial and its SVDs."""
+    and kept with the monad (ParamMonad._plans); a line adds the factor of
+    every monomial, then each system costs one scatter-add per monomial and
+    its SVDs."""
 
     def __init__(self, pm: ParamMonad, line: Line):
         self.pm = pm
         self.line = line
-        plans = pm._line_plans()
-        self.ruling = plans.get(line.kind)
+        self.ruling = pm._plans.get(line.kind)
         if self.ruling is None:
-            self.ruling = plans[line.kind] = _RulingPlan(pm, line.kind)
+            self.ruling = pm._plans[line.kind] = _RulingPlan(pm, line.kind)
         sub = _substitution(pm.chart, line)
         self.factors = {name: [sub(p, q)[1] for (p, q) in poly.coeffs]
                         for name, poly in (("alpha", pm.alpha),

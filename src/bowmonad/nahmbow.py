@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit as nk
-from .monadcore import TWISTS, BlockSpec, ParamMonad
+from .monadcore import TWISTS, BlockSpec, ParamMonad, block_starts
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 
@@ -806,7 +806,7 @@ def finite_monad_family(bc: BowComplexTN,
             raise TransportSingular("pole cut at a lambda point is degenerate")
         w_extra = []
 
-    pm = ParamMonad("xi_psi", (
+    cols = (
         [BlockSpec("Uplus", TWISTS["mF"], Kp.shape[1]),
          BlockSpec("W1", TWISTS["mFC0"], k),
          BlockSpec("W2", TWISTS["mFCi"], k),
@@ -820,52 +820,49 @@ def finite_monad_family(bc: BowComplexTN,
          BlockSpec("Vminus", TWISTS["triv"], k)] + w_extra,
         [BlockSpec("V1", TWISTS["triv"], k + m),
          BlockSpec("V0p", TWISTS["triv"], k),
-         BlockSpec("V0m", TWISTS["triv"], k)]))
-    at = pm.start
+         BlockSpec("V0m", TWISTS["triv"], k)])
+    at = block_starts(cols)
 
-    # alpha blocks ---------------------------------------------------------
-    add = pm.alpha.add_monomial
-    # U+ column: -ev1, (eta - beta) in the tail parametrization, -ev_c
-    add(0, 0, at["U1"], at["Uplus"], -(iplus @ Kp))
-    add(0, 0, at["Vplus"], at["Uplus"], -(B1 @ Kp))
-    add(1, 1, at["Vplus"], at["Uplus"], Kp)                 # eta
-    add(0, 0, at["U0m"], at["Uplus"], -(Bht @ Kp))
-    # W1 column
-    add(0, 0, at["U0p"], at["W1"], -np.eye(k))
-    add(0, 1, at["E1"], at["W1"], np.eye(k))                # psi
-    add(0, 0, at["E2"], at["W1"], -Bht)
-    # W2 column
-    add(0, 0, at["U0m"], at["W2"], -np.eye(k))
-    add(0, 0, at["E1"], at["W2"], -Bth)
-    add(1, 0, at["E2"], at["W2"], np.eye(k))                # xi
-    # U- column
-    add(0, 0, at["U0p"], at["Uminus"], -(Bth @ Km))
-    add(0, 0, at["Vminus"], at["Uminus"], -(B0 @ Km))
-    add(1, 1, at["Vminus"], at["Uminus"], Km)               # eta
-    add(0, 0, at["U1"], at["Uminus"], -(P @ iplus @ Km))
+    alpha = [
+        # U+ column: -ev1, (eta - beta) in the tail parametrization, -ev_c
+        (0, 0, at["U1"], at["Uplus"], -(iplus @ Kp)),
+        (0, 0, at["Vplus"], at["Uplus"], -(B1 @ Kp)),
+        (1, 1, at["Vplus"], at["Uplus"], Kp),               # eta
+        (0, 0, at["U0m"], at["Uplus"], -(Bht @ Kp)),
+        # W1 column
+        (0, 0, at["U0p"], at["W1"], -np.eye(k)),
+        (0, 1, at["E1"], at["W1"], np.eye(k)),              # psi
+        (0, 0, at["E2"], at["W1"], -Bht),
+        # W2 column
+        (0, 0, at["U0m"], at["W2"], -np.eye(k)),
+        (0, 0, at["E1"], at["W2"], -Bth),
+        (1, 0, at["E2"], at["W2"], np.eye(k)),              # xi
+        # U- column
+        (0, 0, at["U0p"], at["Uminus"], -(Bth @ Km)),
+        (0, 0, at["Vminus"], at["Uminus"], -(B0 @ Km)),
+        (1, 1, at["Vminus"], at["Uminus"], Km),             # eta
+        (0, 0, at["U1"], at["Uminus"], -(P @ iplus @ Km))]
+    beta = [
+        (1, 1, at["V1"], at["U1"], np.eye(k + m)),          # eta
+        (0, 0, at["V1"], at["U1"], -Mp),
+        (0, 0, at["V1"], at["Vplus"], iplus),
+        (0, 0, at["V0m"], at["Vplus"], Bht),
+        (1, 1, at["V0m"], at["U0m"], np.eye(k)),
+        (0, 0, at["V0m"], at["U0m"], -B0),
+        (1, 0, at["V0p"], at["E1"], np.eye(k)),             # xi
+        (0, 0, at["V0m"], at["E1"], Bht),
+        (0, 0, at["V0p"], at["E2"], Bth),
+        (0, 1, at["V0m"], at["E2"], np.eye(k)),             # psi
+        (1, 1, at["V0p"], at["U0p"], np.eye(k)),
+        (0, 0, at["V0p"], at["U0p"], -B1),
+        (0, 0, at["V0p"], at["Vminus"], Bth),
+        (0, 0, at["V1"], at["Vminus"], P @ iplus)]
     if m == 0:
-        add(0, 0, at["Wplus"], at["Uplus"], np.asarray(bc.J_plus, complex))
-        add(0, 0, at["Wminus"], at["Uminus"],
-            np.asarray(bc.J_minus, complex))
-
-    # beta blocks ----------------------------------------------------------
-    add = pm.beta.add_monomial
-    add(1, 1, at["V1"], at["U1"], np.eye(k + m))            # eta
-    add(0, 0, at["V1"], at["U1"], -Mp)
-    add(0, 0, at["V1"], at["Vplus"], iplus)
-    add(0, 0, at["V0m"], at["Vplus"], Bht)
-    add(1, 1, at["V0m"], at["U0m"], np.eye(k))
-    add(0, 0, at["V0m"], at["U0m"], -B0)
-    add(1, 0, at["V0p"], at["E1"], np.eye(k))               # xi
-    add(0, 0, at["V0m"], at["E1"], Bht)
-    add(0, 0, at["V0p"], at["E2"], Bth)
-    add(0, 1, at["V0m"], at["E2"], np.eye(k))               # psi
-    add(1, 1, at["V0p"], at["U0p"], np.eye(k))
-    add(0, 0, at["V0p"], at["U0p"], -B1)
-    add(0, 0, at["V0p"], at["Vminus"], Bth)
-    add(0, 0, at["V1"], at["Vminus"], P @ iplus)
-    if m == 0:
-        add(0, 0, at["V1"], at["Wplus"], np.asarray(bc.I_plus, complex))
-        add(0, 0, at["V1"], at["Wminus"],
-            P @ np.asarray(bc.I_minus, complex))
-    return pm
+        J_plus, J_minus, I_plus, I_minus = (
+            nk.to_float(M) for M in (bc.J_plus, bc.J_minus, bc.I_plus,
+                                     bc.I_minus))
+        alpha += [(0, 0, at["Wplus"], at["Uplus"], J_plus),
+                  (0, 0, at["Wminus"], at["Uminus"], J_minus)]
+        beta += [(0, 0, at["V1"], at["Wplus"], I_plus),
+                 (0, 0, at["V1"], at["Wminus"], P @ I_minus)]
+    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta)

@@ -21,7 +21,7 @@ from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
                       _add_obstruction_check, _e_minus_col, _e_plus_row,
                       _generator_sizes, _gluing, _mixed_pencil_left, _pack,
                       _read_back_m0, _read_normal_form, _solve_cprime)
-from .monadcore import TWISTS, BlockSpec, ParamMonad
+from .monadcore import TWISTS, BlockSpec, ParamMonad, block_starts
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
                       TransportSingular, _inv, _normalize_pair,
                       rank_one_factor)
@@ -230,7 +230,7 @@ def _big_monad_unchecked(data) -> ParamMonad:
         _, Mmid, d_w = data.middle_jump()
         Wm[k:] = -d_w
 
-    pm = ParamMonad("xi_psi", (
+    cols = (
         [BlockSpec("Um", TWISTS["mF"], k + m),
          BlockSpec("Wh", TWISTS["mFC0"], k),
          BlockSpec("Wt", TWISTS["mFCi"], k),
@@ -242,59 +242,61 @@ def _big_monad_unchecked(data) -> ParamMonad:
          BlockSpec("Vp", TWISTS["triv"], k + 1)],
         [BlockSpec("T1", TWISTS["triv"], k + m),
          BlockSpec("T10", TWISTS["triv"], k),
-         BlockSpec("T00", TWISTS["triv"], k)]), exact=exact)
-    at = pm.start
-    add = pm.alpha.add_monomial
-    # Um column: -I into S1, the minus-side resolution W- plus eta I
-    add(0, 0, at["S1"], at["Um"], -eyekm)
-    add(0, 0, at["Vm"], at["Um"], Wm)
-    add(1, 1, at["Vm"], at["Um"], eyekm)
-    add(0, 0, at["S10"], at["Um"], -eyek)                  # -X_{-,0}
-    # Wh column
-    add(0, 0, at["S10"], at["Wh"], -eyek)
-    add(0, 1, at["Eh"], at["Wh"], eyek)                    # psi
-    add(0, 0, at["Et"], at["Wh"], -data.Bht)
-    # Wt column
-    add(0, 0, at["Eh"], at["Wt"], -data.Bth)
-    add(1, 0, at["Et"], at["Wt"], eyek)                    # xi
-    add(0, 0, at["S00"], at["Wt"], -eyek)
-    # Up column: -I into S00, the plus-side resolution W+ plus eta I,
-    # -(A; A') into S1
-    add(0, 0, at["S00"], at["Up"], -eyek)
-    add(0, 0, at["Vp"], at["Up"], Wp)
-    add(1, 1, at["Vp"], at["Up"], eyek)
-    add(0, 0, at["S1"], at["Up"], -Yp1[:, :k])
-
-    add = pm.beta.add_monomial
-    # T1 row: eta - Mmid, Y-1 on Vm, Y+1 on Vp
-    add(1, 1, at["T1"], at["S1"], eyekm)
-    add(0, 0, at["T1"], at["S1"], -Mmid)
-    add(0, 0, at["T1"], at["Vm"], Ym1)
-    add(0, 0, at["T1"], at["Vp"], Yp1)
-    # T10 row
-    add(0, 0, at["T10"], at["Vm"], eyek)                   # (1, 0, 0) row
-    add(1, 1, at["T10"], at["S10"], eyek)
-    add(0, 0, at["T10"], at["S10"], Wm[:k, :k])            # -B1
-    add(1, 0, at["T10"], at["Eh"], eyek)                   # xi
-    add(0, 0, at["T10"], at["Et"], data.Bth)
-    # T00 row
-    add(0, 0, at["T00"], at["Eh"], data.Bht)
-    add(0, 1, at["T00"], at["Et"], eyek)                   # psi
-    add(1, 1, at["T00"], at["S00"], eyek)
-    add(0, 0, at["T00"], at["S00"], Wp[:k])                # -B0
-    add(0, 0, at["T00"], at["Vp"], eyek)                   # (1, 0) row
-    return pm
+         BlockSpec("T00", TWISTS["triv"], k)])
+    at = block_starts(cols)
+    alpha = [
+        # Um column: -I into S1, the minus-side resolution W- plus eta I
+        (0, 0, at["S1"], at["Um"], -eyekm),
+        (0, 0, at["Vm"], at["Um"], Wm),
+        (1, 1, at["Vm"], at["Um"], eyekm),
+        (0, 0, at["S10"], at["Um"], -eyek),                # -X_{-,0}
+        # Wh column
+        (0, 0, at["S10"], at["Wh"], -eyek),
+        (0, 1, at["Eh"], at["Wh"], eyek),                  # psi
+        (0, 0, at["Et"], at["Wh"], -data.Bht),
+        # Wt column
+        (0, 0, at["Eh"], at["Wt"], -data.Bth),
+        (1, 0, at["Et"], at["Wt"], eyek),                  # xi
+        (0, 0, at["S00"], at["Wt"], -eyek),
+        # Up column: -I into S00, the plus-side resolution W+ plus eta I,
+        # -(A; A') into S1
+        (0, 0, at["S00"], at["Up"], -eyek),
+        (0, 0, at["Vp"], at["Up"], Wp),
+        (1, 1, at["Vp"], at["Up"], eyek),
+        (0, 0, at["S1"], at["Up"], -Yp1[:, :k])]
+    beta = [
+        # T1 row: eta - Mmid, Y-1 on Vm, Y+1 on Vp
+        (1, 1, at["T1"], at["S1"], eyekm),
+        (0, 0, at["T1"], at["S1"], -Mmid),
+        (0, 0, at["T1"], at["Vm"], Ym1),
+        (0, 0, at["T1"], at["Vp"], Yp1),
+        # T10 row
+        (0, 0, at["T10"], at["Vm"], eyek),                 # (1, 0, 0) row
+        (1, 1, at["T10"], at["S10"], eyek),
+        (0, 0, at["T10"], at["S10"], Wm[:k, :k]),          # -B1
+        (1, 0, at["T10"], at["Eh"], eyek),                 # xi
+        (0, 0, at["T10"], at["Et"], data.Bth),
+        # T00 row
+        (0, 0, at["T00"], at["Eh"], data.Bht),
+        (0, 1, at["T00"], at["Et"], eyek),                 # psi
+        (1, 1, at["T00"], at["S00"], eyek),
+        (0, 0, at["T00"], at["S00"], Wp[:k]),              # -B0
+        (0, 0, at["T00"], at["Vp"], eyek)]                 # (1, 0) row
+    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta, exact)
 
 
 def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
     """The one-sided monad obtained by collapsing the psi ruling; away from
     psi = 0 its fibers agree with the fused monad.  Used as an independent
-    cross-check."""
+    cross-check (m > 0 data only)."""
+    if not isinstance(data, TaubNutData):
+        raise BuildRefused("the psi-pushdown monad needs the m > 0 data "
+                           "flavor")
     k, m = data.k, data.m
     exact = data.exact
     B0, B1 = data.B0, data.B1
     eyek = nk.eye_like_backend(k, exact)
-    pm = ParamMonad("xi_psi", (
+    cols = (
         [BlockSpec("Um", TWISTS["mF"], k + m),
          BlockSpec("Wpsi", TWISTS["Wpsi"], k),
          BlockSpec("Up", TWISTS["mF"], k)],
@@ -305,51 +307,50 @@ def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
          BlockSpec("Vp", TWISTS["triv"], k + 1)],
         [BlockSpec("T1", TWISTS["triv"], k + m),
          BlockSpec("T10", TWISTS["triv"], k),
-         BlockSpec("T00", TWISTS["triv"], k)]), exact=exact)
-    at = pm.start
+         BlockSpec("T00", TWISTS["triv"], k)])
+    at = block_starts(cols)
     km = k + m
     em = _e_minus_col(m, exact)
     ep = _e_plus_row(m, exact)
-    add = pm.alpha.add_monomial
-    # Um column (as in the fused monad)
-    add(0, 0, at["S1"], at["Um"], -nk.eye_like_backend(km, exact))
-    add(0, 0, at["Vm"], at["Um"], -B1)
-    add(1, 1, at["Vm"], at["Um"], eyek)
-    add(0, 0, at["Vm"] + k, at["Um"], -nk.mat_mul(em, data.Bprime))
-    add(0, 0, at["Vm"] + k, at["Um"] + k, -data.shift)
-    add(1, 1, at["Vm"] + k, at["Um"] + k, nk.eye_like_backend(m, exact))
-    add(0, 0, at["Vm"] + km, at["Um"] + k, -ep)
-    add(0, 0, at["S10"], at["Um"], -eyek)
-    # Wpsi column: (eta - B0) into Epsi, -Bth into S10, -psi into S00
-    add(1, 1, at["Epsi"], at["Wpsi"], eyek)
-    add(0, 0, at["Epsi"], at["Wpsi"], -B0)
-    add(0, 0, at["S10"], at["Wpsi"], -data.Bth)
-    add(0, 1, at["S00"], at["Wpsi"], -eyek)
-    # Up column
-    add(0, 0, at["S00"], at["Up"], -eyek)
-    add(0, 0, at["Vp"], at["Up"], -B0)
-    add(1, 1, at["Vp"], at["Up"], eyek)
-    add(0, 0, at["Vp"] + k, at["Up"], -data.D2row)
-    add(0, 0, at["S1"], at["Up"], -data.A)
-    add(0, 0, at["S1"] + k, at["Up"], -data.Aprime)
-
-    add = pm.beta.add_monomial
-    add(1, 1, at["T1"], at["S1"], nk.eye_like_backend(km, exact))
-    add(0, 0, at["T1"], at["S1"], -data.normal_form)
-    add(0, 0, at["T1"], at["Vm"], eyek)
-    add(0, 0, at["T1"], at["Vm"] + km, -data.C1)
-    add(0, 0, at["T1"] + k, at["Vm"] + k, nk.eye_like_backend(m, exact))
-    add(0, 0, at["T1"] + k, at["Vm"] + km, -data.Cprime[:, 0:1])
-    add(0, 0, at["T1"], at["Vp"], _mixed_pencil_left(data))
-    add(0, 0, at["T10"], at["Vm"], eyek)
-    add(1, 1, at["T10"], at["S10"], eyek)
-    add(0, 0, at["T10"], at["S10"], -B1)
-    add(0, 0, at["T10"], at["Epsi"], data.Bth)
-    add(0, 1, at["T00"], at["Epsi"], eyek)
-    add(1, 1, at["T00"], at["S00"], eyek)
-    add(0, 0, at["T00"], at["S00"], -B0)
-    add(0, 0, at["T00"], at["Vp"], eyek)
-    return pm
+    alpha = [
+        # Um column (as in the fused monad)
+        (0, 0, at["S1"], at["Um"], -nk.eye_like_backend(km, exact)),
+        (0, 0, at["Vm"], at["Um"], -B1),
+        (1, 1, at["Vm"], at["Um"], eyek),
+        (0, 0, at["Vm"] + k, at["Um"], -nk.mat_mul(em, data.Bprime)),
+        (0, 0, at["Vm"] + k, at["Um"] + k, -data.shift),
+        (1, 1, at["Vm"] + k, at["Um"] + k, nk.eye_like_backend(m, exact)),
+        (0, 0, at["Vm"] + km, at["Um"] + k, -ep),
+        (0, 0, at["S10"], at["Um"], -eyek),
+        # Wpsi column: (eta - B0) into Epsi, -Bth into S10, -psi into S00
+        (1, 1, at["Epsi"], at["Wpsi"], eyek),
+        (0, 0, at["Epsi"], at["Wpsi"], -B0),
+        (0, 0, at["S10"], at["Wpsi"], -data.Bth),
+        (0, 1, at["S00"], at["Wpsi"], -eyek),
+        # Up column
+        (0, 0, at["S00"], at["Up"], -eyek),
+        (0, 0, at["Vp"], at["Up"], -B0),
+        (1, 1, at["Vp"], at["Up"], eyek),
+        (0, 0, at["Vp"] + k, at["Up"], -data.D2row),
+        (0, 0, at["S1"], at["Up"], -data.A),
+        (0, 0, at["S1"] + k, at["Up"], -data.Aprime)]
+    beta = [
+        (1, 1, at["T1"], at["S1"], nk.eye_like_backend(km, exact)),
+        (0, 0, at["T1"], at["S1"], -data.normal_form),
+        (0, 0, at["T1"], at["Vm"], eyek),
+        (0, 0, at["T1"], at["Vm"] + km, -data.C1),
+        (0, 0, at["T1"] + k, at["Vm"] + k, nk.eye_like_backend(m, exact)),
+        (0, 0, at["T1"] + k, at["Vm"] + km, -data.Cprime[:, 0:1]),
+        (0, 0, at["T1"], at["Vp"], _mixed_pencil_left(data)),
+        (0, 0, at["T10"], at["Vm"], eyek),
+        (1, 1, at["T10"], at["S10"], eyek),
+        (0, 0, at["T10"], at["S10"], -B1),
+        (0, 0, at["T10"], at["Epsi"], data.Bth),
+        (0, 1, at["T00"], at["Epsi"], eyek),
+        (1, 1, at["T00"], at["S00"], eyek),
+        (0, 0, at["T00"], at["S00"], -B0),
+        (0, 0, at["T00"], at["Vp"], eyek)]
+    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta, exact)
 
 
 # ---------------------------------------------------------------------------

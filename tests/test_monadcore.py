@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bowmonad import caloron, monadcore as mc, numkit as nk, taubnut
+from bowmonad import caloron, monadcore as mc, nahmbow, numkit as nk, taubnut
 from bowmonad.monadcore import (CURVE_CLASSES, HEXAGON_ORDER, Line,
                                 principal_class, sections_on_line,
                                 splitting_type)
@@ -330,54 +330,75 @@ def test_full_rank_margin_is_finite_and_can_fail():
         mc.fiber_dim(pm.evaluate((0.5, 0.5)))
 
 
-def test_writes_show_in_the_next_evaluate():
-    pm = mc.PolyMatrix((2, 3))
+def test_blocks_sum_into_read_only_coefficients():
     pt = (0.7 - 0.2j, 1.1 + 0.4j)
-    assert np.all(pm.evaluate(*pt) == 0)
-    pm.add_monomial(0, 0, 0, 0, [[1.0, 2.0]])
-    assert pm.evaluate(*pt)[0, 1] == 2.0
-    pm.add_monomial(0, 0, 0, 1, [[3.0]])                 # same monomial again
-    assert pm.evaluate(*pt)[0, 1] == 5.0
-    pm.add_monomial(1, 0, 1, 2, [[1.0]])                 # a new monomial
-    assert pm.evaluate(*pt)[1, 2] == pt[0]
-    pm.coeffs[(0, 1)] = np.full((2, 3), 2.0)             # direct assignment
-    assert pm.evaluate(*pt)[1, 0] == 2 * pt[1]
-    pm.coeffs[(0, 0)] = np.zeros((2, 3))                 # overwrite in place
-    assert pm.evaluate(*pt)[0, 1] == 2 * pt[1]
-    assert pm.evaluate_many([pt])[0][0, 1] == 2 * pt[1]
+    assert np.all(mc.PolyMatrix((2, 3)).evaluate(*pt) == 0)
+    cols = ([mc.BlockSpec("U", {}, 3)], [mc.BlockSpec("V", {}, 2)], [])
+    pm = mc.ParamMonad.from_blocks("xi_eta", cols, [
+        (0, 0, 0, 0, [[1.0, 2.0]]),
+        (1, 0, 1, 2, [[1.0]]),                          # a new monomial
+        (0, 0, 0, 1, [[3.0]])], [])                     # same monomial again
+    alpha = pm.alpha
+    assert list(alpha.coeffs) == [(0, 0), (1, 0)]
+    assert alpha.coeffs[(0, 0)].tolist() == [[1, 5, 0], [0, 0, 0]]
+    assert alpha.evaluate(*pt)[0, 1] == 5.0
+    assert alpha.evaluate(*pt)[1, 2] == pt[0]
+    assert alpha.evaluate_many([pt])[0][1, 2] == pt[0]
+    # a float block is added, not copied: -0.0 entries land as +0.0
+    signs = mc.ParamMonad.from_blocks("xi_eta", cols, [
+        (0, 0, 0, 0, -np.eye(2))], []).alpha.C
+    assert np.signbit(signs.real).sum() == 2
     with pytest.raises(ValueError):
-        pm.coeffs[(0, 0)][0, 0] = 1.0                    # views are read-only
+        mc.PolyMatrix((2, 3), {(2, 0): np.zeros((3, 2))})   # wrong shape
     with pytest.raises(ValueError):
-        pm.coeffs[(2, 0)] = np.zeros((3, 2))
-    comp = pm.compose(mc.PolyMatrix((3, 1), {(0, 0): np.ones((3, 1))}))
-    comp.coeffs[(5, 0)] = np.ones((2, 1))
-    want = 2 * pt[1] * 3 + pt[0] + pt[0] ** 5
-    assert comp.evaluate(*pt)[1, 0] == pytest.approx(want, rel=1e-15)
+        alpha.coeffs[(0, 0)][0, 0] = 1.0                # views are read-only
+    with pytest.raises(ValueError):
+        alpha.C[0, 0] = 1.0                             # and C itself
+    with pytest.raises(TypeError):
+        alpha.coeffs[(0, 1)] = np.ones((2, 3))          # no key is assigned
+    comp = alpha.compose(mc.PolyMatrix((3, 1), {(0, 0): np.ones((3, 1)),
+                                                (4, 0): np.ones((3, 1))}))
+    assert list(comp.coeffs) == [(0, 0), (4, 0), (1, 0), (5, 0)]
+    assert comp.evaluate(*pt)[0, 0] == pytest.approx(6 + 6 * pt[0] ** 4,
+                                                     rel=1e-15)
+    assert comp.evaluate(*pt)[1, 0] == pytest.approx(pt[0] + pt[0] ** 5,
+                                                     rel=1e-15)
+    with pytest.raises(TypeError):
+        comp.coeffs[(5, 0)] = np.ones((2, 1))
 
 
 def test_payload_past_the_matrix_edge_raises():
-    pm = mc.PolyMatrix((2, 3))
-    pm.add_monomial(0, 0, 1, 1, [[1.0, 2.0]])             # ends at the corner
-    for r0, c0, payload in ((1, 2, [[1.0, 2.0]]), (0, 0, np.ones((3, 1))),
-                            (2, 0, [[1.0]])):
-        with pytest.raises(ValueError):
-            pm.add_monomial(0, 0, r0, c0, payload)
-    assert list(pm.coeffs) == [(0, 0)]
-    assert pm.coeffs[(0, 0)].tolist() == [[0, 0, 0], [0, 1, 2]]
+    cols = ([mc.BlockSpec("U", {}, 3)], [mc.BlockSpec("V", {}, 2)], [])
+    corner = (0, 0, 1, 1, [[1, 2]])                     # ends at the corner
+    for exact in (False, True):
+        pm = mc.ParamMonad.from_blocks("xi_eta", cols, [corner], [], exact)
+        assert list(pm.alpha.coeffs) == [(0, 0)]
+        assert pm.alpha.coeffs[(0, 0)].tolist() == [[0, 0, 0], [0, 1, 2]]
+        for r0, c0, payload in ((1, 2, [[1, 2]]), (0, 0, [[1], [1], [1]]),
+                                (2, 0, [[1]])):
+            with pytest.raises(ValueError, match="leaves"):
+                mc.ParamMonad.from_blocks(
+                    "xi_eta", cols, [corner, (0, 0, r0, c0, payload)], [],
+                    exact)
+        with pytest.raises(ValueError, match="leaves"):      # beta is 0 x 2
+            mc.ParamMonad.from_blocks("xi_eta", cols, [],
+                                      [(0, 0, 0, 0, [[1]])], exact)
 
 
 def test_param_monad_allocates_maps_and_rejects_repeated_labels():
     cols = ([mc.BlockSpec("U", {}, 1)],
             [mc.BlockSpec("V", {}, 2), mc.BlockSpec("W", {}, 1)],
             [mc.BlockSpec("Q", {}, 1)])
-    pm = mc.ParamMonad("xi_eta", cols)
+    pm = mc.ParamMonad.from_blocks("xi_eta", cols, [], [])
     assert pm.start == {"U": 0, "V": 0, "W": 2, "Q": 0}
     assert (pm.alpha.shape, pm.beta.shape) == ((3, 1), (1, 3))
     assert not pm.alpha.coeffs and not pm.beta.coeffs
     for repeated in ((cols[0], cols[1], [mc.BlockSpec("U", {}, 1)]),
                      (cols[0], cols[1] + [mc.BlockSpec("V", {}, 1)], [])):
         with pytest.raises(ValueError, match="repeated block label"):
-            mc.ParamMonad("xi_eta", repeated)
+            mc.ParamMonad.from_blocks("xi_eta", repeated, [], [])
+        with pytest.raises(ValueError, match="repeated block label"):
+            mc.block_starts(repeated)
 
 
 def test_exact_evaluate_and_to_float_stay_exact():
@@ -399,11 +420,89 @@ def test_exact_evaluate_and_to_float_stay_exact():
         bm.evaluate_many([(0.5, 0.5)])
 
 
+COMBOS = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))
+
+
+def _add_monomial_reference(shape, blocks, exact):
+    """Block assembly as a mutable matrix polynomial did it: per block, copy
+    the monomial's coefficient (a zero matrix for a new monomial), add the
+    payload into it and write the matrix back."""
+    coeffs = {}
+    for p, q, r0, c0, payload in blocks:
+        payload = np.asarray(payload) if not exact else payload
+        h, w = np.shape(payload)
+        key = (p, q)
+        tgt = coeffs[key].copy() if key in coeffs else \
+            nk.zeros_like_backend(*shape, exact)
+        blk = tgt[r0:r0 + h, c0:c0 + w]
+        if exact:
+            for ij, x in np.ndenumerate(np.asarray(payload, dtype=object)):
+                blk[ij] = x if isinstance(x, nk.GQ) and not blk[ij] \
+                    else blk[ij] + x
+        else:
+            blk[...] = blk + payload
+        coeffs[key] = np.asarray(tgt, dtype=object if exact else complex)
+    return coeffs
+
+
+def _builder_monads():
+    """Every monad builder on both data flavors at every (k, m) pair, seeds
+    0 and 1, on both backends."""
+    out = []
+    for exact in (False, True):
+        for k, m in COMBOS:
+            for seed in (0, 1):
+                dc = caloron.generate_caloron(k, m, seed=seed, exact=exact)
+                dt = taubnut.generate_taubnut(k, m, seed=seed, exact=exact)
+                out += [caloron.small_monad(dc),
+                        taubnut._big_monad_unchecked(dt)]
+                if m:
+                    out += [caloron.big_monad(dc),
+                            taubnut.psi_pushdown_monad(dt)]
+                if m <= 1:
+                    out.append(nahmbow.finite_monad_family(
+                        taubnut.to_bow_complex(dt)))
+    return out
+
+
+def test_builders_match_per_block_assembly(monkeypatch):
+    """Every tensor a builder makes is the one the per-block reference sums
+    from the same blocks: key order, P, Q and C bytes on floats, the type
+    and repr of every entry on the exact backend."""
+    built = []
+    from_blocks = mc.ParamMonad.from_blocks.__func__
+
+    def capture(cls, chart, cols, alpha, beta, exact=False):
+        alpha, beta = list(alpha), list(beta)
+        pm = from_blocks(cls, chart, cols, alpha, beta, exact)
+        built.append((pm, alpha, beta))
+        return pm
+
+    monkeypatch.setattr(mc.ParamMonad, "from_blocks", classmethod(capture))
+    monads = _builder_monads()
+    assert len(monads) == 2 * 2 * (7 * 2 + 4 * 2 + 5)
+    # validation builds monads of its own, checked here as well
+    assert {id(pm) for pm in monads} <= {id(pm) for pm, _, _ in built}
+    for pm, *blocks in built:
+        for poly, blks in zip((pm.alpha, pm.beta), blocks):
+            want = _add_monomial_reference(poly.shape, blks, pm.exact)
+            assert list(poly.coeffs) == list(want)
+            assert poly.P.tobytes() == np.array([p for p, _ in want],
+                                                float).tobytes()
+            assert poly.Q.tobytes() == np.array([q for _, q in want],
+                                                float).tobytes()
+            C = np.stack([M.ravel() for M in want.values()])
+            if pm.exact:
+                assert [(type(x), repr(x)) for x in poly.C.flat] == \
+                    [(type(x), repr(x)) for x in C.flat]
+            else:
+                assert poly.C.dtype == complex
+                assert poly.C.tobytes() == C.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Laurent section systems
 
-
-COMBOS = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))
 
 
 def reference_block_action(pm, which, line, src, dst, strict):
@@ -527,16 +626,14 @@ def _koszul_monad(n):
     chart: O(0, -1-n) -> O(0, -1)^2 -> O(0, n-1) with alpha = (1, -xi^n)^T
     and beta = (xi^n, 1).  The two sections share no zero on a B_eta line,
     so the complex is exact there."""
-    pm = mc.ParamMonad("xi_eta", (
+    one = mk([[1]])
+    return mc.ParamMonad.from_blocks("xi_eta", (
         [mc.BlockSpec("U", mc.o_pp(0, -1 - n), 1)],
         [mc.BlockSpec("S1", mc.o_pp(0, -1), 1),
          mc.BlockSpec("S2", mc.o_pp(0, -1), 1)],
-        [mc.BlockSpec("Q", mc.o_pp(0, n - 1), 1)]))
-    pm.alpha.add_monomial(0, 0, 0, 0, mk([[1]]))
-    pm.alpha.add_monomial(n, 0, 1, 0, mk([[-1]]))
-    pm.beta.add_monomial(n, 0, 0, 0, mk([[1]]))
-    pm.beta.add_monomial(0, 0, 0, 1, mk([[1]]))
-    return pm
+        [mc.BlockSpec("Q", mc.o_pp(0, n - 1), 1)]),
+        [(0, 0, 0, 0, one), (n, 0, 1, 0, -one)],
+        [(n, 0, 0, 0, one), (0, 0, 0, 1, one)])
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -567,24 +664,10 @@ def test_pushdown_and_fused_tables_agree_on_l_xi_lines(k):
                     for dd in range(-2, 3)] == [0, 0, 2, 4, 6]
 
 
-def test_coefficient_write_shows_in_next_sections():
-    alpha = mc.PolyMatrix((2, 1), {(0, 0): np.zeros((2, 1))})
-    pm = mc.ParamMonad(
-        "xi_eta", ([mc.BlockSpec("U", {}, 1)], [mc.BlockSpec("V", {}, 2)], []),
-        alpha, mc.PolyMatrix((0, 2)))
-    line = Line("B_eta", 0.7)
-    assert sections_on_line(pm, line, 0).dimension == 2
-    alpha.coeffs[(0, 0)] = np.array([[1.0], [2.0]])
-    assert sections_on_line(pm, line, 0).dimension == 1
-    alpha.add_monomial(0, 0, 0, 0, [[-1.0], [-2.0]])
-    assert sections_on_line(pm, line, 0).dimension == 2
-
-
 def _fresh(pm):
-    """A copy of a monad with its own coefficient tensors and no plans."""
-    return mc.ParamMonad(pm.chart, pm.cols, *(
-        mc.PolyMatrix(f.shape, dict(f.coeffs), exact=pm.exact)
-        for f in (pm.alpha, pm.beta)), exact=pm.exact)
+    """A copy of a monad with no section plans yet; the coefficients are
+    read-only, so it shares them."""
+    return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, pm.beta, pm.exact)
 
 
 def _outcome(pm, line, d):
@@ -595,35 +678,6 @@ def _outcome(pm, line, d):
     except nk.BowmonadError as e:
         return type(e).__name__, str(e)
     return s.dimension, s.h1_dim, [b.tobytes() for b in s.basis]
-
-
-def test_every_coefficient_write_drops_the_section_plans():
-    """Two left blocks into a rank-2 middle on the (xi, eta) chart, at d = 1
-    (window [0, 1] on every block): h0 = 4 - rank of the alpha image.  Each
-    write below changes that count, so a plan kept past the write would
-    read the old one."""
-    alpha = mc.PolyMatrix((2, 2), {(0, 0): np.zeros((2, 2))})
-    pm = mc.ParamMonad(
-        "xi_eta", ([mc.BlockSpec("U1", {}, 1), mc.BlockSpec("U2", {}, 1)],
-                   [mc.BlockSpec("V", {}, 2)], []),
-        alpha, mc.PolyMatrix((0, 2)))
-    line = Line("B_eta", 0.7)
-
-    def check(h0):
-        got = _outcome(pm, line, 1)
-        assert got == _outcome(_fresh(pm), line, 1) and got[0] == h0
-
-    check(4)
-    C = alpha.coeffs.C
-    alpha.coeffs[(0, 0)] = np.diag([1.0, 0.0])      # in place: U1 -> row 0
-    assert alpha.coeffs.C is C
-    check(2)
-    alpha.coeffs[(0, 1)] = np.diag([0.0, 1.0])      # a new key: U2 -> row 1
-    check(0)
-    alpha.add_monomial(0, 0, 0, 0, [[-1.0]])        # an existing key: U1 -> 0
-    check(2)
-    with pytest.raises(ValueError):
-        alpha.coeffs.C[0, 0] = 1.0                  # C itself is read-only
 
 
 def test_interleaved_rulings_and_twists_match_fresh_monads():

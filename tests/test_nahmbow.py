@@ -603,6 +603,24 @@ def test_reduce_matches_big_monad_on_matched_data():
         assert mc.fiber_dim(bm.evaluate(pt)) == mc.fiber_dim(fm.evaluate(pt))
 
 
+# the generic chart points of the Dirac kernel tests
+GENERIC_POINTS = [(0.7 + 0.3j, 0.4 - 0.6j), (1.1 - 0.2j, -0.5 + 0.8j),
+                  (-0.6 + 0.9j, 1.2 + 0.1j), (0.9 + 0.0j, -0.9 - 0.4j),
+                  (0.3 - 1.1j, 0.8 + 0.5j)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_reduce_exact_m0_matches_float_data(k):
+    """The finite monad of an exact m = 0 bow complex has rank-2 fibers, as
+    the one built from the same data in floats does."""
+    for seed in range(4):
+        d = tn.generate_taubnut(k, 0, seed=seed, exact=True)
+        fms = [nb.finite_monad_family(tn.to_bow_complex(data))
+               for data in (d, tn._float_data(d))]
+        for pt in GENERIC_POINTS:
+            assert [mc.fiber_dim(fm.evaluate(pt)) for fm in fms] == [2, 2]
+
+
 def test_reduce_on_jumping_line_point():
     sol, bc, data = matched_pair_m1()
     eta0 = nk.to_float(data.B0)[0, 0]

@@ -366,8 +366,9 @@ def test_evaluate_matches_monomial_sum(field, shape):
     rng = np.random.default_rng([*shape, field is GQ])
     pm = monadcore.PolyMatrix(shape, exact=True)
     assert all(not e for e in pm.evaluate(GQ(2), GQ(3)).flat)
-    for p, q in [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)]:
-        pm.coeffs[(p, q)] = _oracle_matrix(rng, *shape, field, big=True)
+    pm = monadcore.PolyMatrix(shape, {
+        key: _oracle_matrix(rng, *shape, field, big=True)
+        for key in [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)]}, exact=True)
     for _ in range(3):
         x, y = _rational(rng, GQ, True), _rational(rng, GQ, False)
         _assert_same(pm.evaluate(x, y), _ref_evaluate(pm, x, y))

@@ -81,6 +81,12 @@ def test_build_refused():
         tn.big_monad(worked_example(Bprime=mk([[0]])))
 
 
+def test_pushdown_refuses_m0_data():
+    d = tn.generate_taubnut(1, 0, seed=0)
+    with pytest.raises(BuildRefused, match="m > 0"):
+        tn.psi_pushdown_monad(d)
+
+
 def test_pushdown_agrees_away_from_psi_zero():
     data = worked_example()
     bm = tn.big_monad(data)
