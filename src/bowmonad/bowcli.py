@@ -75,6 +75,13 @@ def _real_from_json(v, what: str) -> float:
     return float(v)
 
 
+def _size_from_json(v, what: str, least: int) -> int:
+    """A size field: a JSON integer (not a bool) of at least ``least``."""
+    if type(v) is not int or v < least:
+        raise ParseError(f"{what} must be an integer >= {least}, got {v!r}")
+    return v
+
+
 def _fraction_from_json(part) -> Fraction:
     n, d = (part.get(key) if isinstance(part, dict) else None
             for key in ("n", "d"))
@@ -138,17 +145,17 @@ def data_from_json(obj) -> object:
     if backend not in ("f64", "exact"):
         raise ParseError(f"unknown backend {backend!r}")
     exact = backend == "exact"
-    try:
-        k = int(obj["k"])
-        m = int(obj.get("m", 0))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ParseError(f"bad size fields: {e}")
+    m0 = kind.endswith("-m0")
+    k = _size_from_json(obj.get("k"), "k", 1)
+    m = _size_from_json(obj.get("m", 0), "m", 0 if m0 else 1)
+    if m0 and m:
+        raise ParseError(f"{kind} has m = 0, got m = {m}")
     fields = {}
     for name, shape in cls.shapes(k, m).items():
         if name not in obj:
             raise ParseError(f"missing field {name!r}")
         fields[name] = matrix_from_json(obj[name], shape, exact)
-    meta = {"k": k} if kind.endswith("-m0") else {"k": k, "m": m}
+    meta = {"k": k} if m0 else {"k": k, "m": m}
     try:
         return cls(**meta, **fields)
     except ValueError as e:
@@ -184,7 +191,8 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
         r = obj["rep"]
         rep = nahmbow.BowRepresentation(_real_from_json(r["ell"], "ell"),
                                         _real_from_json(r["lam"], "lam"),
-                                        int(r["k"]), int(r["m"]))
+                                        _size_from_json(r["k"], "rep k", 1),
+                                        _size_from_json(r["m"], "rep m", 0))
 
         def seg(o, rank):
             grid = np.array([_real_from_json(v, "a grid point s")
@@ -587,6 +595,10 @@ def main(argv=None) -> int:
         return 2
     except nk.BowmonadError as e:
         _print_error(type(e).__name__, str(e))
+        return 1
+    except MemoryError as e:
+        # a request too large to hold, such as a tiny nahm-flow --step
+        _print_error("MemoryError", str(e) or "out of memory")
         return 1
 
 

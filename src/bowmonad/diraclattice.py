@@ -508,9 +508,10 @@ def _lanczos(g: _Chain, shift: float, sign: float, tol: float):
     return shift + sign / theta[-1], Q[:j + 1].T @ S[:, -1]
 
 
-def _gram_top_bracket(dl: DiracLattice):
+def _gram_top_bracket(dl: DiracLattice, gram):
     """(lower, value, upper) for the largest eigenvalue of G = W W^H, W the
-    operator with its junction rows weighted by h.
+    operator with its junction rows weighted by h, from G's blocks ``gram``
+    = _gram(dl, dl.h).
 
     value comes from _lanczos on G from above (shift the Gershgorin bound,
     sign -1: Lanczos on (shift I - G)^-1 through one _BlockLDL), stopped at
@@ -520,7 +521,7 @@ def _gram_top_bracket(dl: DiracLattice):
     proves lambda_max < value + 2 eps_r (Sylvester), the upper end.  An
     uncertified value raises CertificateFailed.
     """
-    g = _Chain.of(*_gram(dl, dl.h))
+    g = _Chain.of(*gram)
     err = _rounding_bound(dl, dl.h)
     value, _ = _lanczos(g, g.gershgorin(), -1.0, err)
     if not _definite(g, value + err, -1.0):
@@ -546,7 +547,7 @@ def reality_residual(dl: DiracLattice) -> float:
     _gram (no N x N array is formed).  The normaliser is
     lambda_max(G), the value of the certified bracket _gram_top_bracket.
     """
-    blocks, JJ = _gram(dl, dl.h)
+    gram = blocks, JJ = _gram(dl, dl.h)
     j0 = dl.n_link_rows
     ends = {p for r0, _, n, w in dl.segments for p in (r0, r0 + (n - 2) * w)}
     rows, partner, sign = [], [], []
@@ -573,7 +574,7 @@ def reality_residual(dl: DiracLattice) -> float:
     Gk[jr[:, None], jr] = JJ
     D = Gk - np.outer(sign, sign) * Gk.conj()[np.ix_(partner, partner)]
     resid = np.max(np.abs(np.linalg.eigvalsh(D)))
-    return float(resid / max(_gram_top_bracket(dl)[1], 1e-300))
+    return float(resid / max(_gram_top_bracket(dl, gram)[1], 1e-300))
 
 
 def _rounding_bound(dl: DiracLattice, jw: float = 1.0) -> float:

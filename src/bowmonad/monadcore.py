@@ -363,8 +363,9 @@ class ParamMonad:
     """Block-structured complex col1 --alpha--> col2 --beta--> col3.
 
     ``start`` maps each block label (unique across the three columns) to
-    the block's first row or column.  The section plans of each ruling (see
-    _LineSystem) are kept in ``_plans``: the coefficients never change."""
+    the block's first row or column.  The section plans of each ruling and
+    twist (see _LineSystem) are kept in ``_plans``: the coefficients never
+    change."""
 
     def __init__(self, chart, cols, alpha: PolyMatrix, beta: PolyMatrix,
                  exact=False):
@@ -534,93 +535,63 @@ def _windows(pm: ParamMonad, col: int, kind: str):
 
 
 class _Layout:
-    """Index bookkeeping for (block, exponent, component) coefficient
-    vectors: block ib holds the exponents first..last of its span, each a
-    run of rank components, the runs of all blocks laid end to end."""
+    """Coefficient vectors of Laurent sections of one column's blocks:
+    block ib holds the exponents first..last of its span, each a run of
+    rank components, the runs of all blocks laid end to end.  Each position
+    records its exponent ``exp``, its row or column ``comp`` in the monad's
+    column and its ``block``."""
 
     def __init__(self, blocks, spans):
         self.blocks = []    # (first exponent, count, base offset, rank)
-        pos = 0
-        for b, (first, last) in zip(blocks, spans):
+        cells = []          # (block, exponent, comp) of each position
+        pos = col = 0
+        for ib, (b, (first, last)) in enumerate(zip(blocks, spans)):
             count = max(last - first + 1, 0)
             self.blocks.append((first, count, pos, b.rank))
+            cells += [(ib, e, c) for e in range(first, last + 1)
+                      for c in range(col, col + b.rank)]
             pos += count * b.rank
+            col += b.rank
         self.size = pos
-
-    def exponent_range(self) -> tuple[int, int]:
-        """Lowest and highest exponent held by any block."""
-        held = [(first, first + count - 1)
-                for first, count, _, _ in self.blocks if count]
-        return min(f for f, _ in held), max(last for _, last in held)
-
-
-class _MapBlocks:
-    """A PolyMatrix on the lines of one ruling: the t-shift of every
-    monomial, and its nonzero blocks as (monomial, shift, row block, column
-    block, flattened float block), in monomial order.  No line value
-    enters."""
-
-    def __init__(self, poly: PolyMatrix, roff, coff, sub):
-        self.shifts = [sub(p, q)[0] for (p, q) in poly.coeffs] or [0]
-        self.entries = []
-        rows = [(ib, r0, r1) for ib, (r0, r1) in enumerate(roff) if r1 > r0]
-        cols = [(ib, c0, c1) for ib, (c0, c1) in enumerate(coff) if c1 > c0]
-        if not (poly.coeffs and rows and cols):
-            return
-        C = to_float(poly.C).reshape(len(poly.coeffs), *poly.shape)
-        # one nonzero test per (monomial, row block, column block)
-        nz = np.logical_or.reduceat(C != 0, [r0 for _, r0, _ in rows], axis=1)
-        nz = np.logical_or.reduceat(nz, [c0 for _, c0, _ in cols], axis=2)
-        for j, a, b in zip(*(ix.tolist() for ix in np.nonzero(nz))):
-            ib_dst, r0, r1 = rows[a]
-            ib_src, c0, c1 = cols[b]
-            self.entries.append((j, self.shifts[j], ib_dst, ib_src,
-                                 C[j, r0:r1, c0:c1].ravel()))
+        self.block, self.exp, self.comp = \
+            np.array(cells, dtype=int).reshape(-1, 3).T
 
 
 class _Placement:
-    """Where the blocks of alpha or beta land in the matrix of the map
-    between two Laurent layouts, with no line value in it.
+    """Where alpha or beta lands in the matrix of the map between two
+    Laurent layouts, with no line value in it.
 
-    A block sends source exponent e to e + shift, so it fills a diagonal
-    run of blocks, one per source exponent whose image lies in the
-    destination span.  The cells are kept per monomial, in monomial order,
-    as flat indices with the coefficients they take; no two blocks of one
-    monomial share a cell, so a line's matrix is one scatter-add per
-    monomial and each cell sums its monomials in monomial order.  ``leaves``
-    records a nonzero block that sends an exponent out of the destination
-    span.
+    Entry (a, b) sums f_j C_j[comp(a), comp(b)] over the monomials j with
+    exp(a) = exp(b) + shift_j, f_j the monomial's factor on the line.  The
+    nonzero cells are kept per monomial, in monomial order, as flat indices
+    with the coefficients they take, so a line's matrix is one scatter-add
+    per monomial and each cell sums its monomials in monomial order.
+    ``leaves`` tells whether a nonzero coefficient sends a source exponent
+    out of the window of its row's block.
     """
 
-    def __init__(self, which: str, blocks: _MapBlocks, src: _Layout,
+    def __init__(self, which: str, coeffs, shifts, src: _Layout,
                  dst: _Layout):
         self.which, self.src, self.dst = which, src, dst
         self.shape = (dst.size, src.size)
-        self.leaves = False
-        terms: dict[int, tuple[list, list]] = {}
-        offsets = {}        # flat offsets of the cells of an rr x rk block
-        for j, shift, ib_dst, ib_src, blk in blocks.entries:
-            s0, ns, base_s, rk = src.blocks[ib_src]
-            if not ns:
-                continue
-            t0, nt, base_t, rr = dst.blocks[ib_dst]
-            lo = max(s0, t0 - shift)
-            hi = min(s0 + ns, t0 + nt - shift)
-            self.leaves |= hi - lo < ns
-            if hi <= lo:
-                continue
-            if (rr, rk) not in offsets:
-                offsets[rr, rk] = (np.arange(rr)[:, None] * src.size
-                                   + np.arange(rk)).ravel()
-            # the block of source exponent lo + i, i diagonal steps along
-            first = ((base_t + (lo + shift - t0) * rr) * src.size
-                     + base_s + (lo - s0) * rk)
-            starts = first + (rr * src.size + rk) * np.arange(hi - lo)
-            idx, vals = terms.setdefault(j, ([], []))
-            idx.append((starts[:, None] + offsets[rr, rk]).ravel())
-            vals.append(blk[None].repeat(hi - lo, 0).ravel())
-        self.terms = [(j, np.concatenate(idx), np.concatenate(vals))
-                      for j, (idx, vals) in terms.items()]
+        self.coeffs = coeffs
+        match = dst.exp[:, None] == src.exp + shifts[:, None, None]
+        j, a, b = np.nonzero(match)
+        vals = coeffs[j, dst.comp[a], src.comp[b]]
+        nz = vals != 0
+        j, cells, vals = j[nz], (a * src.size + b)[nz], vals[nz]
+        runs = np.searchsorted(j, np.arange(len(shifts) + 1)).tolist()
+        self.terms = [(i, cells[r0:r1], vals[r0:r1])
+                      for i, (r0, r1) in enumerate(zip(runs, runs[1:]))
+                      if r1 > r0]
+
+    @cached_property
+    def leaves(self) -> bool:
+        # each nonzero C_j[r, comp(b)] of a source position b has its cell
+        # unless the target exponent lies outside the window of row r
+        placed = sum(len(vals) for _, _, vals in self.terms)
+        nonzero = np.count_nonzero(self.coeffs, axis=1)[:, self.src.comp]
+        return bool(placed < nonzero.sum())
 
     def matrix(self, factors) -> np.ndarray:
         """The matrix on a line, from the line factor of every monomial."""
@@ -639,111 +610,101 @@ _H1_BAND_TOL = 1e-7
 _D2_TOL = 1e-9
 
 
-class _RulingPlan:
+def _ruling(pm: ParamMonad, kind: str):
     """What a monad's section systems share on every line of one ruling:
-    the windows of the left and middle columns, the nonzero blocks and
-    t-shifts of alpha and beta, and a _SectionPlan per twist d."""
+    the windows of the left and middle columns, and for alpha and beta the
+    float coefficient stack (monomial, row, column) with the t-shift of
+    each monomial."""
+    windows = _windows(pm, 0, kind), _windows(pm, 1, kind)
+    # no line value enters a t-shift: read them off the line at 1
+    sub = _substitution(pm.chart, Line(kind, 1))
+    maps = {name: (to_float(poly.C).reshape(len(poly.coeffs), *poly.shape),
+                   np.array([sub(p, q)[0] for p, q in poly.coeffs], int))
+            for name, poly in (("alpha", pm.alpha), ("beta", pm.beta))}
+    return windows, maps
 
-    def __init__(self, pm: ParamMonad, kind: str):
-        self.cols = pm.cols
-        self.w1 = _windows(pm, 0, kind)
-        self.w2 = _windows(pm, 1, kind)
-        # no line value enters a t-shift: read them off the line at 1
-        sub = _substitution(pm.chart, Line(kind, 1))
-        self.alpha = _MapBlocks(pm.alpha, pm.offsets(1), pm.offsets(0), sub)
-        self.beta = _MapBlocks(pm.beta, pm.offsets(2), pm.offsets(1), sub)
-        self.twists: dict[int, _SectionPlan] = {}
 
-    def twist(self, d: int) -> "_SectionPlan":
-        plan = self.twists.get(d)
-        if plan is None:
-            plan = self.twists[d] = _SectionPlan(self, d)
-        return plan
+def _reach(lay: _Layout, shifts) -> tuple[int, int]:
+    """Lowest and highest exponent a map of these t-shifts reaches from a
+    layout that holds any."""
+    shifts = shifts.tolist() or [0]
+    return (int(lay.exp.min()) + min(shifts),
+            int(lay.exp.max()) + max(shifts))
 
 
 class _SectionPlan:
     """The section systems of a monad on the lines of one ruling, twisted
-    by O(d), with no line value in them: the layouts of the windows and the
-    placement of every matrix that _LineSystem forms from them.  The
-    connecting-map part is planned on first use."""
+    by O(d), with no line value in them: the layouts of the windows and,
+    for every matrix that _LineSystem forms from them, the cells where the
+    exponents match.  The connecting-map part is planned on first use."""
 
-    def __init__(self, ruling: _RulingPlan, d: int):
-        blocks1, blocks2, _ = ruling.cols
-        self.ruling = ruling
-        self.w2 = [(lo, hi + d) for lo, hi in ruling.w2]
-        w1 = [(lo, hi + d) for lo, hi in ruling.w1]
+    def __init__(self, cols, ruling, d: int):
+        blocks1, self.blocks2, self.blocks3 = cols
+        (w1, w2), self.maps = ruling
+        self.w2 = [(lo, hi + d) for lo, hi in w2]
+        w1 = [(lo, hi + d) for lo, hi in w1]
         lay1 = _Layout(blocks1, w1)
-        self.lay2 = _Layout(blocks2, self.w2)
+        self.lay2 = _Layout(self.blocks2, self.w2)
         self.E = self.Aim = None
         if self.lay2.size:
-            self.E = _Placement("beta", ruling.beta, self.lay2,
-                                self._equation_layout(self.lay2))
-            self.Aim = _Placement("alpha", ruling.alpha, lay1, self.lay2)
+            self.E = self._place("beta", self.lay2,
+                                 self._equation_layout(self.lay2))
+            self.Aim = self._place("alpha", lay1, self.lay2)
         # H^1 of the left and middle columns: the windows' complements
         self.lay1_h1 = _Layout(blocks1, [(hi + 1, lo - 1) for lo, hi in w1])
-        lay2_h1 = _Layout(blocks2, [(hi + 1, lo - 1) for lo, hi in self.w2])
-        self.H = _Placement("alpha", ruling.alpha, self.lay1_h1, lay2_h1) \
+        lay2_h1 = _Layout(self.blocks2,
+                          [(hi + 1, lo - 1) for lo, hi in self.w2])
+        self.H = self._place("alpha", self.lay1_h1, lay2_h1) \
             if self.lay1_h1.size and lay2_h1.size else None
+
+    def _place(self, which, src: _Layout, dst: _Layout) -> _Placement:
+        return _Placement(which, *self.maps[which], src, dst)
 
     def _equation_layout(self, lay_src: _Layout) -> _Layout:
         """Right-column layout over every exponent beta can reach from a
         middle layout."""
-        lo, hi = lay_src.exponent_range()
-        blocks3 = self.ruling.cols[2]
-        shifts = self.ruling.beta.shifts
-        span = (lo + min(shifts), hi + max(shifts))
-        return _Layout(blocks3, [span] * len(blocks3))
+        span = _reach(lay_src, self.maps["beta"][1])
+        return _Layout(self.blocks3, [span] * len(self.blocks3))
 
     @cached_property
     def connecting(self):
         """What _LineSystem._connecting_rank places: alpha from the left H^1
-        layout into a middle layout over every exponent it reaches, the row
-        ranges of the bands between the middle windows' ends, the
-        projection onto the piece regular at t=0, and beta from that piece
-        and from the middle sections (None without any) into one right
-        layout."""
-        alpha, beta = self.ruling.alpha, self.ruling.beta
-        blocks2 = self.ruling.cols[1]
-        lo1, hi1 = self.lay1_h1.exponent_range()
-        lo_all = lo1 + min(alpha.shifts)
-        hi_all = hi1 + max(alpha.shifts)
-        lay_full = _Layout(blocks2, [(lo_all, hi_all)] * len(blocks2))
-        # regular piece: keep exponents >= per-block window floor
-        lay_reg = _Layout(blocks2, [(lo, hi_all) for lo, _ in self.w2])
-        bands = []
-        P = np.zeros((lay_reg.size, lay_full.size), dtype=complex)
-        for (lo, hi), (_, _, pos, rk), (_, _, slot, _) in zip(
-                self.w2, lay_full.blocks, lay_reg.blocks):
-            # the band hi < e < lo must vanish
-            a, b = max(hi + 1, lo_all), min(lo, hi_all + 1)
-            if b > a and rk:
-                bands.append((pos + (a - lo_all) * rk,
-                              pos + (b - lo_all) * rk))
-            # e >= lo is kept, one identity run per block
-            a = max(lo, lo_all)
-            n = max(hi_all + 1 - a, 0) * rk
-            r, c = slot + (a - lo) * rk, pos + (a - lo_all) * rk
-            P[r:r + n, c:c + n] = np.eye(n)
+        layout into a middle layout over every exponent it reaches (and down
+        to the lowest window floor), the masks of that layout's rows in the
+        bands between the middle windows' ends and in the piece regular at
+        t=0, and beta from that piece and from the middle sections (None
+        without any) into one right layout."""
+        lo_all, hi_all = _reach(self.lay1_h1, self.maps["alpha"][1])
+        floors = [lo for lo, _ in self.w2]
+        lay_full = _Layout(self.blocks2, [(min(floors + [lo_all]), hi_all)]
+                           * len(self.blocks2))
+        lay_reg = _Layout(self.blocks2, [(lo, hi_all) for lo in floors])
         lay_eq = self._equation_layout(lay_reg)
-        return (_Placement("alpha", alpha, self.lay1_h1, lay_full), bands, P,
-                _Placement("beta", beta, lay_reg, lay_eq),
-                _Placement("beta", beta, self.lay2, lay_eq)
+        # the window ends of each row's block: the band hi < e < lo must
+        # vanish, and e >= lo is the regular piece
+        lo, hi = np.array(self.w2, dtype=int).reshape(-1, 2)[lay_full.block].T
+        e = lay_full.exp
+        return (self._place("alpha", self.lay1_h1, lay_full),
+                (hi < e) & (e < lo), e >= lo,
+                self._place("beta", lay_reg, lay_eq),
+                self._place("beta", self.lay2, lay_eq)
                 if self.lay2.size else None)
 
 
 class _LineSystem:
     """The Laurent section systems of one monad on one line, for every twist
-    O(d).  Their line-independent part is planned once per ruling and twist
-    and kept with the monad (ParamMonad._plans); a line adds the factor of
-    every monomial, then each system costs one scatter-add per monomial and
-    its SVDs."""
+    O(d).  Their line-independent part is kept with the monad in
+    ParamMonad._plans: the windows, float coefficient stacks and t-shifts
+    of each ruling, and the _SectionPlan of each (ruling, d).  A line adds
+    the factor of every monomial, then each system costs one scatter-add
+    per monomial and its SVDs."""
 
     def __init__(self, pm: ParamMonad, line: Line):
         self.pm = pm
         self.line = line
         self.ruling = pm._plans.get(line.kind)
         if self.ruling is None:
-            self.ruling = pm._plans[line.kind] = _RulingPlan(pm, line.kind)
+            self.ruling = pm._plans[line.kind] = _ruling(pm, line.kind)
         sub = _substitution(pm.chart, line)
         self.factors = {name: [sub(p, q)[1] for (p, q) in poly.coeffs]
                         for name, poly in (("alpha", pm.alpha),
@@ -757,7 +718,11 @@ class _LineSystem:
         return placement.matrix(self.factors[placement.which])
 
     def sections(self, d: int, ctx: ToleranceContext) -> SectionSpace:
-        plan = self.ruling.twist(d)
+        key = self.line.kind, d
+        plan = self.pm._plans.get(key)
+        if plan is None:
+            plan = self.pm._plans[key] = _SectionPlan(self.pm.cols,
+                                                      self.ruling, d)
         h0_dim, reps = 0, np.zeros((0, 0), dtype=complex)
         if plan.lay2.size:
             kern = nk.rank_kernel(self._matrix(plan.E), ctx).kernel
@@ -787,14 +752,12 @@ class _LineSystem:
         genuine global section of the right column, well defined modulo
         beta of global middle sections.
         """
-        full, bands, P, reg, middle = plan.connecting
+        full, band, regular, reg, middle = plan.connecting
         images = self._matrix(full) @ ker_h1
         scale = max(1.0, np.max(np.abs(images))) if images.size else 1.0
-        for a, b in bands:
-            if np.max(np.abs(images[a:b])) > _H1_BAND_TOL * scale:
-                raise InternalTwistError(
-                    "H^1 kernel class keeps a residual band")
-        d2_vals = self._matrix(reg) @ (P @ images)
+        if np.max(np.abs(images[band]), initial=0.0) > _H1_BAND_TOL * scale:
+            raise InternalTwistError("H^1 kernel class keeps a residual band")
+        d2_vals = self._matrix(reg) @ images[regular]
         if not d2_vals.size or np.max(np.abs(d2_vals)) <= _D2_TOL * scale:
             return 0
         if middle is not None:

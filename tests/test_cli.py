@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bowmonad import bowcli, caloron, numkit as nk, taubnut
+from bowmonad import bowcli, caloron, nahmbow as nb, numkit as nk, taubnut
 
 DATA = Path(__file__).parent / "data"
 
@@ -695,3 +695,77 @@ def test_validate_reports_the_exact_recheck_of_a_pencil_failure(
         checks["mixed_pencil_surjective"]["certificate"]
     assert xi == [0.0, 0.0] and abs(complex(*eta) - (2 + 3j)) < 1e-9
     assert len(vector) == 2 and exact_checked is exact
+
+
+# size fields that are not what the kind allows: a bool, a float or a
+# string where a JSON integer belongs, a k below 1, m = 0 for an m >= 1
+# kind and m != 0 for an m = 0 kind
+_BAD_SIZES = [("taubnut", "k", True), ("taubnut", "k", 1.7),
+              ("taubnut", "k", "1"), ("taubnut", "k", 0),
+              ("taubnut", "m", 1.2), ("taubnut", "m", 0),
+              ("taubnut", "m", None), ("taubnut-m0", "m", 2),
+              ("taubnut-m0", "m", 0.0), ("taubnut-m0", "k", 1.0),
+              ("bowsol", "k", 1.9), ("bowsol", "k", True),
+              ("bowsol", "k", 0), ("bowsol", "m", -1), ("bowsol", "m", 0.5),
+              ("bowsol", "m", "1")]
+
+
+@pytest.fixture(scope="module")
+def size_inputs(tmp_path_factory):
+    """A Taub-NUT k = 1, m = 1 file, a taubnut-m0 k = 1 file and an m = 1
+    bow solution file."""
+    d = tmp_path_factory.mktemp("sizes")
+    files = {"taubnut": DATA / "taubnut_k1m1.json",
+             "taubnut-m0": d / "m0.json", "bowsol": d / "sol.json"}
+    assert run_cli("generate", "--kind", "taubnut-m0", "--out",
+                   str(files["taubnut-m0"])) == 0
+    assert run_cli("generate", "--kind", "bowsol", "--m", "1", "--out",
+                   str(files["bowsol"])) == 0
+    return files
+
+
+@pytest.mark.parametrize("kind, field, value", _BAD_SIZES)
+def test_size_fields_must_be_json_integers_exit_2(kind, field, value,
+                                                  size_inputs, tmp_path,
+                                                  capsys):
+    """k >= 1, m >= 1 for the m >= 1 kinds, m absent or 0 for the -m0 kinds
+    and rep m >= 0, each a JSON integer: anything else exits 2 with one
+    JSON parse error, whatever the command."""
+    capsys.readouterr()
+    obj = json.loads(size_inputs[kind].read_text())
+    (obj["rep"] if kind == "bowsol" else obj)[field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    commands = ["validate", "dirac"] if kind == "bowsol" else \
+        ["validate", "fiber", "roundtrip"]
+    for command in commands:
+        out = tmp_path / "out"
+        assert run_cli(command, "--input", str(path),
+                       *_CONTRACT_ARGS[command], "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "parse" and field in err["message"]
+
+
+def test_request_too_large_for_memory_exit_1(tmp_path, monkeypatch, capsys):
+    """A MemoryError (a tiny nahm-flow --step asks for TiBs of samples)
+    ends in one JSON error and exit 1, not a traceback."""
+    sol_file = tmp_path / "sol.json"
+    assert run_cli("generate", "--kind", "bowsol", "--m", "1",
+                   "--out", str(sol_file)) == 0
+    capsys.readouterr()
+
+    def too_large(*args, **kw):
+        raise MemoryError("Unable to allocate 3.64 TiB")
+
+    monkeypatch.setattr(nb, "flow", too_large)
+    out = tmp_path / "drift.csv"
+    assert run_cli("nahm-flow", "--input", str(sol_file), "--step", "1e-12",
+                   "--out", str(out)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)
+    assert set(err) == {"error"}
+    assert err["error"] == {"type": "MemoryError",
+                            "message": "Unable to allocate 3.64 TiB"}

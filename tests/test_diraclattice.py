@@ -405,7 +405,8 @@ def test_gram_normaliser_matches_eigvalsh(pair):
             dl = dlm.assemble(sol, pt, grid)
             W = _weighted(dl)
             want = np.linalg.eigvalsh(W @ W.conj().T)[-1]
-            lower, value, upper = dlm._gram_top_bracket(dl)
+            lower, value, upper = dlm._gram_top_bracket(
+                dl, dlm._gram(dl, dl.h))
             assert abs(value - want) <= 1e-13 * want
             assert lower <= want <= upper
             assert upper - lower <= 1e-12 * value

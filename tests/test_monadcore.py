@@ -621,6 +621,45 @@ def test_out_of_window_map_raises():
                             0).dimension == 1
 
 
+def _window_edge_monad():
+    """alpha of three monomials from one left block into two middle blocks
+    on the (xi, psi) chart: on B_eta lines it sends an exponent out of the
+    middle windows at some twists d and not at others."""
+    return mc.ParamMonad.from_blocks("xi_psi", (
+        [mc.BlockSpec("U", {"Cinf": -3}, 1)],
+        [mc.BlockSpec("V", {"C0": 5, "Cinf": -3}, 1),
+         mc.BlockSpec("V2", {"C0": 1, "Cinf": -2}, 1)],
+        [mc.BlockSpec("W", {"C0": 5, "Cinf": -3}, 1)]),
+        [(0, 0, 0, 0, mk([[1]])), (1, 1, 1, 0, mk([[2]])),
+         (1, 0, 0, 0, mk([[3]]))],
+        [(0, 0, 0, 0, mk([[1, 5]])), (2, 0, 0, 1, mk([[2]]))])
+
+
+def test_leaves_matches_the_per_entry_overflow():
+    """A strict placement leaves the declared windows exactly where the
+    per-entry reference finds a nonzero block without a target slot."""
+    seen = set()
+    line = Line("B_eta", 0.7)
+    for pm in (_window_edge_monad(), _shift_monad(1.0), _shift_monad(0.0)):
+        for d in range(-3, 4):
+            try:
+                sections_on_line(pm, line, d)
+            except nk.BowmonadError:
+                pass
+            aim = pm._plans["B_eta", d].Aim
+            if aim is None:
+                continue
+            try:
+                reference_block_action(pm, "alpha", line, aim.src, aim.dst,
+                                       True)
+                want = False
+            except mc.InternalTwistError:
+                want = True
+            assert aim.leaves == want
+            seen.add(want)
+    assert seen == {False, True}
+
+
 def _koszul_monad(n):
     """The Koszul complex of the sections 1 and xi^n of O(n) on the (xi, eta)
     chart: O(0, -1-n) -> O(0, -1)^2 -> O(0, n-1) with alpha = (1, -xi^n)^T
@@ -725,3 +764,33 @@ def test_refusals_survive_the_plans():
     for _ in range(2):
         with pytest.raises(mc.InternalTwistError, match="leaves"):
             sections_on_line(shift, Line("B_eta", 0.5), 0)
+
+
+def test_plans_are_built_once_per_ruling_and_twist(monkeypatch):
+    """Many lines of one ruling at d = -1 and 0 build one _SectionPlan per
+    (ruling, d) and one per-ruling entry on a monad; a second ruling adds
+    its own."""
+    built = []
+    plan_init, ruling = mc._SectionPlan.__init__, mc._ruling
+
+    def counted_plan(self, cols, entry, d):
+        built.append(("plan", d))
+        plan_init(self, cols, entry, d)
+
+    def counted_ruling(pm, kind):
+        built.append(("ruling", kind))
+        return ruling(pm, kind)
+
+    monkeypatch.setattr(mc._SectionPlan, "__init__", counted_plan)
+    monkeypatch.setattr(mc, "_ruling", counted_ruling)
+    pm = taubnut._big_monad_unchecked(taubnut.generate_taubnut(2, 1, seed=3))
+    values = [0.3, 1.3 - 0.4j, -0.6 + 0.9j, 2.1j, 0.8 + 0.8j]
+    for kind in ("B_eta", "L_xi"):
+        before = len(built)
+        for v in values:
+            for d in (-1, 0):
+                sections_on_line(pm, Line(kind, v), d)
+        assert sorted(built[before:]) == [("plan", -1), ("plan", 0),
+                                          ("ruling", kind)]
+    assert set(pm._plans) == {"B_eta", ("B_eta", -1), ("B_eta", 0),
+                              "L_xi", ("L_xi", -1), ("L_xi", 0)}
