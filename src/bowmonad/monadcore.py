@@ -261,27 +261,67 @@ class PolyMatrix:
         w = x ** self.P * y ** self.Q
         return (w @ self.C).reshape(*w.shape[:-1], *self.shape)
 
+    @cached_property
+    def _zi(self):
+        """Exact backend: C split once into Gaussian-integer numerators,
+        (re, im, den) with each part shaped (monomials, rows, cols); C is
+        read-only, so the split stays valid."""
+        re, im, den = nk._split(self.C)
+        shape = (len(self.C), *self.shape)
+        return (re.reshape(shape), None if im is None else im.reshape(shape),
+                den)
+
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self o other as matrix polynomials."""
+        """self o other as matrix polynomials.  On the exact backend the
+        entries are GaussianRational if either tensor holds one, Fraction
+        otherwise."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("composition shape mismatch")
-        factors: dict[tuple, tuple[list, list]] = {}
-        for (p1, q1), m1 in self.coeffs.items():
-            for (p2, q2), m2 in other.coeffs.items():
-                left, right = factors.setdefault((p1 + p2, q1 + q2), ([], []))
-                left.append(m1)
-                right.append(m2)
+        shape = (self.shape[0], other.shape[1])
+        if self.exact:
+            sums, den = self._exact_compose(other)
+            return PolyMatrix(shape, {key: nk._join(re, im, den)
+                                      for key, (re, im) in sums.items()}, True)
+        left, right = list(self.coeffs.values()), list(other.coeffs.values())
         out = {}
-        for key, (left, right) in factors.items():
-            if self.exact:
-                # the sum of the products is one product of the stacked factors
-                out[key] = mat_mul(np.hstack(left), np.vstack(right))
-            else:
-                # summed product by product: a stacked BLAS product would
-                # round in another order
-                out[key] = sum(map(mat_mul, left[1:], right[1:]),
-                               mat_mul(left[0], right[0]))
-        return PolyMatrix((self.shape[0], other.shape[1]), out, self.exact)
+        for key, (js, ks) in self._pairs(other).items():
+            # summed product by product: a stacked BLAS product would round
+            # in another order
+            out[key] = sum(map(mat_mul, [left[j] for j in js[1:]],
+                               [right[k] for k in ks[1:]]),
+                           mat_mul(left[js[0]], right[ks[0]]))
+        return PolyMatrix(shape, out)
+
+    def _pairs(self, other) -> dict:
+        """Per monomial of self o other, in the order first seen, the
+        monomial indices (js, ks) into self and other of the factor pairs
+        that give it."""
+        pairs: dict[tuple, tuple[list, list]] = {}
+        for j, (p1, q1) in enumerate(self.coeffs):
+            for k, (p2, q2) in enumerate(other.coeffs):
+                js, ks = pairs.setdefault((p1 + p2, q1 + q2), ([], []))
+                js.append(j)
+                ks.append(k)
+        return pairs
+
+    def _exact_compose(self, other):
+        """self o other in Z[i]: per monomial, (re, im) of the sum of its
+        factor products, as one product of the stacked numerators, all over
+        the denominator returned beside them."""
+        (lr, li, dl), (rr, ri, dr) = self._zi, other._zi
+        rows, n, cols = self.shape[0], self.shape[1], other.shape[1]
+
+        def side_by_side(X, js):
+            return None if X is None else \
+                X[js].transpose(1, 0, 2).reshape(rows, len(js) * n)
+
+        def stacked(X, ks):
+            return None if X is None else X[ks].reshape(len(ks) * n, cols)
+
+        sums = {key: nk._zi_dot(side_by_side(lr, js), side_by_side(li, js),
+                                stacked(rr, ks), stacked(ri, ks))
+                for key, (js, ks) in self._pairs(other).items()}
+        return sums, dl * dr
 
     def max_coeff_norm(self) -> float:
         if not self.coeffs:
@@ -408,11 +448,16 @@ class ParamMonad:
 
     def composite_residual(self) -> float:
         """0 when beta o alpha vanishes identically; relative size otherwise."""
-        comp = self.composite()
         if self.exact:
-            if all(nk.is_zero_matrix(m) for m in comp.coeffs.values()):
+            # decided on the Gaussian-integer sums; only a nonzero composite
+            # is divided out, for its largest coefficient norm
+            sums, den = self.beta._exact_compose(self.alpha)
+            if not any(any(part.ravel().tolist()) for re, im in sums.values()
+                       for part in (re, im) if part is not None):
                 return 0.0
-            return comp.max_coeff_norm()
+            return max(nk.mat_norm(nk._join(re, im, den))
+                       for re, im in sums.values())
+        comp = self.composite()
         den = max(self.alpha.max_coeff_norm() * self.beta.max_coeff_norm(), 1e-300)
         return comp.max_coeff_norm() / den
 

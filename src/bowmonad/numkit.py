@@ -9,12 +9,18 @@ Two matrix backends are used throughout the package:
 * exact: ``numpy`` object arrays of :class:`GaussianRational` (complex
   numbers with ``Fraction`` real and imaginary parts), or of ``Fraction``
   for real data.  Rank decisions are made by exact elimination and need no
-  gap.  The arithmetic is fraction-free: products (``mat_mul``), the
-  evaluation of exact matrix polynomials and the elimination (``rref``)
-  split each operand into two object arrays of Python ints, the real and
-  imaginary numerators over one common denominator, work in Z[i], and
-  divide once at the end, so a Fraction gcd is taken once per result entry
-  rather than once per multiply-add.
+  gap.  The arithmetic is fraction-free: an operand is split once into two
+  object arrays of Python ints, the real and imaginary numerators over one
+  common denominator, and whole chains of work stay in Z[i] on those
+  numerators before one division per result entry, so a Fraction gcd is
+  taken once per result rather than once per multiply-add.  The chains are
+  a product (``mat_mul``), the elimination (``rref``), the Faddeev-LeVerrier
+  steps of ``charpoly`` (M split once, one growing integer denominator, one
+  Fraction per coefficient), and the composite of two exact matrix
+  polynomials (``monadcore``: each read-only coefficient tensor split once,
+  the products of one output monomial summed in Z[i], and ``beta o alpha =
+  0`` decided on the integer sums).  Every product of two split operands
+  goes through ``_zi_dot``.
 
 The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
@@ -236,20 +242,33 @@ def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
         return np.dot(A, B)
     ar, ai, da = _split(A)
     br, bi, db = _split(B)
-    re, im = np.dot(ar, br), None
-    if ai is not None:
-        im = np.dot(ai, br)
-        if bi is not None:
-            re = re - np.dot(ai, bi)
-    if bi is not None:
-        im = np.dot(ar, bi) if im is None else im + np.dot(ar, bi)
-    return _join(re, im, da * db)
+    return _join(*_zi_dot(ar, ai, br, bi), da * db)
 
 
 # ---------------------------------------------------------------------------
 # fraction-free exact kernel: an exact array is split into Python-int
 # numerators over one common denominator, the work is done in Z[i], and the
 # result is divided once
+
+
+def _zi_dot(ar, ai, br, bi):
+    """(re, im) of the Gaussian-integer product (ar + i ai)(br + i bi) of
+    two split operands, object arrays of Python ints.  An imaginary part of
+    None is zero, and so is the im returned when both are None; a part that
+    holds only zeros (real data as GaussianRationals) costs no product."""
+    re = np.dot(ar, br)
+    if ai is None and bi is None:
+        return re, None
+    im = np.zeros(re.shape, dtype=object)
+    ai = ai if ai is not None and any(ai.ravel().tolist()) else None
+    bi = bi if bi is not None and any(bi.ravel().tolist()) else None
+    if ai is not None:
+        im = im + np.dot(ai, br)
+        if bi is not None:
+            re = re - np.dot(ai, bi)
+    if bi is not None:
+        im = im + np.dot(ar, bi)
+    return re, im
 
 
 def _gq(re: Fraction, im: Fraction) -> GaussianRational:
@@ -531,23 +550,45 @@ def charpoly(M: np.ndarray):
     Faddeev-LeVerrier on both backends: with M_1 = M, c_k = -tr(M_k) / k
     and M_{k+1} = M (M_k + c_k I).
 
-    An exact (n, n) matrix gives a list of n + 1 GaussianRationals (the
-    divisions are by integers, so the loop stays in Q(i)).  A float stack
-    (..., n, n) gives an (..., n + 1) array, one batched product per degree
-    for the whole stack."""
-    exact = is_exact(M)
-    if not exact:
-        M = np.asarray(M, dtype=complex)
+    An exact (n, n) matrix gives a list of n + 1 GaussianRationals.  It is
+    split once, M = N / e, and the steps stay in Z[i]: M_k = X_k / e_k with
+    X_1 = N, e_1 = e, X_{k+1} = N (k X_k - tr(X_k) I) and e_{k+1} = k e e_k,
+    so c_k = -tr(X_k) / (k e_k) is the one division of each coefficient.
+    A float stack (..., n, n) gives an (..., n + 1) array, one batched
+    product per degree for the whole stack."""
+    if is_exact(M):
+        return _exact_charpoly(M)
+    M = np.asarray(M, dtype=complex)
     n = M.shape[-1]
     d = np.arange(n)
-    coeffs = [GQ_ONE if exact else np.ones(M.shape[:-2], dtype=complex)]
-    Mk = exact_eye(n) if exact else np.eye(n, dtype=complex)
+    coeffs = [np.ones(M.shape[:-2], dtype=complex)]
+    Mk = np.eye(n, dtype=complex)
     for k in range(1, n + 1):
-        Mk = mat_mul(M, Mk) if exact else M @ Mk
+        Mk = M @ Mk
         c = Mk[..., d, d].sum(axis=-1) / -k
         coeffs.append(c)
-        Mk[..., d, d] += c if exact else c[..., None]
-    return coeffs if exact else np.stack(coeffs, axis=-1)
+        Mk[..., d, d] += c[..., None]
+    return np.stack(coeffs, axis=-1)
+
+
+def _exact_charpoly(M: np.ndarray) -> list:
+    nr, ni, e = _split(M)
+    n = len(nr)
+    coeffs = [GQ_ONE]
+    xr, xi, den = nr, ni, e
+    for k in range(1, n + 1):
+        tr = sum(xr.diagonal().tolist())
+        ti = 0 if xi is None else sum(xi.diagonal().tolist())
+        coeffs.append(_gq(Fraction(-tr, k * den), Fraction(-ti, k * den)))
+        if k < n:
+            xr = k * xr
+            xr.flat[::n + 1] -= tr
+            if xi is not None:
+                xi = k * xi
+                xi.flat[::n + 1] -= ti
+            xr, xi = _zi_dot(nr, ni, xr, xi)
+            den *= k * e
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

@@ -96,6 +96,12 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     pointwise injectivity/surjectivity of the fused monad at random points,
     and the two away-from-zero surjectivity certificates with their
     small-parameter singular value trend."""
+    return _validated(data, ctx)[0]
+
+
+def _validated(data, ctx: ToleranceContext):
+    """validate's report, with the fused monad of the float data that its
+    pointwise checks built."""
     report = ValidationReport()
     scale = max(nk.mat_norm(data.A), nk.mat_norm(data.B0), 1.0)
     names = ["relation_1", "relation_2", "relation_3"] if data.m else \
@@ -132,7 +138,7 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
 
     _add_invertibility_check(report, "monodromy_invertible",
                              data.monodromy if data.m else data.A, ctx)
-    return report
+    return report, pm
 
 
 def charpoly_identity(data) -> tuple[bool, float]:
@@ -178,10 +184,10 @@ def _pushdown_surjectivity(data, which: str, rng, ctx):
     var, fixed = (xi_band, psi_band) if which == "xi" else (psi_band, xi_band)
     template[fixed, cm:cm + k] = -(data.Bht if which == "xi" else data.Bth)
 
-    ts = [rng.standard_normal() + 1j * rng.standard_normal()
-          for _ in range(100)]
+    z = rng.standard_normal(200)           # (re, im) of 100 samples in turn
+    ts = z[0::2] + 1j * z[1::2]
     trend_ts = [1.0, 0.1, 0.01, 0.001]
-    ts = np.array([t for t in ts if abs(t) >= 0.05] + trend_ts, dtype=complex)
+    ts = np.concatenate([ts[np.abs(ts) >= 0.05], trend_ts])
     stack = np.repeat(template[None], len(ts), axis=0)
     stack[:, var, cm:cm + k] = ts[:, None, None] * np.eye(k)
     s = np.linalg.svd(stack, compute_uv=False)
@@ -205,10 +211,14 @@ def _float_data(data):
 
 def big_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
               validated: ValidationReport | None = None) -> ParamMonad:
-    report = validated if validated is not None else validate(data, ctx)
-    if not report.passed:
-        raise BuildRefused("data fails validation:\n" + report.render())
-    return _big_monad_unchecked(data)
+    pm = None
+    if validated is None:
+        validated, pm = _validated(data, ctx)
+    if not validated.passed:
+        raise BuildRefused("data fails validation:\n" + validated.render())
+    # validation built the monad of the float data for its pointwise checks
+    return pm if pm is not None and not data.exact else \
+        _big_monad_unchecked(data)
 
 
 def _big_monad_unchecked(data) -> ParamMonad:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -445,11 +447,11 @@ def _add_monomial_reference(shape, blocks, exact):
     return coeffs
 
 
-def _builder_monads():
+def _builder_monads(backends=(False, True)):
     """Every monad builder on both data flavors at every (k, m) pair, seeds
-    0 and 1, on both backends."""
+    0 and 1, on both backends (or on those given)."""
     out = []
-    for exact in (False, True):
+    for exact in backends:
         for k, m in COMBOS:
             for seed in (0, 1):
                 dc = caloron.generate_caloron(k, m, seed=seed, exact=exact)
@@ -498,6 +500,61 @@ def test_builders_match_per_block_assembly(monkeypatch):
             else:
                 assert poly.C.dtype == complex
                 assert poly.C.tobytes() == C.tobytes()
+
+
+def _reference_compose(left, right):
+    """left o right as one exact product per monomial: the factors of its
+    pairs side by side times the stacked partners, each product split and
+    joined on its own."""
+    factors = {}
+    for (p1, q1), m1 in left.coeffs.items():
+        for (p2, q2), m2 in right.coeffs.items():
+            lf, rf = factors.setdefault((p1 + p2, q1 + q2), ([], []))
+            lf.append(m1)
+            rf.append(m2)
+    return {key: nk.mat_mul(np.hstack(lf), np.vstack(rf))
+            for key, (lf, rf) in factors.items()}
+
+
+def _reference_composite_residual(pm):
+    comp = _reference_compose(pm.beta, pm.alpha)
+    if all(nk.is_zero_matrix(m) for m in comp.values()):
+        return 0.0
+    return max(nk.mat_norm(m) for m in comp.values())
+
+
+def _broken_exact_monad():
+    """An exact fused monad with one beta coefficient moved off by a
+    Gaussian rational, so that beta o alpha does not vanish."""
+    pm = taubnut._big_monad_unchecked(
+        taubnut.generate_taubnut(2, 1, seed=0, exact=True))
+    coeffs = {key: mat.copy() for key, mat in pm.beta.coeffs.items()}
+    coeffs[0, 0][0, 0] = coeffs[0, 0][0, 0] + nk.GQ(Fraction(1, 3),
+                                                     Fraction(-2, 7))
+    beta = mc.PolyMatrix(pm.beta.shape, coeffs, exact=True)
+    return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, beta, exact=True)
+
+
+def test_exact_compose_matches_per_key_products():
+    """The composite of every exact monad the builders make from exact
+    data (finite_monad_family makes float monads) and of a monad whose
+    composite does not vanish, against one split-and-joined product per
+    monomial: the same keys in the same order, values and entry types;
+    composite_residual against the reference's, bit for bit."""
+    monads = [pm for pm in _builder_monads(backends=(True,)) if pm.exact]
+    assert len(monads) == 2 * (7 * 2 + 4 * 2)
+    broken = _broken_exact_monad()
+    for pm in monads + [broken]:
+        comp = pm.composite()
+        want = _reference_compose(pm.beta, pm.alpha)
+        assert list(comp.coeffs) == list(want)
+        for key, mat in want.items():
+            assert [(type(x), x) for x in comp.coeffs[key].flat] == \
+                [(type(x), x) for x in mat.flat]
+        res = pm.composite_residual()
+        assert type(res) is float
+        assert res == _reference_composite_residual(pm)
+        assert (res > 0.0) == (pm is broken)
 
 
 # ---------------------------------------------------------------------------

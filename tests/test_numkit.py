@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bowmonad import monadcore, numkit as nk
+from bowmonad import caloron, monadcore, numkit as nk, taubnut
 from bowmonad.numkit import GQ, ToleranceContext
 
 
@@ -424,6 +424,98 @@ def test_to_float_matches_entrywise_conversion(field):
     out = nk.to_float(M)
     assert out.dtype == complex
     assert (out == ref).all()
+
+
+def _ref_det_poly(M):
+    """det(eta I - M) by cofactor expansion along the first row, in Q(i)
+    arithmetic: coefficient lists, lowest degree first."""
+    def mul(a, b):
+        out = [GQ(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def det(rows):
+        if not rows:
+            return [GQ(1)]
+        total = [GQ(0)]
+        for j, entry in enumerate(rows[0]):
+            minor = [row[:j] + row[j + 1:] for row in rows[1:]]
+            term = mul(entry, det(minor))
+            total += [GQ(0)] * (len(term) - len(total))
+            for i, c in enumerate(term):
+                total[i] = total[i] + c if j % 2 == 0 else total[i] - c
+        return total
+
+    n = M.shape[0]
+    return det([[[GQ(0) - M[i, j]] + ([GQ(1)] if i == j else [])
+                 for j in range(n)] for i in range(n)])
+
+
+def _charpoly_oracle_inputs():
+    """B0, B1 and the monodromy (m > 0) or A (m = 0) of the exact draws of
+    both flavors at every (k, m) pair, seeds 0-3, then a Fraction-only
+    matrix, a 1 x 1 and a 0 x 0 one."""
+    out = []
+    for gen in (caloron.generate_caloron, taubnut.generate_taubnut):
+        for k, m in ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)):
+            for seed in range(4):
+                d = gen(k, m, seed=seed, exact=True)
+                out += [d.B0, d.B1, d.monodromy if m else d.A]
+    rng = np.random.default_rng(8)
+    out.append(_oracle_matrix(rng, 4, 4, Fraction, big=True))
+    out.append(_oracle_matrix(rng, 1, 1, GQ, big=True))
+    out.append(np.empty((0, 0), dtype=object))
+    return out
+
+
+def test_exact_charpoly_matches_cofactor_determinant():
+    """The exact Faddeev-LeVerrier of numkit.charpoly against det(eta I - M)
+    expanded by cofactors: equal values, GaussianRational entries."""
+    inputs = _charpoly_oracle_inputs()
+    assert {M.shape[0] for M in inputs} == {0, 1, 2, 3, 4}
+    for M in inputs:
+        got = nk.charpoly(M)
+        assert all(type(c) is GQ for c in got)
+        assert got == _ref_det_poly(M)[::-1]
+
+
+@pytest.fixture
+def split_join_counts(monkeypatch):
+    """Counts of numkit._split and numkit._join calls, by name."""
+    counts = {"split": 0, "join": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(nk, "_split", counted("split", nk._split))
+    monkeypatch.setattr(nk, "_join", counted("join", nk._join))
+    return counts
+
+
+def test_exact_chains_split_once_and_join_results_only(split_join_counts):
+    """charpoly of an exact n x n matrix splits it once and joins nothing;
+    composite_residual of a closing exact monad splits each map's tensor
+    once, on first use, and joins nothing."""
+    counts = split_join_counts
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 3, 4, 5):
+        for field in (GQ, Fraction):
+            counts.update(split=0, join=0)
+            nk.charpoly(_oracle_matrix(rng, n, n, field, big=True))
+            assert counts == {"split": 1, "join": 0}
+    for k, m in ((1, 0), (2, 1), (3, 0)):
+        d = taubnut.generate_taubnut(k, m, seed=2, exact=True)
+        for pm in (taubnut._big_monad_unchecked(d),
+                   caloron.small_monad(caloron.generate_caloron(
+                       k, m, seed=2, exact=True))):
+            for splits in (2, 0):
+                counts.update(split=0, join=0)
+                assert pm.composite_residual() == 0.0
+                assert counts == {"split": splits, "join": 0}
 
 
 def test_full_rank_margin_is_finite_and_can_fail():

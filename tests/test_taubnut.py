@@ -76,6 +76,78 @@ def test_big_monad_exact_identity():
         assert tn._big_monad_unchecked(d).composite_residual() == 0.0
 
 
+def test_big_monad_builds_the_float_monad_once(monkeypatch):
+    """big_monad without a report returns the fused monad its validation
+    built, on float data: one build per call, with the tensors of a build
+    of its own.  Exact data keep their exact build beside the float one."""
+    built = []
+    from_blocks = mc.ParamMonad.from_blocks.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(from_blocks(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(mc.ParamMonad, "from_blocks", classmethod(counted))
+    for data in (worked_example(), tn.generate_taubnut(2, 1, seed=0),
+                 tn.generate_taubnut(3, 0, seed=1)):
+        built.clear()
+        pm = tn.big_monad(data)
+        assert built == [pm] and not pm.exact
+        want = tn._big_monad_unchecked(data)
+        for got, ref in ((pm.alpha, want.alpha), (pm.beta, want.beta)):
+            assert list(got.coeffs) == list(ref.coeffs)
+            for a, b in ((got.P, ref.P), (got.Q, ref.Q), (got.C, ref.C)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    data = tn.generate_taubnut(2, 1, seed=0, exact=True)
+    built.clear()
+    pm = tn.big_monad(data)
+    assert len(built) == 2 and built[-1] is pm and pm.exact
+
+
+def _pushdown_scalar_draws(data, which, rng, ctx=nk.DEFAULT_CTX):
+    """_pushdown_surjectivity with its 100 samples t drawn one scalar at a
+    time, the real part first."""
+    _, _, Ym1, Yp1 = tn._gluing(data)
+    k, m = data.k, data.m
+    rows = 3 * k + m
+    cm, cp = Ym1.shape[1], Yp1.shape[1]
+    template = np.zeros((rows, cm + k + cp), dtype=complex)
+    template[:k + m, :cm] = Ym1
+    template[:k + m, cm + k:] = -Yp1
+    template[k + m: 2 * k + m, :k] = -np.eye(k)
+    template[2 * k + m:, cm + k:cm + 2 * k] = np.eye(k)
+    xi_band, psi_band = slice(k + m, 2 * k + m), slice(2 * k + m, rows)
+    var, fixed = (xi_band, psi_band) if which == "xi" else (psi_band, xi_band)
+    template[fixed, cm:cm + k] = -(data.Bht if which == "xi" else data.Bth)
+    ts = [rng.standard_normal() + 1j * rng.standard_normal()
+          for _ in range(100)]
+    trend_ts = [1.0, 0.1, 0.01, 0.001]
+    ts = np.array([t for t in ts if abs(t) >= 0.05] + trend_ts, dtype=complex)
+    stack = np.repeat(template[None], len(ts), axis=0)
+    stack[:, var, cm:cm + k] = ts[:, None, None] * np.eye(k)
+    s = np.linalg.svd(stack, compute_uv=False)
+    sampled = s[:-len(trend_ts)]
+    margin = np.min(sampled[:, rows - 1]
+                    / (ctx.rank_tol * np.maximum(sampled[:, 0], 1.0)))
+    return float(margin), s[-len(trend_ts):, rows - 1].tolist()
+
+
+@pytest.mark.parametrize("data", [worked_example(),
+                                  tn.generate_taubnut(2, 1, seed=0),
+                                  tn.generate_taubnut(3, 0, seed=1),
+                                  tn.generate_taubnut(1, 2, seed=3, exact=True)])
+def test_pushdown_samples_match_scalar_draws(data):
+    """The samples drawn in one call give the margin and trend of scalar
+    draws bit for bit, xi side then psi side from one generator, and leave
+    the generator in the same state."""
+    fdata = tn._float_data(data)
+    rngs = np.random.default_rng(7), np.random.default_rng(7)
+    for which in ("xi", "psi"):
+        got = tn._pushdown_surjectivity(fdata, which, rngs[0], nk.DEFAULT_CTX)
+        assert got == _pushdown_scalar_draws(fdata, which, rngs[1])
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
 def test_build_refused():
     with pytest.raises(BuildRefused):
         tn.big_monad(worked_example(Bprime=mk([[0]])))
