@@ -15,7 +15,6 @@ which the test suite enforces rather than trusting the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from fractions import Fraction
 
 import numpy as np
 
@@ -575,97 +574,90 @@ def _generator_sizes(k: int, m: int) -> int:
     return abs(m)
 
 
-def _rand_int_mat(rng, shape, lo=-4, hi=5):
-    return rng.integers(lo, hi, size=shape)
+def _draw_ints(rng, shape, lo=-4, hi=5):
+    """Exact matrix of integers drawn uniformly from [lo, hi)."""
+    return nk.exact_matrix(rng.integers(lo, hi, size=shape))
 
 
 def _draw_caloron(k: int, m: int, rng, exact: bool):
     if m == 0:
         return _draw_caloron_m0(k, rng, exact)
     # integer draws keep the exact backend available
-    Ai = np.diag(rng.choice(np.arange(-6, 7), size=k, replace=False))
-    D2 = _rand_int_mat(rng, (1, k))
-    Ap = _rand_int_mat(rng, (m, k))
-    if np.any(D2 == 0) or np.any(Ap[m - 1] == 0):
+    A = _draw_diagonal(rng, k)
+    D2 = _draw_ints(rng, (1, k))
+    Ap = _draw_ints(rng, (m, k))
+    if not (all(D2.flat) and all(Ap[m - 1])):
         return None
     D1 = Ap[m - 1:m, :]
-    C1 = _rand_int_mat(rng, (k, 1))
-    C2, B = _solve_commutator(Ai, C1, D1, D2, rng)
-    Bp = np.array([[Fraction(int(x)) for x in _rand_int_mat(rng, (k,))]])
-    Cp = _solve_cprime(Bp, Ai, Ap, B, np.array(
-        [[Fraction(int(x)) for x in row] for row in np.vstack([D1, D2])],
-        dtype=object))
+    C1 = _draw_ints(rng, (k, 1))
+    C2, B = _solve_commutator(A, C1, D1, D2, rng)
+    Bp = _draw_ints(rng, (1, k))
+    Cp = _solve_cprime(Bp, A, Ap, B, np.vstack([D1, D2]))
     if Cp is None:
         return None
     C = np.hstack([C1, C2])
-    mats = dict(A=Ai, B=B, C=C, D2row=D2, Aprime=Ap, Bprime=Bp, Cprime=Cp)
+    mats = dict(A=A, B=B, C=C, D2row=D2, Aprime=Ap, Bprime=Bp, Cprime=Cp)
     return _pack(CaloronData, dict(k=k, m=m), mats, exact)
 
 
-def _solve_commutator(Ai, C1, D1, D2, rng):
-    """(C2, B) with [A, B] + C1 D1 + C2 D2 = 0 for the diagonal integer A:
+def _draw_diagonal(rng, k: int):
+    """Exact diagonal matrix of k distinct integers drawn from [-6, 6]."""
+    return nk.exact_matrix(np.diag(rng.choice(np.arange(-6, 7), size=k,
+                                              replace=False)))
+
+
+def _solve_commutator(A, C1, D1, D2, rng):
+    """(C2, B) with [A, B] + C1 D1 + C2 D2 = 0 for the exact diagonal A:
     C2 clears the diagonal of C1 D1, B's diagonal is drawn from rng and its
-    off-diagonal entries are solved, all as Fractions."""
-    k = len(Ai)
-    C1D1 = C1 @ D1
-    C2 = np.array([[Fraction(-C1D1[i, i], int(D2[0, i]))] for i in range(k)])
-    CD = C1D1 + C2 @ D2
-    B = np.zeros((k, k), dtype=object)
+    off-diagonal entries are solved."""
+    k = len(A)
+    C1D1 = nk.mat_mul(C1, D1)
+    C2 = nk.exact_matrix([[-C1D1[i, i] / D2[0, i]] for i in range(k)])
+    CD = C1D1 + nk.mat_mul(C2, D2)
+    B = nk.exact_zeros(k, k)
     for i in range(k):
         for j in range(k):
             if i == j:
-                B[i, j] = Fraction(int(rng.integers(-4, 5)))
+                B[i, j] = nk.GQ(rng.integers(-4, 5))
             else:
-                B[i, j] = Fraction(-CD[i, j], int(Ai[i, i] - Ai[j, j]))
+                B[i, j] = -CD[i, j] / (A[i, i] - A[j, j])
     return C2, B
 
 
 def _solve_cprime(Bp, A, Ap, B0, D):
     """Relation 2 solved for Cprime: Cprime D = K with
     K = e- B' A + shift A' - A' B0, so Cprime = K D^-1 for k = 2 and, for
-    k = 1, K / D00 beside a zero second column.  D holds Fractions; None
-    when the solve is singular."""
+    k = 1, K / D00 beside a zero second column; None when the solve is
+    singular."""
     m, k = Ap.shape
-    em = np.zeros((m, 1), dtype=object)
-    em[0, 0] = Fraction(1)
-    shift = np.zeros((m, m), dtype=object)
-    for i in range(m - 1):
-        shift[i + 1, i] = Fraction(1)
-    K = em @ Bp @ A + shift @ Ap - Ap @ B0
+    K = (nk.mat_mul(nk.mat_mul(_e_minus_col(m, True), Bp), A)
+         + nk.mat_mul(_shift_matrix(m, True), Ap) - nk.mat_mul(Ap, B0))
     if k == 1:
-        if D[0, 0] == 0:
+        if not D[0, 0]:
             return None
-        return np.array([[Fraction(K[i, 0]) / D[0, 0], Fraction(0)]
-                         for i in range(m)], dtype=object)
+        return np.hstack([K / D[0, 0], nk.exact_zeros(m, 1)])
     Dinv = nk.exact_inverse(D)
-    return None if Dinv is None else K @ Dinv
+    return None if Dinv is None else nk.mat_mul(K, Dinv)
 
 
 def _draw_caloron_m0(k: int, rng, exact: bool):
-    Ai = np.diag(rng.choice(np.arange(-6, 7), size=k, replace=False))
-    C1 = _rand_int_mat(rng, (k, 1))
-    D1 = _rand_int_mat(rng, (1, k))
-    D2 = _rand_int_mat(rng, (1, k))
-    if np.any(D2 == 0):
+    A = _draw_diagonal(rng, k)
+    C1 = _draw_ints(rng, (k, 1))
+    D1 = _draw_ints(rng, (1, k))
+    D2 = _draw_ints(rng, (1, k))
+    if not all(D2.flat):
         return None
-    C2, B0 = _solve_commutator(Ai, C1, D1, D2, rng)
+    C2, B0 = _solve_commutator(A, C1, D1, D2, rng)
     C = np.hstack([C1, C2])
     D = np.vstack([D1, D2])
-    mats = dict(A=Ai, B0=B0, C=C, D=D)
+    mats = dict(A=A, B0=B0, C=C, D=D)
     return _pack(CaloronDataM0, dict(k=k), mats, exact)
 
 
 def _pack(cls, meta, mats, exact: bool):
-    """Data of class cls from integer or Fraction draws.  Fractions built
-    from numpy integers keep numpy numerators, which overflow in later
-    exact arithmetic, so the exact backend stores Python ints."""
-    out = {}
-    for name, M in mats.items():
-        M = np.atleast_2d(M)
-        if exact:
-            out[name] = nk.exact_matrix(
-                [[Fraction(int(f.numerator), int(f.denominator))
-                  for f in map(Fraction, row)] for row in M])
-        else:
-            out[name] = np.array([[complex(e) for e in row] for row in M])
-    return cls(**meta, **out)
+    """Data of class cls from exact draws: as drawn on the exact backend,
+    each matrix through to_float on the float one (both round n / d
+    correctly)."""
+    if not exact:
+        mats = {name: nk.to_float(M) for name, M in mats.items()}
+    return cls(**meta, **mats)

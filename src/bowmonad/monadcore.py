@@ -273,8 +273,8 @@ class PolyMatrix:
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other as matrix polynomials.  On the exact backend the
-        entries are GaussianRational if either tensor holds one, Fraction
-        otherwise."""
+        entries are GaussianRational; a real tensor (every imaginary part
+        zero) costs no imaginary products."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("composition shape mismatch")
         shape = (self.shape[0], other.shape[1])
@@ -374,10 +374,11 @@ def _summed_blocks(shape, blocks, exact) -> PolyMatrix:
     """The matrix polynomial of (p, q, r0, c0, payload) blocks: each payload
     added into the coefficient of x^p y^q with its top-left entry at
     (r0, c0), its extent read from its shape.  Monomials keep the order in
-    which they are first seen."""
+    which they are first seen.  An exact monad takes exact payloads only."""
     mats: dict[tuple, np.ndarray] = {}
     for p, q, r0, c0, payload in blocks:
-        payload = np.asarray(payload) if not exact else payload
+        if exact and not nk.is_exact(payload):
+            raise TypeError("an exact monad takes exact payloads only")
         h, w = np.shape(payload)
         if r0 + h > shape[0] or c0 + w > shape[1]:
             raise ValueError(f"block {(h, w)} at {(r0, c0)} leaves {shape}")
@@ -387,12 +388,10 @@ def _summed_blocks(shape, blocks, exact) -> PolyMatrix:
         blk = tgt[r0:r0 + h, c0:c0 + w]
         if exact:
             # the blocks of one monomial rarely overlap, so most targets are
-            # zero: a zero entry takes a GaussianRational payload entry as it
-            # is, and only a nonzero target or an int or Fraction entry (which
-            # the sum coerces) costs an exact sum
-            for ij, x in np.ndenumerate(np.asarray(payload, dtype=object)):
-                blk[ij] = x if isinstance(x, nk.GQ) and not blk[ij] \
-                    else blk[ij] + x
+            # zero: a zero entry takes the payload entry as it is, and only
+            # a nonzero target costs an exact sum
+            for ij, x in np.ndenumerate(payload):
+                blk[ij] = blk[ij] + x if blk[ij] else x
         else:
             # a sum, not a copy: a -0.0 payload entry lands as +0.0
             blk += payload

@@ -630,11 +630,6 @@ class BowComplexTN:
         return Minv @ self.beta_mid_plus @ self.monodromy if not self.exact \
             else nk.mat_mul(nk.mat_mul(Minv, self.beta_mid_plus), self.monodromy)
 
-    def covariance_residual(self) -> float:
-        lhs = nk.to_float(self.beta_mid_plus) @ nk.to_float(self.monodromy)
-        rhs = nk.to_float(self.monodromy) @ nk.to_float(self.beta_mid_minus)
-        return float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-
     def edge_residual(self) -> float:
         B0 = nk.to_float(self.B0)
         B1 = nk.to_float(self.B1)

@@ -7,20 +7,21 @@ Two matrix backends are used throughout the package:
   finite singular-value margin, at full rank too; ambiguous cuts raise
   :class:`GapTooSmall` instead of silently picking a rank.
 * exact: ``numpy`` object arrays of :class:`GaussianRational` (complex
-  numbers with ``Fraction`` real and imaginary parts), or of ``Fraction``
-  for real data.  Rank decisions are made by exact elimination and need no
-  gap.  The arithmetic is fraction-free: an operand is split once into two
-  object arrays of Python ints, the real and imaginary numerators over one
-  common denominator, and whole chains of work stay in Z[i] on those
-  numerators before one division per result entry, so a Fraction gcd is
-  taken once per result rather than once per multiply-add.  The chains are
-  a product (``mat_mul``), the elimination (``rref``), the Faddeev-LeVerrier
-  steps of ``charpoly`` (M split once, one growing integer denominator, one
-  Fraction per coefficient), and the composite of two exact matrix
-  polynomials (``monadcore``: each read-only coefficient tensor split once,
-  the products of one output monomial summed in Z[i], and ``beta o alpha =
-  0`` decided on the integer sums).  Every product of two split operands
-  goes through ``_zi_dot``.
+  numbers with ``Fraction`` real and imaginary parts), the one exact array
+  type; real data are those whose imaginary parts are all zero, decided by
+  value.  Rank decisions are made by exact elimination and need no gap.
+  The arithmetic is fraction-free: an operand is split once into Python-int
+  numerators over one common denominator, the real part and the imaginary
+  part (``None`` when every imaginary part is zero), and whole chains of
+  work stay in Z[i] on those numerators before one division per result
+  entry, so a Fraction gcd is taken once per result rather than once per
+  multiply-add.  The chains are a product (``mat_mul``), the elimination
+  (``rref``), the Faddeev-LeVerrier steps of ``charpoly`` (M split once,
+  one growing integer denominator, one Fraction per coefficient), and the
+  composite of two exact matrix polynomials (``monadcore``: each read-only
+  coefficient tensor split once, the products of one output monomial summed
+  in Z[i], and ``beta o alpha = 0`` decided on the integer sums).  Every
+  product of two split operands goes through ``_zi_dot``.
 
 The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
@@ -61,21 +62,25 @@ class GaussianRational:
     """Element of Q(i), stored as a pair of Fractions.
 
     Arithmetic is closed and exact; division by zero raises
-    ``ZeroDivisionError`` as usual.
+    ``ZeroDivisionError`` as usual.  A result is made from the Fractions
+    its parts compute (``_gq``), and a real factor or divisor costs two
+    Fraction operations.
     """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction of a numpy integer keeps it as its numerator, which
+        # overflows in later products
+        self.re = Fraction(int(re) if isinstance(re, np.integer) else re)
+        self.im = Fraction(int(im) if isinstance(im, np.integer) else im)
 
     # -- ring ops ----------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return _gq(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
@@ -83,7 +88,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        return _gq(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -95,10 +100,10 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if not other.im:
+            return _gq(self.re * other.re, self.im * other.re)
+        return _gq(self.re * other.re - self.im * other.im,
+                   self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
 
@@ -106,13 +111,13 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if not other:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        if not other.im:
+            return _gq(self.re / other.re, self.im / other.re)
+        d = other.re * other.re + other.im * other.im
+        return _gq((self.re * other.re + self.im * other.im) / d,
+                   (self.im * other.re - self.re * other.im) / d)
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -121,7 +126,7 @@ class GaussianRational:
         return other / self
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gq(-self.re, -self.im)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -149,7 +154,7 @@ class GaussianRational:
 
     # -- misc ---------------------------------------------------------------
     def conjugate(self):
-        return GaussianRational(self.re, -self.im)
+        return _gq(self.re, -self.im)
 
     def __repr__(self):
         return f"GQ({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
@@ -158,7 +163,7 @@ class GaussianRational:
 def _coerce(x):
     if isinstance(x, GaussianRational):
         return x
-    if isinstance(x, (int, Fraction)):
+    if isinstance(x, (int, Fraction, np.integer)):
         return GaussianRational(x, 0)
     return NotImplemented
 
@@ -187,7 +192,8 @@ def is_exact(M) -> bool:
 
 
 def exact_matrix(rows) -> np.ndarray:
-    """Object array of GaussianRationals from nested int/Fraction/GQ data."""
+    """Object array of GaussianRationals from nested int/Fraction/GQ data
+    (numpy integers included)."""
     rows = [[e if isinstance(e, GQ) else GQ(e) for e in row] for row in rows]
     out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
     for i, row in enumerate(rows):
@@ -230,9 +236,9 @@ def eye_like_backend(n: int, exact: bool) -> np.ndarray:
 
 
 def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B.  Two exact operands are multiplied fraction-free; the product
-    holds GaussianRational entries if either operand holds one, Fraction
-    entries otherwise."""
+    """A @ B.  Two exact operands are multiplied fraction-free into
+    GaussianRational entries; a real operand (every imaginary part zero)
+    costs no imaginary products."""
     if A.shape[1] != B.shape[0]:
         raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
     if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
@@ -254,20 +260,16 @@ def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _zi_dot(ar, ai, br, bi):
     """(re, im) of the Gaussian-integer product (ar + i ai)(br + i bi) of
     two split operands, object arrays of Python ints.  An imaginary part of
-    None is zero, and so is the im returned when both are None; a part that
-    holds only zeros (real data as GaussianRationals) costs no product."""
+    None is zero and costs no product; so is the im returned when both are
+    None."""
     re = np.dot(ar, br)
-    if ai is None and bi is None:
-        return re, None
-    im = np.zeros(re.shape, dtype=object)
-    ai = ai if ai is not None and any(ai.ravel().tolist()) else None
-    bi = bi if bi is not None and any(bi.ravel().tolist()) else None
+    im = None
     if ai is not None:
-        im = im + np.dot(ai, br)
+        im = np.dot(ai, br)
         if bi is not None:
             re = re - np.dot(ai, bi)
     if bi is not None:
-        im = im + np.dot(ar, bi)
+        im = np.dot(ar, bi) if im is None else im + np.dot(ar, bi)
     return re, im
 
 
@@ -280,29 +282,33 @@ def _gq(re: Fraction, im: Fraction) -> GaussianRational:
 
 def _split(M: np.ndarray):
     """(re, im, den) with M = (re + i im) / den: re and im are object arrays
-    of Python ints, den the least common denominator of every part.  Entries
-    may be GaussianRational, Fraction or int; im is None when no entry is a
-    GaussianRational."""
-    parts = M.ravel().tolist()
-    gq = any(isinstance(e, GaussianRational) for e in parts)
-    if gq:
-        parts = ([e.re if isinstance(e, GaussianRational) else e for e in parts]
-                 + [e.im if isinstance(e, GaussianRational) else 0 for e in parts])
+    of Python ints, den the least common denominator of every part.  im is
+    None exactly when every imaginary part is zero (real data)."""
+    entries = M.ravel().tolist()
+    parts = [e.re for e in entries]
+    ims = [e.im for e in entries]
+    real = not any(ims)
+    if not real:
+        parts += ims
     ratios = [p.as_integer_ratio() for p in parts]
     den = math.lcm(*{d for _, d in ratios})
     nums = np.array([n * (den // d) for n, d in ratios], dtype=object)
-    if not gq:
+    if real:
         return nums.reshape(M.shape), None, den
     half = len(nums) // 2
     return nums[:half].reshape(M.shape), nums[half:].reshape(M.shape), den
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
 def _join(re: np.ndarray, im, den: int) -> np.ndarray:
-    """The exact array (re + i im) / den: GaussianRational entries, or
-    Fraction entries when im is None."""
+    """The exact array (re + i im) / den of GaussianRationals; im None is
+    zero."""
     out = np.empty(re.shape, dtype=object)
     if im is None:
-        out.ravel()[:] = [Fraction(a, den) for a in re.ravel().tolist()]
+        out.ravel()[:] = [_gq(Fraction(a, den), _FRACTION_ZERO)
+                          for a in re.ravel().tolist()]
     else:
         out.ravel()[:] = [_gq(Fraction(a, den), Fraction(b, den))
                           for a, b in zip(re.ravel().tolist(), im.ravel().tolist())]
@@ -486,10 +492,9 @@ def rref(M: np.ndarray):
     """Reduced row echelon form of an exact matrix; returns (R, pivot
     columns).
 
-    Object arrays of GaussianRational and of Fraction both work; R holds
-    GaussianRational entries if M holds any, Fraction entries otherwise.
-    The RREF of a matrix is unique, so nothing read off it depends on the
-    choice of pivot rows.
+    R holds GaussianRational entries.  Real data (every imaginary part
+    zero) are eliminated over Z alone.  The RREF of a matrix is unique, so
+    nothing read off it depends on the choice of pivot rows.
     """
     re, im, (dr, di), pivots = _eliminate(M)
     if im is None:
@@ -498,22 +503,15 @@ def rref(M: np.ndarray):
     return _join(re * dr + im * di, im * dr - re * di, norm), pivots
 
 
-def _field(M: np.ndarray):
-    """Scalar type of an exact matrix: GaussianRational, or Fraction for
-    real rational data."""
-    return GQ if M.size == 0 or isinstance(M.flat[0], GQ) else Fraction
-
-
 def exact_kernel(M: np.ndarray) -> np.ndarray:
     """Kernel basis of an exact matrix, one column per free column of its
     RREF (that entry 1, the other free entries 0)."""
     R, pivots = rref(M)
     n = M.shape[1]
-    F = _field(M)
     free = [c for c in range(n) if c not in pivots]
-    kernel = np.full((n, len(free)), F(0), dtype=object)
+    kernel = exact_zeros(n, len(free))
     for j, c in enumerate(free):
-        kernel[c, j] = F(1)
+        kernel[c, j] = GQ_ONE
         for i, p in enumerate(pivots):
             kernel[p, j] = -R[i, c]
     return kernel
@@ -526,7 +524,7 @@ def exact_solve(A: np.ndarray, b: np.ndarray):
     R, pivots = rref(np.hstack([A, b]))
     if pivots and pivots[-1] >= n:
         return None
-    x = np.full((n, b.shape[1]), _field(A)(0), dtype=object)
+    x = exact_zeros(n, b.shape[1])
     for i, p in enumerate(pivots):
         x[p] = R[i, n:]
     return x
@@ -534,11 +532,7 @@ def exact_solve(A: np.ndarray, b: np.ndarray):
 
 def exact_inverse(M: np.ndarray):
     """Inverse of a square exact matrix, or None if it is singular."""
-    n = M.shape[0]
-    F = _field(M)
-    eye = np.full((n, n), F(0), dtype=object)
-    np.fill_diagonal(eye, F(1))
-    return exact_solve(M, eye)
+    return exact_solve(M, exact_eye(M.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -775,14 +769,8 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
     if xq is None or eq is None:
         return False
     k = A.shape[0]
-    stacked = exact_zeros(2 * k + D.shape[0], k)
-    for i in range(k):
-        for j in range(k):
-            stacked[i, j] = A[i, j] - (xq if i == j else GQ_ZERO)
-            stacked[k + i, j] = B[i, j] - (eq if i == j else GQ_ZERO)
-    for i in range(D.shape[0]):
-        for j in range(k):
-            stacked[2 * k + i, j] = D[i, j]
+    eye = exact_eye(k)
+    stacked = np.vstack([A - xq * eye, B - eq * eye, D])
     return len(_eliminate(stacked)[3]) < k
 
 

@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
 
 import numpy as np
 
 from . import numkit as nk
 from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
-                      _add_obstruction_check, _e_minus_col, _e_plus_row,
-                      _generator_sizes, _gluing, _mixed_pencil_left, _pack,
-                      _read_back_m0, _read_normal_form, _solve_cprime)
+                      _add_obstruction_check, _draw_ints, _e_minus_col,
+                      _e_plus_row, _generator_sizes, _gluing,
+                      _mixed_pencil_left, _pack, _read_back_m0,
+                      _read_normal_form, _solve_cprime)
 from .monadcore import TWISTS, BlockSpec, ParamMonad, block_starts
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
                       TransportSingular, _inv, _normalize_pair,
@@ -483,31 +483,29 @@ def generate_taubnut(k: int, m: int, seed: int = 0, exact: bool = False,
 
 
 def _draw_taubnut(k: int, m: int, rng, exact: bool):
-    Bht = _int_frac(rng, (k, k))
-    Bth = _int_frac(rng, (k, k))
-    A = _int_frac(rng, (k, k))
-    Ap = _int_frac(rng, (m, k))
-    D2 = _int_frac(rng, (1, k))
+    Bht = _draw_ints(rng, (k, k))
+    Bth = _draw_ints(rng, (k, k))
+    A = _draw_ints(rng, (k, k))
+    Ap = _draw_ints(rng, (m, k))
+    D2 = _draw_ints(rng, (1, k))
     D1 = Ap[m - 1:m, :]
     D = np.vstack([D1, D2])
-    B0 = Bht @ Bth
-    B1 = Bth @ Bht
-    R = B1 @ A - A @ B0                # C D must equal R
+    B0 = nk.mat_mul(Bht, Bth)
+    B1 = nk.mat_mul(Bth, Bht)
+    R = nk.mat_mul(B1, A) - nk.mat_mul(A, B0)     # C D must equal R
     if k == 1:
-        if D[0, 0] != 0:
-            c2 = Fraction(1)
-            C = np.array([[(R[0, 0] - c2 * D[1, 0]) / D[0, 0], c2]],
-                         dtype=object)
-        elif D[1, 0] != 0:
-            C = np.array([[Fraction(1), R[0, 0] / D[1, 0]]], dtype=object)
+        if D[0, 0]:
+            C = nk.exact_matrix([[(R[0, 0] - D[1, 0]) / D[0, 0], 1]])
+        elif D[1, 0]:
+            C = nk.exact_matrix([[1, R[0, 0] / D[1, 0]]])
         else:
             return None
     else:
         Dinv = nk.exact_inverse(D)
         if Dinv is None:
             return None
-        C = R @ Dinv
-    Bp = _int_frac(rng, (1, k))
+        C = nk.mat_mul(R, Dinv)
+    Bp = _draw_ints(rng, (1, k))
     Cp = _solve_cprime(Bp, A, Ap, B0, D)
     if Cp is None:
         return None
@@ -519,62 +517,57 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
 def _draw_taubnut_m0(k: int, rng, exact: bool):
     # B0 with distinct integer eigenvalues; D1 a left eigenvector, C1 in the
     # orthogonal slice so the rank-one update preserves the spectrum
-    evals = rng.choice(np.arange(-5, 6), size=k, replace=False)
-    S = _int_frac(rng, (k, k))
+    evals = rng.choice(np.arange(-5, 6), size=k, replace=False).tolist()
+    S = _draw_ints(rng, (k, k))
     Sinv = nk.exact_inverse(S)
     if Sinv is None:
         return None
-    B0 = S @ np.diag([Fraction(int(v)) for v in evals]).astype(object) @ Sinv
-    D1 = (np.eye(k, dtype=object)[0:1] @ Sinv)          # left eigenvector
-    D1 = np.array([[Fraction(x) if not isinstance(x, Fraction) else x
-                    for x in D1[0]]])
-    cols = S[:, 1:] if k > 1 else None
+    B0 = nk.mat_mul(nk.mat_mul(S, nk.exact_matrix(np.diag(evals))), Sinv)
+    D1 = Sinv[0:1]                                   # left eigenvector
     if k == 1:
-        C1 = np.array([[Fraction(0)]], dtype=object)
+        C1 = nk.exact_zeros(1, 1)
     else:
-        w = _int_frac(rng, (k - 1, 1))
-        C1 = cols @ w                                    # D1 C1 = 0
-    B1 = B0 - C1 @ D1
+        C1 = nk.mat_mul(S[:, 1:], _draw_ints(rng, (k - 1, 1)))   # D1 C1 = 0
+    C1D1 = nk.mat_mul(C1, D1)
+    B1 = B0 - C1D1
     # edge: Bth conjugates B0 to B1 through the two eigenbases.  For v_i of
     # B0, B1 v_i = ev_i v_i unless D1 v_i != 0; D1 v_i = delta_{1i} in the S
     # basis, and the first eigenvector shifts: solve directly instead.
     V1 = _eigvecs(B1, evals)
     if V1 is None:
         return None
-    Bth = V1 @ Sinv
+    Bth = nk.mat_mul(V1, Sinv)
     Bth_inv = nk.exact_inverse(Bth)
     if Bth_inv is None:
         return None
-    Bht = B0 @ Bth_inv
+    Bht = nk.mat_mul(B0, Bth_inv)
     if k == 1:
         # CD = 0 is forced; keep both genericity conditions alive with
         # C = (0, 1) and D = (D1, 0)
-        A = _int_frac(rng, (1, 1))
-        if A[0, 0] == 0:
+        A = _draw_ints(rng, (1, 1))
+        if not A[0, 0]:
             return None
-        C = np.array([[Fraction(0), Fraction(1)]], dtype=object)
-        D = np.vstack([D1, np.array([[Fraction(0)]], dtype=object)])
+        C = nk.exact_matrix([[0, 1]])
+        D = np.vstack([D1, nk.exact_zeros(1, 1)])
         mats = dict(A=A, Bht=Bht, Bth=Bth, C=C, D=D)
         return _pack(TaubNutDataM0, dict(k=k), mats, exact)
     # A and C2 from the diagonal-free commutator solve in the B0 eigenbasis
-    D2 = _int_frac(rng, (1, k))
-    CD1_e = Sinv @ (C1 @ D1) @ S             # C1 D1 in the eigenbasis
-    D2_e = D2 @ S
-    if any(D2_e[0, i] == 0 for i in range(k)):
+    D2 = _draw_ints(rng, (1, k))
+    CD1_e = nk.mat_mul(nk.mat_mul(Sinv, C1D1), S)    # C1 D1 in the eigenbasis
+    D2_e = nk.mat_mul(D2, S)
+    if not all(D2_e.flat):
         return None
-    C2_e = np.array([[-CD1_e[i, i] / D2_e[0, i]] for i in range(k)],
-                    dtype=object)
-    CD_e = CD1_e + C2_e @ D2_e
-    Ae = np.zeros((k, k), dtype=object)
+    C2_e = nk.exact_matrix([[-CD1_e[i, i] / D2_e[0, i]] for i in range(k)])
+    CD_e = CD1_e + nk.mat_mul(C2_e, D2_e)
+    Ae = nk.exact_zeros(k, k)
     for i in range(k):
         for j in range(k):
             if i == j:
-                Ae[i, j] = Fraction(int(rng.integers(1, 5)))
+                Ae[i, j] = nk.GQ(rng.integers(1, 5))
             else:
-                Ae[i, j] = -CD_e[i, j] / Fraction(int(evals[j] - evals[i]))
-    A = S @ Ae @ Sinv
-    C2 = S @ C2_e
-    C = np.hstack([C1, C2])
+                Ae[i, j] = -CD_e[i, j] / (evals[j] - evals[i])
+    A = nk.mat_mul(nk.mat_mul(S, Ae), Sinv)
+    C = np.hstack([C1, nk.mat_mul(S, C2_e)])
     D = np.vstack([D1, D2])
     mats = dict(A=A, Bht=Bht, Bth=Bth, C=C, D=D)
     return _pack(TaubNutDataM0, dict(k=k), mats, exact)
@@ -584,16 +577,12 @@ def _eigvecs(B, evals):
     """Eigenvector matrix of B ordered to match evals, exactly; None unless
     every eigenvalue has a one-dimensional rational eigenspace."""
     k = B.shape[0]
-    V = np.zeros((k, k), dtype=object)
+    V = nk.exact_zeros(k, k)
     for i, ev in enumerate(evals):
-        kern = nk.exact_kernel(B - np.diag([Fraction(int(ev))] * k))
+        shifted = B.copy()
+        shifted.flat[::k + 1] -= ev
+        kern = nk.exact_kernel(shifted)
         if kern.shape[1] != 1:
             return None
         V[:, i] = kern[:, 0]
     return V
-
-
-def _int_frac(rng, shape, lo=-4, hi=5):
-    M = rng.integers(lo, hi, size=shape)
-    return np.array([[Fraction(int(x)) for x in row] for row in np.atleast_2d(M)],
-                    dtype=object)

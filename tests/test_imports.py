@@ -4,7 +4,9 @@ annotated field of a top-level class apart from dunder names, is referenced
 somewhere, and the library imports nothing but the standard library, numpy
 and itself (numpy is its only declared dependency).  No library module
 calls ``np.poly``: ``numkit.charpoly`` is the one characteristic
-polynomial.
+polynomial.  No library module but ``numkit`` and ``bowcli`` imports
+``fractions``: exact arrays hold ``GaussianRational``s, which ``numkit``
+defines and the ``bowcli`` parser builds.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -185,3 +187,35 @@ def test_scanner_flags_np_poly():
                          ids=lambda p: p.name)
 def test_no_np_poly_in_library(path):
     assert poly_uses(path.read_text()) == []
+
+
+FRACTION_MODULES = {"numkit.py", "bowcli.py"}
+
+
+def fractions_imports(source: str) -> list[str]:
+    """Every import of the ``fractions`` module or of a name from it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out += [f"import {alias.name} (line {node.lineno})"
+                    for alias in node.names
+                    if alias.name.split(".")[0] == "fractions"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "fractions":
+            out.append(f"from fractions import (line {node.lineno})")
+    return out
+
+
+def test_scanner_flags_fractions_imports():
+    src = ("import fractions\nfrom fractions import Fraction\n"
+           "import json, fractions as fr\nfrom .numkit import Fraction\n"
+           "x = numkit.Fraction(1, 2)\n")
+    assert fractions_imports(src) == ["import fractions (line 1)",
+                                      "from fractions import (line 2)",
+                                      "import fractions (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py")
+                                         if p.name not in FRACTION_MODULES),
+                         ids=lambda p: p.name)
+def test_fractions_only_in_numkit_and_bowcli(path):
+    assert fractions_imports(path.read_text()) == []

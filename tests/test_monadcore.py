@@ -371,8 +371,9 @@ def test_blocks_sum_into_read_only_coefficients():
 
 def test_payload_past_the_matrix_edge_raises():
     cols = ([mc.BlockSpec("U", {}, 3)], [mc.BlockSpec("V", {}, 2)], [])
-    corner = (0, 0, 1, 1, [[1, 2]])                     # ends at the corner
     for exact in (False, True):
+        block = nk.exact_matrix if exact else np.array
+        corner = (0, 0, 1, 1, block([[1, 2]]))          # ends at the corner
         pm = mc.ParamMonad.from_blocks("xi_eta", cols, [corner], [], exact)
         assert list(pm.alpha.coeffs) == [(0, 0)]
         assert pm.alpha.coeffs[(0, 0)].tolist() == [[0, 0, 0], [0, 1, 2]]
@@ -380,11 +381,14 @@ def test_payload_past_the_matrix_edge_raises():
                                 (2, 0, [[1]])):
             with pytest.raises(ValueError, match="leaves"):
                 mc.ParamMonad.from_blocks(
-                    "xi_eta", cols, [corner, (0, 0, r0, c0, payload)], [],
-                    exact)
+                    "xi_eta", cols, [corner, (0, 0, r0, c0, block(payload))],
+                    [], exact)
         with pytest.raises(ValueError, match="leaves"):      # beta is 0 x 2
             mc.ParamMonad.from_blocks("xi_eta", cols, [],
-                                      [(0, 0, 0, 0, [[1]])], exact)
+                                      [(0, 0, 0, 0, block([[1]]))], exact)
+    with pytest.raises(TypeError, match="exact payloads"):
+        mc.ParamMonad.from_blocks("xi_eta", cols, [(0, 0, 1, 1, [[1, 2]])],
+                                  [], True)
 
 
 def test_param_monad_allocates_maps_and_rejects_repeated_labels():

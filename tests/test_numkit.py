@@ -20,6 +20,36 @@ def test_gaussian_rational_field_ops():
         a / GQ(0)
 
 
+def test_numpy_integers_are_stored_as_python_ints():
+    """A numpy integer part is coerced to a Python int: a Fraction of an
+    int64 would keep it as its numerator and overflow in later products."""
+    assert type(GQ(np.int64(3), np.int32(-2)).re.numerator) is int
+    assert type(GQ(np.int64(3), np.int32(-2)).im.numerator) is int
+    assert GQ(1, 1) * np.int64(2) == GQ(2, 2)
+    M = nk.exact_matrix(np.array([[2**40]]))
+    assert nk.mat_mul(M, M)[0, 0] == GQ(2**80)
+    N = nk.exact_matrix(np.array([[2**40, 1], [3, 2**40]]))
+    det = 2**80 - 3
+    assert (nk.exact_inverse(N) == nk.exact_matrix(
+        [[Fraction(2**40, det), Fraction(-1, det)],
+         [Fraction(-3, det), Fraction(2**40, det)]])).all()
+
+
+def test_real_data_are_decided_by_value():
+    """_split gives im None exactly when every imaginary part is zero,
+    however the entries were made; _join always gives GaussianRationals."""
+    real = nk.exact_matrix([[GQ(1, 1) * GQ(1, -1), Fraction(-1, 3)],
+                            [GQ(1, 1) - GQ(0, 1), 0]])
+    re, im, den = nk._split(real)
+    assert im is None and den == 3 and re.tolist() == [[6, -1], [3, 0]]
+    real[1, 1] = GQ(0, Fraction(1, 5))
+    re, im, den = nk._split(real)
+    assert den == 15 and im.tolist() == [[0, 0], [0, 3]]
+    for parts in ((re, None, den), (re, im, den)):
+        assert all(type(e) is GQ for e in nk._join(*parts).flat)
+    assert (nk._join(re, im, den) == real).all()
+
+
 def test_rank_kernel_identity():
     rk = nk.rank_kernel(np.eye(3, dtype=complex))
     assert rk.rank == 3
@@ -210,6 +240,11 @@ def test_exact_solve():
     assert nk.exact_solve(A2, b2) is None
 
 
+# A ``field`` parameter names the field of the entries: GQ for Q(i), and
+# Fraction for Q, real data stored as GaussianRationals with zero imaginary
+# parts, which split with no imaginary numerators (im None)
+
+
 def _integer_matrix(rng, m, n, rank, field):
     """Seeded m x n matrix of the given rank with Gaussian-integer entries
     (integer entries for Fraction), as a float array and as an exact one."""
@@ -221,11 +256,8 @@ def _integer_matrix(rng, m, n, rank, field):
 
 
 def _as_exact(M, field):
-    if field is GQ:
-        return nk.exact_matrix([[GQ(int(z.real), int(z.imag)) for z in row]
-                                for row in M])
-    return np.array([[Fraction(int(z.real)) for z in row] for row in M],
-                    dtype=object)
+    return nk.exact_matrix([[GQ(int(z.real), int(z.imag) if field is GQ else 0)
+                             for z in row] for row in M])
 
 
 @pytest.mark.parametrize("field", [GQ, Fraction])
@@ -237,14 +269,13 @@ def test_exact_engine_kernel_rank_and_solve(field, m, n, rank):
         Mf, M = _integer_matrix(rng, m, n, rank, field)
         _, pivots = nk.rref(M)
         K = nk.exact_kernel(M)
-        assert all(isinstance(e, field) for e in K.flat)
+        assert all(type(e) is GQ for e in K.flat)
         assert nk.is_zero_matrix(M @ K)
         assert len(pivots) == rank == nk.rank_kernel(Mf).rank
         assert len(pivots) + K.shape[1] == n
-        if field is GQ:
-            rk = nk.rank_kernel(M)
-            assert rk.rank == rank
-            assert nk.is_zero_matrix(nk.conj_transpose(rk.cokernel) @ M)
+        rk = nk.rank_kernel(M)
+        assert rk.rank == rank
+        assert nk.is_zero_matrix(nk.conj_transpose(rk.cokernel) @ M)
         # a right-hand side in the image is solved with free variables 0
         b = M @ _as_exact(rng.integers(-3, 4, (n, 2)) + 0j, field)
         x = nk.exact_solve(M, b)
@@ -313,12 +344,13 @@ def _rational(rng, field, big):
     def part():
         num = int(rng.integers(-10**12, 10**12)) if big else int(rng.integers(-9, 10))
         return Fraction(num, _DENS[int(rng.integers(len(_DENS)))])
-    return GQ(part(), part()) if field is GQ else part()
+    return GQ(part(), part()) if field is GQ else GQ(part())
 
 
 def _oracle_matrix(rng, m, n, field, big=False, rank=None, zero_rows=0):
-    """Seeded exact m x n matrix: entries of Q(i) (or Q for Fraction), rank
-    at most `rank` when given, with its last `zero_rows` rows zero."""
+    """Seeded exact m x n matrix of GaussianRationals: entries of Q(i) (or
+    Q for Fraction), rank at most `rank` when given, with its last
+    `zero_rows` rows zero."""
     def draw(a, b):
         out = np.empty((a, b), dtype=object)
         for idx in np.ndindex(a, b):
@@ -326,7 +358,7 @@ def _oracle_matrix(rng, m, n, field, big=False, rank=None, zero_rows=0):
         return out
     M = draw(m, n) if rank is None else _ref_mat_mul(draw(m, rank), draw(rank, n))
     if zero_rows:
-        M[m - zero_rows:] = field(0)
+        M[m - zero_rows:] = GQ(0)
     return M
 
 
@@ -353,6 +385,8 @@ def test_mat_mul_matches_object_products(field, big, m, k, n):
 
 
 def test_mat_mul_mixed_fields_is_gaussian():
+    """Real times complex and complex times real: one operand splits with
+    im None, the other with imaginary numerators."""
     rng = np.random.default_rng(3)
     A = _oracle_matrix(rng, 3, 4, GQ, big=True)
     B = _oracle_matrix(rng, 4, 2, Fraction, big=True)
@@ -418,9 +452,9 @@ def test_exact_quotient_containment(field):
 def test_to_float_matches_entrywise_conversion(field):
     rng = np.random.default_rng(17)
     M = _oracle_matrix(rng, 5, 6, field, big=True)
-    M[0, 0] = field(Fraction(10**400 + 1, 3 * 10**399))   # beyond float range parts
-    ref = np.array([[complex(e.re) + 1j * complex(e.im) if field is GQ
-                     else complex(e) for e in row] for row in M])
+    M[0, 0] = GQ(Fraction(10**400 + 1, 3 * 10**399))   # beyond float range parts
+    ref = np.array([[complex(e.re) + 1j * complex(e.im) for e in row]
+                    for row in M])
     out = nk.to_float(M)
     assert out.dtype == complex
     assert (out == ref).all()
@@ -455,7 +489,7 @@ def _ref_det_poly(M):
 
 def _charpoly_oracle_inputs():
     """B0, B1 and the monodromy (m > 0) or A (m = 0) of the exact draws of
-    both flavors at every (k, m) pair, seeds 0-3, then a Fraction-only
+    both flavors at every (k, m) pair, seeds 0-3, then a real 4 x 4
     matrix, a 1 x 1 and a 0 x 0 one."""
     out = []
     for gen in (caloron.generate_caloron, taubnut.generate_taubnut):
