@@ -21,13 +21,12 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 
 import numpy as np
 
 from . import caloron, diraclattice, monadcore, nahmbow, numkit as nk, taubnut
 from .monadcore import Line, splitting_type
-from .numkit import GQ, ToleranceContext
+from .numkit import ToleranceContext
 
 
 class ParseError(Exception):
@@ -38,22 +37,20 @@ class ParseError(Exception):
 # scalar / matrix serialization
 
 
-def _num_to_json(z, exact: bool):
-    if exact:
-        return {"re": {"n": z.re.numerator, "d": z.re.denominator},
-                "im": {"n": z.im.numerator, "d": z.im.denominator}}
-    z = complex(z)
-    return [z.real, z.imag]
+def _part_to_json(n: int, den: int) -> dict:
+    """The reduced fraction n / den (den > 0) as {"n", "d"}."""
+    g = math.gcd(n, den)
+    return {"n": n // g, "d": den // g}
 
 
 def _num_from_json(obj, exact: bool):
-    """An f64 entry [re, im] of two finite reals, or an exact one
-    {"re": part, "im": part} whose parts are {"n": int, "d": nonzero int};
-    anything else raises ParseError."""
+    """An f64 entry [re, im] of two finite reals as a complex, or an exact
+    one {"re": part, "im": part} whose parts are {"n": int, "d": nonzero
+    int} as the pair of (n, d) pairs; anything else raises ParseError."""
     if exact:
         if not (isinstance(obj, dict) and "re" in obj and "im" in obj):
             raise ParseError(f"expected fraction pair, got {obj!r}")
-        return GQ(_fraction_from_json(obj["re"]), _fraction_from_json(obj["im"]))
+        return _ratio_from_json(obj["re"]), _ratio_from_json(obj["im"])
     if not (isinstance(obj, list) and len(obj) == 2
             and all(map(_is_finite_real, obj))):
         raise ParseError(f"expected [re, im] of finite reals, got {obj!r}")
@@ -82,18 +79,23 @@ def _size_from_json(v, what: str, least: int) -> int:
     return v
 
 
-def _fraction_from_json(part) -> Fraction:
+def _ratio_from_json(part) -> tuple[int, int]:
     n, d = (part.get(key) if isinstance(part, dict) else None
             for key in ("n", "d"))
     if type(n) is not int or type(d) is not int or d == 0:
         raise ParseError(f'expected {{"n": int, "d": nonzero int}}, '
                          f"got {part!r}")
-    return Fraction(n, d)
+    return n, d
 
 
 def matrix_to_json(M, exact: bool):
-    return [[_num_to_json(M[i, j], exact) for j in range(M.shape[1])]
-            for i in range(M.shape[0])]
+    if exact:
+        im = np.zeros(M.shape, dtype=object) if M.im is None else M.im
+        return [[{"re": _part_to_json(a, M.den), "im": _part_to_json(b, M.den)}
+                 for a, b in zip(*row)]
+                for row in zip(M.re.tolist(), im.tolist())]
+    return [[[z.real, z.imag] for z in row] for row in
+            np.asarray(M, dtype=complex).tolist()]
 
 
 def matrix_from_json(obj, shape, exact: bool):
@@ -101,8 +103,8 @@ def matrix_from_json(obj, shape, exact: bool):
             not isinstance(r, list) or len(r) != shape[1] for r in obj):
         raise ParseError(f"matrix must be {shape[0]}x{shape[1]} row-major")
     if exact:
-        return nk.exact_matrix([[_num_from_json(e, True) for e in row]
-                                for row in obj])
+        return nk.exact_from_ratios([_num_from_json(e, True) for row in obj
+                                     for e in row], shape)
     return np.array([[_num_from_json(e, False) for e in row] for row in obj],
                     dtype=complex)
 

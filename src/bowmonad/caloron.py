@@ -31,25 +31,15 @@ class NoValidDraw(nk.BowmonadError):
 
 def _shift_matrix(m: int, exact: bool):
     """Lower shift: ones on the first subdiagonal."""
-    out = nk.zeros_like_backend(m, m, exact)
-    one = nk.GQ_ONE if exact else 1.0
-    for i in range(m - 1):
-        out[i + 1, i] = one
-    return out
+    return nk.int_matrix(np.eye(m, k=-1, dtype=int), exact)
 
 
 def _e_minus_col(m: int, exact: bool):
-    out = nk.zeros_like_backend(m, 1, exact)
-    if m:
-        out[0, 0] = nk.GQ_ONE if exact else 1.0
-    return out
+    return nk.int_matrix(np.eye(m, 1, dtype=int), exact)
 
 
 def _e_plus_row(m: int, exact: bool):
-    out = nk.zeros_like_backend(1, m, exact)
-    if m:
-        out[0, m - 1] = nk.GQ_ONE if exact else 1.0
-    return out
+    return nk.int_matrix(np.eye(1, m, m - 1, dtype=int), exact)
 
 
 class _TupleCore:
@@ -107,49 +97,36 @@ class MposTuple(_TupleCore):
                 "Bprime": (1, k), "Cprime": (m, 2)}
 
     @property
-    def D(self) -> np.ndarray:
-        out = nk.zeros_like_backend(2, self.k, self.exact)
-        out[0:1, :] = self.Aprime[self.m - 1:self.m, :]
-        out[1:2, :] = self.D2row
-        return out
+    def D(self):
+        return nk.block([[self.Aprime[self.m - 1:self.m, :]], [self.D2row]])
 
     @property
     def shift(self):
         return _shift_matrix(self.m, self.exact)
 
     @property
-    def normal_form(self) -> np.ndarray:
+    def normal_form(self):
         """Constant block (B1, -C1 e+; e-^T B', shift - C1' e+): the large
         interval endomorphism in its normal form."""
-        k, m = self.k, self.m
-        out = nk.zeros_like_backend(k + m, k + m, self.exact)
-        em = _e_minus_col(m, self.exact)
-        ep = _e_plus_row(m, self.exact)
-        out[:k, :k] = self.B1
-        out[:k, k:] = -nk.mat_mul(self.C1, ep)
-        out[k:, :k] = nk.mat_mul(em, self.Bprime)
-        out[k:, k:] = self.shift - nk.mat_mul(self.Cprime[:, 0:1], ep)
-        return out
+        em = _e_minus_col(self.m, self.exact)
+        ep = _e_plus_row(self.m, self.exact)
+        return nk.block(
+            [[self.B1, -nk.mat_mul(self.C1, ep)],
+             [nk.mat_mul(em, self.Bprime),
+              self.shift - nk.mat_mul(self.Cprime[:, 0:1], ep)]])
 
     @property
-    def monodromy(self) -> np.ndarray:
+    def monodromy(self):
         """Krylov matrix [ (A; A'), v, M v, ..., M^{m-1} v ] with
         v = (C2; C2') and M the normal form; invertibility is the last
         non-degeneracy condition and the matrix itself is the large-interval
         parallel transport."""
-        k, m = self.k, self.m
-        out = nk.zeros_like_backend(k + m, k + m, self.exact)
-        out[:k, :k] = self.A
-        out[k:, :k] = self.Aprime
-        v = nk.zeros_like_backend(k + m, 1, self.exact)
-        v[:k, :] = self.C2
-        v[k:, :] = self.Cprime[:, 1:2]
+        v = nk.block([[self.C2], [self.Cprime[:, 1:2]]])
+        cols = [nk.block([[self.A], [self.Aprime]]), v]
         M = self.normal_form
-        for j in range(m):
-            out[:, k + j: k + j + 1] = v
-            if j < m - 1:
-                v = nk.mat_mul(M, v)
-        return out
+        for _ in range(self.m - 1):
+            cols.append(nk.mat_mul(M, cols[-1]))
+        return nk.block([cols])
 
     def relation_residuals(self):
         """The three algebraic constraints; zero for consistent data."""
@@ -299,9 +276,9 @@ def _add_invertibility_check(report, name, M, ctx):
 
 
 def _t(M):
-    """Plain transpose on both backends: a certificate of the transposed
-    pencil reports the same (xi, eta) as the pencil itself."""
-    return M.T.copy()
+    """Plain transpose on both backends (copied on floats): a certificate
+    of the transposed pencil reports the same (xi, eta) as the pencil."""
+    return M.T if is_exact(M) else M.T.copy()
 
 
 def _gluing(data):
@@ -313,21 +290,17 @@ def _gluing(data):
     Y+1 = (A, C2; A', C2').  At m = 0 the last row of W- is zero: the
     Taub-NUT monad puts its tail-jump row there."""
     k, m, exact = data.k, data.m, data.exact
-    Wm = nk.zeros_like_backend(k + m + 1, k + m, exact)
-    Wm[:k, :k] = -data.B1
-    Wm[k:, k:] = -_shift_matrix(m + 1, exact)[:, :m]     # (-shift; -e+)
-    Wp = nk.zeros_like_backend(k + 1, k, exact)
-    Wp[:k], Wp[k:] = -data.B0, -data.D[1:2, :]
-    Ym1 = nk.zeros_like_backend(k + m, k + m + 1, exact)
-    Ym1[:, :k + m] = nk.eye_like_backend(k + m, exact)
-    Ym1[:k, k + m:] = -data.C1
-    Yp1 = nk.zeros_like_backend(k + m, k + 1, exact)
-    Yp1[:k, :k], Yp1[:k, k:] = data.A, data.C2
+    zeros = lambda r, c: nk.zeros_like_backend(r, c, exact)
+    tail = nk.block([[-data.Bprime], [zeros(m, k)]]) if m else zeros(1, k)
+    Wm = nk.block([[-data.B1, zeros(k, m)],
+                   [tail, -_shift_matrix(m + 1, exact)[:, :m]]])  # (-shift; -e+)
+    Wp = nk.block([[-data.B0], [-data.D[1:2, :]]])
+    C1s, Yp1 = [[-data.C1]], [[data.A, data.C2]]
     if m:
-        Wm[k:k + 1, :k] = -data.Bprime
-        Ym1[k:, k + m:] = -data.Cprime[:, 0:1]
-        Yp1[k:, :k], Yp1[k:, k:] = data.Aprime, data.Cprime[:, 1:2]
-    return Wm, Wp, Ym1, Yp1
+        C1s.append([-data.Cprime[:, 0:1]])
+        Yp1.append([data.Aprime, data.Cprime[:, 1:2]])
+    Ym1 = nk.block([[nk.eye_like_backend(k + m, exact), nk.block(C1s)]])
+    return Wm, Wp, Ym1, nk.block(Yp1)
 
 
 def _mixed_pencil_left(data):
@@ -472,19 +445,14 @@ def _read_back_m0(A, B0, C1, D1, D2_stored, tol: float):
     k, exact = A.shape[0], nk.is_exact(A)
     R = -(nk.mat_mul(A, B0) - nk.mat_mul(B0, A)) - nk.mat_mul(C1, D1)
     pair = rank_one_factor(R, tol)
-    C2 = nk.zeros_like_backend(k, 1, exact)
     if pair is not None:
         C2, D2 = pair
     elif not nk.is_zero_matrix(D2_stored, 1e-12):
-        D2 = D2_stored
+        C2, D2 = nk.zeros_like_backend(k, 1, exact), D2_stored
     else:
-        C2[0, 0] = nk.GQ_ONE if exact else 1.0
+        C2 = nk.int_matrix(np.eye(k, 1, dtype=int), exact)
         D2 = nk.zeros_like_backend(1, k, exact)
-    C = nk.zeros_like_backend(k, 2, exact)
-    D = nk.zeros_like_backend(2, k, exact)
-    C[:, 0:1], C[:, 1:2] = C1, C2
-    D[0:1, :], D[1:2, :] = D1, D2
-    return C, D
+    return nk.block([[C1, C2]]), nk.block([[D1], [D2]])
 
 
 def _read_normal_form(k: int, m: int, M, N, tail, head, tol: float) -> dict:
@@ -509,12 +477,8 @@ def _read_normal_form(k: int, m: int, M, N, tail, head, tol: float) -> dict:
     if np.max(np.abs(rightf[:k, :k] - nk.to_float(head))) > tol * max(
             np.max(np.abs(rightf)), 1.0):
         raise NotInNormalForm("conjugated form does not continue the head block")
-    C = nk.zeros_like_backend(k, 2, exact)
-    C[:, 0:1] = -M[:k, k + m - 1:k + m]
-    C[:, 1:2] = N[:k, k:k + 1]
-    Cprime = nk.zeros_like_backend(m, 2, exact)
-    Cprime[:, 0:1] = -body[:, m - 1:m]
-    Cprime[:, 1:2] = N[k:, k:k + 1]
+    C = nk.block([[-M[:k, k + m - 1:k + m], N[:k, k:k + 1]]])
+    Cprime = nk.block([[-body[:, m - 1:m], N[k:, k:k + 1]]])
     return dict(A=N[:k, :k], C=C, D2row=right[k:k + 1, :k], Aprime=N[k:, :k],
                 Bprime=M[k:k + 1, :k], Cprime=Cprime)
 
@@ -576,7 +540,7 @@ def _generator_sizes(k: int, m: int) -> int:
 
 def _draw_ints(rng, shape, lo=-4, hi=5):
     """Exact matrix of integers drawn uniformly from [lo, hi)."""
-    return nk.exact_matrix(rng.integers(lo, hi, size=shape))
+    return nk.int_matrix(rng.integers(lo, hi, size=shape), True)
 
 
 def _draw_caloron(k: int, m: int, rng, exact: bool):
@@ -586,42 +550,40 @@ def _draw_caloron(k: int, m: int, rng, exact: bool):
     A = _draw_diagonal(rng, k)
     D2 = _draw_ints(rng, (1, k))
     Ap = _draw_ints(rng, (m, k))
-    if not (all(D2.flat) and all(Ap[m - 1])):
+    # integer draws: the numerators are the entries
+    if not (all(D2.re.flat) and all(Ap.re[m - 1])):
         return None
     D1 = Ap[m - 1:m, :]
     C1 = _draw_ints(rng, (k, 1))
-    C2, B = _solve_commutator(A, C1, D1, D2, rng)
+    C2, B = _solve_commutator(A, C1 @ D1, D2, rng, -4, 5)
     Bp = _draw_ints(rng, (1, k))
-    Cp = _solve_cprime(Bp, A, Ap, B, np.vstack([D1, D2]))
+    Cp = _solve_cprime(Bp, A, Ap, B, nk.block([[D1], [D2]]))
     if Cp is None:
         return None
-    C = np.hstack([C1, C2])
+    C = nk.block([[C1, C2]])
     mats = dict(A=A, B=B, C=C, D2row=D2, Aprime=Ap, Bprime=Bp, Cprime=Cp)
     return _pack(CaloronData, dict(k=k, m=m), mats, exact)
 
 
 def _draw_diagonal(rng, k: int):
     """Exact diagonal matrix of k distinct integers drawn from [-6, 6]."""
-    return nk.exact_matrix(np.diag(rng.choice(np.arange(-6, 7), size=k,
-                                              replace=False)))
+    return nk.int_matrix(np.diag(rng.choice(np.arange(-6, 7), size=k,
+                                            replace=False)), True)
 
 
-def _solve_commutator(A, C1, D1, D2, rng):
-    """(C2, B) with [A, B] + C1 D1 + C2 D2 = 0 for the exact diagonal A:
-    C2 clears the diagonal of C1 D1, B's diagonal is drawn from rng and its
-    off-diagonal entries are solved."""
-    k = len(A)
-    C1D1 = nk.mat_mul(C1, D1)
-    C2 = nk.exact_matrix([[-C1D1[i, i] / D2[0, i]] for i in range(k)])
-    CD = C1D1 + nk.mat_mul(C2, D2)
-    B = nk.exact_zeros(k, k)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                B[i, j] = nk.GQ(rng.integers(-4, 5))
-            else:
-                B[i, j] = -CD[i, j] / (A[i, i] - A[j, j])
-    return C2, B
+def _solve_commutator(A, CD1, D2, rng, lo: int, hi: int):
+    """(C2, X) with [A, X] + CD1 + C2 D2 = 0, A diagonal integer, CD1 and D2
+    real: C2 clears the diagonal of CD1, X's diagonal is drawn from
+    [lo, hi), and each other entry is one ratio of numerators."""
+    k, d = A.shape[0], A.re.diagonal().tolist()
+    N, M = CD1.re, D2.re
+    C2 = nk.exact_from_ratios([((-N[i, i] * D2.den, CD1.den * M[0, i]), (0, 1))
+                               for i in range(k)], (k, 1))
+    CD = CD1 + C2 @ D2
+    X = nk.exact_from_ratios([((int(rng.integers(lo, hi)), 1) if i == j else
+                               (-CD.re[i, j], CD.den * (d[i] - d[j])), (0, 1))
+                              for i in range(k) for j in range(k)], (k, k))
+    return C2, X
 
 
 def _solve_cprime(Bp, A, Ap, B0, D):
@@ -630,14 +592,14 @@ def _solve_cprime(Bp, A, Ap, B0, D):
     k = 1, K / D00 beside a zero second column; None when the solve is
     singular."""
     m, k = Ap.shape
-    K = (nk.mat_mul(nk.mat_mul(_e_minus_col(m, True), Bp), A)
-         + nk.mat_mul(_shift_matrix(m, True), Ap) - nk.mat_mul(Ap, B0))
+    K = (_e_minus_col(m, True) @ Bp @ A + _shift_matrix(m, True) @ Ap
+         - Ap @ B0)
     if k == 1:
         if not D[0, 0]:
             return None
-        return np.hstack([K / D[0, 0], nk.exact_zeros(m, 1)])
+        return nk.block([[K / D[0, 0], nk.exact_zeros(m, 1)]])
     Dinv = nk.exact_inverse(D)
-    return None if Dinv is None else nk.mat_mul(K, Dinv)
+    return None if Dinv is None else K @ Dinv
 
 
 def _draw_caloron_m0(k: int, rng, exact: bool):
@@ -645,11 +607,11 @@ def _draw_caloron_m0(k: int, rng, exact: bool):
     C1 = _draw_ints(rng, (k, 1))
     D1 = _draw_ints(rng, (1, k))
     D2 = _draw_ints(rng, (1, k))
-    if not all(D2.flat):
+    if not all(D2.re.flat):
         return None
-    C2, B0 = _solve_commutator(A, C1, D1, D2, rng)
-    C = np.hstack([C1, C2])
-    D = np.vstack([D1, D2])
+    C2, B0 = _solve_commutator(A, C1 @ D1, D2, rng, -4, 5)
+    C = nk.block([[C1, C2]])
+    D = nk.block([[D1], [D2]])
     mats = dict(A=A, B0=B0, C=C, D=D)
     return _pack(CaloronDataM0, dict(k=k), mats, exact)
 

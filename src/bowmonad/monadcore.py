@@ -29,6 +29,7 @@ restricted complex).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -209,42 +210,50 @@ class PolyMatrix:
     (x, y) = (xi, psi) and eta = xi*psi enters as the (1, 1) monomial.
 
     The coefficients are fixed at construction and stored as one tensor:
-    exponent arrays P and Q, and a read-only array C with one row per
-    monomial, the flattened coefficient of x^P[j] y^Q[j].  The exponents
+    exponent arrays P and Q, and C with one row per monomial, the flattened
+    coefficient of x^P[j] y^Q[j]: a read-only complex array, or on the exact
+    backend one ExactMatrix, whose numerators over one denominator are the
+    split form that evaluation and composition work on.  The exponents
     are held as floats, which a complex power takes without a cast (whole
     exponents are still raised by repeated multiplication).  ``coeffs`` is
-    a read-only mapping from (p, q) to a read-only view of its row, so what
-    is derived from the coefficients once, such as a monad's section plans,
-    stays valid.
+    a read-only mapping from (p, q) to its coefficient (a read-only view of
+    its row on floats), so what is derived from the coefficients once, such
+    as a monad's section plans, stays valid.
     """
 
     def __init__(self, shape, coeffs=None, exact=False):
-        self.shape = tuple(shape)
-        self.exact = exact
         coeffs = coeffs or {}
-        dtype = object if exact else complex
-        self.C = np.empty((len(coeffs), self.shape[0] * self.shape[1]), dtype)
-        for j, M in enumerate(coeffs.values()):
-            if np.shape(M) != self.shape:
-                raise ValueError(f"coefficient of shape {np.shape(M)}, "
-                                 f"want {self.shape}")
-            self.C[j] = np.asarray(M, dtype=dtype).reshape(-1)
-        self.C.flags.writeable = False
-        self.P = np.array([p for p, _ in coeffs], dtype=float)
-        self.Q = np.array([q for _, q in coeffs], dtype=float)
-        self.coeffs = MappingProxyType({key: row.reshape(self.shape)
-                                        for key, row in zip(coeffs, self.C)})
+        if any(M.shape != tuple(shape) for M in coeffs.values()):
+            raise ValueError(f"a coefficient is not of shape {tuple(shape)}")
+        C = nk.block([[M.reshape(1, -1)] for M in coeffs.values()] or [[
+            nk.zeros_like_backend(0, shape[0] * shape[1], exact)]])
+        self._set(shape, list(coeffs), C if exact else C.astype(complex))
+
+    @classmethod
+    def _of_tensor(cls, shape, monomials, C) -> "PolyMatrix":
+        """The matrix polynomial of coefficient tensor C, row j that of
+        monomials[j]."""
+        out = object.__new__(cls)
+        out._set(shape, monomials, C)
+        return out
+
+    def _set(self, shape, monomials, C):
+        self.shape, self.exact, self.C = tuple(shape), is_exact(C), C
+        if not self.exact:
+            C.flags.writeable = False
+        self.P = np.array([p for p, _ in monomials], dtype=float)
+        self.Q = np.array([q for _, q in monomials], dtype=float)
+        self.coeffs = MappingProxyType({key: C[j].reshape(self.shape)
+                                        for j, key in enumerate(monomials)})
 
     def evaluate(self, x, y):
         """Value at the chart point (x, y); on floats, evaluate_many's weight
         formula on two complex scalars, bit for bit evaluate_many([(x, y)])."""
         if not self.exact:
             return self._at(complex(x), complex(y))
-        if not self.coeffs:
-            return nk.exact_zeros(*self.shape)
         # one exact product: the row of monomial weights times the tensor
-        w = nk.exact_matrix([[x ** p * y ** q for (p, q) in self.coeffs]])
-        return mat_mul(w, self.C).reshape(self.shape)
+        w = nk.exact_matrix([[x ** p * y ** q for p, q in self.coeffs]])
+        return (w @ self.C).reshape(self.shape)
 
     def evaluate_many(self, points) -> np.ndarray:
         """Values at N chart points (x, y), stacked as an (N, rows, cols)
@@ -261,27 +270,10 @@ class PolyMatrix:
         w = x ** self.P * y ** self.Q
         return (w @ self.C).reshape(*w.shape[:-1], *self.shape)
 
-    @cached_property
-    def _zi(self):
-        """Exact backend: C split once into Gaussian-integer numerators,
-        (re, im, den) with each part shaped (monomials, rows, cols); C is
-        read-only, so the split stays valid."""
-        re, im, den = nk._split(self.C)
-        shape = (len(self.C), *self.shape)
-        return (re.reshape(shape), None if im is None else im.reshape(shape),
-                den)
-
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self o other as matrix polynomials.  On the exact backend the
-        entries are GaussianRational; a real tensor (every imaginary part
-        zero) costs no imaginary products."""
+        """self o other as matrix polynomials."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("composition shape mismatch")
-        shape = (self.shape[0], other.shape[1])
-        if self.exact:
-            sums, den = self._exact_compose(other)
-            return PolyMatrix(shape, {key: nk._join(re, im, den)
-                                      for key, (re, im) in sums.items()}, True)
         left, right = list(self.coeffs.values()), list(other.coeffs.values())
         out = {}
         for key, (js, ks) in self._pairs(other).items():
@@ -290,7 +282,7 @@ class PolyMatrix:
             out[key] = sum(map(mat_mul, [left[j] for j in js[1:]],
                                [right[k] for k in ks[1:]]),
                            mat_mul(left[js[0]], right[ks[0]]))
-        return PolyMatrix(shape, out)
+        return PolyMatrix((self.shape[0], other.shape[1]), out, self.exact)
 
     def _pairs(self, other) -> dict:
         """Per monomial of self o other, in the order first seen, the
@@ -308,7 +300,9 @@ class PolyMatrix:
         """self o other in Z[i]: per monomial, (re, im) of the sum of its
         factor products, as one product of the stacked numerators, all over
         the denominator returned beside them."""
-        (lr, li, dl), (rr, ri, dr) = self._zi, other._zi
+        (lr, li), (rr, ri) = ([None if X is None else
+                               X.reshape(len(p.coeffs), *p.shape)
+                               for X in (p.C.re, p.C.im)] for p in (self, other))
         rows, n, cols = self.shape[0], self.shape[1], other.shape[1]
 
         def side_by_side(X, js):
@@ -321,7 +315,7 @@ class PolyMatrix:
         sums = {key: nk._zi_dot(side_by_side(lr, js), side_by_side(li, js),
                                 stacked(rr, ks), stacked(ri, ks))
                 for key, (js, ks) in self._pairs(other).items()}
-        return sums, dl * dr
+        return sums, self.C.den * other.C.den
 
     def max_coeff_norm(self) -> float:
         if not self.coeffs:
@@ -374,28 +368,33 @@ def _summed_blocks(shape, blocks, exact) -> PolyMatrix:
     """The matrix polynomial of (p, q, r0, c0, payload) blocks: each payload
     added into the coefficient of x^p y^q with its top-left entry at
     (r0, c0), its extent read from its shape.  Monomials keep the order in
-    which they are first seen.  An exact monad takes exact payloads only."""
-    mats: dict[tuple, np.ndarray] = {}
+    which they are first seen.  An exact monad takes exact payloads only,
+    and sums their numerators over the least common denominator of all."""
+    rows, at = {}, []
     for p, q, r0, c0, payload in blocks:
         if exact and not nk.is_exact(payload):
             raise TypeError("an exact monad takes exact payloads only")
         h, w = np.shape(payload)
         if r0 + h > shape[0] or c0 + w > shape[1]:
             raise ValueError(f"block {(h, w)} at {(r0, c0)} leaves {shape}")
-        tgt = mats.get((p, q))
-        if tgt is None:
-            tgt = mats[p, q] = nk.zeros_like_backend(*shape, exact)
-        blk = tgt[r0:r0 + h, c0:c0 + w]
-        if exact:
-            # the blocks of one monomial rarely overlap, so most targets are
-            # zero: a zero entry takes the payload entry as it is, and only
-            # a nonzero target costs an exact sum
-            for ij, x in np.ndenumerate(payload):
-                blk[ij] = blk[ij] + x if blk[ij] else x
-        else:
-            # a sum, not a copy: a -0.0 payload entry lands as +0.0
-            blk += payload
-    return PolyMatrix(shape, mats, exact)
+        at.append((rows.setdefault((p, q), len(rows)), slice(r0, r0 + h),
+                   slice(c0, c0 + w)))
+    payloads = [b[4] for b in blocks]
+    den = math.lcm(*(P.den for P in payloads)) if exact else 1
+
+    def summed(parts):
+        # a sum, not a copy: a -0.0 float payload entry lands as +0.0
+        T = np.zeros((len(rows), *shape), dtype=object if exact else complex)
+        for where, X in zip(at, parts):
+            if X is not None:
+                T[where] += X
+        return T.reshape(len(rows), shape[0] * shape[1])
+
+    C = nk.ExactMatrix(
+        summed([P.re * (den // P.den) for P in payloads]),
+        summed([None if P.im is None else P.im * (den // P.den)
+                for P in payloads]), den) if exact else summed(payloads)
+    return PolyMatrix._of_tensor(shape, list(rows), C)
 
 
 class ParamMonad:
@@ -454,7 +453,7 @@ class ParamMonad:
             if not any(any(part.ravel().tolist()) for re, im in sums.values()
                        for part in (re, im) if part is not None):
                 return 0.0
-            return max(nk.mat_norm(nk._join(re, im, den))
+            return max(nk.mat_norm(nk.ExactMatrix(re, im, den))
                        for re, im in sums.values())
         comp = self.composite()
         den = max(self.alpha.max_coeff_norm() * self.beta.max_coeff_norm(), 1e-300)
@@ -473,9 +472,7 @@ class ParamMonad:
             return MonadAtPoint(a, b, (x, y), float(res))
         a = self.alpha.evaluate(x, y)
         b = self.beta.evaluate(x, y)
-        prod = mat_mul(b, a)
-        res = 0.0 if nk.is_zero_matrix(prod) else nk.mat_norm(prod)
-        return MonadAtPoint(a, b, (x, y), res)
+        return MonadAtPoint(a, b, (x, y), nk.mat_norm(b @ a))
 
     def evaluate_many(self, points):
         """alpha and beta at N chart points, stacked along a leading axis,

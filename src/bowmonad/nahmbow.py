@@ -626,9 +626,7 @@ class BowComplexTN:
 
     @property
     def beta_mid_minus(self):
-        Minv = _inv(self.monodromy)
-        return Minv @ self.beta_mid_plus @ self.monodromy if not self.exact \
-            else nk.mat_mul(nk.mat_mul(Minv, self.beta_mid_plus), self.monodromy)
+        return _inv(self.monodromy) @ self.beta_mid_plus @ self.monodromy
 
     def edge_residual(self) -> float:
         B0 = nk.to_float(self.B0)
@@ -680,10 +678,7 @@ def _normalize_pair(I, J):
                                                          if If.size else 1.0))
     if not len(nz):
         return I, J
-    if nk.is_exact(I):
-        c = I[nz[0], 0]
-        return I * (nk.GQ_ONE / c), J * c
-    c = If.ravel()[nz[0]]
+    c = I[nz[0], 0] if nk.is_exact(I) else If.ravel()[nz[0]]
     return I / c, J * c
 
 
@@ -697,12 +692,11 @@ def rank_one_factor(R, tol: float):
     check of the product.  Float R: one SVD, refused when s2 > 1e-8 s1.
     """
     if nk.is_exact(R):
-        pivot = next(((i, j) for i, j in np.ndindex(R.shape) if R[i, j]), None)
-        if pivot is None:
+        if nk.is_zero_matrix(R):
             return None
-        i, j = pivot
-        col, row = R[:, j:j + 1] * (nk.GQ_ONE / R[i, j]), R[i:i + 1, :]
-        if not nk.is_zero_matrix(nk.mat_mul(col, row) - R):
+        i, j = np.argwhere((R.re != 0) | (R.im is not None and R.im != 0))[0]
+        col, row = R[:, j:j + 1] / R[i, j], R[i:i + 1, :]
+        if not nk.is_zero_matrix(col @ row - R):
             raise NotInNormalForm("jump has rank > 1")
         return col, row
     R = np.asarray(R, dtype=complex)

@@ -6,22 +6,21 @@ Two matrix backends are used throughout the package:
   is made against a :class:`ToleranceContext` and must be backed by a
   finite singular-value margin, at full rank too; ambiguous cuts raise
   :class:`GapTooSmall` instead of silently picking a rank.
-* exact: ``numpy`` object arrays of :class:`GaussianRational` (complex
-  numbers with ``Fraction`` real and imaginary parts), the one exact array
-  type; real data are those whose imaginary parts are all zero, decided by
-  value.  Rank decisions are made by exact elimination and need no gap.
-  The arithmetic is fraction-free: an operand is split once into Python-int
-  numerators over one common denominator, the real part and the imaginary
-  part (``None`` when every imaginary part is zero), and whole chains of
-  work stay in Z[i] on those numerators before one division per result
-  entry, so a Fraction gcd is taken once per result rather than once per
-  multiply-add.  The chains are a product (``mat_mul``), the elimination
-  (``rref``), the Faddeev-LeVerrier steps of ``charpoly`` (M split once,
-  one growing integer denominator, one Fraction per coefficient), and the
-  composite of two exact matrix polynomials (``monadcore``: each read-only
-  coefficient tensor split once, the products of one output monomial summed
-  in Z[i], and ``beta o alpha = 0`` decided on the integer sums).  Every
-  product of two split operands goes through ``_zi_dot``.
+* exact: :class:`ExactMatrix`, a matrix over Q(i) in split form: Python-int
+  numerator arrays ``re`` and ``im`` over one positive denominator,
+  reduced once when made, with ``im`` None exactly when every imaginary
+  part is zero (real data, which cost no imaginary products).  Rank
+  decisions are made by exact elimination and need no gap.  The arithmetic
+  is fraction-free: products, sums, scalar factors and stacking work in
+  Z[i] on the numerators, with one gcd reduction per result rather than a
+  Fraction gcd per multiply-add, and so do the elimination (``rref``), the
+  Faddeev-LeVerrier steps of ``charpoly`` (one growing integer
+  denominator, one Fraction per coefficient) and the composite of two exact
+  matrix polynomials (``monadcore``: the products of one output monomial
+  summed in Z[i], and ``beta o alpha = 0`` decided on the integer sums).
+  Every product of numerator arrays goes through ``_zi_dot``.
+  :class:`GaussianRational` (a pair of ``Fraction``s) is the exact scalar:
+  points, charpoly coefficients and single entries read out.
 
 The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
@@ -59,11 +58,10 @@ class ImageNotContained(BowmonadError):
 
 
 class GaussianRational:
-    """Element of Q(i), stored as a pair of Fractions.
+    """Element of Q(i), stored as a pair of Fractions: the exact scalar.
 
     Arithmetic is closed and exact; division by zero raises
-    ``ZeroDivisionError`` as usual.  A result is made from the Fractions
-    its parts compute (``_gq``), and a real factor or divisor costs two
+    ``ZeroDivisionError`` as usual.  A real factor or divisor costs two
     Fraction operations.
     """
 
@@ -75,26 +73,17 @@ class GaussianRational:
         self.re = Fraction(int(re) if isinstance(re, np.integer) else re)
         self.im = Fraction(int(im) if isinstance(im, np.integer) else im)
 
-    # -- ring ops ----------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return _gq(self.re + other.re, self.im + other.im)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return _gq(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
@@ -119,25 +108,15 @@ class GaussianRational:
         return _gq((self.re * other.re + self.im * other.im) / d,
                    (self.im * other.re - self.re * other.im) / d)
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other / self
-
     def __neg__(self):
         return _gq(-self.re, -self.im)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = GaussianRational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
+        out = GQ_ONE
+        for _ in range(n):
+            out = out * self
         return out
 
     def __eq__(self, other):
@@ -152,7 +131,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    # -- misc ---------------------------------------------------------------
     def conjugate(self):
         return _gq(self.re, -self.im)
 
@@ -170,7 +148,6 @@ def _coerce(x):
 
 GQ = GaussianRational
 
-GQ_ZERO = GQ(0)
 GQ_ONE = GQ(1)
 
 
@@ -184,82 +161,211 @@ def rationalize(z: complex):
 
 
 # ---------------------------------------------------------------------------
-# matrices (both backends are plain numpy arrays)
+# matrices: float numpy arrays, or ExactMatrix
+
+
+def _lin(a, s: int, b, t: int):
+    """s a + t b of two numerator arrays, None standing for zero."""
+    if a is None:
+        return None if b is None else t * b
+    return s * a if b is None else s * a + t * b
+
+
+class ExactMatrix:
+    """A matrix over Q(i) in split form: (re + i im) / den, with re and im
+    numpy object arrays of Python ints and den a positive int.
+
+    Each one is reduced when made, so equal matrices have equal parts:
+    gcd(den, every numerator) = 1, and im is None exactly when every
+    imaginary part is zero (real data).  The parts are never written to
+    after that.  Arithmetic works on the numerators, with one gcd reduction
+    per result; reading one entry gives a GaussianRational.
+    """
+
+    __slots__ = ("re", "im", "den")
+    # numpy defers its binary operators to this class, which refuses floats
+    __array_ufunc__ = None
+
+    def __init__(self, re: np.ndarray, im=None, den: int = 1):
+        if im is not None and not any(im.ravel().tolist()):
+            im = None
+        if den != 1:
+            g = math.gcd(den, *re.ravel().tolist(),
+                         *(() if im is None else im.ravel().tolist()))
+            if g != 1:
+                re, den = re // g, den // g
+                im = None if im is None else im // g
+        self.re, self.im, self.den = re, im, den
+
+    def _map(self, f, drops=False) -> "ExactMatrix":
+        """f on both numerator arrays, reduced again if f drops entries."""
+        re, im = f(self.re), None if self.im is None else f(self.im)
+        if drops:
+            return ExactMatrix(re, im, self.den)
+        out = object.__new__(ExactMatrix)
+        out.re, out.im, out.den = re, im, self.den
+        return out
+
+    @property
+    def shape(self) -> tuple:
+        return self.re.shape
+
+    @property
+    def T(self) -> "ExactMatrix":
+        return self._map(np.transpose)
+
+    def conj(self) -> "ExactMatrix":
+        return self if self.im is None else ExactMatrix(self.re, -self.im,
+                                                        self.den)
+
+    def reshape(self, *shape) -> "ExactMatrix":
+        return self._map(lambda X: X.reshape(*shape))
+
+    def __getitem__(self, key):
+        re = self.re[key]
+        if isinstance(re, np.ndarray):
+            return self._map(lambda X: X[key], drops=True)
+        return _gq(Fraction(re, self.den),
+                   Fraction(0 if self.im is None else self.im[key], self.den))
+
+    def __neg__(self) -> "ExactMatrix":
+        return self._map(np.negative)
+
+    def __add__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} and {other.shape}")
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
+        return ExactMatrix(_lin(self.re, s, other.re, t),
+                           _lin(self.im, s, other.im, t), den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, c):
+        """The matrix times an int, a Fraction or a GaussianRational."""
+        c = _coerce(c)
+        if c is NotImplemented:
+            return NotImplemented
+        (a, p), (b, q) = c.re.as_integer_ratio(), c.im.as_integer_ratio()
+        d = math.lcm(p, q)
+        a, b = a * (d // p), b * (d // q)
+        return ExactMatrix(_lin(self.re, a, self.im, -b),
+                           _lin(self.im, a, self.re, b), self.den * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, c):
+        return self * (GQ_ONE / c)
+
+    def __matmul__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.shape[1] != other.shape[0]:
+            raise ValueError(f"shape mismatch {self.shape} @ {other.shape}")
+        re, im = _zi_dot(self.re, self.im, other.re, other.im)
+        return ExactMatrix(re, im, self.den * other.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return repr(self) == repr(other)
+
+    def __bool__(self):
+        raise TypeError("an exact matrix has no truth value; use is_zero_matrix")
+
+    def __repr__(self):
+        im = None if self.im is None else self.im.tolist()
+        return (f"ExactMatrix(shape={self.shape}, re={self.re.tolist()}, "
+                f"im={im}, den={self.den})")
 
 
 def is_exact(M) -> bool:
-    return getattr(M, "dtype", None) == np.dtype(object)
+    return isinstance(M, ExactMatrix)
 
 
-def exact_matrix(rows) -> np.ndarray:
-    """Object array of GaussianRationals from nested int/Fraction/GQ data
-    (numpy integers included)."""
-    rows = [[e if isinstance(e, GQ) else GQ(e) for e in row] for row in rows]
-    out = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, e in enumerate(row):
-            out[i, j] = e
-    return out
+def exact_from_ratios(pairs, shape) -> ExactMatrix:
+    """The exact matrix of the given shape with row-major entries n/d + i n'/d'
+    for the pairs ((n, d), (n', d')) of Python ints, d and d' nonzero."""
+    ratios = [r for pair in pairs for r in pair]
+    den = math.lcm(*(d for _, d in ratios))
+    nums = np.array([n * (den // d) for n, d in ratios], dtype=object)
+    return ExactMatrix(nums[0::2].reshape(shape), nums[1::2].reshape(shape),
+                       den)
 
 
-def exact_zeros(m: int, n: int) -> np.ndarray:
-    out = np.empty((m, n), dtype=object)
-    out[:] = GQ_ZERO
-    return out
+def exact_matrix(rows) -> ExactMatrix:
+    """The exact matrix of nested int/Fraction/GQ data (numpy integers
+    included)."""
+    rows = np.asarray(rows, dtype=object)
+    entries = [e if isinstance(e, GQ) else GQ(e) for e in rows.ravel().tolist()]
+    return exact_from_ratios([(e.re.as_integer_ratio(), e.im.as_integer_ratio())
+                              for e in entries], rows.shape)
 
 
-def exact_eye(n: int) -> np.ndarray:
-    out = exact_zeros(n, n)
-    for i in range(n):
-        out[i, i] = GQ_ONE
-    return out
+def exact_zeros(m: int, n: int) -> ExactMatrix:
+    return ExactMatrix(np.zeros((m, n), dtype=object))
 
 
-def to_float(M: np.ndarray) -> np.ndarray:
+def exact_eye(n: int) -> ExactMatrix:
+    return ExactMatrix(np.eye(n, dtype=object))
+
+
+def int_matrix(ints, exact: bool):
+    """An integer array as a matrix of either backend."""
+    return ExactMatrix(np.asarray(ints).astype(object)) if exact else \
+        np.asarray(ints, dtype=complex)
+
+
+def to_float(M) -> np.ndarray:
     if not is_exact(M):
         return np.asarray(M, dtype=complex)
     # int / int is correctly rounded, as float(Fraction) is
-    re, im, den = _split(M)
     out = np.zeros(M.shape, dtype=complex)
-    out.real = np.reshape([a / den for a in re.ravel().tolist()], M.shape)
-    if im is not None:
-        out.imag = np.reshape([b / den for b in im.ravel().tolist()], M.shape)
+    out.real = M.re / M.den
+    if M.im is not None:
+        out.imag = M.im / M.den
     return out
 
 
-def zeros_like_backend(m: int, n: int, exact: bool) -> np.ndarray:
+def zeros_like_backend(m: int, n: int, exact: bool):
     return exact_zeros(m, n) if exact else np.zeros((m, n), dtype=complex)
 
 
-def eye_like_backend(n: int, exact: bool) -> np.ndarray:
+def eye_like_backend(n: int, exact: bool):
     return exact_eye(n) if exact else np.eye(n, dtype=complex)
 
 
-def mat_mul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B.  Two exact operands are multiplied fraction-free into
-    GaussianRational entries; a real operand (every imaginary part zero)
-    costs no imaginary products."""
-    if A.shape[1] != B.shape[0]:
-        raise ValueError(f"shape mismatch {A.shape} @ {B.shape}")
-    if A.shape[0] == 0 or B.shape[1] == 0 or A.shape[1] == 0:
-        exact = is_exact(A) or is_exact(B)
-        return zeros_like_backend(A.shape[0], B.shape[1], exact)
-    if not (is_exact(A) and is_exact(B)):
-        return np.dot(A, B)
-    ar, ai, da = _split(A)
-    br, bi, db = _split(B)
-    return _join(*_zi_dot(ar, ai, br, bi), da * db)
+def _concat(rows) -> np.ndarray:
+    """np.block of a two-level grid of arrays."""
+    return np.concatenate([np.concatenate(row, axis=1) for row in rows])
 
 
-# ---------------------------------------------------------------------------
-# fraction-free exact kernel: an exact array is split into Python-int
-# numerators over one common denominator, the work is done in Z[i], and the
-# result is divided once
+def block(rows):
+    """np.block of a grid of matrices of one backend: the exact parts are
+    put over their least common denominator."""
+    parts = [M for row in rows for M in row]
+    if not any(map(is_exact, parts)):
+        return _concat(rows)
+    den = math.lcm(*(M.den for M in parts))
+    re = _concat([[M.re * (den // M.den) for M in row] for row in rows])
+    if all(M.im is None for M in parts):
+        return ExactMatrix(re, None, den)
+    im = _concat([[np.zeros(M.shape, dtype=object) if M.im is None
+                   else M.im * (den // M.den) for M in row] for row in rows])
+    return ExactMatrix(re, im, den)
+
+
+def mat_mul(A, B):
+    """A @ B on either backend (np.dot on floats)."""
+    return A @ B if is_exact(A) else np.dot(A, B)
 
 
 def _zi_dot(ar, ai, br, bi):
     """(re, im) of the Gaussian-integer product (ar + i ai)(br + i bi) of
-    two split operands, object arrays of Python ints.  An imaginary part of
+    numerator arrays, object arrays of Python ints.  An imaginary part of
     None is zero and costs no product; so is the im returned when both are
     None."""
     re = np.dot(ar, br)
@@ -280,62 +386,14 @@ def _gq(re: Fraction, im: Fraction) -> GaussianRational:
     return out
 
 
-def _split(M: np.ndarray):
-    """(re, im, den) with M = (re + i im) / den: re and im are object arrays
-    of Python ints, den the least common denominator of every part.  im is
-    None exactly when every imaginary part is zero (real data)."""
-    entries = M.ravel().tolist()
-    parts = [e.re for e in entries]
-    ims = [e.im for e in entries]
-    real = not any(ims)
-    if not real:
-        parts += ims
-    ratios = [p.as_integer_ratio() for p in parts]
-    den = math.lcm(*{d for _, d in ratios})
-    nums = np.array([n * (den // d) for n, d in ratios], dtype=object)
-    if real:
-        return nums.reshape(M.shape), None, den
-    half = len(nums) // 2
-    return nums[:half].reshape(M.shape), nums[half:].reshape(M.shape), den
-
-
-_FRACTION_ZERO = Fraction(0)
-
-
-def _join(re: np.ndarray, im, den: int) -> np.ndarray:
-    """The exact array (re + i im) / den of GaussianRationals; im None is
-    zero."""
-    out = np.empty(re.shape, dtype=object)
-    if im is None:
-        out.ravel()[:] = [_gq(Fraction(a, den), _FRACTION_ZERO)
-                          for a in re.ravel().tolist()]
-    else:
-        out.ravel()[:] = [_gq(Fraction(a, den), Fraction(b, den))
-                          for a, b in zip(re.ravel().tolist(), im.ravel().tolist())]
-    return out
-
-
-def mat_norm(M: np.ndarray) -> float:
-    if M.size == 0:
-        return 0.0
+def mat_norm(M) -> float:
     return float(np.linalg.norm(to_float(M)))
 
 
-def is_zero_matrix(M: np.ndarray, tol: float = 0.0) -> bool:
-    if M.size == 0:
-        return True
+def is_zero_matrix(M, tol: float = 0.0) -> bool:
     if is_exact(M):
-        return all(not e for e in M.flat)
-    return bool(np.max(np.abs(M)) <= tol)
-
-
-def conj_transpose(M: np.ndarray) -> np.ndarray:
-    if is_exact(M):
-        out = np.empty((M.shape[1], M.shape[0]), dtype=object)
-        for (i, j), e in np.ndenumerate(M):
-            out[j, i] = e.conjugate()
-        return out
-    return M.conj().T
+        return M.im is None and not any(M.re.ravel().tolist())
+    return not M.size or bool(np.max(np.abs(M)) <= tol)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +483,7 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
     if is_exact(M):
         kernel = exact_kernel(M)
         return RankKernel(n - kernel.shape[1], kernel,
-                          exact_kernel(conj_transpose(M)), np.inf)
+                          exact_kernel(M.conj().T), np.inf)
     M = np.asarray(M, dtype=complex)
     if m == 0 or n == 0:
         return RankKernel(0, np.eye(n, dtype=complex), np.eye(m, dtype=complex))
@@ -444,18 +502,19 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
 # is read off one reduced row echelon form
 
 
-def _eliminate(M: np.ndarray):
+def _eliminate(M: ExactMatrix):
     """Fraction-free Gauss-Jordan elimination of an exact matrix over Z[i].
 
-    M is first scaled to Gaussian-integer numerators (a scalar multiple has
-    the same RREF).  At each pivot p every other row becomes
+    It runs on copies of M's numerators (a scalar multiple has the same
+    RREF).  At each pivot p every other row becomes
     (p row - row[c] pivot_row) / previous pivot; the division is exact
     because every entry stays a minor of the scaled matrix (Bareiss,
     Math. Comp. 22, 1968), and every pivot row ends with the last pivot d at
     its pivot.  Returns (re, im, (dr, di), pivots) with the RREF equal to
     (re + i im) / (dr + i di); for real data im is None and di is 0.
     """
-    re, im, _ = _split(M)
+    re = M.re.copy()
+    im = None if M.im is None else M.im.copy()
     m, n = re.shape
     dr, di = 1, 0
     pivots: list[int] = []
@@ -488,49 +547,52 @@ def _eliminate(M: np.ndarray):
     return re, im, (dr, di), pivots
 
 
-def rref(M: np.ndarray):
+def rref(M: ExactMatrix):
     """Reduced row echelon form of an exact matrix; returns (R, pivot
     columns).
 
-    R holds GaussianRational entries.  Real data (every imaginary part
-    zero) are eliminated over Z alone.  The RREF of a matrix is unique, so
-    nothing read off it depends on the choice of pivot rows.
+    Real data (every imaginary part zero) are eliminated over Z alone.  The
+    RREF of a matrix is unique, so nothing read off it depends on the
+    choice of pivot rows.
     """
     re, im, (dr, di), pivots = _eliminate(M)
-    if im is None:
-        return _join(re, None, dr), pivots
-    norm = dr * dr + di * di
-    return _join(re * dr + im * di, im * dr - re * di, norm), pivots
+    return ExactMatrix(re, im) / GQ(dr, di), pivots
 
 
-def exact_kernel(M: np.ndarray) -> np.ndarray:
+def _rows_of(R: ExactMatrix, rows, cols, shape):
+    """Numerator arrays (re, im) of the given shape, zero but for the rows
+    ``rows``, which hold the leading len(rows) rows of R's numerators read
+    at the columns ``cols``; im is None for real R."""
+    def part(X):
+        out = np.zeros(shape, dtype=object)
+        out[rows] = X[:len(rows)][:, cols]
+        return out
+    return part(R.re), None if R.im is None else part(R.im)
+
+
+def exact_kernel(M: ExactMatrix) -> ExactMatrix:
     """Kernel basis of an exact matrix, one column per free column of its
     RREF (that entry 1, the other free entries 0)."""
     R, pivots = rref(M)
     n = M.shape[1]
     free = [c for c in range(n) if c not in pivots]
-    kernel = exact_zeros(n, len(free))
-    for j, c in enumerate(free):
-        kernel[c, j] = GQ_ONE
-        for i, p in enumerate(pivots):
-            kernel[p, j] = -R[i, c]
-    return kernel
+    re, im = _rows_of(R, pivots, free, (n, len(free)))
+    re[free, np.arange(len(free))] = -R.den
+    return -ExactMatrix(re, im, R.den)
 
 
-def exact_solve(A: np.ndarray, b: np.ndarray):
+def exact_solve(A: ExactMatrix, b: ExactMatrix):
     """The exact solution of A x = b with every free variable 0, or None if
     the system is inconsistent (a pivot of [A | b] lands in the b block)."""
     n = A.shape[1]
-    R, pivots = rref(np.hstack([A, b]))
+    R, pivots = rref(block([[A, b]]))
     if pivots and pivots[-1] >= n:
         return None
-    x = exact_zeros(n, b.shape[1])
-    for i, p in enumerate(pivots):
-        x[p] = R[i, n:]
-    return x
+    return ExactMatrix(*_rows_of(R, pivots, slice(n, None), (n, b.shape[1])),
+                       R.den)
 
 
-def exact_inverse(M: np.ndarray):
+def exact_inverse(M: ExactMatrix):
     """Inverse of a square exact matrix, or None if it is singular."""
     return exact_solve(M, exact_eye(M.shape[0]))
 
@@ -544,14 +606,30 @@ def charpoly(M: np.ndarray):
     Faddeev-LeVerrier on both backends: with M_1 = M, c_k = -tr(M_k) / k
     and M_{k+1} = M (M_k + c_k I).
 
-    An exact (n, n) matrix gives a list of n + 1 GaussianRationals.  It is
-    split once, M = N / e, and the steps stay in Z[i]: M_k = X_k / e_k with
+    An exact (n, n) matrix M = N / e gives a list of n + 1
+    GaussianRationals, and the steps stay in Z[i]: M_k = X_k / e_k with
     X_1 = N, e_1 = e, X_{k+1} = N (k X_k - tr(X_k) I) and e_{k+1} = k e e_k,
     so c_k = -tr(X_k) / (k e_k) is the one division of each coefficient.
     A float stack (..., n, n) gives an (..., n + 1) array, one batched
     product per degree for the whole stack."""
     if is_exact(M):
-        return _exact_charpoly(M)
+        nr, ni, e = M.re, M.im, M.den
+        n = M.shape[0]
+        coeffs = [GQ_ONE]
+        xr, xi, den = nr, ni, e
+        for k in range(1, n + 1):
+            tr = sum(xr.diagonal().tolist())
+            ti = 0 if xi is None else sum(xi.diagonal().tolist())
+            coeffs.append(_gq(Fraction(-tr, k * den), Fraction(-ti, k * den)))
+            if k < n:
+                xr = k * xr
+                xr.flat[::n + 1] -= tr
+                if xi is not None:
+                    xi = k * xi
+                    xi.flat[::n + 1] -= ti
+                xr, xi = _zi_dot(nr, ni, xr, xi)
+                den *= k * e
+        return coeffs
     M = np.asarray(M, dtype=complex)
     n = M.shape[-1]
     d = np.arange(n)
@@ -563,26 +641,6 @@ def charpoly(M: np.ndarray):
         coeffs.append(c)
         Mk[..., d, d] += c[..., None]
     return np.stack(coeffs, axis=-1)
-
-
-def _exact_charpoly(M: np.ndarray) -> list:
-    nr, ni, e = _split(M)
-    n = len(nr)
-    coeffs = [GQ_ONE]
-    xr, xi, den = nr, ni, e
-    for k in range(1, n + 1):
-        tr = sum(xr.diagonal().tolist())
-        ti = 0 if xi is None else sum(xi.diagonal().tolist())
-        coeffs.append(_gq(Fraction(-tr, k * den), Fraction(-ti, k * den)))
-        if k < n:
-            xr = k * xr
-            xr.flat[::n + 1] -= tr
-            if xi is not None:
-                xi = k * xi
-                xi.flat[::n + 1] -= ti
-            xr, xi = _zi_dot(nr, ni, xr, xi)
-            den *= k * e
-    return coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -616,9 +674,6 @@ def _jsonable(x):
         return [x.real, x.imag]
     if isinstance(x, np.ndarray):
         return _jsonable(to_float(x).tolist())
-    if isinstance(x, GaussianRational):
-        return {"re": {"n": x.re.numerator, "d": x.re.denominator},
-                "im": {"n": x.im.numerator, "d": x.im.denominator}}
     if isinstance(x, (np.floating, np.integer)):
         return x.item()
     if isinstance(x, np.complexfloating):
@@ -770,7 +825,7 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
         return False
     k = A.shape[0]
     eye = exact_eye(k)
-    stacked = np.vstack([A - xq * eye, B - eq * eye, D])
+    stacked = block([[A - xq * eye], [B - eq * eye], [D]])
     return len(_eliminate(stacked)[3]) < k
 
 
@@ -817,7 +872,7 @@ def _exact_quotient(K: np.ndarray, I: np.ndarray) -> np.ndarray:
     # independent, so span I lies in span K iff [I | K] has rank K.shape[1];
     # the pivot columns that land in the K block are the representatives
     ni = I.shape[1]
-    pivots = _eliminate(np.hstack([I, K]))[3]
+    pivots = _eliminate(block([[I, K]]))[3]
     if len(pivots) != K.shape[1]:
         raise ImageNotContained("image not contained in kernel (exact)")
     return K[:, [c - ni for c in pivots if c >= ni]]

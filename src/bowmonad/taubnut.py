@@ -20,7 +20,7 @@ from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
                       _add_obstruction_check, _draw_ints, _e_minus_col,
                       _e_plus_row, _generator_sizes, _gluing,
                       _mixed_pencil_left, _pack, _read_back_m0,
-                      _read_normal_form, _solve_cprime)
+                      _read_normal_form, _solve_commutator, _solve_cprime)
 from .monadcore import TWISTS, BlockSpec, ParamMonad, block_starts
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
                       TransportSingular, _inv, _normalize_pair,
@@ -238,7 +238,7 @@ def _big_monad_unchecked(data) -> ParamMonad:
         Mmid = data.normal_form
     else:
         _, Mmid, d_w = data.middle_jump()
-        Wm[k:] = -d_w
+        Wm = nk.block([[Wm[:k]], [-d_w]])
 
     cols = (
         [BlockSpec("Um", TWISTS["mF"], k + m),
@@ -456,9 +456,7 @@ def _recover_d1(bc):
                 _inv(bc.monodromy) - nk.eye_like_backend(k, exact)))
         except TransportSingular:
             pass
-    out = nk.zeros_like_backend(1, k, exact)
-    out[0, 0] = nk.GQ_ONE if exact else 1.0
-    return out
+    return nk.int_matrix(np.eye(1, k, dtype=int), exact)
 
 
 # ---------------------------------------------------------------------------
@@ -489,10 +487,9 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
     Ap = _draw_ints(rng, (m, k))
     D2 = _draw_ints(rng, (1, k))
     D1 = Ap[m - 1:m, :]
-    D = np.vstack([D1, D2])
-    B0 = nk.mat_mul(Bht, Bth)
-    B1 = nk.mat_mul(Bth, Bht)
-    R = nk.mat_mul(B1, A) - nk.mat_mul(A, B0)     # C D must equal R
+    D = nk.block([[D1], [D2]])
+    B0, B1 = Bht @ Bth, Bth @ Bht
+    R = B1 @ A - A @ B0                           # C D must equal R
     if k == 1:
         if D[0, 0]:
             C = nk.exact_matrix([[(R[0, 0] - D[1, 0]) / D[0, 0], 1]])
@@ -504,7 +501,7 @@ def _draw_taubnut(k: int, m: int, rng, exact: bool):
         Dinv = nk.exact_inverse(D)
         if Dinv is None:
             return None
-        C = nk.mat_mul(R, Dinv)
+        C = R @ Dinv
     Bp = _draw_ints(rng, (1, k))
     Cp = _solve_cprime(Bp, A, Ap, B0, D)
     if Cp is None:
@@ -522,13 +519,14 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
     Sinv = nk.exact_inverse(S)
     if Sinv is None:
         return None
-    B0 = nk.mat_mul(nk.mat_mul(S, nk.exact_matrix(np.diag(evals))), Sinv)
+    E = nk.int_matrix(np.diag(evals), True)
+    B0 = S @ E @ Sinv
     D1 = Sinv[0:1]                                   # left eigenvector
     if k == 1:
         C1 = nk.exact_zeros(1, 1)
     else:
-        C1 = nk.mat_mul(S[:, 1:], _draw_ints(rng, (k - 1, 1)))   # D1 C1 = 0
-    C1D1 = nk.mat_mul(C1, D1)
+        C1 = S[:, 1:] @ _draw_ints(rng, (k - 1, 1))  # D1 C1 = 0
+    C1D1 = C1 @ D1
     B1 = B0 - C1D1
     # edge: Bth conjugates B0 to B1 through the two eigenbases.  For v_i of
     # B0, B1 v_i = ev_i v_i unless D1 v_i != 0; D1 v_i = delta_{1i} in the S
@@ -536,11 +534,11 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
     V1 = _eigvecs(B1, evals)
     if V1 is None:
         return None
-    Bth = nk.mat_mul(V1, Sinv)
+    Bth = V1 @ Sinv
     Bth_inv = nk.exact_inverse(Bth)
     if Bth_inv is None:
         return None
-    Bht = nk.mat_mul(B0, Bth_inv)
+    Bht = B0 @ Bth_inv
     if k == 1:
         # CD = 0 is forced; keep both genericity conditions alive with
         # C = (0, 1) and D = (D1, 0)
@@ -548,27 +546,18 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
         if not A[0, 0]:
             return None
         C = nk.exact_matrix([[0, 1]])
-        D = np.vstack([D1, nk.exact_zeros(1, 1)])
+        D = nk.block([[D1], [nk.exact_zeros(1, 1)]])
         mats = dict(A=A, Bht=Bht, Bth=Bth, C=C, D=D)
         return _pack(TaubNutDataM0, dict(k=k), mats, exact)
-    # A and C2 from the diagonal-free commutator solve in the B0 eigenbasis
+    # A, C2 from [A, B0] = [-B0, A]: the commutator solve in the B0 eigenbasis
     D2 = _draw_ints(rng, (1, k))
-    CD1_e = nk.mat_mul(nk.mat_mul(Sinv, C1D1), S)    # C1 D1 in the eigenbasis
-    D2_e = nk.mat_mul(D2, S)
-    if not all(D2_e.flat):
+    D2_e = D2 @ S
+    if not all(D2_e[0, i] for i in range(k)):
         return None
-    C2_e = nk.exact_matrix([[-CD1_e[i, i] / D2_e[0, i]] for i in range(k)])
-    CD_e = CD1_e + nk.mat_mul(C2_e, D2_e)
-    Ae = nk.exact_zeros(k, k)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                Ae[i, j] = nk.GQ(rng.integers(1, 5))
-            else:
-                Ae[i, j] = -CD_e[i, j] / (evals[j] - evals[i])
-    A = nk.mat_mul(nk.mat_mul(S, Ae), Sinv)
-    C = np.hstack([C1, nk.mat_mul(S, C2_e)])
-    D = np.vstack([D1, D2])
+    C2_e, Ae = _solve_commutator(-E, Sinv @ C1D1 @ S, D2_e, rng, 1, 5)
+    A = S @ Ae @ Sinv
+    C = nk.block([[C1, S @ C2_e]])
+    D = nk.block([[D1], [D2]])
     mats = dict(A=A, Bht=Bht, Bth=Bth, C=C, D=D)
     return _pack(TaubNutDataM0, dict(k=k), mats, exact)
 
@@ -576,13 +565,11 @@ def _draw_taubnut_m0(k: int, rng, exact: bool):
 def _eigvecs(B, evals):
     """Eigenvector matrix of B ordered to match evals, exactly; None unless
     every eigenvalue has a one-dimensional rational eigenspace."""
-    k = B.shape[0]
-    V = nk.exact_zeros(k, k)
-    for i, ev in enumerate(evals):
-        shifted = B.copy()
-        shifted.flat[::k + 1] -= ev
-        kern = nk.exact_kernel(shifted)
+    eye = nk.exact_eye(B.shape[0])
+    V = []
+    for ev in evals:
+        kern = nk.exact_kernel(B - ev * eye)
         if kern.shape[1] != 1:
             return None
-        V[:, i] = kern[:, 0]
-    return V
+        V.append(kern)
+    return nk.block([V])

@@ -163,7 +163,7 @@ def test_round_trip_m0_keeps_d2_when_c2_vanishes(exact):
     data = cal.generate_caloron(1, 0, seed=0, exact=exact)
     assert nk.is_zero_matrix(data.C2) and not nk.is_zero_matrix(data.D[1:2])
     back = cal.from_nahm_complex(cal.to_nahm_complex(data))
-    assert (back.C == data.C).all() and (back.D == data.D).all()
+    assert np.all(back.C == data.C) and np.all(back.D == data.D)
     assert cal.validate(back).passed
 
 
@@ -232,7 +232,7 @@ def test_exact_draws_store_python_ints():
         back = bowcli.data_from_json(
             json.loads(json.dumps(bowcli.data_to_json(data))))
         for name in ("A", "B0", "C", "D"):
-            assert (getattr(back, name) == getattr(data, name)).all()
+            assert getattr(back, name) == getattr(data, name)
 
 
 @pytest.mark.parametrize("m", [0, 1])

@@ -12,7 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bowmonad import bowcli, caloron, nahmbow as nb, numkit as nk, taubnut
+from bowmonad import (bowcli, caloron, monadcore, nahmbow as nb, numkit as nk,
+                      taubnut)
 
 DATA = Path(__file__).parent / "data"
 
@@ -805,3 +806,91 @@ def test_generator_streams_are_pinned(flavor, k, m):
             data = bowcli.data_to_json(gen(k, m, seed=seed, exact=exact))
             h.update(json.dumps(data, sort_keys=True).encode())
     assert h.hexdigest()[:16] == GENERATOR_DIGESTS[flavor, k, m]
+
+
+# sha256 (first 16 hex digits) over seeds 0-3 of the exact outputs of each
+# exact draw, per flavor and (k, m) pair; see _exact_outputs
+EXACT_OUTPUT_DIGESTS = {
+    ("caloron", 1, 0): "540143d91cc28023",
+    ("caloron", 1, 1): "ff52e2e09b704a13",
+    ("caloron", 1, 2): "ebcb08c648ed3493",
+    ("caloron", 2, 0): "4c8ddb694dabd4fc",
+    ("caloron", 2, 1): "32842e2152a1f387",
+    ("caloron", 2, 2): "0b5eb5ccf98acf95",
+    ("caloron", 3, 0): "ae833b5528875ba2",
+    ("taubnut", 1, 0): "77e18b1ad59a5d32",
+    ("taubnut", 1, 1): "14585211a6c3eb5d",
+    ("taubnut", 1, 2): "06f3daa9b97d28a1",
+    ("taubnut", 2, 0): "c920304d15ea68f5",
+    ("taubnut", 2, 1): "986d35531860c004",
+    ("taubnut", 2, 2): "aea301e19bdf210e",
+    ("taubnut", 3, 0): "6ba233e0dc42f1ea",
+}
+
+
+def _gq_text(z):
+    return f"{z.re}/{z.im}"
+
+
+def _gaussian_rational_point(k, m, seed):
+    """A seeded chart point with Gaussian-rational coordinates of modulus
+    at least 1/2."""
+    rng = np.random.default_rng([k, m, seed])
+    pt = []
+    while len(pt) < 2:
+        re, im = (int(v) for v in rng.integers(-6, 7, size=2))
+        den = int(rng.integers(1, 5))
+        if re * re + im * im >= den * den / 4:
+            pt.append(nk.GQ(re, im) / nk.GQ(den))
+    return tuple(pt)
+
+
+def _exact_outputs(flavor, k, m, seed):
+    """What the exact backend computes from one exact draw: the pass flag of
+    every validate check (not its float margin, which rests on LAPACK),
+    charpoly of B0, B1 and the monodromy (m > 0) or A, whether each exact
+    builder monad closes (composite_residual() == 0), the data JSON of the
+    round-trip read-back and the exact fiber basis at a seeded point."""
+    if flavor == "caloron":
+        d = caloron.generate_caloron(k, m, seed=seed, exact=True)
+        report = caloron.validate(d)
+        monads = [caloron.small_monad(d, validated=report)]
+        if m:
+            monads.append(caloron.big_monad(d, validated=report))
+        back = caloron.from_nahm_complex(caloron.to_nahm_complex(
+            d, validated=report))
+        fiber_monad = monads[-1]
+    else:
+        d = taubnut.generate_taubnut(k, m, seed=seed, exact=True)
+        report = taubnut.validate(d)
+        monads = [taubnut.big_monad(d, validated=report)]
+        if m:
+            monads.append(taubnut.psi_pushdown_monad(d))
+        back = taubnut.from_bow_complex(taubnut.to_bow_complex(
+            d, validated=report))
+        fiber_monad = monads[0]
+    fb = monadcore.fiber(fiber_monad.evaluate(_gaussian_rational_point(
+        k, m, seed)))
+    return {
+        "verdicts": [[c.name, c.passed] for c in report.checks],
+        "charpolys": [[_gq_text(c) for c in nk.charpoly(M)]
+                      for M in (d.B0, d.B1, d.monodromy if m else d.A)],
+        "composite_zero": [pm.composite_residual() == 0 for pm in monads],
+        "roundtrip": bowcli.data_to_json(back),
+        "fiber": [fb.dim, [[_gq_text(fb.basis[i, j])
+                            for j in range(fb.basis.shape[1])]
+                           for i in range(fb.basis.shape[0])]],
+    }
+
+
+@pytest.mark.parametrize("flavor, k, m", list(EXACT_OUTPUT_DIGESTS))
+def test_exact_outputs_are_pinned(flavor, k, m):
+    """The exact backend's verdicts, characteristic polynomials, composite
+    decisions, round trips and fiber bases of the exact draws of seeds 0-3
+    are fixed value for value; the digests were taken before exact
+    matrices were held in split form."""
+    h = hashlib.sha256()
+    for seed in range(4):
+        h.update(json.dumps(_exact_outputs(flavor, k, m, seed),
+                            sort_keys=True).encode())
+    assert h.hexdigest()[:16] == EXACT_OUTPUT_DIGESTS[flavor, k, m]

@@ -4,9 +4,11 @@ annotated field of a top-level class apart from dunder names, is referenced
 somewhere, and the library imports nothing but the standard library, numpy
 and itself (numpy is its only declared dependency).  No library module
 calls ``np.poly``: ``numkit.charpoly`` is the one characteristic
-polynomial.  No library module but ``numkit`` and ``bowcli`` imports
-``fractions``: exact arrays hold ``GaussianRational``s, which ``numkit``
-defines and the ``bowcli`` parser builds.
+polynomial.  No library module but ``numkit`` imports ``fractions``:
+exact matrices hold integer numerators over one denominator, the
+``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
+only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
+Fractions.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -219,3 +221,8 @@ def test_scanner_flags_fractions_imports():
                          ids=lambda p: p.name)
 def test_fractions_only_in_numkit_and_bowcli(path):
     assert fractions_imports(path.read_text()) == []
+
+
+def test_bowcli_parses_exact_json_without_fractions():
+    """With the modules above, only numkit imports fractions."""
+    assert fractions_imports((SRC / "bowcli.py").read_text()) == []

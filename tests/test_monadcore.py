@@ -376,7 +376,7 @@ def test_payload_past_the_matrix_edge_raises():
         corner = (0, 0, 1, 1, block([[1, 2]]))          # ends at the corner
         pm = mc.ParamMonad.from_blocks("xi_eta", cols, [corner], [], exact)
         assert list(pm.alpha.coeffs) == [(0, 0)]
-        assert pm.alpha.coeffs[(0, 0)].tolist() == [[0, 0, 0], [0, 1, 2]]
+        assert np.all(pm.alpha.coeffs[(0, 0)] == block([[0, 0, 0], [0, 1, 2]]))
         for r0, c0, payload in ((1, 2, [[1, 2]]), (0, 0, [[1], [1], [1]]),
                                 (2, 0, [[1]])):
             with pytest.raises(ValueError, match="leaves"):
@@ -416,8 +416,7 @@ def test_exact_evaluate_and_to_float_stay_exact():
         want = nk.exact_zeros(*poly.shape)
         for (p, q), mat in poly.coeffs.items():
             want = want + mat * (pt[0] ** p * pt[1] ** q)
-        assert all(a == b and type(a) is type(b)
-                   for a, b in zip(val.flat, want.flat))
+        assert nk.is_exact(val) and val == want
         flt = poly.to_float()
         assert list(flt.coeffs) == list(poly.coeffs)
         for key, mat in poly.coeffs.items():
@@ -429,25 +428,31 @@ def test_exact_evaluate_and_to_float_stay_exact():
 COMBOS = ((1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0))
 
 
+def _entries(M):
+    """An exact matrix as an object array of the GaussianRationals it
+    holds."""
+    out = np.empty(M.shape, dtype=object)
+    for idx in np.ndindex(M.shape):
+        out[idx] = M[idx]
+    return out
+
+
 def _add_monomial_reference(shape, blocks, exact):
     """Block assembly as a mutable matrix polynomial did it: per block, copy
     the monomial's coefficient (a zero matrix for a new monomial), add the
-    payload into it and write the matrix back."""
+    payload into it and write the matrix back.  Exact coefficients are
+    object arrays of GaussianRationals, summed entry by entry."""
     coeffs = {}
     for p, q, r0, c0, payload in blocks:
-        payload = np.asarray(payload) if not exact else payload
+        payload = _entries(payload) if exact else np.asarray(payload)
         h, w = np.shape(payload)
         key = (p, q)
         tgt = coeffs[key].copy() if key in coeffs else \
-            nk.zeros_like_backend(*shape, exact)
+            np.full(shape, nk.GQ(0), dtype=object) if exact else \
+            np.zeros(shape, dtype=complex)
         blk = tgt[r0:r0 + h, c0:c0 + w]
-        if exact:
-            for ij, x in np.ndenumerate(np.asarray(payload, dtype=object)):
-                blk[ij] = x if isinstance(x, nk.GQ) and not blk[ij] \
-                    else blk[ij] + x
-        else:
-            blk[...] = blk + payload
-        coeffs[key] = np.asarray(tgt, dtype=object if exact else complex)
+        blk[...] = blk + payload
+        coeffs[key] = tgt
     return coeffs
 
 
@@ -473,8 +478,8 @@ def _builder_monads(backends=(False, True)):
 
 def test_builders_match_per_block_assembly(monkeypatch):
     """Every tensor a builder makes is the one the per-block reference sums
-    from the same blocks: key order, P, Q and C bytes on floats, the type
-    and repr of every entry on the exact backend."""
+    from the same blocks: key order, P, Q and C bytes on floats, the value
+    of every entry on the exact backend."""
     built = []
     from_blocks = mc.ParamMonad.from_blocks.__func__
 
@@ -499,8 +504,8 @@ def test_builders_match_per_block_assembly(monkeypatch):
                                                 float).tobytes()
             C = np.stack([M.ravel() for M in want.values()])
             if pm.exact:
-                assert [(type(x), repr(x)) for x in poly.C.flat] == \
-                    [(type(x), repr(x)) for x in C.flat]
+                assert poly.C.shape == C.shape
+                assert all(poly.C[idx] == C[idx] for idx in np.ndindex(C.shape))
             else:
                 assert poly.C.dtype == complex
                 assert poly.C.tobytes() == C.tobytes()
@@ -508,23 +513,25 @@ def test_builders_match_per_block_assembly(monkeypatch):
 
 def _reference_compose(left, right):
     """left o right as one exact product per monomial: the factors of its
-    pairs side by side times the stacked partners, each product split and
-    joined on its own."""
+    pairs side by side times the stacked partners, in Q(i) arithmetic on
+    object arrays of GaussianRationals."""
     factors = {}
     for (p1, q1), m1 in left.coeffs.items():
         for (p2, q2), m2 in right.coeffs.items():
             lf, rf = factors.setdefault((p1 + p2, q1 + q2), ([], []))
-            lf.append(m1)
-            rf.append(m2)
-    return {key: nk.mat_mul(np.hstack(lf), np.vstack(rf))
+            lf.append(_entries(m1))
+            rf.append(_entries(m2))
+    return {key: np.dot(np.hstack(lf), np.vstack(rf))
             for key, (lf, rf) in factors.items()}
 
 
 def _reference_composite_residual(pm):
     comp = _reference_compose(pm.beta, pm.alpha)
-    if all(nk.is_zero_matrix(m) for m in comp.values()):
+    if all(not x for m in comp.values() for x in m.flat):
         return 0.0
-    return max(nk.mat_norm(m) for m in comp.values())
+    return max(float(np.linalg.norm([[complex(x.re) + 1j * complex(x.im)
+                                      for x in row] for row in m]))
+               for m in comp.values())
 
 
 def _broken_exact_monad():
@@ -532,9 +539,11 @@ def _broken_exact_monad():
     Gaussian rational, so that beta o alpha does not vanish."""
     pm = taubnut._big_monad_unchecked(
         taubnut.generate_taubnut(2, 1, seed=0, exact=True))
-    coeffs = {key: mat.copy() for key, mat in pm.beta.coeffs.items()}
-    coeffs[0, 0][0, 0] = coeffs[0, 0][0, 0] + nk.GQ(Fraction(1, 3),
-                                                     Fraction(-2, 7))
+    coeffs = dict(pm.beta.coeffs)
+    unit = np.zeros(pm.beta.shape, dtype=int)
+    unit[0, 0] = 1
+    coeffs[0, 0] = coeffs[0, 0] + nk.int_matrix(unit, True) * nk.GQ(
+        Fraction(1, 3), Fraction(-2, 7))
     beta = mc.PolyMatrix(pm.beta.shape, coeffs, exact=True)
     return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, beta, exact=True)
 
@@ -543,8 +552,9 @@ def test_exact_compose_matches_per_key_products():
     """The composite of every exact monad the builders make from exact
     data (finite_monad_family makes float monads) and of a monad whose
     composite does not vanish, against one split-and-joined product per
-    monomial: the same keys in the same order, values and entry types;
-    composite_residual against the reference's, bit for bit."""
+    monomial in Q(i) arithmetic: the same keys in the same order and the
+    same values; composite_residual against the reference's, bit for
+    bit."""
     monads = [pm for pm in _builder_monads(backends=(True,)) if pm.exact]
     assert len(monads) == 2 * (7 * 2 + 4 * 2)
     broken = _broken_exact_monad()
@@ -553,8 +563,9 @@ def test_exact_compose_matches_per_key_products():
         want = _reference_compose(pm.beta, pm.alpha)
         assert list(comp.coeffs) == list(want)
         for key, mat in want.items():
-            assert [(type(x), x) for x in comp.coeffs[key].flat] == \
-                [(type(x), x) for x in mat.flat]
+            got = comp.coeffs[key]
+            assert nk.is_exact(got) and got.shape == mat.shape
+            assert all(got[idx] == mat[idx] for idx in np.ndindex(mat.shape))
         res = pm.composite_residual()
         assert type(res) is float
         assert res == _reference_composite_residual(pm)

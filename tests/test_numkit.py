@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -20,34 +21,158 @@ def test_gaussian_rational_field_ops():
         a / GQ(0)
 
 
+def _assert_reduced(M):
+    """The split-form invariants of an exact matrix: Python-int numerators
+    over a positive denominator sharing no factor with all of them, and im
+    None exactly when every imaginary part is zero."""
+    assert nk.is_exact(M)
+    nums = M.re.ravel().tolist()
+    if M.im is not None:
+        assert M.im.shape == M.re.shape
+        nums += M.im.ravel().tolist()
+        assert any(M.im.ravel().tolist())
+    assert all(type(n) is int for n in nums)
+    assert type(M.den) is int and M.den > 0
+    assert math.gcd(M.den, *nums) == 1
+
+
+def _entries(M):
+    """An exact matrix as an object array of the GaussianRationals it
+    holds."""
+    out = np.empty(M.shape, dtype=object)
+    for idx in np.ndindex(M.shape):
+        out[idx] = M[idx]
+    return out
+
+
 def test_numpy_integers_are_stored_as_python_ints():
-    """A numpy integer part is coerced to a Python int: a Fraction of an
-    int64 would keep it as its numerator and overflow in later products."""
+    """A numpy integer part is coerced to a Python int, in a scalar and in
+    an exact matrix: an int64 numerator would overflow in later
+    products."""
     assert type(GQ(np.int64(3), np.int32(-2)).re.numerator) is int
     assert type(GQ(np.int64(3), np.int32(-2)).im.numerator) is int
     assert GQ(1, 1) * np.int64(2) == GQ(2, 2)
-    M = nk.exact_matrix(np.array([[2**40]]))
-    assert nk.mat_mul(M, M)[0, 0] == GQ(2**80)
-    N = nk.exact_matrix(np.array([[2**40, 1], [3, 2**40]]))
-    det = 2**80 - 3
-    assert (nk.exact_inverse(N) == nk.exact_matrix(
-        [[Fraction(2**40, det), Fraction(-1, det)],
-         [Fraction(-3, det), Fraction(2**40, det)]])).all()
+    for make in (nk.exact_matrix, lambda a: nk.int_matrix(a, True)):
+        M = make(np.array([[2**40]]))
+        _assert_reduced(M)
+        assert nk.mat_mul(M, M)[0, 0] == GQ(2**80)
+        assert (M * np.int64(2**30))[0, 0] == GQ(2**70)
+        N = make(np.array([[2**40, 1], [3, 2**40]]))
+        _assert_reduced(N)
+        det = 2**80 - 3
+        inv = nk.exact_inverse(N)
+        _assert_reduced(inv)
+        assert inv == nk.exact_matrix(
+            [[Fraction(2**40, det), Fraction(-1, det)],
+             [Fraction(-3, det), Fraction(2**40, det)]])
 
 
 def test_real_data_are_decided_by_value():
-    """_split gives im None exactly when every imaginary part is zero,
-    however the entries were made; _join always gives GaussianRationals."""
+    """im is None exactly when every imaginary part is zero, however the
+    entries were made, and the denominator is the least common one."""
     real = nk.exact_matrix([[GQ(1, 1) * GQ(1, -1), Fraction(-1, 3)],
                             [GQ(1, 1) - GQ(0, 1), 0]])
-    re, im, den = nk._split(real)
-    assert im is None and den == 3 and re.tolist() == [[6, -1], [3, 0]]
-    real[1, 1] = GQ(0, Fraction(1, 5))
-    re, im, den = nk._split(real)
-    assert den == 15 and im.tolist() == [[0, 0], [0, 3]]
-    for parts in ((re, None, den), (re, im, den)):
-        assert all(type(e) is GQ for e in nk._join(*parts).flat)
-    assert (nk._join(re, im, den) == real).all()
+    assert real.im is None and real.den == 3
+    assert real.re.tolist() == [[6, -1], [3, 0]]
+    cplx = nk.exact_matrix([[GQ(1, 1) * GQ(1, -1), Fraction(-1, 3)],
+                            [GQ(1, 1) - GQ(0, 1), GQ(0, Fraction(1, 5))]])
+    assert cplx.den == 15 and cplx.im.tolist() == [[0, 0], [0, 3]]
+    # products and sums whose imaginary parts cancel are real again
+    u = nk.exact_matrix([[GQ(1, 1)]])
+    assert (u @ u.conj()).im is None and (u @ u.conj())[0, 0] == GQ(2)
+    assert (cplx - cplx.conj() + cplx.conj()) == cplx
+    assert (cplx + cplx.conj()).im is None
+    assert all(type(e) is GQ for e in _entries(cplx).flat)
+
+
+_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 3)]
+
+
+def _split_form_samples(rng, m, n):
+    """Exact m x n matrices: zero, integer, real and complex rational, with
+    one entry of a big denominator."""
+    out = [nk.exact_zeros(m, n), nk.int_matrix(rng.integers(-3, 4, (m, n)),
+                                                True)]
+    for field in (Fraction, GQ):
+        M = _oracle_matrix(rng, m, n, field, big=True)
+        out.append(nk.exact_matrix(M))
+    return out
+
+
+@pytest.mark.parametrize("m, n", _SHAPES)
+def test_split_form_invariants_hold_after_every_operation(m, n):
+    """Construction, products, sums, differences, negation, scalar factors,
+    slicing, stacking and the (conjugate) transpose each give a reduced
+    exact matrix with the values of the same work in Q(i) arithmetic, on
+    empty shapes too."""
+    rng = np.random.default_rng([m, n, 27])
+    samples = _split_form_samples(rng, m, n)
+    for A in samples:
+        _assert_reduced(A)
+        ref = _entries(A)
+        for B in samples:
+            for got, want in ((A + B, ref + _entries(B)),
+                              (A - B, ref - _entries(B))):
+                _assert_same(got, want)
+        _assert_same(-A, -ref)
+        for c in (0, 3, Fraction(-5, 6), GQ(Fraction(1, 2), -2), GQ(0, 7)):
+            _assert_same(A * c, ref * c)
+            _assert_same(c * A, ref * c)
+            if c:
+                _assert_same(A / c, ref / c)
+        _assert_same(A.T, ref.T)
+        _assert_same(A.conj().T,
+                     np.vectorize(GQ.conjugate, otypes=[object])(ref.T))
+        _assert_same(A[1:, ::2], ref[1:, ::2])
+        _assert_same(A[:, [j for j in range(n) if j % 2]],
+                     ref[:, [j for j in range(n) if j % 2]])
+        for C in (_split_form_samples(rng, n, 2) + _split_form_samples(
+                rng, n, 0)):
+            _assert_same(A @ C, _ref_mat_mul(ref, _entries(C)))
+        stacked = nk.block([[A, A.conj()], [A * 2, -A]])
+        _assert_same(stacked, np.block([[ref, _entries(A.conj())],
+                                        [_entries(A * 2), _entries(-A)]]))
+        assert nk.is_zero_matrix(A - A)
+        assert nk.is_zero_matrix(A) == all(not e for e in ref.flat)
+    # a shape mismatch raises, and a matrix has no truth value
+    wide, tall = nk.exact_zeros(m, n + 1), nk.exact_zeros(n + 1, 1)
+    for op in (lambda A: A + wide, lambda A: A - wide, lambda A: A @ tall,
+               bool):
+        with pytest.raises((ValueError, TypeError)):
+            op(samples[-1])
+
+
+@pytest.mark.parametrize("m, n", _SHAPES)
+def test_split_form_invariants_hold_after_elimination(m, n):
+    """exact_kernel, exact_solve and exact_inverse give reduced exact
+    matrices, on empty shapes too."""
+    rng = np.random.default_rng([m, n, 28])
+    for A in _split_form_samples(rng, m, n):
+        K = nk.exact_kernel(A)
+        _assert_reduced(K)
+        assert K.shape[0] == n and nk.is_zero_matrix(A @ K)
+        for b in (_split_form_samples(rng, m, 2)[-1], nk.exact_zeros(m, 0)):
+            x = nk.exact_solve(A, b)
+            if x is not None:
+                _assert_reduced(x)
+                assert A @ x == b
+        if m == n:
+            inv = nk.exact_inverse(A)
+            if inv is not None:
+                _assert_reduced(inv)
+                assert inv @ A == nk.exact_eye(n) == A @ inv
+
+
+def test_repr_is_value_based():
+    """Equal matrices built in different ways have the same repr, and it
+    names no object id: the benchmark hashes the repr of exact data."""
+    a = nk.exact_matrix([[Fraction(1, 2), GQ(0, 1)], [3, 0]])
+    b = nk.exact_matrix([[1, GQ(0, 2)], [6, 0]]) / 2
+    c = nk.block([[nk.exact_matrix([[Fraction(2, 4)], [3]]),
+                   nk.exact_matrix([[GQ(0, 3)], [0]]) * Fraction(1, 3)]])
+    assert a == b == c and repr(a) == repr(b) == repr(c)
+    assert " at 0x" not in repr(a) and "den=2" in repr(a)
+    assert repr(nk.exact_zeros(0, 3)) != repr(nk.exact_zeros(3, 0))
 
 
 def test_rank_kernel_identity():
@@ -269,18 +394,18 @@ def test_exact_engine_kernel_rank_and_solve(field, m, n, rank):
         Mf, M = _integer_matrix(rng, m, n, rank, field)
         _, pivots = nk.rref(M)
         K = nk.exact_kernel(M)
-        assert all(type(e) is GQ for e in K.flat)
+        _assert_reduced(K)
         assert nk.is_zero_matrix(M @ K)
         assert len(pivots) == rank == nk.rank_kernel(Mf).rank
         assert len(pivots) + K.shape[1] == n
         rk = nk.rank_kernel(M)
         assert rk.rank == rank
-        assert nk.is_zero_matrix(nk.conj_transpose(rk.cokernel) @ M)
+        assert nk.is_zero_matrix(rk.cokernel.conj().T @ M)
         # a right-hand side in the image is solved with free variables 0
         b = M @ _as_exact(rng.integers(-3, 4, (n, 2)) + 0j, field)
         x = nk.exact_solve(M, b)
-        assert (M @ x == b).all()
-        assert all(not e for c in range(n) if c not in pivots for e in x[c])
+        assert M @ x == b
+        assert all(nk.is_zero_matrix(x[c]) for c in range(n) if c not in pivots)
         # the identity has a column outside the image unless M is onto
         eye = _as_exact(np.eye(m) + 0j, field)
         assert (nk.exact_solve(M, eye) is None) == (rank < m)
@@ -292,7 +417,7 @@ def test_exact_inverse(field):
     _, M = _integer_matrix(rng, 4, 4, 4, field)
     inv = nk.exact_inverse(M)
     eye = _as_exact(np.eye(4) + 0j, field)
-    assert (M @ inv == eye).all() and (inv @ M == eye).all()
+    assert M @ inv == eye and inv @ M == eye
     _, S = _integer_matrix(rng, 4, 4, 3, field)
     assert nk.exact_inverse(S) is None
 
@@ -308,8 +433,9 @@ def _ref_mat_mul(A, B):
 
 def _ref_evaluate(pm, x, y):
     """Exact PolyMatrix value as a per-monomial sum in Q(i) arithmetic."""
-    out = nk.exact_zeros(*pm.shape)
+    out = np.full(pm.shape, GQ(0), dtype=object)
     for (p, q), mat in pm.coeffs.items():
+        mat = _entries(mat)
         out = out + mat * (x ** p) * (y ** q) if (p or q) else out + mat
     return out
 
@@ -363,10 +489,11 @@ def _oracle_matrix(rng, m, n, field, big=False, rank=None, zero_rows=0):
 
 
 def _assert_same(A, B):
-    """Equal shapes, equal values and equal element types."""
+    """A, an exact matrix in reduced split form, holds the values of B, an
+    object array of Q(i) entries, entry by entry."""
+    _assert_reduced(A)
     assert A.shape == B.shape
-    assert [type(e) for e in A.flat] == [type(e) for e in B.flat]
-    assert all(a == b for a, b in zip(A.flat, B.flat))
+    assert all(A[idx] == B[idx] for idx in np.ndindex(B.shape))
 
 
 _ORACLE_SHAPES = [  # (m, k, n): A is m x k, B is k x n
@@ -381,7 +508,8 @@ def test_mat_mul_matches_object_products(field, big, m, k, n):
     for zero_rows in (0, 1):
         A = _oracle_matrix(rng, m, k, field, big, zero_rows=min(zero_rows, m - 1))
         B = _oracle_matrix(rng, k, n, field, big, rank=max(1, min(k, n) - 1))
-        _assert_same(nk.mat_mul(A, B), _ref_mat_mul(A, B))
+        _assert_same(nk.mat_mul(nk.exact_matrix(A), nk.exact_matrix(B)),
+                     _ref_mat_mul(A, B))
 
 
 def test_mat_mul_mixed_fields_is_gaussian():
@@ -390,8 +518,10 @@ def test_mat_mul_mixed_fields_is_gaussian():
     rng = np.random.default_rng(3)
     A = _oracle_matrix(rng, 3, 4, GQ, big=True)
     B = _oracle_matrix(rng, 4, 2, Fraction, big=True)
-    _assert_same(nk.mat_mul(A, B), _ref_mat_mul(A, B))
-    _assert_same(nk.mat_mul(B.T, A.T), _ref_mat_mul(B.T, A.T))
+    Ae, Be = nk.exact_matrix(A), nk.exact_matrix(B)
+    assert Ae.im is not None and Be.im is None
+    _assert_same(nk.mat_mul(Ae, Be), _ref_mat_mul(A, B))
+    _assert_same(nk.mat_mul(Be.T, Ae.T), _ref_mat_mul(B.T, A.T))
 
 
 @pytest.mark.parametrize("field", [GQ, Fraction])
@@ -399,9 +529,9 @@ def test_mat_mul_mixed_fields_is_gaussian():
 def test_evaluate_matches_monomial_sum(field, shape):
     rng = np.random.default_rng([*shape, field is GQ])
     pm = monadcore.PolyMatrix(shape, exact=True)
-    assert all(not e for e in pm.evaluate(GQ(2), GQ(3)).flat)
+    assert nk.is_zero_matrix(pm.evaluate(GQ(2), GQ(3)))
     pm = monadcore.PolyMatrix(shape, {
-        key: _oracle_matrix(rng, *shape, field, big=True)
+        key: nk.exact_matrix(_oracle_matrix(rng, *shape, field, big=True))
         for key in [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)]}, exact=True)
     for _ in range(3):
         x, y = _rational(rng, GQ, True), _rational(rng, GQ, False)
@@ -425,7 +555,7 @@ def test_rref_matches_gauss_jordan(field, big, m, n, rank, zero_rows):
         M = _oracle_matrix(rng, m, n, field, big, rank, zero_rows)
         # zero rows first, so the elimination has to swap rows
         M = M[::-1].copy()
-        R, pivots = nk.rref(M)
+        R, pivots = nk.rref(nk.exact_matrix(M))
         R_ref, pivots_ref = _ref_rref(M)
         assert pivots == pivots_ref
         _assert_same(R, R_ref)
@@ -437,13 +567,15 @@ def test_rref_matches_gauss_jordan(field, big, m, n, rank, zero_rows):
 def test_exact_quotient_containment(field):
     rng = np.random.default_rng(11)
     B = _oracle_matrix(rng, 3, 7, field, big=True)
-    K = nk.exact_kernel(B)                       # 7 x 4
-    inside = _ref_mat_mul(K[:, :2], _oracle_matrix(rng, 2, 2, field))
+    K = nk.exact_kernel(nk.exact_matrix(B))      # 7 x 4
+    inside = nk.exact_matrix(_ref_mat_mul(_entries(K[:, :2]),
+                                          _oracle_matrix(rng, 2, 2, field)))
     reps = nk.quotient_representatives(K, inside)
     assert reps.shape == (7, 2)
     # the image and the representatives span the whole kernel
-    assert len(nk.rref(np.hstack([inside, reps]))[1]) == 4
-    outside = np.hstack([inside, _oracle_matrix(rng, 7, 1, field)])
+    assert len(nk.rref(nk.block([[inside, reps]]))[1]) == 4
+    outside = nk.block([[inside, nk.exact_matrix(
+        _oracle_matrix(rng, 7, 1, field))]])
     with pytest.raises(nk.ImageNotContained):
         nk.quotient_representatives(K, outside)
 
@@ -455,7 +587,7 @@ def test_to_float_matches_entrywise_conversion(field):
     M[0, 0] = GQ(Fraction(10**400 + 1, 3 * 10**399))   # beyond float range parts
     ref = np.array([[complex(e.re) + 1j * complex(e.im) for e in row]
                     for row in M])
-    out = nk.to_float(M)
+    out = nk.to_float(nk.exact_matrix(M))
     assert out.dtype == complex
     assert (out == ref).all()
 
@@ -498,15 +630,16 @@ def _charpoly_oracle_inputs():
                 d = gen(k, m, seed=seed, exact=True)
                 out += [d.B0, d.B1, d.monodromy if m else d.A]
     rng = np.random.default_rng(8)
-    out.append(_oracle_matrix(rng, 4, 4, Fraction, big=True))
-    out.append(_oracle_matrix(rng, 1, 1, GQ, big=True))
-    out.append(np.empty((0, 0), dtype=object))
+    out.append(nk.exact_matrix(_oracle_matrix(rng, 4, 4, Fraction, big=True)))
+    out.append(nk.exact_matrix(_oracle_matrix(rng, 1, 1, GQ, big=True)))
+    out.append(nk.exact_zeros(0, 0))
     return out
 
 
 def test_exact_charpoly_matches_cofactor_determinant():
-    """The exact Faddeev-LeVerrier of numkit.charpoly against det(eta I - M)
-    expanded by cofactors: equal values, GaussianRational entries."""
+    """The exact Faddeev-LeVerrier of numkit.charpoly of exact matrices
+    against det(eta I - M) expanded by cofactors of their entries: equal
+    values, GaussianRational coefficients."""
     inputs = _charpoly_oracle_inputs()
     assert {M.shape[0] for M in inputs} == {0, 1, 2, 3, 4}
     for M in inputs:
@@ -516,40 +649,40 @@ def test_exact_charpoly_matches_cofactor_determinant():
 
 
 @pytest.fixture
-def split_join_counts(monkeypatch):
-    """Counts of numkit._split and numkit._join calls, by name."""
-    counts = {"split": 0, "join": 0}
+def made_counts(monkeypatch):
+    """The number of exact matrices made through the reducing constructor
+    (every result of exact arithmetic is), in a one-entry list."""
+    made = [0]
+    init = nk.ExactMatrix.__init__
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
-        return wrapper
-    monkeypatch.setattr(nk, "_split", counted("split", nk._split))
-    monkeypatch.setattr(nk, "_join", counted("join", nk._join))
-    return counts
+    def counted(self, *args):
+        made[0] += 1
+        init(self, *args)
+    monkeypatch.setattr(nk.ExactMatrix, "__init__", counted)
+    return made
 
 
-def test_exact_chains_split_once_and_join_results_only(split_join_counts):
-    """charpoly of an exact n x n matrix splits it once and joins nothing;
-    composite_residual of a closing exact monad splits each map's tensor
-    once, on first use, and joins nothing."""
-    counts = split_join_counts
+def test_exact_chains_split_once_and_join_results_only(made_counts):
+    """An exact matrix is stored split, so the chains that stay in Z[i]
+    make no exact matrix along the way: charpoly of an exact n x n matrix
+    makes none, and neither does composite_residual of a closing exact
+    monad, whose numerator tensors the monad's builder made once."""
     rng = np.random.default_rng(4)
     for n in (1, 2, 3, 4, 5):
         for field in (GQ, Fraction):
-            counts.update(split=0, join=0)
-            nk.charpoly(_oracle_matrix(rng, n, n, field, big=True))
-            assert counts == {"split": 1, "join": 0}
+            M = nk.exact_matrix(_oracle_matrix(rng, n, n, field, big=True))
+            made_counts[0] = 0
+            assert all(type(c) is GQ for c in nk.charpoly(M))
+            assert made_counts[0] == 0
     for k, m in ((1, 0), (2, 1), (3, 0)):
         d = taubnut.generate_taubnut(k, m, seed=2, exact=True)
         for pm in (taubnut._big_monad_unchecked(d),
                    caloron.small_monad(caloron.generate_caloron(
                        k, m, seed=2, exact=True))):
-            for splits in (2, 0):
-                counts.update(split=0, join=0)
+            for _ in range(2):
+                made_counts[0] = 0
                 assert pm.composite_residual() == 0.0
-                assert counts == {"split": splits, "join": 0}
+                assert made_counts[0] == 0
 
 
 def test_full_rank_margin_is_finite_and_can_fail():

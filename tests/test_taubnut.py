@@ -396,11 +396,11 @@ def test_caloron_is_taubnut_with_identity_edge(k, m, seed, exact):
     cd = cal.generate_caloron(k, m, seed=seed, exact=exact)
     td = tn.TaubNutData(k, m, cd.A, cd.B, nk.eye_like_backend(k, exact),
                         cd.C, cd.D2row, cd.Aprime, cd.Bprime, cd.Cprime)
-    assert (td.normal_form == cd.left_normal).all()
-    assert (td.monodromy == cd.monodromy).all()
+    assert np.all(td.normal_form == cd.left_normal)
+    assert np.all(td.monodromy == cd.monodromy)
     for rt, rc in zip(td.relation_residuals(), cd.relation_residuals(),
                       strict=True):
-        assert (rt == rc).all()
+        assert np.all(rt == rc)
     assert cal.right_normal_residual(td) == cal.right_normal_residual(cd)
 
 
@@ -603,7 +603,7 @@ def test_round_trip_k1m0_returns_c_and_d(exact):
         d = tn.generate_taubnut(1, 0, seed=seed, exact=exact)
         back = tn.from_bow_complex(tn.to_bow_complex(d))
         if exact:
-            assert (back.C == d.C).all() and (back.D == d.D).all()
+            assert back.C == d.C and back.D == d.D
         else:
             assert np.max(np.abs(back.C - d.C)) < 1e-15
             assert np.max(np.abs(back.D - d.D)) < 1e-15
