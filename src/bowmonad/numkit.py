@@ -339,16 +339,17 @@ def eye_like_backend(n: int, exact: bool):
 
 
 def _concat(rows) -> np.ndarray:
-    """np.block of a two-level grid of arrays."""
-    return np.concatenate([np.concatenate(row, axis=1) for row in rows])
+    """np.block of a two-level grid of arrays, always a new array."""
+    return np.concatenate([row[0] if len(row) == 1 else
+                           np.concatenate(row, axis=1) for row in rows])
 
 
 def block(rows):
     """np.block of a grid of matrices of one backend: the exact parts are
     put over their least common denominator."""
-    parts = [M for row in rows for M in row]
-    if not any(map(is_exact, parts)):
+    if not is_exact(rows[0][0]):
         return _concat(rows)
+    parts = [M for row in rows for M in row]
     den = math.lcm(*(M.den for M in parts))
     re = _concat([[M.re * (den // M.den) for M in row] for row in rows])
     if all(M.im is None for M in parts):

@@ -89,14 +89,12 @@ _SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (3, 3)]
 
 
 def _split_form_samples(rng, m, n):
-    """Exact m x n matrices: zero, integer, real and complex rational, with
-    one entry of a big denominator."""
-    out = [nk.exact_zeros(m, n), nk.int_matrix(rng.integers(-3, 4, (m, n)),
-                                                True)]
-    for field in (Fraction, GQ):
-        M = _oracle_matrix(rng, m, n, field, big=True)
-        out.append(nk.exact_matrix(M))
-    return out
+    """Exact m x n matrices: zero, integer, and real and complex rational
+    with big numerators and denominators."""
+    return [nk.exact_zeros(m, n),
+            nk.int_matrix(rng.integers(-3, 4, (m, n)), True)] + [
+        nk.exact_matrix(_oracle_matrix(rng, m, n, field, big=True))
+        for field in (Fraction, GQ)]
 
 
 @pytest.mark.parametrize("m, n", _SHAPES)
