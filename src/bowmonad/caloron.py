@@ -20,8 +20,8 @@ import numpy as np
 
 from . import numkit as nk
 from .monadcore import BlockSpec, ParamMonad, block_starts, o_pp
-from .nahmbow import (BowComplexCircle, BuildRefused, NotInNormalForm, _inv,
-                      rank_one_factor)
+from .nahmbow import (BowComplexCircle, BowComplexTN, BuildRefused,
+                      NotInNormalForm, _inv, _off, rank_one_factor)
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport, is_exact
 
 
@@ -216,11 +216,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     `_add_obstruction_check`."""
     report = ValidationReport()
     B = data.B0
-    scale = max(nk.mat_norm(data.A), nk.mat_norm(B), 1.0)
-    for i, r in enumerate(data.relation_residuals(), start=1):
-        res = nk.mat_norm(r)
-        report.add(f"relation_{i}", res < 1e-10 * scale, res)
-
+    _add_relation_checks(report, data, ["relation_1", "relation_2",
+                                        "relation_3"])
     _add_obstruction_check(report, "stacked_pencil_injective",
                            data.A, B, data.D, ctx)
     _add_obstruction_check(report, "row_pencil_surjective",
@@ -250,6 +247,19 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     else:
         _add_invertibility_check(report, "A_invertible", data.A, ctx)
     return report
+
+
+def _add_relation_checks(report, data, names):
+    """One row per relation residual of the data, named in turn from names
+    and valued by its norm: it passes when the residual is zero on the
+    exact backend, and when the norm is below 1e-10 max(|A|, |B0|, 1) on
+    floats."""
+    if not data.exact:
+        scale = max(nk.mat_norm(data.A), nk.mat_norm(data.B0), 1.0)
+    for name, r in zip(names, data.relation_residuals()):
+        res = nk.mat_norm(r)
+        report.add(name, nk.is_zero_matrix(r) if data.exact
+                   else res < 1e-10 * scale, res)
 
 
 def _add_obstruction_check(report, name, A, B, D, ctx):
@@ -394,46 +404,45 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
 
 
 def to_nahm_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
-                    validated: ValidationReport | None = None) -> BowComplexCircle:
+                    validated: ValidationReport | None = None
+                    ) -> BowComplexTN | BowComplexCircle:
     """Circle complex of the matrix data.
 
-    m > 0: constant endomorphism B on the small interval, left-normal form M
-    at the lambda_minus end of the large one, parallel transport monodromy
-    across it (identity on the small interval).  m = 0: the two constant
-    endomorphisms B0, B1, the holonomy A as the sole connection invariant,
-    and the tuple's two fundamental pairs as they are: I_minus, J_minus =
-    C1, D1 factor the jump B0 - B1, and I_plus, J_plus = C2, D2 factor
-    -[A, B0] - C1 D1.  D2 is the one datum the endomorphisms do not
-    determine when C2 = 0, and from_nahm_complex reads it from J_plus.
+    m > 0: the bow complex of the identity edge, Bth = I and Bht = B.
+    m = 0: the BowComplexCircle of B0, B1, the holonomy A and the tuple's
+    two fundamental pairs as they are: I_minus, J_minus = C1, D1 factor the
+    jump B0 - B1, and I_plus, J_plus = C2, D2 factor -[A, B0] - C1 D1.  D2
+    is the one datum the endomorphisms do not determine when C2 = 0, and
+    from_nahm_complex reads it from J_plus.
     """
     report = validated if validated is not None else validate(data, ctx)
     if not report.passed:
         raise BuildRefused("data fails validation:\n" + report.render())
     if isinstance(data, CaloronData):
-        return BowComplexCircle(data.k, data.m, data.B, data.normal_form, data.monodromy,
-                                exact=data.exact)
-    return BowComplexCircle(data.k, 0, data.B0, data.B1, data.A,
+        return _bow_complex(data, nk.eye_like_backend(data.k, data.exact),
+                            data.B)
+    return BowComplexCircle(data.k, data.B0, data.B1, data.A,
                             I_minus=data.C1, J_minus=data.D[0:1, :],
-                            I_plus=data.C2, J_plus=data.D[1:2, :],
-                            exact=data.exact)
+                            I_plus=data.C2, J_plus=data.D[1:2, :])
 
 
-def from_nahm_complex(nc: BowComplexCircle, tol: float = 1e-9):
-    """Matrix tuple back from the normal forms and the monodromy."""
-    k, m = nc.k, nc.m
-    if m > 0:
-        B = nc.beta_small
-        return CaloronData(k, m, B=B, **_read_normal_form(
-            k, m, nc.beta_large, nc.monodromy, B, B, tol))
-    B0, A = nc.beta_small, nc.monodromy
-    if any(f is None for f in (nc.I_minus, nc.J_minus, nc.I_plus, nc.J_plus)):
-        raise NotInNormalForm("m = 0 complex must carry jump factors")
-    jump = nk.to_float(B0) - nk.to_float(nc.beta_large)
-    if np.max(np.abs(jump - nk.to_float(nc.I_minus) @ nk.to_float(nc.J_minus))) \
-            > tol * max(1.0, np.max(np.abs(jump))):
+def from_nahm_complex(nc: BowComplexTN | BowComplexCircle,
+                      tol: float = 1e-9):
+    """Matrix tuple back from a circle complex: CaloronData from an m > 0
+    bow complex on the identity edge (NotInNormalForm on any other),
+    CaloronDataM0 from a BowComplexCircle; checks as nahmbow._off makes
+    them."""
+    if isinstance(nc, BowComplexTN):
+        if nc.m < 1 or _off(nc.Bth - nk.eye_like_backend(
+                nc.k, nk.is_exact(nc.Bth)), tol):
+            raise NotInNormalForm("a caloron's bow complex has m >= 1 and "
+                                  "the identity edge")
+        return CaloronData(nc.k, nc.m, B=nc.Bht, **_read_normal_form(nc, tol))
+    jump = nc.B0 - nc.B1
+    if _off(jump - nc.I_minus @ nc.J_minus, tol, jump):
         raise NotInNormalForm("stored jump factors do not match B0 - B1")
-    C, D = _read_back_m0(A, B0, nc.I_minus, nc.J_minus, nc.J_plus, tol)
-    return CaloronDataM0(k, A, B0, C, D)
+    C, D = _read_back_m0(nc.A, nc.B0, nc.I_minus, nc.J_minus, nc.J_plus, tol)
+    return CaloronDataM0(nc.k, nc.A, nc.B0, C, D)
 
 
 def _read_back_m0(A, B0, C1, D1, D2_stored, tol: float):
@@ -455,49 +464,37 @@ def _read_back_m0(A, B0, C1, D1, D2_stored, tol: float):
     return nk.block([[C1, C2]]), nk.block([[D1], [D2]])
 
 
-def _read_normal_form(k: int, m: int, M, N, tail, head, tol: float) -> dict:
-    """The m > 0 tuple fields other than the edge endomorphisms, read off a
-    normal form M that continues the tail block and a monodromy N whose
-    conjugate N^-1 M N continues the head block.  Any deviation from the
-    normal-form pattern beyond tol raises NotInNormalForm."""
-    Mf = nk.to_float(M)
-    scale = max(np.max(np.abs(Mf)), 1.0)
-    exact = nk.is_exact(M)
-    body = M[k:, k:] - _shift_matrix(m, exact)
+def _bow_complex(data: MposTuple, Bth, Bht) -> BowComplexTN:
+    """The m > 0 bow complex of either flavor on the edge (Bth, Bht): the
+    blocks B0 and B1, the left-normal form and the monodromy."""
+    return BowComplexTN(data.k, data.m, data.B0, data.B1, Bth, Bht,
+                        data.normal_form, data.monodromy, exact=data.exact)
+
+
+def _read_normal_form(bc: BowComplexTN, tol: float) -> dict:
+    """The m > 0 tuple fields other than the edge maps, read off a bow
+    complex whose edge factors B0 and B1, whose normal form M continues B1
+    and whose monodromy N conjugates M to a form continuing B0.  A deviation
+    from that pattern raises NotInNormalForm (see nahmbow._off)."""
+    if not bc.edge_factors(tol):
+        raise NotInNormalForm("edge factorizations fail on this complex")
+    k, m = bc.k, bc.m
+    M, N = bc.beta_mid_plus, bc.monodromy
+    body = M[k:, k:] - _shift_matrix(m, nk.is_exact(M))
     for dev, what in (
-            (Mf[:k, :k] - nk.to_float(tail),
-             "normal form does not continue the tail block"),
-            (Mf[:k, k:k + m - 1], "normal form has entries off the final column"),
-            (Mf[k + 1:, :k], "normal form bottom block is not a single row"),
-            (nk.to_float(body)[:, :m - 1], "pole block deviates from the shift form")):
-        if dev.size and np.max(np.abs(dev)) > tol * scale:
+            (M[:k, :k] - bc.B1, "normal form does not continue the tail block"),
+            (M[:k, k:k + m - 1], "normal form has entries off the final column"),
+            (M[k + 1:, :k], "normal form bottom block is not a single row"),
+            (body[:, :m - 1], "pole block deviates from the shift form")):
+        if _off(dev, tol, M):
             raise NotInNormalForm(what)
     right = nk.mat_mul(nk.mat_mul(_inv(N), M), N)
-    rightf = nk.to_float(right)
-    if np.max(np.abs(rightf[:k, :k] - nk.to_float(head))) > tol * max(
-            np.max(np.abs(rightf)), 1.0):
+    if _off(right[:k, :k] - bc.B0, tol, right):
         raise NotInNormalForm("conjugated form does not continue the head block")
     C = nk.block([[-M[:k, k + m - 1:k + m], N[:k, k:k + 1]]])
     Cprime = nk.block([[-body[:, m - 1:m], N[k:, k:k + 1]]])
     return dict(A=N[:k, :k], C=C, D2row=right[k:k + 1, :k], Aprime=N[k:, :k],
                 Bprime=M[k:k + 1, :k], Cprime=Cprime)
-
-
-def right_normal_residual(data: MposTuple) -> float:
-    """Deviation of monodromy^-1 M monodromy from the right-normal pattern: the
-    head block B0, the single bottom row D2, the shift block, and arbitrary
-    entries only in the final column."""
-    k, m = data.k, data.m
-    N = nk.to_float(data.monodromy)
-    M = nk.to_float(data.normal_form)
-    right = np.linalg.inv(N) @ M @ N
-    want = np.zeros_like(right)
-    want[:k, :k] = nk.to_float(data.B0)
-    want[k:k + 1, :k] = nk.to_float(data.D2row)
-    want[k:, k:] = nk.to_float(_shift_matrix(m, False))
-    # free final column
-    want[:, k + m - 1] = right[:, k + m - 1]
-    return float(np.max(np.abs(right - want)))
 
 
 # ---------------------------------------------------------------------------

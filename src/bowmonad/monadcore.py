@@ -37,7 +37,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import numkit as nk
-from .numkit import DEFAULT_CTX, ToleranceContext, is_exact, mat_mul, to_float
+from .numkit import DEFAULT_CTX, ToleranceContext, is_exact, to_float
 
 
 class ChartMismatch(nk.BowmonadError):
@@ -271,18 +271,28 @@ class PolyMatrix:
         return (w @ self.C).reshape(*w.shape[:-1], *self.shape)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
-        """self o other as matrix polynomials."""
+        """self o other as matrix polynomials: on the exact backend the
+        tensor of the Z[i] sums of _exact_compose over their denominator;
+        on floats each coefficient summed product by product (a stacked
+        BLAS product would round in another order)."""
         if self.shape[1] != other.shape[0]:
             raise ValueError("composition shape mismatch")
+        shape = (self.shape[0], other.shape[1])
+        if self.exact:
+            sums, den = self._exact_compose(other)
+            zero = np.zeros(shape, dtype=object)
+            re, im = (np.array([zero if s[i] is None else s[i]
+                                for s in sums.values()], dtype=object)
+                      .reshape(len(sums), shape[0] * shape[1]) for i in (0, 1))
+            return PolyMatrix._of_tensor(shape, list(sums),
+                                         nk.ExactMatrix(re, im, den))
         left, right = list(self.coeffs.values()), list(other.coeffs.values())
         out = {}
         for key, (js, ks) in self._pairs(other).items():
-            # summed product by product: a stacked BLAS product would round
-            # in another order
-            out[key] = sum(map(mat_mul, [left[j] for j in js[1:]],
+            out[key] = sum(map(np.dot, [left[j] for j in js[1:]],
                                [right[k] for k in ks[1:]]),
-                           mat_mul(left[js[0]], right[ks[0]]))
-        return PolyMatrix((self.shape[0], other.shape[1]), out, self.exact)
+                           np.dot(left[js[0]], right[ks[0]]))
+        return PolyMatrix(shape, out)
 
     def _pairs(self, other) -> dict:
         """Per monomial of self o other, in the order first seen, the
@@ -430,11 +440,6 @@ class ParamMonad:
                    _summed_blocks((n3, n2), beta, exact), exact)
 
     # -- basic structure -----------------------------------------------------
-    def offsets(self, col: int) -> list[tuple[int, int]]:
-        """(start, stop) row or column range of each block of a column."""
-        return [(self.start[b.label], self.start[b.label] + b.rank)
-                for b in self.cols[col]]
-
     def composite(self) -> PolyMatrix:
         return self.beta.compose(self.alpha)
 

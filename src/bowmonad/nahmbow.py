@@ -607,7 +607,8 @@ class BowComplexTN:
     absorbed into the edge maps), the middle endomorphism is recorded in the
     lambda_plus normal frame, and `monodromy` conjugates the lambda_minus
     form to it.  For m = 0 the stored (I, J) pairs factor the jumps
-    (outer beta) - (middle beta) at each lambda point.
+    (outer beta) - (middle beta) at each lambda point.  An m >= 1 caloron's
+    circle complex is the one with the identity edge, Bth = I and Bht = B.
     """
 
     k: int
@@ -628,34 +629,29 @@ class BowComplexTN:
     def beta_mid_minus(self):
         return _inv(self.monodromy) @ self.beta_mid_plus @ self.monodromy
 
-    def edge_residual(self) -> float:
-        B0 = nk.to_float(self.B0)
-        B1 = nk.to_float(self.B1)
-        th = nk.to_float(self.Bth)
-        ht = nk.to_float(self.Bht)
-        r0 = np.max(np.abs(B0 - ht @ th)) if B0.size else 0.0
-        r1 = np.max(np.abs(B1 - th @ ht)) if B1.size else 0.0
-        return float(max(r0, r1))
+    def edge_factors(self, tol: float) -> bool:
+        """Whether Bht Bth = B0 and Bth Bht = B1: exactly on exact matrices,
+        within tol entrywise on floats."""
+        return not any(_off(R, tol) for R in (self.B0 - self.Bht @ self.Bth,
+                                              self.B1 - self.Bth @ self.Bht))
 
 
 @dataclass
 class BowComplexCircle:
-    """Holomorphic Nahm complex on the circle (no edge): constant outer
-    endomorphism, middle normal form and monodromy; m = 0 keeps the two
-    endomorphisms and the tuple's fundamental pairs instead, unnormalized:
-    I_minus, J_minus = C1, D1 (B0 - B1 = C1 D1) and I_plus, J_plus =
-    C2, D2 (-[A, B0] - C1 D1 = C2 D2)."""
+    """The m = 0 holomorphic Nahm complex on the circle (no edge): the
+    constant endomorphisms B0 and B1, the holonomy A, and the tuple's
+    fundamental pairs, unnormalized: (I_minus, J_minus) = (C1, D1) with
+    B0 - B1 = C1 D1, and (I_plus, J_plus) = (C2, D2) with
+    -[A, B0] - C1 D1 = C2 D2.  At m >= 1 it is a BowComplexTN."""
 
     k: int
-    m: int
-    beta_small: np.ndarray          # B for m > 0; B0 for m = 0
-    beta_large: np.ndarray          # lambda_minus form M for m > 0; B1 for m = 0
-    monodromy: np.ndarray           # monodromy for m > 0; holonomy A for m = 0
-    I_minus: np.ndarray | None = None
-    J_minus: np.ndarray | None = None
-    I_plus: np.ndarray | None = None
-    J_plus: np.ndarray | None = None
-    exact: bool = False
+    B0: np.ndarray
+    B1: np.ndarray
+    A: np.ndarray
+    I_minus: np.ndarray
+    J_minus: np.ndarray
+    I_plus: np.ndarray
+    J_plus: np.ndarray
 
 
 def _inv(M):
@@ -668,6 +664,15 @@ def _inv(M):
     if M.size and np.linalg.cond(M) > 1e12:
         raise TransportSingular("monodromy numerically defective")
     return np.linalg.inv(M)
+
+
+def _off(dev, tol: float, *refs) -> bool:
+    """Whether dev, the deviation of a matrix from a pattern, is nonzero:
+    exactly on the exact backend; on floats, beyond tol times the largest
+    entry of refs (at least 1)."""
+    scale = 1.0 if nk.is_exact(dev) else \
+        max([1.0] + [np.max(np.abs(R)) for R in refs])
+    return not nk.is_zero_matrix(dev, tol * scale)
 
 
 def _normalize_pair(I, J):

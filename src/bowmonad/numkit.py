@@ -131,9 +131,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return _gq(self.re, -self.im)
-
     def __repr__(self):
         return f"GQ({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
 

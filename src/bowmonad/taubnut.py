@@ -17,13 +17,14 @@ import numpy as np
 
 from . import numkit as nk
 from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
-                      _add_obstruction_check, _draw_ints, _e_minus_col,
-                      _e_plus_row, _generator_sizes, _gluing,
-                      _mixed_pencil_left, _pack, _read_back_m0,
-                      _read_normal_form, _solve_commutator, _solve_cprime)
+                      _add_obstruction_check, _add_relation_checks,
+                      _bow_complex, _draw_ints, _e_minus_col, _e_plus_row,
+                      _generator_sizes, _gluing, _mixed_pencil_left, _pack,
+                      _read_back_m0, _read_normal_form, _solve_commutator,
+                      _solve_cprime)
 from .monadcore import TWISTS, BlockSpec, ParamMonad, block_starts
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
-                      TransportSingular, _inv, _normalize_pair,
+                      TransportSingular, _inv, _normalize_pair, _off,
                       rank_one_factor)
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
@@ -103,12 +104,9 @@ def _validated(data, ctx: ToleranceContext):
     """validate's report, with the fused monad of the float data that its
     pointwise checks built."""
     report = ValidationReport()
-    scale = max(nk.mat_norm(data.A), nk.mat_norm(data.B0), 1.0)
-    names = ["relation_1", "relation_2", "relation_3"] if data.m else \
-        ["relation_1", "edge_jump"]
-    for name, r in zip(names, data.relation_residuals()):
-        res = nk.mat_norm(r)
-        report.add(name, res < 1e-10 * scale, res)
+    _add_relation_checks(report, data, ["relation_1", "relation_2",
+                                        "relation_3"] if data.m else
+                         ["relation_1", "edge_jump"])
 
     report.add("charpoly_B0_eq_B1", *charpoly_identity(data))
 
@@ -401,8 +399,7 @@ def to_bow_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     if not report.passed:
         raise BuildRefused("data fails validation:\n" + report.render())
     if data.m:
-        return BowComplexTN(data.k, data.m, data.B0, data.B1, data.Bth,
-                            data.Bht, data.normal_form, data.monodromy, exact=data.exact)
+        return _bow_complex(data, data.Bth, data.Bht)
     Ainv, mid, jump_row = data.middle_jump()
     I_plus, J_plus = _normalize_pair(data.C1, jump_row)
     I_minus, J_minus = _normalize_pair(-nk.mat_mul(Ainv, data.C2),
@@ -413,29 +410,23 @@ def to_bow_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
 
 
 def from_bow_complex(bc: BowComplexTN, tol: float = 1e-9):
-    """Matrix tuple back from a normalized bow complex; shape and coupling
-    residuals beyond tolerance raise NotInNormalForm."""
-    k, m = bc.k, bc.m
-    if bc.edge_residual() > tol:
+    """Matrix tuple back from a normalized bow complex; an edge, shape or
+    coupling residual raises NotInNormalForm: any nonzero one on the exact
+    backend, one beyond tolerance on floats."""
+    if bc.m:
+        return TaubNutData(bc.k, bc.m, Bht=bc.Bht, Bth=bc.Bth,
+                           **_read_normal_form(bc, tol))
+    if not bc.edge_factors(tol):
         raise NotInNormalForm("edge factorizations fail on this complex")
-    if m == 0:
-        return _from_bow_m0(bc, tol)
-    return TaubNutData(k, m, Bht=bc.Bht, Bth=bc.Bth, **_read_normal_form(
-        k, m, bc.beta_mid_plus, bc.monodromy, bc.B1, bc.B0, tol))
-
-
-def _from_bow_m0(bc: BowComplexTN, tol: float):
     # verify the stored factors against the intrinsic end jumps
-    for name, jump, I, J in (
-            ("head", nk.to_float(bc.B0) - nk.to_float(bc.beta_mid_minus),
-             bc.I_minus, bc.J_minus),
-            ("tail", nk.to_float(bc.B1) - nk.to_float(bc.beta_mid_plus),
-             bc.I_plus, bc.J_plus)):
+    for name, jump, I, J in (("head", bc.B0 - bc.beta_mid_minus,
+                              bc.I_minus, bc.J_minus),
+                             ("tail", bc.B1 - bc.beta_mid_plus,
+                              bc.I_plus, bc.J_plus)):
         if I is None or J is None:
             raise NotInNormalForm("m = 0 complex must carry jump factors")
-        prod = nk.to_float(nk.mat_mul(I, J))
-        if np.max(np.abs(jump - prod)) > tol * max(1.0, np.max(np.abs(prod)),
-                                                   np.max(np.abs(jump))):
+        prod = nk.mat_mul(I, J)
+        if _off(jump - prod, tol, prod, jump):
             raise NotInNormalForm(f"{name} jump does not match its factors")
     # C1 D1 = B0 - B1; C2 D2 = -[A, B0] - C1 D1 with D2 from the head factor
     # when C2 = 0, which leaves that factor unscaled

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from bowmonad import caloron as cal, monadcore as mc, numkit as nk
-from bowmonad.nahmbow import BuildRefused, NotInNormalForm
+from bowmonad.nahmbow import (BowComplexCircle, BowComplexTN, BuildRefused,
+                              NotInNormalForm)
+from normal_form import nudged, right_normal_residual
 
 
 def mk(rows):
@@ -105,7 +107,7 @@ def test_nahm_complex_monodromy_and_conjugation():
     ncx = cal.to_nahm_complex(data)
     assert np.allclose(nk.to_float(ncx.monodromy), [[2, -3], [3, 0]])
     # left form conjugates onto the right-normal pattern
-    assert cal.right_normal_residual(data) < 1e-10
+    assert right_normal_residual(data) < 1e-10
     N = nk.to_float(data.monodromy)
     right = np.linalg.inv(N) @ nk.to_float(data.left_normal) @ N
     assert np.allclose(right, [[5, -9], [1, -1]])
@@ -114,7 +116,7 @@ def test_nahm_complex_monodromy_and_conjugation():
 def test_m0_jumps_are_rank_one_products():
     d0 = cal.generate_caloron(2, 0, seed=4)
     ncx = cal.to_nahm_complex(d0)
-    jump = nk.to_float(ncx.beta_small) - nk.to_float(ncx.beta_large)
+    jump = nk.to_float(ncx.B0) - nk.to_float(ncx.B1)
     want = nk.to_float(d0.C1) @ nk.to_float(d0.D)[0:1, :]
     assert np.max(np.abs(jump - want)) < 1e-12
     assert np.linalg.matrix_rank(jump, tol=1e-9) <= 1
@@ -187,10 +189,88 @@ BROKEN_BLOCKS = {"corner": ((1, 1), "tail block"),
 def test_not_in_normal_form(block):
     (i, j), message = BROKEN_BLOCKS[block]
     ncx = cal.to_nahm_complex(cal.generate_caloron(2, 2, seed=5))
-    ncx.beta_large = ncx.beta_large.copy()
-    ncx.beta_large[i, j] += 0.1
+    ncx.beta_mid_plus = ncx.beta_mid_plus.copy()
+    ncx.beta_mid_plus[i, j] += 0.1
     with pytest.raises(NotInNormalForm, match=message):
         cal.from_nahm_complex(ncx)
+
+
+@pytest.mark.parametrize("block", list(BROKEN_BLOCKS))
+def test_exact_not_in_normal_form(block):
+    """On the exact backend an off-pattern entry moved by 1/10^12 is refused,
+    not dropped."""
+    (i, j), message = BROKEN_BLOCKS[block]
+    ncx = cal.to_nahm_complex(cal.generate_caloron(2, 2, seed=5, exact=True))
+    ncx.beta_mid_plus = nudged(ncx.beta_mid_plus, i, j)
+    with pytest.raises(NotInNormalForm, match=message):
+        cal.from_nahm_complex(ncx)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k,m,seed", [(1, 1, 2), (2, 1, 8), (1, 2, 3),
+                                      (2, 2, 5)])
+def test_circle_complex_is_the_identity_edge_bow_complex(k, m, seed, exact):
+    data = cal.generate_caloron(k, m, seed=seed, exact=exact)
+    ncx = cal.to_nahm_complex(data)
+    assert type(ncx) is BowComplexTN and (ncx.k, ncx.m) == (k, m)
+    assert np.all(ncx.Bth == nk.eye_like_backend(k, exact))
+    for M in (ncx.B0, ncx.B1, ncx.Bht):
+        assert np.all(M == data.B)
+    assert np.all(ncx.beta_mid_plus == data.left_normal)
+    assert np.all(ncx.monodromy == data.monodromy)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_edge_that_is_not_the_identity_is_refused(exact):
+    """Exactly on the exact backend, within tol on floats."""
+    ncx = cal.to_nahm_complex(cal.generate_caloron(2, 1, seed=8, exact=exact))
+    if not exact:
+        ncx.Bth = nudged(ncx.Bth, 0, 1, 1e-12)
+        cal.from_nahm_complex(ncx)
+        ncx.Bth = nudged(ncx.Bth, 0, 1, 1e-6)
+    else:
+        ncx.Bth = nudged(ncx.Bth, 0, 1)
+    with pytest.raises(NotInNormalForm, match="identity edge"):
+        cal.from_nahm_complex(ncx)
+
+
+def test_m0_bow_complex_is_not_a_circle_complex():
+    data = cal.generate_caloron(1, 1, seed=2)
+    ncx = cal.to_nahm_complex(data)
+    ncx.m = 0
+    with pytest.raises(NotInNormalForm, match="m >= 1"):
+        cal.from_nahm_complex(ncx)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_m0_circle_complex_fields(exact):
+    data = cal.generate_caloron(2, 0, seed=4, exact=exact)
+    ncx = cal.to_nahm_complex(data)
+    assert type(ncx) is BowComplexCircle and not hasattr(ncx, "m")
+    assert np.all(ncx.B0 == data.B0) and np.all(ncx.B1 == data.B1)
+    assert np.all(ncx.A == data.A)
+    assert np.all(nk.block([[ncx.I_minus, ncx.I_plus]]) == data.C)
+    assert np.all(nk.block([[ncx.J_minus], [ncx.J_plus]]) == data.D)
+
+
+def test_exact_m0_stored_factor_off_by_one_part_in_10_12_is_refused():
+    ncx = cal.to_nahm_complex(cal.generate_caloron(2, 0, seed=4, exact=True))
+    ncx.I_minus = nudged(ncx.I_minus, 1, 0)
+    with pytest.raises(NotInNormalForm, match="stored jump factors"):
+        cal.from_nahm_complex(ncx)
+
+
+@pytest.mark.parametrize("k,m,field,row", [
+    (2, 2, "Bprime", "relation_2"), (2, 1, "D2row", "relation_1"),
+    (2, 0, "B0", "relation_1")])
+def test_exact_relation_off_by_one_part_in_10_12_fails(k, m, field, row):
+    """An exact relation row passes only when its residual is zero; the
+    float norm it reports is that of the residual."""
+    data = cal.generate_caloron(k, m, seed=3, exact=True)
+    assert cal.validate(data)[row].passed
+    setattr(data, field, nudged(getattr(data, field), 0, 1))
+    check = cal.validate(data)[row]
+    assert not check.passed and 0 < check.residual < 1e-10
 
 
 @pytest.mark.parametrize("k,m,seed", [(1, 0, 0), (1, 1, 1), (1, 2, 2),

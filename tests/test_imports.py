@@ -14,7 +14,8 @@ The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
 definition counts as referenced when its name is read anywhere in the
 library, the tests or the benchmark: as a name, an attribute or an
-imported name.
+imported name.  A definition that only the tests read fails too, unless
+``TEST_ONLY`` names it with the reason it stays.
 """
 
 import ast
@@ -26,8 +27,24 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bowmonad"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
-READERS = sorted([*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-                  *(ROOT / "perfbench").glob("*.py")])
+LIBRARY_READERS = sorted([*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+READERS = sorted([*LIBRARY_READERS, *(ROOT / "tests").glob("*.py")])
+
+# library definitions that only the tests read, each with why it stays
+TEST_ONLY = {
+    "DivisorClass.is_zero": "Picard lattice, kept for splitting types "
+                            "read from the Hilbert function",
+    "HEXAGON_ORDER": "Picard lattice: the cyclic order of the -1 curves, "
+                     "kept for the same",
+    "principal_class": "Picard lattice: the chart functions' divisors, "
+                       "kept for the same",
+    "sections_on_line": "h0 of one twisted line restriction, the entry "
+                        "point of the line-invariant tables",
+    "SectionSpace.h1_dim": "the left-column H^1 share of the h0 that "
+                           "sections_on_line reports",
+    "psi_pushdown_monad": "the independent cross-check of the fused "
+                          "Taub-NUT monad, with its own block table",
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -129,6 +146,16 @@ def test_no_unreferenced_definitions():
     dead = {p.name: unreferenced_definitions(p.read_text(), refs)
             for p in MODULES}
     assert {name: d for name, d in dead.items() if d} == {}
+
+
+def test_no_definitions_only_tests_read():
+    """Read without the tests, the unreferenced definitions are exactly
+    those TEST_ONLY names: a new test-only one fails, and so does a stale
+    entry."""
+    refs = referenced_names(p.read_text() for p in LIBRARY_READERS)
+    test_only = {entry.split(" (line")[0] for p in MODULES
+                 for entry in unreferenced_definitions(p.read_text(), refs)}
+    assert test_only == set(TEST_ONLY)
 
 
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "bowmonad"}

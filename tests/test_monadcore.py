@@ -577,6 +577,12 @@ def test_exact_compose_matches_per_key_products():
 
 
 
+def _offsets(pm, col):
+    """(start, stop) row or column range of each block of a column."""
+    return [(pm.start[b.label], pm.start[b.label] + b.rank)
+            for b in pm.cols[col]]
+
+
 def reference_block_action(pm, which, line, src, dst, strict):
     """The per-entry assembly of a section system: every monomial x source
     (block, exponent) x destination block, one zero test and one slot
@@ -584,7 +590,7 @@ def reference_block_action(pm, which, line, src, dst, strict):
     poly, rows, cols = ((pm.alpha, 1, 0) if which == "alpha"
                         else (pm.beta, 2, 1))
     sub = mc._substitution(pm.chart, line)
-    roff, coff = pm.offsets(rows), pm.offsets(cols)
+    roff, coff = _offsets(pm, rows), _offsets(pm, cols)
     src_entries = [(ib, first + i, base + i * rk, rk)
                    for ib, (first, count, base, rk) in enumerate(src.blocks)
                    for i in range(count)]

@@ -16,7 +16,6 @@ def test_gaussian_rational_field_ops():
     assert a - a == GQ(0)
     assert -a == GQ(-1, -2)
     assert a ** 3 == a * a * a
-    assert a.conjugate() == GQ(1, -2)
     with pytest.raises(ZeroDivisionError):
         a / GQ(0)
 
@@ -120,7 +119,8 @@ def test_split_form_invariants_hold_after_every_operation(m, n):
                 _assert_same(A / c, ref / c)
         _assert_same(A.T, ref.T)
         _assert_same(A.conj().T,
-                     np.vectorize(GQ.conjugate, otypes=[object])(ref.T))
+                     np.vectorize(lambda e: GQ(e.re, -e.im),
+                                  otypes=[object])(ref.T))
         _assert_same(A[1:, ::2], ref[1:, ::2])
         _assert_same(A[:, [j for j in range(n) if j % 2]],
                      ref[:, [j for j in range(n) if j % 2]])

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from bowmonad import caloron as cal, monadcore as mc, numkit as nk, taubnut as tn
 from bowmonad.monadcore import Line, splitting_type
 from bowmonad.nahmbow import BuildRefused, NotInNormalForm
+from normal_form import nudged, right_normal_residual
 
 
 def mk(rows):
@@ -312,7 +313,7 @@ def test_bow_complex_edge_values():
     bc = tn.to_bow_complex(d, validated=rep)
     assert abs(nk.to_float(bc.B0)[0, 0] - 6) < 1e-12
     assert abs(nk.to_float(bc.B1)[0, 0] - 6) < 1e-12
-    assert bc.edge_residual() < 1e-12
+    assert bc.edge_factors(1e-12)
 
 
 def test_round_trip_k1m1_exact():
@@ -401,13 +402,61 @@ def test_caloron_is_taubnut_with_identity_edge(k, m, seed, exact):
     for rt, rc in zip(td.relation_residuals(), cd.relation_residuals(),
                       strict=True):
         assert np.all(rt == rc)
-    assert cal.right_normal_residual(td) == cal.right_normal_residual(cd)
+    assert right_normal_residual(td) == right_normal_residual(cd)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k,m,seed", [(1, 1, 2), (2, 1, 8), (1, 2, 3),
+                                      (2, 2, 5)])
+def test_caloron_complex_reads_back_as_the_identity_edge_lift(k, m, seed,
+                                                              exact):
+    """A caloron's circle complex is a bow complex: from_bow_complex reads
+    it back as the lift with Bht = B and Bth = I (exactly on the exact
+    backend, to rounding on floats), and the lift validates."""
+    cd = cal.generate_caloron(k, m, seed=seed, exact=exact)
+    lift = tn.TaubNutData(k, m, cd.A, cd.B, nk.eye_like_backend(k, exact),
+                          cd.C, cd.D2row, cd.Aprime, cd.Bprime, cd.Cprime)
+    td = tn.from_bow_complex(cal.to_nahm_complex(cd))
+    for f in fields(td):
+        got, want = getattr(td, f.name), getattr(lift, f.name)
+        assert np.all(got == want) if exact else np.allclose(got, want,
+                                                             atol=1e-12)
+    assert tn.validate(td).passed
+
+
+@pytest.mark.parametrize("k,m", [(2, 1), (2, 2), (2, 0)])
+def test_exact_edge_off_by_one_part_in_10_12_is_refused(k, m):
+    bc = tn.to_bow_complex(tn.generate_taubnut(k, m, seed=3, exact=True))
+    bc.Bht = nudged(bc.Bht, 0, 1)
+    with pytest.raises(NotInNormalForm, match="edge factorizations"):
+        tn.from_bow_complex(bc)
+
+
+@pytest.mark.parametrize("side", ["I_minus", "J_plus"])
+def test_exact_m0_jump_factor_off_by_one_part_in_10_12_is_refused(side):
+    bc = tn.to_bow_complex(tn.generate_taubnut(2, 0, seed=3, exact=True))
+    setattr(bc, side, nudged(getattr(bc, side), 0, 0))
+    with pytest.raises(NotInNormalForm, match="jump does not match"):
+        tn.from_bow_complex(bc)
+
+
+@pytest.mark.parametrize("k,m,field,row", [
+    (2, 2, "Bprime", "relation_2"), (2, 1, "D2row", "relation_1"),
+    (2, 0, "D", "edge_jump")])
+def test_exact_relation_off_by_one_part_in_10_12_fails(k, m, field, row):
+    """An exact relation row passes only when its residual is zero; the
+    float norm it reports is that of the residual."""
+    data = tn.generate_taubnut(k, m, seed=3, exact=True)
+    assert tn.validate(data)[row].passed
+    setattr(data, field, nudged(getattr(data, field), 0, 1))
+    check = tn.validate(data)[row]
+    assert not check.passed and 0 < check.residual < 1e-10
 
 
 def test_right_normal_residual():
-    assert cal.right_normal_residual(worked_example()) < 1e-12
+    assert right_normal_residual(worked_example()) < 1e-12
     d = tn.generate_taubnut(2, 2, seed=6)
-    assert cal.right_normal_residual(d) < 1e-9
+    assert right_normal_residual(d) < 1e-9
 
 
 def test_validate_reports_gen_trend():
