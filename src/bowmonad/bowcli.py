@@ -591,6 +591,8 @@ def main(argv=None) -> int:
             raise ParseError(f"{args.command} needs --input")
         if getattr(args, "points", 0) < 0:
             raise ParseError(f"{args.command} needs --points >= 0")
+        if getattr(args, "seed", 0) < 0:
+            raise ParseError(f"{args.command} needs --seed >= 0")
         return args.fn(args)
     except (ParseError, nk.InvalidArgument) as e:
         _print_error("parse", str(e))

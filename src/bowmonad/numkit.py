@@ -24,7 +24,11 @@ Two matrix backends are used throughout the package:
 
 The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
-reduce to.
+reduce to.  The exact quotient works in the coordinates of the kernel basis:
+an ``exact_kernel`` basis K is the identity on its free rows, so the image I
+has coordinates I[free], is contained iff K @ I[free] == I, and its
+representatives are read off one elimination of the small coordinate matrix
+(12 x 14 for a k = 3, m = 0 Taub-NUT fiber) rather than of [I | K].
 """
 
 from __future__ import annotations
@@ -570,7 +574,8 @@ def _rows_of(R: ExactMatrix, rows, cols, shape):
 
 def exact_kernel(M: ExactMatrix) -> ExactMatrix:
     """Kernel basis of an exact matrix, one column per free column of its
-    RREF (that entry 1, the other free entries 0)."""
+    RREF (that entry 1, the other free entries 0): the identity on the free
+    rows, which is what the exact ``quotient_representatives`` requires."""
     R, pivots = rref(M)
     n = M.shape[1]
     free = [c for c in range(n) if c not in pivots]
@@ -842,6 +847,14 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
     K.shape[1] - rank(I) left singular vectors are the representatives.
     Raises :class:`ImageNotContained` when the inclusion fails beyond
     tolerance, which upstream signals a broken composite (beta o alpha != 0).
+
+    On the exact backend K must be an ``exact_kernel`` basis: each column j
+    has a row that reads as the unit row e_j (any such rows will do), else
+    :class:`InvalidArgument`.  The coordinates of the image are I at those
+    rows, C, and the inclusion is the exact identity K C == I.  Column j of
+    K is a representative iff row j of C lies in the span of the rows below
+    it, read off one elimination of C[::-1].T (I.shape[1] x K.shape[1]):
+    the same columns as the pivots in the K block of [I | K].
     """
     K, I = kernel_basis, image_basis
     if is_exact(K) or is_exact(I):
@@ -865,12 +878,31 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
     return np.linalg.svd(C, full_matrices=False)[0][:, :K.shape[1] - rk_i]
 
 
-def _exact_quotient(K: np.ndarray, I: np.ndarray) -> np.ndarray:
-    # one elimination of [I | K]: the columns of the kernel basis K are
-    # independent, so span I lies in span K iff [I | K] has rank K.shape[1];
-    # the pivot columns that land in the K block are the representatives
-    ni = I.shape[1]
-    pivots = _eliminate(block([[I, K]]))[3]
-    if len(pivots) != K.shape[1]:
+def _exact_quotient(K: ExactMatrix, I: ExactMatrix) -> ExactMatrix:
+    # C holds the coordinates of the image in the basis K; column j of K is
+    # a representative iff column f - 1 - j of C[::-1].T is not a pivot
+    f = K.shape[1]
+    C = I[_unit_rows(K)]
+    if not K @ C == I:
         raise ImageNotContained("image not contained in kernel (exact)")
-    return K[:, [c - ni for c in pivots if c >= ni]]
+    pivots = _eliminate(C[::-1].T)[3]
+    return K[:, [j for j in range(f) if f - 1 - j not in pivots]]
+
+
+def _unit_rows(K: ExactMatrix) -> list[int]:
+    """For each column j of K, the first row of K that reads as the unit row
+    e_j; raises InvalidArgument if some column has none."""
+    f = K.shape[1]
+    im = None if K.im is None else K.im.tolist()
+    found: dict[int, int] = {}
+    for i, row in enumerate(K.re.tolist()):
+        if row.count(0) == f - 1 and (im is None or not any(im[i])):
+            j = next(c for c, v in enumerate(row) if v)
+            if row[j] == K.den:
+                found.setdefault(j, i)
+    if len(found) < f:
+        j = min(set(range(f)) - found.keys())
+        raise InvalidArgument(
+            f"an exact quotient needs an exact_kernel basis, the identity on "
+            f"some rows; column {j} of the kernel basis has no unit row")
+    return [found[j] for j in range(f)]

@@ -334,6 +334,25 @@ def test_negative_points_exit_2(command, tmp_path, capsys):
     assert json.loads(captured.err)["error"]["type"] == "parse"
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("fiber", []), ("splitting", []), ("dirac", ["--grid", "32"]),
+    *(("generate", ["--kind", kind]) for kind in (
+        "caloron", "caloron-m0", "taubnut", "taubnut-m0", "bowsol",
+        "diagonal-nahm"))])
+def test_negative_seed_exit_2(command, extra, tmp_path, capsys):
+    """Every command with --seed refuses a negative seed before it runs,
+    with one JSON parse error, not a traceback from the generator."""
+    given = [] if command == "generate" else \
+        ["--input", str(DATA / "taubnut_k1m1.json")]
+    out = tmp_path / "out"
+    assert run_cli(command, *given, *extra, "--seed", "-1",
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and "--seed >= 0" in err["message"]
+
+
 def test_dirac_refinement_rejects_coarse_grid(tmp_path, capsys):
     sol_file = tmp_path / "sol.json"
     run_cli("generate", "--kind", "bowsol", "--m", "0", "--seed", "11",

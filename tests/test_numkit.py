@@ -578,6 +578,94 @@ def test_exact_quotient_containment(field):
         nk.quotient_representatives(K, outside)
 
 
+def _ref_exact_quotient(K, I):
+    """The quotient by one Q(i) elimination of [I | K]: the columns of K
+    are independent, so span I lies in span K iff [I | K] has rank
+    K.shape[1], and the pivot columns in the K block are the
+    representatives."""
+    ni = I.shape[1]
+    pivots = _ref_rref(np.hstack([_entries(I), _entries(K)]))[1]
+    if len(pivots) != K.shape[1]:
+        raise nk.ImageNotContained("image not contained in kernel (exact)")
+    return K[:, [c - ni for c in pivots if c >= ni]]
+
+
+def _quotient_images(rng, K, field):
+    """(name, image) pairs inside span K, and one just outside it."""
+    n, f = K.shape
+    def inside(cols):
+        return K @ nk.exact_matrix(_oracle_matrix(rng, f, cols, field))
+    some = inside(max(f - 2, 1))
+    off = _entries(some)
+    off[n // 2, 0] = off[n // 2, 0] + GQ(Fraction(1, 10**12))
+    return [("empty", nk.exact_zeros(n, 0)), ("some", some),
+            ("whole", inside(f + 1)),
+            ("repeated", nk.block([[some, some[:, :1]]])),
+            ("off", nk.exact_matrix(off))]
+
+
+@pytest.mark.parametrize("field", [GQ, Fraction])
+@pytest.mark.parametrize("m, n, rank", [(3, 7, None), (2, 8, 1), (4, 9, 2),
+                                        (1, 5, None), (5, 6, None)])
+def test_exact_quotient_matches_image_kernel_elimination(field, m, n, rank):
+    """The coordinate quotient returns the very columns the elimination of
+    [I | K] picks, with the same entries, on exact_kernel bases (their rows
+    shuffled too: any unit rows will do) and on images that are empty,
+    generic, the whole kernel and rank-deficient; an image 1/10^12 off
+    the kernel in one entry is refused by both."""
+    rng = np.random.default_rng([m, n, rank or 0, field is GQ, 29])
+    B = _oracle_matrix(rng, m, n, field, big=True, rank=rank)
+    B = B[:, rng.permutation(n)]      # free columns among the pivots
+    kernel = nk.exact_kernel(nk.exact_matrix(B))
+    for K in (kernel, kernel[rng.permutation(n)]):
+        for name, I in _quotient_images(rng, K, field):
+            if name == "off":
+                for quotient in (nk.quotient_representatives,
+                                 _ref_exact_quotient):
+                    with pytest.raises(nk.ImageNotContained):
+                        quotient(K, I)
+                continue
+            reps = nk.quotient_representatives(K, I)
+            # equal parts: the same values, and im None on the same side
+            assert reps == _ref_exact_quotient(K, I)
+            _assert_reduced(reps)
+            assert all(type(reps[idx]) is GQ for idx in np.ndindex(reps.shape))
+            want = {"empty": K.shape[1], "whole": 0}.get(
+                name, K.shape[1] - len(_ref_rref(_entries(I))[1]))
+            assert reps.shape == (n, want)
+
+
+def test_exact_quotient_needs_unit_rows():
+    """An exact kernel basis without a unit row for some column (a scaled
+    or mixed basis of the same span) is refused by name, and duplicate unit
+    rows are allowed."""
+    I = nk.exact_matrix([[1], [1], [0]])
+    for K in ([[2, 0], [0, 2], [0, 0]], [[1, 1], [1, -1], [0, 0]],
+              [[1, 0], [0, GQ(1, 1)], [0, 0]]):
+        with pytest.raises(nk.InvalidArgument, match="exact_kernel"):
+            nk.quotient_representatives(nk.exact_matrix(K), I)
+    K = nk.exact_matrix([[1, 0], [0, 1], [1, 0]])
+    reps = nk.quotient_representatives(K, K @ nk.exact_matrix([[1], [1]]))
+    assert reps == K[:, :1]
+
+
+def test_exact_fiber_runs_two_eliminations(monkeypatch):
+    """One exact fiber of a k = 3, m = 0 Taub-NUT draw eliminates twice:
+    beta (9 x 23) for its kernel, then the 12 x 14 coordinates of alpha in
+    that kernel."""
+    d = taubnut.generate_taubnut(3, 0, seed=2, exact=True)
+    point = taubnut.big_monad(d).evaluate((GQ(Fraction(1, 2), 1), GQ(2, -1)))
+    shapes = []
+    eliminate = nk._eliminate
+
+    def counted(M):
+        shapes.append(M.shape)
+        return eliminate(M)
+    monkeypatch.setattr(nk, "_eliminate", counted)
+    assert monadcore.fiber(point).dim == 2
+    assert shapes == [(9, 23), (12, 14)]
+
+
 @pytest.mark.parametrize("field", [GQ, Fraction])
 def test_to_float_matches_entrywise_conversion(field):
     rng = np.random.default_rng(17)
