@@ -30,7 +30,7 @@ restricted complex).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -358,10 +358,26 @@ class FiberBasis:
 
 @dataclass
 class SectionSpace:
+    """The sections of a restricted, twisted cohomology bundle on a line.
+
+    ``dimension`` is the full h^0: the quotient of the section equations'
+    solutions by the image of the left column, plus the left-column H^1
+    share ``h1_dim``.  The count is all a section decision reads, so the
+    quotient is kept as its decision (see numkit.quotient_representatives)
+    and ``basis``, the explicit Laurent-coefficient representatives, is
+    built from it the first time it is read."""
+
     line: Line
-    basis: list            # explicit Laurent-coefficient solutions
-    dimension: int         # full h^0, including the left-column H^1 part
+    dimension: int
     h1_dim: int
+    _quotient: tuple | None = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def basis(self) -> list:
+        if self._quotient is None:
+            return []
+        reps = nk._quotient_basis(*self._quotient)
+        return [reps[:, j] for j in range(reps.shape[1])]
 
 
 def block_starts(cols) -> dict[str, int]:
@@ -474,7 +490,7 @@ class ParamMonad:
         x, y = point
         if not self.exact:
             a, b, res = self._maps_at(complex(x), complex(y))
-            return MonadAtPoint(a, b, (x, y), float(res))
+            return MonadAtPoint(a, b, (x, y), res)
         a = self.alpha.evaluate(x, y)
         b = self.beta.evaluate(x, y)
         return MonadAtPoint(a, b, (x, y), nk.mat_norm(b @ a))
@@ -485,11 +501,47 @@ class ParamMonad:
         point (float backend).  Returns the tuple (alpha, beta, residual)."""
         return self._maps_at(*_columns(points))
 
+    @cached_property
+    def _weights(self):
+        """What the weight rows of the two float maps share: the exponents
+        P and Q of alpha's monomials, then of those only beta has, and the
+        positions of beta's monomials among them, in beta's order.  One row
+        x^P y^Q then holds both maps' rows entry for entry as each map
+        computes its own (elementwise work is the same at any position).
+        Derived on first evaluation, as the coefficients never change."""
+        if self.alpha.exact or self.beta.exact:
+            raise TypeError("evaluate_many needs float coefficients; "
+                            "convert with to_float()")
+        keys = {key: j for j, key in enumerate(
+            dict.fromkeys([*self.alpha.coeffs, *self.beta.coeffs]))}
+        return (np.array([p for p, _ in keys], dtype=float),
+                np.array([q for _, q in keys], dtype=float),
+                np.array([keys[key] for key in self.beta.coeffs], dtype=int))
+
     def _maps_at(self, x, y):
-        """evaluate_many at (N, 1) columns x and y, or at two scalars."""
-        a = self.alpha._at(x, y)
-        b = self.beta._at(x, y)
-        res = _norms(b @ a) / np.maximum(_norms(a) * _norms(b), 1e-300)
+        """evaluate_many at (N, 1) columns x and y, or at two scalars.
+
+        One row of monomial weights, then each map's own product of its
+        part of the row with its tensor, so alpha and beta are bit for bit
+        the maps' own evaluate.  (One product of a block-diagonal tensor
+        would round differently: BLAS sums a column in an order that
+        depends on the product's shape and the column's place in it.)  At
+        two scalars the residual is taken in Python floats, the same IEEE
+        operations as on the arrays of N points."""
+        P, Q, at_beta = self._weights
+        w = x ** P * y ** Q
+        fa = w[..., :len(self.alpha.P)] @ self.alpha.C
+        fb = w[..., at_beta] @ self.beta.C
+        lead = w.shape[:-1]
+        a = fa.reshape(*lead, *self.alpha.shape)
+        b = fb.reshape(*lead, *self.beta.shape)
+        if lead:
+            res = _norms(b @ a) / np.maximum(_norms(a) * _norms(b), 1e-300)
+        else:
+            ba = (b @ a).ravel()
+            res = math.sqrt(np.vecdot(ba, ba).real) / max(
+                math.sqrt(np.vecdot(fa, fa).real)
+                * math.sqrt(np.vecdot(fb, fb).real), 1e-300)
         return a, b, res
 
 
@@ -543,7 +595,8 @@ def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
     rank decision of fiber_dims, which it matches at that point."""
     _check_residual(m.residual)
     return m.alpha.shape[0] - sum(
-        ctx.rank_cut(np.linalg.svd(to_float(M), compute_uv=False).tolist())[0]
+        ctx.rank_cut(np.linalg.svd(to_float(M) if is_exact(M) else M,
+                                   compute_uv=False).tolist())[0]
         for M in (m.alpha, m.beta))
 
 
@@ -769,12 +822,12 @@ class _LineSystem:
         if plan is None:
             plan = self.pm._plans[key] = _SectionPlan(self.pm.cols,
                                                       self.ruling, d)
-        h0_dim, reps = 0, np.zeros((0, 0), dtype=complex)
+        h0_dim, quotient = 0, None
         if plan.lay2.size:
             kern = nk.rank_kernel(self._matrix(plan.E), ctx).kernel
             Aim = self._matrix(plan.Aim, strict=True)
-            reps = nk.quotient_representatives(kern, Aim, ctx)
-            h0_dim = reps.shape[1]
+            quotient = nk._quotient_decision(kern, Aim, ctx)
+            h0_dim = quotient[2]
 
         # H^1 of the left column, with the alpha action on Cech classes
         h1_net = 0
@@ -785,8 +838,7 @@ class _LineSystem:
             if ker_h1.shape[1]:
                 d2 = self._connecting_rank(plan, ker_h1, ctx)
                 h1_net = ker_h1.shape[1] - d2
-        return SectionSpace(self.line, [reps[:, j] for j in range(h0_dim)],
-                            h0_dim + h1_net, h1_net)
+        return SectionSpace(self.line, h0_dim + h1_net, h1_net, quotient)
 
     def _connecting_rank(self, plan: _SectionPlan, ker_h1, ctx):
         """Rank of the connecting differential on H^1(left) classes killed

@@ -24,7 +24,10 @@ Two matrix backends are used throughout the package:
 
 The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
-reduce to.  The exact quotient works in the coordinates of the kernel basis:
+reduce to.  The float quotient is a decision (containment, then the rank
+of the image, which fixes the dimension) and a construction (the
+representatives), so a caller that needs only the dimension stops after the
+decision.  The exact quotient works in the coordinates of the kernel basis:
 an ``exact_kernel`` basis K is the identity on its free rows, so the image I
 has coordinates I[free], is contained iff K @ I[free] == I, and its
 representatives are read off one elimination of the small coordinate matrix
@@ -270,9 +273,13 @@ class ExactMatrix:
         return ExactMatrix(re, im, self.den * other.den)
 
     def __eq__(self, other):
+        # both are reduced, so equal values have equal parts
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return repr(self) == repr(other)
+        return (self.shape == other.shape and self.den == other.den
+                and (self.im is None) == (other.im is None)
+                and self.re.tolist() == other.re.tolist()
+                and (self.im is None or self.im.tolist() == other.im.tolist()))
 
     def __bool__(self):
         raise TypeError("an exact matrix has no truth value; use is_zero_matrix")
@@ -842,11 +849,15 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
 
     On the float backend the kernel basis K must have orthonormal columns
     (``rank_kernel(...).kernel``, or the identity of an empty map).  Two
-    SVDs: one of the image I, cut by ``ctx.rank_cut``, whose left singular
-    vectors Q_I span it, and one of K - Q_I Q_I^H K, whose leading
-    K.shape[1] - rank(I) left singular vectors are the representatives.
-    Raises :class:`ImageNotContained` when the inclusion fails beyond
-    tolerance, which upstream signals a broken composite (beta o alpha != 0).
+    steps, each of one SVD.  The decision (``_quotient_decision``): the
+    containment residual, then the SVD of the image I, cut by
+    ``ctx.rank_cut``, whose leading left singular vectors Q_I span it; the
+    quotient has K.shape[1] - rank(I) dimensions.  The construction
+    (``_quotient_basis``): the SVD of K - Q_I Q_I^H K, whose leading left
+    singular vectors are the representatives.  A caller that needs only
+    the dimension stops after the decision.  Raises
+    :class:`ImageNotContained` when the inclusion fails beyond tolerance,
+    which upstream signals a broken composite (beta o alpha != 0).
 
     On the exact backend K must be an ``exact_kernel`` basis: each column j
     has a row that reads as the unit row e_j (any such rows will do), else
@@ -859,23 +870,36 @@ def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
     K, I = kernel_basis, image_basis
     if is_exact(K) or is_exact(I):
         return _exact_quotient(K, I)
+    return _quotient_basis(*_quotient_decision(K, I, ctx))
+
+
+def _quotient_decision(K: np.ndarray, I: np.ndarray, ctx: ToleranceContext):
+    """The float quotient's decision: (K, Q_I, count), with Q_I the
+    orthonormal basis of the image (None without image columns) and count
+    the number of representatives, all that _quotient_basis needs."""
     K = np.asarray(K, dtype=complex)
     I = np.asarray(I, dtype=complex)
     if K.shape[1] == 0:
         if I.shape[1] != 0 and np.linalg.norm(I) > ctx.rank_tol:
             raise ImageNotContained("nonzero image with zero kernel")
-        return K
-    C, rk_i = K, 0
-    if I.shape[1]:
-        resid = np.linalg.norm(I - K @ (K.conj().T @ I))
-        if resid > max(ctx.rank_tol * 1e3, 1e-8) * max(np.linalg.norm(I), 1.0):
-            raise ImageNotContained(f"containment residual {resid:.3e}")
-        U, s, _ = np.linalg.svd(I, full_matrices=False)
-        rk_i = ctx.rank_cut(s.tolist())[0]
-        C = K - U[:, :rk_i] @ (U[:, :rk_i].conj().T @ K)
-    if rk_i >= K.shape[1]:
+        return K, None, 0
+    if not I.shape[1]:
+        return K, None, K.shape[1]
+    resid = np.linalg.norm(I - K @ (K.conj().T @ I))
+    if resid > max(ctx.rank_tol * 1e3, 1e-8) * max(np.linalg.norm(I), 1.0):
+        raise ImageNotContained(f"containment residual {resid:.3e}")
+    U, s, _ = np.linalg.svd(I, full_matrices=False)
+    rk_i = ctx.rank_cut(s.tolist())[0]
+    return K, U[:, :rk_i], max(K.shape[1] - rk_i, 0)
+
+
+def _quotient_basis(K: np.ndarray, Q, count: int) -> np.ndarray:
+    """The float quotient's construction from its decision: the leading
+    count left singular vectors of K - Q Q^H K (of K without image)."""
+    if not count:
         return K[:, :0]
-    return np.linalg.svd(C, full_matrices=False)[0][:, :K.shape[1] - rk_i]
+    C = K if Q is None else K - Q @ (Q.conj().T @ K)
+    return np.linalg.svd(C, full_matrices=False)[0][:, :count]
 
 
 def _exact_quotient(K: ExactMatrix, I: ExactMatrix) -> ExactMatrix:

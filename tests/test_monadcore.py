@@ -245,13 +245,21 @@ def test_fiber_dims_matches_fiber_dim():
 _COMBOS = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)]
 
 
-def _generator_monads():
-    """The float generator draws of both flavors and every (k, m), as the
-    monads a fiber request builds, and an exact draw after to_float."""
+def _generator_draws():
+    """The float generator draws of both flavors and every (k, m) at seed
+    0, each with the monad a fiber request builds."""
     for k, m in _COMBOS:
         d = caloron.generate_caloron(k, m, seed=0)
-        yield caloron.big_monad(d) if m else caloron.small_monad(d)
-        yield taubnut.big_monad(taubnut.generate_taubnut(k, m, seed=0))
+        yield d, caloron.big_monad(d) if m else caloron.small_monad(d)
+        d = taubnut.generate_taubnut(k, m, seed=0)
+        yield d, taubnut.big_monad(d)
+
+
+def _generator_monads():
+    """The monads of the float generator draws, and an exact draw after
+    to_float."""
+    for _, pm in _generator_draws():
+        yield pm
     yield caloron.big_monad(
         caloron.generate_caloron(2, 1, seed=4, exact=True)).to_float()
 
@@ -291,6 +299,86 @@ def test_single_point_path_equals_the_batch():
         assert np.array_equal(one.beta, b[0])
         assert one.residual == res[0]
         assert np.array_equal(alpha.evaluate(*p), a[0])
+
+
+def test_shared_weight_row_keeps_each_map_bit_for_bit():
+    """alpha and beta of different monomials, in different orders: a
+    monad's evaluate and evaluate_many, through the one weight row both
+    maps read, give each map byte for byte as the map's own evaluate and
+    evaluate_many, and evaluate the residual of those two.  An exact monad
+    still refuses evaluate_many."""
+    rng = np.random.default_rng(30)
+
+    def dense(shape, keys):
+        return mc.PolyMatrix(shape, {key: rng.standard_normal(shape) +
+                                     1j * rng.standard_normal(shape)
+                                     for key in keys})
+    alpha = dense((4, 3), [(2, 1), (0, 0), (1, 0)])
+    beta = dense((2, 4), [(0, 1), (1, 3), (0, 0), (3, 0), (1, 0)])
+    pm = mc.ParamMonad("xi_eta", ([mc.BlockSpec("U", {}, 3)],
+                                  [mc.BlockSpec("V", {}, 4)],
+                                  [mc.BlockSpec("W", {}, 2)]), alpha, beta)
+    pts = mc.random_chart_points(15, rng)
+    for p in pts:
+        one, a, b = pm.evaluate(p), alpha.evaluate(*p), beta.evaluate(*p)
+        assert one.alpha.tobytes() == a.tobytes()
+        assert one.beta.tobytes() == b.tobytes()
+        assert one.residual == mc._norms(b @ a) / max(
+            mc._norms(a) * mc._norms(b), 1e-300)
+    a, b, _ = pm.evaluate_many(pts)
+    assert a.tobytes() == alpha.evaluate_many(pts).tobytes()
+    assert b.tobytes() == beta.evaluate_many(pts).tobytes()
+    exact = taubnut._big_monad_unchecked(
+        taubnut.generate_taubnut(1, 1, seed=5, exact=True))
+    with pytest.raises(TypeError):
+        exact.evaluate_many([(0.5, 0.5)])
+
+
+def _type_from_counts(pm, line):
+    """The splitting type of a line recomputed from its two section counts,
+    or "refused" where they are inconsistent."""
+    a = sections_on_line(pm, line, -1).dimension
+    h0 = sections_on_line(pm, line, 0).dimension
+    return (a, -a) if h0 == (a + 1 if a else 2) else "refused"
+
+
+def test_splitting_builds_no_section_basis(monkeypatch):
+    """splitting_type reads section counts only: over the float generator
+    monads of seed 0, on their spectrum lines with |eta| >= 0.2 and three
+    off-spectrum lines each, the quotient's construction step never runs,
+    and each type is the one its section counts give.  A basis is built
+    when it is first read, and once."""
+    built = [0]
+    construct = nk._quotient_basis
+
+    def counted(*args):
+        built[0] += 1
+        return construct(*args)
+    monkeypatch.setattr(nk, "_quotient_basis", counted)
+    rng = np.random.default_rng(30)
+    lines = 0
+    for d, pm in _generator_draws():
+        spec = np.linalg.eigvals(nk.to_float(d.B0 if hasattr(d, "B0") else d.B))
+        off = []
+        while len(off) < 3:
+            z = complex(rng.standard_normal() * 2 + 1j * rng.standard_normal() * 2)
+            if abs(z) >= 0.2 and np.min(np.abs(spec - z)) >= 0.3:
+                off.append(z)
+        for z in [complex(ev) for ev in spec if abs(ev) >= 0.2] + off:
+            line = Line("B_eta", z)
+            try:
+                got = splitting_type(pm, line)
+            except mc.InconsistentSplitting:
+                got = "refused"
+            assert got == _type_from_counts(pm, line)
+            if z in off:
+                assert got == (0, 0)
+            lines += 1
+    assert lines > 14 * 3 and built[0] == 0
+    s = sections_on_line(pm, Line("B_eta", off[0]), 0)
+    assert built[0] == 0
+    assert len(s.basis) == s.dimension - s.h1_dim and s.basis is s.basis
+    assert built[0] == 1
 
 
 def test_fiber_guard_refuses_a_non_complex():

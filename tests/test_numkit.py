@@ -173,6 +173,39 @@ def test_repr_is_value_based():
     assert repr(nk.exact_zeros(0, 3)) != repr(nk.exact_zeros(3, 0))
 
 
+def test_equality_compares_the_reduced_parts():
+    """== decides equality of values on the reduced parts: matrices built
+    by exact_matrix, exact_from_ratios and a product are equal, numerators
+    near 10^400 included, and a change of one entry, of the denominator or
+    of an imaginary part (none against a nonzero one) makes them unequal."""
+    for big in (5, 10**400 + 7):
+        a = nk.exact_matrix([[Fraction(big, 3), GQ(1, Fraction(big, 3))],
+                             [big, 0]])
+        b = nk.exact_from_ratios([((big, 3), (0, 1)), ((1, 1), (big, 3)),
+                                  ((big, 1), (0, 1)), ((0, 1), (0, 1))],
+                                 (2, 2))
+        c = nk.exact_matrix([[Fraction(1, 2), 0], [0, 2]]) @ nk.exact_matrix(
+            [[Fraction(2 * big, 3), GQ(2, Fraction(2 * big, 3))],
+             [Fraction(big, 2), 0]])
+        assert a == b == c and not a != c
+        for other in (nk.exact_matrix([[Fraction(big + 1, 3), GQ(1, Fraction(
+                          big, 3))], [big, 0]]),
+                      nk.exact_matrix([[Fraction(big, 7), GQ(1, Fraction(
+                          big, 3))], [big, 0]]),
+                      nk.exact_matrix([[Fraction(big, 3), GQ(1, Fraction(
+                          big, 3))], [big, GQ(0, 1)]])):
+            assert a != other and other != a
+        real = nk.exact_matrix([[big, 1], [0, Fraction(1, 3)]])
+        assert real.im is None and real == nk.exact_matrix(
+            [[big, GQ(1, 0)], [0, Fraction(2, 6)]])
+        tilted = nk.exact_matrix([[big, GQ(1, Fraction(1, big))],
+                                  [0, Fraction(1, 3)]])
+        assert real != tilted and tilted != real
+    assert nk.exact_zeros(0, 3) != nk.exact_zeros(3, 0)
+    assert nk.exact_matrix([[1, 2, 3, 4]]) != nk.exact_matrix([[1, 2], [3, 4]])
+    assert nk.exact_eye(2) != np.eye(2)
+
+
 def test_rank_kernel_identity():
     rk = nk.rank_kernel(np.eye(3, dtype=complex))
     assert rk.rank == 3
