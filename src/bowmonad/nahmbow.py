@@ -124,19 +124,6 @@ def lax(T1, T2, T3, zeta) -> np.ndarray:
     return T1 + 1j * T2 - 2 * zeta * T3 - (T1 - 1j * T2) * zeta ** 2
 
 
-# left and right factors of (T2 T3, T3 T1, T1 T2, T3 T2, T1 T3, T2 T1)
-_LEFT = np.array([1, 2, 0, 2, 0, 1])
-_RIGHT = np.array([2, 0, 1, 1, 2, 0])
-
-
-def nahm_commutators(T: np.ndarray) -> np.ndarray:
-    """([T2, T3], [T3, T1], [T1, T2]) for the stacked triple T = (T1, T2, T3),
-    by one stacked product of six and one subtraction; the flow is
-    dT/ds = -i times this."""
-    P = np.take(T, _LEFT, axis=0) @ np.take(T, _RIGHT, axis=0)
-    return P[:3] - P[3:]
-
-
 @dataclass
 class Segment:
     """Sampled Nahm triple on [s0, s1]; linear interpolation in between."""
@@ -184,6 +171,33 @@ def constant_segment(s0, s1, T1, T2, T3, samples: int = 2) -> Segment:
                    constant=True)
 
 
+def _start_triple(T1, T2, T3) -> np.ndarray:
+    """The start of a flow as one (3, r, r) complex stack; three matrices
+    that are not square of one shape, or that have an entry that is not
+    finite, raise InvalidArgument."""
+    Ts = [np.asarray(T, dtype=complex) for T in (T1, T2, T3)]
+    shapes = {T.shape for T in Ts}
+    shape = Ts[0].shape
+    if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
+        raise nk.InvalidArgument(f"start triple must be three square "
+                                 f"matrices of one shape, got "
+                                 f"{[T.shape for T in Ts]}")
+    start = np.array(Ts)
+    if not np.isfinite(start).all():
+        raise nk.InvalidArgument("start triple has an entry that is not "
+                                 "finite")
+    return start
+
+
+def _zeta_nodes(zetas) -> np.ndarray:
+    """The zetas of a drift check as an array; an empty set raises
+    InvalidArgument (a check over no zeta cannot fail)."""
+    z = np.asarray(zetas)
+    if z.size == 0:
+        raise nk.InvalidArgument("drift check needs at least one zeta")
+    return z
+
+
 def flow(T1, T2, T3, s0: float, s1: float, step: float,
          zeta_checks=(0.0, 0.5, -1.0, 1j, 2.0), drift_tol: float = 1e-6,
          lam_points=(), pole_guard: float = 0.0) -> Segment:
@@ -191,44 +205,74 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
     of the Lax matrix are monitored at the given zeta samples and a drift
     beyond drift_tol raises StepTooCoarse, as does a sample that is not
     finite (naming the first such s).  A step that is not finite and
-    positive, an end that is not finite, or s1 <= s0 raises InvalidArgument.
+    positive, an end that is not finite, s1 <= s0, a start triple that is
+    not three square matrices of one shape with finite entries, or an
+    empty zeta set raises InvalidArgument.
 
-    The triple is held as one (3, r, r) stack; each stage is one
-    nahm_commutators call, with the -i of the flow folded into the stage
-    factors (multiplying by +-i is exact, so the samples are those of
-    k = -i [., .] bit for bit)."""
+    Each stage argument is held in one preallocated (5, r, r) buffer
+    X = (T1, T2, T3, T1, T2), and each stage is one windowed product and
+    one subtraction into preallocated buffers.  The -i of the flow is
+    folded into the stage factors (multiplying by +-i is exact, so the
+    samples are those of k = -i [., .] bit for bit); the stage arguments
+    and the sum take the IEEE operations, in the order, of cur + half k and
+    cur + sixth ((k1 + 2 k2) + 2 k3 + k4)."""
     if not (np.isfinite(step) and step > 0):
         raise nk.InvalidArgument(f"step must be finite and positive, "
                                  f"got {step!r}")
     if not (np.isfinite(s0) and np.isfinite(s1) and s1 > s0):
         raise nk.InvalidArgument(f"interval must be finite with s1 > s0, "
                                  f"got [{s0!r}, {s1!r}]")
+    start = _start_triple(T1, T2, T3)
+    zetas = _zeta_nodes(zeta_checks)[:, None, None]
     for lam in lam_points:
         if s0 - pole_guard < lam < s1 + pole_guard:
             raise PoleProximity(f"interval [{s0}, {s1}] crosses {lam}")
     n = max(2, int(np.ceil((s1 - s0) / step)) + 1)
     grid = np.linspace(s0, s1, n)
     h = grid[1] - grid[0]
-    start = np.array([np.asarray(T, dtype=complex) for T in (T1, T2, T3)])
     r = start.shape[1]
     out = np.empty((n, 3, r, r), dtype=complex)
     out[0] = start
-    zetas = np.asarray(zeta_checks)[:, None, None]
     ref = nk.charpoly(lax(*start, zetas))
     half, full, sixth = -0.5j * h, -1j * h, -1j * h / 6
+    # the stage argument is X[:3] and X[3:] = X[:2]; with win[j, w] =
+    # X[j + w], win[1:3] @ win[2:0:-1] is P = ((T2 T3, T3 T1, T1 T2),
+    # (T3 T2, T1 T3, T2 T1)), the order of the three commutators
+    X = np.empty((5, r, r), dtype=complex)
+    win = np.moveaxis(np.lib.stride_tricks.sliding_window_view(X, 3, axis=0),
+                      -1, 1)
+    left, right, arg = win[1:3], win[2:0:-1], X[:3]
+    P = np.empty((2, 3, r, r), dtype=complex)
+    k, acc = np.empty((2, 3, r, r), dtype=complex)
+
+    def commutators(into):
+        X[3:] = X[:2]
+        np.matmul(left, right, out=P)
+        np.subtract(P[0], P[1], out=into)
+
     # a sample past overflow is inf or nan and stays so; the finite check
     # runs once, after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
             cur = out[i]
-            c = nahm_commutators(cur)
-            acc = c
-            c = nahm_commutators(cur + half * c)
-            acc = acc + 2 * c
-            c = nahm_commutators(cur + half * c)
-            acc = acc + 2 * c
-            c = nahm_commutators(cur + full * c)
-            np.add(cur, sixth * (acc + c), out=out[i + 1])
+            arg[...] = cur
+            commutators(acc)
+            np.multiply(half, acc, out=arg)
+            np.add(cur, arg, out=arg)
+            commutators(k)
+            np.multiply(half, k, out=arg)
+            np.add(cur, arg, out=arg)
+            np.multiply(2, k, out=k)
+            np.add(acc, k, out=acc)
+            commutators(k)
+            np.multiply(full, k, out=arg)
+            np.add(cur, arg, out=arg)
+            np.multiply(2, k, out=k)
+            np.add(acc, k, out=acc)
+            commutators(k)
+            np.add(acc, k, out=acc)
+            np.multiply(sixth, acc, out=acc)
+            np.add(cur, acc, out=out[i + 1])
     finite = np.isfinite(out).all(axis=(1, 2, 3))
     if not finite.all():
         first = grid[np.argmin(finite)]
@@ -246,9 +290,10 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
 def charpoly_drift(seg: Segment, zetas) -> np.ndarray:
     """Per sample, the largest change of a characteristic coefficient of
     the Lax matrix from the first sample, over the given zetas: one
-    numkit.charpoly call on the (zetas, samples, r, r) Lax stack."""
+    numkit.charpoly call on the (zetas, samples, r, r) Lax stack.  An
+    empty zeta set raises InvalidArgument."""
     c = nk.charpoly(lax(seg.T1, seg.T2, seg.T3,
-                        np.asarray(zetas)[:, None, None, None]))
+                        _zeta_nodes(zetas)[:, None, None, None]))
     return np.max(np.abs(c - c[:, :1]), axis=(0, 2))
 
 

@@ -620,8 +620,9 @@ def charpoly(M: np.ndarray):
     GaussianRationals, and the steps stay in Z[i]: M_k = X_k / e_k with
     X_1 = N, e_1 = e, X_{k+1} = N (k X_k - tr(X_k) I) and e_{k+1} = k e e_k,
     so c_k = -tr(X_k) / (k e_k) is the one division of each coefficient.
-    A float stack (..., n, n) gives an (..., n + 1) array, one batched
-    product per degree for the whole stack."""
+    A float stack (..., n, n) gives an (..., n + 1) array from n - 1
+    batched products for the whole stack (M_1 = M is a copy, not a
+    product)."""
     if is_exact(M):
         nr, ni, e = M.re, M.im, M.den
         n = M.shape[0]
@@ -644,12 +645,13 @@ def charpoly(M: np.ndarray):
     n = M.shape[-1]
     d = np.arange(n)
     coeffs = [np.ones(M.shape[:-2], dtype=complex)]
-    Mk = np.eye(n, dtype=complex)
+    Mk = M.copy()
     for k in range(1, n + 1):
-        Mk = M @ Mk
         c = Mk[..., d, d].sum(axis=-1) / -k
         coeffs.append(c)
-        Mk[..., d, d] += c[..., None]
+        if k < n:
+            Mk[..., d, d] += c[..., None]
+            Mk = M @ Mk
     return np.stack(coeffs, axis=-1)
 
 

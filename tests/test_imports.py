@@ -4,7 +4,9 @@ annotated field of a top-level class apart from dunder names, is referenced
 somewhere, and the library imports nothing but the standard library, numpy
 and itself (numpy is its only declared dependency).  No library module
 calls ``np.poly``: ``numkit.charpoly`` is the one characteristic
-polynomial.  No library module but ``numkit`` imports ``fractions``:
+polynomial.  No library module calls numpy's ``as_strided``: a strided
+view is taken through ``sliding_window_view``, whose views are read-only
+and bounds-checked.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
 ``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
 only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
@@ -216,6 +218,37 @@ def test_scanner_flags_np_poly():
                          ids=lambda p: p.name)
 def test_no_np_poly_in_library(path):
     assert poly_uses(path.read_text()) == []
+
+
+def as_strided_uses(source: str) -> list[str]:
+    """Every read of ``as_strided``, as an attribute of any module or
+    imported by name."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "as_strided":
+            out.append(f".as_strided (line {node.lineno})")
+        elif (isinstance(node, ast.ImportFrom)
+              and any(alias.name == "as_strided" for alias in node.names)):
+            out.append(f"from {node.module} import as_strided "
+                       f"(line {node.lineno})")
+    return out
+
+
+def test_scanner_flags_as_strided():
+    src = ("import numpy as np\n"
+           "from numpy.lib.stride_tricks import as_strided, sliding_window_view\n"
+           "a = np.lib.stride_tricks.as_strided(x, (2, 2), (8, 8))\n"
+           "b = sliding_window_view(x, 3, axis=0)\n"
+           "c = stride_tricks.as_strided(x)\n")
+    assert as_strided_uses(src) == [
+        "from numpy.lib.stride_tricks import as_strided (line 2)",
+        ".as_strided (line 3)", ".as_strided (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_as_strided_in_library(path):
+    assert as_strided_uses(path.read_text()) == []
 
 
 FRACTION_MODULES = {"numkit.py", "bowcli.py"}

@@ -127,6 +127,17 @@ def test_stacked_flow_matches_unstacked_rk4():
                  (rng.standard_normal((r, r))
                   + 1j * rng.standard_normal((r, r)) for _ in range(3))], 0.0)
                for r in (1, 3)]
+    # the window views of the stage buffer depend on r
+    starts += [([0.1 * (X + X.conj().T) for X in
+                 (rng.standard_normal((r, r))
+                  + 1j * rng.standard_normal((r, r)) for _ in range(3))], 0.0)
+               for r in (2, 4)]
+    # the copy into the stage buffer depends on the input layout: real
+    # float64 matrices passed as transposed views
+    real = [(0.1 * (X + X.T)).T for X in
+            (rng.standard_normal((3, 3)) for _ in range(3))]
+    assert not any(T.flags.c_contiguous for T in real)
+    starts.append((real, 0.0))
     for Ts, s0 in starts:
         seg = nb.flow(*Ts, s0, 1.0, 1e-3)
         want = _unstacked_rk4(*Ts, s0, 1.0, 1e-3)
@@ -139,6 +150,35 @@ def test_flow_refuses_a_step_that_is_not_finite_and_positive(step):
     one = np.array([[1.0]], dtype=complex)
     with pytest.raises(nk.InvalidArgument):
         nb.flow(one, one, one, 0.0, 1.0, step)
+
+
+def _malformed_starts():
+    one, two = np.eye(1), np.eye(2, dtype=complex)
+    inf, nan = two.copy(), two.copy()
+    inf[0, 1], nan[1, 1] = np.inf, complex(0.0, np.nan)
+    return {"mismatched": (two, two, one), "not-square": (np.ones((2, 3)),) * 3,
+            "vectors": (np.ones(2),) * 3, "scalars": (1.0, 1.0, 1.0),
+            "inf-entry": (two, inf, two), "nan-entry": (nan, two, two)}
+
+
+@pytest.mark.parametrize("name", sorted(_malformed_starts()))
+def test_flow_refuses_a_malformed_start_triple(name):
+    """Three matrices that are not square of one shape, or that have an
+    entry that is not finite, are refused before any step is taken."""
+    with pytest.raises(nk.InvalidArgument, match="start triple"):
+        nb.flow(*_malformed_starts()[name], 0.0, 1.0, 1e-2)
+
+
+def test_an_empty_zeta_set_is_refused():
+    """A drift check over no zeta cannot fail, so flow, charpoly_drift and
+    isospectral_drift refuse an empty zeta set."""
+    rho = [r / 0.1 for r in nb.su2_irrep(2)]
+    with pytest.raises(nk.InvalidArgument, match="zeta"):
+        nb.flow(*rho, 0.1, 1.0, 1e-2, zeta_checks=())
+    seg = nb.flow(*rho, 0.1, 1.0, 1e-2)
+    for check in (nb.charpoly_drift, nb.isospectral_drift):
+        with pytest.raises(nk.InvalidArgument, match="zeta"):
+            check(seg, [])
 
 
 @pytest.mark.parametrize("s0, s1", [(1.0, 0.1), (0.5, 0.5), (np.nan, 1.0),
