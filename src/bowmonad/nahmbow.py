@@ -176,9 +176,9 @@ def _start_triple(T1, T2, T3) -> np.ndarray:
     that are not square of one shape, or that have an entry that is not
     finite, raise InvalidArgument."""
     Ts = [np.asarray(T, dtype=complex) for T in (T1, T2, T3)]
-    shapes = {T.shape for T in Ts}
     shape = Ts[0].shape
-    if len(shapes) != 1 or len(shape) != 2 or shape[0] != shape[1]:
+    if (any(T.shape != shape for T in Ts) or len(shape) != 2
+            or shape[0] != shape[1]):
         raise nk.InvalidArgument(f"start triple must be three square "
                                  f"matrices of one shape, got "
                                  f"{[T.shape for T in Ts]}")
