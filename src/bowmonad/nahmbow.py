@@ -190,11 +190,14 @@ def _start_triple(T1, T2, T3) -> np.ndarray:
 
 
 def _zeta_nodes(zetas) -> np.ndarray:
-    """The zetas of a drift check as an array; an empty set raises
-    InvalidArgument (a check over no zeta cannot fail)."""
+    """The zetas of a drift check as an array; an empty set, or a zeta that
+    is not finite, raises InvalidArgument (a check over no zeta cannot
+    fail, and one at a zeta that is not finite reads nan)."""
     z = np.asarray(zetas)
     if z.size == 0:
         raise nk.InvalidArgument("drift check needs at least one zeta")
+    if not np.isfinite(z).all():
+        raise nk.InvalidArgument("drift check needs finite zetas")
     return z
 
 
@@ -203,11 +206,12 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
          lam_points=(), pole_guard: float = 0.0) -> Segment:
     """RK4 integration of the flow on [s0, s1]; characteristic coefficients
     of the Lax matrix are monitored at the given zeta samples and a drift
-    beyond drift_tol raises StepTooCoarse, as does a sample that is not
-    finite (naming the first such s).  A step that is not finite and
-    positive, an end that is not finite, s1 <= s0, a start triple that is
-    not three square matrices of one shape with finite entries, or an
-    empty zeta set raises InvalidArgument.
+    beyond drift_tol, or one that is not a number, raises StepTooCoarse,
+    as does a sample that is not finite (naming the first such s).  A step
+    that is not finite and positive, an end that is not finite, s1 <= s0, a
+    start triple that is not three square matrices of one shape with finite
+    entries, or an empty zeta set or one with a zeta that is not finite
+    raises InvalidArgument.
 
     Each stage argument is held in one preallocated (5, r, r) buffer
     X = (T1, T2, T3, T1, T2), and each stage is one windowed product and
@@ -279,7 +283,7 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
         raise StepTooCoarse(f"flow left the finite regime near s = "
                             f"{first:.4f} (pole hit or step too large)")
     drift = float(np.max(np.abs(nk.charpoly(lax(*out[-1], zetas)) - ref)))
-    if drift > drift_tol:
+    if not drift <= drift_tol:                 # nan where zeta^2 overflows
         raise StepTooCoarse(f"isospectral drift {drift:.2e} > {drift_tol:.0e}")
     seg = Segment(s0, s1, r, grid,
                   *np.ascontiguousarray(out.transpose(1, 0, 2, 3)))
@@ -291,7 +295,7 @@ def charpoly_drift(seg: Segment, zetas) -> np.ndarray:
     """Per sample, the largest change of a characteristic coefficient of
     the Lax matrix from the first sample, over the given zetas: one
     numkit.charpoly call on the (zetas, samples, r, r) Lax stack.  An
-    empty zeta set raises InvalidArgument."""
+    empty zeta set, or a zeta that is not finite, raises InvalidArgument."""
     c = nk.charpoly(lax(seg.T1, seg.T2, seg.T3,
                         _zeta_nodes(zetas)[:, None, None, None]))
     return np.max(np.abs(c - c[:, :1]), axis=(0, 2))

@@ -4,7 +4,10 @@ annotated field of a top-level class apart from dunder names, is referenced
 somewhere, and the library imports nothing but the standard library, numpy
 and itself (numpy is its only declared dependency).  No library module
 calls ``np.poly``: ``numkit.charpoly`` is the one characteristic
-polynomial.  No library module calls numpy's ``as_strided``: a strided
+polynomial.  Every random draw of the library comes from a generator
+made by a seeded ``np.random.default_rng(<seed>)``: no legacy global-state
+``np.random`` call, no unseeded ``default_rng()``, and no ``random``
+module.  No library module calls numpy's ``as_strided``: a strided
 view is taken through ``sliding_window_view``, whose views are read-only
 and bounds-checked.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
@@ -218,6 +221,59 @@ def test_scanner_flags_np_poly():
                          ids=lambda p: p.name)
 def test_no_np_poly_in_library(path):
     assert poly_uses(path.read_text()) == []
+
+
+def unseeded_draws(source: str) -> list[str]:
+    """Every random draw not made from a seeded ``np.random.default_rng``:
+    a call of any other ``np.random``/``numpy.random`` function (the
+    legacy global state), ``default_rng`` with no seed or a None seed, and
+    an import of ``numpy.random`` names or of the ``random`` module.  Type
+    reads such as ``np.random.Generator`` in an annotation are not draws."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Attribute)
+                and node.func.value.attr == "random"
+                and isinstance(node.func.value.value, ast.Name)
+                and node.func.value.value.id in ("np", "numpy")):
+            name = f"{node.func.value.value.id}.random.{node.func.attr}"
+            seeds = [*node.args, *(kw.value for kw in node.keywords)]
+            if node.func.attr != "default_rng":
+                out.append(f"{name} (line {node.lineno})")
+            elif not seeds or (isinstance(seeds[0], ast.Constant)
+                               and seeds[0].value is None):
+                out.append(f"unseeded {name} (line {node.lineno})")
+        elif isinstance(node, ast.Import):
+            out += [f"import {alias.name} (line {node.lineno})"
+                    for alias in node.names
+                    if alias.name in ("random", "numpy.random")]
+        elif (isinstance(node, ast.ImportFrom)
+              and node.module in ("random", "numpy.random")):
+            out.append(f"from {node.module} import (line {node.lineno})")
+    return out
+
+
+def test_scanner_flags_unseeded_draws():
+    src = ("import numpy as np\nimport random\n"
+           "from numpy.random import default_rng\n"
+           "a = np.random.default_rng(7).standard_normal(3)\n"
+           "b = np.random.standard_normal(3)\nnp.random.seed(0)\n"
+           "c = np.random.default_rng()\nd = numpy.random.default_rng(None)\n"
+           "e = np.random.default_rng(seed=args.seed)\n"
+           "def f(rng: np.random.Generator): return rng.random()\n"
+           "g = np.random.default_rng(seed=None)\n")
+    assert unseeded_draws(src) == [
+        "import random (line 2)", "from numpy.random import (line 3)",
+        "np.random.standard_normal (line 5)", "np.random.seed (line 6)",
+        "unseeded np.random.default_rng (line 7)",
+        "unseeded numpy.random.default_rng (line 8)",
+        "unseeded np.random.default_rng (line 11)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_draws_only_from_seeded_generators(path):
+    assert unseeded_draws(path.read_text()) == []
 
 
 def as_strided_uses(source: str) -> list[str]:

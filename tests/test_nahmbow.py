@@ -181,6 +181,29 @@ def test_an_empty_zeta_set_is_refused():
             check(seg, [])
 
 
+@pytest.mark.parametrize("zetas", [(0.0, np.inf), (np.nan,), (1.0, 1j * np.inf)])
+def test_a_zeta_that_is_not_finite_is_refused(zetas):
+    """A drift check at a zeta that is not finite reads nan, so flow,
+    charpoly_drift and isospectral_drift refuse it."""
+    rho = [r / 0.1 for r in nb.su2_irrep(2)]
+    with pytest.raises(nk.InvalidArgument, match="finite zetas"):
+        nb.flow(*rho, 0.1, 1.0, 1e-2, zeta_checks=zetas)
+    seg = nb.flow(*rho, 0.1, 1.0, 1e-2)
+    for check in (nb.charpoly_drift, nb.isospectral_drift):
+        with pytest.raises(nk.InvalidArgument, match="finite zetas"):
+            check(seg, zetas)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_a_drift_that_is_not_a_number_fails():
+    """A finite zeta whose square overflows makes the drift nan, which
+    fails the drift check instead of passing it."""
+    rho = [r / 0.1 for r in nb.su2_irrep(2)]
+    with pytest.raises(nb.StepTooCoarse, match="drift nan"):
+        nb.flow(*rho, 0.1, 1.0, 1e-2, zeta_checks=(0.0, 1e200))
+
+
 @pytest.mark.parametrize("s0, s1", [(1.0, 0.1), (0.5, 0.5), (np.nan, 1.0),
                                     (0.0, np.inf), (-np.inf, 0.0)])
 def test_flow_refuses_an_interval_that_is_not_finite_and_increasing(s0, s1):

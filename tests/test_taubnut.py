@@ -105,48 +105,22 @@ def test_big_monad_builds_the_float_monad_once(monkeypatch):
     assert len(built) == 2 and built[-1] is pm and pm.exact
 
 
-def _pushdown_scalar_draws(data, which, rng, ctx=nk.DEFAULT_CTX):
-    """_pushdown_surjectivity with its 100 samples t drawn one scalar at a
-    time, the real part first."""
-    _, _, Ym1, Yp1 = tn._gluing(data)
-    k, m = data.k, data.m
-    rows = 3 * k + m
-    cm, cp = Ym1.shape[1], Yp1.shape[1]
-    template = np.zeros((rows, cm + k + cp), dtype=complex)
-    template[:k + m, :cm] = Ym1
-    template[:k + m, cm + k:] = -Yp1
-    template[k + m: 2 * k + m, :k] = -np.eye(k)
-    template[2 * k + m:, cm + k:cm + 2 * k] = np.eye(k)
-    xi_band, psi_band = slice(k + m, 2 * k + m), slice(2 * k + m, rows)
-    var, fixed = (xi_band, psi_band) if which == "xi" else (psi_band, xi_band)
-    template[fixed, cm:cm + k] = -(data.Bht if which == "xi" else data.Bth)
-    ts = [rng.standard_normal() + 1j * rng.standard_normal()
-          for _ in range(100)]
-    trend_ts = [1.0, 0.1, 0.01, 0.001]
-    ts = np.array([t for t in ts if abs(t) >= 0.05] + trend_ts, dtype=complex)
-    stack = np.repeat(template[None], len(ts), axis=0)
-    stack[:, var, cm:cm + k] = ts[:, None, None] * np.eye(k)
-    s = np.linalg.svd(stack, compute_uv=False)
-    sampled = s[:-len(trend_ts)]
-    margin = np.min(sampled[:, rows - 1]
-                    / (ctx.rank_tol * np.maximum(sampled[:, 0], 1.0)))
-    return float(margin), s[-len(trend_ts):, rows - 1].tolist()
-
-
 @pytest.mark.parametrize("data", [worked_example(),
                                   tn.generate_taubnut(2, 1, seed=0),
                                   tn.generate_taubnut(3, 0, seed=1),
                                   tn.generate_taubnut(1, 2, seed=3, exact=True)])
 def test_pushdown_samples_match_scalar_draws(data):
-    """The samples drawn in one call give the margin and trend of scalar
-    draws bit for bit, xi side then psi side from one generator, and leave
-    the generator in the same state."""
+    """The samples drawn in one call, xi side then psi side from one
+    generator, give the margins of scalar draws decided one t at a time and
+    their trend bit for bit, and leave the generator in the same state."""
     fdata = tn._float_data(data)
     rngs = np.random.default_rng(7), np.random.default_rng(7)
-    for which in ("xi", "psi"):
-        got = tn._pushdown_surjectivity(fdata, which, rngs[0], nk.DEFAULT_CTX)
-        assert got == _pushdown_scalar_draws(fdata, which, rngs[1])
-        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    got = tn._pushdown_surjectivity(fdata, rngs[0], nk.DEFAULT_CTX)
+    want = _pushdown_values(fdata, rngs[1])
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+    for (margin, trend), (want_margin, want_trend) in zip(got, want):
+        assert trend == want_trend
+        assert margin == pytest.approx(want_margin, rel=1e-9)
 
 
 def test_build_refused():
@@ -519,43 +493,103 @@ def test_pointwise_checks_fail_below_margin_one(monkeypatch):
                                           rel=1e-9)
 
 
-def _pushdown_margins(data, row_scale=1.0, ctx=nk.DEFAULT_CTX):
-    """sigma_min / (rank_tol max(sigma_max, 1)) of the xi and psi pushdown
-    gluing maps, smallest over the t that validate samples, one t at a time.
-    Rows (k + m | k | k), columns (Vm | E | Vp):
+def _gluing_map(d, which, t, row_scale=1.0):
+    """The xi or psi pushdown gluing map of float data d at t, rows
+    (k + m | k | k), columns (Vm | E | Vp):
 
         (Y-1,        0,            -Y+1 )
         (-(1, 0, 0), t I or -Bht,   0   )
         (0,          -Bth or t I,  (1, 0))
 
     with row k + m - 1 times row_scale."""
-    d = tn._float_data(data)
     k, m = d.k, d.m
     below = (d.Cprime, d.Aprime) if m else (np.zeros((0, 2)), np.zeros((0, k)))
     Ym1 = np.hstack([np.eye(k + m), -np.vstack([d.C1, below[0][:, 0:1]])])
     Yp1 = np.block([[d.A, d.C2], [below[1], below[0][:, 1:2]]])
     X0m = np.hstack([np.eye(k), np.zeros((k, m + 1))])
     X0p = np.hstack([np.eye(k), np.zeros((k, 1))])
+    xi_blk, psi_blk = (t * np.eye(k), -d.Bht) if which == "xi" else \
+        (-d.Bth, t * np.eye(k))
+    M = np.block([[Ym1, np.zeros((k + m, k)), -Yp1],
+                  [-X0m, xi_blk, np.zeros((k, k + 1))],
+                  [np.zeros((k, k + m + 1)), psi_blk, X0p]])
+    M[k + m - 1] *= row_scale
+    return M
+
+
+def _validate_rng():
+    """validate's generator after the 20 points of its pointwise checks."""
     rng = np.random.default_rng(7)
-    for _ in range(40):                     # the pointwise checks' points
+    for _ in range(40):
         rng.standard_normal(2)
+    return rng
+
+
+def _sampled_ts(rng):
+    """The t of one pushdown side: 100 complex normals drawn one scalar at a
+    time, the real part first, with |t| >= 0.05."""
+    ts = [rng.standard_normal() + 1j * rng.standard_normal()
+          for _ in range(100)]
+    return [t for t in ts if abs(t) >= 0.05]
+
+
+def _pushdown_margins(data, row_scale=1.0, ctx=nk.DEFAULT_CTX):
+    """Reference oracle for the verdicts of the pushdown rows: the smallest
+    sigma_min / (rank_tol max(sigma_max, 1)) of the full xi and psi gluing
+    maps over the t that validate samples, one t at a time."""
+    d = tn._float_data(data)
+    rng = _validate_rng()
     out = []
     for which in ("xi", "psi"):
         worst = np.inf
-        for _ in range(100):
-            t = rng.standard_normal() + 1j * rng.standard_normal()
-            if abs(t) < 0.05:
-                continue
-            xi_blk, psi_blk = (t * np.eye(k), -d.Bht) if which == "xi" else \
-                (-d.Bth, t * np.eye(k))
-            M = np.block([[Ym1, np.zeros((k + m, k)), -Yp1],
-                          [-X0m, xi_blk, np.zeros((k, k + 1))],
-                          [np.zeros((k, k + m + 1)), psi_blk, X0p]])
-            M[k + m - 1] *= row_scale
-            s = np.linalg.svd(M, compute_uv=False)
+        for t in _sampled_ts(rng):
+            s = np.linalg.svd(_gluing_map(d, which, t, row_scale),
+                              compute_uv=False)
             worst = min(worst, s[-1] / (ctx.rank_tol * max(s[0], 1.0)))
         out.append(worst)
     return out
+
+
+def _reduced_pencil(d, which, row_scale=1.0, ctx=nk.DEFAULT_CTX):
+    """(margin of F, t -> R(t)) for the xi or psi gluing map of float data:
+    F is the map without its E columns, cut at sigma > rank_tol
+    max(sigma_1, 1), and R(t) = Z^H E(t) the E columns seen from F's left
+    null space Z."""
+    k, m = d.k, d.m
+    E = slice(k + m + 1, 2 * k + m + 1)
+    F = np.delete(_gluing_map(d, which, 0.0, row_scale), E, axis=1)
+    U, s, _ = np.linalg.svd(F)
+    top = ctx.rank_tol * max(s[0], 1.0)
+    r = int(np.sum(s > top))
+    Z = U[:, r:]
+    return s[r - 1] / top, \
+        lambda t: Z.conj().T @ _gluing_map(d, which, t, row_scale)[:, E]
+
+
+def _pushdown_values(data, rng, row_scale=1.0, ctx=nk.DEFAULT_CTX):
+    """[(value, trend)] of the xi and psi pushdown rows, decided one scalar
+    t at a time from rng: the smaller of F's margin and the smallest
+    sigma_min(R) / (rank_tol max(sigma_max(R), 1)) over the sampled t, and
+    sigma_min of the full map at t = 1, 0.1, 0.01, 0.001."""
+    d = tn._float_data(data)
+    out = []
+    for which in ("xi", "psi"):
+        worst, R = _reduced_pencil(d, which, row_scale, ctx)
+        for t in _sampled_ts(rng):
+            Rt = R(t)
+            if Rt.shape[0]:
+                s = np.linalg.svd(Rt, compute_uv=False)
+                low = s[Rt.shape[0] - 1] if Rt.shape[0] <= Rt.shape[1] else 0.0
+                worst = min(worst, low / (ctx.rank_tol * max(s[0], 1.0)))
+        rows = 3 * d.k + d.m
+        trend = [np.linalg.svd(_gluing_map(d, which, t),
+                               compute_uv=False)[rows - 1]
+                 for t in (1.0, 0.1, 0.01, 0.001)]
+        out.append((worst, trend))
+    return out
+
+
+PUSHDOWN_ROWS = ("pushdown_surjective_xi", "pushdown_surjective_psi")
 
 
 @pytest.mark.parametrize("data", [worked_example(),
@@ -563,20 +597,18 @@ def _pushdown_margins(data, row_scale=1.0, ctx=nk.DEFAULT_CTX):
                                   tn.generate_taubnut(3, 0, seed=1),
                                   tn.generate_taubnut(1, 2, seed=3, exact=True)])
 def test_pushdown_checks_report_their_margin(data):
-    """pushdown_surjective_xi/psi pass with the smallest sigma_min /
-    (rank_tol max(sigma_max, 1)) over the sampled t as the value, far above
-    1 (the k = 3, m = 0 draw has the smallest, 4.3e5)."""
+    """pushdown_surjective_xi/psi pass with the smaller of F's margin and
+    the smallest margin of the reduced pencil over the sampled t as the
+    value, far above 1 (the k = 3, m = 0 draw has the smallest, 7.0e5)."""
     rep = tn.validate(data)
-    for name, margin in zip(("pushdown_surjective_xi",
-                             "pushdown_surjective_psi"),
-                            _pushdown_margins(data)):
+    for name, (value, _) in zip(PUSHDOWN_ROWS,
+                                _pushdown_values(data, _validate_rng())):
         assert rep[name].passed and rep[name].residual > 1e5
-        assert rep[name].residual == pytest.approx(margin, rel=1e-9)
+        assert rep[name].residual == pytest.approx(value, rel=1e-9)
 
 
-def test_pushdown_checks_fail_below_margin_one(monkeypatch):
-    """Gluing rows with their last row times 1e-12 keep a nonzero
-    sigma_min and fail both pushdown checks with a margin below 1."""
+def _planted_gluing(monkeypatch):
+    """Gluing rows with their last row times 1e-12."""
     gluing = tn._gluing
 
     def dropped(data):
@@ -584,14 +616,76 @@ def test_pushdown_checks_fail_below_margin_one(monkeypatch):
         Ym1[-1] *= 1e-12
         Yp1[-1] *= 1e-12
         return Wm, Wp, Ym1, Yp1
-    data = tn.generate_taubnut(2, 1, seed=0)
     monkeypatch.setattr(tn, "_gluing", dropped)
+
+
+def test_pushdown_checks_fail_below_margin_one(monkeypatch):
+    """Gluing rows with their last row times 1e-12 fail both pushdown
+    checks with a nonzero value below 1: the cut of F drops that row, and
+    the reduced pencil seen from it is of order 1e-12."""
+    data = tn.generate_taubnut(2, 1, seed=0)
+    _planted_gluing(monkeypatch)
     rep = tn.validate(data)
-    for name, margin in zip(("pushdown_surjective_xi",
-                             "pushdown_surjective_psi"),
-                            _pushdown_margins(data, row_scale=1e-12)):
+    want = _pushdown_values(data, _validate_rng(), row_scale=1e-12)
+    for name, (value, _) in zip(PUSHDOWN_ROWS, want):
         assert not rep[name].passed and 0.0 < rep[name].residual < 1.0
-        assert rep[name].residual == pytest.approx(margin, rel=1e-6)
+        assert rep[name].residual == pytest.approx(value, rel=1e-6)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("k, m", [(1, 0), (2, 0), (3, 0), (1, 1), (2, 1),
+                                  (1, 2), (2, 2)])
+def test_pushdown_verdicts_match_the_full_map_oracle(k, m, exact):
+    """Every pushdown row passes or fails as the one-t-at-a-time SVD of the
+    full gluing map decides, on seeds 0-11."""
+    for seed in range(12):
+        data = tn.generate_taubnut(k, m, seed=seed, exact=exact)
+        rep = tn.validate(data)
+        for name, margin in zip(PUSHDOWN_ROWS, _pushdown_margins(data)):
+            assert rep[name].passed == (margin > 1), (seed, name)
+
+
+def test_planted_pushdown_verdicts_match_the_full_map_oracle(monkeypatch):
+    data = tn.generate_taubnut(2, 1, seed=0)
+    want = _pushdown_margins(data, row_scale=1e-12)
+    _planted_gluing(monkeypatch)
+    rep = tn.validate(data)
+    for name, margin in zip(PUSHDOWN_ROWS, want):
+        assert not rep[name].passed and margin < 1
+        assert 0.0 < rep[name].residual < 1.0
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_reduced_pencil_vanishes_where_the_samples_miss(exact):
+    """At k = 2, m = 0, seed 0 the xi pencil vanishes at t = -60 and the psi
+    pencil at t = 1/12, the point (xi, psi) = (60, -1/12) where beta of the
+    fused monad drops rank; both rows pass, since no sample lands there."""
+    data = tn.generate_taubnut(2, 0, seed=0, exact=exact)
+    d = tn._float_data(data)
+    for which, t0 in (("xi", -60.0), ("psi", 1 / 12)):
+        R = _reduced_pencil(d, which)[1]
+        assert R(t0).shape == (1, 2)
+        s0, s1 = (np.linalg.svd(R(t), compute_uv=False)[-1] for t in (t0, 1.0))
+        assert s0 <= 1e-12 * s1
+    rep = tn.validate(data)
+    assert all(rep[name].passed for name in PUSHDOWN_ROWS)
+
+
+@pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
+def test_gluing_margin_bounds_the_full_map_at_m_positive(k, m):
+    """At m >= 1 the t-free columns F have full row rank, so sigma_min of
+    the full map is at least sigma_min(F) at every t."""
+    d = tn.generate_taubnut(k, m, seed=0)
+    rng = np.random.default_rng(5)
+    ts = 10.0 ** rng.uniform(-3, 3, 50) * np.exp(2j * np.pi * rng.random(50))
+    E = slice(k + m + 1, 2 * k + m + 1)
+    for which in ("xi", "psi"):
+        F = np.delete(_gluing_map(d, which, 0.0), E, axis=1)
+        floor = np.linalg.svd(F, compute_uv=False)[-1]
+        assert _reduced_pencil(d, which)[1](1.0).shape == (0, k)
+        for t in ts:
+            s = np.linalg.svd(_gluing_map(d, which, t), compute_uv=False)
+            assert s[-1] >= (1 - 1e-12) * floor
 
 
 def test_negative_m_reduces_to_positive():
