@@ -183,9 +183,10 @@ def _pushdown_surjectivity(data, rng, ctx):
     The margin is the smaller of sigma_r(F) / (rank_tol max(sigma_1(F), 1))
     and the smallest sigma_min(R) / (rank_tol max(sigma_max(R), 1)) over the
     sampled t; it exceeds 1 when the map is certified onto.  Where Z is empty
-    (m >= 1, or k = 1) there is no second term: M M^H >= F F^H, so F's
-    margin holds at every t.  The trend is sigma_min of the full M(t) at
-    t = 1, 0.1, 0.01 and 0.001."""
+    there is no second term: M M^H >= F F^H, so F's margin holds at every
+    t.  On the generator draws Z is empty at k = 1 and at m >= 1 unless B0
+    is singular; at m = 0 it has k - 1 columns.  The trend is sigma_min of
+    the full M(t) at t = 1, 0.1, 0.01 and 0.001."""
     _, _, Ym1, Yp1 = _gluing(data)
     k, m = data.k, data.m
     rows = 3 * k + m
@@ -204,11 +205,11 @@ def _pushdown_surjectivity(data, rng, ctx):
     trend_ts = np.array([1.0, 0.1, 0.01, 0.001])
     out = []
     for var, fixed, B in (("xi", "psi", data.Bht), ("psi", "xi", data.Bth)):
-        z = rng.standard_normal(200)           # (re, im) of 100 samples in turn
-        ts = z[0::2] + 1j * z[1::2]
+        normals = rng.standard_normal(200)     # (re, im) of 100 samples in turn
+        ts = normals[0::2] + 1j * normals[1::2]
         ts = ts[np.abs(ts) >= 0.05]
         margin = f_margin
-        if Z.shape[1] > k:                     # more rows than R can span
+        if Z.shape[1] > k:                     # R is never of full row rank
             margin = 0.0
         elif Z.shape[1]:
             R = (ts[:, None, None] * Z[bands[var]].conj().T

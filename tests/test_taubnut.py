@@ -673,8 +673,9 @@ def test_reduced_pencil_vanishes_where_the_samples_miss(exact):
 
 @pytest.mark.parametrize("k, m", [(1, 1), (2, 1), (1, 2), (2, 2)])
 def test_gluing_margin_bounds_the_full_map_at_m_positive(k, m):
-    """At m >= 1 the t-free columns F have full row rank, so sigma_min of
-    the full map is at least sigma_min(F) at every t."""
+    """On the seed-0 draws of the m >= 1 pairs the t-free columns F have
+    full row rank, so sigma_min of the full map is at least sigma_min(F)
+    at every t."""
     d = tn.generate_taubnut(k, m, seed=0)
     rng = np.random.default_rng(5)
     ts = 10.0 ** rng.uniform(-3, 3, 50) * np.exp(2j * np.pi * rng.random(50))
