@@ -23,12 +23,7 @@ def test_worked_example_validates():
     assert np.allclose(data.D, [[3], [1]])
     assert np.allclose(data.monodromy, [[2, -3], [3, 0]])
     assert abs(np.linalg.det(data.monodromy) - 9) < 1e-12
-    report = cal.validate(data)
-    assert report.passed
-    names = {c.name for c in report.checks}
-    assert {"relation_1", "relation_2", "relation_3", "stacked_pencil_injective",
-            "row_pencil_surjective", "mixed_pencil_surjective",
-            "transport_invertible"} <= names
+    assert cal.validate(data).passed
 
 
 def test_relation2_violation():

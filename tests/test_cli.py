@@ -831,19 +831,19 @@ def test_generator_streams_are_pinned(flavor, k, m):
 # exact draw, per flavor and (k, m) pair; see _exact_outputs
 EXACT_OUTPUT_DIGESTS = {
     ("caloron", 1, 0): "540143d91cc28023",
-    ("caloron", 1, 1): "ff52e2e09b704a13",
-    ("caloron", 1, 2): "ebcb08c648ed3493",
+    ("caloron", 1, 1): "3a543430ca1bacf8",
+    ("caloron", 1, 2): "4212de6ab9a11831",
     ("caloron", 2, 0): "4c8ddb694dabd4fc",
-    ("caloron", 2, 1): "32842e2152a1f387",
-    ("caloron", 2, 2): "0b5eb5ccf98acf95",
+    ("caloron", 2, 1): "0f88548dddbbcdbe",
+    ("caloron", 2, 2): "1c9ea37eb5173d4d",
     ("caloron", 3, 0): "ae833b5528875ba2",
-    ("taubnut", 1, 0): "77e18b1ad59a5d32",
-    ("taubnut", 1, 1): "14585211a6c3eb5d",
-    ("taubnut", 1, 2): "06f3daa9b97d28a1",
-    ("taubnut", 2, 0): "c920304d15ea68f5",
-    ("taubnut", 2, 1): "986d35531860c004",
-    ("taubnut", 2, 2): "aea301e19bdf210e",
-    ("taubnut", 3, 0): "6ba233e0dc42f1ea",
+    ("taubnut", 1, 0): "b1640fad4922ac28",
+    ("taubnut", 1, 1): "7e114d6a2f5c5d16",
+    ("taubnut", 1, 2): "1874a42d389e2d59",
+    ("taubnut", 2, 0): "896fdf65cd339c1b",
+    ("taubnut", 2, 1): "2e22b540a64727e4",
+    ("taubnut", 2, 2): "7bb2180c8accd471",
+    ("taubnut", 3, 0): "2bbb523183dc6e81",
 }
 
 
@@ -906,8 +906,10 @@ def _exact_outputs(flavor, k, m, seed):
 def test_exact_outputs_are_pinned(flavor, k, m):
     """The exact backend's verdicts, characteristic polynomials, composite
     decisions, round trips and fiber bases of the exact draws of seeds 0-3
-    are fixed value for value; the digests were taken before exact
-    matrices were held in split form."""
+    are fixed value for value.  The digests were taken before exact
+    matrices were held in split form, and retaken with the verdict rows
+    relation_3, charpoly_B0_eq_B1 and mixed_pencil_large_eta filtered out
+    when those rows, which no datum could fail, were deleted."""
     h = hashlib.sha256()
     for seed in range(4):
         h.update(json.dumps(_exact_outputs(flavor, k, m, seed),

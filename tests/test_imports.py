@@ -9,7 +9,9 @@ made by a seeded ``np.random.default_rng(<seed>)``: no legacy global-state
 ``np.random`` call, no unseeded ``default_rng()``, and no ``random``
 module.  No library module calls numpy's ``as_strided``: a strided
 view is taken through ``sliding_window_view``, whose views are read-only
-and bounds-checked.  No library module but ``numkit`` imports ``fractions``:
+and bounds-checked.  No ``report.add`` call of the library passes the
+literal verdict ``True``: a report row is a condition that data can
+fail.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
 ``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
 only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
@@ -305,6 +307,40 @@ def test_scanner_flags_as_strided():
                          ids=lambda p: p.name)
 def test_no_as_strided_in_library(path):
     assert as_strided_uses(path.read_text()) == []
+
+
+def literal_true_verdicts(source: str) -> list[str]:
+    """Every ``report.add`` call whose verdict, its second argument or
+    ``passed=``, is the literal ``True``.  A literal ``False`` stays
+    allowed: it fails a row whose decision could not be made."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "report"):
+            continue
+        verdicts = [*node.args[1:2],
+                    *(kw.value for kw in node.keywords if kw.arg == "passed")]
+        if any(isinstance(v, ast.Constant) and v.value is True
+               for v in verdicts):
+            out.append(f"report.add (line {node.lineno})")
+    return out
+
+
+def test_scanner_flags_a_literal_true_verdict():
+    src = ("report.add('a', True, 0.0)\nreport.add('b', False, np.inf)\n"
+           "report.add('c', res < 1e-10, res)\nreport.add('d', passed=True)\n"
+           "report.add('e', 1)\nchecks.add('f', True)\nnp.add(x, True)\n")
+    assert literal_true_verdicts(src) == ["report.add (line 1)",
+                                          "report.add (line 4)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_report_row_that_cannot_fail(path):
+    assert literal_true_verdicts(path.read_text()) == []
 
 
 FRACTION_MODULES = {"numkit.py", "bowcli.py"}

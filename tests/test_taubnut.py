@@ -25,10 +25,9 @@ def test_worked_example_relations():
     data = worked_example()
     assert np.allclose(data.B0, [[6]]) and np.allclose(data.B1, [[6]])
     # relation 1 reduces to C D = 0; relation 2 reads 21 - 18 = 3
-    r1, r2, r3 = data.relation_residuals()
+    r1, r2 = data.relation_residuals()
     assert nk.mat_norm(r1) < 1e-14
     assert nk.mat_norm(r2) < 1e-14
-    assert nk.mat_norm(r3) < 1e-14
     assert tn.validate(data).passed
 
 
@@ -164,43 +163,12 @@ def test_jumping_lines_worked_example():
     assert abs(np.prod(mid_roots) - 15) < 1e-8
 
 
-class _PerturbedB1(tn.TaubNutDataM0):
-    """m = 0 data whose B1 is Bth Bht (1 + 1e-6): char(B0) = char(B1) fails
-    at 1e-6 relative."""
-
-    @property
-    def B1(self):
-        return super().B1 * (1 + 1e-6)
-
-
-@pytest.mark.parametrize("scale, perturbed", [
-    pytest.param(1.0, False, id="unit"),
-    pytest.param(100 / 3, False, id="scaled"),
-    pytest.param(1.0, True, id="perturbed")])
-def test_jumping_lines_reads_the_validate_charpoly_check(scale, perturbed):
-    """jumping_lines refuses with BuildRefused exactly the data whose
-    charpoly_B0_eq_B1 row fails in validate.  With Bht and Bth scaled by
-    100/3 the float coefficients differ by about 3e-7, rounding that the
-    derived bound absorbs; a B1 off by 1e-6 relative fails."""
-    d = tn.generate_taubnut(2, 0, seed=0)
-    d = (_PerturbedB1 if perturbed else tn.TaubNutDataM0)(
-        2, d.A, d.Bht * scale, d.Bth * scale, d.C, d.D)
-    holds = tn.validate(d)["charpoly_B0_eq_B1"].passed
-    assert holds == (not perturbed)
-    if holds:
-        tn.jumping_lines(d)
-    else:
-        with pytest.raises(BuildRefused, match="char polys"):
-            tn.jumping_lines(d)
-
-
 @pytest.mark.parametrize("s", [10, 100 / 3, 100])
 @pytest.mark.parametrize("k, seed", [(2, 0), (3, 1)])
 def test_validate_verdicts_invariant_under_edge_rescaling(k, seed, s):
     """Scaling (Bht, Bth) by s and C by s^2 maps m = 0 data to m = 0 data
     (B0 and B1 scale by s^2, every relation is homogeneous): every check
-    of validate keeps its verdict, although the float char-poly
-    coefficients of B0 and B1 then differ by up to 5e-2 at k = 3."""
+    of validate keeps its verdict."""
     d = tn.generate_taubnut(k, 0, seed=seed)
     scaled = replace(d, Bht=d.Bht * s, Bth=d.Bth * s, C=d.C * s * s)
     verdicts = [{c.name: c.passed for c in tn.validate(x).checks}
@@ -249,9 +217,11 @@ def test_m0_aligned_line_measured_as_boundary_torsion():
     """For m = 0 the characteristic-polynomial identity forces the rank-one
     jump to align with an eigenvector, and along that one line the fused
     resolution carries a length-one boundary torsion: the naive section
-    counts come out (h0, h0(-1)) = (3, 1), splitting-inconsistent, while the
-    affine pointwise exactness never fails.  The balanced reading is
-    torsion 1 plus a trivial bundle restriction; splitting_type refuses
+    counts come out (h0, h0(-1)) = (3, 1), splitting-inconsistent, while
+    pointwise exactness holds at the sampled points t in [0.1, 2.5].  It
+    is not exact everywhere on the line: beta drops rank at one isolated
+    point of this draw, (xi, psi) = (-240, -1/60).  The balanced reading
+    is torsion 1 plus a trivial bundle restriction; splitting_type refuses
     rather than guessing."""
     from bowmonad.monadcore import InconsistentSplitting, sections_on_line
     d = tn.generate_taubnut(2, 0, seed=9)
@@ -266,7 +236,7 @@ def test_m0_aligned_line_measured_as_boundary_torsion():
     assert (s0.dimension, s1.dimension) == (3, 1)
     with pytest.raises(InconsistentSplitting):
         splitting_type(pm, Line("B_eta", aligned))
-    # pointwise exactness holds everywhere on the affine part of the line
+    # pointwise exactness holds at these points of the affine part
     for t in np.linspace(0.1, 2.5, 23):
         m = pm.evaluate((t, aligned / t))
         sa = np.linalg.svd(m.alpha, compute_uv=False)
