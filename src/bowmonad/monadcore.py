@@ -362,21 +362,25 @@ class SectionSpace:
 
     ``dimension`` is the full h^0: the quotient of the section equations'
     solutions by the image of the left column, plus the left-column H^1
-    share ``h1_dim``.  The count is all a section decision reads, so the
-    quotient is kept as its decision (see numkit.quotient_representatives)
-    and ``basis``, the explicit Laurent-coefficient representatives, is
-    built from it the first time it is read."""
+    share ``h1_dim``.  The count is all a section decision reads and comes
+    from singular values alone (numkit.quotient_dimension), so the space
+    keeps the section equations E and the image Aim, with the tolerance
+    context, and ``basis``, the explicit Laurent-coefficient
+    representatives, builds the kernel of E and the quotient from them the
+    first time it is read."""
 
     line: Line
     dimension: int
     h1_dim: int
-    _quotient: tuple | None = field(default=None, repr=False, compare=False)
+    _system: tuple | None = field(default=None, repr=False, compare=False)
 
     @cached_property
     def basis(self) -> list:
-        if self._quotient is None:
+        if self._system is None:
             return []
-        reps = nk._quotient_basis(*self._quotient)
+        E, Aim, ctx = self._system
+        reps = nk.quotient_representatives(nk.rank_kernel(E, ctx).kernel,
+                                           Aim, ctx)
         return [reps[:, j] for j in range(reps.shape[1])]
 
 
@@ -642,18 +646,20 @@ class _Layout:
 
     def __init__(self, blocks, spans):
         self.blocks = []    # (first exponent, count, base offset, rank)
-        cells = []          # (block, exponent, comp) of each position
+        block, exp, comp = [], [], []
         pos = col = 0
         for ib, (b, (first, last)) in enumerate(zip(blocks, spans)):
             count = max(last - first + 1, 0)
             self.blocks.append((first, count, pos, b.rank))
-            cells += [(ib, e, c) for e in range(first, last + 1)
-                      for c in range(col, col + b.rank)]
+            # exponent-major runs: each exponent once per component
+            block += [ib] * (count * b.rank)
+            exp += [e for e in range(first, last + 1) for _ in range(b.rank)]
+            comp += list(range(col, col + b.rank)) * count
             pos += count * b.rank
             col += b.rank
         self.size = pos
-        self.block, self.exp, self.comp = \
-            np.array(cells, dtype=int).reshape(-1, 3).T
+        self.block, self.exp, self.comp = np.array([block, exp, comp],
+                                                   dtype=int)
 
 
 class _Placement:
@@ -822,12 +828,11 @@ class _LineSystem:
         if plan is None:
             plan = self.pm._plans[key] = _SectionPlan(self.pm.cols,
                                                       self.ruling, d)
-        h0_dim, quotient = 0, None
+        h0_dim, system = 0, None
         if plan.lay2.size:
-            kern = nk.rank_kernel(self._matrix(plan.E), ctx).kernel
-            Aim = self._matrix(plan.Aim, strict=True)
-            quotient = nk._quotient_decision(kern, Aim, ctx)
-            h0_dim = quotient[2]
+            system = (self._matrix(plan.E),
+                      self._matrix(plan.Aim, strict=True), ctx)
+            h0_dim = nk.quotient_dimension(*system)
 
         # H^1 of the left column, with the alpha action on Cech classes
         h1_net = 0
@@ -838,7 +843,7 @@ class _LineSystem:
             if ker_h1.shape[1]:
                 d2 = self._connecting_rank(plan, ker_h1, ctx)
                 h1_net = ker_h1.shape[1] - d2
-        return SectionSpace(self.line, h0_dim + h1_net, h1_net, quotient)
+        return SectionSpace(self.line, h0_dim + h1_net, h1_net, system)
 
     def _connecting_rank(self, plan: _SectionPlan, ker_h1, ctx):
         """Rank of the connecting differential on H^1(left) classes killed
@@ -865,7 +870,7 @@ class _LineSystem:
             proj = d2_vals
         if not proj.size or np.max(np.abs(proj)) <= _D2_TOL * scale:
             return 0
-        return nk.rank_kernel(proj, ctx).rank
+        return ctx.rank_cut(np.linalg.svd(proj, compute_uv=False).tolist())[0]
 
 
 def sections_on_line(pm: ParamMonad, line: Line, d: int,

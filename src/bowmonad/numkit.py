@@ -26,9 +26,11 @@ The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
 reduce to.  The float quotient is a decision (containment, then the rank
 of the image, which fixes the dimension) and a construction (the
-representatives), so a caller that needs only the dimension stops after the
-decision.  The exact quotient works in the coordinates of the kernel basis:
-an ``exact_kernel`` basis K is the identity on its free rows, so the image I
+representatives).  A caller that needs only the dimension of ker(E) / im(I)
+takes ``quotient_dimension``: singular values of E and I, and a kernel basis
+only where a bound on the containment residual is not small enough.  The
+exact quotient works in the coordinates of the kernel basis: an
+``exact_kernel`` basis K is the identity on its free rows, so the image I
 has coordinates I[free], is contained iff K @ I[free] == I, and its
 representatives are read off one elimination of the small coordinate matrix
 (12 x 14 for a k = 3, m = 0 Taub-NUT fiber) rather than of [I | K].
@@ -695,7 +697,13 @@ def _jsonable(x):
 
 @dataclass
 class ValidationReport:
+    """The rows of a validation.  ``built`` is (data, object) for an object
+    the validation built from that data object, which a builder given the
+    report with that very data may take instead of building it again;
+    to_json, render and equality ignore it."""
+
     checks: list[CheckResult] = field(default_factory=list)
+    built: tuple | None = field(default=None, repr=False, compare=False)
 
     def add(self, name, passed, residual=0.0, certificate=None, note=""):
         self.checks.append(CheckResult(name, bool(passed), float(residual),
@@ -888,11 +896,55 @@ def _quotient_decision(K: np.ndarray, I: np.ndarray, ctx: ToleranceContext):
     if not I.shape[1]:
         return K, None, K.shape[1]
     resid = np.linalg.norm(I - K @ (K.conj().T @ I))
-    if resid > max(ctx.rank_tol * 1e3, 1e-8) * max(np.linalg.norm(I), 1.0):
+    if resid > _containment_tol(np.linalg.norm(I), ctx):
         raise ImageNotContained(f"containment residual {resid:.3e}")
     U, s, _ = np.linalg.svd(I, full_matrices=False)
     rk_i = ctx.rank_cut(s.tolist())[0]
     return K, U[:, :rk_i], max(K.shape[1] - rk_i, 0)
+
+
+def _containment_tol(norm_i: float, ctx: ToleranceContext) -> float:
+    """The largest containment residual an image of norm norm_i may have."""
+    return max(ctx.rank_tol * 1e3, 1e-8) * max(norm_i, 1.0)
+
+
+def quotient_dimension(E: np.ndarray, I: np.ndarray,
+                       ctx: ToleranceContext = DEFAULT_CTX) -> int:
+    """dim ker(E) - rank(I) for a float image I that E kills: the count of
+    ``_quotient_decision(rank_kernel(E, ctx).kernel, I, ctx)``, read off
+    values-only SVDs of E and I cut by ``ctx.rank_cut``.
+
+    The containment of I in the kernel K of rank r cut of E is certified by
+    ||E I||_F / sigma_r(E), which bounds the residual ||I - K K^H I||_F
+    from above: with E = sum sigma_i u_i v_i^H and I - K K^H I the part of
+    I in the span of v_1..v_r, ||E I||_F >= sigma_r ||I - K K^H I||_F.  The
+    computed product is off from E I by at most sqrt(2) gamma_{n+2}
+    ||E||_F ||I||_F (n the columns of E, gamma_k = k u / (1 - k u) for the
+    unit roundoff u; complex products, Higham 2002, section 3.6), which the
+    bound adds.  Where the bound does not clear the
+    residual threshold of ``_quotient_decision``, that decision is taken on
+    the kernel basis, and its residual gives the verdict and the count.
+    r = 0 keeps every vector (K is the identity, residual 0), r = n keeps
+    none (a nonzero image is not contained), and an image with no columns
+    needs no containment."""
+    n = E.shape[1]
+    s = np.linalg.svd(E, compute_uv=False).tolist() if E.size else []
+    free = n - ctx.rank_cut(s)[0]
+    if not free:
+        if I.shape[1] and np.linalg.norm(I) > ctx.rank_tol:
+            raise ImageNotContained("nonzero image with zero kernel")
+        return 0
+    if not I.shape[1]:
+        return free
+    if free < n:
+        norm_i = np.linalg.norm(I)
+        ku = (n + 2) * np.finfo(float).eps / 2     # (n + 2) unit roundoffs
+        room = math.sqrt(2) * ku / (1 - ku) * np.linalg.norm(E) * norm_i
+        if (np.linalg.norm(E @ I) + room) / s[n - free - 1] > \
+                _containment_tol(norm_i, ctx):
+            return _quotient_decision(rank_kernel(E, ctx).kernel, I, ctx)[2]
+    rank_i = ctx.rank_cut(np.linalg.svd(I, compute_uv=False).tolist())[0]
+    return max(free - rank_i, 0)
 
 
 def _quotient_basis(K: np.ndarray, Q, count: int) -> np.ndarray:

@@ -99,13 +99,9 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     away-from-zero surjectivity of the xi and psi pushdown gluing maps (see
     `_pushdown_surjectivity`) and invertibility of the monodromy (A at
     m = 0).  The m = 0 fused monad is built through A^-1: where A is too
-    close to singular for that, the pointwise rows fail undecided."""
-    return _validated(data, ctx)[0]
-
-
-def _validated(data, ctx: ToleranceContext):
-    """validate's report, with the fused monad of the float data that its
-    pointwise checks built (None when it could not be built)."""
+    close to singular for that, the pointwise rows fail undecided.  The
+    report keeps the fused monad of the float data that the pointwise rows
+    built (None when it could not be built) as ``built``, for big_monad."""
     report = ValidationReport()
     _add_relation_checks(report, data)
     _add_obstruction_check(report, "stacked_pencil_injective",
@@ -141,7 +137,8 @@ def _validated(data, ctx: ToleranceContext):
 
     _add_invertibility_check(report, "monodromy_invertible",
                              data.monodromy if data.m else data.A, ctx)
-    return report, pm
+    report.built = (data, pm)
+    return report
 
 
 def _pushdown_surjectivity(data, rng, ctx):
@@ -220,13 +217,15 @@ def _float_data(data):
 
 def big_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
               validated: ValidationReport | None = None) -> ParamMonad:
-    pm = None
+    """The fused monad of validated data.  Float data take the monad that
+    their validation built for its pointwise rows, when ``validated`` is
+    None or a report made from this very data object."""
     if validated is None:
-        validated, pm = _validated(data, ctx)
+        validated = validate(data, ctx)
     if not validated.passed:
         raise BuildRefused("data fails validation:\n" + validated.render())
-    # validation built the monad of the float data for its pointwise checks
-    return pm if pm is not None and not data.exact else \
+    made_from, pm = validated.built or (None, None)
+    return pm if made_from is data and not data.exact else \
         _big_monad_unchecked(data)
 
 

@@ -15,7 +15,9 @@ fail.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
 ``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
 only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
-Fractions.
+Fractions.  No library module reads ``.rank`` off a ``rank_kernel`` call:
+a rank alone comes from a values-only SVD cut by ``ctx.rank_cut``, without
+the kernel and cokernel bases ``rank_kernel`` builds.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -378,3 +380,32 @@ def test_fractions_only_in_numkit_and_bowcli(path):
 def test_bowcli_parses_exact_json_without_fractions():
     """With the modules above, only numkit imports fractions."""
     assert fractions_imports((SRC / "bowcli.py").read_text()) == []
+
+
+def rank_only_kernels(source: str) -> list[str]:
+    """Every ``.rank`` read straight off a ``rank_kernel(...)`` call, by
+    name or as a module attribute."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Attribute) and node.attr == "rank"
+                and isinstance(node.value, ast.Call)):
+            func = node.value.func
+            name = func.attr if isinstance(func, ast.Attribute) else \
+                getattr(func, "id", None)
+            if name == "rank_kernel":
+                out.append(f"rank_kernel(...).rank (line {node.lineno})")
+    return out
+
+
+def test_scanner_flags_a_rank_read_off_rank_kernel():
+    src = ("r = nk.rank_kernel(M, ctx).rank\nk = nk.rank_kernel(M).kernel\n"
+           "rk = rank_kernel(\n    f(M), ctx,\n).rank\nq = other(M).rank\n"
+           "res = nk.rank_kernel(M)\nr2 = res.rank\n")
+    assert rank_only_kernels(src) == ["rank_kernel(...).rank (line 1)",
+                                      "rank_kernel(...).rank (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_rank_read_off_rank_kernel(path):
+    assert rank_only_kernels(path.read_text()) == []

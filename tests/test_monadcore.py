@@ -381,6 +381,145 @@ def test_splitting_builds_no_section_basis(monkeypatch):
     assert built[0] == 1
 
 
+def _old_counts(pm, line, d, ctx=nk.DEFAULT_CTX):
+    """(dimension, h1_dim) of a section count as it was decided from bases:
+    the kernel basis of the section equations, the quotient decision on it,
+    and the connecting rank from the rank of a full SVD."""
+    system = mc._LineSystem(pm, line)
+    plan = pm._plans.get((line.kind, d))
+    if plan is None:
+        plan = pm._plans[line.kind, d] = mc._SectionPlan(pm.cols,
+                                                         system.ruling, d)
+    h0 = h1 = 0
+    if plan.lay2.size:
+        kern = nk.rank_kernel(system._matrix(plan.E), ctx).kernel
+        Aim = system._matrix(plan.Aim, strict=True)
+        h0 = nk._quotient_decision(kern, Aim, ctx)[2]
+    if plan.lay1_h1.size:
+        ker_h1 = np.eye(plan.lay1_h1.size, dtype=complex) if plan.H is None \
+            else nk.rank_kernel(system._matrix(plan.H), ctx).kernel
+        if ker_h1.shape[1]:
+            h1 = ker_h1.shape[1] - _old_connecting_rank(system, plan, ker_h1,
+                                                        ctx)
+    return h0 + h1, h1
+
+
+def _old_connecting_rank(system, plan, ker_h1, ctx):
+    full, band, regular, reg, middle = plan.connecting
+    images = system._matrix(full) @ ker_h1
+    scale = max(1.0, np.max(np.abs(images))) if images.size else 1.0
+    if np.max(np.abs(images[band]), initial=0.0) > mc._H1_BAND_TOL * scale:
+        raise mc.InternalTwistError("H^1 kernel class keeps a residual band")
+    d2_vals = system._matrix(reg) @ images[regular]
+    if not d2_vals.size or np.max(np.abs(d2_vals)) <= mc._D2_TOL * scale:
+        return 0
+    proj = d2_vals if middle is None else \
+        nk.rank_kernel(system._matrix(middle), ctx).cokernel.conj().T @ d2_vals
+    if not proj.size or np.max(np.abs(proj)) <= mc._D2_TOL * scale:
+        return 0
+    return nk.rank_kernel(proj, ctx).rank
+
+
+def _counted_or_refused(count, *args):
+    try:
+        return count(*args)
+    except nk.BowmonadError as e:
+        return type(e).__name__
+
+
+def test_values_only_counts_match_the_basis_route(monkeypatch):
+    """Float generator monads of both flavors at every (k, m), seeds 0-11,
+    on each draw's spectrum lines and three off-spectrum lines, d = -2..1:
+    the section count from singular values gives the dimension and H^1
+    share (or the refusal) of the route through kernel and image bases.
+    On these systems the containment bound decides alone: the count never
+    falls back to the kernel basis."""
+    fallbacks = [0]
+    decide = nk._quotient_decision
+
+    def counted(*args):
+        fallbacks[0] += 1
+        return decide(*args)
+    rng = np.random.default_rng(34)
+    compared, outcomes = 0, set()
+    for seed in range(12):
+        for k, m in _COMBOS:
+            for flavor in ("caloron", "taubnut"):
+                if flavor == "caloron":
+                    d = caloron.generate_caloron(k, m, seed=seed)
+                    pm = caloron.big_monad(d) if m else caloron.small_monad(d)
+                else:
+                    d = taubnut.generate_taubnut(k, m, seed=seed)
+                    pm = taubnut.big_monad(d)
+                spec = np.linalg.eigvals(nk.to_float(
+                    d.B0 if hasattr(d, "B0") else d.B))
+                lines = [complex(ev) for ev in spec]
+                while len(lines) < len(spec) + 3:
+                    z = complex(rng.standard_normal() * 2
+                                + 1j * rng.standard_normal() * 2)
+                    if np.min(np.abs(spec - z)) >= 0.3:
+                        lines.append(z)
+                for z in lines:
+                    line = Line("B_eta", z)
+                    for dd in range(-2, 2):
+                        want = _counted_or_refused(_old_counts, pm, line, dd)
+                        monkeypatch.setattr(nk, "_quotient_decision", counted)
+                        s = _counted_or_refused(sections_on_line, pm, line, dd)
+                        monkeypatch.setattr(nk, "_quotient_decision", decide)
+                        got = s if isinstance(s, str) else (s.dimension,
+                                                            s.h1_dim)
+                        assert got == want, (flavor, k, m, seed, z, dd)
+                        outcomes.add(got if isinstance(got, str) else got[1])
+                        compared += 1
+    assert compared > 168 * 4 * 4 and fallbacks[0] == 0
+    # counts with and without an H^1 share, and the eta = 0 refusal
+    assert {0, 1, "ChartMismatch"} <= outcomes
+
+
+def _layout_cells(blocks, spans):
+    """block, exp and comp of a layout from one (block, exponent, comp)
+    tuple per position."""
+    cells, col = [], 0
+    for ib, (b, (first, last)) in enumerate(zip(blocks, spans)):
+        cells += [(ib, e, c) for e in range(first, last + 1)
+                  for c in range(col, col + b.rank)]
+        col += b.rank
+    return np.array(cells, dtype=int).reshape(-1, 3).T
+
+
+def test_layouts_match_the_per_position_cells(monkeypatch):
+    """Every layout of every section plan of the float generator monads
+    (seed 0, both rulings of each chart, d = -2..1, the connecting-map
+    layouts included) holds the block, exponent and component arrays of
+    one tuple per position."""
+    made = []
+    layout_init = mc._Layout.__init__
+
+    def recorded(self, blocks, spans):
+        layout_init(self, blocks, spans)
+        made.append((self, list(blocks), list(spans)))
+
+    monkeypatch.setattr(mc._Layout, "__init__", recorded)
+    for pm in _generator_monads():
+        for kind in mc._LINE_ENDS[pm.chart]:
+            for dd in range(-2, 2):
+                try:
+                    sections_on_line(pm, Line(kind, 0.8 - 0.3j), dd)
+                except nk.BowmonadError:
+                    pass
+        for key, plan in pm._plans.items():
+            if isinstance(key, tuple) and plan.lay1_h1.size:
+                plan.connecting
+    sizes = set()
+    for lay, blocks, spans in made:
+        want = _layout_cells(blocks, spans)
+        for got, ref in zip((lay.block, lay.exp, lay.comp), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert lay.size == want.shape[1]
+        sizes.add(lay.size)
+    assert len(made) > 400 and 0 in sizes and max(sizes) > 20
+
+
 def test_fiber_guard_refuses_a_non_complex():
     """beta alpha = 1 at every point: every fiber computation raises
     ImageNotContained instead of returning a dimension."""

@@ -372,6 +372,86 @@ def test_quotient_not_contained():
         nk.quotient_representatives(K, I)
 
 
+def _old_quotient_count(E, I, ctx=nk.DEFAULT_CTX):
+    """The quotient count from the kernel basis of E, the route section
+    counts took before quotient_dimension."""
+    return nk._quotient_decision(nk.rank_kernel(E, ctx).kernel, I, ctx)[2]
+
+
+def _planted_system(delta, seed=0):
+    """E (3 x 4) of singular values (1e3, 1), so sigma_1 / sigma_r = 1e3,
+    and an image of one column in its 2-dimensional kernel, tilted by
+    delta along the leading right singular vector."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(n):
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                            + 1j * rng.standard_normal((n, n)))
+        return Q
+    U, V = unitary(3), unitary(4)
+    E = U[:, :2] @ np.diag([1e3, 1.0]) @ V[:, :2].conj().T
+    c = rng.standard_normal((2, 1)) + 1j * rng.standard_normal((2, 1))
+    return E, V[:, 2:] @ c + delta * V[:, :1]
+
+
+def test_quotient_dimension_takes_the_residual_where_the_bound_fails(
+        monkeypatch):
+    """A tilt of 1e-9 along the leading direction: the residual (1e-9)
+    passes the threshold (1e-7) while the bound, 1e3 times the residual,
+    does not, so the count falls back to the kernel basis and gives the
+    old count.  Untilted, the bound decides alone.  A tilt of 1e-3 is off
+    the kernel on both routes."""
+    fallbacks = []
+    decide = nk._quotient_decision
+
+    def counted(*args):
+        fallbacks.append(args)
+        return decide(*args)
+    E, I = _planted_system(1e-9)
+    want = _old_quotient_count(E, I)
+    monkeypatch.setattr(nk, "_quotient_decision", counted)
+    assert nk.quotient_dimension(E, I) == want == 1
+    assert len(fallbacks) == 1
+    E, I = _planted_system(0.0)
+    assert nk.quotient_dimension(E, I) == 1 and len(fallbacks) == 1
+    E, I = _planted_system(1e-3)
+    for count in (nk.quotient_dimension, _old_quotient_count):
+        with pytest.raises(nk.ImageNotContained):
+            count(E, I)
+
+
+def test_quotient_dimension_edges():
+    """Rank 0 (zero or empty E) keeps every vector, full rank keeps none
+    and refuses a nonzero image, and an image with no columns needs no
+    containment; each as the old route counts it."""
+    rng = np.random.default_rng(34)
+    n = 4
+    full = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    image = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+    cases = [(np.zeros((3, n), dtype=complex), image, 2),
+             (np.zeros((0, n), dtype=complex), image, 2),
+             (np.zeros((3, n), dtype=complex), np.zeros((n, 0)), n),
+             (full, np.zeros((n, 0), dtype=complex), 0),
+             (full, np.zeros((n, 3), dtype=complex), 0),
+             (full[:2], np.zeros((n, 0), dtype=complex), 2)]
+    for E, I, want in cases:
+        assert nk.quotient_dimension(E, I) == _old_quotient_count(E, I) \
+            == want
+    for count in (nk.quotient_dimension, _old_quotient_count):
+        with pytest.raises(nk.ImageNotContained, match="zero kernel"):
+            count(full, image)
+
+
+def test_quotient_dimension_refuses_an_image_off_the_kernel():
+    """A random image is not in the kernel of a rank-2 map of 4 columns."""
+    rng = np.random.default_rng(35)
+    E = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    I = rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1))
+    for count in (nk.quotient_dimension, _old_quotient_count):
+        with pytest.raises(nk.ImageNotContained, match="containment"):
+            count(E, I)
+
+
 def test_exact_quotient():
     K = nk.exact_matrix([[1, 0], [0, 1], [0, 0]])
     I = nk.exact_matrix([[1], [0], [0]])

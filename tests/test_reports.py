@@ -126,3 +126,32 @@ def test_generator_retries_a_draw_with_singular_a(monkeypatch):
     monkeypatch.setattr(tn, "_draw_taubnut_m0", first_singular)
     d = tn.generate_taubnut(2, 0, seed=0)
     assert planted and tn.validate(d).passed
+
+
+def _nearly_singular_a(d):
+    """A = diag(1, 1/10^11), A' = 0 at m >= 1: invertible, with a smallest
+    singular value below rank_tol."""
+    A = nk.exact_from_ratios([((1, 1), (0, 1)), ((0, 1), (0, 1)),
+                              ((0, 1), (0, 1)), ((1, 10 ** 11), (0, 1))],
+                             (2, 2))
+    plant = dict(A=A if d.exact else nk.to_float(A))
+    if d.m:
+        plant["Aprime"] = nk.zeros_like_backend(d.m, d.k, d.exact)
+    return plant
+
+
+@pytest.mark.parametrize("case", list(PLANTED))
+def test_exact_invertibility_is_decided_exactly(case):
+    """A = diag(1, 1/10^11) in the exact seed-0 k = 2 draw: the exact
+    matrix inverts, so its row passes, while the float twin of the same
+    data fails it at rank_tol.  Both report smallest / largest singular
+    value."""
+    flavor, m, _ = PLANTED[case]
+    row = case.split("-")[0]
+    d = _generate(flavor, 2, m, True)
+    exact = replace(d, **_nearly_singular_a(d))
+    twin = tn._float_data(exact)
+    got = MODULES[flavor].validate(exact)[row]
+    want = MODULES[flavor].validate(twin)[row]
+    assert got.passed and not want.passed
+    assert got.residual == want.residual < nk.DEFAULT_CTX.rank_tol

@@ -104,6 +104,38 @@ def test_big_monad_builds_the_float_monad_once(monkeypatch):
     assert len(built) == 2 and built[-1] is pm and pm.exact
 
 
+def test_big_monad_takes_the_monad_of_its_own_report(monkeypatch):
+    """A report lends the float monad its validation built to big_monad for
+    that very data object only: validate then build makes one monad, while
+    a report of other data, or of an equal copy, leaves big_monad to build
+    its own.  The monad the report keeps is not part of its JSON, its
+    rendering or its equality."""
+    data, other = (tn.generate_taubnut(k, 1, seed=0) for k in (2, 1))
+    exact = tn.generate_taubnut(2, 1, seed=0, exact=True)
+    built = []
+    from_blocks = mc.ParamMonad.from_blocks.__func__
+
+    def counted(cls, *args, **kwargs):
+        built.append(from_blocks(cls, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(mc.ParamMonad, "from_blocks", classmethod(counted))
+    report = tn.validate(data)
+    assert len(built) == 1 and report.built == (data, built[0])
+    assert tn.big_monad(data, validated=report) is built[0]
+    for foreign in (other, replace(data)):
+        pm = tn.big_monad(foreign, validated=report)
+        assert len(built) == 2 and pm is built[-1] and pm is not built[0]
+        built.pop()
+    bare = nk.ValidationReport(list(report.checks))
+    assert bare == report and bare.built is None
+    assert bare.to_json() == report.to_json()
+    assert bare.render() == report.render()
+    report = tn.validate(exact)
+    pm = tn.big_monad(exact, validated=report)
+    assert pm.exact and pm is not report.built[1]
+
+
 @pytest.mark.parametrize("data", [worked_example(),
                                   tn.generate_taubnut(2, 1, seed=0),
                                   tn.generate_taubnut(3, 0, seed=1),
@@ -214,11 +246,14 @@ def test_splitting_at_reported_lines():
 
 
 def test_m0_aligned_line_measured_as_boundary_torsion():
-    """For m = 0 the characteristic-polynomial identity forces the rank-one
-    jump to align with an eigenvector, and along that one line the fused
-    resolution carries a length-one boundary torsion: the naive section
-    counts come out (h0, h0(-1)) = (3, 1), splitting-inconsistent, while
-    pointwise exactness holds at the sampled points t in [0.1, 2.5].  It
+    """On an m = 0 draw whose rank-one jump row D1 is a left eigenvector of
+    B0, as the assertion below checks for this k = 2 draw, the spectrum
+    line of that eigenvalue is aligned.  A draw can have more than one
+    aligned line (up to three at k = 3); this test measures the one of D1.
+    Along it the fused resolution carries a length-one boundary torsion:
+    the naive section counts come out (h0, h0(-1)) = (3, 1),
+    splitting-inconsistent, while pointwise exactness holds at the sampled
+    points t in [0.1, 2.5].  It
     is not exact everywhere on the line: beta drops rank at one isolated
     point of this draw, (xi, psi) = (-240, -1/60).  The balanced reading
     is torsion 1 plus a trivial bundle restriction; splitting_type refuses
