@@ -269,11 +269,11 @@ def _add_obstruction_check(report, name, A, B, D, ctx):
 
 
 def _add_invertibility_check(report, name, M, ctx):
-    """Exact M is invertible when exact elimination inverts it; float M when
-    its smallest singular value exceeds rank_tol times max(largest, 1).  The
+    """Exact M is invertible when it has full exact rank; float M when its
+    smallest singular value exceeds rank_tol times max(largest, 1).  The
     residual is smallest / largest singular value on both backends."""
     s = np.linalg.svd(nk.to_float(M), compute_uv=False)
-    report.add(name, nk.exact_inverse(M) is not None if is_exact(M)
+    report.add(name, nk.exact_rank(M) == M.shape[0] if is_exact(M)
                else s[-1] > ctx.rank_tol * max(s[0], 1.0),
                float(s[-1] / max(s[0], 1e-300)))
 

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -642,24 +642,46 @@ class _Layout:
     block ib holds the exponents first..last of its span, each a run of
     rank components, the runs of all blocks laid end to end.  Each position
     records its exponent ``exp``, its row or column ``comp`` in the monad's
-    column and its ``block``."""
+    column and its ``block``.  A layout depends on the block ranks and
+    spans alone, so one object (see _layout) serves every monad of those
+    ranks; its arrays are read-only."""
 
-    def __init__(self, blocks, spans):
+    def __init__(self, ranks, spans):
         self.blocks = []    # (first exponent, count, base offset, rank)
         block, exp, comp = [], [], []
         pos = col = 0
-        for ib, (b, (first, last)) in enumerate(zip(blocks, spans)):
+        for ib, (rank, (first, last)) in enumerate(zip(ranks, spans)):
             count = max(last - first + 1, 0)
-            self.blocks.append((first, count, pos, b.rank))
+            self.blocks.append((first, count, pos, rank))
             # exponent-major runs: each exponent once per component
-            block += [ib] * (count * b.rank)
-            exp += [e for e in range(first, last + 1) for _ in range(b.rank)]
-            comp += list(range(col, col + b.rank)) * count
-            pos += count * b.rank
-            col += b.rank
+            block += [ib] * (count * rank)
+            exp += [e for e in range(first, last + 1) for _ in range(rank)]
+            comp += list(range(col, col + rank)) * count
+            pos += count * rank
+            col += rank
         self.size = pos
-        self.block, self.exp, self.comp = np.array([block, exp, comp],
-                                                   dtype=int)
+        cells = np.array([block, exp, comp], dtype=int)
+        cells.setflags(write=False)
+        self.block, self.exp, self.comp = cells
+
+
+# the layout of block ranks over spans (tuples of ints), one object for
+# every caller that asks for the same ones
+_layout = lru_cache(maxsize=4096)(_Layout)
+
+
+@lru_cache(maxsize=4096)
+def _matches(src: _Layout, dst: _Layout, shifts: tuple):
+    """The (monomial, target row or column, source row or column, flat cell)
+    of every entry where a monomial of t-shift shifts[j] takes a source
+    exponent to the target's, in monomial, then cell order."""
+    match = dst.exp[:, None] == src.exp + np.array(shifts, dtype=int)[:, None,
+                                                                      None]
+    j, a, b = np.nonzero(match)
+    out = j, dst.comp[a], src.comp[b], a * src.size + b
+    for x in out:
+        x.setflags(write=False)
+    return out
 
 
 class _Placement:
@@ -668,9 +690,10 @@ class _Placement:
 
     Entry (a, b) sums f_j C_j[comp(a), comp(b)] over the monomials j with
     exp(a) = exp(b) + shift_j, f_j the monomial's factor on the line.  The
-    nonzero cells are kept per monomial, in monomial order, as flat indices
-    with the coefficients they take, so a line's matrix is one scatter-add
-    per monomial and each cell sums its monomials in monomial order.
+    nonzero cells are kept in monomial order, each with its flat index,
+    monomial and coefficient, so a line's matrix is one unbuffered
+    scatter-add (np.add.at, which adds in index order) of the products
+    f_j C_j, and each cell sums its monomials in monomial order.
     ``leaves`` tells whether a nonzero coefficient sends a source exponent
     out of the window of its row's block.
     """
@@ -680,29 +703,24 @@ class _Placement:
         self.which, self.src, self.dst = which, src, dst
         self.shape = (dst.size, src.size)
         self.coeffs = coeffs
-        match = dst.exp[:, None] == src.exp + shifts[:, None, None]
-        j, a, b = np.nonzero(match)
-        vals = coeffs[j, dst.comp[a], src.comp[b]]
+        j, rows, cols, cells = _matches(src, dst, shifts)
+        vals = coeffs[j, rows, cols]
         nz = vals != 0
-        j, cells, vals = j[nz], (a * src.size + b)[nz], vals[nz]
-        runs = np.searchsorted(j, np.arange(len(shifts) + 1)).tolist()
-        self.terms = [(i, cells[r0:r1], vals[r0:r1])
-                      for i, (r0, r1) in enumerate(zip(runs, runs[1:]))
-                      if r1 > r0]
+        self.monomial, self.cells, self.vals = j[nz], cells[nz], vals[nz]
 
     @cached_property
     def leaves(self) -> bool:
         # each nonzero C_j[r, comp(b)] of a source position b has its cell
         # unless the target exponent lies outside the window of row r
-        placed = sum(len(vals) for _, _, vals in self.terms)
+        placed = len(self.vals)
         nonzero = np.count_nonzero(self.coeffs, axis=1)[:, self.src.comp]
         return bool(placed < nonzero.sum())
 
     def matrix(self, factors) -> np.ndarray:
-        """The matrix on a line, from the line factor of every monomial."""
+        """The matrix on a line, from the array of the line factors of the
+        monomials."""
         A = np.zeros(self.shape[0] * self.shape[1], dtype=complex)
-        for j, idx, vals in self.terms:
-            A[idx] += factors[j] * vals
+        np.add.at(A, self.cells, factors[self.monomial] * self.vals)
         return A.reshape(self.shape)
 
 
@@ -724,7 +742,7 @@ def _ruling(pm: ParamMonad, kind: str):
     # no line value enters a t-shift: read them off the line at 1
     sub = _substitution(pm.chart, Line(kind, 1))
     maps = {name: (to_float(poly.C).reshape(len(poly.coeffs), *poly.shape),
-                   np.array([sub(p, q)[0] for p, q in poly.coeffs], int))
+                   tuple(int(sub(p, q)[0]) for p, q in poly.coeffs))
             for name, poly in (("alpha", pm.alpha), ("beta", pm.beta))}
     return windows, maps
 
@@ -732,7 +750,7 @@ def _ruling(pm: ParamMonad, kind: str):
 def _reach(lay: _Layout, shifts) -> tuple[int, int]:
     """Lowest and highest exponent a map of these t-shifts reaches from a
     layout that holds any."""
-    shifts = shifts.tolist() or [0]
+    shifts = shifts or (0,)
     return (int(lay.exp.min()) + min(shifts),
             int(lay.exp.max()) + max(shifts))
 
@@ -744,21 +762,23 @@ class _SectionPlan:
     exponents match.  The connecting-map part is planned on first use."""
 
     def __init__(self, cols, ruling, d: int):
-        blocks1, self.blocks2, self.blocks3 = cols
+        ranks1, self.ranks2, self.ranks3 = (tuple(b.rank for b in col)
+                                            for col in cols)
         (w1, w2), self.maps = ruling
-        self.w2 = [(lo, hi + d) for lo, hi in w2]
-        w1 = [(lo, hi + d) for lo, hi in w1]
-        lay1 = _Layout(blocks1, w1)
-        self.lay2 = _Layout(self.blocks2, self.w2)
+        self.w2 = tuple((lo, hi + d) for lo, hi in w2)
+        w1 = tuple((lo, hi + d) for lo, hi in w1)
+        lay1 = _layout(ranks1, w1)
+        self.lay2 = _layout(self.ranks2, self.w2)
         self.E = self.Aim = None
         if self.lay2.size:
             self.E = self._place("beta", self.lay2,
                                  self._equation_layout(self.lay2))
             self.Aim = self._place("alpha", lay1, self.lay2)
         # H^1 of the left and middle columns: the windows' complements
-        self.lay1_h1 = _Layout(blocks1, [(hi + 1, lo - 1) for lo, hi in w1])
-        lay2_h1 = _Layout(self.blocks2,
-                          [(hi + 1, lo - 1) for lo, hi in self.w2])
+        self.lay1_h1 = _layout(ranks1,
+                               tuple((hi + 1, lo - 1) for lo, hi in w1))
+        lay2_h1 = _layout(self.ranks2,
+                          tuple((hi + 1, lo - 1) for lo, hi in self.w2))
         self.H = self._place("alpha", self.lay1_h1, lay2_h1) \
             if self.lay1_h1.size and lay2_h1.size else None
 
@@ -769,7 +789,7 @@ class _SectionPlan:
         """Right-column layout over every exponent beta can reach from a
         middle layout."""
         span = _reach(lay_src, self.maps["beta"][1])
-        return _Layout(self.blocks3, [span] * len(self.blocks3))
+        return _layout(self.ranks3, (span,) * len(self.ranks3))
 
     @cached_property
     def connecting(self):
@@ -781,9 +801,9 @@ class _SectionPlan:
         without any) into one right layout."""
         lo_all, hi_all = _reach(self.lay1_h1, self.maps["alpha"][1])
         floors = [lo for lo, _ in self.w2]
-        lay_full = _Layout(self.blocks2, [(min(floors + [lo_all]), hi_all)]
-                           * len(self.blocks2))
-        lay_reg = _Layout(self.blocks2, [(lo, hi_all) for lo in floors])
+        lay_full = _layout(self.ranks2, ((min(floors + [lo_all]), hi_all),)
+                           * len(self.ranks2))
+        lay_reg = _layout(self.ranks2, tuple((lo, hi_all) for lo in floors))
         lay_eq = self._equation_layout(lay_reg)
         # the window ends of each row's block: the band hi < e < lo must
         # vanish, and e >= lo is the regular piece
@@ -802,7 +822,9 @@ class _LineSystem:
     ParamMonad._plans: the windows, float coefficient stacks and t-shifts
     of each ruling, and the _SectionPlan of each (ruling, d).  A line adds
     the factor of every monomial, then each system costs one scatter-add
-    per monomial and its SVDs."""
+    and its SVDs.  The layouts and exponent matches depend on the block
+    ranks, windows and t-shifts alone and are shared by every monad that
+    has the same ones (_layout, _matches)."""
 
     def __init__(self, pm: ParamMonad, line: Line):
         self.pm = pm
@@ -811,7 +833,8 @@ class _LineSystem:
         if self.ruling is None:
             self.ruling = pm._plans[line.kind] = _ruling(pm, line.kind)
         sub = _substitution(pm.chart, line)
-        self.factors = {name: [sub(p, q)[1] for (p, q) in poly.coeffs]
+        self.factors = {name: np.array([sub(p, q)[1] for p, q in poly.coeffs],
+                                       dtype=complex)
                         for name, poly in (("alpha", pm.alpha),
                                            ("beta", pm.beta))}
 
@@ -839,7 +862,7 @@ class _LineSystem:
         if plan.lay1_h1.size:
             ker_h1 = np.eye(plan.lay1_h1.size, dtype=complex) \
                 if plan.H is None else \
-                nk.rank_kernel(self._matrix(plan.H), ctx).kernel
+                nk.kernel_basis(self._matrix(plan.H), ctx)
             if ker_h1.shape[1]:
                 d2 = self._connecting_rank(plan, ker_h1, ctx)
                 h1_net = ker_h1.shape[1] - d2

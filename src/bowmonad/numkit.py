@@ -508,6 +508,19 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
     return RankKernel(rank, kernel, cokernel, gap)
 
 
+def kernel_basis(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
+                 floor: float = 0.0) -> np.ndarray:
+    """The kernel basis of ``rank_kernel(M, ctx, floor)`` for a float M.
+    Where M has at least as many rows as columns, a values-only SVD is cut
+    first: at full column rank the kernel is empty, and no singular vectors
+    are computed."""
+    n = M.shape[1]
+    if M.shape[0] >= n > 0 and ctx.rank_cut(
+            np.linalg.svd(M, compute_uv=False).tolist(), floor)[0] == n:
+        return np.zeros((n, 0), dtype=complex)
+    return rank_kernel(M, ctx, floor).kernel
+
+
 # ---------------------------------------------------------------------------
 # exact elimination: every exact rank, kernel, solve, quotient and inverse
 # is read off one reduced row echelon form
@@ -556,6 +569,11 @@ def _eliminate(M: ExactMatrix):
         dr = pr
         pivots.append(c)
     return re, im, (dr, di), pivots
+
+
+def exact_rank(M: ExactMatrix) -> int:
+    """Rank of an exact matrix: the pivot count of one elimination."""
+    return len(_eliminate(M)[3])
 
 
 def rref(M: ExactMatrix):
@@ -822,8 +840,8 @@ def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext,
     such mean; a decision still undecided raises.
     """
     def kernel(lam):
-        return rank_kernel(np.vstack([M - lam * np.eye(len(M)), below]),
-                           ctx, floor).kernel
+        return kernel_basis(np.vstack([M - lam * np.eye(len(M)), below]),
+                            ctx, floor)
 
     done: list[complex] = []
     for lam in _cluster(eigs, tol):
@@ -846,7 +864,7 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
     k = A.shape[0]
     eye = exact_eye(k)
     stacked = block([[A - xq * eye], [B - eq * eye], [D]])
-    return len(_eliminate(stacked)[3]) < k
+    return exact_rank(stacked) < k
 
 
 # ---------------------------------------------------------------------------
@@ -936,15 +954,17 @@ def quotient_dimension(E: np.ndarray, I: np.ndarray,
         return 0
     if not I.shape[1]:
         return free
+    s_i = np.linalg.svd(I, compute_uv=False).tolist()
     if free < n:
-        norm_i = np.linalg.norm(I)
-        ku = (n + 2) * np.finfo(float).eps / 2     # (n + 2) unit roundoffs
-        room = math.sqrt(2) * ku / (1 - ku) * np.linalg.norm(E) * norm_i
+        # Frobenius norms from the singular values
+        norm_i = math.sqrt(math.fsum(v * v for v in s_i))
+        norm_e = math.sqrt(math.fsum(v * v for v in s))
+        ku = (n + 2) * math.ulp(1.0) / 2     # n + 2 unit roundoffs
+        room = math.sqrt(2) * ku / (1 - ku) * norm_e * norm_i
         if (np.linalg.norm(E @ I) + room) / s[n - free - 1] > \
                 _containment_tol(norm_i, ctx):
             return _quotient_decision(rank_kernel(E, ctx).kernel, I, ctx)[2]
-    rank_i = ctx.rank_cut(np.linalg.svd(I, compute_uv=False).tolist())[0]
-    return max(free - rank_i, 0)
+    return max(free - ctx.rank_cut(s_i)[0], 0)
 
 
 def _quotient_basis(K: np.ndarray, Q, count: int) -> np.ndarray:

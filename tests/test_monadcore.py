@@ -476,30 +476,31 @@ def test_values_only_counts_match_the_basis_route(monkeypatch):
     assert {0, 1, "ChartMismatch"} <= outcomes
 
 
-def _layout_cells(blocks, spans):
+def _layout_cells(ranks, spans):
     """block, exp and comp of a layout from one (block, exponent, comp)
     tuple per position."""
     cells, col = [], 0
-    for ib, (b, (first, last)) in enumerate(zip(blocks, spans)):
+    for ib, (rank, (first, last)) in enumerate(zip(ranks, spans)):
         cells += [(ib, e, c) for e in range(first, last + 1)
-                  for c in range(col, col + b.rank)]
-        col += b.rank
+                  for c in range(col, col + rank)]
+        col += rank
     return np.array(cells, dtype=int).reshape(-1, 3).T
 
 
 def test_layouts_match_the_per_position_cells(monkeypatch):
-    """Every layout of every section plan of the float generator monads
-    (seed 0, both rulings of each chart, d = -2..1, the connecting-map
-    layouts included) holds the block, exponent and component arrays of
-    one tuple per position."""
+    """Every layout that the section plans of the float generator monads
+    ask for (seed 0, both rulings of each chart, d = -2..1, the
+    connecting-map layouts included) holds the block, exponent and
+    component arrays of one tuple per position, read-only; a layout of
+    the same ranks and spans is the same object, across monads too."""
     made = []
-    layout_init = mc._Layout.__init__
+    layout = mc._layout
 
-    def recorded(self, blocks, spans):
-        layout_init(self, blocks, spans)
-        made.append((self, list(blocks), list(spans)))
+    def recorded(ranks, spans):
+        made.append((layout(ranks, spans), ranks, spans))
+        return made[-1][0]
 
-    monkeypatch.setattr(mc._Layout, "__init__", recorded)
+    monkeypatch.setattr(mc, "_layout", recorded)
     for pm in _generator_monads():
         for kind in mc._LINE_ENDS[pm.chart]:
             for dd in range(-2, 2):
@@ -510,14 +511,17 @@ def test_layouts_match_the_per_position_cells(monkeypatch):
         for key, plan in pm._plans.items():
             if isinstance(key, tuple) and plan.lay1_h1.size:
                 plan.connecting
-    sizes = set()
-    for lay, blocks, spans in made:
-        want = _layout_cells(blocks, spans)
+    sizes, shared = set(), {}
+    for lay, ranks, spans in made:
+        want = _layout_cells(ranks, spans)
         for got, ref in zip((lay.block, lay.exp, lay.comp), want):
             assert got.dtype == ref.dtype and np.array_equal(got, ref)
+            assert not got.flags.writeable
         assert lay.size == want.shape[1]
+        assert shared.setdefault((ranks, spans), lay) is lay
         sizes.add(lay.size)
-    assert len(made) > 400 and 0 in sizes and max(sizes) > 20
+    assert len(made) > 400 and len(shared) < len(made)
+    assert 0 in sizes and max(sizes) > 20
 
 
 def test_fiber_guard_refuses_a_non_complex():
