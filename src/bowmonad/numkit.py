@@ -939,12 +939,11 @@ def quotient_dimension(E: np.ndarray, I: np.ndarray,
     computed product is off from E I by at most sqrt(2) gamma_{n+2}
     ||E||_F ||I||_F (n the columns of E, gamma_k = k u / (1 - k u) for the
     unit roundoff u; complex products, Higham 2002, section 3.6), which the
-    bound adds.  Where the bound does not clear the
-    residual threshold of ``_quotient_decision``, that decision is taken on
-    the kernel basis, and its residual gives the verdict and the count.
-    r = 0 keeps every vector (K is the identity, residual 0), r = n keeps
-    none (a nonzero image is not contained), and an image with no columns
-    needs no containment."""
+    bound adds.  Where the bound does not clear the residual threshold of
+    ``_quotient_decision``, that decision is taken on the kernel basis, and
+    its residual gives the verdict and the count.  r = 0 keeps every vector
+    (K is the identity, residual 0), r = n keeps none (a nonzero image is
+    not contained), and an image with no columns needs no containment."""
     n = E.shape[1]
     s = np.linalg.svd(E, compute_uv=False).tolist() if E.size else []
     free = n - ctx.rank_cut(s)[0]
