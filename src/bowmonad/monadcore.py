@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -642,46 +642,24 @@ class _Layout:
     block ib holds the exponents first..last of its span, each a run of
     rank components, the runs of all blocks laid end to end.  Each position
     records its exponent ``exp``, its row or column ``comp`` in the monad's
-    column and its ``block``.  A layout depends on the block ranks and
-    spans alone, so one object (see _layout) serves every monad of those
-    ranks; its arrays are read-only."""
+    column and its ``block``."""
 
-    def __init__(self, ranks, spans):
+    def __init__(self, blocks, spans):
         self.blocks = []    # (first exponent, count, base offset, rank)
         block, exp, comp = [], [], []
         pos = col = 0
-        for ib, (rank, (first, last)) in enumerate(zip(ranks, spans)):
+        for ib, (b, (first, last)) in enumerate(zip(blocks, spans)):
             count = max(last - first + 1, 0)
-            self.blocks.append((first, count, pos, rank))
+            self.blocks.append((first, count, pos, b.rank))
             # exponent-major runs: each exponent once per component
-            block += [ib] * (count * rank)
-            exp += [e for e in range(first, last + 1) for _ in range(rank)]
-            comp += list(range(col, col + rank)) * count
-            pos += count * rank
-            col += rank
+            block += [ib] * (count * b.rank)
+            exp += [e for e in range(first, last + 1) for _ in range(b.rank)]
+            comp += list(range(col, col + b.rank)) * count
+            pos += count * b.rank
+            col += b.rank
         self.size = pos
-        cells = np.array([block, exp, comp], dtype=int)
-        cells.setflags(write=False)
-        self.block, self.exp, self.comp = cells
-
-
-# the layout of block ranks over spans (tuples of ints), one object for
-# every caller that asks for the same ones
-_layout = lru_cache(maxsize=4096)(_Layout)
-
-
-@lru_cache(maxsize=4096)
-def _matches(src: _Layout, dst: _Layout, shifts: tuple):
-    """The (monomial, target row or column, source row or column, flat cell)
-    of every entry where a monomial of t-shift shifts[j] takes a source
-    exponent to the target's, in monomial, then cell order."""
-    match = dst.exp[:, None] == src.exp + np.array(shifts, dtype=int)[:, None,
-                                                                      None]
-    j, a, b = np.nonzero(match)
-    out = j, dst.comp[a], src.comp[b], a * src.size + b
-    for x in out:
-        x.setflags(write=False)
-    return out
+        self.block, self.exp, self.comp = np.array([block, exp, comp],
+                                                   dtype=int)
 
 
 class _Placement:
@@ -703,10 +681,12 @@ class _Placement:
         self.which, self.src, self.dst = which, src, dst
         self.shape = (dst.size, src.size)
         self.coeffs = coeffs
-        j, rows, cols, cells = _matches(src, dst, shifts)
-        vals = coeffs[j, rows, cols]
+        match = dst.exp[:, None] == src.exp + shifts[:, None, None]
+        j, a, b = np.nonzero(match)
+        vals = coeffs[j, dst.comp[a], src.comp[b]]
         nz = vals != 0
-        self.monomial, self.cells, self.vals = j[nz], cells[nz], vals[nz]
+        self.monomial, self.cells, self.vals = \
+            j[nz], (a * src.size + b)[nz], vals[nz]
 
     @cached_property
     def leaves(self) -> bool:
@@ -742,7 +722,7 @@ def _ruling(pm: ParamMonad, kind: str):
     # no line value enters a t-shift: read them off the line at 1
     sub = _substitution(pm.chart, Line(kind, 1))
     maps = {name: (to_float(poly.C).reshape(len(poly.coeffs), *poly.shape),
-                   tuple(int(sub(p, q)[0]) for p, q in poly.coeffs))
+                   np.array([sub(p, q)[0] for p, q in poly.coeffs], int))
             for name, poly in (("alpha", pm.alpha), ("beta", pm.beta))}
     return windows, maps
 
@@ -750,7 +730,7 @@ def _ruling(pm: ParamMonad, kind: str):
 def _reach(lay: _Layout, shifts) -> tuple[int, int]:
     """Lowest and highest exponent a map of these t-shifts reaches from a
     layout that holds any."""
-    shifts = shifts or (0,)
+    shifts = shifts.tolist() or [0]
     return (int(lay.exp.min()) + min(shifts),
             int(lay.exp.max()) + max(shifts))
 
@@ -762,23 +742,21 @@ class _SectionPlan:
     exponents match.  The connecting-map part is planned on first use."""
 
     def __init__(self, cols, ruling, d: int):
-        ranks1, self.ranks2, self.ranks3 = (tuple(b.rank for b in col)
-                                            for col in cols)
+        blocks1, self.blocks2, self.blocks3 = cols
         (w1, w2), self.maps = ruling
-        self.w2 = tuple((lo, hi + d) for lo, hi in w2)
-        w1 = tuple((lo, hi + d) for lo, hi in w1)
-        lay1 = _layout(ranks1, w1)
-        self.lay2 = _layout(self.ranks2, self.w2)
+        self.w2 = [(lo, hi + d) for lo, hi in w2]
+        w1 = [(lo, hi + d) for lo, hi in w1]
+        lay1 = _Layout(blocks1, w1)
+        self.lay2 = _Layout(self.blocks2, self.w2)
         self.E = self.Aim = None
         if self.lay2.size:
             self.E = self._place("beta", self.lay2,
                                  self._equation_layout(self.lay2))
             self.Aim = self._place("alpha", lay1, self.lay2)
         # H^1 of the left and middle columns: the windows' complements
-        self.lay1_h1 = _layout(ranks1,
-                               tuple((hi + 1, lo - 1) for lo, hi in w1))
-        lay2_h1 = _layout(self.ranks2,
-                          tuple((hi + 1, lo - 1) for lo, hi in self.w2))
+        self.lay1_h1 = _Layout(blocks1, [(hi + 1, lo - 1) for lo, hi in w1])
+        lay2_h1 = _Layout(self.blocks2,
+                          [(hi + 1, lo - 1) for lo, hi in self.w2])
         self.H = self._place("alpha", self.lay1_h1, lay2_h1) \
             if self.lay1_h1.size and lay2_h1.size else None
 
@@ -789,7 +767,7 @@ class _SectionPlan:
         """Right-column layout over every exponent beta can reach from a
         middle layout."""
         span = _reach(lay_src, self.maps["beta"][1])
-        return _layout(self.ranks3, (span,) * len(self.ranks3))
+        return _Layout(self.blocks3, [span] * len(self.blocks3))
 
     @cached_property
     def connecting(self):
@@ -801,9 +779,9 @@ class _SectionPlan:
         without any) into one right layout."""
         lo_all, hi_all = _reach(self.lay1_h1, self.maps["alpha"][1])
         floors = [lo for lo, _ in self.w2]
-        lay_full = _layout(self.ranks2, ((min(floors + [lo_all]), hi_all),)
-                           * len(self.ranks2))
-        lay_reg = _layout(self.ranks2, tuple((lo, hi_all) for lo in floors))
+        lay_full = _Layout(self.blocks2, [(min(floors + [lo_all]), hi_all)]
+                           * len(self.blocks2))
+        lay_reg = _Layout(self.blocks2, [(lo, hi_all) for lo in floors])
         lay_eq = self._equation_layout(lay_reg)
         # the window ends of each row's block: the band hi < e < lo must
         # vanish, and e >= lo is the regular piece
@@ -822,9 +800,7 @@ class _LineSystem:
     ParamMonad._plans: the windows, float coefficient stacks and t-shifts
     of each ruling, and the _SectionPlan of each (ruling, d).  A line adds
     the factor of every monomial, then each system costs one scatter-add
-    and its SVDs.  The layouts and exponent matches depend on the block
-    ranks, windows and t-shifts alone and are shared by every monad that
-    has the same ones (_layout, _matches)."""
+    and its SVDs."""
 
     def __init__(self, pm: ParamMonad, line: Line):
         self.pm = pm
@@ -862,7 +838,7 @@ class _LineSystem:
         if plan.lay1_h1.size:
             ker_h1 = np.eye(plan.lay1_h1.size, dtype=complex) \
                 if plan.H is None else \
-                nk.kernel_basis(self._matrix(plan.H), ctx)
+                nk.rank_kernel(self._matrix(plan.H), ctx).kernel
             if ker_h1.shape[1]:
                 d2 = self._connecting_rank(plan, ker_h1, ctx)
                 h1_net = ker_h1.shape[1] - d2

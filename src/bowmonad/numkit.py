@@ -508,19 +508,6 @@ def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
     return RankKernel(rank, kernel, cokernel, gap)
 
 
-def kernel_basis(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
-                 floor: float = 0.0) -> np.ndarray:
-    """The kernel basis of ``rank_kernel(M, ctx, floor)`` for a float M.
-    Where M has at least as many rows as columns, a values-only SVD is cut
-    first: at full column rank the kernel is empty, and no singular vectors
-    are computed."""
-    n = M.shape[1]
-    if M.shape[0] >= n > 0 and ctx.rank_cut(
-            np.linalg.svd(M, compute_uv=False).tolist(), floor)[0] == n:
-        return np.zeros((n, 0), dtype=complex)
-    return rank_kernel(M, ctx, floor).kernel
-
-
 # ---------------------------------------------------------------------------
 # exact elimination: every exact rank, kernel, solve, quotient and inverse
 # is read off one reduced row echelon form
@@ -717,8 +704,10 @@ def _jsonable(x):
 class ValidationReport:
     """The rows of a validation.  ``built`` is (data, object) for an object
     the validation built from that data object, which a builder given the
-    report with that very data may take instead of building it again;
-    to_json, render and equality ignore it."""
+    report with that very data may take, once, instead of building it
+    again; the object is that of the data as validated, so data must not
+    be edited in place between validation and build.  to_json, render and
+    equality ignore it."""
 
     checks: list[CheckResult] = field(default_factory=list)
     built: tuple | None = field(default=None, repr=False, compare=False)
@@ -840,8 +829,8 @@ def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext,
     such mean; a decision still undecided raises.
     """
     def kernel(lam):
-        return kernel_basis(np.vstack([M - lam * np.eye(len(M)), below]),
-                            ctx, floor)
+        return rank_kernel(np.vstack([M - lam * np.eye(len(M)), below]),
+                           ctx, floor).kernel
 
     done: list[complex] = []
     for lam in _cluster(eigs, tol):

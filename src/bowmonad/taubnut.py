@@ -99,8 +99,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     away-from-zero surjectivity of the xi and psi pushdown gluing maps (see
     `_pushdown_surjectivity`) and invertibility of the monodromy (A at
     m = 0).  The m = 0 fused monad is built through A^-1: where A is too
-    close to singular for that, the pointwise rows fail undecided.  The
-    report keeps the fused monad of the float data that the pointwise rows
+    close to singular for that, the pointwise rows fail undecided.  For
+    float data the report keeps the fused monad that the pointwise rows
     built (None when it could not be built) as ``built``, for big_monad."""
     report = ValidationReport()
     _add_relation_checks(report, data)
@@ -137,7 +137,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
 
     _add_invertibility_check(report, "monodromy_invertible",
                              data.monodromy if data.m else data.A, ctx)
-    report.built = (data, pm)
+    if not data.exact:
+        report.built = (data, pm)
     return report
 
 
@@ -219,14 +220,19 @@ def big_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
               validated: ValidationReport | None = None) -> ParamMonad:
     """The fused monad of validated data.  Float data take the monad that
     their validation built for its pointwise rows, when ``validated`` is
-    None or a report made from this very data object."""
+    None or a report made from this very data object; the report then
+    drops it, so a second build from that report builds afresh.  The
+    monad is the one of the data as validated: data edited in place after
+    ``validate`` must be validated again."""
     if validated is None:
         validated = validate(data, ctx)
     if not validated.passed:
         raise BuildRefused("data fails validation:\n" + validated.render())
     made_from, pm = validated.built or (None, None)
-    return pm if made_from is data and not data.exact else \
-        _big_monad_unchecked(data)
+    if made_from is not data or pm is None:
+        return _big_monad_unchecked(data)
+    validated.built = None
+    return pm
 
 
 def _big_monad_unchecked(data) -> ParamMonad:

@@ -452,30 +452,6 @@ def test_quotient_dimension_refuses_an_image_off_the_kernel():
             count(E, I)
 
 
-def test_kernel_basis_is_the_rank_kernel_kernel():
-    """Tall, square and wide maps of full and deficient rank, a zero map
-    and empty ones: kernel_basis gives rank_kernel's kernel, bit for bit
-    where a kernel is left, and an empty (n, 0) basis at full column
-    rank; an undecidable cut raises on both."""
-    rng = np.random.default_rng(36)
-
-    def cplx(*shape):
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    maps = [cplx(6, 4), cplx(4, 4), cplx(3, 5), cplx(6, 2) @ cplx(2, 4),
-            np.zeros((5, 3), dtype=complex), np.zeros((0, 3), dtype=complex),
-            np.zeros((3, 0), dtype=complex)]
-    for M in maps:
-        got, want = nk.kernel_basis(M), nk.rank_kernel(M).kernel
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
-    assert [nk.kernel_basis(M).shape[1] for M in maps] == [0, 0, 2, 2, 3, 3,
-                                                           0]
-    near = np.diag([1.0, 1e-9]).astype(complex)
-    for kernel in (nk.kernel_basis, lambda M: nk.rank_kernel(M).kernel):
-        with pytest.raises(nk.GapTooSmall):
-            kernel(near)
-
-
 def test_exact_quotient():
     K = nk.exact_matrix([[1, 0], [0, 1], [0, 0]])
     I = nk.exact_matrix([[1], [0], [0]])

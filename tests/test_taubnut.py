@@ -106,10 +106,11 @@ def test_big_monad_builds_the_float_monad_once(monkeypatch):
 
 def test_big_monad_takes_the_monad_of_its_own_report(monkeypatch):
     """A report lends the float monad its validation built to big_monad for
-    that very data object only: validate then build makes one monad, while
-    a report of other data, or of an equal copy, leaves big_monad to build
-    its own.  The monad the report keeps is not part of its JSON, its
-    rendering or its equality."""
+    that very data object only, and once: validate then build makes one
+    monad, while a report of other data, or of an equal copy, or one that
+    has lent its monad already, leaves big_monad to build its own.  The
+    monad the report keeps is not part of its JSON, its rendering or its
+    equality, and exact data keep none."""
     data, other = (tn.generate_taubnut(k, 1, seed=0) for k in (2, 1))
     exact = tn.generate_taubnut(2, 1, seed=0, exact=True)
     built = []
@@ -122,18 +123,21 @@ def test_big_monad_takes_the_monad_of_its_own_report(monkeypatch):
     monkeypatch.setattr(mc.ParamMonad, "from_blocks", classmethod(counted))
     report = tn.validate(data)
     assert len(built) == 1 and report.built == (data, built[0])
-    assert tn.big_monad(data, validated=report) is built[0]
-    for foreign in (other, replace(data)):
-        pm = tn.big_monad(foreign, validated=report)
-        assert len(built) == 2 and pm is built[-1] and pm is not built[0]
-        built.pop()
     bare = nk.ValidationReport(list(report.checks))
     assert bare == report and bare.built is None
     assert bare.to_json() == report.to_json()
     assert bare.render() == report.render()
+    for foreign in (other, replace(data)):
+        pm = tn.big_monad(foreign, validated=report)
+        assert len(built) == 2 and pm is built[-1] and pm is not built[0]
+        built.pop()
+    assert tn.big_monad(data, validated=report) is built[0]
+    assert report.built is None
+    pm = tn.big_monad(data, validated=report)
+    assert len(built) == 2 and pm is built[-1] and pm is not built[0]
     report = tn.validate(exact)
-    pm = tn.big_monad(exact, validated=report)
-    assert pm.exact and pm is not report.built[1]
+    assert report.built is None
+    assert tn.big_monad(exact, validated=report).exact
 
 
 @pytest.mark.parametrize("data", [worked_example(),
