@@ -562,16 +562,22 @@ def _norms(M: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(v, v).real)
 
 
-def _check_residual(residual: float):
-    """The residual guard of every fiber computation."""
-    if residual > 1e-8:
-        raise nk.ImageNotContained(
-            f"beta*alpha residual {residual:.2e} too large for a fiber")
+def _check_residual(residual: float, alpha, beta):
+    """The residual guard of every fiber computation: a residual above 1e-8,
+    or one that is not a number, refuses the point, naming the maps that
+    hold entries that are not finite."""
+    if residual <= 1e-8:
+        return
+    bad = [name for name, M in (("alpha", alpha), ("beta", beta))
+           if not is_exact(M) and not np.isfinite(M).all()]
+    raise nk.ImageNotContained(
+        f"beta*alpha residual {residual:.2e} too large for a fiber"
+        + (f" ({' and '.join(bad)} not finite)" if bad else ""))
 
 
 def fiber(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> FiberBasis:
     """Middle cohomology ker(beta)/im(alpha) at a point."""
-    _check_residual(m.residual)
+    _check_residual(m.residual, m.alpha, m.beta)
     kern = nk.exact_kernel(m.beta) if is_exact(m.beta) else \
         nk.rank_kernel(m.beta, ctx).kernel
     basis = nk.quotient_representatives(kern, m.alpha, ctx)
@@ -582,10 +588,14 @@ def fiber_dims(pm: ParamMonad, points, ctx: ToleranceContext = DEFAULT_CTX):
     """dim ker(beta) - rank(alpha) at N chart points of a float monad,
     without constructing bases: one evaluation and one values-only SVD per
     map for all points.  Returns two lists, the dimensions and the smaller
-    of the alpha and beta rank margins at each point."""
+    of the alpha and beta rank margins at each point.  It keeps the SVDs
+    at every point, full-rank ones included, since the margins are read
+    (CLI ``fiber`` prints them); fiber_dim decides the same rank."""
     alpha, beta, res = pm.evaluate_many(points)
-    for r in res.tolist():
-        _check_residual(r)
+    refused = np.flatnonzero(~(res <= 1e-8))
+    if refused.size:
+        i = refused[0]
+        _check_residual(float(res[i]), alpha[i], beta[i])
     rank_a, margin_a = _fast_rank(alpha, ctx)
     rank_b, margin_b = _fast_rank(beta, ctx)
     n2 = alpha.shape[1]
@@ -595,13 +605,93 @@ def fiber_dims(pm: ParamMonad, points, ctx: ToleranceContext = DEFAULT_CTX):
 
 def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
     """dim ker(beta) - rank(alpha) at one evaluated point: the residual
-    guard, then one values-only SVD of each map cut by ctx.rank_cut, the
-    rank decision of fiber_dims, which it matches at that point."""
-    _check_residual(m.residual)
-    return m.alpha.shape[0] - sum(
-        ctx.rank_cut(np.linalg.svd(to_float(M) if is_exact(M) else M,
-                                   compute_uv=False).tolist())[0]
-        for M in (m.alpha, m.beta))
+    guard, then the rank decision of fiber_dims, which it matches at that
+    point.  Where one Cholesky certifies that both maps have full rank
+    (``_full_rank_certified``, the generic point) that is the answer;
+    otherwise one values-only SVD of each map cut by ctx.rank_cut decides,
+    and raises GapTooSmall where that cut has no margin."""
+    _check_residual(m.residual, m.alpha, m.beta)
+    alpha, beta = (to_float(M) if is_exact(M) else M
+                   for M in (m.alpha, m.beta))
+    if _full_rank_certified(alpha, beta, ctx):
+        return alpha.shape[0] - min(alpha.shape) - min(beta.shape)
+    return alpha.shape[0] - sum(
+        ctx.rank_cut(np.linalg.svd(M, compute_uv=False).tolist())[0]
+        for M in (alpha, beta))
+
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_HUGE = float(np.finfo(float).max)
+
+
+def _full_rank_certified(alpha, beta, ctx: ToleranceContext) -> bool:
+    """True only where the SVD cut of fiber_dim would give both maps full
+    rank with margin at least ctx.gap_factor: one np.linalg.cholesky of a
+    (2, p, p) stack.  False sends the point to the SVDs.
+
+    For an m x n map M with q = min(m, n) > 0, l = max(m, n) and
+    N = |M|_F^2, the stack holds G - s I, where G is the q x q Gram matrix
+    (M^H M if tall, M M^H if wide), s = tau nu and nu the computed N; the
+    smaller Gram matrix is padded with identity to p = max(q_alpha,
+    q_beta), which leaves its own factorization as it is.  Here
+    tau = (4 g r)^2, g = max(ctx.gap_factor, 1), r = ctx.rank_tol.
+
+    With eps the machine epsilon (twice the unit roundoff, which covers
+    the sqrt(2) of complex products), the computed nu is N (1 - l q eps)
+    or more, the computed G is G + E with |E|_2 <= (l + 2) eps N (inner
+    products of length l, bounded by |M|^H |M|, whose 2-norm is at most
+    N), and the diagonal subtraction adds eps N.  A Cholesky that runs to
+    the end on a p x p Hermitian A factors A + dA with |dA|_2 <=
+    (p + 2) eps trace(A) (Demmel 1989; Higham 2002, Thm 10.5), so A + dA
+    is positive semidefinite, and trace(A) <= N.  Summed, with one eps
+    more for the second-order terms:
+
+        sigma_min(M)^2 >= (tau - gamma) N,
+        gamma = (l + p + 6) eps + tau l q eps.
+
+    The certificate is taken only where tau - gamma >= (2 g r)^2, so
+    sigma_min >= 2 g r |M|_F >= 2 g r sigma_max.  The SVD's own values are
+    off by at most f eps sigma_max for a modest f (backward stability), and
+    tau - gamma >= (2 g r)^2 forces g r >= sqrt(eps) / 2, so for any
+    f < 10^7 its margin sigma_min / (r sigma_max) stays above g: full rank,
+    no GapTooSmall.  Success is therefore never a different answer, only
+    a cheaper one; a failed factorization proves nothing and the SVDs
+    decide (degenerate points, zero maps, far chart points).
+
+    The bounds hold without underflow or overflow, so a map is refused
+    unless tiny / (tau eps) < nu < max / 2: then the shift is at least
+    tiny / eps, far above any subnormal rounding, and no entry of G or its
+    factor can overflow.  A NaN or infinite nu fails the same test.  A map
+    with q = 0 has full rank 0 and adds identity only."""
+    g = ctx.gap_factor if ctx.gap_factor > 1.0 else 1.0
+    gr2 = (g * ctx.rank_tol) ** 2
+    tau = 16.0 * gr2
+    qa, qb = min(alpha.shape), min(beta.shape)
+    p = qa if qa > qb else qb
+    stack = np.zeros((2, p, p), complex)
+    diag = stack.reshape(2, p * p)[:, ::p + 1]
+    diag[:] = 1.0
+    for i, M, q in ((0, alpha, qa), (1, beta, qb)):
+        if q == 0:
+            continue
+        l = M.shape[0] + M.shape[1] - q
+        if tau - (l + p + 6 + tau * l * q) * _EPS < 4.0 * gr2:
+            return False
+        v = M.ravel()
+        nu = np.vecdot(v, v).real
+        if not _TINY / (tau * _EPS) < nu < _HUGE / 2:
+            return False
+        if M.shape[0] >= M.shape[1]:
+            np.matmul(M.conj().T, M, out=stack[i, :q, :q])
+        else:
+            np.matmul(M, M.conj().T, out=stack[i, :q, :q])
+        diag[i, :q] -= tau * nu
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _fast_rank(M: np.ndarray, ctx: ToleranceContext):

@@ -560,6 +560,151 @@ def test_full_rank_margin_is_finite_and_can_fail():
         mc.fiber_dim(pm.evaluate((0.5, 0.5)))
 
 
+def _value_or_error(f):
+    """A function's value, or the type of the library error it raises."""
+    try:
+        return f()
+    except nk.BowmonadError as e:
+        return type(e)
+
+
+def _certified(one):
+    return mc._full_rank_certified(nk.to_float(one.alpha),
+                                   nk.to_float(one.beta), nk.DEFAULT_CTX)
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the np.linalg.svd calls made while the test runs."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _spectrum_points(flavor, data, rng, n):
+    """n seeded chart points, then one over each jumping line (eta an
+    eigenvalue of B / B0), made as the fiber-sweep benchmark makes them."""
+    pts = []
+    while len(pts) < n:
+        x, y = rng.standard_normal(2) * 2 + 1j * rng.standard_normal(2) * 2
+        if abs(x) >= 0.05 and abs(y) >= 0.05:
+            pts.append((complex(x), complex(y)))
+    x = 1.0 + 0.3j
+    edge = data.B0 if hasattr(data, "B0") else data.B
+    for ev in np.linalg.eigvals(np.asarray(edge, complex)):
+        if flavor == "caloron":
+            pts.append((x, complex(ev)))
+        elif abs(ev) > 1e-8:             # (xi, psi) chart, eta = xi * psi
+            pts.append((x, complex(ev) / x))
+    return pts
+
+
+def test_fiber_dim_certifies_generic_points_without_svd(svd_calls):
+    """At the generic points of every float generator draw the Cholesky
+    certificate decides fiber_dim, with no SVD, and the dimension is the
+    one fiber_dims reads off the singular values."""
+    checked = 0
+    for seed in range(4):
+        for k, m in _COMBOS:
+            for flavor, gen in (("caloron", caloron.generate_caloron),
+                                ("taubnut", taubnut.generate_taubnut)):
+                d = gen(k, m, seed=seed)
+                pm = (caloron.small_monad(d) if flavor == "caloron" and not m
+                      else (caloron if flavor == "caloron" else taubnut)
+                      .big_monad(d))
+                rng = np.random.default_rng(1000 * seed + 10 * k + m)
+                for p in _spectrum_points(flavor, d, rng, 50):
+                    del svd_calls[:]
+                    dim = mc.fiber_dim(pm.evaluate(p))
+                    assert not svd_calls, (flavor, k, m, seed, p)
+                    assert dim == mc.fiber_dims(pm, [p])[0][0] == 2
+                    checked += 1
+    assert checked > 56 * 50
+
+
+def test_fiber_dim_certificate_at_planted_boundaries(svd_calls):
+    """Near the rank cut, on empty, zero and wide maps and on exact points,
+    fiber_dim returns what the SVD route returns or raises what it raises;
+    the certificate accepts only with room to spare."""
+    pt = (0.5, 0.5)
+    for small in (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 1e-9):
+        pm = _diag_monad(small)                 # beta has shape (0, 2)
+        one = pm.evaluate(pt)
+        want = _value_or_error(lambda: mc.fiber_dims(pm, [pt])[0][0])
+        assert _value_or_error(lambda: mc.fiber_dim(one)) == want
+        assert want == (0 if small >= 1e-6 else nk.GapTooSmall)
+        # the shift (4 * gap_factor * rank_tol)^2 = 1.6e-13 > small^2 at 1e-7
+        assert _certified(one) == (small >= 1e-6)
+
+    def monad(alpha):
+        n1, n2 = alpha.shape[1], alpha.shape[0]
+        return mc.ParamMonad(
+            "xi_eta", ([mc.BlockSpec("U", {}, n1)], [mc.BlockSpec("V", {}, n2)],
+                       []), mc.PolyMatrix(alpha.shape, {(0, 0): alpha}),
+            mc.PolyMatrix((0, n2)))
+    rng = np.random.default_rng(5)
+    cases = [(np.zeros((3, 2)), False, 3),          # zero alpha: rank 0
+             (rng.standard_normal((3, 2)), True, 1),
+             (rng.standard_normal((2, 3)), True, 0)]  # wide alpha: rank 2
+    for alpha, certified, dim in cases:
+        pm = monad(alpha)
+        one = pm.evaluate(pt)
+        assert _certified(one) is certified
+        assert mc.fiber_dim(one) == mc.fiber_dims(pm, [pt])[0][0] == dim
+
+    exact = taubnut._big_monad_unchecked(
+        taubnut.generate_taubnut(2, 1, seed=5, exact=True))
+    for p in ((Fraction(1, 3), Fraction(-2, 7)), (2, 3)):
+        one = exact.evaluate(p)
+        assert nk.is_exact(one.alpha) and _certified(one)
+        del svd_calls[:]
+        assert mc.fiber_dim(one) == 2 and not svd_calls
+        assert mc.fiber_dims(exact.to_float(), [p])[0][0] == 2
+
+    # the isolated point where the k = 2, m = 0 fused monad drops rank
+    # (ROADMAP item 1): the certificate refuses and the SVDs read 3
+    pm = taubnut.big_monad(taubnut.generate_taubnut(2, 0, seed=0))
+    one = pm.evaluate((60, -1 / 12))
+    assert not _certified(one)
+    assert mc.fiber_dim(one) == mc.fiber_dims(pm, [(60, -1 / 12)])[0][0] == 3
+
+
+def test_far_chart_points_are_left_to_the_svds():
+    """At far chart points the unscaled maps make the relative cut read a
+    rank drop (6 and 4, not 2, for this draw; see CHANGES.md).  The
+    certificate refuses there, so fiber_dim keeps the SVD answer, the same
+    as fiber_dims."""
+    pm = taubnut.big_monad(taubnut.generate_taubnut(2, 1, seed=0))
+    for p in ((1e20, 1e20), (1e40, 1.0)):
+        one = pm.evaluate(p)
+        assert not _certified(one)
+        assert mc.fiber_dim(one) == mc.fiber_dims(pm, [p])[0][0]
+
+
+def test_fiber_guard_refuses_maps_that_are_not_finite():
+    """alpha = (x^9, 0) at x = 1e40 overflows: the residual is nan, and each
+    fiber computation refuses it with ImageNotContained, naming alpha,
+    where an SVD of the infinite map would raise numpy's LinAlgError."""
+    cols = ([mc.BlockSpec("U", {}, 1)], [mc.BlockSpec("V", {}, 2)],
+            [mc.BlockSpec("W", {}, 1)])
+    pm = mc.ParamMonad("xi_eta", cols,
+                       mc.PolyMatrix((2, 1), {(9, 0): np.array([[1.0], [0]])}),
+                       mc.PolyMatrix((1, 2), {(0, 0): np.array([[0, 1.0]])}))
+    far = (1e40, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = pm.evaluate(far)
+        assert np.isnan(one.residual)
+        for call in (lambda: mc.fiber_dim(one), lambda: mc.fiber(one),
+                     lambda: mc.fiber_dims(pm, [(1.0, 1.0), far])):
+            with pytest.raises(nk.ImageNotContained, match="alpha not finite"):
+                call()
+    assert mc.fiber_dim(pm.evaluate((1.0, 1.0))) == 0
+
+
 def test_blocks_sum_into_read_only_coefficients():
     pt = (0.7 - 0.2j, 1.1 + 0.4j)
     assert np.all(mc.PolyMatrix((2, 3)).evaluate(*pt) == 0)
