@@ -664,8 +664,7 @@ def _full_rank_certified(alpha, beta, ctx: ToleranceContext) -> bool:
     tiny / eps, far above any subnormal rounding, and no entry of G or its
     factor can overflow.  A NaN or infinite nu fails the same test.  A map
     with q = 0 has full rank 0 and adds identity only."""
-    g = ctx.gap_factor if ctx.gap_factor > 1.0 else 1.0
-    gr2 = (g * ctx.rank_tol) ** 2
+    gr2 = (max(ctx.gap_factor, 1.0) * ctx.rank_tol) ** 2   # nan stays nan
     tau = 16.0 * gr2
     qa, qb = min(alpha.shape), min(beta.shape)
     p = qa if qa > qb else qb

@@ -671,6 +671,13 @@ def test_fiber_dim_certificate_at_planted_boundaries(svd_calls):
     one = pm.evaluate((60, -1 / 12))
     assert not _certified(one)
     assert mc.fiber_dim(one) == mc.fiber_dims(pm, [(60, -1 / 12)])[0][0] == 3
+    # a margin no cut can meet: the certificate leaves the refusal to the SVDs
+    for gap in (np.inf, np.nan):
+        ctx = nk.ToleranceContext(rank_tol=1e-4, gap_factor=gap)
+        for call in (lambda: mc.fiber_dim(pm.evaluate(pt), ctx),
+                     lambda: mc.fiber_dims(pm, [pt], ctx)):
+            with pytest.raises(nk.GapTooSmall):
+                call()
 
 
 def test_far_chart_points_are_left_to_the_svds():
