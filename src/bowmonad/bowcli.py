@@ -21,6 +21,7 @@ import csv
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -99,14 +100,42 @@ def matrix_to_json(M, exact: bool):
 
 
 def matrix_from_json(obj, shape, exact: bool):
-    if not isinstance(obj, list) or len(obj) != shape[0] or any(
-            not isinstance(r, list) or len(r) != shape[1] for r in obj):
-        raise ParseError(f"matrix must be {shape[0]}x{shape[1]} row-major")
+    _check_matrix_shape(obj, shape)
     if exact:
         return nk.exact_from_ratios([_num_from_json(e, True) for row in obj
                                      for e in row], shape)
-    return np.array([[_num_from_json(e, False) for e in row] for row in obj],
+    return _f64_entries(list(chain.from_iterable(obj))).reshape(shape)
+
+
+def _check_matrix_shape(obj, shape):
+    if not isinstance(obj, list) or len(obj) != shape[0] or any(
+            not isinstance(r, list) or len(r) != shape[1] for r in obj):
+        raise ParseError(f"matrix must be {shape[0]}x{shape[1]} row-major")
+
+
+def _f64_entries(entries: list) -> np.ndarray:
+    """f64 entries [re, im] as one complex vector: one type check over the
+    entries and one over their values, one float conversion and one finite
+    check.  A list with an entry that ``_num_from_json`` refuses is decoded
+    entry by entry, so the ParseError names the first such entry."""
+    if set(map(type, entries)) <= {list} and set(map(len, entries)) <= {2}:
+        values = _finite_reals(list(chain.from_iterable(entries)))
+        if values is not None:
+            return values.view(complex)
+    return np.array([_num_from_json(e, False) for e in entries],
                     dtype=complex)
+
+
+def _finite_reals(values: list) -> np.ndarray | None:
+    """The JSON numbers ``values`` as one float array when each one is
+    finite (see ``_is_finite_real``); None otherwise."""
+    if not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        out = np.array(values, dtype=float)
+    except OverflowError:                     # an int beyond the float range
+        return None
+    return out if np.isfinite(out).all() else None
 
 
 def real_array_to_json(M):
@@ -152,11 +181,22 @@ def data_from_json(obj) -> object:
     m = _size_from_json(obj.get("m", 0), "m", 0 if m0 else 1)
     if m0 and m:
         raise ParseError(f"{kind} has m = 0, got m = {m}")
-    fields = {}
-    for name, shape in cls.shapes(k, m).items():
+    shapes = cls.shapes(k, m)
+    for name, shape in shapes.items():
         if name not in obj:
             raise ParseError(f"missing field {name!r}")
-        fields[name] = matrix_from_json(obj[name], shape, exact)
+        _check_matrix_shape(obj[name], shape)
+    if exact:
+        fields = {name: matrix_from_json(obj[name], shape, True)
+                  for name, shape in shapes.items()}
+    else:
+        # every field's entries in one decode; each field is a view of it
+        flat = _f64_entries(list(chain.from_iterable(chain.from_iterable(
+            obj[name] for name in shapes))))
+        fields, at = {}, 0
+        for name, (r, c) in shapes.items():
+            fields[name] = flat[at:at + r * c].reshape(r, c)
+            at += r * c
     meta = {"k": k} if m0 else {"k": k, "m": m}
     try:
         return cls(**meta, **fields)
@@ -197,10 +237,23 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
                                         _size_from_json(r["m"], "rep m", 0))
 
         def seg(o, rank):
-            grid = np.array([_real_from_json(v, "a grid point s")
-                             for v in o["s"]], dtype=float)
-            mk = lambda key: np.stack([matrix_from_json(T, (rank, rank), False)
-                                       for T in o[key]])
+            s = list(o["s"])
+            grid = _finite_reals(s)
+            if grid is None:
+                grid = np.array([_real_from_json(v, "a grid point s")
+                                 for v in s], dtype=float)
+
+            def mk(key):
+                """The key's samples as one (n, rank, rank) stack."""
+                Ts = list(o[key])
+                if not Ts:
+                    raise ParseError(f"a segment's {key} needs at least "
+                                     f"one sample")
+                for T in Ts:
+                    _check_matrix_shape(T, (rank, rank))
+                return _f64_entries(list(chain.from_iterable(
+                    chain.from_iterable(Ts)))).reshape(len(Ts), rank, rank)
+
             return nahmbow.Segment(_real_from_json(o["s0"], "s0"),
                                    _real_from_json(o["s1"], "s1"), rank, grid,
                                    mk("T1"), mk("T2"), mk("T3"),

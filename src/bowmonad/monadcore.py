@@ -609,11 +609,14 @@ def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
     point.  Where one Cholesky certifies that both maps have full rank
     (``_full_rank_certified``, the generic point) that is the answer;
     otherwise one values-only SVD of each map cut by ctx.rank_cut decides,
-    and raises GapTooSmall where that cut has no margin."""
+    and raises GapTooSmall where that cut has no margin.  Where neither map
+    has two rows and two columns the SVDs decide at once: on such vectors
+    they cost less than the certificate's fixed cost."""
     _check_residual(m.residual, m.alpha, m.beta)
     alpha, beta = (to_float(M) if is_exact(M) else M
                    for M in (m.alpha, m.beta))
-    if _full_rank_certified(alpha, beta, ctx):
+    if max(min(alpha.shape), min(beta.shape)) > 1 and \
+            _full_rank_certified(alpha, beta, ctx):
         return alpha.shape[0] - min(alpha.shape) - min(beta.shape)
     return alpha.shape[0] - sum(
         ctx.rank_cut(np.linalg.svd(M, compute_uv=False).tolist())[0]

@@ -214,12 +214,14 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
     raises InvalidArgument.
 
     Each stage argument is held in one preallocated (5, r, r) buffer
-    X = (T1, T2, T3, T1, T2), and each stage is one windowed product and
-    one subtraction into preallocated buffers.  The -i of the flow is
-    folded into the stage factors (multiplying by +-i is exact, so the
-    samples are those of k = -i [., .] bit for bit); the stage arguments
-    and the sum take the IEEE operations, in the order, of cur + half k and
-    cur + sixth ((k1 + 2 k2) + 2 k3 + k4)."""
+    X = (T1, T2, T3, T1, T2), and each stage is one copy into X[3:], one
+    windowed product and one subtraction into preallocated buffers: 26
+    NumPy calls a step, each bound once with its views and its complex128
+    factors, so a step costs its arithmetic and not the lookups.  The -i of
+    the flow is folded into the stage factors (multiplying by +-i is exact,
+    so the samples are those of k = -i [., .] bit for bit); the stage
+    arguments and the sum take the IEEE operations, in the order, of
+    cur + half k and cur + sixth ((k1 + 2 k2) + 2 k3 + k4)."""
     if not (np.isfinite(step) and step > 0):
         raise nk.InvalidArgument(f"step must be finite and positive, "
                                  f"got {step!r}")
@@ -238,45 +240,52 @@ def flow(T1, T2, T3, s0: float, s1: float, step: float,
     out = np.empty((n, 3, r, r), dtype=complex)
     out[0] = start
     ref = nk.charpoly(lax(*start, zetas))
-    half, full, sixth = -0.5j * h, -1j * h, -1j * h / 6
+    half, full, sixth, two = map(np.complex128,
+                                 (-0.5j * h, -1j * h, -1j * h / 6, 2))
     # the stage argument is X[:3] and X[3:] = X[:2]; with win[j, w] =
     # X[j + w], win[1:3] @ win[2:0:-1] is P = ((T2 T3, T3 T1, T1 T2),
     # (T3 T2, T1 T3, T2 T1)), the order of the three commutators
     X = np.empty((5, r, r), dtype=complex)
     win = np.moveaxis(np.lib.stride_tricks.sliding_window_view(X, 3, axis=0),
                       -1, 1)
-    left, right, arg = win[1:3], win[2:0:-1], X[:3]
+    left, right, arg, wrap, head = win[1:3], win[2:0:-1], X[:3], X[3:], X[:2]
     P = np.empty((2, 3, r, r), dtype=complex)
+    P0, P1 = P
     k, acc = np.empty((2, 3, r, r), dtype=complex)
-
-    def commutators(into):
-        X[3:] = X[:2]
-        np.matmul(left, right, out=P)
-        np.subtract(P[0], P[1], out=into)
+    mul, add, sub, matmul, copy = (np.multiply, np.add, np.subtract,
+                                   np.matmul, np.copyto)
 
     # a sample past overflow is inf or nan and stays so; the finite check
     # runs once, after the loop
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n - 1):
             cur = out[i]
-            arg[...] = cur
-            commutators(acc)
-            np.multiply(half, acc, out=arg)
-            np.add(cur, arg, out=arg)
-            commutators(k)
-            np.multiply(half, k, out=arg)
-            np.add(cur, arg, out=arg)
-            np.multiply(2, k, out=k)
-            np.add(acc, k, out=acc)
-            commutators(k)
-            np.multiply(full, k, out=arg)
-            np.add(cur, arg, out=arg)
-            np.multiply(2, k, out=k)
-            np.add(acc, k, out=acc)
-            commutators(k)
-            np.add(acc, k, out=acc)
-            np.multiply(sixth, acc, out=acc)
-            np.add(cur, acc, out=out[i + 1])
+            copy(arg, cur)
+            copy(wrap, head)                    # k1 = [., .] into acc
+            matmul(left, right, out=P)
+            sub(P0, P1, out=acc)
+            mul(half, acc, out=arg)
+            add(cur, arg, out=arg)
+            copy(wrap, head)                    # k2
+            matmul(left, right, out=P)
+            sub(P0, P1, out=k)
+            mul(half, k, out=arg)
+            add(cur, arg, out=arg)
+            mul(two, k, out=k)
+            add(acc, k, out=acc)
+            copy(wrap, head)                    # k3
+            matmul(left, right, out=P)
+            sub(P0, P1, out=k)
+            mul(full, k, out=arg)
+            add(cur, arg, out=arg)
+            mul(two, k, out=k)
+            add(acc, k, out=acc)
+            copy(wrap, head)                    # k4
+            matmul(left, right, out=P)
+            sub(P0, P1, out=k)
+            add(acc, k, out=acc)
+            mul(sixth, acc, out=acc)
+            add(cur, acc, out=out[i + 1])
     finite = np.isfinite(out).all(axis=(1, 2, 3))
     if not finite.all():
         first = grid[np.argmin(finite)]

@@ -108,15 +108,15 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
                            data.A, data.B0, data.D, ctx)
 
     fdata = _float_data(data)
+    gluing = _gluing(fdata)
     try:
-        pm = _big_monad_unchecked(fdata)
+        pm = _big_monad_unchecked(fdata, gluing)
     except TransportSingular as e:
         pm, undecided = None, f"no fused monad: {e}"
     rng = np.random.default_rng(7)
-    pts = []
-    for _ in range(20):
-        x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        pts.append((complex(x), complex(y)))
+    # point i is re (x, y) + i im (x, y), drawn re then im
+    normals = rng.standard_normal((20, 2, 2))
+    pts = normals[:, 0] + 1j * normals[:, 1]
     # full rank at every point; the value is the smallest margin
     # sigma_min / (rank_tol sigma_max) over the points, 0 at a zero matrix
     for name, poly in (("monad_pointwise_injective", "alpha"),
@@ -130,8 +130,8 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
         margin = np.divide(s[:, -1], thr, out=np.zeros(len(s)), where=thr > 0)
         report.add(name, np.all(s[:, -1] > thr), np.min(margin))
 
-    for which, (margin, trend) in zip(("xi", "psi"),
-                                      _pushdown_surjectivity(fdata, rng, ctx)):
+    for which, (margin, trend) in zip(
+            ("xi", "psi"), _pushdown_surjectivity(fdata, rng, ctx, gluing)):
         report.add(f"pushdown_surjective_{which}", margin > 1, margin,
                    note="min sv trend " + ", ".join(f"{v:.2e}" for v in trend))
 
@@ -142,7 +142,7 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     return report
 
 
-def _pushdown_surjectivity(data, rng, ctx):
+def _pushdown_surjectivity(data, rng, ctx, gluing=None):
     """Surjectivity of the xi and psi pushdown gluing maps of float data
     away from the collapsed coordinate t, as [(margin, trend)] for xi then
     psi.  Each map is M(t) = (F_m | E(t) | F_p): rows (k + m | k | k),
@@ -164,8 +164,9 @@ def _pushdown_surjectivity(data, rng, ctx):
     there is no second term: M M^H >= F F^H, so F's margin holds at every
     t.  On the generator draws Z is empty at k = 1 and at m >= 1 unless B0
     is singular; at m = 0 it has k - 1 columns.  The trend is sigma_min of
-    the full M(t) at t = 1, 0.1, 0.01 and 0.001."""
-    _, _, Ym1, Yp1 = _gluing(data)
+    the full M(t) at t = 1, 0.1, 0.01 and 0.001.  ``gluing`` is
+    `_gluing(data)`, built here when None."""
+    _, _, Ym1, Yp1 = _gluing(data) if gluing is None else gluing
     k, m = data.k, data.m
     rows = 3 * k + m
     cm = Ym1.shape[1]
@@ -235,19 +236,20 @@ def big_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
     return pm
 
 
-def _big_monad_unchecked(data) -> ParamMonad:
+def _big_monad_unchecked(data, gluing=None) -> ParamMonad:
     """The fused three-column complex on the (xi, psi) chart.
 
     For m = 0 the one-sided resolutions are renormalized through the
     monodromy: the jump row of the minus resolution is D1 (A^-1 - 1) and the
     middle endomorphism acquires B0 - C1 D1 A^-1, which is what the
     anticommutation forces once both Z blocks are pinned by the edge.
+    ``gluing`` is `_gluing(data)`, built here when None.
     """
     k, m = data.k, data.m
     exact = data.exact
     eyek = nk.eye_like_backend(k, exact)
     eyekm = nk.eye_like_backend(k + m, exact)
-    Wm, Wp, Ym1, Yp1 = _gluing(data)
+    Wm, Wp, Ym1, Yp1 = _gluing(data) if gluing is None else gluing
     if m:
         Mmid = data.normal_form
     else:

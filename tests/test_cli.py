@@ -91,6 +91,122 @@ def test_malformed_matrix_entry_exit_2(command, backend, entry, tmp_path,
     assert err["type"] == "parse" and "got" in err["message"]
 
 
+def _entry_by_entry(obj):
+    """An f64 matrix decoded one [re, im] entry at a time."""
+    return np.array([[complex(re, im) for re, im in row] for row in obj],
+                    dtype=complex)
+
+
+def _assert_same(got, want):
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# the m >= 1 generators draw k = 1 and 2, the m = 0 ones k = 1 to 3
+@pytest.mark.parametrize("kind, ks", [("caloron", (1, 2)),
+                                      ("caloron-m0", (1, 2, 3)),
+                                      ("taubnut", (1, 2)),
+                                      ("taubnut-m0", (1, 2, 3))])
+def test_f64_data_decode_matches_entry_by_entry(kind, ks, tmp_path):
+    """Every field of a generated f64 data file decodes to the complex128
+    matrix its entries give one at a time, bit for bit."""
+    f = tmp_path / "data.json"
+    for k in ks:
+        for seed in range(3):
+            assert run_cli("generate", "--kind", kind, "--k", str(k),
+                           "--seed", str(seed), "--out", str(f)) == 0
+            obj = json.loads(f.read_text())
+            data = bowcli.load_file(str(f))
+            for name in data.shapes(k, data.m):
+                _assert_same(getattr(data, name), _entry_by_entry(obj[name]))
+
+
+@pytest.mark.parametrize("m", [0, 1])
+def test_f64_solution_decode_matches_entry_by_entry(m, tmp_path):
+    """Each segment's grid and T1, T2, T3 stacks and every boundary matrix
+    of a generated bowsol file decode as their entries one at a time do."""
+    f = tmp_path / "sol.json"
+    for seed in range(3):
+        assert run_cli("generate", "--kind", "bowsol", "--m", str(m),
+                       "--seed", str(seed), "--out", str(f)) == 0
+        obj = json.loads(f.read_text())
+        sol = bowcli.load_file(str(f))
+        for name in ("head", "middle", "tail"):
+            seg, o = getattr(sol, name), obj[name]
+            _assert_same(seg.s_grid, np.array([float(v) for v in o["s"]]))
+            for key in ("T1", "T2", "T3"):
+                _assert_same(getattr(seg, key),
+                             np.stack([_entry_by_entry(T) for T in o[key]]))
+        for name in ("Bth", "Bht", "i_minus", "i_plus", "I_minus", "J_minus",
+                     "I_plus", "J_plus"):
+            if name in obj:
+                _assert_same(getattr(sol, name), _entry_by_entry(obj[name]))
+
+
+# entries that are not two finite reals; NaN and a 400-digit int are JSON
+# Python reads, 1e400 reads as inf
+_BAD_ENTRIES = ['["a", 0]', "[true, 0]", "[null, 0]", "[1e400, 0]", "NaN",
+                "[NaN, 0]", "[%s, 0]" % ("1" + "0" * 399), "[1]", "[1, 2, 3]"]
+
+
+def _planted_solution(tmp_path, plants):
+    """A generated m = 1 bowsol file (rank-2 middle) with the JSON text of
+    each (sample, row, col, text) in plants put at that entry of the
+    middle segment's T2 stack."""
+    sol_file = tmp_path / "sol.json"
+    assert run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "2",
+                   "--out", str(sol_file)) == 0
+    obj = json.loads(sol_file.read_text())
+    for i, (sample, row, col, _) in enumerate(plants):
+        obj["middle"]["T2"][sample][row][col] = f"@{i}"
+    text = json.dumps(obj)
+    for i, (*_, entry) in enumerate(plants):
+        text = text.replace(f'"@{i}"', entry)
+    sol_file.write_text(text)
+    return sol_file
+
+
+@pytest.mark.parametrize("command", ["dirac", "spectral", "nahm-flow"])
+@pytest.mark.parametrize("entry", _BAD_ENTRIES)
+def test_malformed_solution_entry_exit_2(command, entry, tmp_path, capsys):
+    """An entry of a segment's sample stack that is not two finite reals
+    exits 2 with one JSON parse error that names the entry."""
+    sol_file = _planted_solution(tmp_path, [(7, 1, 0, entry)])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(sol_file),
+                   *_CONTRACT_ARGS[command], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse"
+    assert f"got {json.loads(entry)!r}" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["dirac", "spectral", "nahm-flow"])
+def test_ragged_solution_row_exit_2(command, tmp_path, capsys):
+    """A sample matrix with a row of three entries is malformed input."""
+    sol_file = _planted_solution(tmp_path, [])
+    obj = json.loads(sol_file.read_text())
+    obj["middle"]["T3"][4][1].append([0.0, 0.0])
+    sol_file.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run_cli(command, "--input", str(sol_file),
+                   *_CONTRACT_ARGS[command]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "parse" and "2x2 row-major" in err["message"]
+
+
+def test_malformed_solution_names_the_first_bad_entry(tmp_path, capsys):
+    """Of two bad entries in one stack, the error names the one that comes
+    first in sample then row-major order."""
+    sol_file = _planted_solution(tmp_path, [(9, 0, 0, '["late", 0]'),
+                                            (3, 1, 1, '["early", 0]')])
+    capsys.readouterr()
+    assert run_cli("nahm-flow", "--input", str(sol_file)) == 2
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert "early" in message and "late" not in message
+
+
 def test_generate_then_validate(tmp_path, capsys):
     out = tmp_path / "gen.json"
     assert run_cli("generate", "--kind", "taubnut", "--k", "1", "--m", "1",

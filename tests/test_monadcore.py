@@ -606,7 +606,8 @@ def _spectrum_points(flavor, data, rng, n):
 def test_fiber_dim_certifies_generic_points_without_svd(svd_calls):
     """At the generic points of every float generator draw the Cholesky
     certificate decides fiber_dim, with no SVD, and the dimension is the
-    one fiber_dims reads off the singular values."""
+    one fiber_dims reads off the singular values.  Where both maps are
+    vectors (the caloron k = 1, m = 0 small monad) the two SVDs decide."""
     checked = 0
     for seed in range(4):
         for k, m in _COMBOS:
@@ -617,13 +618,35 @@ def test_fiber_dim_certifies_generic_points_without_svd(svd_calls):
                       else (caloron if flavor == "caloron" else taubnut)
                       .big_monad(d))
                 rng = np.random.default_rng(1000 * seed + 10 * k + m)
+                vectors = max(min(pm.alpha.shape), min(pm.beta.shape)) == 1
                 for p in _spectrum_points(flavor, d, rng, 50):
                     del svd_calls[:]
                     dim = mc.fiber_dim(pm.evaluate(p))
-                    assert not svd_calls, (flavor, k, m, seed, p)
+                    assert len(svd_calls) == 2 * vectors, (flavor, k, m,
+                                                            seed, p)
                     assert dim == mc.fiber_dims(pm, [p])[0][0] == 2
                     checked += 1
     assert checked > 56 * 50
+
+
+def test_fiber_dim_on_vector_maps_skips_the_certificate(monkeypatch):
+    """On the 4 x 1 alpha and 1 x 4 beta of the caloron k = 1, m = 0 small
+    monad fiber_dim never calls the certificate, and reads the dimensions
+    of fiber_dims at the generic and the spectrum points."""
+    calls, certified = [], mc._full_rank_certified
+
+    def counted(*args):
+        calls.append(1)
+        return certified(*args)
+    monkeypatch.setattr(mc, "_full_rank_certified", counted)
+    for seed in range(4):
+        d = caloron.generate_caloron(1, 0, seed=seed)
+        pm = caloron.small_monad(d)
+        assert (pm.alpha.shape, pm.beta.shape) == ((4, 1), (1, 4))
+        pts = _spectrum_points("caloron", d, np.random.default_rng(seed), 50)
+        dims = [mc.fiber_dim(pm.evaluate(p)) for p in pts]
+        assert dims == mc.fiber_dims(pm, pts)[0]
+    assert not calls
 
 
 def test_fiber_dim_certificate_at_planted_boundaries(svd_calls):

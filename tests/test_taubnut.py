@@ -483,8 +483,8 @@ def test_pointwise_checks_fail_below_margin_one(monkeypatch):
     1e-20 keeps a nonzero sigma_min and fails with a margin below 1."""
     build = tn._big_monad_unchecked
 
-    def broken(data):
-        pm = build(data)
+    def broken(data, *gluing):
+        pm = build(data, *gluing)
         scale = np.ones(pm.beta.shape[0])
         scale[-1] = 1e-20
         beta = mc.PolyMatrix(pm.beta.shape, {key: scale[:, None] * mat for
