@@ -242,13 +242,24 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
             if grid is None:
                 grid = np.array([_real_from_json(v, "a grid point s")
                                  for v in s], dtype=float)
+            constant = bool(o.get("constant", False))
+            # interpolation needs two points; a constant segment reads one
+            least = 1 if constant else 2
+            if len(grid) < least:
+                raise ParseError(f"a {'constant' if constant else 'sampled'} "
+                                 f"segment needs {least} or more grid "
+                                 f"points s, got {len(grid)}")
+            if not (np.diff(grid) > 0).all():
+                raise ParseError("a segment's grid s must be strictly "
+                                 "increasing")
 
             def mk(key):
                 """The key's samples as one (n, rank, rank) stack."""
                 Ts = list(o[key])
-                if not Ts:
-                    raise ParseError(f"a segment's {key} needs at least "
-                                     f"one sample")
+                if len(Ts) != len(grid):
+                    raise ParseError(f"a segment's {key} needs one matrix per "
+                                     f"grid point s: {len(Ts)} for "
+                                     f"{len(grid)}")
                 for T in Ts:
                     _check_matrix_shape(T, (rank, rank))
                 return _f64_entries(list(chain.from_iterable(
@@ -257,7 +268,7 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
             return nahmbow.Segment(_real_from_json(o["s0"], "s0"),
                                    _real_from_json(o["s1"], "s1"), rank, grid,
                                    mk("T1"), mk("T2"), mk("T3"),
-                                   constant=bool(o.get("constant", False)))
+                                   constant=constant)
 
         k, m = rep.k, rep.m
         sol = nahmbow.NahmSolution(

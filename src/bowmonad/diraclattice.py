@@ -37,6 +37,9 @@ from .numkit import DEFAULT_CTX, ToleranceContext
 
 # Step cap of the shift-and-invert Lanczos iteration (_lanczos).
 LANCZOS_MAX_STEPS = 60
+# Junction sites after the link rows: the two lambda points and the two
+# interval ends, each two blocks of k rows.
+JUNCTION_SITES = 4
 
 
 class SingularPoint(nk.BowmonadError):
@@ -79,8 +82,6 @@ class TaubNutPoint:
 
 @dataclass
 class DiracLattice:
-    sol: NahmSolution
-    point: TaubNutPoint
     h: float
     matrix: np.ndarray
     sites: list         # (row_offset_1, row_offset_2, block_size) per site
@@ -90,7 +91,6 @@ class DiracLattice:
     segments: list
     # (L, R) per segment: link j is L[j] psi_j + R[j] psi_{j+1}
     links: list
-    n_junctions: int = 4
     _transfer: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -100,7 +100,7 @@ class DiracLattice:
     @property
     def n_link_rows(self) -> int:
         """Rows before the junction sites."""
-        return self.sites[len(self.sites) - self.n_junctions][0]
+        return self.sites[len(self.sites) - JUNCTION_SITES][0]
 
 
 def _segment_nodes(sol: NahmSolution, grid: int):
@@ -181,7 +181,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     pos += k
     ut_off = pos
     pos += k
-    mat = np.zeros((row_pos + 8 * k, pos), dtype=complex)   # 4 junction sites
+    mat = np.zeros((row_pos + 2 * JUNCTION_SITES * k, pos), dtype=complex)
     for (r0, c0, n, w), (L, R) in zip(segments, links):
         j = np.arange(n - 1)[:, None] * w
         rows = r0 + (j + np.arange(w))[:, :, None]
@@ -247,8 +247,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     put(p2, uh_off, -w * Bth)
     put(p2, ut_off, -w * pt.b_ht * np.eye(k))
 
-    return DiracLattice(sol, pt, h, mat, sites, n_psi, pos - n_psi, segments,
-                        links)
+    return DiracLattice(h, mat, sites, n_psi, pos - n_psi, segments, links)
 
 
 @dataclass

@@ -346,7 +346,6 @@ class MonadAtPoint:
 
     alpha: np.ndarray
     beta: np.ndarray
-    point: tuple
     residual: float
 
 
@@ -366,7 +365,7 @@ class SectionSpace:
     from singular values alone (numkit.quotient_dimension), so the space
     keeps the section equations E and the image Aim, with the tolerance
     context, and ``basis``, the explicit Laurent-coefficient
-    representatives, builds the kernel of E and the quotient from them the
+    representatives, builds the quotient ker(E) / im(Aim) from them the
     first time it is read."""
 
     line: Line
@@ -378,9 +377,7 @@ class SectionSpace:
     def basis(self) -> list:
         if self._system is None:
             return []
-        E, Aim, ctx = self._system
-        reps = nk.quotient_representatives(nk.rank_kernel(E, ctx).kernel,
-                                           Aim, ctx)
+        reps = nk.quotient_representatives(*self._system)
         return [reps[:, j] for j in range(reps.shape[1])]
 
 
@@ -494,10 +491,10 @@ class ParamMonad:
         x, y = point
         if not self.exact:
             a, b, res = self._maps_at(complex(x), complex(y))
-            return MonadAtPoint(a, b, (x, y), res)
+            return MonadAtPoint(a, b, res)
         a = self.alpha.evaluate(x, y)
         b = self.beta.evaluate(x, y)
-        return MonadAtPoint(a, b, (x, y), nk.mat_norm(b @ a))
+        return MonadAtPoint(a, b, nk.mat_norm(b @ a))
 
     def evaluate_many(self, points):
         """alpha and beta at N chart points, stacked along a leading axis,
@@ -578,9 +575,7 @@ def _check_residual(residual: float, alpha, beta):
 def fiber(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> FiberBasis:
     """Middle cohomology ker(beta)/im(alpha) at a point."""
     _check_residual(m.residual, m.alpha, m.beta)
-    kern = nk.exact_kernel(m.beta) if is_exact(m.beta) else \
-        nk.rank_kernel(m.beta, ctx).kernel
-    basis = nk.quotient_representatives(kern, m.alpha, ctx)
+    basis = nk.quotient_representatives(m.beta, m.alpha, ctx)
     return FiberBasis(basis.shape[1], basis)
 
 
@@ -930,7 +925,7 @@ class _LineSystem:
         if plan.lay1_h1.size:
             ker_h1 = np.eye(plan.lay1_h1.size, dtype=complex) \
                 if plan.H is None else \
-                nk.rank_kernel(self._matrix(plan.H), ctx).kernel
+                nk.rank_kernel(self._matrix(plan.H), ctx)
             if ker_h1.shape[1]:
                 d2 = self._connecting_rank(plan, ker_h1, ctx)
                 h1_net = ker_h1.shape[1] - d2
@@ -955,7 +950,7 @@ class _LineSystem:
         if not d2_vals.size or np.max(np.abs(d2_vals)) <= _D2_TOL * scale:
             return 0
         if middle is not None:
-            cok = nk.rank_kernel(self._matrix(middle), ctx).cokernel
+            cok = nk.rank_kernel(self._matrix(middle).conj().T, ctx)
             proj = cok.conj().T @ d2_vals
         else:
             proj = d2_vals

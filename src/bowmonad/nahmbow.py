@@ -540,7 +540,7 @@ def residues_match_irrep(rho, m: int):
     for w, s in zip(want, sub):
         rows.append(np.kron(np.eye(m), w) - np.kron(s.T, np.eye(m)))
     try:
-        null = nk.rank_kernel(np.vstack(rows)).kernel
+        null = nk.rank_kernel(np.vstack(rows))
     except nk.GapTooSmall:
         # an intertwiner system that is nearly, but not decidedly,
         # solvable certifies no equivalence
@@ -852,8 +852,8 @@ def finite_monad_family(bc: BowComplexTN,
         w_extra = [BlockSpec("Wplus", TWISTS["triv"], 1),
                    BlockSpec("Wminus", TWISTS["triv"], 1)]
     else:
-        Kp = nk.rank_kernel(Mp[k:, :k], ctx).kernel
-        Km = nk.rank_kernel(Mm[k:, :k], ctx).kernel
+        Kp = nk.rank_kernel(Mp[k:, :k], ctx)
+        Km = nk.rank_kernel(Mm[k:, :k], ctx)
         if Kp.shape[1] != k - 1 or Km.shape[1] != k - 1:
             raise TransportSingular("pole cut at a lambda point is degenerate")
         w_extra = []

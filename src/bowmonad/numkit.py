@@ -24,14 +24,16 @@ Two matrix backends are used throughout the package:
 
 The structured solvers at the bottom (common eigenvector search, quotient
 representatives) are what the non-degeneracy conditions of the matrix data
-reduce to.  The float quotient is a decision (containment, then the rank
-of the image, which fixes the dimension) and a construction (the
-representatives).  A caller that needs only the dimension of ker(E) / im(I)
-takes ``quotient_dimension``: singular values of E and I, and a kernel basis
-only where a bound on the containment residual is not small enough.  The
-exact quotient works in the coordinates of the kernel basis: an
-``exact_kernel`` basis K is the identity on its free rows, so the image I
-has coordinates I[free], is contained iff K @ I[free] == I, and its
+reduce to.  Both take maps: ``rank_kernel(M)`` is the kernel of M, and
+``quotient_representatives(E, I)`` a basis of ker(E) / im(I) on either
+backend.  The float quotient is a decision (containment, then the rank of
+the image, which fixes the dimension) and a construction (the
+representatives).  A caller that needs only the dimension takes
+``quotient_dimension``: singular values of E and I, and a kernel basis only
+where a bound on the containment residual is not small enough.  The exact
+quotient works in the coordinates of the kernel basis K read off the one
+RREF of E: K is the identity on the free columns of that RREF, so the image
+I has coordinates I[free], is contained iff K @ I[free] == I, and its
 representatives are read off one elimination of the small coordinate matrix
 (12 x 14 for a k = 3, m = 0 Taub-NUT fiber) rather than of [I | K].
 """
@@ -474,38 +476,26 @@ DEFAULT_CTX = ToleranceContext()
 # rank / kernel
 
 
-@dataclass
-class RankKernel:
-    rank: int
-    kernel: np.ndarray     # n x (n - rank), columns span the right kernel
-    cokernel: np.ndarray   # m x (m - rank), columns span the left kernel
-    gap: float = np.inf    # margin of the rank cut; inf on the exact backend
-
-
 def rank_kernel(M: np.ndarray, ctx: ToleranceContext = DEFAULT_CTX,
-                floor: float = 0.0) -> RankKernel:
-    """Rank with kernel and cokernel bases.
+                floor: float = 0.0) -> np.ndarray:
+    """Kernel basis of M, one column per dimension of its right kernel; the
+    left kernel is rank_kernel(M.conj().T).
 
-    Float backend: SVD with relative threshold (and an optional absolute
-    floor, see ToleranceContext.rank_cut) plus gap certificate.
-    Exact backend: reduced row echelon forms of M and M^H over Q(i), gap-free.
+    Float backend: the orthonormal right singular vectors past the rank of
+    the SVD cut by ctx.rank_cut (with an optional absolute floor), which
+    raises GapTooSmall where that cut has no margin; the identity for an
+    empty or zero M.  Exact backend: ``exact_kernel(M)``, gap-free.
     """
-    m, n = M.shape
     if is_exact(M):
-        kernel = exact_kernel(M)
-        return RankKernel(n - kernel.shape[1], kernel,
-                          exact_kernel(M.conj().T), np.inf)
+        return exact_kernel(M)
     M = np.asarray(M, dtype=complex)
-    if m == 0 or n == 0:
-        return RankKernel(0, np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-    U, s, Vh = np.linalg.svd(M)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return RankKernel(0, np.eye(n, dtype=complex), np.eye(m, dtype=complex))
-    rank, gap = ctx.rank_cut(s.tolist(), floor)
-    kernel = Vh[rank:].conj().T
-    cokernel = U[:, rank:]
-    return RankKernel(rank, kernel, cokernel, gap)
+    n = M.shape[1]
+    if not M.size:
+        return np.eye(n, dtype=complex)
+    _, s, Vh = np.linalg.svd(M)
+    if s[0] == 0.0:
+        return np.eye(n, dtype=complex)
+    return Vh[ctx.rank_cut(s.tolist(), floor)[0]:].conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +578,19 @@ def _rows_of(R: ExactMatrix, rows, cols, shape):
 
 def exact_kernel(M: ExactMatrix) -> ExactMatrix:
     """Kernel basis of an exact matrix, one column per free column of its
-    RREF (that entry 1, the other free entries 0): the identity on the free
-    rows, which is what the exact ``quotient_representatives`` requires."""
+    RREF: that entry 1 and the other free entries 0, so the basis is the
+    identity on the rows of the free columns."""
+    return _kernel_and_free(M)[0]
+
+
+def _kernel_and_free(M: ExactMatrix):
+    """exact_kernel(M) and the free columns of M's RREF, from one RREF."""
     R, pivots = rref(M)
     n = M.shape[1]
     free = [c for c in range(n) if c not in pivots]
     re, im = _rows_of(R, pivots, free, (n, len(free)))
     re[free, np.arange(len(free))] = -R.den
-    return -ExactMatrix(re, im, R.den)
+    return -ExactMatrix(re, im, R.den), free
 
 
 def exact_solve(A: ExactMatrix, b: ExactMatrix):
@@ -830,7 +825,7 @@ def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext,
     """
     def kernel(lam):
         return rank_kernel(np.vstack([M - lam * np.eye(len(M)), below]),
-                           ctx, floor).kernel
+                           ctx, floor)
 
     done: list[complex] = []
     for lam in _cluster(eigs, tol):
@@ -860,34 +855,32 @@ def _exact_certificate(A, B, D, xi, eta, v) -> bool:
 # quotient representatives
 
 
-def quotient_representatives(kernel_basis: np.ndarray, image_basis: np.ndarray,
-                             ctx: ToleranceContext = DEFAULT_CTX) -> np.ndarray:
-    """Basis of a complement of span(image) inside span(kernel).
+def quotient_representatives(E, I, ctx: ToleranceContext = DEFAULT_CTX):
+    """Basis of a complement of span(I) inside ker(E), for an image I that
+    E kills.  Raises :class:`ImageNotContained` when the inclusion fails
+    (beyond tolerance on floats), which upstream signals a broken composite
+    (beta o alpha != 0).
 
-    On the float backend the kernel basis K must have orthonormal columns
-    (``rank_kernel(...).kernel``, or the identity of an empty map).  Two
-    steps, each of one SVD.  The decision (``_quotient_decision``): the
-    containment residual, then the SVD of the image I, cut by
-    ``ctx.rank_cut``, whose leading left singular vectors Q_I span it; the
-    quotient has K.shape[1] - rank(I) dimensions.  The construction
-    (``_quotient_basis``): the SVD of K - Q_I Q_I^H K, whose leading left
-    singular vectors are the representatives.  A caller that needs only
-    the dimension stops after the decision.  Raises
-    :class:`ImageNotContained` when the inclusion fails beyond tolerance,
-    which upstream signals a broken composite (beta o alpha != 0).
+    Float backend: three SVDs.  The kernel K = rank_kernel(E), with
+    orthonormal columns.  The decision (``_quotient_decision``): the
+    containment residual, then the SVD of I, cut by ``ctx.rank_cut``, whose
+    leading left singular vectors Q_I span it; the quotient has
+    K.shape[1] - rank(I) dimensions.  The construction (``_quotient_basis``):
+    the SVD of K - Q_I Q_I^H K, whose leading left singular vectors are the
+    representatives.  A caller that needs only the dimension takes
+    ``quotient_dimension``.
 
-    On the exact backend K must be an ``exact_kernel`` basis: each column j
-    has a row that reads as the unit row e_j (any such rows will do), else
-    :class:`InvalidArgument`.  The coordinates of the image are I at those
-    rows, C, and the inclusion is the exact identity K C == I.  Column j of
-    K is a representative iff row j of C lies in the span of the rows below
-    it, read off one elimination of C[::-1].T (I.shape[1] x K.shape[1]):
-    the same columns as the pivots in the K block of [I | K].
+    Exact backend: two eliminations.  The one RREF of E gives the kernel
+    basis K of ``exact_kernel``, the identity on the rows of the free
+    columns, so the coordinates of the image are I at those rows, C, and the
+    inclusion is the exact identity K C == I.  Column j of K is a
+    representative iff row j of C lies in the span of the rows below it,
+    read off one elimination of C[::-1].T (I.shape[1] x K.shape[1]): the
+    same columns as the pivots in the K block of [I | K].
     """
-    K, I = kernel_basis, image_basis
-    if is_exact(K) or is_exact(I):
-        return _exact_quotient(K, I)
-    return _quotient_basis(*_quotient_decision(K, I, ctx))
+    if is_exact(E) or is_exact(I):
+        return _exact_quotient(E, I)
+    return _quotient_basis(*_quotient_decision(rank_kernel(E, ctx), I, ctx))
 
 
 def _quotient_decision(K: np.ndarray, I: np.ndarray, ctx: ToleranceContext):
@@ -918,7 +911,7 @@ def _containment_tol(norm_i: float, ctx: ToleranceContext) -> float:
 def quotient_dimension(E: np.ndarray, I: np.ndarray,
                        ctx: ToleranceContext = DEFAULT_CTX) -> int:
     """dim ker(E) - rank(I) for a float image I that E kills: the count of
-    ``_quotient_decision(rank_kernel(E, ctx).kernel, I, ctx)``, read off
+    ``_quotient_decision(rank_kernel(E, ctx), I, ctx)``, read off
     values-only SVDs of E and I cut by ``ctx.rank_cut``.
 
     The containment of I in the kernel K of rank r cut of E is certified by
@@ -951,7 +944,7 @@ def quotient_dimension(E: np.ndarray, I: np.ndarray,
         room = math.sqrt(2) * ku / (1 - ku) * norm_e * norm_i
         if (np.linalg.norm(E @ I) + room) / s[n - free - 1] > \
                 _containment_tol(norm_i, ctx):
-            return _quotient_decision(rank_kernel(E, ctx).kernel, I, ctx)[2]
+            return _quotient_decision(rank_kernel(E, ctx), I, ctx)[2]
     return max(free - ctx.rank_cut(s_i)[0], 0)
 
 
@@ -964,31 +957,13 @@ def _quotient_basis(K: np.ndarray, Q, count: int) -> np.ndarray:
     return np.linalg.svd(C, full_matrices=False)[0][:, :count]
 
 
-def _exact_quotient(K: ExactMatrix, I: ExactMatrix) -> ExactMatrix:
+def _exact_quotient(E: ExactMatrix, I: ExactMatrix) -> ExactMatrix:
     # C holds the coordinates of the image in the basis K; column j of K is
     # a representative iff column f - 1 - j of C[::-1].T is not a pivot
-    f = K.shape[1]
-    C = I[_unit_rows(K)]
+    K, free = _kernel_and_free(E)
+    f = len(free)
+    C = I[free]
     if not K @ C == I:
         raise ImageNotContained("image not contained in kernel (exact)")
     pivots = _eliminate(C[::-1].T)[3]
     return K[:, [j for j in range(f) if f - 1 - j not in pivots]]
-
-
-def _unit_rows(K: ExactMatrix) -> list[int]:
-    """For each column j of K, the first row of K that reads as the unit row
-    e_j; raises InvalidArgument if some column has none."""
-    f = K.shape[1]
-    im = None if K.im is None else K.im.tolist()
-    found: dict[int, int] = {}
-    for i, row in enumerate(K.re.tolist()):
-        if row.count(0) == f - 1 and (im is None or not any(im[i])):
-            j = next(c for c, v in enumerate(row) if v)
-            if row[j] == K.den:
-                found.setdefault(j, i)
-    if len(found) < f:
-        j = min(set(range(f)) - found.keys())
-        raise InvalidArgument(
-            f"an exact quotient needs an exact_kernel basis, the identity on "
-            f"some rows; column {j} of the kernel basis has no unit row")
-    return [found[j] for j in range(f)]

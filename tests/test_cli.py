@@ -399,6 +399,70 @@ def test_solution_reals_must_be_finite_numbers_exit_2(command, path, text,
     assert err["type"] == "parse" and "finite number" in err["message"]
 
 
+def _cut_t1(seg):
+    seg["T1"] = seg["T1"][:3]
+
+
+def _one_point(seg):
+    for key in ("s", "T1", "T2", "T3"):
+        seg[key] = seg[key][:1]
+
+
+def _reversed(seg):
+    for key in ("s", "T1", "T2", "T3"):
+        seg[key] = seg[key][::-1]
+
+
+def _repeated_point(seg):
+    seg["s"][5] = seg["s"][4]
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral", "nahm-flow",
+                                     "dirac"])
+@pytest.mark.parametrize("edit, message", [
+    (_cut_t1, "T1 needs one matrix per grid point s: 3 for 33"),
+    (_one_point, "needs 2 or more grid points s, got 1"),
+    (_reversed, "strictly increasing"), (_repeated_point, "strictly increasing")],
+    ids=["cut-T1", "one-point", "reversed", "repeated-point"])
+def test_segment_samples_must_match_an_increasing_grid_exit_2(
+        command, edit, message, tmp_path, capsys):
+    """A sampled segment holds one T1, T2 and T3 matrix per point of a
+    strictly increasing grid of at least two points; any other is
+    malformed input: exit 2 with one JSON parse error before the command
+    runs, rather than an IndexError, a LinAlgError or a silent load."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "3",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    obj = json.loads(sol_file.read_text())
+    obj["middle"]["constant"] = False
+    edit(obj["middle"])
+    sol_file.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(sol_file),
+                   *_CONTRACT_ARGS[command], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and message in err["message"]
+
+
+def test_constant_segment_loads_from_one_point(tmp_path, capsys):
+    """A segment flagged constant is its first sample, so one grid point
+    with one matrix each is enough."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "3",
+            "--out", str(sol_file))
+    obj = json.loads(sol_file.read_text())
+    _one_point(obj["middle"])
+    sol = bowcli.solution_from_json(obj)
+    assert sol.middle.constant and len(sol.middle.s_grid) == 1
+    obj["middle"]["s"] = []
+    with pytest.raises(bowcli.ParseError, match="needs 1 or more grid points s, got 0"):
+        bowcli.solution_from_json(obj)
+    capsys.readouterr()
+
+
 def test_diagonal_nahm_kind_reproduces_reference_curve(tmp_path, capsys):
     sol_file = tmp_path / "diag.json"
     run_cli("generate", "--kind", "diagonal-nahm", "--k", "2", "--seed", "3",
@@ -586,6 +650,47 @@ def test_backend_only_on_generate(command, capsys):
                 "--backend", "exact")
     assert exc.value.code == 2
     assert "--backend" in capsys.readouterr().err
+
+
+def _cli_result(capsys, *args):
+    """(exit code, the JSON written to --out, or the JSON error)."""
+    code = run_cli(*args)
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out or captured.err)
+
+
+@pytest.mark.parametrize("kind", ["caloron", "caloron-m0", "taubnut",
+                                  "taubnut-m0"])
+def test_fiber_and_splitting_agree_on_exact_and_f64_files(kind, tmp_path,
+                                                          capsys):
+    """The exact and f64 files of one k = 2 draw give fiber and splitting
+    the same dims, splitting types (or refusal) and exit code, with
+    margins and residuals within 1e-9: an exact file reaches both commands
+    through to_float of the exact ParamMonad and PolyMatrix."""
+    out = {}
+    for backend in ("f64", "exact"):
+        data = tmp_path / f"{backend}.json"
+        run_cli("generate", "--kind", kind, "--k", "2", "--seed", "0",
+                "--backend", backend, "--out", str(data))
+        capsys.readouterr()
+        out[backend] = [_cli_result(capsys, command, "--input", str(data),
+                                    "--points", "3")
+                        for command in ("fiber", "splitting")]
+    (f_code, f_fiber), (s_code, split) = out["f64"]
+    (f_code_e, f_fiber_e), (s_code_e, split_e) = out["exact"]
+    assert (f_code, s_code) == (f_code_e, s_code_e)
+    close = functools.partial(pytest.approx, rel=1e-9, abs=1e-9)
+    assert f_fiber["dims"] == f_fiber_e["dims"] == [2, 2, 2]
+    assert f_fiber["points"] == f_fiber_e["points"]
+    for key in ("composite_residual", "min_margin"):
+        assert f_fiber_e[key] == close(f_fiber[key])
+    if "error" in split:
+        assert split == split_e
+    else:
+        assert [(r["which"], r["type"]) for r in split["splittings"]] == \
+            [(r["which"], r["type"]) for r in split_e["splittings"]]
+        assert [r["eta"] for r in split_e["splittings"]] == \
+            [close(r["eta"]) for r in split["splittings"]]
 
 
 def _diagonal_nahm_file(tmp_path, capsys):

@@ -107,7 +107,7 @@ def _continuum_kernel(sol, pt):
     rows[3, 2], rows[3, 3] = -A_wm[1, 0], -A_wp[1, 0]
     rows[3, 4] += -Bth
     rows[3, 5] += -xi
-    return nk.rank_kernel(rows).kernel
+    return nk.rank_kernel(rows)
 
 
 def _subspace_angle(A, B):
@@ -187,7 +187,7 @@ def _weighted(dl):
 
 def _dense_kernel(dl):
     """Oracle: kernel of the whole operator by a dense SVD."""
-    return nk.rank_kernel(dl.matrix).kernel
+    return nk.rank_kernel(dl.matrix)
 
 
 def _dense_reality(dl):

@@ -15,15 +15,14 @@ fail.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
 ``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
 only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
-Fractions.  No library module reads ``.rank`` off a ``rank_kernel`` call:
-a rank alone comes from a values-only SVD cut by ``ctx.rank_cut``, without
-the kernel and cokernel bases ``rank_kernel`` builds.
+Fractions.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
 definition counts as referenced when its name is read anywhere in the
-library, the tests or the benchmark: as a name, an attribute or an
-imported name.  A definition that only the tests read fails too, unless
+library, the tests or the benchmark: a top-level one as a name, an
+attribute or an imported name, a class member as an attribute read or a
+keyword argument only.  A definition that only the tests read fails too, unless
 ``TEST_ONLY`` names it with the reason it stays.
 """
 
@@ -82,36 +81,46 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def referenced_names(sources) -> set[str]:
-    out = set()
+def referenced_names(sources) -> tuple[set[str], set[str]]:
+    """(names, members): the names read anywhere in the sources as a name,
+    an attribute or an imported name, which is how a top-level definition
+    is read, and those read as an attribute or passed as a keyword
+    argument, the only ways a class member is read.  A local variable that
+    shares a member's name reads nothing of the class."""
+    names, members = set(), set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                out.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                out.add(node.attr)
+                names.add(node.attr)
+                if isinstance(node.ctx, ast.Load):
+                    members.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg:
+                members.add(node.arg)
             elif isinstance(node, ast.alias):
-                out.add(node.name.split(".")[-1])
-    return out
+                names.add(node.name.split(".")[-1])
+    return names, members
 
 
-def unreferenced_definitions(source: str, referenced: set[str]) -> list[str]:
+def unreferenced_definitions(source: str, referenced) -> list[str]:
+    names, members = referenced
     out = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            defined = [node.name]
         elif isinstance(node, ast.Assign):
-            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
         else:
             continue
-        out += [f"{name} (line {node.lineno})" for name in names
-                if name not in referenced]
+        out += [f"{name} (line {node.lineno})" for name in defined
+                if name not in names]
         if isinstance(node, ast.ClassDef):
             # dunder names are called implicitly
             for f in node.body:
                 name = _member_name(f)
                 if (name and not (name.startswith("__") and name.endswith("__"))
-                        and name not in referenced):
+                        and name not in members):
                     out.append(f"{node.name}.{name} (line {f.lineno})")
     return out
 
@@ -148,6 +157,20 @@ def test_scanner_flags_an_unreferenced_field():
     reader = "print(Kept(1).size(), Kept.label)\n"
     refs = referenced_names([lib, reader])
     assert unreferenced_definitions(lib, refs) == ["Kept.dead (line 4)"]
+
+
+def test_scanner_flags_a_member_read_only_as_a_local_name():
+    """A member is read through an attribute or a keyword argument; a local
+    variable of the same name, or a store to the attribute, reads nothing."""
+    lib = ("@dataclass\nclass Lattice:\n    sol: int\n    point: tuple\n"
+           "    gap: float\n    h: float\n"
+           "def make(sol, point):\n    return Lattice(sol, point, 0.0, "
+           "h=0.5)\n")
+    reader = ("lat = make(1, (0, 0))\nsol, point = 1, lat.point\n"
+              "lat.gap = 2.0\nprint(sol, point)\n")
+    refs = referenced_names([lib, reader])
+    assert unreferenced_definitions(lib, refs) == ["Lattice.sol (line 3)",
+                                                   "Lattice.gap (line 5)"]
 
 
 def test_no_unreferenced_definitions():
@@ -380,32 +403,3 @@ def test_fractions_only_in_numkit_and_bowcli(path):
 def test_bowcli_parses_exact_json_without_fractions():
     """With the modules above, only numkit imports fractions."""
     assert fractions_imports((SRC / "bowcli.py").read_text()) == []
-
-
-def rank_only_kernels(source: str) -> list[str]:
-    """Every ``.rank`` read straight off a ``rank_kernel(...)`` call, by
-    name or as a module attribute."""
-    out = []
-    for node in ast.walk(ast.parse(source)):
-        if (isinstance(node, ast.Attribute) and node.attr == "rank"
-                and isinstance(node.value, ast.Call)):
-            func = node.value.func
-            name = func.attr if isinstance(func, ast.Attribute) else \
-                getattr(func, "id", None)
-            if name == "rank_kernel":
-                out.append(f"rank_kernel(...).rank (line {node.lineno})")
-    return out
-
-
-def test_scanner_flags_a_rank_read_off_rank_kernel():
-    src = ("r = nk.rank_kernel(M, ctx).rank\nk = nk.rank_kernel(M).kernel\n"
-           "rk = rank_kernel(\n    f(M), ctx,\n).rank\nq = other(M).rank\n"
-           "res = nk.rank_kernel(M)\nr2 = res.rank\n")
-    assert rank_only_kernels(src) == ["rank_kernel(...).rank (line 1)",
-                                      "rank_kernel(...).rank (line 3)"]
-
-
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
-def test_no_rank_read_off_rank_kernel(path):
-    assert rank_only_kernels(path.read_text()) == []

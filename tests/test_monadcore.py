@@ -245,36 +245,39 @@ def test_fiber_dims_matches_fiber_dim():
 _COMBOS = [(1, 0), (1, 1), (1, 2), (2, 0), (2, 1), (2, 2), (3, 0)]
 
 
-def _generator_draws():
-    """The float generator draws of both flavors and every (k, m) at seed
-    0, each with the monad a fiber request builds."""
+def _generator_draws(seed=0):
+    """The float generator draws of both flavors and every (k, m) at the
+    seed, each with the monad a fiber request builds."""
     for k, m in _COMBOS:
-        d = caloron.generate_caloron(k, m, seed=0)
+        d = caloron.generate_caloron(k, m, seed=seed)
         yield d, caloron.big_monad(d) if m else caloron.small_monad(d)
-        d = taubnut.generate_taubnut(k, m, seed=0)
+        d = taubnut.generate_taubnut(k, m, seed=seed)
         yield d, taubnut.big_monad(d)
 
 
-def _generator_monads():
-    """The monads of the float generator draws, and an exact draw after
-    to_float."""
-    for _, pm in _generator_draws():
+def _generator_monads(seed=0):
+    """The monads of the float generator draws at the seed, and an exact
+    draw (seed 4 + seed) after to_float."""
+    for _, pm in _generator_draws(seed):
         yield pm
     yield caloron.big_monad(
-        caloron.generate_caloron(2, 1, seed=4, exact=True)).to_float()
+        caloron.generate_caloron(2, 1, seed=4 + seed, exact=True)).to_float()
 
 
 def test_single_point_path_equals_the_batch():
     """evaluate, PolyMatrix.evaluate and fiber_dim at one point give the
-    values of evaluate_many and fiber_dims at that point bit for bit."""
+    values of evaluate_many and fiber_dims at that point bit for bit: on
+    the generator monads of seeds 0-2 at 37 points each, 1,665 points."""
     rng = np.random.default_rng(19)
-    pts = mc.random_chart_points(12, rng) + [(0.0, 0.0), (1.5, 0.0), (2, -1)]
-    for pm in _generator_monads():
+    # 37 points; the last 22 come from their own generator, so rng still
+    # draws the same dense maps below
+    pts = (mc.random_chart_points(12, rng) + [(0.0, 0.0), (1.5, 0.0), (2, -1)]
+           + mc.random_chart_points(22, np.random.default_rng(20)))
+    for pm in (pm for seed in range(3) for pm in _generator_monads(seed)):
         alpha, beta, residual = pm.evaluate_many(pts)
         dims = mc.fiber_dims(pm, pts)[0]
         for i, p in enumerate(pts):
             one = pm.evaluate(p)
-            assert one.point == p
             assert np.array_equal(one.alpha, alpha[i])
             assert np.array_equal(one.beta, beta[i])
             assert one.residual == residual[i]
@@ -392,12 +395,12 @@ def _old_counts(pm, line, d, ctx=nk.DEFAULT_CTX):
                                                          system.ruling, d)
     h0 = h1 = 0
     if plan.lay2.size:
-        kern = nk.rank_kernel(system._matrix(plan.E), ctx).kernel
+        kern = nk.rank_kernel(system._matrix(plan.E), ctx)
         Aim = system._matrix(plan.Aim, strict=True)
         h0 = nk._quotient_decision(kern, Aim, ctx)[2]
     if plan.lay1_h1.size:
         ker_h1 = np.eye(plan.lay1_h1.size, dtype=complex) if plan.H is None \
-            else nk.rank_kernel(system._matrix(plan.H), ctx).kernel
+            else nk.rank_kernel(system._matrix(plan.H), ctx)
         if ker_h1.shape[1]:
             h1 = ker_h1.shape[1] - _old_connecting_rank(system, plan, ker_h1,
                                                         ctx)
@@ -414,10 +417,22 @@ def _old_connecting_rank(system, plan, ker_h1, ctx):
     if not d2_vals.size or np.max(np.abs(d2_vals)) <= mc._D2_TOL * scale:
         return 0
     proj = d2_vals if middle is None else \
-        nk.rank_kernel(system._matrix(middle), ctx).cokernel.conj().T @ d2_vals
+        _left_kernel(system._matrix(middle), ctx).conj().T @ d2_vals
     if not proj.size or np.max(np.abs(proj)) <= mc._D2_TOL * scale:
         return 0
-    return nk.rank_kernel(proj, ctx).rank
+    return proj.shape[1] - nk.rank_kernel(proj, ctx).shape[1]
+
+
+def _left_kernel(M, ctx):
+    """The left kernel of M as the trailing left singular vectors of its
+    full SVD, past the rank of the cut; the identity for an empty or zero
+    M."""
+    if not M.size:
+        return np.eye(M.shape[0], dtype=complex)
+    U, s, _ = np.linalg.svd(M)
+    if s[0] == 0.0:
+        return np.eye(M.shape[0], dtype=complex)
+    return U[:, ctx.rank_cut(s.tolist())[0]:]
 
 
 def _counted_or_refused(count, *args):

@@ -42,7 +42,7 @@ def test_su2_irrep_m3_casimir():
 def test_su2_irrep_commutant_is_scalar(m):
     rho = nb.su2_irrep(m)
     rows = [np.kron(np.eye(m), r) - np.kron(r.T, np.eye(m)) for r in rho]
-    null = nk.rank_kernel(np.vstack(rows)).kernel
+    null = nk.rank_kernel(np.vstack(rows))
     assert null.shape[1] == 1         # Schur: commutant is scalars
     for r in rho:
         assert np.max(np.abs(r - r.conj().T)) < 1e-12
