@@ -53,22 +53,13 @@ def _num_from_json(obj, exact: bool):
             raise ParseError(f"expected fraction pair, got {obj!r}")
         return _ratio_from_json(obj["re"]), _ratio_from_json(obj["im"])
     if not (isinstance(obj, list) and len(obj) == 2
-            and all(map(_is_finite_real, obj))):
+            and _finite_reals(obj) is not None):
         raise ParseError(f"expected [re, im] of finite reals, got {obj!r}")
     return complex(obj[0], obj[1])
 
 
-def _is_finite_real(v) -> bool:
-    """A finite JSON number: an int or a float, not a bool, a string or an
-    int beyond the float range."""
-    try:
-        return type(v) in (int, float) and math.isfinite(v)
-    except OverflowError:
-        return False
-
-
 def _real_from_json(v, what: str) -> float:
-    if not _is_finite_real(v):
+    if _finite_reals([v]) is None:
         raise ParseError(f"{what} must be a finite number, got {v!r}")
     return float(v)
 
@@ -127,8 +118,9 @@ def _f64_entries(entries: list) -> np.ndarray:
 
 
 def _finite_reals(values: list) -> np.ndarray | None:
-    """The JSON numbers ``values`` as one float array when each one is
-    finite (see ``_is_finite_real``); None otherwise."""
+    """The JSON numbers ``values`` as one float array when each one is a
+    finite number, an int or a float (not a bool, a string or an int
+    beyond the float range); None otherwise."""
     if not set(map(type, values)) <= {int, float}:
         return None
     try:
@@ -243,15 +235,21 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
                 grid = np.array([_real_from_json(v, "a grid point s")
                                  for v in s], dtype=float)
             constant = bool(o.get("constant", False))
+            kind = "constant" if constant else "sampled"
             # interpolation needs two points; a constant segment reads one
             least = 1 if constant else 2
             if len(grid) < least:
-                raise ParseError(f"a {'constant' if constant else 'sampled'} "
-                                 f"segment needs {least} or more grid "
-                                 f"points s, got {len(grid)}")
+                raise ParseError(f"a {kind} segment needs {least} or more "
+                                 f"grid points s, got {len(grid)}")
             if not (np.diff(grid) > 0).all():
                 raise ParseError("a segment's grid s must be strictly "
                                  "increasing")
+            s0 = _real_from_json(o["s0"], "s0")
+            s1 = _real_from_json(o["s1"], "s1")
+            if not ((s0 <= grid[0] and grid[-1] <= s1) if constant
+                    else (grid[0] == s0 and grid[-1] == s1)):
+                raise ParseError(f"a {kind} segment's grid s must " + (
+                    "lie in [s0, s1]" if constant else "run from s0 to s1"))
 
             def mk(key):
                 """The key's samples as one (n, rank, rank) stack."""
@@ -265,10 +263,8 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
                 return _f64_entries(list(chain.from_iterable(
                     chain.from_iterable(Ts)))).reshape(len(Ts), rank, rank)
 
-            return nahmbow.Segment(_real_from_json(o["s0"], "s0"),
-                                   _real_from_json(o["s1"], "s1"), rank, grid,
-                                   mk("T1"), mk("T2"), mk("T3"),
-                                   constant=constant)
+            return nahmbow.Segment(s0, s1, rank, grid, mk("T1"), mk("T2"),
+                                   mk("T3"), constant=constant)
 
         k, m = rep.k, rep.m
         sol = nahmbow.NahmSolution(
@@ -323,12 +319,24 @@ def _write_csv(rows, header, out_path):
             f.close()
 
 
-def _monad_for(data, ctx):
+def _load_for(command: str, path: str, solution: bool):
+    """The data file at path for a command that reads a nahmsolution file
+    (``solution``) or matrix data; a file of the other kind raises
+    ParseError."""
+    data = load_file(path)
+    if isinstance(data, nahmbow.NahmSolution) != solution:
+        raise ParseError(f"{command} expects " + (
+            "a nahmsolution file" if solution else "matrix data"))
+    return data
+
+
+def _monad_for(command: str, path: str, ctx):
+    """The matrix data file at path and its float monad, for the fiber and
+    splitting commands."""
+    data = _load_for(command, path, False)
     if isinstance(data, _TAUBNUT):
-        return taubnut.big_monad(data, ctx).to_float()
-    if isinstance(data, _CALORON):
-        return caloron.small_monad(data, ctx).to_float()
-    raise ParseError(f"expected matrix data, got {type(data).__name__}")
+        return data, taubnut.big_monad(data, ctx).to_float()
+    return data, caloron.small_monad(data, ctx).to_float()
 
 
 # ---------------------------------------------------------------------------
@@ -341,19 +349,16 @@ def cmd_validate(args) -> int:
         report = nahmbow.check_boundary(data, args.ctx)
     elif isinstance(data, _CALORON):
         report = caloron.validate(data, args.ctx)
-    elif isinstance(data, _TAUBNUT):
-        report = taubnut.validate(data, args.ctx)
     else:
-        raise ParseError("validate expects matrix data or a nahmsolution file")
+        report = taubnut.validate(data, args.ctx)
     _write_out(report.to_json(), args.out)
     print(report.render(), file=sys.stderr)
     return 0 if report.passed else 1
 
 
 def cmd_fiber(args) -> int:
-    data = load_file(args.input)
     ctx = args.ctx
-    pm = _monad_for(data, ctx)
+    _, pm = _monad_for("fiber", args.input, ctx)
     rng = np.random.default_rng(args.seed)
     pts = monadcore.random_chart_points(args.points, rng)
     dims, margins = monadcore.fiber_dims(pm, pts, ctx)
@@ -366,9 +371,8 @@ def cmd_fiber(args) -> int:
 
 
 def cmd_splitting(args) -> int:
-    data = load_file(args.input)
     ctx = args.ctx
-    pm = _monad_for(data, ctx)
+    data, pm = _monad_for("splitting", args.input, ctx)
     spec = np.linalg.eigvals(nk.to_float(data.B0))
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -392,9 +396,7 @@ def cmd_splitting(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    data = load_file(args.input)
-    if not isinstance(data, nahmbow.NahmSolution):
-        raise ParseError("spectral expects a nahmsolution file")
+    data = _load_for("spectral", args.input, True)
     curve = nahmbow.spectral_curve(data, which=args.which,
                                    zeta_samples=args.zeta_samples)
     rows = [[i, j, c.real, c.imag]
@@ -408,16 +410,11 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_nahm_flow(args) -> int:
-    data = load_file(args.input)
-    if not isinstance(data, nahmbow.NahmSolution):
-        raise ParseError("nahm-flow expects a nahmsolution file")
-    seg = data.middle
+    seg = _load_for("nahm-flow", args.input, True).middle
     t1, t2, t3 = seg.at(seg.s0)
-    zetas = [0.0, 0.5, -1.0, 1j, 2.0]
-    flowed = nahmbow.flow(t1, t2, t3, seg.s0, seg.s1, args.step,
-                          zeta_checks=zetas)
-    rows = [[s, d] for s, d in zip(flowed.s_grid,
-                                   nahmbow.charpoly_drift(flowed, zetas))]
+    flowed = nahmbow.flow(t1, t2, t3, seg.s0, seg.s1, args.step)
+    rows = [[s, d] for s, d in zip(flowed.s_grid, nahmbow.charpoly_drift(
+        flowed, nahmbow.DRIFT_ZETAS))]
     _write_csv(rows, ["s", "charpoly_drift"], args.out)
     print(_dumps({"drift": flowed.drift, "steps": len(flowed.s_grid)}),
           file=sys.stderr)
@@ -427,18 +424,18 @@ def cmd_nahm_flow(args) -> int:
 def cmd_dirac(args) -> int:
     """Kernel statistics at sampled points; with --points 0 a refinement
     trace (grid, h, dim, gap, reality, min_eig) at one seeded point."""
-    sol = load_file(args.input)
-    if not isinstance(sol, nahmbow.NahmSolution):
-        raise ParseError("dirac expects a nahmsolution file")
+    sol = _load_for("dirac", args.input, True)
     ctx = args.ctx
     rng = np.random.default_rng(args.seed)
+    # one seeded chart point (xi, psi): re then im of xi, then of psi
+    point = lambda: tuple(complex(rng.standard_normal() + 1j *
+                                  rng.standard_normal()) for _ in range(2))
     if args.points == 0:
         if args.grid < 32 or args.grid % 4:
             raise ParseError("refinement needs --grid >= 32 and divisible "
                              "by 4 so that the three grids halve h at each "
                              "step")
-        xi = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        psi = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        xi, psi = point()
         grids = [args.grid // 4, args.grid // 2, args.grid]
         trace = diraclattice.refinement_study(sol, (xi, psi), grids, ctx)
         rows = [[t["grid"], t["h"], t["dim"], t["gap"], t["reality"],
@@ -451,8 +448,7 @@ def cmd_dirac(args) -> int:
     results = []
     spectra = []
     for _ in range(args.points):
-        xi = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        psi = complex(rng.standard_normal() + 1j * rng.standard_normal())
+        xi, psi = point()
         dl = diraclattice.assemble(sol, (xi, psi), args.grid)
         dim, _, gap = diraclattice.kernel(dl, ctx)
         if args.out:
@@ -490,20 +486,18 @@ def _json_safe(x):
 
 
 def cmd_roundtrip(args) -> int:
-    data = load_file(args.input)
+    data = _load_for("roundtrip", args.input, False)
     ctx = args.ctx
     if isinstance(data, _CALORON):
         back = caloron.from_nahm_complex(caloron.to_nahm_complex(data, ctx))
         pairs = [("B", data.B0, back.B0),
                  ("monodromy", data.monodromy, back.monodromy) if data.m
                  else ("B1", data.B1, back.B1)]
-    elif isinstance(data, _TAUBNUT):
+    else:
         back = taubnut.from_bow_complex(taubnut.to_bow_complex(data, ctx))
         pairs = [("B0", data.B0, back.B0), ("B1", data.B1, back.B1),
                  ("monodromy", data.monodromy, back.monodromy) if data.m
                  else ("A", data.A, back.A)]
-    else:
-        raise ParseError("roundtrip expects matrix data")
     entries = []
     worst = 0.0
     for name, before, after in pairs:

@@ -216,19 +216,15 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     invertibility of the transport matrix).  All three pencil rows are
     decided by one search, `numkit.common_eigenvector_obstruction`, through
     `_add_obstruction_check`."""
-    report = ValidationReport()
-    B = data.B0
-    _add_relation_checks(report, data)
-    _add_obstruction_check(report, "stacked_pencil_injective",
-                           data.A, B, data.D, ctx)
+    report = _opening_rows(data, ctx)
     _add_obstruction_check(report, "row_pencil_surjective",
-                           _t(data.A), _t(B), _t(data.C), ctx)
+                           _t(data.A), _t(data.B0), _t(data.C), ctx)
 
     if isinstance(data, CaloronData):
         # [Y | eta - M] loses row rank exactly where a left eigenvector of
         # the normal form M kills Y: a common eigenvector of (0, M^T) in the
         # kernel of Y^T, with xi = 0
-        Y, M = _mixed_pencil_left(data), data.normal_form
+        Y, M = _gluing(data)[3], data.normal_form
         _add_obstruction_check(report, "mixed_pencil_surjective",
                                nk.zeros_like_backend(*M.shape, data.exact),
                                _t(M), _t(Y), ctx)
@@ -239,11 +235,12 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     return report
 
 
-def _add_relation_checks(report, data):
-    """One row per relation residual of the data, named by the data's
-    relation_names and valued by its norm: it passes when the residual is
-    zero on the exact backend, and when the norm is below
-    1e-10 max(|A|, |B0|, 1) on floats."""
+def _opening_rows(data, ctx):
+    """A report with the rows both flavors open with: one per relation
+    residual, named by the data's relation_names and valued by its norm
+    (zero on the exact backend, below 1e-10 max(|A|, |B0|, 1) on floats),
+    then stacked_pencil_injective of (A - xi; B0 - eta; D)."""
+    report = ValidationReport()
     if not data.exact:
         scale = max(nk.mat_norm(data.A), nk.mat_norm(data.B0), 1.0)
     for name, r in zip(data.relation_names, data.relation_residuals(),
@@ -251,6 +248,9 @@ def _add_relation_checks(report, data):
         res = nk.mat_norm(r)
         report.add(name, nk.is_zero_matrix(r) if data.exact
                    else res < 1e-10 * scale, res)
+    _add_obstruction_check(report, "stacked_pencil_injective",
+                           data.A, data.B0, data.D, ctx)
+    return report
 
 
 def _add_obstruction_check(report, name, A, B, D, ctx):
@@ -306,22 +306,24 @@ def _gluing(data):
     return Wm, Wp, Ym1, nk.block(Yp1)
 
 
-def _mixed_pencil_left(data):
-    """The gluing row Y+1 = (A, C2; A', C2') of `_gluing`."""
-    return _gluing(data)[3]
-
-
 # ---------------------------------------------------------------------------
 # monads
+
+
+def _require_valid(validate, data, ctx, validated):
+    """The report ``validated``, or ``validate(data, ctx)`` of the flavor's
+    validate when that is None; BuildRefused unless it passes."""
+    report = validated if validated is not None else validate(data, ctx)
+    if not report.passed:
+        raise BuildRefused("data fails validation:\n" + report.render())
+    return report
 
 
 def small_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
                 validated: ValidationReport | None = None) -> ParamMonad:
     """Standard monad with column ranks (k, 2k+2, k) on the (xi, eta)
     chart; works for both flavors (m = 0 uses B0)."""
-    report = validated if validated is not None else validate(data, ctx)
-    if not report.passed:
-        raise BuildRefused("data fails validation:\n" + report.render())
+    _require_valid(validate, data, ctx, validated)
     k = data.k
     exact = data.exact
     B = data.B0
@@ -349,9 +351,7 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
     """Fused monad with the shift-structure blocks (m > 0)."""
     if not isinstance(data, CaloronData):
         raise BuildRefused("the fused monad needs the m > 0 data flavor")
-    report = validated if validated is not None else validate(data, ctx)
-    if not report.passed:
-        raise BuildRefused("data fails validation:\n" + report.render())
+    _require_valid(validate, data, ctx, validated)
     k, m = data.k, data.m
     exact = data.exact
     cols = ([BlockSpec("Up", o_pp(-1, 0), k),
@@ -408,9 +408,7 @@ def to_nahm_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     is the one datum the endomorphisms do not determine when C2 = 0, and
     from_nahm_complex reads it from J_plus.
     """
-    report = validated if validated is not None else validate(data, ctx)
-    if not report.passed:
-        raise BuildRefused("data fails validation:\n" + report.render())
+    _require_valid(validate, data, ctx, validated)
     if isinstance(data, CaloronData):
         return _bow_complex(data, nk.eye_like_backend(data.k, data.exact),
                             data.B)
@@ -507,25 +505,27 @@ def generate_caloron(k: int, m: int, seed: int = 0, exact: bool = False,
     entry.  m >= 1 needs D (2 x k) of full row rank, which limits the
     solver to k <= 2 there; rejected draws are retried.
     """
-    m = _generator_sizes(k, m)
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        data = _draw_caloron(k, m, rng, exact)
-        if data is None:
-            continue
-        if validate(data).passed:
-            return data
-    raise NoValidDraw(f"no validated caloron draw for k={k}, m={m}, seed={seed}")
+    return _first_valid_draw(_draw_caloron, validate, "caloron draw", k, m,
+                             seed, exact, max_tries)
 
 
-def _generator_sizes(k: int, m: int) -> int:
-    """|m| for the generators of both flavors; k below 1, or k above 2 with
-    m != 0, raises ValueError before any draw."""
+def _first_valid_draw(draw, validate, what: str, k: int, m: int, seed: int,
+                      exact: bool, max_tries: int):
+    """Both flavors' generator loop: the first of max_tries draws
+    ``draw(k, |m|, rng, exact)`` from one seeded rng that is not None and
+    passes ``validate``, else NoValidDraw naming ``what``.  k below 1, or
+    k above 2 with m != 0, raises ValueError before any draw."""
     if k < 1:
         raise ValueError(f"generator needs k >= 1, got k={k}")
     if m and k > 2:
         raise ValueError("generator supports m >= 1 only for k <= 2")
-    return abs(m)
+    m = abs(m)
+    rng = np.random.default_rng(seed)
+    for _ in range(max_tries):
+        data = draw(k, m, rng, exact)
+        if data is not None and validate(data).passed:
+            return data
+    raise NoValidDraw(f"no validated {what} for k={k}, m={m}, seed={seed}")
 
 
 def _draw_ints(rng, shape, lo=-4, hi=5):

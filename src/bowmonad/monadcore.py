@@ -591,11 +591,14 @@ def fiber_dims(pm: ParamMonad, points, ctx: ToleranceContext = DEFAULT_CTX):
     if refused.size:
         i = refused[0]
         _check_residual(float(res[i]), alpha[i], beta[i])
-    rank_a, margin_a = _fast_rank(alpha, ctx)
-    rank_b, margin_b = _fast_rank(beta, ctx)
+    # one values-only SVD of each stack, then the cut of each matrix (rank
+    # 0 and margin inf where it is empty)
+    cut_a, cut_b = ([ctx.rank_cut(s) for s in
+                     np.linalg.svd(M, compute_uv=False).tolist()]
+                    for M in (alpha, beta))
     n2 = alpha.shape[1]
-    return ([n2 - rb - ra for ra, rb in zip(rank_a, rank_b)],
-            [min(ga, gb) for ga, gb in zip(margin_a, margin_b)])
+    return ([n2 - rb - ra for (ra, _), (rb, _) in zip(cut_a, cut_b)],
+            [min(ga, gb) for (_, ga), (_, gb) in zip(cut_a, cut_b)])
 
 
 def fiber_dim(m: MonadAtPoint, ctx: ToleranceContext = DEFAULT_CTX) -> int:
@@ -689,14 +692,6 @@ def _full_rank_certified(alpha, beta, ctx: ToleranceContext) -> bool:
     except np.linalg.LinAlgError:
         return False
     return True
-
-
-def _fast_rank(M: np.ndarray, ctx: ToleranceContext):
-    """Ranks and margins of a stack of float matrices: one values-only SVD,
-    then the cut of each (rank 0 and margin inf where a matrix is empty)."""
-    cuts = [ctx.rank_cut(s) for s in
-            np.linalg.svd(M, compute_uv=False).tolist()]
-    return [r for r, _ in cuts], [g for _, g in cuts]
 
 
 # ---------------------------------------------------------------------------

@@ -201,8 +201,12 @@ def _zeta_nodes(zetas) -> np.ndarray:
     return z
 
 
+# the zetas at which flow and the CLI's nahm-flow watch the drift
+DRIFT_ZETAS = (0.0, 0.5, -1.0, 1j, 2.0)
+
+
 def flow(T1, T2, T3, s0: float, s1: float, step: float,
-         zeta_checks=(0.0, 0.5, -1.0, 1j, 2.0), drift_tol: float = 1e-6,
+         zeta_checks=DRIFT_ZETAS, drift_tol: float = 1e-6,
          lam_points=(), pole_guard: float = 0.0) -> Segment:
     """RK4 integration of the flow on [s0, s1]; characteristic coefficients
     of the Lax matrix are monitored at the given zeta samples and a drift
@@ -375,14 +379,9 @@ def solution_k1_m0(rep: BowRepresentation, Bth: complex, Bht: complex,
     z = Bth * Bht
     t = np.array([z.real, z.imag, (abs(Bth) ** 2 - abs(Bht) ** 2) / 2.0])
     u3 = t[2] + abs(j_minus) ** 2 / 2.0
-    mk = lambda v: np.array([[v]], dtype=complex)
-    lm, lp = rep.lam_minus, rep.lam_plus
-    head = constant_segment(-rep.ell / 2, lm, mk(t[0]), mk(t[1]), mk(t[2]), 33)
-    mid = constant_segment(lm, lp, mk(t[0]), mk(t[1]), mk(u3), 33)
-    tail = constant_segment(lp, rep.ell / 2, mk(t[0]), mk(t[1]), mk(t[2]), 33)
-    return NahmSolution(rep, head, mid, tail, mk(Bth), mk(Bht),
-                        I_minus=mk(0.0), J_minus=mk(j_minus),
-                        I_plus=mk(abs(j_minus)), J_plus=mk(0.0))
+    return _k1_solution(rep, t, [_k1(t[0]), _k1(t[1]), _k1(u3)], Bth, Bht,
+                        I_minus=_k1(0.0), J_minus=_k1(j_minus),
+                        I_plus=_k1(abs(j_minus)), J_plus=_k1(0.0))
 
 
 def solution_k1_m1(rep: BowRepresentation, mu1, mu2, weight: float = 0.5,
@@ -412,15 +411,27 @@ def solution_k1_m1(rep: BowRepresentation, mu1, mu2, weight: float = 0.5,
     x = t[2] + np.sqrt(t[2] ** 2 + abs(z) ** 2)
     Bth = np.sqrt(x) * np.exp(0.3j)
     Bht = z / Bth
-    mk = lambda v: np.array([[v]], dtype=complex)
+    return _k1_solution(rep, t, Tmid, Bth, Bht, i_minus=np.stack([v_minus]).T,
+                        i_plus=np.stack([v_plus]).T)
+
+
+def _k1(v) -> np.ndarray:
+    """The scalar v as a 1 x 1 complex matrix."""
+    return np.array([[v]], dtype=complex)
+
+
+def _k1_solution(rep: BowRepresentation, t, Tmid, Bth, Bht,
+                 **decorations) -> NahmSolution:
+    """The k = 1 solution of the closed forms: the outer triple t on head
+    and tail, the triple Tmid on the middle, each constant on 33 samples,
+    the edge (Bth, Bht) and the boundary decorations as given."""
     lm, lp = rep.lam_minus, rep.lam_plus
-    head = constant_segment(-rep.ell / 2, lm, mk(t[0]), mk(t[1]), mk(t[2]), 33)
+    outer = [_k1(v) for v in t]
+    head = constant_segment(-rep.ell / 2, lm, *outer, 33)
     mid = constant_segment(lm, lp, *Tmid, 33)
-    tail = constant_segment(lp, rep.ell / 2, mk(t[0]), mk(t[1]), mk(t[2]), 33)
-    im = np.stack([v_minus]).T
-    ip = np.stack([v_plus]).T
-    return NahmSolution(rep, head, mid, tail, mk(Bth), mk(Bht),
-                        i_minus=im, i_plus=ip)
+    tail = constant_segment(lp, rep.ell / 2, *outer, 33)
+    return NahmSolution(rep, head, mid, tail, _k1(Bth), _k1(Bht),
+                        **decorations)
 
 
 def diagonal_solution(rep: BowRepresentation, points) -> Segment:
@@ -436,10 +447,14 @@ def diagonal_solution(rep: BowRepresentation, points) -> Segment:
 # boundary report
 
 
-def _zeta_coeffs_of_product(L, R):
-    """(L0 + z L1)(R0 + z R1) -> coefficients of z^0, z^1, z^2."""
-    (L0, L1), (R0, R1) = L, R
-    return (L0 @ R0, L0 @ R1 + L1 @ R0, L1 @ R1)
+def _lax_residual(T, L, R) -> float:
+    """The largest entry of A(z) = T1 + i T2 - 2 T3 z - (T1 - i T2) z^2
+    minus the product (L0 + z L1)(R0 + z R1), over the coefficients of
+    z^0, z^1 and z^2: the residual of one Lax identity."""
+    (t1, t2, t3), (L0, L1), (R0, R1) = T, L, R
+    want = (t1 + 1j * t2, -2 * t3, -(t1 - 1j * t2))
+    got = (L0 @ R0, L0 @ R1 + L1 @ R0, L1 @ R1)
+    return max(float(np.max(np.abs(w - g))) for w, g in zip(want, got))
 
 
 def check_boundary(sol: NahmSolution,
@@ -465,10 +480,7 @@ def check_boundary(sol: NahmSolution,
              ((Bth, Bht.conj().T), (Bht, -Bth.conj().T))),
             ("bifundamental_head", sol.head, -rep.ell / 2,
              ((Bht, -Bth.conj().T), (Bth, Bht.conj().T)))):
-        t1, t2, t3 = seg.at(s)
-        want = (t1 + 1j * t2, -2 * t3, -(t1 - 1j * t2))
-        got = _zeta_coeffs_of_product(*prod)
-        res = max(float(np.max(np.abs(w - g))) for w, g in zip(want, got))
+        res = _lax_residual(seg.at(s), *prod)
         report.add(name, res < 1e-10, res)
 
     if m == 0:
@@ -484,9 +496,7 @@ def check_boundary(sol: NahmSolution,
             outer = (sol.head if sign > 0 else sol.tail).at(s)
             # sign > 0: A^1 - A^0 at lam_minus; sign < 0: A^1 - A^0 = -(...)
             diff = [sign * (i - o) for i, o in zip(inner, outer)]
-            want = (diff[0] + 1j * diff[1], -2 * diff[2], -(diff[0] - 1j * diff[1]))
-            got = _zeta_coeffs_of_product((I, -J.conj().T), (J, I.conj().T))
-            res = max(float(np.max(np.abs(w - g))) for w, g in zip(want, got))
+            res = _lax_residual(diff, (I, -J.conj().T), (J, I.conj().T))
             report.add(name, res < 1e-10, res)
     else:
         # continuing components match across the lambda points

@@ -680,18 +680,14 @@ class CheckResult:
 
 
 def _jsonable(x):
+    """A certificate (tuples of complex values, arrays and bools) as JSON
+    values: each complex as [re, im], each array as nested lists."""
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
     if isinstance(x, complex):
         return [x.real, x.imag]
     if isinstance(x, np.ndarray):
         return _jsonable(to_float(x).tolist())
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
-    if isinstance(x, np.complexfloating):
-        return [x.real.item(), x.imag.item()]
     return x
 
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import numkit as nk
-from .caloron import (M0Tuple, MposTuple, NoValidDraw, _add_invertibility_check,
-                      _add_obstruction_check, _add_relation_checks,
+from .caloron import (M0Tuple, MposTuple, _add_invertibility_check,
                       _bow_complex, _draw_ints, _e_minus_col, _e_plus_row,
-                      _generator_sizes, _gluing, _mixed_pencil_left, _pack,
-                      _read_back_m0, _read_normal_form, _solve_commutator,
-                      _solve_cprime)
+                      _first_valid_draw, _gluing, _opening_rows, _pack,
+                      _read_back_m0, _read_normal_form, _require_valid,
+                      _solve_commutator, _solve_cprime)
 from .monadcore import TWISTS, BlockSpec, ParamMonad, block_starts
 from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
                       TransportSingular, _inv, _normalize_pair, _off,
@@ -28,8 +27,20 @@ from .nahmbow import (BowComplexTN, BuildRefused, NotInNormalForm,
 from .numkit import DEFAULT_CTX, ToleranceContext, ValidationReport
 
 
+class _EdgeTuple:
+    """B0 = Bht Bth and B1 = Bth Bht of both Taub-NUT data classes."""
+
+    @property
+    def B0(self):
+        return nk.mat_mul(self.Bht, self.Bth)
+
+    @property
+    def B1(self):
+        return nk.mat_mul(self.Bth, self.Bht)
+
+
 @dataclass
-class TaubNutData(MposTuple):
+class TaubNutData(_EdgeTuple, MposTuple):
     """Matrix tuple for magnetic charge m > 0 with edge factors Bht, Bth:
     the tuple core with B0 = Bht Bth and B1 = Bth Bht."""
 
@@ -44,17 +55,9 @@ class TaubNutData(MposTuple):
     Bprime: np.ndarray
     Cprime: np.ndarray
 
-    @property
-    def B0(self):
-        return nk.mat_mul(self.Bht, self.Bth)
-
-    @property
-    def B1(self):
-        return nk.mat_mul(self.Bth, self.Bht)
-
 
 @dataclass
-class TaubNutDataM0(M0Tuple):
+class TaubNutDataM0(_EdgeTuple, M0Tuple):
     """m = 0 flavor: the m = 0 core whose rank-one jump is realized through
     the edge, B_th B_ht = B0 - C1 D1."""
 
@@ -66,14 +69,6 @@ class TaubNutDataM0(M0Tuple):
     D: np.ndarray
 
     relation_names = ("relation_1", "edge_jump")
-
-    @property
-    def B0(self):
-        return nk.mat_mul(self.Bht, self.Bth)
-
-    @property
-    def B1(self):
-        return nk.mat_mul(self.Bth, self.Bht)
 
     def relation_residuals(self):
         r_edge = self.B1 - (self.B0 - nk.mat_mul(self.C1, self.D[0:1, :]))
@@ -102,10 +97,7 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     close to singular for that, the pointwise rows fail undecided.  For
     float data the report keeps the fused monad that the pointwise rows
     built (None when it could not be built) as ``built``, for big_monad."""
-    report = ValidationReport()
-    _add_relation_checks(report, data)
-    _add_obstruction_check(report, "stacked_pencil_injective",
-                           data.A, data.B0, data.D, ctx)
+    report = _opening_rows(data, ctx)
 
     fdata = _float_data(data)
     gluing = _gluing(fdata)
@@ -225,10 +217,7 @@ def big_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
     drops it, so a second build from that report builds afresh.  The
     monad is the one of the data as validated: data edited in place after
     ``validate`` must be validated again."""
-    if validated is None:
-        validated = validate(data, ctx)
-    if not validated.passed:
-        raise BuildRefused("data fails validation:\n" + validated.render())
+    validated = _require_valid(validate, data, ctx, validated)
     made_from, pm = validated.built or (None, None)
     if made_from is not data or pm is None:
         return _big_monad_unchecked(data)
@@ -367,7 +356,7 @@ def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
         (0, 0, at["T1"], at["Vm"] + km, -data.C1),
         (0, 0, at["T1"] + k, at["Vm"] + k, nk.eye_like_backend(m, exact)),
         (0, 0, at["T1"] + k, at["Vm"] + km, -data.Cprime[:, 0:1]),
-        (0, 0, at["T1"], at["Vp"], _mixed_pencil_left(data)),
+        (0, 0, at["T1"], at["Vp"], _gluing(data)[3]),
         (0, 0, at["T10"], at["Vm"], eyek),
         (1, 1, at["T10"], at["S10"], eyek),
         (0, 0, at["T10"], at["S10"], -B1),
@@ -409,9 +398,7 @@ def to_bow_complex(data, ctx: ToleranceContext = DEFAULT_CTX,
     B0 - A^-1 mid A = -A^-1 C2 D2 at lambda_minus, stored as the normalized
     pairs (C1, D1 (A^-1 - 1)) and (-A^-1 C2, D2).
     """
-    report = validated if validated is not None else validate(data, ctx)
-    if not report.passed:
-        raise BuildRefused("data fails validation:\n" + report.render())
+    _require_valid(validate, data, ctx, validated)
     if data.m:
         return _bow_complex(data, data.Bth, data.Bht)
     Ainv, mid, jump_row = data.middle_jump()
@@ -473,19 +460,13 @@ def generate_taubnut(k: int, m: int, seed: int = 0, exact: bool = False,
     """Random validated Taub-NUT data at desk scale (k <= 2 for m >= 1, any
     small k for m = 0).  Negative m folds onto its positive representative
     under the rank swap."""
-    m = _generator_sizes(k, m)
-    rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        data = _draw_taubnut(k, m, rng, exact) if m else \
-            _draw_taubnut_m0(k, rng, exact)
-        if data is None:
-            continue
-        if validate(data).passed:
-            return data
-    raise NoValidDraw(f"no validated draw for k={k}, m={m}, seed={seed}")
+    return _first_valid_draw(_draw_taubnut, validate, "draw", k, m, seed,
+                             exact, max_tries)
 
 
 def _draw_taubnut(k: int, m: int, rng, exact: bool):
+    if m == 0:
+        return _draw_taubnut_m0(k, rng, exact)
     Bht = _draw_ints(rng, (k, k))
     Bth = _draw_ints(rng, (k, k))
     A = _draw_ints(rng, (k, k))

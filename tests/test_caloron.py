@@ -364,7 +364,7 @@ def test_mixed_pencil_verdict_agrees_with_svd_oracle(exact):
             data = cal._draw_caloron(k, m, rng, exact)
             if data is None:
                 continue
-            Y = nk.to_float(cal._mixed_pencil_left(data))
+            Y = nk.to_float(cal._gluing(data)[3])
             M = nk.to_float(data.normal_form)
             scale = np.linalg.norm(np.hstack([Y, M]))
             drops = any(np.linalg.svd(np.hstack([Y, eta * np.eye(k + m) - M]),

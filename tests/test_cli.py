@@ -447,6 +447,86 @@ def test_segment_samples_must_match_an_increasing_grid_exit_2(
     assert err["type"] == "parse" and message in err["message"]
 
 
+@pytest.mark.parametrize("command", ["validate", "spectral", "nahm-flow",
+                                     "dirac"])
+@pytest.mark.parametrize("constant, message", [
+    (False, "sampled segment's grid s must run from s0 to s1"),
+    (True, "constant segment's grid s must lie in [s0, s1]")],
+    ids=["sampled", "constant"])
+def test_segment_grid_must_sit_on_its_interval_exit_2(
+        command, constant, message, tmp_path, capsys):
+    """A sampled segment's grid starts at s0 and ends at s1, and a constant
+    segment's grid lies in [s0, s1]: a middle grid shifted by +10 is
+    malformed input, exit 2 with one JSON parse error, rather than a load
+    that reads every s at the grid's clamped end."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "3",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    obj = json.loads(sol_file.read_text())
+    obj["middle"]["constant"] = constant
+    obj["middle"]["s"] = [s + 10 for s in obj["middle"]["s"]]
+    sol_file.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(sol_file),
+                   *_CONTRACT_ARGS[command], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and message in err["message"]
+
+
+def test_constant_segment_grid_inside_its_interval_loads(tmp_path, capsys):
+    """A constant segment reads its first sample anywhere on [s0, s1], so a
+    grid strictly inside the interval loads."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "3",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    obj = json.loads(sol_file.read_text())
+    assert obj["middle"]["constant"]
+    obj["middle"]["s"] = obj["middle"]["s"][1:-1]
+    for key in ("T1", "T2", "T3"):
+        obj["middle"][key] = obj["middle"][key][1:-1]
+    sol = bowcli.solution_from_json(obj)
+    assert len(sol.middle.s_grid) == 31
+
+
+# data files refused before any check, each by its own rule: an unknown
+# kind or backend, a missing matrix field, a top level that is not an
+# object, and an exact entry that is not a fraction pair; each edit maps a
+# generated file's object to the refused file's top level
+_REFUSED_FILES = [
+    ("f64", lambda obj: {**obj, "kind": "instanton"}, "unknown kind"),
+    ("f64", lambda obj: {**obj, "backend": "f32"}, "unknown backend"),
+    ("f64", lambda obj: {k: v for k, v in obj.items() if k != "Cprime"},
+     "missing field 'Cprime'"),
+    ("f64", lambda obj: [obj], "top level must be an object"),
+    ("exact", lambda obj: {**obj, "A": [[[1, 0]]]}, "expected fraction pair")]
+
+
+@pytest.mark.parametrize("backend, edit, message", _REFUSED_FILES,
+                         ids=["kind", "backend", "missing-field",
+                              "top-level", "exact-entry"])
+def test_refused_data_file_exit_2_with_one_parse_error(
+        backend, edit, message, tmp_path, capsys):
+    """validate exits 2 on each refused data file, writing nothing to
+    stdout and exactly one JSON parse error, one line, to stderr."""
+    good = tmp_path / "good.json"
+    assert run_cli("generate", "--kind", "taubnut", "--k", "1", "--m", "1",
+                   "--backend", backend, "--out", str(good)) == 0
+    obj = json.loads(good.read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(obj)))
+    capsys.readouterr()
+    assert run_cli("validate", "--input", str(bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    err = json.loads(line)["error"]
+    assert err["type"] == "parse" and message in err["message"]
+
+
 def test_constant_segment_loads_from_one_point(tmp_path, capsys):
     """A segment flagged constant is its first sample, so one grid point
     with one matrix each is enough."""

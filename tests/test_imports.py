@@ -15,7 +15,9 @@ fail.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
 ``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
 only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
-Fractions.
+Fractions.  No three consecutive code lines of the library appear twice
+in it: a rule is written once and called, unless ``REPEATS_ALLOWED``
+names the definition that repeats it with the reason it does.
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -403,3 +405,122 @@ def test_fractions_only_in_numkit_and_bowcli(path):
 def test_bowcli_parses_exact_json_without_fractions():
     """With the modules above, only numkit imports fractions."""
     assert fractions_imports((SRC / "bowcli.py").read_text()) == []
+
+
+# top-level definitions whose repeated lines stay, each with why
+REPEATS_ALLOWED = {
+    "nahmbow.flow": "the unrolled RK4 stages: the same NumPy calls in the "
+                    "same order keep the samples the same bit for bit",
+    "taubnut.psi_pushdown_monad": "the independent cross-check of the fused "
+                                  "Taub-NUT monad, with its own block table",
+    "numkit.GaussianRational": "each operator coerces its own operand and "
+                               "returns NotImplemented for a foreign one",
+}
+
+
+def _code_lines(source: str) -> list[tuple[int, str | None, str]]:
+    """(line number, stripped text, top-level definition) per line of
+    source; the text is None for a line that is shorter than 13
+    characters, a comment, a docstring line or an annotated class field,
+    and the definition is "" outside one."""
+    tree = ast.parse(source)
+    skip, owner = set(), {}
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            skip.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.AnnAssign):
+                    skip.update(range(f.lineno, f.end_lineno + 1))
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner.update(dict.fromkeys(range(node.lineno, node.end_lineno + 1),
+                                       node.name))
+    out = []
+    for n, line in enumerate(source.splitlines(), 1):
+        text = line.strip()
+        keep = len(text) >= 13 and not text.startswith("#") and n not in skip
+        out.append((n, text if keep else None, owner.get(n, "")))
+    return out
+
+
+def repeated_lines(sources: dict, allowed=()) -> list[str]:
+    """Every run of three consecutive code lines (see ``_code_lines``) of
+    the sources, a dict from module name to source, that repeats a run met
+    before, as "<module>.<definition> line <n>: <first line>" of the later
+    copy.  A run whose first line lies in a definition that ``allowed``
+    names, as "<module>.<definition>", counts as neither."""
+    seen, out = set(), []
+    for module, source in sources.items():
+        lines = _code_lines(source)
+        for (n, a, where), (_, b, _), (_, c, _) in zip(lines, lines[1:],
+                                                        lines[2:]):
+            if None in (a, b, c) or f"{module}.{where}" in allowed:
+                continue
+            if (a, b, c) in seen:
+                out.append(f"{module}.{where} line {n}: {a}")
+            seen.add((a, b, c))
+    return out
+
+
+def test_scanner_flags_repeated_lines():
+    lib = ('"""Docstring line that repeats itself.\n'
+           'Docstring line that repeats itself.\n'
+           'Docstring line that repeats itself."""\n'
+           "def first(data):\n"
+           "    report = validate(data)\n"
+           "    if not report.passed:\n"
+           "        raise Refused(report)\n"
+           "    x = 1\n"
+           "@dataclass\n"
+           "class Fields:\n"
+           "    first_field: int\n"
+           "    second_field: int\n"
+           "    third_field: int\n"
+           "def second(data):\n"
+           "    # a comment that repeats\n"
+           "    # a comment that repeats\n"
+           "    # a comment that repeats\n"
+           "    report = validate(data)\n"
+           "    if not report.passed:\n"
+           "        raise Refused(report)\n"
+           "    x = 1\n"
+           "    x = 1\n"
+           "    x = 1\n"
+           "class Allowed:\n"
+           "    first_field: int\n"
+           "    second_field: int\n"
+           "    third_field: int\n"
+           "    def run(self, data):\n"
+           "        report = validate(data)\n"
+           "        if not report.passed:\n"
+           "            raise Refused(report)\n")
+    other = ("def third(data):\n"
+             "    report = validate(data)\n"
+             "    if not report.passed:\n"
+             "        raise Refused(report)\n")
+    sources = {"lib": lib, "other": other}
+    assert repeated_lines(sources, {"lib.Allowed"}) == [
+        "lib.second line 18: report = validate(data)",
+        "other.third line 2: report = validate(data)"]
+    assert repeated_lines(sources) == [
+        "lib.second line 18: report = validate(data)",
+        "lib.Allowed line 29: report = validate(data)",
+        "other.third line 2: report = validate(data)"]
+
+
+def _library_sources() -> dict:
+    return {p.stem: p.read_text() for p in sorted(SRC.glob("*.py"))}
+
+
+def test_no_repeated_lines_in_library():
+    assert repeated_lines(_library_sources(), REPEATS_ALLOWED) == []
+
+
+def test_each_allowed_repeat_is_still_there():
+    """A stale REPEATS_ALLOWED entry fails: each named definition still
+    repeats three lines."""
+    flagged = {entry.split(" line ")[0]
+               for entry in repeated_lines(_library_sources())}
+    assert set(REPEATS_ALLOWED) <= flagged

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from bowmonad import monadcore as mc, nahmbow as nb, numkit as nk, taubnut as tn
+from bowmonad import (bowcli, monadcore as mc, nahmbow as nb, numkit as nk,
+                      taubnut as tn)
 from bowmonad.nahmbow import NotInNormalForm
 
 
@@ -309,6 +311,46 @@ def test_noisy_pole_fit_is_refused_not_raised():
                          + 1j * rng.standard_normal(r.shape))
              for r in nb.su2_irrep(2)]
     assert nb.residues_match_irrep(noisy, 2) == (False, np.inf)
+
+
+def _pole_free_m2_solution():
+    """A k = 1, m = 2 solution without poles: head and tail carry the edge
+    triple t of (Bth, Bht) as in solution_k1_m0, and the constant rank-3
+    middle is diag(t_i, 1, -1)."""
+    rep = nb.BowRepresentation(1.0, 0.25, 1, 2)
+    Bth, Bht = 1.3 - 0.4j, 0.6 + 0.9j
+    z = Bth * Bht
+    t = (z.real, z.imag, (abs(Bth) ** 2 - abs(Bht) ** 2) / 2.0)
+    outer = [np.array([[v]], dtype=complex) for v in t]
+    middle = [np.diag([v, 1.0, -1.0]).astype(complex) for v in t]
+    lm, lp = rep.lam_minus, rep.lam_plus
+    return nb.NahmSolution(
+        rep, nb.constant_segment(-rep.ell / 2, lm, *outer, 33),
+        nb.constant_segment(lm, lp, *middle, 33),
+        nb.constant_segment(lp, rep.ell / 2, *outer, 33),
+        np.array([[Bth]]), np.array([[Bht]]))
+
+
+def test_pole_free_m2_middle_fails_only_the_pole_rows(tmp_path, capsys):
+    """At m = 2 the middle must have a pole at each lambda point whose
+    residues form the su(2) irrep: a pole-free middle that meets every
+    other identity fails exactly pole_fit_minus and pole_fit_plus, and
+    CLI validate exits 1 on its file."""
+    sol = _pole_free_m2_solution()
+    report = nb.check_boundary(sol)
+    assert [c.name for c in report.checks] == [
+        "hermiticity", "bifundamental_tail", "bifundamental_head",
+        "continuing_minus", "continuing_plus", "pole_fit_minus",
+        "pole_fit_plus"]
+    assert [c.name for c in report.checks if not c.passed] == [
+        "pole_fit_minus", "pole_fit_plus"]
+    f = tmp_path / "pole_free.json"
+    f.write_text(json.dumps(bowcli.solution_to_json(sol)))
+    assert bowcli.main(["validate", "--input", str(f)]) == 1
+    rows = {c["name"]: c["status"]
+            for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert [name for name, status in rows.items() if status == "fail"] == [
+        "pole_fit_minus", "pole_fit_plus"]
 
 
 # ---------------------------------------------------------------------------
