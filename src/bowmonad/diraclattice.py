@@ -18,8 +18,9 @@ j+1 only), and the 8k junction rows touch only the segment end nodes and
 the auxiliaries.  Every solver here works on those blocks in O(grid): the
 kernel by transfer matrices, and every spectral bound (the smallest
 eigenvalue of M M^H, the top of the reality residual's Gram matrix) on one
-bordered block chain, factored by odd-even block LDL^H.  Both ends of the
-spectrum come from one eigen-solver, shift-and-invert Lanczos through that
+bordered block chain, factored by odd-even block LDL^H down to a dense tail
+of at most TAIL_BLOCKS blocks and the border.  Both ends of the spectrum
+come from one eigen-solver, shift-and-invert Lanczos through that
 factorization (_lanczos), stopped at the rounding bound eps_r that the
 certificate of each bound absorbs.  The solvers read only the link stacks
 and the junction rows of the dense matrix.
@@ -28,6 +29,7 @@ and the junction rows of the dense matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +39,9 @@ from .numkit import DEFAULT_CTX, ToleranceContext
 
 # Step cap of the shift-and-invert Lanczos iteration (_lanczos).
 LANCZOS_MAX_STEPS = 60
+# Chain blocks at which the odd-even reduction of _BlockLDL stops: the rest
+# is factored as one dense matrix.
+TAIL_BLOCKS = 12
 # Junction sites after the link rows: the two lambda points and the two
 # interval ends, each two blocks of k rows.
 JUNCTION_SITES = 4
@@ -56,6 +61,11 @@ class SingularLink(nk.BowmonadError):
 
 class CertificateFailed(nk.BowmonadError):
     """A computed eigenvalue bound was not proved by its factorization."""
+
+
+class NumericalBreakdown(nk.BowmonadError):
+    """A spectral computation left the finite float64 range or did not
+    converge."""
 
 
 @dataclass
@@ -317,16 +327,23 @@ def _gram(dl: DiracLattice, jw: float):
     w) coupling link j+1 to link j, and the coupling (8k, w) of the junction
     rows to the first and to the last link (the two holding the segment's
     end nodes, the only nodes the junction rows touch).  Then the junction
-    block (8k, 8k)."""
+    block (8k, 8k).  Blocks that overflow float64 raise NumericalBreakdown
+    (the finite check runs once, after they are formed)."""
     J = jw * dl.matrix[dl.n_link_rows:]
     out = []
-    for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
-        LH, RH = L.conj().swapaxes(1, 2), R.conj().swapaxes(1, 2)
-        out.append((L @ LH + R @ RH, L[1:] @ RH[:-1],
-                    J[:, c0:c0 + 2 * w] @ np.concatenate([LH[0], RH[0]]),
-                    J[:, c0 + (n - 2) * w:c0 + n * w]
-                    @ np.concatenate([LH[-1], RH[-1]])))
-    return out, J @ J.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
+            LH, RH = L.conj().swapaxes(1, 2), R.conj().swapaxes(1, 2)
+            out.append((L @ LH + R @ RH, L[1:] @ RH[:-1],
+                        J[:, c0:c0 + 2 * w] @ np.concatenate([LH[0], RH[0]]),
+                        J[:, c0 + (n - 2) * w:c0 + n * w]
+                        @ np.concatenate([LH[-1], RH[-1]])))
+        JJ = J @ J.conj().T
+    if not all(np.isfinite(x).all() for blk in (*out, (JJ,)) for x in blk):
+        raise NumericalBreakdown("the Gram blocks of the operator overflow "
+                                 "float64: its entries are too large to "
+                                 "square")
+    return out, JJ
 
 
 def _H(A: np.ndarray) -> np.ndarray:
@@ -392,17 +409,20 @@ class _Chain:
 
 class _BlockLDL:
     """Block LDL^H of A = sign (G - shift I), G a _Chain, by odd-even
-    (cyclic) reduction.
+    (cyclic) reduction down to a dense tail.
 
     Each level eliminates the blocks at odd positions of the current chain.
     They couple to nothing but their two neighbours and the border, so all
     of a level is one batch: with P the odd diagonal blocks and K = [A_ol,
     A_or, A_oJ] the rows of each pivot against its left and right neighbour
     and the border, the whole Schur update is K^H P^-1 K, and what is left on
-    the even blocks is again a chain with a border.  The leading decoupled
-    block is never eliminated, so after about log2(nb) levels only it and
-    the border are left; the border's Schur complement is the last pivot.
-    By Sylvester's law A is positive definite exactly when every pivot is
+    the even blocks is again a chain with a border.  Each level keeps P^-1 K
+    for the back-substitution.  The leading decoupled block is never
+    eliminated.  Once at most TAIL_BLOCKS blocks are left, a level would pay
+    its NumPy calls for almost no arithmetic, so what is left (the chain,
+    leading block included, then the border) is one dense matrix, the tail:
+    the Schur complement of every eliminated block.  By Sylvester's law A is
+    positive definite exactly when every level pivot and the tail are
     (_definite)."""
 
     def __init__(self, g: _Chain, shift: float, sign: float):
@@ -412,7 +432,7 @@ class _BlockLDL:
         B, C = sign * g.B, sign * g.C
         S = sign * (g.S - shift * np.eye(len(g.S)))
         self.levels = []
-        while len(D) > 1:
+        while len(D) > TAIL_BLOCKS:
             P, nr = D[1::2], len(B[1::2])
             K = np.zeros((len(P), W, 2 * W + len(S)), dtype=complex)
             K[:, :, :W] = B[0::2]
@@ -420,7 +440,8 @@ class _BlockLDL:
             K[:, :, 2 * W:] = _H(C[1::2])
             Pi = np.linalg.inv(P)
             KH = _H(K)
-            U = KH @ (Pi @ K)
+            PiK = Pi @ K
+            U = KH @ PiK
             D, C = D[0::2].copy(), C[0::2].copy()
             D[:len(P)] -= U[:, :W, :W]
             D[1:1 + nr] -= U[:nr, W:2 * W, W:2 * W]
@@ -428,41 +449,59 @@ class _BlockLDL:
             C[1:1 + nr] -= U[:nr, 2 * W:, W:2 * W]
             S = S - U[:, 2 * W:, 2 * W:].sum(0)
             B = -U[:nr, W:2 * W, :W]
-            self.levels.append((P, Pi, K, KH, nr))
-        self.S = S
+            self.levels.append((P, Pi, PiK, KH, nr))
+        nt, n = len(D), len(D) * W
+        T = np.zeros((n + len(S),) * 2, dtype=complex)
+        blocks, j = T[:n, :n].reshape(nt, W, nt, W), np.arange(nt)
+        blocks[j, :, j] = D
+        blocks[j[1:], :, j[:-1]] = B
+        blocks[j[:-1], :, j[1:]] = _H(B)
+        T[n:, :n] = C.transpose(1, 0, 2).reshape(len(S), n)
+        T[:n, n:] = T[n:, :n].conj().T
+        T[n:, n:] = S
+        self.tail = T
+
+    @cached_property
+    def tail_inv(self) -> np.ndarray:
+        """The tail's inverse, formed by the first solve (_definite needs
+        only the tail's Cholesky)."""
+        return np.linalg.inv(self.tail)
 
     def solve(self, g: _Chain, V: np.ndarray) -> np.ndarray:
         """A^-1 V, V a block of vectors in the layout of _Chain.split."""
         x, xJ = g.split(V)
-        W = x.shape[1]
+        W, p = x.shape[1:]
         kept = []
-        for P, Pi, _, KH, nr in self.levels:
+        for _, Pi, _, KH, nr in self.levels:
             xo, x = x[1::2], x[0::2].copy()
-            u = KH @ (Pi @ xo)
-            x[:len(P)] -= u[:, :W]
+            z = Pi @ xo
+            u = KH @ z
+            x[:len(z)] -= u[:, :W]
             x[1:1 + nr] -= u[:nr, W:2 * W]
             xJ = xJ - u[:, 2 * W:].sum(0)
-            kept.append(xo)
-        yJ = np.linalg.solve(self.S, xJ)
-        y = x                                    # the leading block: A = I
-        for (P, Pi, K, _, nr), xo in zip(self.levels[::-1], kept[::-1]):
-            Y = np.zeros((len(P), K.shape[2], xo.shape[2]), dtype=complex)
-            Y[:, :W] = y[:len(P)]
+            kept.append(z)
+        n = len(x) * W
+        y = self.tail_inv @ np.concatenate([x.reshape(n, p), xJ])
+        y, yJ = y[:n].reshape(-1, W, p), y[n:]
+        for (_, _, PiK, _, nr), z in zip(self.levels[::-1], kept[::-1]):
+            Y = np.zeros((len(z), PiK.shape[2], p), dtype=complex)
+            Y[:, :W] = y[:len(z)]
             Y[:nr, W:2 * W] = y[1:1 + nr]
             Y[:, 2 * W:] = yJ
-            out = np.empty((len(y) + len(P),) + y.shape[1:], dtype=complex)
-            out[0::2], out[1::2] = y, Pi @ (xo - K @ Y)
+            out = np.empty((len(y) + len(z), W, p), dtype=complex)
+            out[0::2], out[1::2] = y, z - PiK @ Y
             y = out
-        return np.concatenate([y.reshape(-1, V.shape[1]), yJ])
+        return np.concatenate([y.reshape(-1, p), yJ])
 
 
 def _definite(g: _Chain, shift: float, sign: float) -> bool:
     """Whether sign (G - shift I) is positive definite: a Cholesky of every
-    pivot of _BlockLDL (Sylvester)."""
+    level pivot of _BlockLDL and of its tail (Sylvester)."""
     try:
         f = _BlockLDL(g, shift, sign)
-        np.linalg.cholesky(np.concatenate([lv[0] for lv in f.levels]))
-        np.linalg.cholesky(f.S)
+        if f.levels:
+            np.linalg.cholesky(np.concatenate([lv[0] for lv in f.levels]))
+        np.linalg.cholesky(f.tail)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -480,8 +519,8 @@ def _lanczos(g: _Chain, shift: float, sign: float, tol: float):
     lies on the far side from shift of the eigenvalue it approximates.  The
     iteration stops once the Ritz residual carried back to G, b |s_last| /
     theta^2, is at most tol (or the Krylov space is invariant), or after
-    LANCZOS_MAX_STEPS steps."""
-    f = _BlockLDL(g, shift, sign)
+    LANCZOS_MAX_STEPS steps.  A step whose new vector's norm b is not finite
+    (the solve overflowed) raises NumericalBreakdown."""
     nb, W = g.D.shape[:2]
     n = nb * W + len(g.S)
     rng = np.random.default_rng(0)
@@ -490,20 +529,27 @@ def _lanczos(g: _Chain, shift: float, sign: float, tol: float):
     q /= np.linalg.norm(q)
     Q = np.empty((min(n - len(g.pad[0]), LANCZOS_MAX_STEPS), n),
                  dtype=complex)
-    alpha, beta = [], []
-    for j in range(len(Q)):
-        Q[j] = q
-        v = f.solve(g, q[:, None])[:, 0]
-        alpha.append(np.vdot(q, v).real)
-        for _ in range(2):
-            v -= Q[:j + 1].T @ (Q[:j + 1].conj() @ v)
-        b = np.linalg.norm(v)
-        theta, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1)
-                                  + np.diag(beta, -1))
-        if b * abs(S[-1, -1]) <= tol * theta[-1] ** 2 or b == 0.0:
-            break
-        q = v / b
-        beta.append(b)
+    tri = np.zeros((len(Q) + 1,) * 2)         # the Lanczos tridiagonal
+    # an overflow in the factorization or a solve makes b inf or nan; the
+    # finite check on b reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = _BlockLDL(g, shift, sign)
+        for j in range(len(Q)):
+            Q[j] = q
+            v = f.solve(g, q[:, None])[:, 0]
+            tri[j, j] = np.vdot(q, v).real
+            for _ in range(2):
+                v -= (Q[:j + 1] @ v.conj()).conj() @ Q[:j + 1]
+            b = np.linalg.norm(v)
+            if not np.isfinite(b):
+                raise NumericalBreakdown(f"Lanczos step {j} at shift "
+                                         f"{shift:.6e}: the new vector has "
+                                         f"norm {b}")
+            theta, S = np.linalg.eigh(tri[:j + 1, :j + 1])
+            if b * abs(S[-1, -1]) <= tol * theta[-1] ** 2 or b == 0.0:
+                break
+            q = v / b
+            tri[j + 1, j] = tri[j, j + 1] = b
     return shift + sign / theta[-1], Q[:j + 1].T @ S[:, -1]
 
 
@@ -518,11 +564,15 @@ def _gram_top_bracket(dl: DiracLattice, gram):
     up to the rounding in forming G's blocks, so lower = value - eps_r.  One
     block LDL^H of (value + eps_r) I - G with positive definite pivots
     proves lambda_max < value + 2 eps_r (Sylvester), the upper end.  An
-    uncertified value raises CertificateFailed.
+    uncertified value raises CertificateFailed; a singular pivot of the
+    Lanczos factorization, NumericalBreakdown.
     """
     g = _Chain.of(*gram)
     err = _rounding_bound(dl, dl.h)
-    value, _ = _lanczos(g, g.gershgorin(), -1.0, err)
+    try:
+        value, _ = _lanczos(g, g.gershgorin(), -1.0, err)
+    except np.linalg.LinAlgError as e:
+        raise NumericalBreakdown(f"the top of the Gram matrix: {e}") from e
     if not _definite(g, value + err, -1.0):
         raise CertificateFailed(f"the Gram matrix has an eigenvalue above "
                                 f"{value + err:.15e}")
@@ -545,6 +595,7 @@ def reality_residual(dl: DiracLattice) -> float:
     largest |eigenvalue| of that block, which is filled from the blocks of
     _gram (no N x N array is formed).  The normaliser is
     lambda_max(G), the value of the certified bracket _gram_top_bracket.
+    An eigen-solver that does not converge raises NumericalBreakdown.
     """
     gram = blocks, JJ = _gram(dl, dl.h)
     j0 = dl.n_link_rows
@@ -572,7 +623,10 @@ def reality_residual(dl: DiracLattice) -> float:
             Gk[a[:, None], jr] = C.conj().T
     Gk[jr[:, None], jr] = JJ
     D = Gk - np.outer(sign, sign) * Gk.conj()[np.ix_(partner, partner)]
-    resid = np.max(np.abs(np.linalg.eigvalsh(D)))
+    try:
+        resid = np.max(np.abs(np.linalg.eigvalsh(D)))
+    except np.linalg.LinAlgError as e:
+        raise NumericalBreakdown(f"the reality commutator block: {e}") from e
     return float(resid / max(_gram_top_bracket(dl, gram)[1], 1e-300))
 
 
@@ -584,7 +638,12 @@ def _rounding_bound(dl: DiracLattice, jw: float = 1.0) -> float:
     In the odd-even order an eliminated block couples to its two neighbour
     blocks and the junction border, as in the sequential order it coupled to
     its own block, its successor and the border, so q = 2 w_max + n_J in
-    both."""
+    both.  The dense tail of _BlockLDL is factored in the sequential order,
+    which the bound already covers, so q stays 2 w_max + n_J there; and an
+    entry of the tail's factor that is structurally zero (a chain block
+    against one two or more blocks away) is a sum of products each with an
+    exact zero factor, so it is computed as exactly zero and adds no
+    rounding."""
     aJ = jw * np.abs(dl.matrix[dl.n_link_rows:])
     col, row = aJ.sum(0), aJ.sum(1).max()
     p, wmax = np.count_nonzero(aJ, axis=1).max(), 0

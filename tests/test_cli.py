@@ -492,6 +492,34 @@ def test_constant_segment_grid_inside_its_interval_loads(tmp_path, capsys):
     assert len(sol.middle.s_grid) == 31
 
 
+@pytest.mark.parametrize("args", [("--points", "0", "--grid", "64"),
+                                  ("--points", "1")])
+def test_dirac_on_overflowing_samples_exit_1_with_json_error(args, tmp_path,
+                                                              capsys):
+    """A bowsol file whose middle T1 samples are scaled to 1e200 loads (and
+    fails validate); its Gram blocks overflow, so dirac, the refinement
+    trace or a sampled point, exits 1 with one JSON error, and prints no
+    traceback and no NumPy warning."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "3",
+            "--out", str(sol_file))
+    obj = json.loads(sol_file.read_text())
+    for sample in obj["middle"]["T1"]:
+        for row in sample:
+            for entry in row:
+                entry[0] = entry[0] * 1e200 if entry[0] else 1e200
+    sol_file.write_text(json.dumps(obj))
+    assert run_cli("validate", "--input", str(sol_file)) == 1
+    capsys.readouterr()
+    proc = subprocess.run(
+        [sys.executable, "-m", "bowmonad.bowcli", "dirac", "--input",
+         str(sol_file), *args], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    err = json.loads(proc.stderr)["error"]
+    assert err["type"] == "NumericalBreakdown"
+
+
 # data files refused before any check, each by its own rule: an unknown
 # kind or backend, a missing matrix field, a top level that is not an
 # object, and an exact entry that is not a fraction pair; each edit maps a

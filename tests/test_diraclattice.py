@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -305,13 +307,19 @@ def _random_chain(rng, length, w, double=False):
     return dlm._Chain(D, B, C, S, (np.zeros(w, dtype=int), np.arange(w)))
 
 
+_TAIL = dlm.TAIL_BLOCKS
+
+
 @pytest.mark.parametrize("w", [2, 4])
-@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 33])
+@pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 33, _TAIL - 1, _TAIL,
+                                    _TAIL + 1, 200])
 def test_block_ldl_on_random_bordered_chains(length, w):
     """Random Hermitian block chains whose border couples to every block:
     the odd-even factorization solves like a dense solve and is positive
     definite exactly when the dense spectrum is, so an indefinite chain is
-    refused."""
+    refused.  The lengths put the chain (leading block included) at the
+    dense tail's size, one block past it and two, and at 201 blocks, which
+    leave the tail after five levels."""
     rng = np.random.default_rng(100 * length + w)
     g = _random_chain(rng, length, w)
     A, rows = _dense_chain(g, w)
@@ -383,7 +391,7 @@ def test_positivity_certificate_agrees_with_sequential_factorization(pair):
     shift positivity_bracket certifies and at shifts just past lambda_min,
     so the brackets are unchanged."""
     sol = pair()
-    for grid in (8, 64, 256):
+    for grid in (8, 64, 256, 512):
         for pt in GENERIC_POINTS[:3]:
             dl = dlm.assemble(sol, pt, grid)
             lower, value, _ = dlm.positivity_bracket(dl)
@@ -428,6 +436,37 @@ def test_gram_normaliser_refuses_a_value_below_the_top(pair, monkeypatch):
     with pytest.raises(dlm.CertificateFailed) as err:
         dlm.reality_residual(dl)
     assert isinstance(err.value, nk.BowmonadError)
+
+
+def test_lanczos_refuses_a_step_that_overflows():
+    """A chain whose shifted matrix has pivots of 1e-300: the first solve
+    overflows, and the step is refused by name, without a NumPy warning,
+    instead of divided by."""
+    D = np.zeros((3, 2, 2), dtype=complex)
+    D[1:] = 1e-300 * np.eye(2)
+    g = dlm._Chain(D, np.zeros((2, 2, 2), dtype=complex),
+                   np.zeros((3, 1, 2), dtype=complex), np.eye(1) + 0j,
+                   (np.zeros(2, dtype=int), np.arange(2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(dlm.NumericalBreakdown, match="Lanczos step 0"):
+            dlm._lanczos(g, 0.0, 1.0, 1e-12)
+
+
+@pytest.mark.parametrize("solver", ["_lanczos", "eigvalsh"])
+def test_reality_residual_refuses_a_failed_eigen_solver(solver, monkeypatch):
+    """An eigen-solver that raises LinAlgError inside reality_residual (the
+    Lanczos factorization of its normaliser, or the commutator block's
+    eigvalsh) is refused as NumericalBreakdown, a BowmonadError."""
+    dl = dlm.assemble(pair_m1(), GENERIC_POINTS[0], 64)
+
+    def fail(*args, **kw):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(dlm if solver == "_lanczos" else np.linalg,
+                        solver, fail)
+    with pytest.raises(dlm.NumericalBreakdown, match="Singular matrix"):
+        dlm.reality_residual(dl)
 
 
 def test_assemble_refuses_segments_shorter_than_two_steps():
