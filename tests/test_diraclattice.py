@@ -439,7 +439,7 @@ def test_gram_normaliser_refuses_a_value_below_the_top(pair, monkeypatch):
 
 
 def test_lanczos_refuses_a_step_that_overflows():
-    """A chain whose shifted matrix has pivots of 1e-300: the first solve
+    """A decoupled chain whose diagonal blocks are 1e-300 I: the first solve
     overflows, and the step is refused by name, without a NumPy warning,
     instead of divided by."""
     D = np.zeros((3, 2, 2), dtype=complex)
