@@ -228,7 +228,8 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
                                         _size_from_json(r["k"], "rep k", 1),
                                         _size_from_json(r["m"], "rep m", 0))
 
-        def seg(o, rank):
+        def seg(name, rank, interval):
+            o = obj[name]
             s = list(o["s"])
             grid = _finite_reals(s)
             if grid is None:
@@ -246,6 +247,9 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
                                  "increasing")
             s0 = _real_from_json(o["s0"], "s0")
             s1 = _real_from_json(o["s1"], "s1")
+            if (s0, s1) != interval:
+                raise ParseError(f"the {name} segment runs on [{s0}, {s1}], "
+                                 f"not on its bow interval {list(interval)}")
             if not ((s0 <= grid[0] and grid[-1] <= s1) if constant
                     else (grid[0] == s0 and grid[-1] == s1)):
                 raise ParseError(f"a {kind} segment's grid s must " + (
@@ -268,8 +272,9 @@ def solution_from_json(obj) -> nahmbow.NahmSolution:
 
         k, m = rep.k, rep.m
         sol = nahmbow.NahmSolution(
-            rep, seg(obj["head"], k), seg(obj["middle"], k + m),
-            seg(obj["tail"], k),
+            rep, *(seg(name, rank, interval) for name, rank, interval in
+                   zip(("head", "middle", "tail"), (k, k + m, k),
+                       rep.intervals)),
             matrix_from_json(obj["Bth"], (k, k), False),
             matrix_from_json(obj["Bht"], (k, k), False),
             i_minus=matrix_from_json(obj["i_minus"], (k + m, k), False),
@@ -539,8 +544,9 @@ def cmd_generate(args) -> int:
         # of the two reference lines; extra centers are drawn
         base = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0)]
         pts = (base + [tuple(v) for v in rng.standard_normal((args.k, 3))])[:args.k]
-        seg = nahmbow.diagonal_solution(rep, pts)
-        sol = nahmbow.NahmSolution(rep, seg, seg, seg,
+        T = nahmbow.diagonal_solution(rep, pts).at(0.0)
+        sol = nahmbow.NahmSolution(rep, *(nahmbow.constant_segment(s0, s1, *T)
+                                          for s0, s1 in rep.intervals),
                                    np.eye(args.k, dtype=complex),
                                    np.eye(args.k, dtype=complex))
     elif args.k != 1:

@@ -15,15 +15,16 @@ output space is the block matrix J(a, b) = (-conj b, conj a).
 
 The link rows of a segment are block-bidiagonal (link j couples nodes j and
 j+1 only), and the 8k junction rows touch only the segment end nodes and
-the auxiliaries.  Every solver here works on those blocks in O(grid): the
+the auxiliaries.  A DiracLattice keeps the (L, R) link stacks per segment
+and the junction rows, and every solver works on them in O(grid): the
 kernel by transfer matrices, and every spectral bound (the smallest
 eigenvalue of M M^H, the top of the reality residual's Gram matrix) on one
 bordered block chain, factored by odd-even block LDL^H down to a dense tail
 of at most TAIL_BLOCKS blocks and the border.  Both ends of the spectrum
 come from one eigen-solver, shift-and-invert Lanczos through that
 factorization (_lanczos), stopped at the rounding bound eps_r that the
-certificate of each bound absorbs.  The solvers read only the link stacks
-and the junction rows of the dense matrix.
+certificate of each bound absorbs.  The dense N x (N+2) operator is built
+only when DiracLattice.matrix is read, so refinement runs to grid 4096.
 """
 
 from __future__ import annotations
@@ -93,24 +94,39 @@ class TaubNutPoint:
 @dataclass
 class DiracLattice:
     h: float
-    matrix: np.ndarray
-    sites: list         # (row_offset_1, row_offset_2, block_size) per site
     n_psi: int          # spinor unknowns
     n_aux: int          # W and edge unknowns
     # (first link row, first node column, node count, node width) per segment
     segments: list
     # (L, R) per segment: link j is L[j] psi_j + R[j] psi_{j+1}
     links: list
+    # the 8k junction rows against every unknown; junction site i holds rows
+    # 2k i and 2k i + k (its two spinor components)
+    junction: np.ndarray
     _transfer: object = field(default=None, repr=False, compare=False)
 
     @property
     def shape(self):
-        return self.matrix.shape
+        return self.n_link_rows + len(self.junction), self.junction.shape[1]
 
     @property
     def n_link_rows(self) -> int:
         """Rows before the junction sites."""
-        return self.sites[len(self.sites) - JUNCTION_SITES][0]
+        r0, _, n, w = self.segments[-1]
+        return r0 + (n - 1) * w
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense operator, built on first read: the link stacks placed
+        segment by segment, then the junction rows.  No solver reads it."""
+        mat = np.zeros(self.shape, dtype=complex)
+        for (r0, c0, n, w), (L, R) in zip(self.segments, self.links):
+            j = np.arange(n - 1)[:, None] * w
+            rows = r0 + (j + np.arange(w))[:, :, None]
+            mat[rows, c0 + (j + np.arange(2 * w))[:, None, :]] = \
+                np.concatenate([L, R], 2)
+        mat[self.n_link_rows:] = self.junction
+        return mat
 
 
 def _segment_nodes(sol: NahmSolution, grid: int):
@@ -119,11 +135,8 @@ def _segment_nodes(sol: NahmSolution, grid: int):
     InvalidArgument: it would get fewer than two links (the junction rows
     need distinct first and last links) or links longer than h."""
     rep = sol.rep
-    segs = [(sol.head, -rep.ell / 2, rep.lam_minus),
-            (sol.middle, rep.lam_minus, rep.lam_plus),
-            (sol.tail, rep.lam_plus, rep.ell / 2)]
     out = []
-    for seg, s0, s1 in segs:
+    for seg, (s0, s1) in zip((sol.head, sol.middle, sol.tail), rep.intervals):
         steps = grid * (s1 - s0) / rep.ell
         if not steps > 2 - 1e-9:          # 2 up to rounding in the division
             raise nk.InvalidArgument(
@@ -155,10 +168,10 @@ def _link_blocks(seg, grid_s, pt: TaubNutPoint):
 
 
 def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
-    """Sparse-structured dense operator for the family member at the given
-    chart point (xi, psi); m <= 1 (higher pole orders need graded frames the
-    desk generators do not produce).  The link blocks are kept per segment
-    for the block solvers."""
+    """The lattice operator of the family member at the given chart point
+    (xi, psi), as its link stacks per segment and its junction rows; m <= 1
+    (higher pole orders need graded frames the desk generators do not
+    produce)."""
     if sol.m > 1:
         raise PoleOrderUnsupported("lattice assembly supports m <= 1")
     if sol.m == 0 and any(v is None for v in (sol.I_minus, sol.J_minus,
@@ -172,15 +185,13 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     h = rep.ell / grid
 
     # unknown layout: psi blocks per node (2 * rank), then W-, W+, u_h, u_t;
-    # row layout: the link sites segment by segment, then the junctions
-    segments, links, sites = [], [], []
+    # row layout: the link rows segment by segment, then the junctions
+    segments, links = [], []
     row_pos = pos = 0
     for seg, grid_s in nodes:
         r, n = seg.rank, len(grid_s)
         segments.append((row_pos, pos, n, 2 * r))
         links.append(_link_blocks(seg, grid_s, pt))
-        sites += [(p, p + r, r)
-                  for p in range(row_pos, row_pos + (n - 1) * 2 * r, 2 * r)]
         row_pos += (n - 1) * 2 * r
         pos += n * 2 * r
     n_psi = pos
@@ -191,23 +202,11 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     pos += k
     ut_off = pos
     pos += k
-    mat = np.zeros((row_pos + 2 * JUNCTION_SITES * k, pos), dtype=complex)
-    for (r0, c0, n, w), (L, R) in zip(segments, links):
-        j = np.arange(n - 1)[:, None] * w
-        rows = r0 + (j + np.arange(w))[:, :, None]
-        mat[rows, c0 + (j + np.arange(2 * w))[:, None, :]] = \
-            np.concatenate([L, R], 2)
+    jn = np.zeros((2 * JUNCTION_SITES * k, pos), dtype=complex)
 
     def put(r0, c0, block):
         block = np.atleast_2d(block)
-        mat[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
-
-    def new_site(r):
-        nonlocal row_pos
-        p1, p2 = row_pos, row_pos + r
-        sites.append((p1, p2, r))
-        row_pos = p2 + r
-        return p1, p2
+        jn[r0:r0 + block.shape[0], c0:c0 + block.shape[1]] = block
 
     first = [c0 for _, c0, _, _ in segments]
     last = [c0 + (n - 1) * w for _, c0, n, w in segments]
@@ -218,7 +217,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     w = 1.0 / h
     rmid = k + m
     # lambda_minus: head end node vs middle first node
-    p1, p2 = new_site(k)
+    p1, p2 = 0, k
     oL, oR = last[0], first[1]
     put(p1, oL, -w * np.eye(k))
     put(p1, oR, w * im)
@@ -228,7 +227,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
         put(p1, w_off, w * sol.J_minus.conj().T)
         put(p2, w_off, w * sol.I_minus)
     # lambda_plus: middle last node vs tail first node
-    p1, p2 = new_site(k)
+    p1, p2 = 2 * k, 3 * k
     oL, oR = last[1], first[2]
     put(p1, oL, -w * ip)
     put(p1, oR, w * np.eye(k))
@@ -240,7 +239,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
 
     # edge junctions
     Bth, Bht = sol.Bth, sol.Bht
-    p1, p2 = new_site(k)                        # head end, s = -ell/2
+    p1, p2 = 4 * k, 5 * k                       # head end, s = -ell/2
     oh = first[0]
     put(p1, oh, w * np.eye(k))
     put(p1, uh_off, w * np.conj(pt.b_ht) * np.eye(k))
@@ -248,7 +247,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     put(p2, oh + k, w * np.eye(k))
     put(p2, uh_off, -w * pt.b_th * np.eye(k))
     put(p2, ut_off, w * Bht)
-    p1, p2 = new_site(k)                        # tail end, s = +ell/2
+    p1, p2 = 6 * k, 7 * k                       # tail end, s = +ell/2
     ot = last[2]
     put(p1, ot, -w * np.eye(k))
     put(p1, uh_off, w * Bht.conj().T)
@@ -257,7 +256,7 @@ def assemble(sol: NahmSolution, point, grid: int = 256) -> DiracLattice:
     put(p2, uh_off, -w * Bth)
     put(p2, ut_off, -w * pt.b_ht * np.eye(k))
 
-    return DiracLattice(h, mat, sites, n_psi, pos - n_psi, segments, links)
+    return DiracLattice(h, n_psi, pos - n_psi, segments, links, jn)
 
 
 @dataclass
@@ -296,7 +295,7 @@ def _transfer(dl: DiracLattice, ctx: ToleranceContext) -> _Transfer:
         E[c0:c0 + n * w, col:col + w] = P.reshape(n * w, w)
         col += w
     E[dl.n_psi:, col:] = np.eye(dl.n_aux)
-    _, s, Vh = np.linalg.svd(dl.matrix[dl.n_link_rows:] @ E)
+    _, s, Vh = np.linalg.svd(dl.junction @ E)
     basis, _ = np.linalg.qr(E @ Vh[len(s):].conj().T)
     dl._transfer = _Transfer((smin, smax), s, basis)
     return dl._transfer
@@ -320,32 +319,6 @@ def kernel(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     return t.basis.shape[1], t.basis, margin
 
 
-def _gram(dl: DiracLattice, jw: float):
-    """Blocks of W W^H, W the operator with its junction rows scaled by jw.
-
-    Per segment: the link diagonal blocks (n-1, w, w), the blocks (n-2, w,
-    w) coupling link j+1 to link j, and the coupling (8k, w) of the junction
-    rows to the first and to the last link (the two holding the segment's
-    end nodes, the only nodes the junction rows touch).  Then the junction
-    block (8k, 8k).  Blocks that overflow float64 raise NumericalBreakdown
-    (the finite check runs once, after they are formed)."""
-    J = jw * dl.matrix[dl.n_link_rows:]
-    out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
-            LH, RH = L.conj().swapaxes(1, 2), R.conj().swapaxes(1, 2)
-            out.append((L @ LH + R @ RH, L[1:] @ RH[:-1],
-                        J[:, c0:c0 + 2 * w] @ np.concatenate([LH[0], RH[0]]),
-                        J[:, c0 + (n - 2) * w:c0 + n * w]
-                        @ np.concatenate([LH[-1], RH[-1]])))
-        JJ = J @ J.conj().T
-    if not all(np.isfinite(x).all() for blk in (*out, (JJ,)) for x in blk):
-        raise NumericalBreakdown("the Gram blocks of the operator overflow "
-                                 "float64: its entries are too large to "
-                                 "square")
-    return out, JJ
-
-
 def _H(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a stack of matrices."""
     return A.conj().swapaxes(-1, -2)
@@ -353,11 +326,11 @@ def _H(A: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Chain:
-    """The Hermitian matrix of _gram's shape as one chain of blocks with a
-    border: a decoupled leading block, then every segment's link blocks in
-    order, each padded to the widest block by decoupled rows.  Padding rows
-    are zero here; factorizations set their diagonal to one, so they stay
-    decoupled and solve to zero."""
+    """A Hermitian matrix as one chain of blocks with a border: a decoupled
+    leading block, then every segment's link blocks in order, each padded to
+    the widest block by decoupled rows.  Padding rows are zero here;
+    factorizations set their diagonal to one, so they stay decoupled and
+    solve to zero."""
     D: np.ndarray          # (nb, W, W) diagonal blocks
     B: np.ndarray          # (nb - 1, W, W): B[j] couples block j+1 to j
     C: np.ndarray          # (nb, nJ, W): the border rows against each block
@@ -365,23 +338,42 @@ class _Chain:
     pad: tuple             # (block, row) indices of the padding rows
 
     @classmethod
-    def of(cls, blocks, JJ: np.ndarray) -> "_Chain":
-        W = max(diag.shape[1] for diag, *_ in blocks)
-        nb = 1 + sum(len(diag) for diag, *_ in blocks)
+    def of(cls, dl: DiracLattice, jw: float) -> "_Chain":
+        """W W^H, W the operator with its junction rows scaled by jw, from
+        the link stacks and the junction rows.
+
+        Per segment: the link diagonal blocks L L^H + R R^H, the blocks
+        coupling link j+1 to link j, and the coupling of the junction rows
+        to the first and to the last link (the two holding the segment's end
+        nodes, the only nodes the junction rows touch).  The border is the
+        junction block J J^H.  Blocks that overflow float64 raise
+        NumericalBreakdown (the finite check runs once, after they are
+        formed)."""
+        J = jw * dl.junction
+        W = max(w for *_, w in dl.segments)
+        nb = 1 + sum(n - 1 for _, _, n, _ in dl.segments)
         D = np.zeros((nb, W, W), dtype=complex)
         B = np.zeros((nb - 1, W, W), dtype=complex)
-        C = np.zeros((nb, len(JJ), W), dtype=complex)
+        C = np.zeros((nb, len(J), W), dtype=complex)
         real = np.zeros((nb, W), dtype=bool)
         b = 1
-        for diag, sub, head, tail in blocks:
-            n, w = diag.shape[:2]
-            D[b:b + n, :w, :w] = diag
-            B[b:b + n - 1, :w, :w] = sub
-            C[b, :, :w] = head
-            C[b + n - 1, :, :w] = tail
-            real[b:b + n, :w] = True
-            b += n
-        return cls(D, B, C, JJ, np.nonzero(~real))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
+                LH, RH = _H(L), _H(R)
+                D[b:b + n - 1, :w, :w] = L @ LH + R @ RH
+                B[b:b + n - 2, :w, :w] = L[1:] @ RH[:-1]
+                C[b, :, :w] = (J[:, c0:c0 + 2 * w]
+                               @ np.concatenate([LH[0], RH[0]]))
+                C[b + n - 2, :, :w] = (J[:, c0 + (n - 2) * w:c0 + n * w]
+                                       @ np.concatenate([LH[-1], RH[-1]]))
+                real[b:b + n - 1, :w] = True
+                b += n - 1
+            S = J @ J.conj().T
+        if not all(np.isfinite(X).all() for X in (D, B, C, S)):
+            raise NumericalBreakdown("the Gram blocks of the operator overflow "
+                                     "float64: its entries are too large to "
+                                     "square")
+        return cls(D, B, C, S, np.nonzero(~real))
 
     def split(self, V: np.ndarray):
         """A block of vectors (rows: the chain, then the border) as its
@@ -553,10 +545,10 @@ def _lanczos(g: _Chain, shift: float, sign: float, tol: float):
     return shift + sign / theta[-1], Q[:j + 1].T @ S[:, -1]
 
 
-def _gram_top_bracket(dl: DiracLattice, gram):
+def _gram_top_bracket(dl: DiracLattice, g: _Chain):
     """(lower, value, upper) for the largest eigenvalue of G = W W^H, W the
-    operator with its junction rows weighted by h, from G's blocks ``gram``
-    = _gram(dl, dl.h).
+    operator with its junction rows weighted by h, from G's chain ``g`` =
+    _Chain.of(dl, dl.h).
 
     value comes from _lanczos on G from above (shift the Gershgorin bound,
     sign -1: Lanczos on (shift I - G)^-1 through one _BlockLDL), stopped at
@@ -567,7 +559,6 @@ def _gram_top_bracket(dl: DiracLattice, gram):
     uncertified value raises CertificateFailed; a singular pivot of the
     Lanczos factorization, NumericalBreakdown.
     """
-    g = _Chain.of(*gram)
     err = _rounding_bound(dl, dl.h)
     try:
         value, _ = _lanczos(g, g.gershgorin(), -1.0, err)
@@ -590,44 +581,43 @@ def reality_residual(dl: DiracLattice) -> float:
     The structure C is a signed permutation, so ||G C - C conj(G)||_2 is the
     norm of the Hermitian D = G - C conj(G) C^T.  Link rows commute with the
     structure (the T_i are Hermitian), so D vanishes outside the rows of the
-    junction sites and of the first and last link of each segment (the only
-    links holding the end nodes the junction rows touch); its norm is the
-    largest |eigenvalue| of that block, which is filled from the blocks of
-    _gram (no N x N array is formed).  The normaliser is
-    lambda_max(G), the value of the certified bracket _gram_top_bracket.
-    An eigen-solver that does not converge raises NumericalBreakdown.
+    first and last link of each segment (the only links holding the end
+    nodes the junction rows touch) and of the junction sites; its norm is
+    the largest |eigenvalue| of that block, which is filled from the chain
+    of G (no N x N array is formed).  The normaliser is lambda_max(G), the
+    value of the certified bracket _gram_top_bracket.  An eigen-solver that
+    does not converge raises NumericalBreakdown.
     """
-    gram = blocks, JJ = _gram(dl, dl.h)
-    j0 = dl.n_link_rows
-    ends = {p for r0, _, n, w in dl.segments for p in (r0, r0 + (n - 2) * w)}
-    rows, partner, sign = [], [], []
-    for p1, p2, r in dl.sites:
-        if p1 >= j0 or p1 in ends:
-            b = len(rows)
-            rows += [*range(p1, p1 + r), *range(p2, p2 + r)]
-            partner += [*range(b + r, b + 2 * r), *range(b, b + r)]
-            sign += [-1.0] * r + [1.0] * r
-    sign = np.array(sign)
-    pos = np.full(dl.shape[0], -1)
-    pos[rows] = np.arange(len(rows))
-    jr = pos[j0:]
-    Gk = np.zeros((len(rows),) * 2, dtype=complex)
-    for (r0, _, n, w), (diag, sub, head, tail) in zip(dl.segments, blocks):
-        at = pos[r0:r0 + (n - 1) * w].reshape(n - 1, w)[[0, -1]]
-        Gk[at[:, :, None], at[:, None, :]] = diag[[0, -1]]
+    g = _Chain.of(dl, dl.h)
+    nl = 2 * sum(w for *_, w in dl.segments)
+    Gk = np.zeros((nl + len(g.S),) * 2, dtype=complex)
+    o, b, halves = 0, 1, []
+    for _, _, n, w in dl.segments:
+        # the first and the last link: chain blocks b and b + n - 2
+        first, last = slice(o, o + w), slice(o + w, o + 2 * w)
+        for c, at in ((b, first), (b + n - 2, last)):
+            Gk[at, at] = g.D[c, :w, :w]
+            Gk[nl:, at] = g.C[c, :, :w]
+            Gk[at, nl:] = g.C[c, :, :w].conj().T
         if n == 3:                          # the first and last link touch
-            Gk[at[1][:, None], at[0]] = sub[0]
-            Gk[at[0][:, None], at[1]] = sub[0].conj().T
-        for a, C in zip(at, (head, tail)):
-            Gk[jr[:, None], a] = C
-            Gk[a[:, None], jr] = C.conj().T
-    Gk[jr[:, None], jr] = JJ
+            Gk[last, first] = g.B[b, :w, :w]
+            Gk[first, last] = g.B[b, :w, :w].conj().T
+        o, b, halves = o + 2 * w, b + n - 1, halves + [w // 2] * 2
+    Gk[nl:, nl:] = g.S
+    # C swaps the two spinor components (r rows each) of every site of Gk:
+    # two links per segment, then the junction sites
+    partner, sign = [], []
+    for r in halves + [len(g.S) // (2 * JUNCTION_SITES)] * JUNCTION_SITES:
+        p = len(sign)
+        partner += [*range(p + r, p + 2 * r), *range(p, p + r)]
+        sign += [-1.0] * r + [1.0] * r
+    sign = np.array(sign)
     D = Gk - np.outer(sign, sign) * Gk.conj()[np.ix_(partner, partner)]
     try:
         resid = np.max(np.abs(np.linalg.eigvalsh(D)))
     except np.linalg.LinAlgError as e:
         raise NumericalBreakdown(f"the reality commutator block: {e}") from e
-    return float(resid / max(_gram_top_bracket(dl, gram)[1], 1e-300))
+    return float(resid / max(_gram_top_bracket(dl, g)[1], 1e-300))
 
 
 def _rounding_bound(dl: DiracLattice, jw: float = 1.0) -> float:
@@ -644,7 +634,7 @@ def _rounding_bound(dl: DiracLattice, jw: float = 1.0) -> float:
     against one two or more blocks away) is a sum of products each with an
     exact zero factor, so it is computed as exactly zero and adds no
     rounding."""
-    aJ = jw * np.abs(dl.matrix[dl.n_link_rows:])
+    aJ = jw * np.abs(dl.junction)
     col, row = aJ.sum(0), aJ.sum(1).max()
     p, wmax = np.count_nonzero(aJ, axis=1).max(), 0
     for (_, c0, n, w), (L, R) in zip(dl.segments, dl.links):
@@ -662,7 +652,7 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     """(lower, value, upper) for the smallest eigenvalue of the squared
     operator M M^H, certified positive.
 
-    M M^H is the bordered block chain of _gram.  value and its unit vector
+    M M^H is the bordered block chain _Chain.of(dl, 1).  value and its unit vector
     v come from _lanczos on it from below (shift 0, sign +1: Lanczos on
     (M M^H)^-1 through one _BlockLDL of M M^H), stopped at eps_r, the
     rounding bound of _rounding_bound; value is at least lambda_min.  The
@@ -683,7 +673,7 @@ def positivity_bracket(dl: DiracLattice, ctx: ToleranceContext = DEFAULT_CTX):
     except nk.GapTooSmall as e:
         raise SingularPoint(f"the junction system drops rank, so M M^H is "
                             f"singular here: {e}") from e
-    g = _Chain.of(*_gram(dl, 1.0))
+    g = _Chain.of(dl, 1.0)
     err = _rounding_bound(dl)
     try:
         value, v = _lanczos(g, 0.0, 1.0, err)

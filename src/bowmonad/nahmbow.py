@@ -83,6 +83,12 @@ class BowRepresentation:
     def lam_plus(self):
         return self.lam
 
+    @property
+    def intervals(self):
+        """[s0, s1] of the head, the middle and the tail segment."""
+        return ((-self.ell / 2, -self.lam), (-self.lam, self.lam),
+                (self.lam, self.ell / 2))
+
 
 def su2_irrep(m: int):
     """Hermitian triple (rho1, rho2, rho3) of the m-dimensional irreducible
@@ -425,11 +431,9 @@ def _k1_solution(rep: BowRepresentation, t, Tmid, Bth, Bht,
     """The k = 1 solution of the closed forms: the outer triple t on head
     and tail, the triple Tmid on the middle, each constant on 33 samples,
     the edge (Bth, Bht) and the boundary decorations as given."""
-    lm, lp = rep.lam_minus, rep.lam_plus
     outer = [_k1(v) for v in t]
-    head = constant_segment(-rep.ell / 2, lm, *outer, 33)
-    mid = constant_segment(lm, lp, *Tmid, 33)
-    tail = constant_segment(lp, rep.ell / 2, *outer, 33)
+    head, mid, tail = (constant_segment(s0, s1, *T, 33) for (s0, s1), T in
+                       zip(rep.intervals, (outer, Tmid, outer)))
     return NahmSolution(rep, head, mid, tail, _k1(Bth), _k1(Bht),
                         **decorations)
 
@@ -788,9 +792,8 @@ def complex_shadow(sol: NahmSolution) -> BowComplexTN:
     rep = sol.rep
     k, m = rep.k, rep.m
     lm, lp = rep.lam_minus, rep.lam_plus
-    PH = transport(sol.head, -rep.ell / 2, lm, 800)
-    PT = transport(sol.tail, lp, rep.ell / 2, 800)
-    PM = transport(sol.middle, lm, lp, 800)
+    PH, PM, PT = (transport(seg, s0, s1, 800) for seg, (s0, s1) in
+                  zip((sol.head, sol.middle, sol.tail), rep.intervals))
     U_minus = _normal_frame(sol.i_minus)
     U_plus = _normal_frame(sol.i_plus)
     beta_mid_plus = U_plus.conj().T @ sol.middle.beta_at(lp) @ U_plus

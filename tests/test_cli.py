@@ -492,6 +492,45 @@ def test_constant_segment_grid_inside_its_interval_loads(tmp_path, capsys):
     assert len(sol.middle.s_grid) == 31
 
 
+def _lam_moved(obj):
+    obj["rep"]["lam"] = 0.3
+
+
+def _tail_stretched(obj):
+    obj["tail"]["s1"] = 0.75
+
+
+@pytest.mark.parametrize("command", ["validate", "spectral", "nahm-flow",
+                                     "dirac"])
+@pytest.mark.parametrize("edit, message", [
+    (_lam_moved, "the head segment runs on [-0.5, -0.25], not on its bow "
+                 "interval [-0.5, -0.3]"),
+    (_tail_stretched, "the tail segment runs on [0.25, 0.75], not on its "
+                      "bow interval [0.25, 0.5]")],
+    ids=["lam-moved", "tail-stretched"])
+def test_segment_must_run_on_its_bow_interval_exit_2(
+        command, edit, message, tmp_path, capsys):
+    """Head, middle and tail run on [-ell/2, -lam], [-lam, lam] and
+    [lam, ell/2] exactly: a rep whose lam moved off the segments' ends, or a
+    segment that runs past its interval, is malformed input, exit 2 with
+    one JSON parse error, rather than a command that runs on the rep's
+    intervals and reads the segments clamped."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--seed", "3",
+            "--out", str(sol_file))
+    capsys.readouterr()
+    obj = json.loads(sol_file.read_text())
+    edit(obj)
+    sol_file.write_text(json.dumps(obj))
+    out = tmp_path / "out"
+    assert run_cli(command, "--input", str(sol_file),
+                   *_CONTRACT_ARGS[command], "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "parse" and message in err["message"]
+
+
 @pytest.mark.parametrize("args", [("--points", "0", "--grid", "64"),
                                   ("--points", "1")])
 def test_dirac_on_overflowing_samples_exit_1_with_json_error(args, tmp_path,
@@ -599,6 +638,22 @@ def test_dirac_refinement_trace(tmp_path, capsys):
     lines = csv_file.read_text().strip().splitlines()
     assert lines[0] == "grid,h,kernel_dim,gap,reality,min_eig"
     assert len(lines) == 4
+    capsys.readouterr()
+
+
+def test_dirac_refinement_runs_to_grid_4096(tmp_path, capsys):
+    """The refinement trace builds no dense operator (2.4 GB at grid 4096),
+    so it runs to grid 4096: three rows, each with kernel dimension 2."""
+    sol_file = tmp_path / "sol.json"
+    run_cli("generate", "--kind", "bowsol", "--m", "1", "--out",
+            str(sol_file))
+    csv_file = tmp_path / "refine.csv"
+    assert run_cli("dirac", "--input", str(sol_file), "--points", "0",
+                   "--grid", "4096", "--out", str(csv_file)) == 0
+    with csv_file.open() as f:
+        rows = list(csv.DictReader(f))
+    assert [(r["grid"], r["kernel_dim"]) for r in rows] == [
+        ("1024", "2"), ("2048", "2"), ("4096", "2")]
     capsys.readouterr()
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -52,7 +53,7 @@ def test_zero_data_unit_point_z_block():
                           I_minus=z(), J_minus=z(), I_plus=z(), J_plus=z())
     dl = dlm.assemble(sol, (1.0, 1.0), grid=32)
     # the multiplication block on every link is T1 + iT2 - xi psi = -1
-    p1, p2, r = dl.sites[0]
+    p1, p2, r = _sites(dl)[0]
     col_psi2 = 1    # second spinor component of the first node
     assert dl.matrix[p2, 0] == pytest.approx(-0.5)   # Z/2 on the left node
     assert dl.matrix[p1, col_psi2] == pytest.approx(-0.5)  # Z^dag/2
@@ -187,6 +188,19 @@ def _weighted(dl):
     return M
 
 
+def _sites(dl):
+    """Oracle: (row of the first spinor component, row of the second, rows
+    per component) of every equation site of the dense operator: each link
+    of each segment, then the junction sites, site i at rows 2k i and
+    2k i + k of the junction rows."""
+    k = len(dl.junction) // (2 * dlm.JUNCTION_SITES)
+    j0 = dl.n_link_rows
+    return ([(p, p + w // 2, w // 2) for r0, _, n, w in dl.segments
+             for p in range(r0, r0 + (n - 1) * w, w)]
+            + [(j0 + 2 * k * i, j0 + 2 * k * i + k, k)
+               for i in range(dlm.JUNCTION_SITES)])
+
+
 def _dense_kernel(dl):
     """Oracle: kernel of the whole operator by a dense SVD."""
     return nk.rank_kernel(dl.matrix)
@@ -199,7 +213,7 @@ def _dense_reality(dl):
     G = M @ M.conj().T
     n = G.shape[0]
     C = np.zeros((n, n), dtype=complex)
-    for p1, p2, r in dl.sites:
+    for p1, p2, r in _sites(dl):
         C[p1:p1 + r, p2:p2 + r] = -np.eye(r)
         C[p2:p2 + r, p1:p1 + r] = np.eye(r)
     resid = G @ C - C @ G.conj()
@@ -349,13 +363,25 @@ def test_block_ldl_on_padded_gram_chain(grid):
     and are padded.  The chain's matrix is the dense W W^H."""
     sol = pair_m1()
     dl = dlm.assemble(sol, GENERIC_POINTS[2], grid)
-    g = dlm._Chain.of(*dlm._gram(dl, dl.h))
+    g = dlm._Chain.of(dl, dl.h)
     A, rows = _dense_chain(g, g.D.shape[1])
     W = _weighted(dl)
     assert np.allclose(A, W @ W.conj().T, rtol=0,
                        atol=1e-13 * np.abs(A).max())
     assert g.gershgorin() >= np.linalg.eigvalsh(A)[-1]
     _check_chain_solver(g, A, rows, np.random.default_rng(grid))
+
+
+def _segment_blocks(dl, g):
+    """The blocks of the chain g = _Chain.of(dl, .) per segment, without
+    padding: the link diagonal blocks, the blocks coupling link j+1 to link
+    j, and the junction rows against the first and against the last link."""
+    out, b = [], 1
+    for _, _, n, w in dl.segments:
+        out.append((g.D[b:b + n - 1, :w, :w], g.B[b:b + n - 2, :w, :w],
+                    g.C[b, :, :w], g.C[b + n - 2, :, :w]))
+        b += n - 1
+    return out
 
 
 def _sequential_is_positive(blocks, JJ, tau):
@@ -395,11 +421,11 @@ def test_positivity_certificate_agrees_with_sequential_factorization(pair):
         for pt in GENERIC_POINTS[:3]:
             dl = dlm.assemble(sol, pt, grid)
             lower, value, _ = dlm.positivity_bracket(dl)
-            blocks, JJ = dlm._gram(dl, 1.0)
-            g = dlm._Chain.of(blocks, JJ)
+            g = dlm._Chain.of(dl, 1.0)
             for tau in ((lower + value) / 2, 1.001 * value, 1.1 * value):
                 assert (dlm._definite(g, tau, 1.0)
-                        == _sequential_is_positive(blocks, JJ, tau)
+                        == _sequential_is_positive(_segment_blocks(dl, g),
+                                                   g.S, tau)
                         == (tau < value))
 
 
@@ -414,7 +440,7 @@ def test_gram_normaliser_matches_eigvalsh(pair):
             W = _weighted(dl)
             want = np.linalg.eigvalsh(W @ W.conj().T)[-1]
             lower, value, upper = dlm._gram_top_bracket(
-                dl, dlm._gram(dl, dl.h))
+                dl, dlm._Chain.of(dl, dl.h))
             assert abs(value - want) <= 1e-13 * want
             assert lower <= want <= upper
             assert upper - lower <= 1e-12 * value
@@ -513,24 +539,44 @@ def test_positivity_certificate_refuses_a_value_above_the_minimum(
 
 
 @pytest.mark.parametrize("pair", [pair_m0, pair_m1])
-def test_solvers_read_only_link_stacks_and_junction_rows(pair):
-    """kernel, positivity_bracket and reality_residual take the link rows
-    from the per-segment stacks dl.links and read only the junction rows of
-    dl.matrix: with its link rows overwritten by NaN they give bit-identical
-    results."""
+def test_solvers_never_build_the_dense_operator(pair):
+    """kernel, positivity_bracket and reality_residual read the link stacks
+    and the junction rows: on a fresh lattice they leave the dense operator
+    unbuilt.  Built afterwards, it holds every link's (L, R) in its link
+    rows and the junction rows below them."""
     sol = pair()
     for grid in (8, 64):
         for pt in GENERIC_POINTS[:2]:
-            clean = dlm.assemble(sol, pt, grid)
-            dirty = dlm.assemble(sol, pt, grid)
-            dirty.matrix[:dirty.n_link_rows] = np.nan
-            (dim, basis, gap), (dim2, basis2, gap2) = (
-                dlm.kernel(clean), dlm.kernel(dirty))
-            assert dim == dim2 and gap == gap2
-            assert np.array_equal(basis, basis2)
-            assert dlm.positivity_bracket(clean) == \
-                dlm.positivity_bracket(dirty)
-            assert dlm.reality_residual(clean) == dlm.reality_residual(dirty)
+            dl = dlm.assemble(sol, pt, grid)
+            dlm.kernel(dl)
+            dlm.positivity_bracket(dl)
+            dlm.reality_residual(dl)
+            assert "matrix" not in vars(dl)
+            M = dl.matrix
+            assert M.shape == dl.shape
+            assert np.array_equal(M[dl.n_link_rows:], dl.junction)
+            for (r0, c0, n, w), (L, R) in zip(dl.segments, dl.links):
+                for j in range(n - 1):
+                    LR = np.hstack([L[j], R[j]])
+                    rows = M[r0 + j * w:r0 + (j + 1) * w]
+                    assert np.array_equal(
+                        rows[:, c0 + j * w:c0 + (j + 2) * w], LR)
+                    assert np.count_nonzero(rows) == np.count_nonzero(LR)
+
+
+def test_refinement_to_grid_1024_stays_small():
+    """The lattice holds no dense operator, so a refinement study to grid
+    1024 allocates a few megabytes, not the 151 MB of the grid-1024 dense
+    matrix."""
+    tracemalloc.start()
+    try:
+        study = dlm.refinement_study(pair_m1(), GENERIC_POINTS[0],
+                                     grids=(256, 512, 1024))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [s["dim"] for s in study] == [2, 2, 2]
+    assert peak < 40e6
 
 
 def test_positivity_refused_at_reducible_point():

@@ -15,7 +15,9 @@ fail.  No library module but ``numkit`` imports ``fractions``:
 exact matrices hold integer numerators over one denominator, the
 ``bowcli`` parser hands ``numkit`` the integer parts of each entry, and
 only ``numkit``'s exact scalar ``GaussianRational`` is a pair of
-Fractions.  No three consecutive code lines of the library appear twice
+Fractions.  No definition of ``diraclattice`` but ``DiracLattice.matrix``
+reads an attribute named ``matrix``: the Dirac solvers never build the
+dense operator.  No three consecutive code lines of the library appear twice
 in it: a rule is written once and called, unless ``REPEATS_ALLOWED``
 names the definition that repeats it with the reason it does.
 
@@ -405,6 +407,47 @@ def test_fractions_only_in_numkit_and_bowcli(path):
 def test_bowcli_parses_exact_json_without_fractions():
     """With the modules above, only numkit imports fractions."""
     assert fractions_imports((SRC / "bowcli.py").read_text()) == []
+
+
+def dense_operator_reads(source: str) -> list[str]:
+    """Every read of an attribute named ``matrix`` outside the body of
+    ``DiracLattice.matrix``, the cached property that builds the dense
+    operator on first read.  Scoped to ``diraclattice``: other modules have
+    their own ``matrix`` (``monadcore._Placement.matrix``)."""
+    tree = ast.parse(source)
+    inside = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name == "DiracLattice":
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and f.name == "matrix":
+                    inside.update(range(f.lineno, f.end_lineno + 1))
+    return [f".matrix (line {n})" for n in sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "matrix"
+        and isinstance(node.ctx, ast.Load) and node.lineno not in inside)]
+
+
+def test_scanner_flags_a_dense_operator_read():
+    src = ("class DiracLattice:\n"
+           "    @property\n    def shape(self):\n"
+           "        return self.matrix.shape\n"
+           "    @cached_property\n    def matrix(self):\n"
+           "        return build(self.junction, other.matrix)\n"
+           "class _Placement:\n    def matrix(self, f):\n        return f\n"
+           "def kernel(dl):\n    dl.matrix[0] = 1.0\n"
+           "    return placement.matrix(dl.junction)\n"
+           "dl.matrix = None\n")
+    assert dense_operator_reads(src) == [".matrix (line 4)",
+                                         ".matrix (line 12)",
+                                         ".matrix (line 13)"]
+
+
+def test_dirac_solvers_never_read_the_dense_operator():
+    """No definition of diraclattice but DiracLattice.matrix reads the
+    dense operator: the solvers work on the link stacks and the junction
+    rows, and a solver that reads ``dl.matrix`` would build the N x (N+2)
+    array (2.4 GB at grid 4096)."""
+    assert dense_operator_reads((SRC / "diraclattice.py").read_text()) == []
 
 
 # top-level definitions whose repeated lines stay, each with why
