@@ -343,7 +343,7 @@ def small_monad(data, ctx: ToleranceContext = DEFAULT_CTX,
             (0, 0, at["Q"], at["T"], data.A),
             (1, 0, at["Q"], at["T"], -eye),
             (0, 0, at["Q"], at["W"], data.C)]
-    return ParamMonad.from_blocks("xi_eta", cols, alpha, beta, exact)
+    return ParamMonad.from_blocks("xi_eta", cols, alpha, beta)
 
 
 def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
@@ -389,7 +389,7 @@ def big_monad(data: CaloronData, ctx: ToleranceContext = DEFAULT_CTX,
         # shifted-block pencil: left normal form minus eta
         (0, 0, at["T1"], at["S1"], data.normal_form),
         (0, 1, at["T1"], at["S1"], -eyekm)]
-    return ParamMonad.from_blocks("xi_eta", cols, alpha, beta, exact)
+    return ParamMonad.from_blocks("xi_eta", cols, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -528,9 +528,9 @@ def _first_valid_draw(draw, validate, what: str, k: int, m: int, seed: int,
     raise NoValidDraw(f"no validated {what} for k={k}, m={m}, seed={seed}")
 
 
-def _draw_ints(rng, shape, lo=-4, hi=5):
-    """Exact matrix of integers drawn uniformly from [lo, hi)."""
-    return nk.int_matrix(rng.integers(lo, hi, size=shape), True)
+def _draw_ints(rng, shape):
+    """Exact matrix of integers drawn uniformly from [-4, 5)."""
+    return nk.int_matrix(rng.integers(-4, 5, size=shape), True)
 
 
 def _draw_caloron(k: int, m: int, rng, exact: bool):

@@ -17,9 +17,10 @@ A monad is built once, from its blocks: ``ParamMonad.from_blocks(chart,
 cols, alpha, beta)`` sizes both maps from the column ranks and sums each
 map's ``(p, q, start[row label] + i, start[col label] + j, payload)``
 blocks, the offsets read from ``block_starts(cols)`` and each extent from
-its payload's shape.  The coefficients are read-only from then on.  The
-twists come from ``o_pp`` on the (xi, eta) chart and from the ``TWISTS``
-table on the (xi, psi) chart.
+its payload's shape.  The coefficients are read-only from then on; they
+are exact when the payloads are.  ``ParamMonad.evaluate`` is the one
+evaluator of both maps on both backends.  The twists come from ``o_pp`` on
+the (xi, eta) chart and from the ``TWISTS`` table on the (xi, psi) chart.
 
 Fibers are quotients ker(beta)/im(alpha) at a point; section spaces along a
 line combine the naive kernel/image computation with the first-cohomology
@@ -203,30 +204,38 @@ class BlockSpec:
     rank: int
 
 
+def _backend(exact_flags) -> bool:
+    """Exact when every part of a monad is, float when none is (or there
+    is none); parts of both backends raise TypeError."""
+    flags = set(exact_flags)
+    if len(flags) > 1:
+        raise TypeError("a monad takes parts of one backend only")
+    return flags == {True}
+
+
 class PolyMatrix:
     """Matrix polynomial sum_{(p,q)} coeff[(p,q)] * x^p * y^q.
 
     On the (xi, eta) chart (x, y) = (xi, eta); on the (xi, psi) chart
     (x, y) = (xi, psi) and eta = xi*psi enters as the (1, 1) monomial.
 
-    The coefficients are fixed at construction and stored as one tensor:
-    exponent arrays P and Q, and C with one row per monomial, the flattened
-    coefficient of x^P[j] y^Q[j]: a read-only complex array, or on the exact
-    backend one ExactMatrix, whose numerators over one denominator are the
-    split form that evaluation and composition work on.  The exponents
-    are held as floats, which a complex power takes without a cast (whole
-    exponents are still raised by repeated multiplication).  ``coeffs`` is
-    a read-only mapping from (p, q) to its coefficient (a read-only view of
+    The coefficients are fixed at construction and stored as one tensor C
+    with one row per monomial, the flattened coefficient of x^p y^q: a
+    read-only complex array, or on the exact backend one ExactMatrix, whose
+    numerators over one denominator are the split form that evaluation and
+    composition work on; float when there are none.  ``coeffs`` is a
+    read-only mapping from (p, q) to its coefficient (a read-only view of
     its row on floats), so what is derived from the coefficients once, such
-    as a monad's section plans, stays valid.
+    as a monad's weight row and section plans, stays valid.
     """
 
-    def __init__(self, shape, coeffs=None, exact=False):
+    def __init__(self, shape, coeffs=None):
         coeffs = coeffs or {}
         if any(M.shape != tuple(shape) for M in coeffs.values()):
             raise ValueError(f"a coefficient is not of shape {tuple(shape)}")
+        exact = _backend(map(is_exact, coeffs.values()))
         C = nk.block([[M.reshape(1, -1)] for M in coeffs.values()] or [[
-            nk.zeros_like_backend(0, shape[0] * shape[1], exact)]])
+            np.zeros((0, shape[0] * shape[1]))]])
         self._set(shape, list(coeffs), C if exact else C.astype(complex))
 
     @classmethod
@@ -241,34 +250,8 @@ class PolyMatrix:
         self.shape, self.exact, self.C = tuple(shape), is_exact(C), C
         if not self.exact:
             C.flags.writeable = False
-        self.P = np.array([p for p, _ in monomials], dtype=float)
-        self.Q = np.array([q for _, q in monomials], dtype=float)
         self.coeffs = MappingProxyType({key: C[j].reshape(self.shape)
                                         for j, key in enumerate(monomials)})
-
-    def evaluate(self, x, y):
-        """Value at the chart point (x, y); on floats, evaluate_many's weight
-        formula on two complex scalars, bit for bit evaluate_many([(x, y)])."""
-        if not self.exact:
-            return self._at(complex(x), complex(y))
-        # one exact product: the row of monomial weights times the tensor
-        w = nk.exact_matrix([[x ** p * y ** q for p, q in self.coeffs]])
-        return (w @ self.C).reshape(self.shape)
-
-    def evaluate_many(self, points) -> np.ndarray:
-        """Values at N chart points (x, y), stacked as an (N, rows, cols)
-        array: the (N, monomials) weights x^p y^q times the coefficient
-        tensor.  Float backend only; convert an exact matrix with
-        ``to_float`` first."""
-        return self._at(*_columns(points))
-
-    def _at(self, x, y) -> np.ndarray:
-        """Values at the (N, 1) columns x and y, stacked, or at two scalars."""
-        if self.exact:
-            raise TypeError("evaluate_many needs float coefficients; "
-                            "convert with to_float()")
-        w = x ** self.P * y ** self.Q
-        return (w @ self.C).reshape(*w.shape[:-1], *self.shape)
 
     def compose(self, other: "PolyMatrix") -> "PolyMatrix":
         """self o other as matrix polynomials: on the exact backend the
@@ -395,12 +378,10 @@ def _summed_blocks(shape, blocks, exact) -> PolyMatrix:
     """The matrix polynomial of (p, q, r0, c0, payload) blocks: each payload
     added into the coefficient of x^p y^q with its top-left entry at
     (r0, c0), its extent read from its shape.  Monomials keep the order in
-    which they are first seen.  An exact monad takes exact payloads only,
-    and sums their numerators over the least common denominator of all."""
+    which they are first seen.  Exact payloads are summed as numerators
+    over the least common denominator of all."""
     rows, at = {}, []
     for p, q, r0, c0, payload in blocks:
-        if exact and not nk.is_exact(payload):
-            raise TypeError("an exact monad takes exact payloads only")
         h, w = np.shape(payload)
         if r0 + h > shape[0] or c0 + w > shape[1]:
             raise ValueError(f"block {(h, w)} at {(r0, c0)} leaves {shape}")
@@ -432,13 +413,12 @@ class ParamMonad:
     twist (see _LineSystem) are kept in ``_plans``: the coefficients never
     change."""
 
-    def __init__(self, chart, cols, alpha: PolyMatrix, beta: PolyMatrix,
-                 exact=False):
+    def __init__(self, chart, cols, alpha: PolyMatrix, beta: PolyMatrix):
         if chart not in ("xi_eta", "xi_psi"):
             raise ChartMismatch(f"unknown chart {chart!r}")
         self.chart = chart
         self.cols = cols                       # 3 lists of BlockSpec
-        self.exact = exact
+        self.exact = _backend((alpha.exact, beta.exact))
         self.start = block_starts(cols)
         self.ranks = n1, n2, n3 = tuple(sum(b.rank for b in c) for c in cols)
         self.alpha, self.beta = alpha, beta
@@ -447,14 +427,15 @@ class ParamMonad:
         self._plans: dict = {}
 
     @classmethod
-    def from_blocks(cls, chart, cols, alpha, beta,
-                    exact=False) -> "ParamMonad":
+    def from_blocks(cls, chart, cols, alpha, beta) -> "ParamMonad":
         """The monad whose alpha and beta sum the (p, q, r0, c0, payload)
         blocks given for each (see _summed_blocks), sized from the column
-        ranks; block_starts(cols) gives the offsets r0 and c0."""
+        ranks; block_starts(cols) gives the offsets r0 and c0.  It is exact
+        when its payloads are (float when there are none)."""
         n1, n2, n3 = (sum(b.rank for b in c) for c in cols)
+        exact = _backend(is_exact(b[4]) for b in [*alpha, *beta])
         return cls(chart, cols, _summed_blocks((n2, n1), alpha, exact),
-                   _summed_blocks((n3, n2), beta, exact), exact)
+                   _summed_blocks((n3, n2), beta, exact))
 
     # -- basic structure -----------------------------------------------------
     def composite(self) -> PolyMatrix:
@@ -464,7 +445,7 @@ class ParamMonad:
         if not self.exact:
             return self
         return ParamMonad(self.chart, self.cols, self.alpha.to_float(),
-                          self.beta.to_float(), exact=False)
+                          self.beta.to_float())
 
     def composite_residual(self) -> float:
         """0 when beta o alpha vanishes identically; relative size otherwise."""
@@ -487,35 +468,42 @@ class ParamMonad:
         (xi, psi) on the blown-up chart (eta = xi*psi is derived).  On the
         float backend, evaluate_many's formulas on two complex scalars, with
         no stack of one point: alpha, beta and the residual are bit for bit
-        those of evaluate_many([point])."""
+        those of evaluate_many([point]).  On the exact backend, one exact
+        row of the monomial weights, sliced per map as on floats, times
+        each map's tensor."""
         x, y = point
         if not self.exact:
             a, b, res = self._maps_at(complex(x), complex(y))
             return MonadAtPoint(a, b, res)
-        a = self.alpha.evaluate(x, y)
-        b = self.beta.evaluate(x, y)
+        monomials, _, _, at_beta = self._weights
+        w = nk.exact_matrix([[x ** p * y ** q for p, q in monomials]])
+        a = (w[:, :len(self.alpha.coeffs)] @ self.alpha.C).reshape(
+            self.alpha.shape)
+        b = (w[:, at_beta] @ self.beta.C).reshape(self.beta.shape)
         return MonadAtPoint(a, b, nk.mat_norm(b @ a))
 
     def evaluate_many(self, points):
         """alpha and beta at N chart points, stacked along a leading axis,
         with the relative residual |beta alpha| / (|alpha| |beta|) of each
         point (float backend).  Returns the tuple (alpha, beta, residual)."""
+        if self.exact:
+            raise TypeError("evaluate_many needs float coefficients; "
+                            "convert with to_float()")
         return self._maps_at(*_columns(points))
 
     @cached_property
     def _weights(self):
-        """What the weight rows of the two float maps share: the exponents
-        P and Q of alpha's monomials, then of those only beta has, and the
-        positions of beta's monomials among them, in beta's order.  One row
-        x^P y^Q then holds both maps' rows entry for entry as each map
-        computes its own (elementwise work is the same at any position).
-        Derived on first evaluation, as the coefficients never change."""
-        if self.alpha.exact or self.beta.exact:
-            raise TypeError("evaluate_many needs float coefficients; "
-                            "convert with to_float()")
+        """What the weight rows of the two maps share: alpha's monomials,
+        then those only beta has, their exponents P and Q as floats (which
+        a complex power takes without a cast; whole exponents are still
+        raised by repeated multiplication), and the positions of beta's
+        monomials among them, in beta's order.  One row x^P y^Q then holds
+        both maps' rows entry for entry as each map alone would compute
+        them (elementwise work is the same at any position).  Derived on
+        first evaluation, as the coefficients never change."""
         keys = {key: j for j, key in enumerate(
             dict.fromkeys([*self.alpha.coeffs, *self.beta.coeffs]))}
-        return (np.array([p for p, _ in keys], dtype=float),
+        return (list(keys), np.array([p for p, _ in keys], dtype=float),
                 np.array([q for _, q in keys], dtype=float),
                 np.array([keys[key] for key in self.beta.coeffs], dtype=int))
 
@@ -523,15 +511,14 @@ class ParamMonad:
         """evaluate_many at (N, 1) columns x and y, or at two scalars.
 
         One row of monomial weights, then each map's own product of its
-        part of the row with its tensor, so alpha and beta are bit for bit
-        the maps' own evaluate.  (One product of a block-diagonal tensor
-        would round differently: BLAS sums a column in an order that
+        part of the row with its tensor.  (One product of a block-diagonal
+        tensor would round differently: BLAS sums a column in an order that
         depends on the product's shape and the column's place in it.)  At
         two scalars the residual is taken in Python floats, the same IEEE
         operations as on the arrays of N points."""
-        P, Q, at_beta = self._weights
+        _, P, Q, at_beta = self._weights
         w = x ** P * y ** Q
-        fa = w[..., :len(self.alpha.P)] @ self.alpha.C
+        fa = w[..., :len(self.alpha.coeffs)] @ self.alpha.C
         fb = w[..., at_beta] @ self.beta.C
         lead = w.shape[:-1]
         a = fa.reshape(*lead, *self.alpha.shape)

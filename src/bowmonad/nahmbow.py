@@ -517,7 +517,7 @@ def check_boundary(sol: NahmSolution,
             for name, lam, side in (("pole_fit_minus", rep.lam_minus, +1),
                                     ("pole_fit_plus", rep.lam_plus, -1)):
                 rho, res = fit_pole_residues(sol.middle, lam, side * eps)
-                ok, ures = residues_match_irrep(rho, m)
+                ok, ures = residues_match_irrep(rho, m, ctx)
                 report.add(name, ok and res < 1e-4, max(res, ures))
     return report
 
@@ -537,9 +537,10 @@ def fit_pole_residues(seg: Segment, lam: float, eps: float):
     return rho, residual
 
 
-def residues_match_irrep(rho, m: int):
+def residues_match_irrep(rho, m: int, ctx: ToleranceContext = DEFAULT_CTX):
     """Unitary equivalence of a fitted residue triple with su2_irrep(m) on
-    its nonzero block; returns (ok, residual)."""
+    its nonzero block, the intertwiner kernel cut by ctx; returns (ok,
+    residual)."""
     want = su2_irrep(m)
     got = [np.asarray(r) for r in rho]
     n = got[0].shape[0]
@@ -554,7 +555,7 @@ def residues_match_irrep(rho, m: int):
     for w, s in zip(want, sub):
         rows.append(np.kron(np.eye(m), w) - np.kron(s.T, np.eye(m)))
     try:
-        null = nk.rank_kernel(np.vstack(rows))
+        null = nk.rank_kernel(np.vstack(rows), ctx)
     except nk.GapTooSmall:
         # an intertwiner system that is nearly, but not decidedly,
         # solvable certifies no equivalence

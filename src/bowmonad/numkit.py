@@ -802,7 +802,7 @@ def common_eigenvector_obstruction(
                 if res <= vtol:
                     ob = Obstruction(complex(xi), complex(eta), v, float(res))
                     if is_exact(A):
-                        ob.exact_checked = _exact_certificate(A, B, D, xi, eta, v)
+                        ob.exact_checked = _exact_certificate(A, B, D, xi, eta)
                     found.append(ob)
     return found
 
@@ -836,7 +836,7 @@ def _eigen_kernels(M, eigs, below, tol: float, ctx: ToleranceContext,
         yield lam, kernel(lam) if K is None else K
 
 
-def _exact_certificate(A, B, D, xi, eta, v) -> bool:
+def _exact_certificate(A, B, D, xi, eta) -> bool:
     """Re-verify a float certificate exactly when xi, eta rationalize."""
     xq, eq = rationalize(xi), rationalize(eta)
     if xq is None or eq is None:

@@ -111,13 +111,13 @@ def validate(data, ctx: ToleranceContext = DEFAULT_CTX) -> ValidationReport:
     pts = normals[:, 0] + 1j * normals[:, 1]
     # full rank at every point; the value is the smallest margin
     # sigma_min / (rank_tol sigma_max) over the points, 0 at a zero matrix
-    for name, poly in (("monad_pointwise_injective", "alpha"),
-                       ("monad_pointwise_surjective", "beta")):
-        if pm is None:
+    stacks = (None, None) if pm is None else pm.evaluate_many(pts)[:2]
+    for name, stack in zip(("monad_pointwise_injective",
+                            "monad_pointwise_surjective"), stacks):
+        if stack is None:
             report.add(name, False, 0.0, note=undecided)
             continue
-        s = np.linalg.svd(getattr(pm, poly).evaluate_many(pts),
-                          compute_uv=False)
+        s = np.linalg.svd(stack, compute_uv=False)
         thr = ctx.rank_tol * s[:, 0]
         margin = np.divide(s[:, -1], thr, out=np.zeros(len(s)), where=thr > 0)
         report.add(name, np.all(s[:, -1] > thr), np.min(margin))
@@ -297,7 +297,7 @@ def _big_monad_unchecked(data, gluing=None) -> ParamMonad:
         (1, 1, at["T00"], at["S00"], eyek),
         (0, 0, at["T00"], at["S00"], Wp[:k]),              # -B0
         (0, 0, at["T00"], at["Vp"], eyek)]                 # (1, 0) row
-    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta, exact)
+    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta)
 
 
 def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
@@ -365,14 +365,14 @@ def psi_pushdown_monad(data: TaubNutData) -> ParamMonad:
         (1, 1, at["T00"], at["S00"], eyek),
         (0, 0, at["T00"], at["S00"], -B0),
         (0, 0, at["T00"], at["Vp"], eyek)]
-    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta, exact)
+    return ParamMonad.from_blocks("xi_psi", cols, alpha, beta)
 
 
 # ---------------------------------------------------------------------------
 # jumping lines
 
 
-def jumping_lines(data, ctx: ToleranceContext = DEFAULT_CTX):
+def jumping_lines(data):
     """Eigenvalues of B0 (k values, with multiplicity) plus the roots of the
     middle-block determinant (k + m values).  B1 = Bth Bht has the
     eigenvalues of B0 = Bht Bth (char(XY) = char(YX)), so B0 stands for

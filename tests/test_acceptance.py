@@ -71,8 +71,7 @@ def test_criterion_1_monad_identity(instances):
             for _ in range(1000):
                 x, y = rng.standard_normal(2) + 1j * rng.standard_normal(2)
                 pts.append((x, y))
-            a = pm.alpha.evaluate_many(pts)
-            b = pm.beta.evaluate_many(pts)
+            a, b, _ = pm.evaluate_many(pts)
             res = np.linalg.norm(b @ a, axis=(1, 2)) / np.maximum(
                 np.linalg.norm(a, axis=(1, 2)) * np.linalg.norm(b, axis=(1, 2)),
                 1e-300)

@@ -19,7 +19,10 @@ Fractions.  No definition of ``diraclattice`` but ``DiracLattice.matrix``
 reads an attribute named ``matrix``: the Dirac solvers never build the
 dense operator.  No three consecutive code lines of the library appear twice
 in it: a rule is written once and called, unless ``REPEATS_ALLOWED``
-names the definition that repeats it with the reason it does.
+names the definition that repeats it with the reason it does.  Every
+parameter of a library function or method is read by its body, unless
+``UNREAD_ALLOWED`` names it with the reason it stays (a signature shared
+across an interface).
 
 The package ``__init__`` is skipped (it re-exports), and so is an import
 line marked ``# noqa: F401``, the marker of a deliberate re-export.  A
@@ -192,6 +195,67 @@ def test_no_definitions_only_tests_read():
     test_only = {entry.split(" (line")[0] for p in MODULES
                  for entry in unreferenced_definitions(p.read_text(), refs)}
     assert test_only == set(TEST_ONLY)
+
+
+# parameters that their function never reads, each with why it stays
+UNREAD_ALLOWED = {
+    "M0Tuple._fixed_shapes: m": "shapes() calls the shape table of every "
+                                "data class as (k, m); the m > 0 table reads "
+                                "m, the m = 0 one has none to read",
+}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Each parameter of a function or method that its body never reads as
+    a name (nested functions and lambdas included), as "qualified name:
+    parameter"; the first parameter of a method that is not a staticmethod
+    (self or cls) is left out, and so are the parameters of lambdas."""
+    out = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+                continue
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix, in_class)
+                continue
+            a = child.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs,
+                      *(p for p in (a.vararg, a.kwarg) if p)]
+            if in_class and not any(isinstance(d, ast.Name) and
+                                    d.id == "staticmethod"
+                                    for d in child.decorator_list):
+                params = params[1:]
+            read = {n.id for stmt in child.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out.extend(f"{prefix}{child.name}: {p.arg} (line {child.lineno})"
+                       for p in params if p.arg not in read)
+            visit(child, f"{prefix}{child.name}.", False)
+
+    visit(ast.parse(source), "", False)
+    return out
+
+
+def test_scanner_flags_an_unread_parameter():
+    src = ("def f(a, b, *args, c=1, **kw):\n    return a + c\n"
+           "def g(x):\n    def h(y, z):\n        return x + y\n"
+           "    return lambda u, w: h(u, 0)\n"
+           "class K:\n    def m(self, n):\n        return 1\n"
+           "    @classmethod\n    def c(cls, n):\n        return n\n"
+           "    @staticmethod\n    def s(p, q):\n        return q\n")
+    assert unread_parameters(src) == [
+        "f: b (line 1)", "f: args (line 1)", "f: kw (line 1)",
+        "g.h: z (line 4)", "K.m: n (line 8)", "K.s: p (line 14)"]
+
+
+def test_no_unread_parameters():
+    """Every library parameter is read by its function, but those that
+    UNREAD_ALLOWED names: a new unread one fails, and so does a stale
+    entry."""
+    unread = {entry.split(" (line")[0] for p in MODULES
+              for entry in unread_parameters(p.read_text())}
+    assert unread == set(UNREAD_ALLOWED)
 
 
 ALLOWED_TOP_LEVEL = set(sys.stdlib_module_names) | {"numpy", "bowmonad"}

@@ -210,6 +210,19 @@ def _float_monads():
         taubnut.generate_taubnut(1, 1, seed=5, exact=True)).to_float()
 
 
+def _monomial_sum(poly, x, y):
+    """A float matrix polynomial at (x, y), summed monomial by monomial: the
+    test-side oracle of ParamMonad.evaluate."""
+    return sum((M * x ** p * y ** q for (p, q), M in poly.coeffs.items()),
+               np.zeros(poly.shape, dtype=complex))
+
+
+def _near_monomial_sum(got, poly, x, y):
+    want = _monomial_sum(poly, x, y)
+    return np.linalg.norm(got - want) <= 1e-14 * max(np.linalg.norm(want),
+                                                     1.0)
+
+
 def test_evaluate_many_matches_per_point():
     rng = np.random.default_rng(8)
     pts = mc.random_chart_points(40, rng) + [(0.0, 0.0), (1.5, 0.0)]
@@ -222,11 +235,7 @@ def test_evaluate_many_matches_per_point():
                 assert np.linalg.norm(got - want) <= 1e-14 * max(
                     np.linalg.norm(want), 1.0)
             assert abs(residual[i] - one.residual) <= 1e-14
-            x, y = p
-            a = sum(m * x ** p_ * y ** q for (p_, q), m
-                    in pm.alpha.coeffs.items())
-            assert np.linalg.norm(one.alpha - a) <= 1e-14 * max(
-                np.linalg.norm(a), 1.0)
+            assert _near_monomial_sum(one.alpha, pm.alpha, *p)
 
 
 def test_fiber_dims_matches_fiber_dim():
@@ -265,9 +274,10 @@ def _generator_monads(seed=0):
 
 
 def test_single_point_path_equals_the_batch():
-    """evaluate, PolyMatrix.evaluate and fiber_dim at one point give the
-    values of evaluate_many and fiber_dims at that point bit for bit: on
-    the generator monads of seeds 0-2 at 37 points each, 1,665 points."""
+    """evaluate and fiber_dim at one point give the values of evaluate_many
+    and fiber_dims at that point bit for bit, and both maps are their
+    monomial sums to rounding: on the generator monads of seeds 0-2 at 37
+    points each, 1,665 points."""
     rng = np.random.default_rng(19)
     # 37 points; the last 22 come from their own generator, so rng still
     # draws the same dense maps below
@@ -281,8 +291,8 @@ def test_single_point_path_equals_the_batch():
             assert np.array_equal(one.alpha, alpha[i])
             assert np.array_equal(one.beta, beta[i])
             assert one.residual == residual[i]
-            assert np.array_equal(pm.alpha.evaluate(*p), alpha[i])
-            assert np.array_equal(pm.beta.evaluate(*p), beta[i])
+            assert _near_monomial_sum(alpha[i], pm.alpha, *p)
+            assert _near_monomial_sum(beta[i], pm.beta, *p)
             assert mc.fiber_dim(one) == mc.fiber_dims(pm, [p])[0][0] \
                 == dims[i] == 2
     # dense maps, where every entry sums several monomials: a product of
@@ -301,15 +311,16 @@ def test_single_point_path_equals_the_batch():
         assert np.array_equal(one.alpha, a[0])
         assert np.array_equal(one.beta, b[0])
         assert one.residual == res[0]
-        assert np.array_equal(alpha.evaluate(*p), a[0])
+        assert _near_monomial_sum(a[0], alpha, *p)
 
 
 def test_shared_weight_row_keeps_each_map_bit_for_bit():
     """alpha and beta of different monomials, in different orders: a
     monad's evaluate and evaluate_many, through the one weight row both
-    maps read, give each map byte for byte as the map's own evaluate and
-    evaluate_many, and evaluate the residual of those two.  An exact monad
-    still refuses evaluate_many."""
+    maps read, give each map byte for byte as a monad whose other map has
+    no monomials, whose row is that map's alone, and evaluate the residual
+    of those two.  Each is its monomial sum to rounding.  An exact monad
+    refuses evaluate_many."""
     rng = np.random.default_rng(30)
 
     def dense(shape, keys):
@@ -318,19 +329,24 @@ def test_shared_weight_row_keeps_each_map_bit_for_bit():
                                      for key in keys})
     alpha = dense((4, 3), [(2, 1), (0, 0), (1, 0)])
     beta = dense((2, 4), [(0, 1), (1, 3), (0, 0), (3, 0), (1, 0)])
-    pm = mc.ParamMonad("xi_eta", ([mc.BlockSpec("U", {}, 3)],
-                                  [mc.BlockSpec("V", {}, 4)],
-                                  [mc.BlockSpec("W", {}, 2)]), alpha, beta)
+    cols = ([mc.BlockSpec("U", {}, 3)], [mc.BlockSpec("V", {}, 4)],
+            [mc.BlockSpec("W", {}, 2)])
+    pm = mc.ParamMonad("xi_eta", cols, alpha, beta)
+    alone_a = mc.ParamMonad("xi_eta", cols, alpha, mc.PolyMatrix(beta.shape))
+    alone_b = mc.ParamMonad("xi_eta", cols, mc.PolyMatrix(alpha.shape), beta)
     pts = mc.random_chart_points(15, rng)
     for p in pts:
-        one, a, b = pm.evaluate(p), alpha.evaluate(*p), beta.evaluate(*p)
+        one = pm.evaluate(p)
+        a, b = alone_a.evaluate(p).alpha, alone_b.evaluate(p).beta
         assert one.alpha.tobytes() == a.tobytes()
         assert one.beta.tobytes() == b.tobytes()
         assert one.residual == mc._norms(b @ a) / max(
             mc._norms(a) * mc._norms(b), 1e-300)
+        assert _near_monomial_sum(a, alpha, *p)
+        assert _near_monomial_sum(b, beta, *p)
     a, b, _ = pm.evaluate_many(pts)
-    assert a.tobytes() == alpha.evaluate_many(pts).tobytes()
-    assert b.tobytes() == beta.evaluate_many(pts).tobytes()
+    assert a.tobytes() == alone_a.evaluate_many(pts)[0].tobytes()
+    assert b.tobytes() == alone_b.evaluate_many(pts)[1].tobytes()
     exact = taubnut._big_monad_unchecked(
         taubnut.generate_taubnut(1, 1, seed=5, exact=True))
     with pytest.raises(TypeError):
@@ -752,8 +768,9 @@ def test_fiber_guard_refuses_maps_that_are_not_finite():
 
 def test_blocks_sum_into_read_only_coefficients():
     pt = (0.7 - 0.2j, 1.1 + 0.4j)
-    assert np.all(mc.PolyMatrix((2, 3)).evaluate(*pt) == 0)
     cols = ([mc.BlockSpec("U", {}, 3)], [mc.BlockSpec("V", {}, 2)], [])
+    assert np.all(mc.ParamMonad.from_blocks("xi_eta", cols, [], [])
+                  .evaluate(pt).alpha == 0)
     pm = mc.ParamMonad.from_blocks("xi_eta", cols, [
         (0, 0, 0, 0, [[1.0, 2.0]]),
         (1, 0, 1, 2, [[1.0]]),                          # a new monomial
@@ -761,9 +778,9 @@ def test_blocks_sum_into_read_only_coefficients():
     alpha = pm.alpha
     assert list(alpha.coeffs) == [(0, 0), (1, 0)]
     assert alpha.coeffs[(0, 0)].tolist() == [[1, 5, 0], [0, 0, 0]]
-    assert alpha.evaluate(*pt)[0, 1] == 5.0
-    assert alpha.evaluate(*pt)[1, 2] == pt[0]
-    assert alpha.evaluate_many([pt])[0][1, 2] == pt[0]
+    assert pm.evaluate(pt).alpha[0, 1] == 5.0
+    assert pm.evaluate(pt).alpha[1, 2] == pt[0]
+    assert pm.evaluate_many([pt])[0][0, 1, 2] == pt[0]
     # a float block is added, not copied: -0.0 entries land as +0.0
     signs = mc.ParamMonad.from_blocks("xi_eta", cols, [
         (0, 0, 0, 0, -np.eye(2))], []).alpha.C
@@ -779,10 +796,10 @@ def test_blocks_sum_into_read_only_coefficients():
     comp = alpha.compose(mc.PolyMatrix((3, 1), {(0, 0): np.ones((3, 1)),
                                                 (4, 0): np.ones((3, 1))}))
     assert list(comp.coeffs) == [(0, 0), (4, 0), (1, 0), (5, 0)]
-    assert comp.evaluate(*pt)[0, 0] == pytest.approx(6 + 6 * pt[0] ** 4,
-                                                     rel=1e-15)
-    assert comp.evaluate(*pt)[1, 0] == pytest.approx(pt[0] + pt[0] ** 5,
-                                                     rel=1e-15)
+    assert _monomial_sum(comp, *pt)[0, 0] == pytest.approx(
+        6 + 6 * pt[0] ** 4, rel=1e-15)
+    assert _monomial_sum(comp, *pt)[1, 0] == pytest.approx(
+        pt[0] + pt[0] ** 5, rel=1e-15)
     with pytest.raises(TypeError):
         comp.coeffs[(5, 0)] = np.ones((2, 1))
 
@@ -792,7 +809,8 @@ def test_payload_past_the_matrix_edge_raises():
     for exact in (False, True):
         block = nk.exact_matrix if exact else np.array
         corner = (0, 0, 1, 1, block([[1, 2]]))          # ends at the corner
-        pm = mc.ParamMonad.from_blocks("xi_eta", cols, [corner], [], exact)
+        pm = mc.ParamMonad.from_blocks("xi_eta", cols, [corner], [])
+        assert pm.exact == exact
         assert list(pm.alpha.coeffs) == [(0, 0)]
         assert np.all(pm.alpha.coeffs[(0, 0)] == block([[0, 0, 0], [0, 1, 2]]))
         for r0, c0, payload in ((1, 2, [[1, 2]]), (0, 0, [[1], [1], [1]]),
@@ -800,13 +818,42 @@ def test_payload_past_the_matrix_edge_raises():
             with pytest.raises(ValueError, match="leaves"):
                 mc.ParamMonad.from_blocks(
                     "xi_eta", cols, [corner, (0, 0, r0, c0, block(payload))],
-                    [], exact)
+                    [])
         with pytest.raises(ValueError, match="leaves"):      # beta is 0 x 2
             mc.ParamMonad.from_blocks("xi_eta", cols, [],
-                                      [(0, 0, 0, 0, block([[1]]))], exact)
-    with pytest.raises(TypeError, match="exact payloads"):
-        mc.ParamMonad.from_blocks("xi_eta", cols, [(0, 0, 1, 1, [[1, 2]])],
-                                  [], True)
+                                      [(0, 0, 0, 0, block([[1]]))])
+
+
+def test_backend_is_read_off_the_data():
+    """A monad is exact when its payloads, or its maps' coefficients, are:
+    all exact gives an exact monad, all float (or none at all) a float one,
+    and a mix raises TypeError, within one map or across the two."""
+    cols = ([mc.BlockSpec("U", {}, 1)], [mc.BlockSpec("V", {}, 2)],
+            [mc.BlockSpec("W", {}, 1)])
+    a, b = [[1], [2]], [[2, -1]]
+    floats = mc.ParamMonad.from_blocks("xi_eta", cols, [(0, 0, 0, 0, a)],
+                                       [(1, 0, 0, 0, np.array(b))])
+    exact = mc.ParamMonad.from_blocks(
+        "xi_eta", cols, [(0, 0, 0, 0, nk.exact_matrix(a))],
+        [(1, 0, 0, 0, nk.exact_matrix(b))])
+    assert not floats.exact and not floats.alpha.exact
+    assert exact.exact and exact.alpha.exact and exact.beta.exact
+    assert not mc.ParamMonad.from_blocks("xi_eta", cols, [], []).exact
+    pt = (nk.GQ(1, 2), nk.GQ(3))
+    assert nk.is_exact(exact.evaluate(pt).alpha)
+    assert exact.evaluate(pt).residual == 0.0
+    assert not exact.to_float().exact
+    for alpha, beta in (([(0, 0, 0, 0, a), (1, 0, 0, 0, nk.exact_matrix(a))],
+                         []),
+                        ([(0, 0, 0, 0, nk.exact_matrix(a))],
+                         [(1, 0, 0, 0, b)])):
+        with pytest.raises(TypeError, match="one backend"):
+            mc.ParamMonad.from_blocks("xi_eta", cols, alpha, beta)
+    with pytest.raises(TypeError, match="one backend"):
+        mc.ParamMonad("xi_eta", cols, exact.alpha, floats.beta)
+    with pytest.raises(TypeError, match="one backend"):
+        mc.PolyMatrix((2, 1), {(0, 0): np.array(a),
+                               (1, 0): nk.exact_matrix(a)})
 
 
 def test_param_monad_allocates_maps_and_rejects_repeated_labels():
@@ -896,14 +943,15 @@ def _builder_monads(backends=(False, True)):
 
 def test_builders_match_per_block_assembly(monkeypatch):
     """Every tensor a builder makes is the one the per-block reference sums
-    from the same blocks: key order, P, Q and C bytes on floats, the value
-    of every entry on the exact backend."""
+    from the same blocks: key order, C bytes on floats and the float
+    exponents of the monad's weight row, the value of every entry on the
+    exact backend."""
     built = []
     from_blocks = mc.ParamMonad.from_blocks.__func__
 
-    def capture(cls, chart, cols, alpha, beta, exact=False):
+    def capture(cls, chart, cols, alpha, beta):
         alpha, beta = list(alpha), list(beta)
-        pm = from_blocks(cls, chart, cols, alpha, beta, exact)
+        pm = from_blocks(cls, chart, cols, alpha, beta)
         built.append((pm, alpha, beta))
         return pm
 
@@ -913,13 +961,19 @@ def test_builders_match_per_block_assembly(monkeypatch):
     # validation builds monads of its own, checked here as well
     assert {id(pm) for pm in monads} <= {id(pm) for pm, _, _ in built}
     for pm, *blocks in built:
+        if not pm.exact:
+            # alpha's monomials, then those only beta has
+            keys = list(dict.fromkeys([*pm.alpha.coeffs, *pm.beta.coeffs]))
+            monomials, P, Q, at_beta = pm._weights
+            assert monomials == keys
+            assert P.tobytes() == np.array([p for p, _ in keys],
+                                           float).tobytes()
+            assert Q.tobytes() == np.array([q for _, q in keys],
+                                           float).tobytes()
+            assert [keys[j] for j in at_beta] == list(pm.beta.coeffs)
         for poly, blks in zip((pm.alpha, pm.beta), blocks):
             want = _add_monomial_reference(poly.shape, blks, pm.exact)
             assert list(poly.coeffs) == list(want)
-            assert poly.P.tobytes() == np.array([p for p, _ in want],
-                                                float).tobytes()
-            assert poly.Q.tobytes() == np.array([q for _, q in want],
-                                                float).tobytes()
             C = np.stack([M.ravel() for M in want.values()])
             if pm.exact:
                 assert poly.C.shape == C.shape
@@ -962,8 +1016,8 @@ def _broken_exact_monad():
     unit[0, 0] = 1
     coeffs[0, 0] = coeffs[0, 0] + nk.int_matrix(unit, True) * nk.GQ(
         Fraction(1, 3), Fraction(-2, 7))
-    beta = mc.PolyMatrix(pm.beta.shape, coeffs, exact=True)
-    return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, beta, exact=True)
+    beta = mc.PolyMatrix(pm.beta.shape, coeffs)
+    return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, beta)
 
 
 def test_exact_compose_matches_per_key_products():
@@ -1202,7 +1256,7 @@ def test_pushdown_and_fused_tables_agree_on_l_xi_lines(k):
 def _fresh(pm):
     """A copy of a monad with no section plans yet; the coefficients are
     read-only, so it shares them."""
-    return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, pm.beta, pm.exact)
+    return mc.ParamMonad(pm.chart, pm.cols, pm.alpha, pm.beta)
 
 
 def _outcome(pm, line, d):

@@ -313,6 +313,34 @@ def test_noisy_pole_fit_is_refused_not_raised():
     assert nb.residues_match_irrep(noisy, 2) == (False, np.inf)
 
 
+def test_residue_match_reads_its_tolerance_context():
+    """The same 1e-9 noise is matched under a rank tolerance of 1e-6: the
+    intertwiner kernel then has dimension 1 with a decided margin."""
+    rng = np.random.default_rng(4)
+    noisy = [r + 1e-9 * (rng.standard_normal(r.shape)
+                         + 1j * rng.standard_normal(r.shape))
+             for r in nb.su2_irrep(2)]
+    ok, res = nb.residues_match_irrep(noisy, 2,
+                                      nk.ToleranceContext(rank_tol=1e-6))
+    assert ok and res < 1e-5
+
+
+def test_check_boundary_hands_its_context_to_the_pole_fit(monkeypatch):
+    """check_boundary decides both pole-fit rows under the tolerance
+    context it is given, so ``validate --tol`` reaches them."""
+    seen = []
+    match = nb.residues_match_irrep
+
+    def spy(rho, m, ctx=nk.DEFAULT_CTX):
+        seen.append(ctx)
+        return match(rho, m, ctx)
+
+    monkeypatch.setattr(nb, "residues_match_irrep", spy)
+    ctx = nk.ToleranceContext(rank_tol=1e-6)
+    nb.check_boundary(_pole_free_m2_solution(), ctx)
+    assert seen == [ctx, ctx]
+
+
 def _pole_free_m2_solution():
     """A k = 1, m = 2 solution without poles: head and tail carry the edge
     triple t of (Bth, Bht) as in solution_k1_m0, and the constant rank-3

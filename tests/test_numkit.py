@@ -543,7 +543,8 @@ def _ref_mat_mul(A, B):
 
 
 def _ref_evaluate(pm, x, y):
-    """Exact PolyMatrix value as a per-monomial sum in Q(i) arithmetic."""
+    """Exact PolyMatrix value as a per-monomial sum in Q(i) arithmetic: the
+    test-side oracle of ParamMonad.evaluate."""
     out = np.full(pm.shape, GQ(0), dtype=object)
     for (p, q), mat in pm.coeffs.items():
         mat = _entries(mat)
@@ -638,17 +639,31 @@ def test_mat_mul_mixed_fields_is_gaussian():
 @pytest.mark.parametrize("field", [GQ, Fraction])
 @pytest.mark.parametrize("shape", [(1, 1), (1, 5), (5, 1), (3, 4)])
 def test_evaluate_matches_monomial_sum(field, shape):
+    """Exact ParamMonad.evaluate against the per-monomial sum of each map:
+    beta shares two of alpha's monomials and has two of its own, in
+    another order, so each map reads its own slice of the one weight row.
+    A map with no monomials is zero."""
     rng = np.random.default_rng([*shape, field is GQ])
-    pm = monadcore.PolyMatrix(shape, exact=True)
-    assert nk.is_zero_matrix(pm.evaluate(GQ(2), GQ(3)))
-    pm = monadcore.PolyMatrix(shape, {
-        key: nk.exact_matrix(_oracle_matrix(rng, *shape, field, big=True))
-        for key in [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)]}, exact=True)
-    for _ in range(3):
-        x, y = _rational(rng, GQ, True), _rational(rng, GQ, False)
-        _assert_same(pm.evaluate(x, y), _ref_evaluate(pm, x, y))
+
+    def poly(shp, keys):
+        return monadcore.PolyMatrix(shp, {key: nk.exact_matrix(
+            _oracle_matrix(rng, *shp, field, big=True)) for key in keys})
+    alpha = poly(shape, [(0, 0), (1, 0), (0, 2), (1, 1), (3, 2)])
+    beta = poly((2, shape[0]), [(2, 2), (1, 1), (0, 0), (0, 3)])
+    cols = ([monadcore.BlockSpec("U", {}, shape[1])],
+            [monadcore.BlockSpec("V", {}, shape[0])],
+            [monadcore.BlockSpec("W", {}, 2)])
+    pm = monadcore.ParamMonad("xi_eta", cols, alpha, beta)
     zero = GQ(0)
-    _assert_same(pm.evaluate(zero, zero), _ref_evaluate(pm, zero, zero))
+    for x, y in [(_rational(rng, GQ, True), _rational(rng, GQ, False))
+                 for _ in range(3)] + [(zero, zero)]:
+        at = pm.evaluate((x, y))
+        _assert_same(at.alpha, _ref_evaluate(alpha, x, y))
+        _assert_same(at.beta, _ref_evaluate(beta, x, y))
+    lone = monadcore.ParamMonad.from_blocks(
+        "xi_eta", cols, [(0, 0, 0, 0, alpha.coeffs[0, 0])], [])
+    assert lone.exact and not lone.beta.coeffs
+    assert nk.is_zero_matrix(lone.evaluate((GQ(2), GQ(3))).beta)
 
 
 _RREF_CASES = [  # (m, n, rank or None for a generic draw, zero rows)

@@ -96,8 +96,11 @@ def test_big_monad_builds_the_float_monad_once(monkeypatch):
         want = tn._big_monad_unchecked(data)
         for got, ref in ((pm.alpha, want.alpha), (pm.beta, want.beta)):
             assert list(got.coeffs) == list(ref.coeffs)
-            for a, b in ((got.P, ref.P), (got.Q, ref.Q), (got.C, ref.C)):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert got.C.dtype == ref.C.dtype
+            assert got.C.tobytes() == ref.C.tobytes()
+        assert pm._weights[0] == want._weights[0]
+        for a, b in zip(pm._weights[1:], want._weights[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     data = tn.generate_taubnut(2, 1, seed=0, exact=True)
     built.clear()
     pm = tn.big_monad(data)
@@ -454,11 +457,12 @@ def _pointwise_margins(pm, ctx=nk.DEFAULT_CTX):
     rng = np.random.default_rng(7)
     pts = [rng.standard_normal(2) + 1j * rng.standard_normal(2)
            for _ in range(20)]
+    at = [pm.evaluate(p) for p in pts]
     out = []
-    for poly in (pm.alpha, pm.beta):
+    for poly in ("alpha", "beta"):
         worst = np.inf
-        for x, y in pts:
-            s = np.linalg.svd(poly.evaluate(x, y), compute_uv=False)
+        for one in at:
+            s = np.linalg.svd(getattr(one, poly), compute_uv=False)
             worst = min(worst, s[-1] / (ctx.rank_tol * s[0]) if s[0] else 0.0)
         out.append(worst)
     return out
